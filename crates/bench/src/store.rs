@@ -1050,42 +1050,78 @@ mod tests {
     }
 
     fn dense_stats() -> SimStats {
-        // Every field non-zero so a dropped field cannot hide in a
-        // default; the Debug round-trip below is the drift alarm.
+        // Every counter non-zero and distinct — numbered 1, 2, 3, … in
+        // declaration order, arrays element by element — so a dropped or
+        // swapped field cannot hide in a default.
         let mut s = SimStats::default();
-        let mut n = 1u64;
+        let mut n = 0u64;
+        let mut next = || {
+            n += 1;
+            n
+        };
         macro_rules! fill {
-            ($($f:ident),+) => { $( s.$f = n; n += 1; )+ };
+            ($($($f:ident).+),+) => { $( s.$($f).+ = next(); )+ };
         }
         fill!(
             cycles, committed, fetched, squashed, vp_eligible, vp_predicted, vp_used,
             vp_used_correct, vp_used_wrong, vp_squashes, vp_squash_cycles_frontend,
-            vp_squash_cycles_levt, vp_squash_cycles_window, vp_block_reads,
-            vp_window_rejects, early_executed, late_executed_alu, late_executed_branches,
-            levt_port_stalls, ee_write_stalls, cond_branches, branch_mispredicts,
-            hc_branches, hc_branch_mispredicts, indirect_mispredicts, btb_miss_bubbles,
-            memory_order_squashes, sq_forwards, stall_rob_full, stall_iq_full,
-            stall_lsq_full, stall_prf
+            vp_squash_cycles_levt, vp_squash_cycles_window
         );
-        for lvl in 0..8 {
-            s.vp_pred_by_level[lvl] = n + lvl as u64;
-            s.vp_correct_by_level[lvl] = n + 8 + lvl as u64;
+        for v in s.vp_pred_by_level.iter_mut().chain(s.vp_correct_by_level.iter_mut()) {
+            *v = next();
         }
-        n += 16;
-        s.mem.l1i.accesses = n;
-        s.mem.l1i.misses = n + 1;
-        s.mem.l1d.accesses = n + 2;
-        s.mem.l1d.misses = n + 3;
-        s.mem.l2.accesses = n + 4;
-        s.mem.l2.misses = n + 5;
-        s.mem.dram.accesses = n + 6;
-        s.mem.dram.row_hits = n + 7;
-        s.mem.dram.row_conflicts = n + 8;
-        s.mem.prefetch.trains = n + 9;
-        s.mem.prefetch.issued = n + 10;
-        s.mem.writebacks = n + 11;
+        fill!(
+            vp_block_reads, vp_window_rejects, early_executed, late_executed_alu,
+            late_executed_branches, levt_port_stalls, ee_write_stalls, cond_branches,
+            branch_mispredicts, hc_branches, hc_branch_mispredicts, indirect_mispredicts,
+            btb_miss_bubbles, memory_order_squashes, sq_forwards, stall_rob_full,
+            stall_iq_full, stall_lsq_full, stall_prf, mem.l1i.accesses, mem.l1i.misses,
+            mem.l1d.accesses, mem.l1d.misses, mem.l2.accesses, mem.l2.misses,
+            mem.dram.accesses, mem.dram.row_hits, mem.dram.row_conflicts,
+            mem.prefetch.trains, mem.prefetch.issued, mem.writebacks
+        );
         s
     }
+
+    /// The `eole-result/v2` bytes of a fixed key and [`dense_stats`]:
+    /// field names, order, nesting and checksum are the on-disk format,
+    /// so any drift in them fails here (a Debug round-trip alone would
+    /// not notice a reordered field).
+    #[test]
+    fn payload_bytes_are_pinned() {
+        let key = RunKey {
+            sim_version: 7,
+            config_name: "EOLE_4_64".into(),
+            config_digest: 0x0123_4567_89ab_cdef,
+            workload: "gzip".into(),
+            warmup: 10_000,
+            measure: 25_000,
+            seed: 3,
+            intervals: 8,
+            interval_warmup: 5_000,
+        };
+        assert_eq!(render_result_payload(&key, &dense_stats()), PINNED_PAYLOAD);
+    }
+
+    const PINNED_PAYLOAD: &str = "{\"schema\":\"eole-result/v2\",\"crc\":\"d8e15d2884f6f698\",\
+        \"sim_version\":7,\"key\":{\"config\":\"EOLE_4_64\",\"config_digest\":\"0123456789abcdef\",\
+        \"workload\":\"gzip\",\"warmup\":10000,\"measure\":25000,\"seed\":3,\
+        \"intervals\":{\"k\":8,\"warmup\":5000}},\"stats\":{\"cycles\":1,\"committed\":2,\
+        \"fetched\":3,\"squashed\":4,\"vp_eligible\":5,\"vp_predicted\":6,\"vp_used\":7,\
+        \"vp_used_correct\":8,\"vp_used_wrong\":9,\"vp_squashes\":10,\
+        \"vp_squash_cycles_frontend\":11,\"vp_squash_cycles_levt\":12,\
+        \"vp_squash_cycles_window\":13,\"vp_pred_by_level\":[14,15,16,17,18,19,20,21],\
+        \"vp_correct_by_level\":[22,23,24,25,26,27,28,29],\"vp_block_reads\":30,\
+        \"vp_window_rejects\":31,\"early_executed\":32,\"late_executed_alu\":33,\
+        \"late_executed_branches\":34,\"levt_port_stalls\":35,\"ee_write_stalls\":36,\
+        \"cond_branches\":37,\"branch_mispredicts\":38,\"hc_branches\":39,\
+        \"hc_branch_mispredicts\":40,\"indirect_mispredicts\":41,\"btb_miss_bubbles\":42,\
+        \"memory_order_squashes\":43,\"sq_forwards\":44,\"stall_rob_full\":45,\
+        \"stall_iq_full\":46,\"stall_lsq_full\":47,\"stall_prf\":48,\
+        \"mem\":{\"l1i\":{\"accesses\":49,\"misses\":50},\"l1d\":{\"accesses\":51,\"misses\":52},\
+        \"l2\":{\"accesses\":53,\"misses\":54},\
+        \"dram\":{\"accesses\":55,\"row_hits\":56,\"row_conflicts\":57},\
+        \"prefetch\":{\"trains\":58,\"issued\":59},\"writebacks\":60}}}\n";
 
     #[test]
     fn payload_round_trips_every_counter() {

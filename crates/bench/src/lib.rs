@@ -126,9 +126,10 @@ impl IntervalPolicy {
     }
 }
 
-/// Relative cycle-error budget of a stitched run against the
-/// exact-boundary serial run (0.5%): the `EOLE_INTERVAL_PARANOID=1` mode
-/// and the golden stitched-vs-serial table both pin it.
+/// Relative error budget of a stitched run's cycle and squashed-µ-op
+/// counts against the exact-boundary serial run (0.5%): the
+/// `EOLE_INTERVAL_PARANOID=1` mode and the golden stitched-vs-serial
+/// table both pin it.
 pub const INTERVAL_CYCLE_BUDGET: f64 = 0.005;
 
 /// How a checkpoint reached the chained sweep's sink: served by the
@@ -168,8 +169,8 @@ impl WarmSweepStats {
 
 /// True when `EOLE_INTERVAL_PARANOID=1`-style validation is requested:
 /// every stitched run also executes the serial comparator, reports the
-/// delta on stderr, and panics if committed/squashed counts diverge or
-/// the cycle error exceeds [`INTERVAL_CYCLE_BUDGET`]. Read once (the
+/// delta on stderr, and panics if committed counts diverge or the cycle
+/// or squashed error exceeds [`INTERVAL_CYCLE_BUDGET`]. Read once (the
 /// executor consults this per stitched run).
 pub fn interval_paranoid() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -649,8 +650,10 @@ impl Runner {
 /// The `EOLE_INTERVAL_PARANOID` validation: emits the stitched-vs-serial
 /// delta as one machine-readable JSON line on stderr (`"event":
 /// "interval-paranoid"`, greppable by CI) and panics when the stitch
-/// breaks its contract — committed or squashed counts diverging, or the
-/// cycle error exceeding [`INTERVAL_CYCLE_BUDGET`].
+/// breaks its contract — committed counts diverging, or the cycle or
+/// squashed-µ-op error exceeding [`INTERVAL_CYCLE_BUDGET`]. Squashed
+/// counts are budgeted, not exact: a squash discards however many µ-ops
+/// are in flight, which depends on the timing at the interval seams.
 ///
 /// # Panics
 ///
@@ -662,11 +665,9 @@ pub fn check_stitched_against_serial(
     stitched: &SimStats,
     serial: &SimStats,
 ) {
-    let err = if serial.cycles == 0 {
-        0.0
-    } else {
-        (stitched.cycles as f64 - serial.cycles as f64).abs() / serial.cycles as f64
-    };
+    let relative = |a: u64, b: u64| a.abs_diff(b) as f64 / b.max(1) as f64;
+    let err = relative(stitched.cycles, serial.cycles);
+    let squash_err = relative(stitched.squashed, serial.squashed);
     eprintln!(
         "{{\"event\":\"interval-paranoid\",\"label\":{},\"k\":{},\"warmup\":{},\
          \"stitched_cycles\":{},\"serial_cycles\":{},\"cycle_err\":{:.6},\
@@ -684,24 +685,22 @@ pub fn check_stitched_against_serial(
         serial.squashed,
         err <= INTERVAL_CYCLE_BUDGET
             && stitched.committed == serial.committed
-            && stitched.squashed == serial.squashed,
+            && squash_err <= INTERVAL_CYCLE_BUDGET,
     );
     assert_eq!(
         stitched.committed, serial.committed,
         "{label}: stitched committed count must equal the serial run exactly"
     );
-    assert_eq!(
-        stitched.squashed, serial.squashed,
-        "{label}: stitched squashed count must equal the serial run exactly"
-    );
-    assert!(
-        err <= INTERVAL_CYCLE_BUDGET,
-        "{label}: stitched cycle error {:.4}% exceeds the {:.2}% budget (k={}, w={})",
-        err * 100.0,
-        INTERVAL_CYCLE_BUDGET * 100.0,
-        policy.k,
-        policy.warmup,
-    );
+    for (what, e) in [("cycle", err), ("squashed-µ-op", squash_err)] {
+        assert!(
+            e <= INTERVAL_CYCLE_BUDGET,
+            "{label}: stitched {what} error {:.4}% exceeds the {:.2}% budget (k={}, w={})",
+            e * 100.0,
+            INTERVAL_CYCLE_BUDGET * 100.0,
+            policy.k,
+            policy.warmup,
+        );
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ pub use eole_store_service::StoreError;
 use eole_core::canon::{CanonicalBytes, Fnv64, SIM_FINGERPRINT_VERSION};
 use eole_core::pipeline::WARMSTATE_FORMAT;
 use eole_core::stats::SimStats;
-use eole_mem::hierarchy::MemStats;
+use eole_mem::counters::{Counter, CounterVisitor};
 use eole_stats::json::Json;
 use eole_stats::report::json_string;
 
@@ -632,10 +632,6 @@ impl ResultStore for DirStore {
 // (v2 = v1 plus the per-confidence-level and block-front counters; v1
 // files degrade to cache misses and are overwritten on the next save.)
 
-fn cache_stats_json(name: &str, accesses: u64, misses: u64) -> String {
-    format!("\"{name}\":{{\"accesses\":{accesses},\"misses\":{misses}}}")
-}
-
 /// Renders the stored-result payload (schema documented in
 /// `EXPERIMENTS.md`). Every counter is an exact JSON integer, so a report
 /// built from stored results is byte-identical to one built from fresh
@@ -667,56 +663,9 @@ pub fn render_result_payload(key: &RunKey, s: &SimStats) -> String {
         interval_tag,
     ));
     out.push_str("\"stats\":{");
-    let m = &s.mem;
-    let fields: Vec<String> = vec![
-        format!("\"cycles\":{}", s.cycles),
-        format!("\"committed\":{}", s.committed),
-        format!("\"fetched\":{}", s.fetched),
-        format!("\"squashed\":{}", s.squashed),
-        format!("\"vp_eligible\":{}", s.vp_eligible),
-        format!("\"vp_predicted\":{}", s.vp_predicted),
-        format!("\"vp_used\":{}", s.vp_used),
-        format!("\"vp_used_correct\":{}", s.vp_used_correct),
-        format!("\"vp_used_wrong\":{}", s.vp_used_wrong),
-        format!("\"vp_squashes\":{}", s.vp_squashes),
-        format!("\"vp_squash_cycles_frontend\":{}", s.vp_squash_cycles_frontend),
-        format!("\"vp_squash_cycles_levt\":{}", s.vp_squash_cycles_levt),
-        format!("\"vp_squash_cycles_window\":{}", s.vp_squash_cycles_window),
-        format!("\"vp_pred_by_level\":[{}]", join_u64s(&s.vp_pred_by_level)),
-        format!("\"vp_correct_by_level\":[{}]", join_u64s(&s.vp_correct_by_level)),
-        format!("\"vp_block_reads\":{}", s.vp_block_reads),
-        format!("\"vp_window_rejects\":{}", s.vp_window_rejects),
-        format!("\"early_executed\":{}", s.early_executed),
-        format!("\"late_executed_alu\":{}", s.late_executed_alu),
-        format!("\"late_executed_branches\":{}", s.late_executed_branches),
-        format!("\"levt_port_stalls\":{}", s.levt_port_stalls),
-        format!("\"ee_write_stalls\":{}", s.ee_write_stalls),
-        format!("\"cond_branches\":{}", s.cond_branches),
-        format!("\"branch_mispredicts\":{}", s.branch_mispredicts),
-        format!("\"hc_branches\":{}", s.hc_branches),
-        format!("\"hc_branch_mispredicts\":{}", s.hc_branch_mispredicts),
-        format!("\"indirect_mispredicts\":{}", s.indirect_mispredicts),
-        format!("\"btb_miss_bubbles\":{}", s.btb_miss_bubbles),
-        format!("\"memory_order_squashes\":{}", s.memory_order_squashes),
-        format!("\"sq_forwards\":{}", s.sq_forwards),
-        format!("\"stall_rob_full\":{}", s.stall_rob_full),
-        format!("\"stall_iq_full\":{}", s.stall_iq_full),
-        format!("\"stall_lsq_full\":{}", s.stall_lsq_full),
-        format!("\"stall_prf\":{}", s.stall_prf),
-        format!(
-            "\"mem\":{{{},{},{},\"dram\":{{\"accesses\":{},\"row_hits\":{},\"row_conflicts\":{}}},\"prefetch\":{{\"trains\":{},\"issued\":{}}},\"writebacks\":{}}}",
-            cache_stats_json("l1i", m.l1i.accesses, m.l1i.misses),
-            cache_stats_json("l1d", m.l1d.accesses, m.l1d.misses),
-            cache_stats_json("l2", m.l2.accesses, m.l2.misses),
-            m.dram.accesses,
-            m.dram.row_hits,
-            m.dram.row_conflicts,
-            m.prefetch.trains,
-            m.prefetch.issued,
-            m.writebacks,
-        ),
-    ];
-    out.push_str(&fields.join(","));
+    // Counters in declaration order, nested structs as nested objects.
+    let mut stats = *s;
+    stats.visit_counters(&mut RenderCounters { out: &mut out, first: true });
     out.push_str("}}\n");
     // Splice the checksum over the zero placeholder: digest the payload
     // with the crc field zeroed, then write the 16-hex digest in place.
@@ -765,40 +714,101 @@ fn verify_payload_checksum(text: &str) -> Result<(), PayloadError> {
     }
 }
 
-fn join_u64s(values: &[u64]) -> String {
-    values.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-}
-
-fn u64_array8(v: &Json, key: &str) -> Result<[u64; 8], String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array field `{key}`"))?;
-    if arr.len() != 8 {
-        return Err(format!("`{key}` must hold 8 levels, got {}", arr.len()));
-    }
-    let mut out = [0u64; 8];
-    for (slot, e) in out.iter_mut().zip(arr) {
-        *slot = e.as_u64().ok_or_else(|| format!("non-integer entry in `{key}`"))?;
-    }
-    Ok(out)
-}
-
 fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer field `{key}`"))
 }
 
-fn cache_stats_field(
-    v: &Json,
-    key: &str,
-) -> Result<eole_mem::cache::CacheStats, String> {
-    let c = v.get(key).ok_or_else(|| format!("missing `{key}`"))?;
-    Ok(eole_mem::cache::CacheStats {
-        accesses: u64_field(c, "accesses")?,
-        misses: u64_field(c, "misses")?,
-    })
+/// Writes every counter it visits as a JSON member (`"name":value`,
+/// arrays as JSON arrays, nested counter structs as nested objects).
+struct RenderCounters<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl RenderCounters<'_> {
+    fn member(&mut self, name: &str) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out.push_str(&format!("\"{name}\":"));
+    }
+}
+
+impl CounterVisitor for RenderCounters<'_> {
+    fn counter(&mut self, name: &'static str, value: Counter<'_>) {
+        self.member(name);
+        match value {
+            Counter::Scalar(v) => self.out.push_str(&v.to_string()),
+            Counter::Array(vs) => {
+                let items: Vec<String> = vs.iter().map(u64::to_string).collect();
+                self.out.push_str(&format!("[{}]", items.join(",")));
+            }
+        }
+    }
+
+    fn enter(&mut self, name: &'static str) {
+        self.member(name);
+        self.out.push('{');
+        self.first = true;
+    }
+
+    fn leave(&mut self) {
+        self.out.push('}');
+        self.first = false;
+    }
+}
+
+/// Reads every counter it visits from the JSON object at the same path;
+/// the first missing or mistyped field is kept in `error` (later
+/// counters are skipped).
+struct ParseCounters<'a> {
+    path: Vec<Option<&'a Json>>,
+    error: Option<String>,
+}
+
+impl ParseCounters<'_> {
+    fn read(&mut self, name: &str, value: Counter<'_>) -> Result<(), String> {
+        let obj = self.path.last().copied().flatten().ok_or("missing counter group")?;
+        match value {
+            Counter::Scalar(v) => *v = u64_field(obj, name)?,
+            Counter::Array(vs) => {
+                let arr = obj
+                    .get(name)
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| format!("missing or non-array field `{name}`"))?;
+                if arr.len() != vs.len() {
+                    return Err(format!("`{name}` must hold {} entries, got {}", vs.len(), arr.len()));
+                }
+                for (slot, e) in vs.iter_mut().zip(arr) {
+                    *slot = e.as_u64().ok_or_else(|| format!("non-integer entry in `{name}`"))?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl CounterVisitor for ParseCounters<'_> {
+    fn counter(&mut self, name: &'static str, value: Counter<'_>) {
+        if self.error.is_none() {
+            self.error = self.read(name, value).err();
+        }
+    }
+
+    fn enter(&mut self, name: &'static str) {
+        let inner = self.path.last().copied().flatten().and_then(|obj| obj.get(name));
+        if inner.is_none() && self.error.is_none() {
+            self.error = Some(format!("missing `{name}`"));
+        }
+        self.path.push(inner);
+    }
+
+    fn leave(&mut self) {
+        self.path.pop();
+    }
 }
 
 /// Parses an `eole-result/v2` payload back into [`SimStats`], verifying
@@ -847,61 +857,16 @@ fn parse_checked_payload(v: &Json, key: &RunKey) -> Result<SimStats, String> {
                 && u64_field(tag, "warmup")? == key.interval_warmup => {}
         _ => return Err("interval-tag mismatch".into()),
     }
-    let s = v.get("stats").ok_or("missing `stats`")?;
-    let mem = s.get("mem").ok_or("missing `stats.mem`")?;
-    let dram = mem.get("dram").ok_or("missing `stats.mem.dram`")?;
-    let prefetch = mem.get("prefetch").ok_or("missing `stats.mem.prefetch`")?;
-    Ok(SimStats {
-        cycles: u64_field(s, "cycles")?,
-        committed: u64_field(s, "committed")?,
-        fetched: u64_field(s, "fetched")?,
-        squashed: u64_field(s, "squashed")?,
-        vp_eligible: u64_field(s, "vp_eligible")?,
-        vp_predicted: u64_field(s, "vp_predicted")?,
-        vp_used: u64_field(s, "vp_used")?,
-        vp_used_correct: u64_field(s, "vp_used_correct")?,
-        vp_used_wrong: u64_field(s, "vp_used_wrong")?,
-        vp_squashes: u64_field(s, "vp_squashes")?,
-        vp_squash_cycles_frontend: u64_field(s, "vp_squash_cycles_frontend")?,
-        vp_squash_cycles_levt: u64_field(s, "vp_squash_cycles_levt")?,
-        vp_squash_cycles_window: u64_field(s, "vp_squash_cycles_window")?,
-        vp_pred_by_level: u64_array8(s, "vp_pred_by_level")?,
-        vp_correct_by_level: u64_array8(s, "vp_correct_by_level")?,
-        vp_block_reads: u64_field(s, "vp_block_reads")?,
-        vp_window_rejects: u64_field(s, "vp_window_rejects")?,
-        early_executed: u64_field(s, "early_executed")?,
-        late_executed_alu: u64_field(s, "late_executed_alu")?,
-        late_executed_branches: u64_field(s, "late_executed_branches")?,
-        levt_port_stalls: u64_field(s, "levt_port_stalls")?,
-        ee_write_stalls: u64_field(s, "ee_write_stalls")?,
-        cond_branches: u64_field(s, "cond_branches")?,
-        branch_mispredicts: u64_field(s, "branch_mispredicts")?,
-        hc_branches: u64_field(s, "hc_branches")?,
-        hc_branch_mispredicts: u64_field(s, "hc_branch_mispredicts")?,
-        indirect_mispredicts: u64_field(s, "indirect_mispredicts")?,
-        btb_miss_bubbles: u64_field(s, "btb_miss_bubbles")?,
-        memory_order_squashes: u64_field(s, "memory_order_squashes")?,
-        sq_forwards: u64_field(s, "sq_forwards")?,
-        stall_rob_full: u64_field(s, "stall_rob_full")?,
-        stall_iq_full: u64_field(s, "stall_iq_full")?,
-        stall_lsq_full: u64_field(s, "stall_lsq_full")?,
-        stall_prf: u64_field(s, "stall_prf")?,
-        mem: MemStats {
-            l1i: cache_stats_field(mem, "l1i")?,
-            l1d: cache_stats_field(mem, "l1d")?,
-            l2: cache_stats_field(mem, "l2")?,
-            dram: eole_mem::dram::DramStats {
-                accesses: u64_field(dram, "accesses")?,
-                row_hits: u64_field(dram, "row_hits")?,
-                row_conflicts: u64_field(dram, "row_conflicts")?,
-            },
-            prefetch: eole_mem::prefetch::PrefetchStats {
-                trains: u64_field(prefetch, "trains")?,
-                issued: u64_field(prefetch, "issued")?,
-            },
-            writebacks: u64_field(mem, "writebacks")?,
-        },
-    })
+    let mut parse = ParseCounters {
+        path: vec![Some(v.get("stats").ok_or("missing `stats`")?)],
+        error: None,
+    };
+    let mut stats = SimStats::default();
+    stats.visit_counters(&mut parse);
+    match parse.error {
+        Some(e) => Err(e),
+        None => Ok(stats),
+    }
 }
 
 // ---- eole-warmstate/v1 payload -------------------------------------------
@@ -1038,6 +1003,7 @@ mod tests {
     use super::*;
     use crate::Runner;
     use eole_core::config::CoreConfig;
+    use eole_mem::counters::EachCount;
     use eole_workloads::workload_by_name;
 
     fn spec() -> RunSpec {
@@ -1055,31 +1021,10 @@ mod tests {
         // swapped field cannot hide in a default.
         let mut s = SimStats::default();
         let mut n = 0u64;
-        let mut next = || {
+        s.visit_counters(&mut EachCount(|v: &mut u64| {
             n += 1;
-            n
-        };
-        macro_rules! fill {
-            ($($($f:ident).+),+) => { $( s.$($f).+ = next(); )+ };
-        }
-        fill!(
-            cycles, committed, fetched, squashed, vp_eligible, vp_predicted, vp_used,
-            vp_used_correct, vp_used_wrong, vp_squashes, vp_squash_cycles_frontend,
-            vp_squash_cycles_levt, vp_squash_cycles_window
-        );
-        for v in s.vp_pred_by_level.iter_mut().chain(s.vp_correct_by_level.iter_mut()) {
-            *v = next();
-        }
-        fill!(
-            vp_block_reads, vp_window_rejects, early_executed, late_executed_alu,
-            late_executed_branches, levt_port_stalls, ee_write_stalls, cond_branches,
-            branch_mispredicts, hc_branches, hc_branch_mispredicts, indirect_mispredicts,
-            btb_miss_bubbles, memory_order_squashes, sq_forwards, stall_rob_full,
-            stall_iq_full, stall_lsq_full, stall_prf, mem.l1i.accesses, mem.l1i.misses,
-            mem.l1d.accesses, mem.l1d.misses, mem.l2.accesses, mem.l2.misses,
-            mem.dram.accesses, mem.dram.row_hits, mem.dram.row_conflicts,
-            mem.prefetch.trains, mem.prefetch.issued, mem.writebacks
-        );
+            *v = n;
+        }));
         s
     }
 
@@ -1134,6 +1079,34 @@ mod tests {
         // but forgotten here fails this test as long as it is non-zero
         // in dense_stats().
         assert_eq!(format!("{s:?}"), format!("{back:?}"));
+    }
+
+    /// Driven by the counter walk, so it covers every counter declared
+    /// now or later: each is distinct and non-zero in `dense_stats()`,
+    /// survives the payload round trip, and doubles when the struct is
+    /// merged into itself.
+    #[test]
+    fn every_declared_counter_round_trips_and_merges() {
+        fn counts(mut s: SimStats) -> Vec<u64> {
+            let mut out = Vec::new();
+            s.visit_counters(&mut EachCount(|v: &mut u64| out.push(*v)));
+            out
+        }
+        let s = dense_stats();
+        let mut distinct = counts(s);
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), counts(s).len(), "counters must be distinct");
+        assert!(!distinct.contains(&0), "counters must be non-zero");
+
+        let key = RunKey::of(&spec());
+        let back = parse_result_payload(&render_result_payload(&key, &s), &key).unwrap();
+        assert_eq!(counts(back), counts(s));
+
+        let mut doubled = s;
+        doubled.merge(&s);
+        let want: Vec<u64> = counts(s).iter().map(|v| 2 * v).collect();
+        assert_eq!(counts(doubled), want);
     }
 
     #[test]

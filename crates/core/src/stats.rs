@@ -6,104 +6,110 @@
 
 use eole_mem::hierarchy::MemStats;
 
-/// All counters collected by the pipeline.
-///
-/// Plain `Copy` data: snapshotting stats never touches the heap (the
-/// throughput harness samples them from the hot loop).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimStats {
-    /// Cycles simulated in the measurement window.
-    pub cycles: u64,
-    /// µ-ops committed.
-    pub committed: u64,
-    /// µ-ops fetched (includes refetches after squashes).
-    pub fetched: u64,
-    /// µ-ops discarded by squashes.
-    pub squashed: u64,
+eole_mem::counters! {
+    /// All counters collected by the pipeline.
+    ///
+    /// Plain `Copy` data: snapshotting stats never touches the heap (the
+    /// throughput harness samples them from the hot loop). Every counter
+    /// is a sum, cycles included, so [`SimStats::merge`] is the stitch of
+    /// interval-parallel simulation: the stitched cycle count is the sum
+    /// of the per-interval measurement windows, and derived metrics on
+    /// the stitched struct are suite-level ratios exactly as for one long
+    /// window.
+    pub struct SimStats {
+        /// Cycles simulated in the measurement window.
+        pub cycles: u64,
+        /// µ-ops committed.
+        pub committed: u64,
+        /// µ-ops fetched (includes refetches after squashes).
+        pub fetched: u64,
+        /// µ-ops discarded by squashes.
+        pub squashed: u64,
 
-    // ---- value prediction ------------------------------------------------
-    /// Committed VP-eligible µ-ops.
-    pub vp_eligible: u64,
-    /// Eligible µ-ops for which the predictor returned a prediction.
-    pub vp_predicted: u64,
-    /// Predictions actually used (saturated confidence).
-    pub vp_used: u64,
-    /// Used predictions that were correct.
-    pub vp_used_correct: u64,
-    /// Used predictions that were wrong (each costs a squash).
-    pub vp_used_wrong: u64,
-    /// Pipeline squashes caused by value mispredictions.
-    pub vp_squashes: u64,
-    /// Squash-cost cycles charged to the front end: each VP squash
-    /// refetches through the full fetch-to-rename depth.
-    pub vp_squash_cycles_frontend: u64,
-    /// Squash-cost cycles charged to the pre-commit LE/VT stage depth
-    /// (validation discovers the mispredict one stage before commit).
-    pub vp_squash_cycles_levt: u64,
-    /// Squash-cost cycles charged to the OoO window: age of the oldest
-    /// discarded in-flight µ-op at squash time (work thrown away).
-    pub vp_squash_cycles_window: u64,
-    /// Committed predictions by FPC confidence level at fetch time
-    /// (index = level 0–7; only level 7 — saturated — is *used*).
-    pub vp_pred_by_level: [u64; 8],
-    /// Of those, predictions whose value matched the architectural
-    /// result (correctness is tracked for every level, so the
-    /// quality-per-confidence-bit curve is observable, not just the
-    /// saturated point).
-    pub vp_correct_by_level: [u64; 8],
-    /// Predictor reads at fetch: one per (cycle, fetch block) — the
-    /// BeBoP access count (block size 1 degenerates to one read per
-    /// queried µ-op).
-    pub vp_block_reads: u64,
-    /// Fetch-time queries refused because the speculative window was
-    /// full (the µ-op traveled unpredicted).
-    pub vp_window_rejects: u64,
+        // ---- value prediction --------------------------------------------
+        /// Committed VP-eligible µ-ops.
+        pub vp_eligible: u64,
+        /// Eligible µ-ops for which the predictor returned a prediction.
+        pub vp_predicted: u64,
+        /// Predictions actually used (saturated confidence).
+        pub vp_used: u64,
+        /// Used predictions that were correct.
+        pub vp_used_correct: u64,
+        /// Used predictions that were wrong (each costs a squash).
+        pub vp_used_wrong: u64,
+        /// Pipeline squashes caused by value mispredictions.
+        pub vp_squashes: u64,
+        /// Squash-cost cycles charged to the front end: each VP squash
+        /// refetches through the full fetch-to-rename depth.
+        pub vp_squash_cycles_frontend: u64,
+        /// Squash-cost cycles charged to the pre-commit LE/VT stage depth
+        /// (validation discovers the mispredict one stage before commit).
+        pub vp_squash_cycles_levt: u64,
+        /// Squash-cost cycles charged to the OoO window: age of the oldest
+        /// discarded in-flight µ-op at squash time (work thrown away).
+        pub vp_squash_cycles_window: u64,
+        /// Committed predictions by FPC confidence level at fetch time
+        /// (index = level 0–7; only level 7 — saturated — is *used*).
+        pub vp_pred_by_level: [u64; 8],
+        /// Of those, predictions whose value matched the architectural
+        /// result (correctness is tracked for every level, so the
+        /// quality-per-confidence-bit curve is observable, not just the
+        /// saturated point).
+        pub vp_correct_by_level: [u64; 8],
+        /// Predictor reads at fetch: one per (cycle, fetch block) — the
+        /// BeBoP access count (block size 1 degenerates to one read per
+        /// queried µ-op).
+        pub vp_block_reads: u64,
+        /// Fetch-time queries refused because the speculative window was
+        /// full (the µ-op traveled unpredicted).
+        pub vp_window_rejects: u64,
 
-    // ---- EOLE ------------------------------------------------------------
-    /// Committed µ-ops executed in the Early Execution block.
-    pub early_executed: u64,
-    /// Committed predicted single-cycle ALU µ-ops executed late (LE).
-    pub late_executed_alu: u64,
-    /// Committed very-high-confidence branches resolved late.
-    pub late_executed_branches: u64,
-    /// Commit-group cuts caused by the LE/VT read-port budget (Fig. 11).
-    pub levt_port_stalls: u64,
-    /// Dispatch-group cuts caused by the EE/prediction write budget (§6.3).
-    pub ee_write_stalls: u64,
+        // ---- EOLE --------------------------------------------------------
+        /// Committed µ-ops executed in the Early Execution block.
+        pub early_executed: u64,
+        /// Committed predicted single-cycle ALU µ-ops executed late (LE).
+        pub late_executed_alu: u64,
+        /// Committed very-high-confidence branches resolved late.
+        pub late_executed_branches: u64,
+        /// Commit-group cuts caused by the LE/VT read-port budget (Fig. 11).
+        pub levt_port_stalls: u64,
+        /// Dispatch-group cuts caused by the EE/prediction write budget (§6.3).
+        pub ee_write_stalls: u64,
 
-    // ---- branches ----------------------------------------------------------
-    /// Committed conditional branches.
-    pub cond_branches: u64,
-    /// Mispredicted conditional branches (resolved in the OoO engine).
-    pub branch_mispredicts: u64,
-    /// Conditional branches fetched with very-high confidence.
-    pub hc_branches: u64,
-    /// Very-high-confidence branches that were mispredicted (resolved in
-    /// LE/VT when EOLE is on — the expensive-but-rare case).
-    pub hc_branch_mispredicts: u64,
-    /// Mispredicted indirect jumps / returns.
-    pub indirect_mispredicts: u64,
-    /// Taken control µ-ops that missed the BTB (decode-redirect bubble).
-    pub btb_miss_bubbles: u64,
+        // ---- branches ------------------------------------------------------
+        /// Committed conditional branches.
+        pub cond_branches: u64,
+        /// Mispredicted conditional branches (resolved in the OoO engine).
+        pub branch_mispredicts: u64,
+        /// Conditional branches fetched with very-high confidence.
+        pub hc_branches: u64,
+        /// Very-high-confidence branches that were mispredicted (resolved in
+        /// LE/VT when EOLE is on — the expensive-but-rare case).
+        pub hc_branch_mispredicts: u64,
+        /// Mispredicted indirect jumps / returns.
+        pub indirect_mispredicts: u64,
+        /// Taken control µ-ops that missed the BTB (decode-redirect bubble).
+        pub btb_miss_bubbles: u64,
 
-    // ---- memory ------------------------------------------------------------
-    /// Memory-order violations (store-set training events + squashes).
-    pub memory_order_squashes: u64,
-    /// Loads satisfied by store-to-load forwarding.
-    pub sq_forwards: u64,
+        // ---- memory --------------------------------------------------------
+        /// Memory-order violations (store-set training events + squashes).
+        pub memory_order_squashes: u64,
+        /// Loads satisfied by store-to-load forwarding.
+        pub sq_forwards: u64,
 
-    // ---- stalls --------------------------------------------------------------
-    /// Dispatch-group cuts: ROB full.
-    pub stall_rob_full: u64,
-    /// Dispatch-group cuts: IQ full.
-    pub stall_iq_full: u64,
-    /// Dispatch-group cuts: LQ/SQ full.
-    pub stall_lsq_full: u64,
-    /// Dispatch-group cuts: current PRF bank out of free registers.
-    pub stall_prf: u64,
+        // ---- stalls ----------------------------------------------------------
+        /// Dispatch-group cuts: ROB full.
+        pub stall_rob_full: u64,
+        /// Dispatch-group cuts: IQ full.
+        pub stall_iq_full: u64,
+        /// Dispatch-group cuts: LQ/SQ full.
+        pub stall_lsq_full: u64,
+        /// Dispatch-group cuts: current PRF bank out of free registers.
+        pub stall_prf: u64,
 
-    /// Memory-hierarchy counters at snapshot time.
-    pub mem: MemStats,
+        /// Memory-hierarchy counters at snapshot time.
+        pub mem: MemStats,
+    }
 }
 
 impl SimStats {
@@ -242,54 +248,6 @@ impl SimStats {
     /// Zeroes every counter (start of a measurement window).
     pub fn reset(&mut self) {
         *self = SimStats::default();
-    }
-
-    /// Accumulates another window's counters into this one — the stitch
-    /// operation of interval-parallel simulation. Every counter is a sum
-    /// (cycles included: the stitched cycle count is the serial sum of
-    /// the per-interval measurement windows); derived metrics computed on
-    /// the stitched struct are therefore suite-level ratios, exactly as
-    /// they would be for one long window.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.cycles += other.cycles;
-        self.committed += other.committed;
-        self.fetched += other.fetched;
-        self.squashed += other.squashed;
-        self.vp_eligible += other.vp_eligible;
-        self.vp_predicted += other.vp_predicted;
-        self.vp_used += other.vp_used;
-        self.vp_used_correct += other.vp_used_correct;
-        self.vp_used_wrong += other.vp_used_wrong;
-        self.vp_squashes += other.vp_squashes;
-        self.vp_squash_cycles_frontend += other.vp_squash_cycles_frontend;
-        self.vp_squash_cycles_levt += other.vp_squash_cycles_levt;
-        self.vp_squash_cycles_window += other.vp_squash_cycles_window;
-        for (a, b) in self.vp_pred_by_level.iter_mut().zip(&other.vp_pred_by_level) {
-            *a += b;
-        }
-        for (a, b) in self.vp_correct_by_level.iter_mut().zip(&other.vp_correct_by_level) {
-            *a += b;
-        }
-        self.vp_block_reads += other.vp_block_reads;
-        self.vp_window_rejects += other.vp_window_rejects;
-        self.early_executed += other.early_executed;
-        self.late_executed_alu += other.late_executed_alu;
-        self.late_executed_branches += other.late_executed_branches;
-        self.levt_port_stalls += other.levt_port_stalls;
-        self.ee_write_stalls += other.ee_write_stalls;
-        self.cond_branches += other.cond_branches;
-        self.branch_mispredicts += other.branch_mispredicts;
-        self.hc_branches += other.hc_branches;
-        self.hc_branch_mispredicts += other.hc_branch_mispredicts;
-        self.indirect_mispredicts += other.indirect_mispredicts;
-        self.btb_miss_bubbles += other.btb_miss_bubbles;
-        self.memory_order_squashes += other.memory_order_squashes;
-        self.sq_forwards += other.sq_forwards;
-        self.stall_rob_full += other.stall_rob_full;
-        self.stall_iq_full += other.stall_iq_full;
-        self.stall_lsq_full += other.stall_lsq_full;
-        self.stall_prf += other.stall_prf;
-        self.mem.merge(&other.mem);
     }
 }
 

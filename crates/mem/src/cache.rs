@@ -76,13 +76,15 @@ struct Line {
     lru: u64,
 }
 
-/// Running hit/miss counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Total lookups.
-    pub accesses: u64,
-    /// Lookups that missed.
-    pub misses: u64,
+crate::counters! {
+    /// Running hit/miss counters.
+    #[derive(PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Total lookups.
+        pub accesses: u64,
+        /// Lookups that missed.
+        pub misses: u64,
+    }
 }
 
 impl CacheStats {

@@ -42,15 +42,16 @@ impl DramConfig {
     }
 }
 
-/// DRAM access counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DramStats {
-    /// Total accesses.
-    pub accesses: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row conflicts (had to precharge).
-    pub row_conflicts: u64,
+crate::counters! {
+    /// DRAM access counters.
+    pub struct DramStats {
+        /// Total accesses.
+        pub accesses: u64,
+        /// Row-buffer hits.
+        pub row_hits: u64,
+        /// Row conflicts (had to precharge).
+        pub row_conflicts: u64,
+    }
 }
 
 /// The DRAM device model.

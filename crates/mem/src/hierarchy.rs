@@ -49,39 +49,21 @@ impl HierarchyConfig {
     }
 }
 
-/// Snapshot of all memory-system counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemStats {
-    /// L1I hit/miss counters.
-    pub l1i: CacheStats,
-    /// L1D hit/miss counters.
-    pub l1d: CacheStats,
-    /// L2 hit/miss counters.
-    pub l2: CacheStats,
-    /// DRAM counters.
-    pub dram: DramStats,
-    /// Prefetch counters.
-    pub prefetch: PrefetchStats,
-    /// Dirty lines evicted from L1D/L2 (write-back traffic).
-    pub writebacks: u64,
-}
-
-impl MemStats {
-    /// Accumulates another snapshot's counters into this one (the stitch
-    /// operation for interval-parallel runs; all fields are sums).
-    pub fn merge(&mut self, other: &MemStats) {
-        self.l1i.accesses += other.l1i.accesses;
-        self.l1i.misses += other.l1i.misses;
-        self.l1d.accesses += other.l1d.accesses;
-        self.l1d.misses += other.l1d.misses;
-        self.l2.accesses += other.l2.accesses;
-        self.l2.misses += other.l2.misses;
-        self.dram.accesses += other.dram.accesses;
-        self.dram.row_hits += other.dram.row_hits;
-        self.dram.row_conflicts += other.dram.row_conflicts;
-        self.prefetch.trains += other.prefetch.trains;
-        self.prefetch.issued += other.prefetch.issued;
-        self.writebacks += other.writebacks;
+crate::counters! {
+    /// Snapshot of all memory-system counters.
+    pub struct MemStats {
+        /// L1I hit/miss counters.
+        pub l1i: CacheStats,
+        /// L1D hit/miss counters.
+        pub l1d: CacheStats,
+        /// L2 hit/miss counters.
+        pub l2: CacheStats,
+        /// DRAM counters.
+        pub dram: DramStats,
+        /// Prefetch counters.
+        pub prefetch: PrefetchStats,
+        /// Dirty lines evicted from L1D/L2 (write-back traffic).
+        pub writebacks: u64,
     }
 }
 

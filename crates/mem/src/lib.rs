@@ -11,7 +11,11 @@
 //! * [`dram::Dram`] — open-row DDR3-style latency model
 //!   (75/130/185-cycle row hit/closed/conflict, per-bank serialization);
 //! * [`hierarchy::MemoryHierarchy`] — L1I + L1D + unified L2 + DRAM glue
-//!   with write-back victims and demand/prefetch interleaving.
+//!   with write-back victims and demand/prefetch interleaving;
+//! * [`counters`] — the `counters!` declaration every statistics struct
+//!   (`CacheStats` … `MemStats`, and the pipeline's `SimStats`) is written
+//!   in: one field list yields the struct, its `merge` and a name/value
+//!   visitor.
 //!
 //! ## Example
 //!
@@ -27,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod counters;
 pub mod dram;
 pub mod hierarchy;
 pub mod mshr;

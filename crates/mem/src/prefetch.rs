@@ -36,13 +36,14 @@ struct Entry {
     conf: u8,
 }
 
-/// Prefetch counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrefetchStats {
-    /// Training events observed.
-    pub trains: u64,
-    /// Prefetch addresses emitted.
-    pub issued: u64,
+crate::counters! {
+    /// Prefetch counters.
+    pub struct PrefetchStats {
+        /// Training events observed.
+        pub trains: u64,
+        /// Prefetch addresses emitted.
+        pub issued: u64,
+    }
 }
 
 /// The stride prefetcher.

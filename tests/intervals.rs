@@ -211,12 +211,15 @@ fn executor_interval_path_matches_library_stitch_and_caches() {
     assert_eq!(serial.executor().simulated(), 4);
 }
 
-/// `(config, workload, k, (cycles, committed, squashed))` of every
+/// `(cycles, committed, squashed)` of one stitched run.
+type Fingerprint = (u64, u64, u64);
+
+/// `(config, workload, k, fingerprint)` of every
 /// quick-suite stitch at the default warmup window, as the
 /// replay-from-zero stitch produced them. Checkpoint restore is
 /// bit-identical to that replay, so the checkpointed path must keep
 /// reproducing these exactly.
-const STITCHED_FINGERPRINTS: [(&str, &str, u32, (u64, u64, u64)); 40] = [
+const STITCHED_FINGERPRINTS: [(&str, &str, u32, Fingerprint); 40] = [
     ("Baseline_6_64", "gzip", 2, (12689, 25000, 0)),
     ("Baseline_6_64", "gzip", 8, (12689, 25000, 0)),
     ("Baseline_VP_6_64", "gzip", 2, (12543, 25000, 0)),

@@ -22,7 +22,8 @@ use crate::plan::Shard;
 use crate::spec::{Grid, RunSpec};
 use crate::store::{ResultStore, RunKey, StoreError, WarmKey};
 use crate::{
-    check_stitched_against_serial, interval_paranoid, IntervalPolicy, Runner, WarmOrigin,
+    check_stitched_against_serial, interval_paranoid, stitch_pieces, IntervalPolicy, Runner,
+    WarmOrigin,
 };
 
 /// Poisoning-proof lock: a panicked worker marks every mutex it held as
@@ -327,8 +328,8 @@ pub struct Executor {
 /// claim the set becomes the *producer* (one chained functional sweep,
 /// store-backed); every other piece is a *consumer* that blocks until
 /// its slot fills. `done` is published unconditionally — even when the
-/// producer fails or panics — so consumers always wake; an empty slot
-/// then degrades that piece to the replay-from-zero path.
+/// producer fails or panics — so consumers always wake; a piece left with
+/// an empty slot rebuilds its own checkpoint (see [`Runner::try_run_piece`]).
 struct WarmSet {
     claimed: AtomicBool,
     slots: Mutex<WarmSlots>,
@@ -738,22 +739,15 @@ impl Executor {
         let ws = self.obtain_warm(warm, spec, policy, piece);
         let (start, end) = spec.runner.interval_bounds(policy.k)[piece];
         spec.runner
-            .try_run_piece_warm(
-                &trace,
-                spec.effective_config(),
-                ws.as_ref(),
-                start,
-                end,
-                policy.warmup,
-            )
+            .try_run_piece(&trace, spec.effective_config(), ws.as_ref(), start, end, policy.warmup)
             .map_err(|e| attribute_workload(e, spec))
     }
 
     /// Hands a piece its warm checkpoint, electing this job as the
     /// producer when the run's sweep has not started yet. Returns `None`
     /// when the sweep failed or left the slot empty — the piece then
-    /// degrades to the O(prefix) replay inside
-    /// [`Runner::try_run_piece_warm`], preserving the result.
+    /// rebuilds that one checkpoint inside [`Runner::try_run_piece`],
+    /// preserving the result.
     fn obtain_warm(
         &self,
         set: &WarmSet,
@@ -816,7 +810,7 @@ impl Executor {
         });
         // A failed or panicked sweep leaves its remaining slots empty;
         // publishing `done` (always, on every path) wakes the consumers,
-        // which degrade those pieces to replay instead of deadlocking.
+        // which rebuild those checkpoints instead of deadlocking.
         drop(outcome);
         let mut slots = lock_clean(&set.slots);
         slots.done = true;
@@ -836,12 +830,11 @@ impl Executor {
         self.simulated.fetch_add(1, Ordering::Relaxed);
         let key = RunKey::of_intervals(spec, policy);
         let outcome = (|| -> Result<SimStats, RunError> {
-            let mut stitched = SimStats::default();
-            let mut pieces = lock_clean(pieces);
-            for slot in pieces.iter_mut() {
-                let piece = slot.take().expect("remaining hit zero with a piece missing")?; // lint:allow(error-typing) the atomic remaining-counter proves every piece landed
-                stitched.merge(&piece);
-            }
+            let stitched = stitch_pieces(
+                lock_clean(pieces)
+                    .iter_mut()
+                    .map(|slot| slot.take().expect("remaining hit zero with a piece missing")), // lint:allow(error-typing) the atomic remaining-counter proves every piece landed
+            )?;
             if interval_paranoid() {
                 let trace = self.cache.get_or_prepare(&spec.workload, &spec.runner)?;
                 let serial = spec

@@ -157,16 +157,6 @@ pub struct WarmSweepStats {
     pub built: usize,
 }
 
-impl WarmSweepStats {
-    /// Folds another sweep's accounting into this one (executor-level
-    /// totals across runs).
-    pub fn merge(&mut self, other: &WarmSweepStats) {
-        self.swept += other.swept;
-        self.loaded += other.loaded;
-        self.built += other.built;
-    }
-}
-
 /// True when `EOLE_INTERVAL_PARANOID=1`-style validation is requested:
 /// every stitched run also executes the serial comparator, reports the
 /// delta on stderr, and panics if committed counts diverge or the cycle
@@ -193,7 +183,7 @@ impl Default for Runner {
 }
 
 impl Runner {
-    /// A fast configuration for smoke tests and Criterion benches.
+    /// A fast configuration for smoke tests and examples.
     pub fn quick() -> Self {
         Runner { warmup: 10_000, measure: 25_000 }
     }
@@ -289,47 +279,13 @@ impl Runner {
             .collect()
     }
 
-    /// One interval piece: builds a simulator at `start - warmup_window`
-    /// (clamped at the trace head), warms it to `start` with exact
-    /// commit boundaries, resets counters, and measures `[start, end)`
-    /// exactly. The serial comparator is the single piece
-    /// `[warmup, warmup + measure)` with `warmup_window = warmup` —
-    /// i.e. [`Runner::try_run_serial_exact`].
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Sim`] tagged with the failing phase, as
-    /// [`Runner::try_run`] (workload attributed by the executor).
-    pub fn try_run_piece(
-        &self,
-        trace: &PreparedTrace,
-        config: CoreConfig,
-        start: u64,
-        end: u64,
-        warmup_window: u64,
-    ) -> Result<SimStats, RunError> {
-        let name = config.name.clone();
-        let err = |phase: RunPhase, source| RunError::Sim {
-            config: name.clone(),
-            workload: "-".to_string(),
-            phase,
-            source,
-        };
-        let warm_from = start.saturating_sub(warmup_window);
-        let mut sim = Simulator::new_at(trace, config, warm_from as usize)
-            .map_err(|e| err(RunPhase::Build, e))?;
-        sim.run_exact(start - warm_from).map_err(|e| err(RunPhase::Warmup, e))?;
-        sim.begin_measurement();
-        sim.run_exact(end.saturating_sub(start)).map_err(|e| err(RunPhase::Measure, e))?;
-        Ok(sim.stats())
-    }
-
     /// The exact-boundary serial run: identical methodology to
     /// [`Runner::try_run`] except that the warmup and measurement windows
     /// are cut at exactly `warmup` and `measure` commits instead of
     /// overshooting into the next commit group. This is the comparator
-    /// every stitched run is validated against — a 1-interval stitched
-    /// run *is* this run, bit for bit.
+    /// every stitched run is validated against: the single piece
+    /// `[warmup, warmup + measure)` warmed from the trace head, which a
+    /// 1-interval stitched run reproduces bit for bit.
     ///
     /// # Errors
     ///
@@ -339,44 +295,15 @@ impl Runner {
         trace: &PreparedTrace,
         config: CoreConfig,
     ) -> Result<SimStats, RunError> {
-        self.try_run_piece(trace, config, self.warmup, self.warmup + self.measure, self.warmup)
-    }
-
-    /// Interval-parallel methodology, sequentially: simulates each of the
-    /// policy's `k` intervals in turn and stitches the per-interval stats
-    /// with [`SimStats::merge`]. The committed count is exactly `measure`
-    /// by construction. (The executor parallelizes the same pieces across
-    /// its worker pool; this entry point is the single-threaded
-    /// reference, and the one the compat-proptests drive.)
-    ///
-    /// # Errors
-    ///
-    /// The first failing piece's [`RunError`].
-    pub fn try_run_intervals(
-        &self,
-        trace: &PreparedTrace,
-        config: CoreConfig,
-        policy: IntervalPolicy,
-    ) -> Result<SimStats, RunError> {
-        let mut stitched = SimStats::default();
-        for (start, end) in self.interval_bounds(policy.k) {
-            let piece = self.try_run_piece(trace, config.clone(), start, end, policy.warmup)?;
-            stitched.merge(&piece);
-        }
-        if interval_paranoid() {
-            let serial = self.try_run_serial_exact(trace, config.clone())?;
-            check_stitched_against_serial(&config.name, policy, &stitched, &serial);
-        }
-        Ok(stitched)
+        self.try_run_piece(trace, config, None, self.warmup, self.warmup + self.measure, self.warmup)
     }
 
     /// The warm-state checkpoint positions of a `k`-way split: piece `i`'s
-    /// checkpoint sits at `start_i − warmup` (clamped at the trace head) —
-    /// exactly where [`Runner::try_run_piece`] would land after its
-    /// functional replay, just before the detailed warmup window begins.
-    /// Non-decreasing by construction (starts increase, the window is
-    /// constant), which is what lets one chained sweep emit all of them
-    /// in a single O(trace) forward pass.
+    /// checkpoint sits at `start_i − warmup` (clamped at the trace head),
+    /// just before its detailed warmup window begins. Non-decreasing by
+    /// construction (starts increase, the window is constant), which is
+    /// what lets one chained sweep emit all of them in a single O(trace)
+    /// forward pass.
     pub fn warm_positions(&self, policy: IntervalPolicy) -> Vec<u64> {
         self.interval_bounds(policy.k)
             .iter()
@@ -387,9 +314,8 @@ impl Runner {
     /// One chained producer sweep: a single functional pass over the
     /// trace that emits the [`WarmState`] checkpoint at every requested
     /// position, in order. Total functional work is O(max position) —
-    /// one trace prefix — instead of the Σ O(prefix_i) ≈ k·T/2 the
-    /// independent per-piece replays of [`Runner::try_run_intervals`]
-    /// cost.
+    /// one trace prefix — instead of the Σ O(prefix_i) ≈ k·T/2 that
+    /// replaying each piece's prefix separately would cost.
     ///
     /// `fetch(i, pos)` may supply a cached checkpoint (a store lookup);
     /// a hit is *validated* (position match + clean restore into the
@@ -463,32 +389,34 @@ impl Runner {
         Ok((out, stats))
     }
 
-    /// One interval piece from a warm-state checkpoint: builds a fresh
-    /// simulator, restores `warm` (captured at `start − warmup_window`),
-    /// then runs the identical detailed-warmup + measurement windows as
-    /// [`Runner::try_run_piece`]. Restore is bit-identical to the
-    /// functional replay of the same prefix (the [`WarmState`] contract,
-    /// pinned by the `checkpoint_restore_equals_prefix_replay` proptest),
-    /// so the piece statistics are too. A checkpoint that fails to
-    /// restore — truncated bytes, wrong position, foreign shape — or an
-    /// absent one degrades to the replay path instead of erroring: the
-    /// checkpoint layer is a cache, never a correctness dependency.
+    /// One interval piece — the only one: builds a fresh simulator,
+    /// restores the [`WarmState`] captured at `start − warmup_window`
+    /// (clamped at the trace head), warms it to `start` with exact commit
+    /// boundaries, resets counters, and measures `[start, end)` exactly.
     ///
-    /// Under `EOLE_INTERVAL_PARANOID=1` a restored piece additionally
-    /// replays the prefix from zero and asserts the two simulators agree
-    /// byte for byte before the detailed window starts.
+    /// `warm` is a cache, never a correctness dependency: when it is
+    /// absent (the sweep failed), sits at another position, or fails to
+    /// restore (truncated bytes, foreign shape), the piece rebuilds its
+    /// checkpoint with a one-position [`Runner::try_sweep_warm_states`]
+    /// and restores that. Restore is bit-identical to the functional
+    /// replay of the same prefix (the [`WarmState`] contract, pinned by
+    /// the `checkpoint_restore_equals_prefix_replay` proptest).
+    ///
+    /// Under `EOLE_INTERVAL_PARANOID=1` the piece additionally replays
+    /// the prefix from zero and asserts the two simulators agree byte for
+    /// byte before the detailed window starts.
     ///
     /// # Errors
     ///
     /// [`RunError::Sim`] tagged with the failing phase, as
-    /// [`Runner::try_run_piece`].
+    /// [`Runner::try_run`] (workload attributed by the executor).
     ///
     /// # Panics
     ///
-    /// Under `EOLE_INTERVAL_PARANOID=1`, if a restored checkpoint is not
-    /// byte-identical to the replayed prefix (a codec bug — the paranoid
-    /// mode's failure signal).
-    pub fn try_run_piece_warm(
+    /// If a checkpoint the piece just swept does not restore, or, under
+    /// `EOLE_INTERVAL_PARANOID=1`, if a restored checkpoint is not
+    /// byte-identical to the replayed prefix (both codec bugs).
+    pub fn try_run_piece(
         &self,
         trace: &PreparedTrace,
         config: CoreConfig,
@@ -504,80 +432,75 @@ impl Runner {
             phase,
             source,
         };
+        let build = || Simulator::new(trace, config.clone()).map_err(|e| err(RunPhase::Build, e));
         let warm_from = start.saturating_sub(warmup_window);
-        let restored = match warm {
-            Some(state) if state.position().map(|p| p == warm_from).unwrap_or(false) => {
-                let mut sim =
-                    Simulator::new(trace, config.clone()).map_err(|e| err(RunPhase::Build, e))?;
-                match sim.restore_warm(state) {
-                    Ok(()) => Some(sim),
-                    Err(_) => None, // damaged checkpoint: fall through to replay
-                }
-            }
-            _ => None,
-        };
-        let mut sim = match restored {
-            Some(sim) => {
-                if interval_paranoid() {
-                    let replayed =
-                        Simulator::new_at(trace, config.clone(), warm_from as usize)
-                            .map_err(|e| err(RunPhase::Build, e))?;
-                    assert_eq!(
-                        sim.capture_warm().as_bytes(),
-                        replayed.capture_warm().as_bytes(),
-                        "{name}: restored checkpoint at {warm_from} diverges from replay"
-                    );
-                }
-                sim
-            }
-            None => Simulator::new_at(trace, config, warm_from as usize)
-                .map_err(|e| err(RunPhase::Build, e))?,
-        };
+        let mut sim = build()?;
+        let restored = warm
+            .filter(|w| w.position().ok() == Some(warm_from))
+            .is_some_and(|w| sim.restore_warm(w).is_ok());
+        if !restored {
+            // A rejected restore may have left `sim` partially
+            // overwritten: start again from a fresh simulator.
+            let (rebuilt, _) = self.try_sweep_warm_states(
+                trace,
+                config.clone(),
+                &[warm_from],
+                |_, _| None,
+                |_, _, _, _| {},
+            )?;
+            sim = build()?;
+            let restored = rebuilt.first().map(|w| sim.restore_warm(w));
+            assert!(
+                matches!(restored, Some(Ok(()))),
+                "{name}: the checkpoint just swept at {warm_from} does not restore"
+            );
+        }
+        if interval_paranoid() {
+            let mut replayed = build()?;
+            replayed.functional_warm(warm_from as usize);
+            assert_eq!(
+                sim.capture_warm().as_bytes(),
+                replayed.capture_warm().as_bytes(),
+                "{name}: restored checkpoint at {warm_from} diverges from replay"
+            );
+        }
         sim.run_exact(start - warm_from).map_err(|e| err(RunPhase::Warmup, e))?;
         sim.begin_measurement();
         sim.run_exact(end.saturating_sub(start)).map_err(|e| err(RunPhase::Measure, e))?;
         Ok(sim.stats())
     }
 
-    /// Interval-parallel methodology via one chained checkpoint sweep:
-    /// the single-threaded reference for the executor's checkpointed
-    /// path. A producer sweep emits every piece's checkpoint in one
-    /// O(trace) functional pass ([`Runner::try_sweep_warm_states`]),
-    /// then each piece restores its checkpoint and runs its detailed
-    /// window ([`Runner::try_run_piece_warm`]). Bit-identical to
-    /// [`Runner::try_run_intervals`] — restore equals replay — which the
-    /// `chained_sweep_is_bit_identical_to_replay_stitch` golden test
-    /// pins.
+    /// Interval-parallel methodology, sequentially: one chained sweep
+    /// emits every piece's checkpoint ([`Runner::try_sweep_warm_states`]),
+    /// each piece restores its checkpoint and runs its detailed window
+    /// ([`Runner::try_run_piece`]), and [`stitch_pieces`] merges them.
+    /// The committed count is exactly `measure` by construction. This is
+    /// the single-threaded reference for the executor's interval path,
+    /// and the one the compat-proptests drive; the sweep's accounting is
+    /// returned alongside.
     ///
     /// # Errors
     ///
-    /// The first failing stage's [`RunError`].
-    pub fn try_run_intervals_chained(
+    /// The sweep's, then the first failing piece's, [`RunError`].
+    pub fn try_run_intervals(
         &self,
         trace: &PreparedTrace,
         config: CoreConfig,
         policy: IntervalPolicy,
     ) -> Result<(SimStats, WarmSweepStats), RunError> {
-        let positions = self.warm_positions(policy);
         let (states, sweep) = self.try_sweep_warm_states(
             trace,
             config.clone(),
-            &positions,
+            &self.warm_positions(policy),
             |_, _| None,
             |_, _, _, _| {},
         )?;
-        let mut stitched = SimStats::default();
-        for ((start, end), state) in self.interval_bounds(policy.k).into_iter().zip(&states) {
-            let piece = self.try_run_piece_warm(
-                trace,
-                config.clone(),
-                Some(state),
-                start,
-                end,
-                policy.warmup,
-            )?;
-            stitched.merge(&piece);
-        }
+        let pieces = self.interval_bounds(policy.k).into_iter().zip(&states).map(
+            |((start, end), state)| {
+                self.try_run_piece(trace, config.clone(), Some(state), start, end, policy.warmup)
+            },
+        );
+        let stitched = stitch_pieces(pieces)?;
         if interval_paranoid() {
             let serial = self.try_run_serial_exact(trace, config.clone())?;
             check_stitched_against_serial(&config.name, policy, &stitched, &serial);
@@ -593,10 +516,11 @@ impl Runner {
     /// reference). The first candidate whose relative cycle error stays
     /// within half the stitched-run budget ([`INTERVAL_CYCLE_BUDGET`])
     /// wins; the full methodology warmup is the safe ceiling (its last
-    /// candidate replays the identical prefix, so the probe always
-    /// terminates with a valid window). Cost: a handful of detailed
-    /// windows over one interval — far cheaper than a paranoid serial
-    /// cross-check of a whole grid.
+    /// candidate warms from the identical position, so the probe always
+    /// terminates with a valid window). One sweep emits every candidate's
+    /// checkpoint; the cost is a handful of detailed windows over one
+    /// interval — far cheaper than a paranoid serial cross-check of a
+    /// whole grid.
     ///
     /// # Errors
     ///
@@ -608,14 +532,29 @@ impl Runner {
         k: u32,
     ) -> Result<u64, RunError> {
         let (start, end) = self.interval_bounds(k.max(2))[0];
-        let reference = self.try_run_piece(trace, config.clone(), start, end, start)?;
         let candidates = [
             (self.warmup / 4).max(1_000),
             self.default_interval_warmup(),
             self.warmup,
         ];
+        let mut positions: Vec<u64> =
+            candidates.iter().chain([&start]).map(|w| start.saturating_sub(*w)).collect();
+        positions.sort_unstable();
+        positions.dedup();
+        let (states, _) = self.try_sweep_warm_states(
+            trace,
+            config.clone(),
+            &positions,
+            |_, _| None,
+            |_, _, _, _| {},
+        )?;
+        let piece = |window: u64| {
+            let at = positions.iter().position(|&p| p == start.saturating_sub(window));
+            self.try_run_piece(trace, config.clone(), at.map(|i| &states[i]), start, end, window)
+        };
+        let reference = piece(start)?;
         for window in candidates {
-            let probe = self.try_run_piece(trace, config.clone(), start, end, window)?;
+            let probe = piece(window)?;
             let err = if reference.cycles == 0 {
                 0.0
             } else {
@@ -628,23 +567,31 @@ impl Runner {
         Ok(self.warmup)
     }
 
-    /// Infallible [`Runner::try_prepare`] for benches and examples.
+    /// Infallible [`Runner::try_prepare`] for examples.
     ///
     /// # Panics
     ///
     /// Panics with the typed [`RunError`] rendered.
     pub fn prepare(&self, workload: &Workload) -> PreparedTrace {
-        self.try_prepare(workload).unwrap_or_else(|e| panic!("{e}")) // lint:allow(error-typing) documented `# Panics` convenience wrapper for benches/examples
+        self.try_prepare(workload).unwrap_or_else(|e| panic!("{e}")) // lint:allow(error-typing) documented `# Panics` convenience wrapper for examples
     }
+}
 
-    /// Infallible [`Runner::try_run`] for benches and examples.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the typed [`RunError`] rendered.
-    pub fn run(&self, trace: &PreparedTrace, config: CoreConfig) -> SimStats {
-        self.try_run(trace, config).unwrap_or_else(|e| panic!("{e}")) // lint:allow(error-typing) documented `# Panics` convenience wrapper for benches/examples
-    }
+/// Merges a run's interval pieces, in interval order, into the stitched
+/// statistics with [`SimStats::merge`] — the one place pieces are
+/// combined, shared by [`Runner::try_run_intervals`], the executor and
+/// the throughput harness.
+///
+/// # Errors
+///
+/// The first failed piece's [`RunError`].
+pub fn stitch_pieces(
+    pieces: impl IntoIterator<Item = Result<SimStats, RunError>>,
+) -> Result<SimStats, RunError> {
+    pieces.into_iter().try_fold(SimStats::default(), |mut stitched, piece| {
+        stitched.merge(&piece?);
+        Ok(stitched)
+    })
 }
 
 /// The `EOLE_INTERVAL_PARANOID` validation: emits the stitched-vs-serial
@@ -735,10 +682,8 @@ mod tests {
     fn panicking_wrappers_match_the_fallible_path() {
         let runner = Runner::quick();
         let w = eole_workloads::workload_by_name("namd").unwrap();
-        let trace = runner.prepare(&w);
-        let a = runner.run(&trace, CoreConfig::baseline_6_64());
-        let b = runner.try_run(&trace, CoreConfig::baseline_6_64()).unwrap();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.committed, b.committed);
+        let a = runner.prepare(&w);
+        let b = runner.try_prepare(&w).unwrap();
+        assert_eq!(a.insts(), b.insts());
     }
 }

@@ -380,7 +380,7 @@ impl Session {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(s, e)) = bounds.get(i) else { break };
-                    let out = spec.runner.try_run_piece_warm(
+                    let out = spec.runner.try_run_piece(
                         &trace,
                         spec.effective_config(),
                         states.get(i),
@@ -393,15 +393,12 @@ impl Session {
             }
         });
         let detailed_seconds = start.elapsed().as_secs_f64();
-        let mut stats = SimStats::default();
-        for slot in slots {
-            let piece = slot
-                .into_inner()
+        let stats = crate::stitch_pieces(slots.into_iter().map(|slot| {
+            slot.into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .expect("every piece executed") // lint:allow(error-typing) scope join guarantees every slot was filled
-                .map_err(|e| crate::exec::attribute_workload(e, spec))?;
-            stats.merge(&piece);
-        }
+        }))
+        .map_err(|e| crate::exec::attribute_workload(e, spec))?;
         Ok(TimedIntervals { stats, warmup_seconds, detailed_seconds })
     }
 

@@ -438,35 +438,6 @@ impl<'t> Simulator<'t> {
         })
     }
 
-    /// Builds a simulator whose fetch cursor starts at trace index
-    /// `start`, with predictor and cache state reconstructed by a
-    /// functional replay of the skipped prefix — the entry point of
-    /// interval-parallel simulation.
-    ///
-    /// The trace is fully deterministic, so no architectural
-    /// reconstruction is needed: every µ-op carries its result, address,
-    /// and taken/target outcome, and branch-history positions
-    /// (`bhist_pos`) are absolute, so predictors indexed through
-    /// [`PreparedTrace::history`] see exactly the history a from-zero run
-    /// would at the same µ-op. Microarchitectural state is rebuilt by
-    /// [`Simulator::functional_warm`] over `[0, start)`; callers then
-    /// typically run a short *detailed* warmup window before their
-    /// measurement region to settle timing-local state (see
-    /// `Runner::try_run_intervals` in `eole-bench`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadConfig`] as [`Simulator::new`] does.
-    pub fn new_at(
-        trace: &'t PreparedTrace,
-        config: CoreConfig,
-        start: usize,
-    ) -> Result<Self, SimError> {
-        let mut sim = Self::new(trace, config)?;
-        sim.functional_warm(start);
-        Ok(sim)
-    }
-
     /// Functionally replays trace µ-ops `[cursor, upto)` through the
     /// long-lived microarchitectural state — predictor tables and cache
     /// hierarchy — without cycle-level pipeline simulation, then leaves

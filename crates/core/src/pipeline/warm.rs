@@ -20,8 +20,8 @@
 //! Versioning: the leading marker is [`WARMSTATE_FORMAT`]. Any change to
 //! the field layout of any snapshotted component must bump the `v1` suffix
 //! (see `PERF.md` §checkpointed-warmup) — stores key checkpoints by this
-//! string, so a bump simply makes old cached checkpoints miss, degrading
-//! to replay, never misdecoding.
+//! string, so a bump simply makes old cached checkpoints miss and be
+//! rebuilt by a functional sweep, never misdecoded.
 
 use eole_predictors::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -129,7 +129,7 @@ impl Simulator<'_> {
     /// [`SnapError`] if the payload is truncated, structurally invalid,
     /// or shaped for a different configuration (table sizes, predictor
     /// kind, prefetcher presence). **On error the simulator may be left
-    /// partially restored — discard it and fall back to replay.**
+    /// partially restored — discard it and rebuild the checkpoint.**
     pub fn restore_warm(&mut self, warm: &WarmState) -> Result<(), SnapError> {
         let mut r = SnapReader::new(warm.as_bytes());
         r.expect_marker(WARMSTATE_FORMAT)?;

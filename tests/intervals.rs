@@ -41,7 +41,7 @@ fn stitched_and_serial(
 ) -> (SimStats, SimStats) {
     let w = workload_by_name(workload).expect("suite workload");
     let trace = runner.try_prepare(&w).expect("trace");
-    let stitched = runner.try_run_intervals(&trace, config.clone(), policy).expect("stitched");
+    let (stitched, _) = runner.try_run_intervals(&trace, config.clone(), policy).expect("stitched");
     let serial = runner.try_run_serial_exact(&trace, config.clone()).expect("serial");
     (stitched, serial)
 }
@@ -108,7 +108,7 @@ fn single_interval_is_bit_identical_to_serial_exact() {
     let trace = runner.try_prepare(&w).unwrap();
     let config = CoreConfig::eole_6_64();
     let policy = IntervalPolicy { k: 1, warmup: runner.warmup };
-    let stitched = runner.try_run_intervals(&trace, config.clone(), policy).unwrap();
+    let (stitched, _) = runner.try_run_intervals(&trace, config.clone(), policy).unwrap();
     let serial = runner.try_run_serial_exact(&trace, config).unwrap();
     assert_eq!(stitched.cycles, serial.cycles);
     assert_eq!(stitched.committed, serial.committed);
@@ -179,7 +179,7 @@ fn executor_interval_path_matches_library_stitch_and_caches() {
         assert_eq!(r.spec.label(), spec.label(), "stitched results keep grid order");
         let got = r.stats().expect("stitched run succeeds");
         let trace = runner.try_prepare(&spec.workload).unwrap();
-        let want = runner.try_run_intervals(&trace, spec.effective_config(), policy).unwrap();
+        let (want, _) = runner.try_run_intervals(&trace, spec.effective_config(), policy).unwrap();
         assert_eq!(got.cycles, want.cycles, "{}", spec.label());
         assert_eq!(got.committed, want.committed);
         assert_eq!(got.squashed, want.squashed);
@@ -276,7 +276,7 @@ fn stitched_fingerprints_match_the_pinned_table() {
             for k in [2u32, 8] {
                 let policy = IntervalPolicy::of(k, &runner);
                 let (s, sweep) = runner
-                    .try_run_intervals_chained(&trace, config.clone(), policy)
+                    .try_run_intervals(&trace, config.clone(), policy)
                     .expect("stitched");
                 let label = format!("{}/{workload} k={k}", config.name);
                 let want = STITCHED_FINGERPRINTS
@@ -341,7 +341,7 @@ fn executor_checkpoint_sweep_caches_warm_state_across_k() {
     let spec = &grid.specs()[0];
     let trace = runner.try_prepare(&spec.workload).unwrap();
     let policy = IntervalPolicy { k: 2, warmup: 10_000 };
-    let want = runner.try_run_intervals(&trace, spec.effective_config(), policy).unwrap();
+    let (want, _) = runner.try_run_intervals(&trace, spec.effective_config(), policy).unwrap();
     let got = second[0].stats().expect("stitched run succeeds");
     assert_eq!(got.cycles, want.cycles);
     assert_eq!(got.committed, want.committed);
@@ -417,7 +417,7 @@ fn corrupt_warm_checkpoint_degrades_to_replay_and_heals() {
     let spec = &grid.specs()[0];
     let trace = runner.try_prepare(&spec.workload).unwrap();
     let policy = IntervalPolicy { k: 4, warmup: 10_000 };
-    let want = runner.try_run_intervals(&trace, spec.effective_config(), policy).unwrap();
+    let (want, _) = runner.try_run_intervals(&trace, spec.effective_config(), policy).unwrap();
     let got = results[0].stats().expect("degraded run still succeeds");
     assert_eq!(got.cycles, want.cycles, "statistics survive checkpoint damage untouched");
     assert_eq!(got.committed, want.committed);

@@ -8,8 +8,11 @@ build:
 test:
 	cargo test -q
 
+# The repository benchmark: end-to-end metrics of each workload (the
+# workloads and metrics are declared in BENCHMARK.json).
 bench:
-	cargo bench --workspace
+	cargo run --release --manifest-path perfbench/Cargo.toml -- --workload vp_steady
+	cargo run --release --manifest-path perfbench/Cargo.toml -- --workload mem_bound
 
 # Clippy plus the in-tree analyzer (rule catalog in LINTS.md).
 lint:

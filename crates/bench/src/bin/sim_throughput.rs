@@ -31,7 +31,9 @@
 //! D-VTAGE), isolating predictor table cost from pipeline cost — unless
 //! `--no-microbench` skips it.
 
-use eole_bench::{IntervalPolicy, RunSpec, Runner, Session};
+use eole_bench::{
+    quick_suite_configs, IntervalPolicy, RunSpec, Runner, Session, QUICK_SUITE_WORKLOADS,
+};
 use eole_core::config::CoreConfig;
 use eole_predictors::value::{
     evaluate_stream, DVtage, Fcm, LastValue, StridePredictor, TwoDeltaStride, ValuePredictor,
@@ -49,22 +51,6 @@ fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}\n{USAGE}");
     std::process::exit(2);
 }
-
-/// The quick-suite configurations: the paper's reference points plus the
-/// most window-hungry EOLE variant (banked PRF + port budgets).
-fn suite_configs() -> Vec<CoreConfig> {
-    vec![
-        CoreConfig::baseline_6_64(),
-        CoreConfig::baseline_vp_6_64(),
-        CoreConfig::eole_6_64(),
-        CoreConfig::eole_4_64_ports(4, 4),
-    ]
-}
-
-/// The quick-suite workloads: an INT/FP/memory-bound spread (gzip's tight
-/// loops, h264's branchy SAD, mcf's DRAM-bound pointer chase, namd's FP
-/// kernels, hmmer's high-IPC dynamic programming).
-const SUITE_WORKLOADS: [&str; 5] = ["gzip", "h264", "mcf", "namd", "hmmer"];
 
 struct Measured {
     config: String,
@@ -198,7 +184,7 @@ fn threads_scan(
             let mut rep_warm = 0.0;
             let mut rep_detail = 0.0;
             let mut rep_committed = 0u64;
-            for name in SUITE_WORKLOADS {
+            for name in QUICK_SUITE_WORKLOADS {
                 let w = eole_workloads::workload_by_name(name)
                     .unwrap_or_else(|| fail(&format!("unknown workload {name}")));
                 for config in configs {
@@ -339,9 +325,9 @@ fn main() {
     }
 
     let session = Session::new(runner);
-    let configs = suite_configs();
+    let configs = quick_suite_configs();
     let mut runs: Vec<Measured> = Vec::new();
-    for name in SUITE_WORKLOADS {
+    for name in QUICK_SUITE_WORKLOADS {
         let w = eole_workloads::workload_by_name(name)
             .unwrap_or_else(|| fail(&format!("unknown workload {name}")));
         // Warm the session's trace cache once per workload; every config

@@ -7,7 +7,7 @@
 //! * [`Executor`] — a work-stealing thread pool that schedules individual
 //!   runs (not whole workloads) and returns results in grid order.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -33,6 +33,20 @@ use crate::{
 /// cascading the panic into every sibling worker.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Work-stealing deques holding jobs `0..jobs`, dealt round-robin across
+/// `workers` so every worker starts with a spread of them.
+fn deal(jobs: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
+    (0..workers).map(|w| Mutex::new((w..jobs).step_by(workers).collect())).collect()
+}
+
+/// Worker `me`'s next job: its own work first (front), then steal from
+/// the back of the other workers' deques.
+fn next_job(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
+    lock_clean(&queues[me]).pop_front().or_else(|| {
+        (0..queues.len()).filter(|w| *w != me).find_map(|w| lock_clean(&queues[w]).pop_back())
+    })
 }
 
 /// Renders a caught panic payload (`&str` and `String` panics carry
@@ -529,45 +543,61 @@ impl Executor {
             return catch_panic(&spec.label(), || self.simulate(spec, idx));
         }
         let key = RunKey::of(spec);
+        if let Some(outcome) = self.consult(&key, spec) {
+            return outcome;
+        }
+        // Catch panics *here*, not just in the worker loop: the lease
+        // release in `publish` must still run when the simulation
+        // crashes, or single-flight waiters would idle out the TTL.
+        let outcome = catch_panic(&spec.label(), || self.simulate(spec, idx));
+        self.publish(&key, spec, outcome)
+    }
+
+    /// Resolves a run before any simulation: a store hit, or
+    /// [`RunError::NotInShard`] for a cell another shard owns. `None`
+    /// means this process simulates it.
+    fn consult(&self, key: &RunKey, spec: &RunSpec) -> Option<Result<SimStats, RunError>> {
         if let Some(store) = &self.store {
-            if let Some(stats) = store.load(&key) {
+            if let Some(stats) = store.load(key) {
                 self.store_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(stats);
+                return Some(Ok(stats));
             }
             self.store_misses.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(shard) = self.shard {
-            if !shard.owns(&key) {
-                self.shard_skips.fetch_add(1, Ordering::Relaxed);
-                // The miss above may have granted this process the key's
-                // single-flight lease; a skipped cell will never publish,
-                // so release it for the owning shard's session.
-                if let Some(store) = &self.store {
-                    store.abandon(&key);
-                }
-                return Err(RunError::NotInShard { label: spec.label(), shard });
-            }
-        }
-        // Catch panics *here*, not just in the worker loop: the lease
-        // release below must still run when the simulation crashes, or
-        // single-flight waiters would idle out the TTL.
-        let stats = match catch_panic(&spec.label(), || self.simulate(spec, idx)) {
-            Ok(stats) => stats,
-            Err(e) => {
-                // Wake single-flight waiters instead of making them idle
-                // out the lease TTL on a simulation that will never land.
-                if let Some(store) = &self.store {
-                    store.abandon(&key);
-                }
-                return Err(e);
-            }
-        };
+        let shard = self.shard.filter(|shard| !shard.owns(key))?;
+        self.shard_skips.fetch_add(1, Ordering::Relaxed);
+        // The miss above may have granted this process the key's
+        // single-flight lease; a skipped cell will never publish, so
+        // release it for the owning shard's session.
         if let Some(store) = &self.store {
-            store
-                .save(&key, &stats)
-                .map_err(|source| RunError::Store { label: spec.label(), source })?;
+            store.abandon(key);
         }
-        Ok(stats)
+        Some(Err(RunError::NotInShard { label: spec.label(), shard }))
+    }
+
+    /// Settles a simulated run's key in the store: a result is saved; a
+    /// failure releases the single-flight lease the miss may hold, so
+    /// waiters move on instead of idling out its TTL on a result that
+    /// will never land.
+    fn publish(
+        &self,
+        key: &RunKey,
+        spec: &RunSpec,
+        outcome: Result<SimStats, RunError>,
+    ) -> Result<SimStats, RunError> {
+        let Some(store) = &self.store else { return outcome };
+        match outcome {
+            Ok(stats) => {
+                store
+                    .save(key, &stats)
+                    .map_err(|source| RunError::Store { label: spec.label(), source })?;
+                Ok(stats)
+            }
+            Err(e) => {
+                store.abandon(key);
+                Err(e)
+            }
+        }
     }
 
     /// Runs every spec of the grid; `results[i]` corresponds to
@@ -590,11 +620,9 @@ impl Executor {
     fn run_specs_serial(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
         let n = specs.len();
         let workers = self.threads.min(n);
-        // Deal indices round-robin so every worker starts with a spread of
-        // workloads (specs of one workload are adjacent in grid order).
-        let queues: Vec<Mutex<std::collections::VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-            .collect();
+        // Specs of one workload are adjacent in grid order; dealing them
+        // round-robin spreads workloads across workers.
+        let queues = deal(n, workers);
         let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
         let results_mutex = Mutex::new(&mut results);
         std::thread::scope(|scope| {
@@ -602,24 +630,18 @@ impl Executor {
                 let queues = &queues;
                 let specs = &specs;
                 let results_mutex = &results_mutex;
-                scope.spawn(move || loop {
-                    // Own work first (front), then steal from the back of
-                    // the other workers' deques.
-                    let job = lock_clean(&queues[me]).pop_front().or_else(|| {
-                        (0..queues.len())
-                            .filter(|w| *w != me)
-                            .find_map(|w| lock_clean(&queues[w]).pop_back())
-                    });
-                    let Some(i) = job else { break };
-                    let label = specs[i].label();
-                    let started = Instant::now();
-                    // Backstop isolation: `execute` catches simulation
-                    // panics itself (it still has lease cleanup to do);
-                    // this catch covers everything else in the job.
-                    let outcome = catch_panic(&label, || self.execute(&specs[i], i));
-                    let outcome = self.enforce_deadline(&label, started, outcome);
-                    let result = RunResult { spec: specs[i].clone(), outcome };
-                    lock_clean(results_mutex)[i] = Some(result);
+                scope.spawn(move || {
+                    while let Some(i) = next_job(queues, me) {
+                        let label = specs[i].label();
+                        let started = Instant::now();
+                        // Backstop isolation: `execute` catches simulation
+                        // panics itself (it still has lease cleanup to do);
+                        // this catch covers everything else in the job.
+                        let outcome = catch_panic(&label, || self.execute(&specs[i], i));
+                        let outcome = self.enforce_deadline(&label, started, outcome);
+                        let result = RunResult { spec: specs[i].clone(), outcome };
+                        lock_clean(results_mutex)[i] = Some(result);
+                    }
                 });
             }
         });
@@ -636,27 +658,10 @@ impl Executor {
         let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
         let mut open: Vec<usize> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
-            let key = RunKey::of_intervals(spec, policy);
-            if let Some(store) = &self.store {
-                if let Some(stats) = store.load(&key) {
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    results[i] = Some(RunResult { spec: spec.clone(), outcome: Ok(stats) });
-                    continue;
-                }
-                self.store_misses.fetch_add(1, Ordering::Relaxed);
+            match self.consult(&RunKey::of_intervals(spec, policy), spec) {
+                Some(outcome) => results[i] = Some(RunResult { spec: spec.clone(), outcome }),
+                None => open.push(i),
             }
-            if let Some(shard) = self.shard {
-                if !shard.owns(&key) {
-                    self.shard_skips.fetch_add(1, Ordering::Relaxed);
-                    if let Some(store) = &self.store {
-                        store.abandon(&key);
-                    }
-                    let outcome = Err(RunError::NotInShard { label: spec.label(), shard });
-                    results[i] = Some(RunResult { spec: spec.clone(), outcome });
-                    continue;
-                }
-            }
-            open.push(i);
         }
         if open.is_empty() {
             return results.into_iter().map(|r| r.expect("resolved in pre-pass")).collect(); // lint:allow(error-typing) the pre-pass above filled every slot when `open` is empty
@@ -682,9 +687,7 @@ impl Executor {
         // like serial specs so workers start with a spread of runs.
         let jobs = pending.len() * k;
         let workers = self.threads.min(jobs);
-        let queues: Vec<Mutex<std::collections::VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..jobs).step_by(workers).collect()))
-            .collect();
+        let queues = deal(jobs, workers);
         let results_mutex = Mutex::new(&mut results);
         std::thread::scope(|scope| {
             for me in 0..workers {
@@ -692,30 +695,26 @@ impl Executor {
                 let specs = &specs;
                 let pending = &pending;
                 let results_mutex = &results_mutex;
-                scope.spawn(move || loop {
-                    let job = lock_clean(&queues[me]).pop_front().or_else(|| {
-                        (0..queues.len())
-                            .filter(|w| *w != me)
-                            .find_map(|w| lock_clean(&queues[w]).pop_back())
-                    });
-                    let Some(j) = job else { break };
-                    let run = &pending[j / k];
-                    let piece = j % k;
-                    let spec = &specs[run.spec];
-                    let label = spec.label();
-                    let started = Instant::now();
-                    let outcome = catch_panic(&label, || {
-                        self.simulate_piece(spec, policy, piece, run.spec, &run.warm)
-                    });
-                    let outcome = self.enforce_deadline(&label, started, outcome);
-                    lock_clean(&run.pieces)[piece] = Some(outcome);
-                    if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last piece in: stitch this run (backstop catch —
-                        // `stitch` handles its own lease cleanup on error).
-                        let outcome =
-                            catch_panic(&label, || self.stitch(spec, policy, &run.pieces));
-                        let result = RunResult { spec: spec.clone(), outcome };
-                        lock_clean(results_mutex)[run.spec] = Some(result);
+                scope.spawn(move || {
+                    while let Some(j) = next_job(queues, me) {
+                        let run = &pending[j / k];
+                        let piece = j % k;
+                        let spec = &specs[run.spec];
+                        let label = spec.label();
+                        let started = Instant::now();
+                        let outcome = catch_panic(&label, || {
+                            self.simulate_piece(spec, policy, piece, run.spec, &run.warm)
+                        });
+                        let outcome = self.enforce_deadline(&label, started, outcome);
+                        lock_clean(&run.pieces)[piece] = Some(outcome);
+                        if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            // Last piece in: stitch this run (backstop catch —
+                            // `stitch` handles its own lease cleanup on error).
+                            let outcome =
+                                catch_panic(&label, || self.stitch(spec, policy, &run.pieces));
+                            let result = RunResult { spec: spec.clone(), outcome };
+                            lock_clean(results_mutex)[run.spec] = Some(result);
+                        }
                     }
                 });
             }
@@ -828,7 +827,6 @@ impl Executor {
         pieces: &Mutex<Vec<Option<Result<SimStats, RunError>>>>,
     ) -> Result<SimStats, RunError> {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let key = RunKey::of_intervals(spec, policy);
         let outcome = (|| -> Result<SimStats, RunError> {
             let stitched = stitch_pieces(
                 lock_clean(pieces)
@@ -843,8 +841,8 @@ impl Executor {
                     .map_err(|e| attribute_workload(e, spec))?;
                 // The paranoid comparator panics by design on a contract
                 // violation; catching it here turns that into a typed
-                // error *inside* this closure, so the lease release below
-                // still runs.
+                // error *inside* this closure, so `publish` still
+                // releases the lease.
                 catch_panic(&spec.label(), || {
                     check_stitched_against_serial(&spec.label(), policy, &stitched, &serial);
                     Ok(())
@@ -852,23 +850,7 @@ impl Executor {
             }
             Ok(stitched)
         })();
-        let stitched = match outcome {
-            Ok(stitched) => stitched,
-            Err(e) => {
-                // A failed stitch never publishes; release the lease the
-                // pre-pass miss may hold so single-flight waiters move on.
-                if let Some(store) = &self.store {
-                    store.abandon(&key);
-                }
-                return Err(e);
-            }
-        };
-        if let Some(store) = &self.store {
-            store
-                .save(&key, &stitched)
-                .map_err(|source| RunError::Store { label: spec.label(), source })?;
-        }
-        Ok(stitched)
+        self.publish(&RunKey::of_intervals(spec, policy), spec, outcome)
     }
 }
 

@@ -74,12 +74,12 @@ pub use faults::FaultPlan;
 pub use plan::{Plan, Shard};
 pub use remote::RemoteStore;
 pub use session::{Format, Session, SessionBuilder, StoreSummary, TimedIntervals, TimedRun};
-pub use spec::{Grid, RunSpec};
+pub use spec::{quick_suite_configs, Grid, RunSpec, QUICK_SUITE_WORKLOADS};
 pub use store::{DirStore, MemStore, ResultStore, RunKey, StoreError, WarmKey, WARM_STEM_PREFIX};
 pub use eole_core::pipeline::{WarmState, WARMSTATE_FORMAT};
 
 use eole_core::config::CoreConfig;
-use eole_core::pipeline::{PreparedTrace, Simulator};
+use eole_core::pipeline::{PreparedTrace, SimError, Simulator};
 use eole_core::stats::SimStats;
 use eole_stats::report::json_string;
 use eole_workloads::Workload;
@@ -118,11 +118,6 @@ impl IntervalPolicy {
     /// window ([`Runner::default_interval_warmup`]).
     pub fn of(k: u32, runner: &Runner) -> Self {
         IntervalPolicy { k, warmup: runner.default_interval_warmup() }
-    }
-
-    /// True when this policy actually splits the run.
-    pub fn is_split(&self) -> bool {
-        self.k > 1
     }
 }
 
@@ -236,18 +231,11 @@ impl Runner {
         config: CoreConfig,
     ) -> Result<(SimStats, f64), RunError> {
         let name = config.name.clone();
-        let err = |phase: RunPhase, source| RunError::Sim {
-            config: name.clone(),
-            workload: "-".to_string(),
-            phase,
-            source,
-        };
-        let mut sim =
-            Simulator::new(trace, config).map_err(|e| err(RunPhase::Build, e))?;
-        sim.run(self.warmup).map_err(|e| err(RunPhase::Warmup, e))?;
+        let mut sim = Simulator::new(trace, config).map_err(sim_error(&name, RunPhase::Build))?;
+        sim.run(self.warmup).map_err(sim_error(&name, RunPhase::Warmup))?;
         sim.begin_measurement();
         let start = std::time::Instant::now();
-        sim.run(self.measure).map_err(|e| err(RunPhase::Measure, e))?;
+        sim.run(self.measure).map_err(sim_error(&name, RunPhase::Measure))?;
         let seconds = start.elapsed().as_secs_f64();
         Ok((sim.stats(), seconds))
     }
@@ -342,12 +330,7 @@ impl Runner {
         mut sink: impl FnMut(usize, u64, &WarmState, WarmOrigin),
     ) -> Result<(Vec<WarmState>, WarmSweepStats), RunError> {
         let name = config.name.clone();
-        let build_err = |source| RunError::Sim {
-            config: name.clone(),
-            workload: "-".to_string(),
-            phase: RunPhase::Build,
-            source,
-        };
+        let build_err = sim_error(&name, RunPhase::Build);
         let mut sim = Simulator::new(trace, config.clone()).map_err(&build_err)?;
         let mut out: Vec<WarmState> = Vec::with_capacity(positions.len());
         let mut stats = WarmSweepStats::default();
@@ -426,13 +409,7 @@ impl Runner {
         warmup_window: u64,
     ) -> Result<SimStats, RunError> {
         let name = config.name.clone();
-        let err = |phase: RunPhase, source| RunError::Sim {
-            config: name.clone(),
-            workload: "-".to_string(),
-            phase,
-            source,
-        };
-        let build = || Simulator::new(trace, config.clone()).map_err(|e| err(RunPhase::Build, e));
+        let build = || Simulator::new(trace, config.clone()).map_err(sim_error(&name, RunPhase::Build));
         let warm_from = start.saturating_sub(warmup_window);
         let mut sim = build()?;
         let restored = warm
@@ -464,9 +441,9 @@ impl Runner {
                 "{name}: restored checkpoint at {warm_from} diverges from replay"
             );
         }
-        sim.run_exact(start - warm_from).map_err(|e| err(RunPhase::Warmup, e))?;
+        sim.run_exact(start - warm_from).map_err(sim_error(&name, RunPhase::Warmup))?;
         sim.begin_measurement();
-        sim.run_exact(end.saturating_sub(start)).map_err(|e| err(RunPhase::Measure, e))?;
+        sim.run_exact(end.saturating_sub(start)).map_err(sim_error(&name, RunPhase::Measure))?;
         Ok(sim.stats())
     }
 
@@ -574,6 +551,18 @@ impl Runner {
     /// Panics with the typed [`RunError`] rendered.
     pub fn prepare(&self, workload: &Workload) -> PreparedTrace {
         self.try_prepare(workload).unwrap_or_else(|e| panic!("{e}")) // lint:allow(error-typing) documented `# Panics` convenience wrapper for examples
+    }
+}
+
+/// A simulator failure in `phase` of a run of `config`, as a
+/// [`RunError::Sim`]; the workload (`"-"` here) is attributed by the
+/// executor.
+fn sim_error(config: &str, phase: RunPhase) -> impl Fn(SimError) -> RunError + '_ {
+    move |source| RunError::Sim {
+        config: config.to_string(),
+        workload: "-".to_string(),
+        phase,
+        source,
     }
 }
 

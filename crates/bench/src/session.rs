@@ -27,7 +27,7 @@ use eole_core::stats::SimStats;
 use eole_stats::report::{reports_to_json, ExperimentReport};
 use eole_workloads::Workload;
 
-use crate::exec::{Executor, RunError, RunResult};
+use crate::exec::{attribute_workload, Executor, RunError, RunResult};
 use crate::plan::Shard;
 use crate::remote::RemoteStore;
 use crate::spec::{Grid, RunSpec};
@@ -320,16 +320,7 @@ impl Session {
         let (stats, seconds) = self
             .runner
             .try_run_timed(&trace, spec.effective_config())
-            .map_err(|e| match e {
-                // Attribute the workload: `try_run_timed` cannot know it.
-                RunError::Sim { config, phase, source, .. } => RunError::Sim {
-                    config,
-                    workload: spec.workload.name.to_string(),
-                    phase,
-                    source,
-                },
-                other => other,
-            })?;
+            .map_err(|e| attribute_workload(e, spec))?;
         Ok(TimedRun { stats, seconds })
     }
 
@@ -368,7 +359,7 @@ impl Session {
                 |_, _| None,
                 |_, _, _, _| {},
             )
-            .map_err(|e| crate::exec::attribute_workload(e, spec))?;
+            .map_err(|e| attribute_workload(e, spec))?;
         let warmup_seconds = warm_start.elapsed().as_secs_f64();
         let slots: Vec<Mutex<Option<Result<SimStats, RunError>>>> =
             bounds.iter().map(|_| Mutex::new(None)).collect();
@@ -398,7 +389,7 @@ impl Session {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .expect("every piece executed") // lint:allow(error-typing) scope join guarantees every slot was filled
         }))
-        .map_err(|e| crate::exec::attribute_workload(e, spec))?;
+        .map_err(|e| attribute_workload(e, spec))?;
         Ok(TimedIntervals { stats, warmup_seconds, detailed_seconds })
     }
 

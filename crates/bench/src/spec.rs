@@ -12,6 +12,23 @@ use eole_workloads::{all_workloads, workload_by_name, Workload};
 
 use crate::Runner;
 
+/// The quick-suite configurations of `sim-throughput` and the interval
+/// tests: the paper's reference points plus the most window-hungry EOLE
+/// variant (banked PRF + port budgets).
+pub fn quick_suite_configs() -> Vec<CoreConfig> {
+    vec![
+        CoreConfig::baseline_6_64(),
+        CoreConfig::baseline_vp_6_64(),
+        CoreConfig::eole_6_64(),
+        CoreConfig::eole_4_64_ports(4, 4),
+    ]
+}
+
+/// The quick-suite workloads: an INT/FP/memory-bound spread (gzip's tight
+/// loops, h264's branchy SAD, mcf's DRAM-bound pointer chase, namd's FP
+/// kernels, hmmer's high-IPC dynamic programming).
+pub const QUICK_SUITE_WORKLOADS: [&str; 5] = ["gzip", "h264", "mcf", "namd", "hmmer"];
+
 /// One fully-described simulation run: a single cell of the evaluation
 /// grid. Value type — building a spec performs no work.
 #[derive(Clone, Debug)]

@@ -667,19 +667,24 @@ pub fn render_result_payload(key: &RunKey, s: &SimStats) -> String {
     let mut stats = *s;
     stats.visit_counters(&mut RenderCounters { out: &mut out, first: true });
     out.push_str("}}\n");
-    // Splice the checksum over the zero placeholder: digest the payload
-    // with the crc field zeroed, then write the 16-hex digest in place.
-    // Verification reverses this (re-zero, re-digest, compare), so the
-    // bytes on disk are self-validating without a sidecar file.
-    let at = out.find(CRC_FIELD).expect("crc placeholder rendered above") + CRC_FIELD.len(); // lint:allow(error-typing) the placeholder is rendered unconditionally a few lines up
-    let digest = format!("{:016x}", Fnv64::digest(out.as_bytes()));
-    out.replace_range(at..at + 16, &digest);
-    out
+    splice_checksum(out)
 }
 
 /// The checksum field marker; rendered once, immediately after the
 /// schema tag.
 const CRC_FIELD: &str = "\"crc\":\"";
+
+/// Splices the checksum over the zero placeholder of a rendered payload:
+/// digest the payload with the crc field zeroed, then write the 16-hex
+/// digest in place. Verification reverses this (re-zero, re-digest,
+/// compare), so the bytes on disk are self-validating without a sidecar
+/// file.
+fn splice_checksum(mut out: String) -> String {
+    let at = out.find(CRC_FIELD).expect("crc placeholder rendered first") + CRC_FIELD.len(); // lint:allow(error-typing) both payload renderers emit the placeholder right after the schema tag
+    let digest = format!("{:016x}", Fnv64::digest(out.as_bytes()));
+    out.replace_range(at..at + 16, &digest);
+    out
+}
 
 /// Verifies the spliced-in payload checksum.
 ///
@@ -761,48 +766,42 @@ impl CounterVisitor for RenderCounters<'_> {
     }
 }
 
-/// Reads every counter it visits from the JSON object at the same path;
-/// the first missing or mistyped field is kept in `error` (later
-/// counters are skipped).
+/// Reads every counter it visits from the JSON object at the same path
+/// (a missing group reads as `null`, so its first counter fails); the
+/// first failure is kept in `error` and later counters are skipped.
 struct ParseCounters<'a> {
-    path: Vec<Option<&'a Json>>,
+    path: Vec<&'a Json>,
     error: Option<String>,
 }
 
-impl ParseCounters<'_> {
-    fn read(&mut self, name: &str, value: Counter<'_>) -> Result<(), String> {
-        let obj = self.path.last().copied().flatten().ok_or("missing counter group")?;
-        match value {
-            Counter::Scalar(v) => *v = u64_field(obj, name)?,
-            Counter::Array(vs) => {
-                let arr = obj
-                    .get(name)
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("missing or non-array field `{name}`"))?;
-                if arr.len() != vs.len() {
-                    return Err(format!("`{name}` must hold {} entries, got {}", vs.len(), arr.len()));
-                }
-                for (slot, e) in vs.iter_mut().zip(arr) {
-                    *slot = e.as_u64().ok_or_else(|| format!("non-integer entry in `{name}`"))?;
-                }
+/// Reads one counter (or counter array) named `name` from `obj`.
+fn read_counter(obj: &Json, name: &str, value: Counter<'_>) -> Result<(), String> {
+    match value {
+        Counter::Scalar(v) => *v = u64_field(obj, name)?,
+        Counter::Array(vs) => {
+            let arr = obj
+                .get(name)
+                .and_then(Json::as_arr)
+                .filter(|arr| arr.len() == vs.len())
+                .ok_or_else(|| format!("missing field `{name}` or not {} entries", vs.len()))?;
+            for (slot, e) in vs.iter_mut().zip(arr) {
+                *slot = e.as_u64().ok_or_else(|| format!("non-integer entry in `{name}`"))?;
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 impl CounterVisitor for ParseCounters<'_> {
     fn counter(&mut self, name: &'static str, value: Counter<'_>) {
-        if self.error.is_none() {
-            self.error = self.read(name, value).err();
+        if let (None, Some(obj)) = (&self.error, self.path.last()) {
+            self.error = read_counter(obj, name, value).err();
         }
     }
 
     fn enter(&mut self, name: &'static str) {
-        let inner = self.path.last().copied().flatten().and_then(|obj| obj.get(name));
-        if inner.is_none() && self.error.is_none() {
-            self.error = Some(format!("missing `{name}`"));
-        }
+        const NULL: &Json = &Json::Null;
+        let inner = self.path.last().and_then(|obj| obj.get(name)).unwrap_or(NULL);
         self.path.push(inner);
     }
 
@@ -857,10 +856,8 @@ fn parse_checked_payload(v: &Json, key: &RunKey) -> Result<SimStats, String> {
                 && u64_field(tag, "warmup")? == key.interval_warmup => {}
         _ => return Err("interval-tag mismatch".into()),
     }
-    let mut parse = ParseCounters {
-        path: vec![Some(v.get("stats").ok_or("missing `stats`")?)],
-        error: None,
-    };
+    let stats_obj = v.get("stats").ok_or("missing `stats`")?;
+    let mut parse = ParseCounters { path: vec![stats_obj], error: None };
     let mut stats = SimStats::default();
     stats.visit_counters(&mut parse);
     match parse.error {
@@ -954,10 +951,7 @@ pub fn render_warm_payload(key: &WarmKey, bytes: &[u8]) -> String {
         key.position,
     ));
     out.push_str(&format!("\"data\":\"{}\"}}\n", base64_encode(bytes)));
-    let at = out.find(CRC_FIELD).expect("crc placeholder rendered above") + CRC_FIELD.len(); // lint:allow(error-typing) the placeholder is rendered unconditionally a few lines up
-    let digest = format!("{:016x}", Fnv64::digest(out.as_bytes()));
-    out.replace_range(at..at + 16, &digest);
-    out
+    splice_checksum(out)
 }
 
 /// Parses an `eole-warmstate/v1` wrapper back into checkpoint bytes,
@@ -1107,6 +1101,15 @@ mod tests {
         doubled.merge(&s);
         let want: Vec<u64> = counts(s).iter().map(|v| 2 * v).collect();
         assert_eq!(counts(doubled), want);
+    }
+
+    #[test]
+    fn parse_rejects_a_missing_counter_group() {
+        let key = RunKey::of(&spec());
+        let payload = render_result_payload(&key, &dense_stats());
+        let v = Json::parse(&payload.replace("\"dram\":", "\"dram_v0\":")).unwrap();
+        let err = parse_checked_payload(&v, &key).unwrap_err();
+        assert!(err.contains("`accesses`"), "{err}");
     }
 
     #[test]

@@ -112,43 +112,36 @@ eole_mem::counters! {
     }
 }
 
+/// `num / den`, or `empty` when nothing was counted (`den == 0`).
+fn ratio(num: f64, den: u64, empty: f64) -> f64 {
+    if den == 0 {
+        empty
+    } else {
+        num / den as f64
+    }
+}
+
 impl SimStats {
     /// Instructions (µ-ops) per cycle over the measurement window.
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed as f64 / self.cycles as f64
-        }
+        ratio(self.committed as f64, self.cycles, 0.0)
     }
 
     /// Fraction of committed µ-ops that were early-executed (Fig. 2).
     pub fn early_exec_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.early_executed as f64 / self.committed as f64
-        }
+        ratio(self.early_executed as f64, self.committed, 0.0)
     }
 
     /// Fraction of committed µ-ops late-executed as predicted ALU µ-ops
     /// (Fig. 4, "Value-predicted" series; disjoint from early execution).
     pub fn late_alu_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.late_executed_alu as f64 / self.committed as f64
-        }
+        ratio(self.late_executed_alu as f64, self.committed, 0.0)
     }
 
     /// Fraction of committed µ-ops that were high-confidence branches
     /// resolved late (Fig. 4, "High-Confidence Branches" series).
     pub fn late_branch_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.late_executed_branches as f64 / self.committed as f64
-        }
+        ratio(self.late_executed_branches as f64, self.committed, 0.0)
     }
 
     /// Total fraction of committed µ-ops bypassing the OoO engine (§3.4's
@@ -166,22 +159,14 @@ impl SimStats {
     /// Fraction of measured cycles lost to value-misprediction squashes
     /// (the probe for the h264 baseline-beats-EOLE anomaly).
     pub fn vp_squash_cost_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.vp_squash_cycles() as f64 / self.cycles as f64
-        }
+        ratio(self.vp_squash_cycles() as f64, self.cycles, 0.0)
     }
 
     /// Fraction of committed predictions sitting at saturated (usable)
     /// confidence — how much of the predictor's work the FPC gate lets
     /// through.
     pub fn vp_saturated_share(&self) -> f64 {
-        if self.vp_predicted == 0 {
-            0.0
-        } else {
-            self.vp_pred_by_level[7] as f64 / self.vp_predicted as f64
-        }
+        ratio(self.vp_pred_by_level[7] as f64, self.vp_predicted, 0.0)
     }
 
     /// Correctness of committed predictions *below* saturation — the
@@ -190,59 +175,35 @@ impl SimStats {
     pub fn vp_subsaturated_accuracy(&self) -> f64 {
         let pred: u64 = self.vp_pred_by_level[..7].iter().sum();
         let correct: u64 = self.vp_correct_by_level[..7].iter().sum();
-        if pred == 0 {
-            1.0
-        } else {
-            correct as f64 / pred as f64
-        }
+        ratio(correct as f64, pred, 1.0)
     }
 
     /// Predictor reads per committed µ-op (the BeBoP access-cost metric:
     /// block size B cuts this toward 1/B of the per-instruction rate).
     pub fn vp_reads_per_committed(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.vp_block_reads as f64 / self.committed as f64
-        }
+        ratio(self.vp_block_reads as f64, self.committed, 0.0)
     }
 
     /// Coverage of value prediction: used predictions / eligible µ-ops.
     pub fn vp_coverage(&self) -> f64 {
-        if self.vp_eligible == 0 {
-            0.0
-        } else {
-            self.vp_used as f64 / self.vp_eligible as f64
-        }
+        ratio(self.vp_used as f64, self.vp_eligible, 0.0)
     }
 
     /// Accuracy of used predictions.
     pub fn vp_accuracy(&self) -> f64 {
-        if self.vp_used == 0 {
-            1.0
-        } else {
-            self.vp_used_correct as f64 / self.vp_used as f64
-        }
+        ratio(self.vp_used_correct as f64, self.vp_used, 1.0)
     }
 
     /// Conditional-branch mispredictions per kilo-instruction.
     pub fn branch_mpki(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            (self.branch_mispredicts + self.hc_branch_mispredicts) as f64 * 1000.0
-                / self.committed as f64
-        }
+        let mispredicts = self.branch_mispredicts + self.hc_branch_mispredicts;
+        ratio(mispredicts as f64 * 1000.0, self.committed, 0.0)
     }
 
     /// Misprediction rate of the very-high-confidence branch class (the
     /// paper relies on this being < 0.5%).
     pub fn hc_branch_misrate(&self) -> f64 {
-        if self.hc_branches == 0 {
-            0.0
-        } else {
-            self.hc_branch_mispredicts as f64 / self.hc_branches as f64
-        }
+        ratio(self.hc_branch_mispredicts as f64, self.hc_branches, 0.0)
     }
 
     /// Zeroes every counter (start of a measurement window).

@@ -11,27 +11,15 @@
 //! proptest extends them to random (K, W, runner) draws.
 
 use eole_bench::{
-    check_stitched_against_serial, DirStore, Grid, IntervalPolicy, MemStore, ResultStore, RunKey,
-    RunSpec, Runner, Session, INTERVAL_CYCLE_BUDGET, WARM_STEM_PREFIX,
+    check_stitched_against_serial, quick_suite_configs, DirStore, Grid, IntervalPolicy, MemStore,
+    ResultStore, RunKey, RunSpec, Runner, Session, INTERVAL_CYCLE_BUDGET, QUICK_SUITE_WORKLOADS,
+    WARM_STEM_PREFIX,
 };
 use eole_core::config::CoreConfig;
 use eole_core::stats::SimStats;
 use eole_workloads::workload_by_name;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// The `sim-throughput` quick-suite axes: the paper's reference configs
-/// over an INT/FP/memory-bound workload spread.
-fn suite_configs() -> Vec<CoreConfig> {
-    vec![
-        CoreConfig::baseline_6_64(),
-        CoreConfig::baseline_vp_6_64(),
-        CoreConfig::eole_6_64(),
-        CoreConfig::eole_4_64_ports(4, 4),
-    ]
-}
-
-const SUITE_WORKLOADS: [&str; 5] = ["gzip", "h264", "mcf", "namd", "hmmer"];
 
 fn stitched_and_serial(
     runner: Runner,
@@ -46,6 +34,12 @@ fn stitched_and_serial(
     (stitched, serial)
 }
 
+/// Every counter equal (`SimStats` has no `PartialEq`; its `Debug`
+/// output lists every field).
+fn assert_same_stats(got: &SimStats, want: &SimStats, label: &str) {
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}");
+}
+
 /// `|got − want| / want`, the measure [`INTERVAL_CYCLE_BUDGET`] bounds.
 fn relative_error(got: u64, want: u64) -> f64 {
     got.abs_diff(want) as f64 / want.max(1) as f64
@@ -57,8 +51,8 @@ fn relative_error(got: u64, want: u64) -> f64 {
 #[test]
 fn quick_suite_stitched_matches_serial_within_budget() {
     let runner = Runner::quick();
-    for workload in SUITE_WORKLOADS {
-        for config in &suite_configs() {
+    for workload in QUICK_SUITE_WORKLOADS {
+        for config in &quick_suite_configs() {
             for k in [2u32, 8] {
                 let policy = IntervalPolicy::of(k, &runner);
                 let (stitched, serial) = stitched_and_serial(runner, config, workload, policy);
@@ -110,13 +104,7 @@ fn single_interval_is_bit_identical_to_serial_exact() {
     let policy = IntervalPolicy { k: 1, warmup: runner.warmup };
     let (stitched, _) = runner.try_run_intervals(&trace, config.clone(), policy).unwrap();
     let serial = runner.try_run_serial_exact(&trace, config).unwrap();
-    assert_eq!(stitched.cycles, serial.cycles);
-    assert_eq!(stitched.committed, serial.committed);
-    assert_eq!(stitched.squashed, serial.squashed);
-    assert_eq!(stitched.fetched, serial.fetched);
-    assert_eq!(stitched.vp_used, serial.vp_used);
-    assert_eq!(stitched.vp_squashes, serial.vp_squashes);
-    assert_eq!(stitched.branch_mispredicts, serial.branch_mispredicts);
+    assert_same_stats(&stitched, &serial, "k=1 stitch vs serial");
 }
 
 /// Interval-tagged run keys never collide with serial keys: the tag
@@ -180,9 +168,7 @@ fn executor_interval_path_matches_library_stitch_and_caches() {
         let got = r.stats().expect("stitched run succeeds");
         let trace = runner.try_prepare(&spec.workload).unwrap();
         let (want, _) = runner.try_run_intervals(&trace, spec.effective_config(), policy).unwrap();
-        assert_eq!(got.cycles, want.cycles, "{}", spec.label());
-        assert_eq!(got.committed, want.committed);
-        assert_eq!(got.squashed, want.squashed);
+        assert_same_stats(got, &want, &spec.label());
     }
     // Warm repeat: all four cells come from the store under tagged keys.
     let warm = Session::builder()
@@ -196,7 +182,7 @@ fn executor_interval_path_matches_library_stitch_and_caches() {
     assert_eq!(warm.executor().simulated(), 0, "warm store serves every stitched cell");
     assert_eq!(warm.executor().store_hits(), 4);
     for (a, b) in results.iter().zip(&again) {
-        assert_eq!(a.stats().unwrap().cycles, b.stats().unwrap().cycles);
+        assert_same_stats(a.stats().unwrap(), b.stats().unwrap(), &a.spec.label());
     }
     // A serial session over the same grid must NOT see the stitched
     // results (tagged keys are invisible to serial lookups).
@@ -269,10 +255,10 @@ const STITCHED_FINGERPRINTS: [(&str, &str, u32, Fingerprint); 40] = [
 #[test]
 fn stitched_fingerprints_match_the_pinned_table() {
     let runner = Runner::quick();
-    for workload in SUITE_WORKLOADS {
+    for workload in QUICK_SUITE_WORKLOADS {
         let w = workload_by_name(workload).expect("suite workload");
         let trace = runner.try_prepare(&w).expect("trace");
-        for config in &suite_configs() {
+        for config in &quick_suite_configs() {
             for k in [2u32, 8] {
                 let policy = IntervalPolicy::of(k, &runner);
                 let (s, sweep) = runner

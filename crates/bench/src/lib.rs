@@ -283,7 +283,8 @@ impl Runner {
         trace: &PreparedTrace,
         config: CoreConfig,
     ) -> Result<SimStats, RunError> {
-        self.try_run_piece(trace, config, None, self.warmup, self.warmup + self.measure, self.warmup)
+        let (start, end) = (self.warmup, self.warmup + self.measure);
+        self.try_run_piece(trace, config, None, start, end, self.warmup)
     }
 
     /// The warm-state checkpoint positions of a `k`-way split: piece `i`'s
@@ -409,7 +410,8 @@ impl Runner {
         warmup_window: u64,
     ) -> Result<SimStats, RunError> {
         let name = config.name.clone();
-        let build = || Simulator::new(trace, config.clone()).map_err(sim_error(&name, RunPhase::Build));
+        let build =
+            || Simulator::new(trace, config.clone()).map_err(sim_error(&name, RunPhase::Build));
         let warm_from = start.saturating_sub(warmup_window);
         let mut sim = build()?;
         let restored = warm

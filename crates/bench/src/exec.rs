@@ -291,9 +291,9 @@ impl RunResult {
     /// # Panics
     ///
     /// Panics with the run label and the typed error if the run failed —
-    /// for benches and examples where failure is a bug, not a condition.
+    /// for examples where failure is a bug, not a condition.
     /// `Result`-typed code uses [`RunResult::stats`] instead.
-    // lint:allow(error-typing) documented `# Panics` convenience wrapper for benches/examples
+    // lint:allow(error-typing) documented `# Panics` convenience wrapper for examples
     pub fn expect_stats(&self) -> &SimStats {
         match self.stats() {
             Ok(s) => s,

@@ -48,7 +48,8 @@ graceful local fallback if the daemon dies); --shard K/N simulates only the cell
 owns (populate pass, no reports) — merge by re-running unsharded with the same --store; \
 --assert-cached exits 1 if anything simulated
 intervals: --intervals K splits every run into K deterministic intervals simulated \
-concurrently and stitched (committed counts exact, cycles within the pinned budget; stored \
+concurrently and stitched (committed counts exact, cycle and squashed counts within the \
+pinned budget; stored \
 under interval-tagged keys); --interval-warmup W sets the per-interval warmup window in \
 µ-ops (default warmup/2, min 1000), or `auto` to probe the smallest window whose seam \
 error clears half the pinned budget; warm checkpoints are cached in the --store under \

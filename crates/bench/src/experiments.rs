@@ -70,7 +70,7 @@ impl ExperimentSet {
         Self::with_session(Session::new(runner), all_workloads())
     }
 
-    /// Restricts the suite (used by Criterion benches and smoke tests).
+    /// Restricts the suite to the named workloads (smoke tests).
     pub fn with_workloads(runner: Runner, names: &[&str]) -> Self {
         let workloads =
             all_workloads().into_iter().filter(|w| names.contains(&w.name)).collect();

@@ -27,14 +27,17 @@
 //! `--min-speedup X` then turns the exit status into a regression gate.
 //!
 //! The payload also carries a `microbench` section — raw
-//! `evaluate_stream` lookups/sec per predictor kind (LVP through
-//! D-VTAGE), isolating predictor table cost from pipeline cost — unless
+//! `evaluate_stream` lookups/sec per value-predictor kind (LVP through
+//! D-VTAGE) plus TAGE's predict + update rate over the conditional
+//! branches, isolating predictor table cost from pipeline cost — unless
 //! `--no-microbench` skips it.
 
 use eole_bench::{
     quick_suite_configs, IntervalPolicy, RunSpec, Runner, Session, QUICK_SUITE_WORKLOADS,
 };
 use eole_core::config::CoreConfig;
+use eole_isa::{InstClass, Program};
+use eole_predictors::branch::{DirectionPredictor, Tage};
 use eole_predictors::value::{
     evaluate_stream, DVtage, Fcm, LastValue, StridePredictor, TwoDeltaStride, ValuePredictor,
     Vtage, VtageTwoDeltaStride,
@@ -95,7 +98,9 @@ fn measure(session: &Session, spec: &RunSpec, reps: usize) -> Measured {
 /// VP-eligible µ-op stream — the cost of the predictor *itself*,
 /// isolated from the timing pipeline, so a table-layout change (e.g.
 /// D-VTAGE's block organization) shows up as a lookups/sec delta in
-/// `BENCH_throughput.json` even when pipeline throughput hides it.
+/// `BENCH_throughput.json` even when pipeline throughput hides it. The
+/// `TAGE` row times `predict` + `update` per conditional branch of the
+/// same trace (its `events` are the branch count).
 fn microbench(session: &Session, reps: usize) -> String {
     let w = eole_workloads::workload_by_name("gzip").expect("gzip is in the registry");
     let trace = session.prepare(&w).unwrap_or_else(|e| fail(&e.to_string()));
@@ -111,25 +116,43 @@ fn microbench(session: &Session, reps: usize) -> String {
         ("VTAGE-2DStride", Box::new(move || Box::new(VtageTwoDeltaStride::paper(seed)))),
         ("D-VTAGE", Box::new(move || Box::new(DVtage::paper(4, 4, seed)))),
     ];
+    // Fastest of `reps` replays (each returns its timed seconds, with
+    // predictor construction left out), as a microbench JSON row.
+    let row = |name: &str, events: usize, replay: &dyn Fn() -> f64| {
+        let best = (0..reps.max(1)).map(|_| replay()).fold(f64::INFINITY, f64::min);
+        let mlps = events as f64 / best / 1.0e6;
+        eprintln!("  microbench {name:<16} {mlps:>8.3} Mlookups/s");
+        format!(
+            "{{\"predictor\":{},\"mlookups_per_sec\":{mlps:.4},\"events\":{events}}}",
+            json_string(name)
+        )
+    };
     let mut runs = Vec::new();
     for (name, build) in &make {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
+        runs.push(row(name, stream.len(), &|| {
             let mut p = build();
             let start = std::time::Instant::now();
             let stats = evaluate_stream(&mut *p, trace.history(), stream.iter().copied());
-            let secs = start.elapsed().as_secs_f64();
             std::hint::black_box(stats);
-            best = best.min(secs);
-        }
-        let mlps = stream.len() as f64 / best / 1.0e6;
-        eprintln!("  microbench {name:<16} {mlps:>8.3} Mlookups/s");
-        runs.push(format!(
-            "{{\"predictor\":{},\"mlookups_per_sec\":{mlps:.4},\"events\":{}}}",
-            json_string(name),
-            stream.len()
-        ));
+            start.elapsed().as_secs_f64()
+        }));
     }
+    let branches: Vec<(u64, usize, bool)> = trace
+        .insts()
+        .iter()
+        .filter(|di| di.class() == InstClass::Branch)
+        .map(|di| (Program::inst_addr(di.pc), di.bhist_pos as usize, di.taken))
+        .collect();
+    runs.push(row("TAGE", branches.len(), &|| {
+        let mut tage = Tage::paper(seed);
+        let start = std::time::Instant::now();
+        for &(pc, pos, taken) in &branches {
+            let view = trace.history().view(pos);
+            std::hint::black_box(tage.predict(pc, view));
+            tage.update(pc, view, taken);
+        }
+        start.elapsed().as_secs_f64()
+    }));
     format!("{{\"workload\":\"gzip\",\"runs\":[{}]}}", runs.join(","))
 }
 

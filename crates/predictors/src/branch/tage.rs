@@ -20,7 +20,7 @@
 //! 4…640.
 
 use crate::branch::{Bimodal, BranchConfidence, BranchPrediction, DirectionPredictor};
-use crate::history::{hash_pc, HistoryView};
+use crate::history::{hash_pc, FoldMemo, Folds, HistoryView};
 use crate::rng::SimRng;
 
 /// Geometry of a [`Tage`] predictor.
@@ -69,6 +69,8 @@ pub struct Tage {
     tagged: Vec<Vec<TageEntry>>,
     rng: SimRng,
     updates: u64,
+    /// History folds per position (derived state, never snapshotted).
+    memo: FoldMemo,
 }
 
 /// Period (in updates) of the graceful usefulness decay.
@@ -84,10 +86,10 @@ impl Tage {
     ///
     /// # Panics
     ///
-    /// Panics if `history_lengths` is empty or not strictly ascending.
+    /// Panics if `history_lengths` is rejected by [`FoldMemo::new`]
+    /// (empty, not strictly ascending, or too long).
     pub fn new(config: TageConfig, seed: u64) -> Self {
-        assert!(!config.history_lengths.is_empty());
-        assert!(config.history_lengths.windows(2).all(|w| w[0] < w[1]));
+        let memo = FoldMemo::new(&config.history_lengths, 0x7163, 0x91b7);
         let tagged_n = config.tagged_entries.next_power_of_two().max(1);
         let comps = config.history_lengths.len();
         let base = Bimodal::new(config.base_entries);
@@ -99,6 +101,7 @@ impl Tage {
             config,
             rng: SimRng::new(seed),
             updates: 0,
+            memo,
         }
     }
 
@@ -110,22 +113,21 @@ impl Tage {
         (self.config.base_tag_bits + comp as u32 / 2).min(15)
     }
 
-    fn index_of(&self, comp: usize, pc: u64, hist: HistoryView<'_>) -> usize {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x7163 + comp as u64);
-        (hash_pc(pc ^ folded, 0x7a93) as usize) & (self.tagged[comp].len() - 1)
+    fn index_of(&self, comp: usize, pc: u64, folds: &Folds) -> usize {
+        (hash_pc(pc ^ folds.index(comp), 0x7a93) as usize) & (self.tagged[comp].len() - 1)
     }
 
-    fn tag_of(&self, comp: usize, pc: u64, hist: HistoryView<'_>) -> u32 {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x91b7 + comp as u64);
-        (hash_pc(pc ^ folded.rotate_left(21), 0x3d71) as u32) & ((1 << self.tag_bits(comp)) - 1)
+    fn tag_of(&self, comp: usize, pc: u64, folds: &Folds) -> u32 {
+        (hash_pc(pc ^ folds.tag(comp).rotate_left(21), 0x3d71) as u32)
+            & ((1 << self.tag_bits(comp)) - 1)
     }
 
     /// (provider component, index) of the longest hit, if any.
-    fn provider(&self, pc: u64, hist: HistoryView<'_>) -> Option<(usize, usize)> {
+    fn provider(&self, pc: u64, folds: &Folds) -> Option<(usize, usize)> {
         for comp in (0..self.tagged.len()).rev() {
-            let idx = self.index_of(comp, pc, hist);
+            let idx = self.index_of(comp, pc, folds);
             let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == self.tag_of(comp, pc, hist) {
+            if e.valid && e.tag == self.tag_of(comp, pc, folds) {
                 return Some((comp, idx));
             }
         }
@@ -134,18 +136,18 @@ impl Tage {
 
     /// The alternate prediction: the next-longest hit below `below`, else
     /// the base.
-    fn alt_taken(&self, pc: u64, hist: HistoryView<'_>, below: usize) -> bool {
+    fn alt_taken(&self, pc: u64, folds: &Folds, below: usize) -> bool {
         for comp in (0..below).rev() {
-            let idx = self.index_of(comp, pc, hist);
+            let idx = self.index_of(comp, pc, folds);
             let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == self.tag_of(comp, pc, hist) {
+            if e.valid && e.tag == self.tag_of(comp, pc, folds) {
                 return e.ctr >= 0;
             }
         }
         self.base.counter(pc) >= 2
     }
 
-    fn allocate(&mut self, provider_comp: Option<usize>, pc: u64, hist: HistoryView<'_>, taken: bool) {
+    fn allocate(&mut self, provider_comp: Option<usize>, pc: u64, folds: &Folds, taken: bool) {
         let start = provider_comp.map(|c| c + 1).unwrap_or(0);
         if start >= self.tagged.len() {
             return;
@@ -156,7 +158,7 @@ impl Tage {
         let mut second: Option<(usize, usize)> = None;
         let mut free_count = 0usize;
         for comp in start..self.tagged.len() {
-            let idx = self.index_of(comp, pc, hist);
+            let idx = self.index_of(comp, pc, folds);
             if self.tagged[comp][idx].useful == 0 {
                 free_count += 1;
                 if shortest.is_none() {
@@ -168,7 +170,7 @@ impl Tage {
         }
         let Some(shortest) = shortest else {
             for comp in start..self.tagged.len() {
-                let idx = self.index_of(comp, pc, hist);
+                let idx = self.index_of(comp, pc, folds);
                 let e = &mut self.tagged[comp][idx];
                 e.useful = e.useful.saturating_sub(1);
             }
@@ -183,24 +185,28 @@ impl Tage {
         };
         self.tagged[comp][idx] = TageEntry {
             valid: true,
-            tag: self.tag_of(comp, pc, hist),
+            tag: self.tag_of(comp, pc, folds),
             ctr: if taken { 0 } else { -1 },
             useful: 0,
             conf: 0,
         };
     }
-}
 
-impl DirectionPredictor for Tage {
-    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> BranchPrediction {
-        match self.provider(pc, hist) {
+    /// The final prediction, given the folds and the provider they select.
+    fn predict_with(
+        &self,
+        pc: u64,
+        folds: &Folds,
+        provider: Option<(usize, usize)>,
+    ) -> BranchPrediction {
+        match provider {
             Some((comp, idx)) => {
                 let e = &self.tagged[comp][idx];
                 // Newly allocated entries (weak counter, never useful) are
                 // unreliable: fall back to the alternate prediction.
                 let weak_new = (e.ctr == 0 || e.ctr == -1) && e.useful == 0;
                 let taken = if weak_new {
-                    self.alt_taken(pc, hist, comp)
+                    self.alt_taken(pc, folds, comp)
                 } else {
                     e.ctr >= 0
                 };
@@ -224,6 +230,14 @@ impl DirectionPredictor for Tage {
             }
         }
     }
+}
+
+impl DirectionPredictor for Tage {
+    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> BranchPrediction {
+        let folds = self.memo.folds(hist);
+        let provider = self.provider(pc, &folds);
+        self.predict_with(pc, &folds, provider)
+    }
 
     fn update(&mut self, pc: u64, hist: HistoryView<'_>, taken: bool) {
         self.updates += 1;
@@ -235,12 +249,14 @@ impl DirectionPredictor for Tage {
             }
         }
         // Reproduce the fetch-time final prediction for confidence upkeep.
-        let final_taken = self.predict(pc, hist).taken;
+        let folds = self.memo.folds(hist);
+        let provider = self.provider(pc, &folds);
+        let final_taken = self.predict_with(pc, &folds, provider).taken;
         let conf_gate = self.rng.one_in(32);
-        match self.provider(pc, hist) {
+        match provider {
             Some((comp, idx)) => {
                 let provider_taken = self.tagged[comp][idx].ctr >= 0;
-                let alt = self.alt_taken(pc, hist, comp);
+                let alt = self.alt_taken(pc, &folds, comp);
                 {
                     let e = &mut self.tagged[comp][idx];
                     // Usefulness tracks "provider beat the alternate".
@@ -262,7 +278,7 @@ impl DirectionPredictor for Tage {
                     e.ctr = if taken { (e.ctr + 1).min(3) } else { (e.ctr - 1).max(-4) };
                 }
                 if provider_taken != taken {
-                    self.allocate(Some(comp), pc, hist, taken);
+                    self.allocate(Some(comp), pc, &folds, taken);
                 }
             }
             None => {
@@ -277,7 +293,7 @@ impl DirectionPredictor for Tage {
                 }
                 self.base.update(pc, hist, taken);
                 if base_taken != taken {
-                    self.allocate(None, pc, hist, taken);
+                    self.allocate(None, pc, &folds, taken);
                 }
             }
         }
@@ -446,6 +462,15 @@ mod tests {
             tagged_entries: 64,
             history_lengths: vec![],
             base_tag_bits: 8,
+        };
+        assert!(std::panic::catch_unwind(|| Tage::new(cfg, 1)).is_err());
+    }
+
+    #[test]
+    fn rejects_histories_beyond_max_bits_at_construction() {
+        let cfg = TageConfig {
+            history_lengths: vec![4, 640, crate::history::MAX_HISTORY_BITS + 1],
+            ..TageConfig::paper()
         };
         assert!(std::panic::catch_unwind(|| Tage::new(cfg, 1)).is_err());
     }

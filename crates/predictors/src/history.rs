@@ -7,14 +7,49 @@
 //! position again.
 //!
 //! Indices and tags are derived by hashing the most recent `L` outcome bits
-//! together with the pc and a per-component seed (instead of maintaining
-//! incrementally folded registers, which would need checkpointing).
+//! together with the pc and a per-component seed ([`HistoryView::fold`]).
+//! A tagged predictor needs two such folds (index and tag) per component,
+//! at fetch and again at commit, and every µ-op of a basic block presents
+//! the same history position. A [`FoldMemo`] therefore keeps the folds of
+//! the last [`FOLD_MEMO_SLOTS`] positions, direct-mapped by position and
+//! keyed by the log's identity and the position. Because the log is
+//! append-only, the bits visible at a position never change, so a memo hit
+//! is bit-identical to hashing afresh; and because the memo is a pure
+//! function of the log, it is derived state — predictors never snapshot or
+//! compare it, and a restored predictor simply starts with an empty memo.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`BranchHistory`] identities. 0 is never issued, so it marks
+/// an empty [`FoldMemo`] slot.
+static NEXT_HISTORY_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Append-only log of conditional-branch outcomes (bit-packed).
-#[derive(Clone, Debug, Default)]
+///
+/// Every log (including every clone, which may grow differently from its
+/// source) carries a process-unique identity, so a [`FoldMemo`] never
+/// serves folds computed from another log.
+#[derive(Debug)]
 pub struct BranchHistory {
     words: Vec<u64>,
     len: usize,
+    id: u64,
+}
+
+impl Default for BranchHistory {
+    fn default() -> Self {
+        BranchHistory {
+            words: Vec::new(),
+            len: 0,
+            id: NEXT_HISTORY_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+}
+
+impl Clone for BranchHistory {
+    fn clone(&self) -> Self {
+        BranchHistory { words: self.words.clone(), len: self.len, ..Self::default() }
+    }
 }
 
 impl BranchHistory {
@@ -127,6 +162,141 @@ impl HistoryView<'_> {
         h ^= take as u64;
         mix(h)
     }
+
+    /// [`fold`](Self::fold) of the same `length` bits under two seeds at
+    /// once: the two hash chains run side by side over one pass of word
+    /// extraction. Bit-identical to `[fold(length, s0), fold(length, s1)]`.
+    #[inline]
+    fn fold_pair(&self, length: usize, seeds: [u64; 2]) -> [u64; 2] {
+        let mut a = seeds[0] ^ 0x9e37_79b9_7f4a_7c15;
+        let mut b = seeds[1] ^ 0x9e37_79b9_7f4a_7c15;
+        let take = length.min(self.pos);
+        let mut idx = self.pos - take;
+        let mut remaining = take;
+        while remaining > 0 {
+            let bit = idx % 64;
+            let chunk = (64 - bit).min(remaining);
+            let mut w = self.hist.words[idx / 64] >> bit;
+            if chunk < 64 {
+                w &= (1u64 << chunk) - 1;
+            }
+            let m = w.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            a = (a ^ m).rotate_left(31).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            b = (b ^ m).rotate_left(31).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            idx += chunk;
+            remaining -= chunk;
+        }
+        // `fold` skips the length term for a zero-length fold; xoring in
+        // `take` (0 then) is the same thing.
+        [mix(a ^ take as u64), mix(b ^ take as u64)]
+    }
+}
+
+/// Most tagged components a [`FoldMemo`] serves.
+pub const MAX_FOLD_COMPONENTS: usize = 16;
+
+/// History positions a [`FoldMemo`] holds at once, direct-mapped by
+/// `position % FOLD_MEMO_SLOTS`. 64 positions cover the conditional
+/// branches between a µ-op's fetch and its commit.
+pub const FOLD_MEMO_SLOTS: usize = 64;
+
+/// The index fold and the tag fold of every tagged component at one
+/// history position, as a [`FoldMemo`] returns them.
+#[derive(Clone, Copy, Debug)]
+pub struct Folds([[u64; 2]; MAX_FOLD_COMPONENTS]);
+
+impl Folds {
+    /// Component `comp`'s index fold: `fold(L_comp, index_seed + comp)`.
+    #[inline]
+    pub fn index(&self, comp: usize) -> u64 {
+        self.0[comp][0]
+    }
+
+    /// Component `comp`'s tag fold: `fold(L_comp, tag_seed + comp)`.
+    #[inline]
+    pub fn tag(&self, comp: usize) -> u64 {
+        self.0[comp][1]
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct MemoSlot {
+    /// Identity of the log the folds were computed from (0 = empty).
+    history: u64,
+    pos: usize,
+    folds: Folds,
+}
+
+/// Per-position memo of a tagged predictor's history folds (see the
+/// module docs). Allocated once at construction; a lookup never
+/// allocates.
+#[derive(Clone, Debug)]
+pub struct FoldMemo {
+    lengths: [usize; MAX_FOLD_COMPONENTS],
+    comps: usize,
+    index_seed: u64,
+    tag_seed: u64,
+    slots: Box<[MemoSlot]>,
+}
+
+impl FoldMemo {
+    /// A memo for components with history `lengths`, whose component `c`
+    /// folds with seeds `index_seed + c` (index) and `tag_seed + c` (tag).
+    /// This is the one place a tagged predictor's history geometry is
+    /// validated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lengths` is empty, not strictly ascending, longer than
+    /// [`MAX_FOLD_COMPONENTS`], or holds a length above
+    /// [`MAX_HISTORY_BITS`].
+    pub fn new(lengths: &[usize], index_seed: u64, tag_seed: u64) -> Self {
+        assert!(!lengths.is_empty(), "a tagged predictor needs at least one history length");
+        assert!(
+            lengths.len() <= MAX_FOLD_COMPONENTS,
+            "{} tagged components exceed the fold memo's {MAX_FOLD_COMPONENTS}",
+            lengths.len()
+        );
+        assert!(
+            lengths.windows(2).all(|w| w[0] < w[1]),
+            "history lengths must be strictly ascending"
+        );
+        if let Some(&l) = lengths.iter().find(|&&l| l > MAX_HISTORY_BITS) {
+            panic!("history length {l} exceeds MAX_HISTORY_BITS ({MAX_HISTORY_BITS})");
+        }
+        let mut fixed = [0; MAX_FOLD_COMPONENTS];
+        fixed[..lengths.len()].copy_from_slice(lengths);
+        let empty = MemoSlot { history: 0, pos: 0, folds: Folds([[0; 2]; MAX_FOLD_COMPONENTS]) };
+        FoldMemo {
+            lengths: fixed,
+            comps: lengths.len(),
+            index_seed,
+            tag_seed,
+            slots: vec![empty; FOLD_MEMO_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    /// The folds of every component at `hist`'s position, computed on the
+    /// first lookup of that (log, position) and served from the memo
+    /// until another position mapping to the same slot evicts them.
+    #[inline]
+    pub fn folds(&mut self, hist: HistoryView<'_>) -> Folds {
+        let slot = &mut self.slots[hist.pos % FOLD_MEMO_SLOTS];
+        if slot.history != hist.hist.id || slot.pos != hist.pos {
+            for c in 0..self.comps {
+                slot.folds.0[c] = hist.fold_pair(
+                    self.lengths[c],
+                    [
+                        self.index_seed.wrapping_add(c as u64),
+                        self.tag_seed.wrapping_add(c as u64),
+                    ],
+                );
+            }
+            slot.history = hist.hist.id;
+            slot.pos = hist.pos;
+        }
+        slot.folds
+    }
 }
 
 /// Final avalanche mix (from MurmurHash3's fmix64).
@@ -212,7 +382,111 @@ mod tests {
         let _ = v.fold(640, 3);
     }
 
+    /// Asserts that `memo` serves, for every component, exactly the folds
+    /// `HistoryView::fold` computes afresh at `view`.
+    fn assert_memo_matches(
+        memo: &mut FoldMemo,
+        view: HistoryView<'_>,
+        lengths: &[usize],
+        (index_seed, tag_seed): (u64, u64),
+    ) {
+        let folds = memo.folds(view);
+        for (c, &l) in lengths.iter().enumerate() {
+            let c64 = c as u64;
+            assert_eq!(folds.index(c), view.fold(l, index_seed.wrapping_add(c64)), "index, {c}");
+            assert_eq!(folds.tag(c), view.fold(l, tag_seed.wrapping_add(c64)), "tag, {c}");
+        }
+    }
+
+    #[test]
+    fn memo_rejects_bad_geometry() {
+        let bad: [&[usize]; 4] = [&[], &[8, 4], &[4, 4], &[4, 641]];
+        for lengths in bad {
+            let built = std::panic::catch_unwind(|| FoldMemo::new(lengths, 1, 2));
+            assert!(built.is_err(), "{lengths:?}");
+        }
+        let too_many: Vec<usize> = (1..=MAX_FOLD_COMPONENTS + 1).collect();
+        assert!(std::panic::catch_unwind(|| FoldMemo::new(&too_many, 1, 2)).is_err());
+        let full: Vec<usize> = (0..MAX_FOLD_COMPONENTS).map(|c| c * 40).collect();
+        let _ = FoldMemo::new(&full, 1, 2);
+        let _ = FoldMemo::new(&[MAX_HISTORY_BITS], 1, 2);
+    }
+
+    #[test]
+    fn memo_slot_sharing_positions_never_alias() {
+        let h = BranchHistory::from_outcomes(&(0..300).map(|i| i % 5 < 2).collect::<Vec<_>>());
+        let lengths = [3, 17, 64, 200];
+        let mut memo = FoldMemo::new(&lengths, 0x10, 0x20);
+        for p in [5, 5 + FOLD_MEMO_SLOTS, 5, 5 + 2 * FOLD_MEMO_SLOTS, 5 + FOLD_MEMO_SLOTS] {
+            assert_memo_matches(&mut memo, h.view(p), &lengths, (0x10, 0x20));
+        }
+    }
+
+    #[test]
+    fn memo_never_serves_another_log_or_a_clone() {
+        // Identical lengths, identical positions, different bits: only the
+        // log identity tells the entries apart.
+        let a = BranchHistory::from_outcomes(&[true; 100]);
+        let b = BranchHistory::from_outcomes(&[false; 100]);
+        let mut c = a.clone();
+        c.push(false);
+        let mut d = a.clone();
+        d.push(true);
+        let lengths = [1, 8, 90];
+        let mut memo = FoldMemo::new(&lengths, 3, 4);
+        for _ in 0..2 {
+            for h in [&a, &b, &c, &d] {
+                assert_memo_matches(&mut memo, h.view(h.len()), &lengths, (3, 4));
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn memo_equals_fresh_folds(
+            a_bits in proptest::collection::vec(any::<bool>(), 0..2000),
+            b_bits in proptest::collection::vec(any::<bool>(), 0..2000),
+            raw_lengths in
+                proptest::collection::vec(0usize..=MAX_HISTORY_BITS, 1..MAX_FOLD_COMPONENTS + 1),
+            probes in proptest::collection::vec((any::<bool>(), any::<u64>(), 0usize..3), 1..200),
+            seeds in (any::<u64>(), any::<u64>()),
+        ) {
+            let mut lengths = raw_lengths;
+            lengths.sort_unstable();
+            lengths.dedup();
+            let a = BranchHistory::from_outcomes(&a_bits);
+            let b = BranchHistory::from_outcomes(&b_bits);
+            // A third log grows by `push` between lookups.
+            let mut grown = BranchHistory::new();
+            let mut memo = FoldMemo::new(&lengths, seeds.0, seeds.1);
+            for (use_a, r, kind) in probes {
+                let h = if use_a { &a } else { &b };
+                let pos = (r as usize) % (h.len() + 1);
+                match kind {
+                    // A random position of one of two logs, alternately.
+                    0 => assert_memo_matches(&mut memo, h.view(pos), &lengths, seeds),
+                    // The same slot from a position 64 further on.
+                    1 => {
+                        let far = (pos + FOLD_MEMO_SLOTS).min(h.len());
+                        assert_memo_matches(&mut memo, h.view(pos), &lengths, seeds);
+                        assert_memo_matches(&mut memo, h.view(far), &lengths, seeds);
+                        assert_memo_matches(&mut memo, h.view(pos), &lengths, seeds);
+                    }
+                    // Grow the third log, then look up an old and the new end.
+                    _ => {
+                        for i in 0..(r % 97) {
+                            grown.push((r >> (i % 64)) & 1 == 1);
+                        }
+                        let old = (r as usize >> 7) % (grown.len() + 1);
+                        assert_memo_matches(&mut memo, grown.view(old), &lengths, seeds);
+                        assert_memo_matches(&mut memo, grown.view(grown.len()), &lengths, seeds);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn fold_is_deterministic(outcomes in proptest::collection::vec(any::<bool>(), 0..300),
                                  len in 0usize..256, seed: u64) {

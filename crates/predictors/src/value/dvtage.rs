@@ -21,7 +21,8 @@
 //!    *committed* last value is wrong whenever several instances of the
 //!    same µ-op are in flight. The [`BlockVp`](super::BlockVp) window
 //!    feeds the youngest in-flight predicted value in as `spec_last`;
-//!    [`DVtage::predict_spec`] itself never mutates anything, so squash
+//!    [`DVtage::predict_spec`] itself never mutates predictor state
+//!    (only the derived history-fold memo), so squash
 //!    recovery is exactly "drop the window entries" — the tables only
 //!    ever learn from committed state (the rollback property pinned by
 //!    the compat-proptest in `value/block.rs`).
@@ -31,7 +32,7 @@
 //! port sweeps care about.
 
 use crate::fpc::{Fpc, FpcPolicy};
-use crate::history::{hash_pc, HistoryView};
+use crate::history::{hash_pc, FoldMemo, Folds, HistoryView};
 use crate::rng::SimRng;
 use crate::value::{ValuePrediction, ValuePredictor};
 
@@ -136,7 +137,7 @@ struct TaggedComponent {
 const USEFUL_RESET_PERIOD: u64 = 1 << 18;
 
 /// The D-VTAGE block-based value predictor.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct DVtage {
     config: DVtageConfig,
     /// Committed last values, `lvt_entries * block_size` flat.
@@ -147,24 +148,39 @@ pub struct DVtage {
     policy: FpcPolicy,
     rng: SimRng,
     updates: u64,
+    /// History folds per position (derived state: never snapshotted,
+    /// not part of equality).
+    memo: FoldMemo,
 }
+
+impl PartialEq for DVtage {
+    fn eq(&self, other: &Self) -> bool {
+        let DVtage { config, lvt, base, tagged, policy, rng, updates, memo: _ } = self;
+        *config == other.config
+            && *lvt == other.lvt
+            && *base == other.base
+            && *tagged == other.tagged
+            && *policy == other.policy
+            && *rng == other.rng
+            && *updates == other.updates
+    }
+}
+
+impl Eq for DVtage {}
 
 impl DVtage {
     /// Creates a D-VTAGE from an explicit configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `history_lengths` is empty or not strictly ascending, or
-    /// if `block_size`/`banks` are not powers of two (`CoreConfig`
+    /// Panics if `history_lengths` is rejected by [`FoldMemo::new`]
+    /// (empty, not strictly ascending, or too long), or if
+    /// `block_size`/`banks` are not powers of two (`CoreConfig`
     /// validation reports these as typed errors before any predictor is
     /// built; hitting one here is a harness authoring bug).
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: DVtageConfig, seed: u64) -> Self {
-        assert!(!config.history_lengths.is_empty());
-        assert!(
-            config.history_lengths.windows(2).all(|w| w[0] < w[1]),
-            "history lengths must be strictly ascending"
-        );
+        let memo = FoldMemo::new(&config.history_lengths, 0x2d_0000, 0x9d_0000);
         assert!(config.block_size.is_power_of_two() && config.banks.is_power_of_two());
         let norm = |n: usize| n.next_power_of_two().max(config.banks);
         let config = DVtageConfig {
@@ -188,6 +204,7 @@ impl DVtage {
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
             updates: 0,
+            memo,
         }
     }
 
@@ -232,23 +249,21 @@ impl DVtage {
         self.banked_index(bpc, self.config.base_entries, 0xd5e1)
     }
 
-    fn tagged_index(&self, comp: usize, bpc: u64, hist: HistoryView<'_>) -> usize {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x2d_0000 + comp as u64);
-        self.banked_index(bpc ^ folded, self.config.tagged_entries, 0x6d7a + comp as u64)
+    fn tagged_index(&self, comp: usize, bpc: u64, folds: &Folds) -> usize {
+        self.banked_index(bpc ^ folds.index(comp), self.config.tagged_entries, 0x6d7a + comp as u64)
     }
 
-    fn tag_for(&self, comp: usize, bpc: u64, hist: HistoryView<'_>) -> u32 {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x9d_0000 + comp as u64);
+    fn tag_for(&self, comp: usize, bpc: u64, folds: &Folds) -> u32 {
         let bits = self.config.base_tag_bits + comp as u32;
-        (hash_pc(bpc ^ folded.rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1)
+        (hash_pc(bpc ^ folds.tag(comp).rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1)
     }
 
     /// Longest matching tagged component for the block, if any.
-    fn provider(&self, bpc: u64, hist: HistoryView<'_>) -> Option<(usize, usize)> {
+    fn provider(&self, bpc: u64, folds: &Folds) -> Option<(usize, usize)> {
         for comp in (0..self.tagged.len()).rev() {
-            let idx = self.tagged_index(comp, bpc, hist);
+            let idx = self.tagged_index(comp, bpc, folds);
             let m = &self.tagged[comp].meta[idx];
-            if m.valid && m.tag == self.tag_for(comp, bpc, hist) {
+            if m.valid && m.tag == self.tag_for(comp, bpc, folds) {
                 return Some((comp, idx));
             }
         }
@@ -286,10 +301,10 @@ impl DVtage {
     /// even while an erratic neighbor in the same fetch block churns
     /// low-confidence tagged entries over their shared tag.
     ///
-    /// **Never mutates** — rolling back speculation is the caller's
-    /// window drop, nothing here.
+    /// **Never mutates predictor state** (only the derived fold memo) —
+    /// rolling back speculation is the caller's window drop, nothing here.
     pub fn predict_spec(
-        &self,
+        &mut self,
         pc: u64,
         hist: HistoryView<'_>,
         spec_last: Option<u64>,
@@ -299,7 +314,8 @@ impl DVtage {
             self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
         });
         let base = self.base[self.base_index(bpc) * self.config.block_size + slot];
-        let ds = match self.provider(bpc, hist) {
+        let folds = self.memo.folds(hist);
+        let ds = match self.provider(bpc, &folds) {
             Some((comp, idx)) => {
                 let tagged = self.tagged[comp].slots[idx * self.config.block_size + slot];
                 if tagged.conf.level() >= base.conf.level() {
@@ -325,7 +341,7 @@ impl DVtage {
         &mut self,
         provider: Option<(usize, usize)>,
         bpc: u64,
-        hist: HistoryView<'_>,
+        folds: &Folds,
         slot: usize,
         delta: i64,
     ) {
@@ -337,7 +353,7 @@ impl DVtage {
         let mut second: Option<(usize, usize)> = None;
         let mut free_count = 0usize;
         for comp in start..self.tagged.len() {
-            let idx = self.tagged_index(comp, bpc, hist);
+            let idx = self.tagged_index(comp, bpc, folds);
             if self.tagged[comp].meta[idx].useful == 0 {
                 free_count += 1;
                 if shortest.is_none() {
@@ -349,7 +365,7 @@ impl DVtage {
         }
         let Some(shortest) = shortest else {
             for comp in start..self.tagged.len() {
-                let idx = self.tagged_index(comp, bpc, hist);
+                let idx = self.tagged_index(comp, bpc, folds);
                 let m = &mut self.tagged[comp].meta[idx];
                 m.useful = m.useful.saturating_sub(1);
             }
@@ -360,7 +376,7 @@ impl DVtage {
         } else {
             shortest
         };
-        let tag = self.tag_for(comp, bpc, hist);
+        let tag = self.tag_for(comp, bpc, folds);
         let b = self.config.block_size;
         self.tagged[comp].meta[idx] = TaggedMeta { valid: true, tag, useful: 0 };
         for s in 0..b {
@@ -421,7 +437,8 @@ impl DVtage {
             correct
         };
         // Tagged (context) half: the longest match trains its own slot.
-        match self.provider(bpc, hist) {
+        let folds = self.memo.folds(hist);
+        match self.provider(bpc, &folds) {
             Some((comp, idx)) => {
                 let at = idx * b + slot;
                 let correct = self.tagged[comp].slots[at].delta == true_delta;
@@ -438,12 +455,12 @@ impl DVtage {
                     } else {
                         s.conf.on_incorrect();
                     }
-                    self.allocate_above(Some((comp, idx)), bpc, hist, slot, storable);
+                    self.allocate_above(Some((comp, idx)), bpc, &folds, slot, storable);
                 }
             }
             None => {
                 if !base_correct {
-                    self.allocate_above(None, bpc, hist, slot, storable);
+                    self.allocate_above(None, bpc, &folds, slot, storable);
                 }
             }
         }
@@ -692,6 +709,15 @@ mod tests {
     fn rejects_non_ascending_histories() {
         let cfg = DVtageConfig {
             history_lengths: vec![8, 4],
+            ..DVtageConfig::paper(1, 1)
+        };
+        assert!(std::panic::catch_unwind(|| DVtage::new(cfg, 1)).is_err());
+    }
+
+    #[test]
+    fn rejects_histories_beyond_max_bits_at_construction() {
+        let cfg = DVtageConfig {
+            history_lengths: vec![2, 64, crate::history::MAX_HISTORY_BITS + 1],
             ..DVtageConfig::paper(1, 1)
         };
         assert!(std::panic::catch_unwind(|| DVtage::new(cfg, 1)).is_err());

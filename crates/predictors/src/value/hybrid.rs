@@ -49,21 +49,14 @@ impl ValuePredictor for VtageTwoDeltaStride {
     fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
         // Query both so the stride side tracks its in-flight instances
         // regardless of which component is selected.
-        let vtage_tagged_hit = self.vtage.tagged_hit(pc, hist);
-        let v = self.vtage.predict(pc, hist);
+        let (v, vtage_tagged_hit) = self.vtage.predict_and_hit(pc, hist);
         let s = self.stride.predict(pc, hist);
         // Selection: the more confident component wins; on a tie, a tagged
         // VTAGE hit beats the stride side (context dominates), which in turn
         // beats the last-value-style VTAGE base.
-        match (v, s) {
-            (Some(v), Some(s)) => {
-                if v.level > s.level || (v.level == s.level && vtage_tagged_hit) {
-                    Some(v)
-                } else {
-                    Some(s)
-                }
-            }
-            (v, s) => v.or(s),
+        match s {
+            Some(s) if v.level < s.level || (v.level == s.level && !vtage_tagged_hit) => Some(s),
+            _ => Some(v),
         }
     }
 

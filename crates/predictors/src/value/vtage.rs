@@ -15,7 +15,7 @@
 //! components, tags of `12 + rank` bits, FPC confidence.
 
 use crate::fpc::{Fpc, FpcPolicy};
-use crate::history::{hash_pc, HistoryView};
+use crate::history::{hash_pc, FoldMemo, Folds, HistoryView};
 use crate::rng::SimRng;
 use crate::value::{ValuePrediction, ValuePredictor};
 
@@ -70,6 +70,8 @@ pub struct Vtage {
     policy: FpcPolicy,
     rng: SimRng,
     updates: u64,
+    /// History folds per position (derived state, never snapshotted).
+    memo: FoldMemo,
 }
 
 /// How often the usefulness bits decay (graceful aging, as in TAGE).
@@ -85,14 +87,11 @@ impl Vtage {
     ///
     /// # Panics
     ///
-    /// Panics if `history_lengths` is empty or not strictly ascending.
+    /// Panics if `history_lengths` is rejected by [`FoldMemo::new`]
+    /// (empty, not strictly ascending, or too long).
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: VtageConfig, seed: u64) -> Self {
-        assert!(!config.history_lengths.is_empty());
-        assert!(
-            config.history_lengths.windows(2).all(|w| w[0] < w[1]),
-            "history lengths must be strictly ascending"
-        );
+        let memo = FoldMemo::new(&config.history_lengths, 0x1d_0000, 0x7a_0000);
         let base_n = config.base_entries.next_power_of_two().max(1);
         let tagged_n = config.tagged_entries.next_power_of_two().max(1);
         let comps = config.history_lengths.len();
@@ -103,6 +102,7 @@ impl Vtage {
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
             updates: 0,
+            memo,
         }
     }
 
@@ -110,30 +110,34 @@ impl Vtage {
         (hash_pc(pc, 0xb5e) as usize) & (self.base.len() - 1)
     }
 
-    fn tagged_index(&self, comp: usize, pc: u64, hist: HistoryView<'_>) -> usize {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x1d_0000 + comp as u64);
-        (hash_pc(pc ^ folded, 0x7a6e) as usize) & (self.tagged[comp].len() - 1)
+    fn tagged_index(&self, comp: usize, pc: u64, folds: &Folds) -> usize {
+        (hash_pc(pc ^ folds.index(comp), 0x7a6e) as usize) & (self.tagged[comp].len() - 1)
     }
 
-    fn tag_for(&self, comp: usize, pc: u64, hist: HistoryView<'_>) -> u32 {
-        let folded = hist.fold(self.config.history_lengths[comp], 0x7a_0000 + comp as u64);
+    fn tag_for(&self, comp: usize, pc: u64, folds: &Folds) -> u32 {
         let bits = self.config.base_tag_bits + comp as u32;
-        (hash_pc(pc ^ folded.rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1)
+        (hash_pc(pc ^ folds.tag(comp).rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1)
     }
 
     /// Longest matching tagged component and its entry index, if any.
-    fn provider(&self, pc: u64, hist: HistoryView<'_>) -> Option<(usize, usize)> {
+    fn provider(&self, pc: u64, folds: &Folds) -> Option<(usize, usize)> {
         for comp in (0..self.tagged.len()).rev() {
-            let idx = self.tagged_index(comp, pc, hist);
+            let idx = self.tagged_index(comp, pc, folds);
             let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == self.tag_for(comp, pc, hist) {
+            if e.valid && e.tag == self.tag_for(comp, pc, folds) {
                 return Some((comp, idx));
             }
         }
         None
     }
 
-    fn allocate_above(&mut self, provider_comp: Option<usize>, pc: u64, hist: HistoryView<'_>, actual: u64) {
+    fn allocate_above(
+        &mut self,
+        provider_comp: Option<usize>,
+        pc: u64,
+        folds: &Folds,
+        actual: u64,
+    ) {
         let start = provider_comp.map(|c| c + 1).unwrap_or(0);
         if start >= self.tagged.len() {
             return;
@@ -145,7 +149,7 @@ impl Vtage {
         let mut second: Option<(usize, usize)> = None;
         let mut free_count = 0usize;
         for comp in start..self.tagged.len() {
-            let idx = self.tagged_index(comp, pc, hist);
+            let idx = self.tagged_index(comp, pc, folds);
             if self.tagged[comp][idx].useful == 0 {
                 free_count += 1;
                 if shortest.is_none() {
@@ -158,7 +162,7 @@ impl Vtage {
         let Some(shortest) = shortest else {
             // Aging: make room for the future instead of thrashing now.
             for comp in start..self.tagged.len() {
-                let idx = self.tagged_index(comp, pc, hist);
+                let idx = self.tagged_index(comp, pc, folds);
                 let e = &mut self.tagged[comp][idx];
                 e.useful = e.useful.saturating_sub(1);
             }
@@ -173,17 +177,34 @@ impl Vtage {
         };
         self.tagged[comp][idx] = TaggedEntry {
             valid: true,
-            tag: self.tag_for(comp, pc, hist),
+            tag: self.tag_for(comp, pc, folds),
             value: actual,
             conf: Fpc::new(),
             useful: 0,
         };
     }
 
-    /// True if any tagged component matches — used by the hybrid's
-    /// selection rule (tagged hit beats the stride side).
-    pub fn tagged_hit(&self, pc: u64, hist: HistoryView<'_>) -> bool {
-        self.provider(pc, hist).is_some()
+    /// The prediction, and whether a tagged component provided it — one
+    /// provider scan for the hybrid's selection rule (a tagged hit beats
+    /// the stride side).
+    pub(crate) fn predict_and_hit(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+    ) -> (ValuePrediction, bool) {
+        let folds = self.memo.folds(hist);
+        let provider = self.provider(pc, &folds);
+        let (value, conf) = match provider {
+            Some((comp, idx)) => {
+                let e = &self.tagged[comp][idx];
+                (e.value, e.conf)
+            }
+            None => {
+                let e = &self.base[self.base_index(pc)];
+                (e.value, e.conf)
+            }
+        };
+        (ValuePrediction::from_conf(value, conf), provider.is_some())
     }
 
     fn maybe_age_useful(&mut self) {
@@ -200,18 +221,13 @@ impl Vtage {
 
 impl ValuePredictor for Vtage {
     fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        if let Some((comp, idx)) = self.provider(pc, hist) {
-            let e = &self.tagged[comp][idx];
-            Some(ValuePrediction::from_conf(e.value, e.conf))
-        } else {
-            let e = &self.base[self.base_index(pc)];
-            Some(ValuePrediction::from_conf(e.value, e.conf))
-        }
+        Some(self.predict_and_hit(pc, hist).0)
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
         self.maybe_age_useful();
-        match self.provider(pc, hist) {
+        let folds = self.memo.folds(hist);
+        match self.provider(pc, &folds) {
             Some((comp, idx)) => {
                 let correct = self.tagged[comp][idx].value == actual;
                 if correct {
@@ -227,7 +243,7 @@ impl ValuePredictor for Vtage {
                     } else {
                         e.conf.on_incorrect();
                     }
-                    self.allocate_above(Some(comp), pc, hist, actual);
+                    self.allocate_above(Some(comp), pc, &folds, actual);
                 }
             }
             None => {
@@ -242,7 +258,7 @@ impl ValuePredictor for Vtage {
                     } else {
                         self.base[bidx].conf.on_incorrect();
                     }
-                    self.allocate_above(None, pc, hist, actual);
+                    self.allocate_above(None, pc, &folds, actual);
                 }
             }
         }
@@ -398,6 +414,15 @@ mod tests {
             tagged_entries: 64,
             history_lengths: vec![8, 4],
             base_tag_bits: 8,
+        };
+        assert!(std::panic::catch_unwind(|| Vtage::new(cfg, 1)).is_err());
+    }
+
+    #[test]
+    fn rejects_histories_beyond_max_bits_at_construction() {
+        let cfg = VtageConfig {
+            history_lengths: vec![2, 64, crate::history::MAX_HISTORY_BITS + 1],
+            ..VtageConfig::paper()
         };
         assert!(std::panic::catch_unwind(|| Vtage::new(cfg, 1)).is_err());
     }

@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Source of [`BranchHistory`] identities. 0 is never issued, so it marks
+/// Source of [`BranchHistory`] identities. 0 is never handed out, so it marks
 /// an empty [`FoldMemo`] slot.
 static NEXT_HISTORY_ID: AtomicU64 = AtomicU64::new(1);
 

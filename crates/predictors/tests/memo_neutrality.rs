@@ -2,6 +2,12 @@
 //! snapshot into a fresh instance (empty memo) must be indistinguishable
 //! from the one that wrote the snapshot (warm memo) — same snapshot bytes,
 //! same predictions afterwards, and for D-VTAGE, `==`.
+//!
+//! The snapshot bytes themselves are pinned too: a round trip passes for
+//! any self-consistent layout, so [`snapshot_bytes_are_pinned`] holds
+//! golden digests of each predictor's bytes after `TRAIN` µ-ops. A change
+//! to them means stored checkpoints would restore into the wrong fields:
+//! legal only together with a `WARMSTATE_FORMAT` bump.
 
 use eole_predictors::branch::{BranchPrediction, DirectionPredictor, Tage};
 use eole_predictors::history::BranchHistory;
@@ -131,4 +137,44 @@ fn tage_restore_is_memo_neutral() {
         cold.update(pc, hist.view(pos), taken);
     }
     assert_eq!(snapshot_bytes(&warm), snapshot_bytes(&cold));
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Digest of a value predictor's snapshot after the first `TRAIN` µ-ops.
+fn trained_value_digest(mut p: impl ValuePredictor + Snapshot) -> u64 {
+    let (hist, ops) = stream();
+    for &(pc, pos, value, _) in &ops[..TRAIN] {
+        let _ = p.predict(pc, hist.view(pos));
+        p.train(pc, hist.view(pos), value);
+    }
+    fnv1a(&snapshot_bytes(&p))
+}
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let (hist, ops) = stream();
+    let mut tage = Tage::paper(14);
+    for &(pc, pos, _, taken) in &ops[..TRAIN] {
+        let _ = tage.predict(pc, hist.view(pos));
+        tage.update(pc, hist.view(pos), taken);
+    }
+    let got = [
+        ("VTAGE", trained_value_digest(Vtage::paper(11))),
+        ("VTAGE-2DStride", trained_value_digest(VtageTwoDeltaStride::paper(12))),
+        ("D-VTAGE", trained_value_digest(DVtage::paper(4, 4, 13))),
+        ("TAGE", fnv1a(&snapshot_bytes(&tage))),
+    ];
+    let want = [
+        ("VTAGE", 0xb1de_7054_d99b_ab0c),
+        ("VTAGE-2DStride", 0x8d9c_7c3f_5706_475f),
+        ("D-VTAGE", 0x32b0_d8c0_5039_32f5),
+        ("TAGE", 0x09c3_57b6_0fc9_99a4),
+    ];
+    for ((name, g), (_, w)) in got.iter().zip(want) {
+        assert_eq!(*g, w, "{name}: snapshot digest {g:#018x}, pinned {w:#018x}");
+    }
 }

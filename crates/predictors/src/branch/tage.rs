@@ -17,11 +17,14 @@
 //! The paper's front end uses "TAGE 1+12 components, 15K-entry total,
 //! 20 cycles min. mis. penalty". We implement a 4K-entry bimodal base plus
 //! 12 tagged components of 1K entries with geometric history lengths
-//! 4…640.
+//! 4…640. The provider and alternate scans, allocation and usefulness
+//! aging are the TAGE family's shared policy (`tagged.rs`); this module
+//! holds the counters, the bimodal base and the weak-new-entry fallback.
 
 use crate::branch::{Bimodal, BranchConfidence, BranchPrediction, DirectionPredictor};
-use crate::history::{hash_pc, FoldMemo, Folds, HistoryView};
+use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
+use crate::tagged::{Keys, TaggedTables};
 
 /// Geometry of a [`Tage`] predictor.
 #[derive(Clone, Debug)]
@@ -38,6 +41,7 @@ pub struct TageConfig {
 
 impl TageConfig {
     /// The paper's configuration: 1 + 12 components.
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn paper() -> Self {
         TageConfig {
             base_entries: 4096,
@@ -48,14 +52,11 @@ impl TageConfig {
     }
 }
 
+/// The payload of a tagged entry.
 #[derive(Clone, Copy, Debug, Default)]
-struct TageEntry {
-    valid: bool,
-    tag: u32,
+struct Counters {
     /// 3-bit signed counter, −4..=3; ≥0 predicts taken.
     ctr: i8,
-    /// 2-bit usefulness.
-    useful: u8,
     /// 2-bit probabilistic confidence (3 = very high).
     conf: u8,
 }
@@ -66,15 +67,9 @@ pub struct Tage {
     config: TageConfig,
     base: Bimodal,
     base_conf: Vec<u8>,
-    tagged: Vec<Vec<TageEntry>>,
+    tagged: TaggedTables<Counters>,
     rng: SimRng,
-    updates: u64,
-    /// History folds per position (derived state, never snapshotted).
-    memo: FoldMemo,
 }
-
-/// Period (in updates) of the graceful usefulness decay.
-const USEFUL_RESET_PERIOD: u64 = 1 << 18;
 
 impl Tage {
     /// Creates a TAGE with the paper's geometry.
@@ -86,131 +81,62 @@ impl Tage {
     ///
     /// # Panics
     ///
-    /// Panics if `history_lengths` is rejected by [`FoldMemo::new`]
-    /// (empty, not strictly ascending, or too long).
+    /// Panics if `history_lengths` is rejected by
+    /// [`FoldMemo::new`](crate::history::FoldMemo::new) (empty, not
+    /// strictly ascending, or too long).
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: TageConfig, seed: u64) -> Self {
-        let memo = FoldMemo::new(&config.history_lengths, 0x7163, 0x91b7);
-        let tagged_n = config.tagged_entries.next_power_of_two().max(1);
-        let comps = config.history_lengths.len();
+        let rows = config.tagged_entries.next_power_of_two().max(1);
+        let tagged = TaggedTables::new(&config.history_lengths, (0x7163, 0x91b7), rows);
         let base = Bimodal::new(config.base_entries);
-        let base_conf = vec![0u8; base.len()];
         Tage {
+            base_conf: vec![0u8; base.len()],
             base,
-            base_conf,
-            tagged: vec![vec![TageEntry::default(); tagged_n]; comps],
+            tagged,
             config,
             rng: SimRng::new(seed),
-            updates: 0,
-            memo,
         }
     }
 
     fn base_conf_index(&self, pc: u64) -> usize {
-        (crate::history::hash_pc(pc, 0xbcf1) as usize) & (self.base_conf.len() - 1)
+        (hash_pc(pc, 0xbcf1) as usize) & (self.base_conf.len() - 1)
     }
 
-    fn tag_bits(&self, comp: usize) -> u32 {
-        (self.config.base_tag_bits + comp as u32 / 2).min(15)
+    /// Each tagged component's row and tag for `pc`.
+    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys {
+        let base_tag_bits = self.config.base_tag_bits;
+        self.tagged.keys(hist, |comp, index_fold, tag_fold| {
+            (
+                hash_pc(pc ^ index_fold, 0x7a93) as usize,
+                (hash_pc(pc ^ tag_fold.rotate_left(21), 0x3d71) as u32)
+                    & ((1 << tag_bits(base_tag_bits, comp)) - 1),
+            )
+        })
     }
 
-    fn index_of(&self, comp: usize, pc: u64, folds: &Folds) -> usize {
-        (hash_pc(pc ^ folds.index(comp), 0x7a93) as usize) & (self.tagged[comp].len() - 1)
-    }
-
-    fn tag_of(&self, comp: usize, pc: u64, folds: &Folds) -> u32 {
-        (hash_pc(pc ^ folds.tag(comp).rotate_left(21), 0x3d71) as u32)
-            & ((1 << self.tag_bits(comp)) - 1)
-    }
-
-    /// (provider component, index) of the longest hit, if any.
-    fn provider(&self, pc: u64, folds: &Folds) -> Option<(usize, usize)> {
-        for comp in (0..self.tagged.len()).rev() {
-            let idx = self.index_of(comp, pc, folds);
-            let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == self.tag_of(comp, pc, folds) {
-                return Some((comp, idx));
-            }
+    /// The alternate prediction: the longest hit below `below`, else the
+    /// base.
+    fn alternate_taken(&self, pc: u64, keys: &Keys, below: usize) -> bool {
+        match self.tagged.hit_below(keys, below) {
+            Some(comp) => self.tagged[keys.index(comp)].data.ctr >= 0,
+            None => self.base.counter(pc) >= 2,
         }
-        None
     }
 
-    /// The alternate prediction: the next-longest hit below `below`, else
-    /// the base.
-    fn alt_taken(&self, pc: u64, folds: &Folds, below: usize) -> bool {
-        for comp in (0..below).rev() {
-            let idx = self.index_of(comp, pc, folds);
-            let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == self.tag_of(comp, pc, folds) {
-                return e.ctr >= 0;
-            }
-        }
-        self.base.counter(pc) >= 2
-    }
-
-    fn allocate(&mut self, provider_comp: Option<usize>, pc: u64, folds: &Folds, taken: bool) {
-        let start = provider_comp.map(|c| c + 1).unwrap_or(0);
-        if start >= self.tagged.len() {
-            return;
-        }
-        // Track the two shortest free slots and the count in place — this
-        // runs on every committed-branch update, allocation-free.
-        let mut shortest: Option<(usize, usize)> = None;
-        let mut second: Option<(usize, usize)> = None;
-        let mut free_count = 0usize;
-        for comp in start..self.tagged.len() {
-            let idx = self.index_of(comp, pc, folds);
-            if self.tagged[comp][idx].useful == 0 {
-                free_count += 1;
-                if shortest.is_none() {
-                    shortest = Some((comp, idx));
-                } else if second.is_none() {
-                    second = Some((comp, idx));
-                }
-            }
-        }
-        let Some(shortest) = shortest else {
-            for comp in start..self.tagged.len() {
-                let idx = self.index_of(comp, pc, folds);
-                let e = &mut self.tagged[comp][idx];
-                e.useful = e.useful.saturating_sub(1);
-            }
-            return;
-        };
-        // Prefer the shortest free slot, occasionally the next one, so
-        // allocations spread across components (classic TAGE heuristic).
-        let (comp, idx) = if free_count >= 2 && self.rng.one_in(3) {
-            second.expect("free_count >= 2")
-        } else {
-            shortest
-        };
-        self.tagged[comp][idx] = TageEntry {
-            valid: true,
-            tag: self.tag_of(comp, pc, folds),
-            ctr: if taken { 0 } else { -1 },
-            useful: 0,
-            conf: 0,
-        };
-    }
-
-    /// The final prediction, given the folds and the provider they select.
-    fn predict_with(
-        &self,
-        pc: u64,
-        folds: &Folds,
-        provider: Option<(usize, usize)>,
-    ) -> BranchPrediction {
+    /// The final prediction, given the keys and the provider they select.
+    fn predict_with(&self, pc: u64, keys: &Keys, provider: Option<usize>) -> BranchPrediction {
         match provider {
-            Some((comp, idx)) => {
-                let e = &self.tagged[comp][idx];
+            Some(comp) => {
+                let e = &self.tagged[keys.index(comp)];
                 // Newly allocated entries (weak counter, never useful) are
                 // unreliable: fall back to the alternate prediction.
-                let weak_new = (e.ctr == 0 || e.ctr == -1) && e.useful == 0;
+                let weak_new = (e.data.ctr == 0 || e.data.ctr == -1) && e.meta.useful == 0;
                 let taken = if weak_new {
-                    self.alt_taken(pc, folds, comp)
+                    self.alternate_taken(pc, keys, comp)
                 } else {
-                    e.ctr >= 0
+                    e.data.ctr >= 0
                 };
-                let confidence = if !weak_new && e.conf == 3 {
+                let confidence = if !weak_new && e.data.conf == 3 {
                     BranchConfidence::VeryHigh
                 } else {
                     BranchConfidence::Medium
@@ -232,54 +158,42 @@ impl Tage {
     }
 }
 
+/// Tag bits of component `comp`: one more every two ranks, at most 15.
+fn tag_bits(base_tag_bits: u32, comp: usize) -> u32 {
+    (base_tag_bits + comp as u32 / 2).min(15)
+}
+
 impl DirectionPredictor for Tage {
     fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> BranchPrediction {
-        let folds = self.memo.folds(hist);
-        let provider = self.provider(pc, &folds);
-        self.predict_with(pc, &folds, provider)
+        let keys = self.keys(pc, hist);
+        self.predict_with(pc, &keys, self.tagged.hit_below(&keys, self.tagged.comps()))
     }
 
     fn update(&mut self, pc: u64, hist: HistoryView<'_>, taken: bool) {
-        self.updates += 1;
-        if self.updates.is_multiple_of(USEFUL_RESET_PERIOD) {
-            for comp in &mut self.tagged {
-                for e in comp.iter_mut() {
-                    e.useful >>= 1;
-                }
-            }
-        }
+        self.tagged.age(|u| u >> 1);
         // Reproduce the fetch-time final prediction for confidence upkeep.
-        let folds = self.memo.folds(hist);
-        let provider = self.provider(pc, &folds);
-        let final_taken = self.predict_with(pc, &folds, provider).taken;
+        let keys = self.keys(pc, hist);
+        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let final_taken = self.predict_with(pc, &keys, provider).taken;
         let conf_gate = self.rng.one_in(32);
-        match provider {
-            Some((comp, idx)) => {
-                let provider_taken = self.tagged[comp][idx].ctr >= 0;
-                let alt = self.alt_taken(pc, &folds, comp);
-                {
-                    let e = &mut self.tagged[comp][idx];
-                    // Usefulness tracks "provider beat the alternate".
-                    if provider_taken != alt {
-                        if provider_taken == taken {
-                            e.useful = (e.useful + 1).min(3);
-                        } else {
-                            e.useful = e.useful.saturating_sub(1);
-                        }
-                    }
-                    // Probabilistic confidence: slow to earn, instant to lose.
-                    if final_taken == taken {
-                        if conf_gate {
-                            e.conf = (e.conf + 1).min(3);
-                        }
-                    } else {
-                        e.conf = 0;
-                    }
-                    e.ctr = if taken { (e.ctr + 1).min(3) } else { (e.ctr - 1).max(-4) };
+        let mispredicted = match provider {
+            Some(comp) => {
+                let alt = self.alternate_taken(pc, &keys, comp);
+                let e = &mut self.tagged[keys.index(comp)];
+                let provider_taken = e.data.ctr >= 0;
+                // Usefulness tracks "provider beat the alternate".
+                if provider_taken != alt {
+                    e.meta.reward(provider_taken == taken);
                 }
-                if provider_taken != taken {
-                    self.allocate(Some(comp), pc, &folds, taken);
+                // Probabilistic confidence: slow to earn, instant to lose.
+                let c = &mut e.data;
+                if final_taken != taken {
+                    c.conf = 0;
+                } else if conf_gate {
+                    c.conf = (c.conf + 1).min(3);
                 }
+                c.ctr = if taken { (c.ctr + 1).min(3) } else { (c.ctr - 1).max(-4) };
+                provider_taken != taken
             }
             None => {
                 let base_taken = self.base.counter(pc) >= 2;
@@ -292,17 +206,21 @@ impl DirectionPredictor for Tage {
                     self.base_conf[bidx] = 0;
                 }
                 self.base.update(pc, hist, taken);
-                if base_taken != taken {
-                    self.allocate(None, pc, &folds, taken);
-                }
+                base_taken != taken
             }
+        };
+        if mispredicted {
+            let start = provider.map_or(0, |c| c + 1);
+            let fresh = Counters { ctr: if taken { 0 } else { -1 }, conf: 0 };
+            self.tagged.allocate(&keys, start, &mut self.rng, fresh);
         }
     }
 
     fn storage_bits(&self) -> u64 {
         let mut bits = self.base.storage_bits() + self.base_conf.len() as u64 * 2;
-        for (comp, table) in self.tagged.iter().enumerate() {
-            bits += table.len() as u64 * (1 + self.tag_bits(comp) as u64 + 3 + 2 + 2);
+        for comp in 0..self.tagged.comps() {
+            let tag = tag_bits(self.config.base_tag_bits, comp) as u64;
+            bits += self.tagged.rows() as u64 * (1 + tag + 3 + 2 + 2);
         }
         bits
     }
@@ -319,19 +237,19 @@ impl crate::snapshot::Snapshot for Tage {
         for &c in &self.base_conf {
             w.put_u8(c);
         }
-        w.put_usize(self.tagged.len());
-        for comp in &self.tagged {
+        w.put_usize(self.tagged.comps());
+        for comp in self.tagged.components() {
             w.put_usize(comp.len());
             for e in comp {
-                w.put_bool(e.valid);
-                w.put_u32(e.tag);
-                w.put_i8(e.ctr);
-                w.put_u8(e.useful);
-                w.put_u8(e.conf);
+                w.put_bool(e.meta.valid);
+                w.put_u32(e.meta.tag);
+                w.put_i8(e.data.ctr);
+                w.put_u8(e.meta.useful);
+                w.put_u8(e.data.conf);
             }
         }
         self.rng.snapshot(w);
-        w.put_u64(self.updates);
+        w.put_u64(self.tagged.updates);
     }
 
     fn restore(
@@ -346,23 +264,23 @@ impl crate::snapshot::Snapshot for Tage {
         for c in &mut self.base_conf {
             *c = r.get_u8()?;
         }
-        if r.get_usize()? != self.tagged.len() {
+        if r.get_usize()? != self.tagged.comps() {
             return Err(SnapError::new("tage component count mismatch"));
         }
-        for comp in &mut self.tagged {
+        for comp in self.tagged.components_mut() {
             if r.get_usize()? != comp.len() {
                 return Err(SnapError::new("tage component size mismatch"));
             }
-            for e in comp.iter_mut() {
-                e.valid = r.get_bool()?;
-                e.tag = r.get_u32()?;
-                e.ctr = r.get_i8()?;
-                e.useful = r.get_u8()?;
-                e.conf = r.get_u8()?;
+            for e in comp {
+                e.meta.valid = r.get_bool()?;
+                e.meta.tag = r.get_u32()?;
+                e.data.ctr = r.get_i8()?;
+                e.meta.useful = r.get_u8()?;
+                e.data.conf = r.get_u8()?;
             }
         }
         self.rng.restore(r)?;
-        self.updates = r.get_u64()?;
+        self.tagged.updates = r.get_u64()?;
         Ok(())
     }
 }

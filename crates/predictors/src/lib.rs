@@ -42,4 +42,5 @@ pub mod history;
 pub mod rng;
 pub mod snapshot;
 pub mod storesets;
+mod tagged;
 pub mod value;

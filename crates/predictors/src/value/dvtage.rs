@@ -30,10 +30,15 @@
 //! Storage is banked: a block maps to bank `block_number % banks`, each
 //! bank owning `entries / banks` rows — the layout knob Fig. 11-style
 //! port sweeps care about.
+//!
+//! The provider scan, the allocation victim pick and usefulness aging are
+//! the TAGE family's shared policy (`tagged.rs`); this module holds the
+//! delta slots, copy-on-allocate, the LVT and base, and the banking.
 
 use crate::fpc::{Fpc, FpcPolicy};
-use crate::history::{hash_pc, FoldMemo, Folds, HistoryView};
+use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
+use crate::tagged::{Keys, TaggedTables};
 use crate::value::{ValuePrediction, ValuePredictor};
 
 /// Bytes per µ-op in trace addresses (`Program::inst_addr` spacing).
@@ -118,55 +123,45 @@ struct DeltaSlot {
     conf: Fpc,
 }
 
-/// Per-block metadata of a tagged component: one tag and one usefulness
-/// counter cover all `block_size` slots (BeBoP's tag amortization).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct TaggedMeta {
-    valid: bool,
-    tag: u32,
-    useful: u8,
+impl DeltaSlot {
+    /// Trains toward `true_delta` (storing `storable` on a replace);
+    /// returns whether the slot was correct.
+    fn train(
+        &mut self,
+        (true_delta, storable): (i64, i64),
+        policy: &FpcPolicy,
+        rng: &mut SimRng,
+    ) -> bool {
+        let correct = self.delta == true_delta;
+        if correct {
+            self.conf.on_correct(policy, rng);
+        } else if self.conf.level() == 0 {
+            self.delta = storable;
+        } else {
+            self.conf.on_incorrect();
+        }
+        correct
+    }
 }
 
+/// The D-VTAGE block-based value predictor. Equality ignores the derived
+/// history-fold memo.
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct TaggedComponent {
-    meta: Vec<TaggedMeta>,
-    slots: Vec<DeltaSlot>, // meta.len() * block_size
-}
-
-/// How often the usefulness bits decay (graceful aging, as in VTAGE).
-const USEFUL_RESET_PERIOD: u64 = 1 << 18;
-
-/// The D-VTAGE block-based value predictor.
-#[derive(Clone, Debug)]
 pub struct DVtage {
     config: DVtageConfig,
     /// Committed last values, `lvt_entries * block_size` flat.
     lvt: Vec<u64>,
     /// Base delta table, `base_entries * block_size` flat.
     base: Vec<DeltaSlot>,
-    tagged: Vec<TaggedComponent>,
+    /// One tag and one usefulness counter per block entry cover all
+    /// `block_size` slots (BeBoP's tag amortization).
+    tagged: TaggedTables<()>,
+    /// The tagged entries' delta slots, `block_size` per entry, indexed
+    /// like `tagged`.
+    slots: Vec<DeltaSlot>,
     policy: FpcPolicy,
     rng: SimRng,
-    updates: u64,
-    /// History folds per position (derived state: never snapshotted,
-    /// not part of equality).
-    memo: FoldMemo,
 }
-
-impl PartialEq for DVtage {
-    fn eq(&self, other: &Self) -> bool {
-        let DVtage { config, lvt, base, tagged, policy, rng, updates, memo: _ } = self;
-        *config == other.config
-            && *lvt == other.lvt
-            && *base == other.base
-            && *tagged == other.tagged
-            && *policy == other.policy
-            && *rng == other.rng
-            && *updates == other.updates
-    }
-}
-
-impl Eq for DVtage {}
 
 impl DVtage {
     /// Creates a D-VTAGE from an explicit configuration.
@@ -180,7 +175,6 @@ impl DVtage {
     /// built; hitting one here is a harness authoring bug).
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: DVtageConfig, seed: u64) -> Self {
-        let memo = FoldMemo::new(&config.history_lengths, 0x2d_0000, 0x9d_0000);
         assert!(config.block_size.is_power_of_two() && config.banks.is_power_of_two());
         let norm = |n: usize| n.next_power_of_two().max(config.banks);
         let config = DVtageConfig {
@@ -190,21 +184,16 @@ impl DVtage {
             ..config
         };
         let b = config.block_size;
-        let comps = config.history_lengths.len();
+        let seeds = (0x2d_0000, 0x9d_0000);
+        let tagged = TaggedTables::new(&config.history_lengths, seeds, config.tagged_entries);
         DVtage {
             lvt: vec![0; config.lvt_entries * b],
             base: vec![DeltaSlot::default(); config.base_entries * b],
-            tagged: (0..comps)
-                .map(|_| TaggedComponent {
-                    meta: vec![TaggedMeta::default(); config.tagged_entries],
-                    slots: vec![DeltaSlot::default(); config.tagged_entries * b],
-                })
-                .collect(),
+            slots: vec![DeltaSlot::default(); tagged.comps() * tagged.rows() * b],
+            tagged,
             config,
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
-            updates: 0,
-            memo,
         }
     }
 
@@ -227,47 +216,26 @@ impl DVtage {
         (bpc, slot)
     }
 
-    /// Banked row index: the block's bank is `block_number % banks`, the
-    /// row within the bank a hash over the remaining block bits.
-    #[inline]
-    fn banked_index(&self, bpc: u64, entries: usize, seed: u64) -> usize {
-        let banks = self.config.banks;
-        let rows = entries / banks;
-        let block_num = bpc / (self.config.block_size as u64 * INST_BYTES);
-        let bank = (block_num as usize) & (banks - 1);
-        let row = (hash_pc(block_num >> banks.trailing_zeros(), seed) as usize) & (rows - 1);
-        bank * rows + row
-    }
-
     #[inline]
     fn lvt_index(&self, bpc: u64) -> usize {
-        self.banked_index(bpc, self.config.lvt_entries, 0x1f7a)
+        banked_index(&self.config, bpc, self.config.lvt_entries, 0x1f7a)
     }
 
     #[inline]
     fn base_index(&self, bpc: u64) -> usize {
-        self.banked_index(bpc, self.config.base_entries, 0xd5e1)
+        banked_index(&self.config, bpc, self.config.base_entries, 0xd5e1)
     }
 
-    fn tagged_index(&self, comp: usize, bpc: u64, folds: &Folds) -> usize {
-        self.banked_index(bpc ^ folds.index(comp), self.config.tagged_entries, 0x6d7a + comp as u64)
-    }
-
-    fn tag_for(&self, comp: usize, bpc: u64, folds: &Folds) -> u32 {
-        let bits = self.config.base_tag_bits + comp as u32;
-        (hash_pc(bpc ^ folds.tag(comp).rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1)
-    }
-
-    /// Longest matching tagged component for the block, if any.
-    fn provider(&self, bpc: u64, folds: &Folds) -> Option<(usize, usize)> {
-        for comp in (0..self.tagged.len()).rev() {
-            let idx = self.tagged_index(comp, bpc, folds);
-            let m = &self.tagged[comp].meta[idx];
-            if m.valid && m.tag == self.tag_for(comp, bpc, folds) {
-                return Some((comp, idx));
-            }
-        }
-        None
+    /// Each tagged component's banked row and tag for the block at `bpc`.
+    fn keys(&mut self, bpc: u64, hist: HistoryView<'_>) -> Keys {
+        let config = &self.config;
+        self.tagged.keys(hist, |comp, index_fold, tag_fold| {
+            let bits = config.base_tag_bits + comp as u32;
+            (
+                banked_index(config, bpc ^ index_fold, config.tagged_entries, 0x6d7a + comp as u64),
+                (hash_pc(bpc ^ tag_fold.rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1),
+            )
+        })
     }
 
     /// Signed range check against `delta_bits`.
@@ -314,10 +282,10 @@ impl DVtage {
             self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
         });
         let base = self.base[self.base_index(bpc) * self.config.block_size + slot];
-        let folds = self.memo.folds(hist);
-        let ds = match self.provider(bpc, &folds) {
-            Some((comp, idx)) => {
-                let tagged = self.tagged[comp].slots[idx * self.config.block_size + slot];
+        let keys = self.keys(bpc, hist);
+        let ds = match self.tagged.hit_below(&keys, self.tagged.comps()) {
+            Some(comp) => {
+                let tagged = self.slots[keys.index(comp) * self.config.block_size + slot];
                 if tagged.conf.level() >= base.conf.level() {
                     tagged
                 } else {
@@ -329,77 +297,33 @@ impl DVtage {
         Some(ValuePrediction::from_conf(last.wrapping_add(ds.delta as u64), ds.conf))
     }
 
-    /// Allocates a block entry in a component above the provider, with
-    /// VTAGE's useful==0 scan, shortest-first preference, and randomized
-    /// tie-break. **Copy-on-allocate** (the property that makes shared
-    /// block tags viable, per BeBoP): sibling slots inherit the
-    /// providing entry's delta *and* confidence, so one erratic µ-op
-    /// allocating for its block never wipes what its neighbors learned;
-    /// only the mispredicting slot resets to the observed delta at zero
-    /// confidence. Allocation-free (commit path).
-    fn allocate_above(
+    /// Allocates a block entry in a component above the provider.
+    /// **Copy-on-allocate** (the property that makes shared block tags
+    /// viable, per BeBoP): sibling slots inherit the providing entry's
+    /// delta *and* confidence, so one erratic µ-op allocating for its
+    /// block never wipes what its neighbors learned; only the
+    /// mispredicting slot resets to the observed delta at zero confidence.
+    fn allocate_entry(
         &mut self,
-        provider: Option<(usize, usize)>,
-        bpc: u64,
-        folds: &Folds,
-        slot: usize,
+        keys: &Keys,
+        provider: Option<usize>,
+        (bpc, slot): (u64, usize),
         delta: i64,
     ) {
-        let start = provider.map(|(c, _)| c + 1).unwrap_or(0);
-        if start >= self.tagged.len() {
-            return;
-        }
-        let mut shortest: Option<(usize, usize)> = None;
-        let mut second: Option<(usize, usize)> = None;
-        let mut free_count = 0usize;
-        for comp in start..self.tagged.len() {
-            let idx = self.tagged_index(comp, bpc, folds);
-            if self.tagged[comp].meta[idx].useful == 0 {
-                free_count += 1;
-                if shortest.is_none() {
-                    shortest = Some((comp, idx));
-                } else if second.is_none() {
-                    second = Some((comp, idx));
-                }
-            }
-        }
-        let Some(shortest) = shortest else {
-            for comp in start..self.tagged.len() {
-                let idx = self.tagged_index(comp, bpc, folds);
-                let m = &mut self.tagged[comp].meta[idx];
-                m.useful = m.useful.saturating_sub(1);
-            }
+        let start = provider.map_or(0, |c| c + 1);
+        let Some(comp) = self.tagged.allocate(keys, start, &mut self.rng, ()) else {
             return;
         };
-        let (comp, idx) = if free_count >= 2 && self.rng.one_in(3) {
-            second.expect("free_count >= 2")
-        } else {
-            shortest
-        };
-        let tag = self.tag_for(comp, bpc, folds);
         let b = self.config.block_size;
-        self.tagged[comp].meta[idx] = TaggedMeta { valid: true, tag, useful: 0 };
-        for s in 0..b {
-            // Inherit each sibling slot's state from the entry that was
-            // providing the block's predictions.
-            let inherited = match provider {
-                Some((pc_comp, pidx)) => self.tagged[pc_comp].slots[pidx * b + s],
-                None => self.base[self.base_index(bpc) * b + s],
-            };
-            self.tagged[comp].slots[idx * b + s] = inherited;
-        }
-        self.tagged[comp].slots[idx * b + slot] = DeltaSlot { delta, conf: Fpc::new() };
-    }
-
-    fn maybe_age_useful(&mut self) {
-        self.updates += 1;
-        if self.updates.is_multiple_of(USEFUL_RESET_PERIOD) {
-            for comp in &mut self.tagged {
-                for m in comp.meta.iter_mut() {
-                    m.useful = m.useful.saturating_sub(1);
-                }
+        let at = keys.index(comp) * b;
+        match provider {
+            Some(p) => self.slots.copy_within(keys.index(p) * b..keys.index(p) * b + b, at),
+            None => {
+                let from = self.base_index(bpc) * b;
+                self.slots[at..at + b].copy_from_slice(&self.base[from..from + b]);
             }
         }
+        self.slots[at + slot] = DeltaSlot { delta, conf: Fpc::new() };
     }
 
     /// Trains with the architectural result at commit. The true delta is
@@ -414,55 +338,31 @@ impl DVtage {
     /// strided µ-op served correctly by the base never spawns tagged
     /// entries for its block.
     pub fn train_commit(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        self.maybe_age_useful();
+        self.tagged.age(|u| u.saturating_sub(1));
         let (bpc, slot) = self.block_of(pc);
         let b = self.config.block_size;
         let lvt_at = self.lvt_index(bpc) * b + slot;
         let committed_last = self.lvt[lvt_at];
         let true_delta = actual.wrapping_sub(committed_last) as i64;
         let storable = if self.representable(true_delta) { true_delta } else { 0 };
-        let policy = self.policy;
         // Base (stride) half: always trains.
         let base_at = self.base_index(bpc) * b + slot;
-        let base_correct = {
-            let s = &mut self.base[base_at];
-            let correct = s.delta == true_delta;
-            if correct {
-                s.conf.on_correct(&policy, &mut self.rng);
-            } else if s.conf.level() == 0 {
-                s.delta = storable;
-            } else {
-                s.conf.on_incorrect();
-            }
-            correct
-        };
+        let deltas = (true_delta, storable);
+        let base_correct = self.base[base_at].train(deltas, &self.policy, &mut self.rng);
         // Tagged (context) half: the longest match trains its own slot.
-        let folds = self.memo.folds(hist);
-        match self.provider(bpc, &folds) {
-            Some((comp, idx)) => {
-                let at = idx * b + slot;
-                let correct = self.tagged[comp].slots[at].delta == true_delta;
-                if correct {
-                    let m = &mut self.tagged[comp].meta[idx];
-                    m.useful = (m.useful + 1).min(3);
-                    self.tagged[comp].slots[at].conf.on_correct(&policy, &mut self.rng);
-                } else {
-                    self.tagged[comp].meta[idx].useful =
-                        self.tagged[comp].meta[idx].useful.saturating_sub(1);
-                    let s = &mut self.tagged[comp].slots[at];
-                    if s.conf.level() == 0 {
-                        s.delta = storable;
-                    } else {
-                        s.conf.on_incorrect();
-                    }
-                    self.allocate_above(Some((comp, idx)), bpc, &folds, slot, storable);
-                }
+        let keys = self.keys(bpc, hist);
+        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let correct = match provider {
+            Some(comp) => {
+                let at = keys.index(comp);
+                let correct = self.slots[at * b + slot].train(deltas, &self.policy, &mut self.rng);
+                self.tagged[at].meta.reward(correct);
+                correct
             }
-            None => {
-                if !base_correct {
-                    self.allocate_above(None, bpc, &folds, slot, storable);
-                }
-            }
+            None => base_correct,
+        };
+        if !correct {
+            self.allocate_entry(&keys, provider, (bpc, slot), storable);
         }
         self.lvt[lvt_at] = actual;
     }
@@ -484,6 +384,18 @@ impl DVtage {
     }
 }
 
+/// Banked row index: the block's bank is `block_number % banks`, the row
+/// within the bank a hash over the remaining block bits.
+#[inline]
+fn banked_index(config: &DVtageConfig, bpc: u64, entries: usize, seed: u64) -> usize {
+    let banks = config.banks;
+    let rows = entries / banks;
+    let block_num = bpc / (config.block_size as u64 * INST_BYTES);
+    let bank = (block_num as usize) & (banks - 1);
+    let row = (hash_pc(block_num >> banks.trailing_zeros(), seed) as usize) & (rows - 1);
+    bank * rows + row
+}
+
 impl crate::snapshot::Snapshot for DVtage {
     fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
         w.put_usize(self.lvt.len());
@@ -495,22 +407,23 @@ impl crate::snapshot::Snapshot for DVtage {
             w.put_i64(s.delta);
             s.conf.snapshot(w);
         }
-        w.put_usize(self.tagged.len());
-        for comp in &self.tagged {
-            w.put_usize(comp.meta.len());
-            for m in &comp.meta {
-                w.put_bool(m.valid);
-                w.put_u32(m.tag);
-                w.put_u8(m.useful);
+        w.put_usize(self.tagged.comps());
+        let per_comp = self.tagged.rows() * self.config.block_size;
+        for (comp, slots) in self.tagged.components().zip(self.slots.chunks(per_comp)) {
+            w.put_usize(comp.len());
+            for e in comp {
+                w.put_bool(e.meta.valid);
+                w.put_u32(e.meta.tag);
+                w.put_u8(e.meta.useful);
             }
-            w.put_usize(comp.slots.len());
-            for s in &comp.slots {
+            w.put_usize(slots.len());
+            for s in slots {
                 w.put_i64(s.delta);
                 s.conf.snapshot(w);
             }
         }
         self.rng.snapshot(w);
-        w.put_u64(self.updates);
+        w.put_u64(self.tagged.updates);
     }
 
     fn restore(
@@ -531,28 +444,29 @@ impl crate::snapshot::Snapshot for DVtage {
             s.delta = r.get_i64()?;
             s.conf.restore(r)?;
         }
-        if r.get_usize()? != self.tagged.len() {
+        if r.get_usize()? != self.tagged.comps() {
             return Err(SnapError::new("dvtage component count mismatch"));
         }
-        for comp in &mut self.tagged {
-            if r.get_usize()? != comp.meta.len() {
+        let per_comp = self.tagged.rows() * self.config.block_size;
+        for (comp, slots) in self.tagged.components_mut().zip(self.slots.chunks_mut(per_comp)) {
+            if r.get_usize()? != comp.len() {
                 return Err(SnapError::new("dvtage meta size mismatch"));
             }
-            for m in comp.meta.iter_mut() {
-                m.valid = r.get_bool()?;
-                m.tag = r.get_u32()?;
-                m.useful = r.get_u8()?;
+            for e in comp {
+                e.meta.valid = r.get_bool()?;
+                e.meta.tag = r.get_u32()?;
+                e.meta.useful = r.get_u8()?;
             }
-            if r.get_usize()? != comp.slots.len() {
+            if r.get_usize()? != slots.len() {
                 return Err(SnapError::new("dvtage slots size mismatch"));
             }
-            for s in comp.slots.iter_mut() {
+            for s in slots {
                 s.delta = r.get_i64()?;
                 s.conf.restore(r)?;
             }
         }
         self.rng.restore(r)?;
-        self.updates = r.get_u64()?;
+        self.tagged.updates = r.get_u64()?;
         Ok(())
     }
 }

@@ -12,11 +12,14 @@
 //! no in-flight tracking and nothing must be repaired on a squash.
 //!
 //! Configuration from Table 2: 8192-entry base, 6 × 1024-entry tagged
-//! components, tags of `12 + rank` bits, FPC confidence.
+//! components, tags of `12 + rank` bits, FPC confidence. The provider
+//! scan, allocation and usefulness aging are the TAGE family's shared
+//! policy (`tagged.rs`); this module holds the value payload and the base.
 
 use crate::fpc::{Fpc, FpcPolicy};
-use crate::history::{hash_pc, FoldMemo, Folds, HistoryView};
+use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
+use crate::tagged::{Keys, TaggedTables};
 use crate::value::{ValuePrediction, ValuePredictor};
 
 /// Geometry and sizing of a [`Vtage`] predictor.
@@ -46,36 +49,38 @@ impl VtageConfig {
     }
 }
 
+/// A value and its confidence: a base entry, and the payload of a tagged
+/// one.
 #[derive(Clone, Copy, Debug, Default)]
-struct BaseEntry {
+struct Slot {
     value: u64,
     conf: Fpc,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct TaggedEntry {
-    valid: bool,
-    tag: u32,
-    value: u64,
-    conf: Fpc,
-    useful: u8, // 2-bit usefulness for the allocation policy
+impl Slot {
+    /// Trains toward `actual`; returns whether the slot was correct.
+    fn train(&mut self, actual: u64, policy: &FpcPolicy, rng: &mut SimRng) -> bool {
+        let correct = self.value == actual;
+        if correct {
+            self.conf.on_correct(policy, rng);
+        } else if self.conf.level() == 0 {
+            self.value = actual;
+        } else {
+            self.conf.on_incorrect();
+        }
+        correct
+    }
 }
 
 /// The VTAGE value predictor.
 #[derive(Clone, Debug)]
 pub struct Vtage {
     config: VtageConfig,
-    base: Vec<BaseEntry>,
-    tagged: Vec<Vec<TaggedEntry>>,
+    base: Vec<Slot>,
+    tagged: TaggedTables<Slot>,
     policy: FpcPolicy,
     rng: SimRng,
-    updates: u64,
-    /// History folds per position (derived state, never snapshotted).
-    memo: FoldMemo,
 }
-
-/// How often the usefulness bits decay (graceful aging, as in TAGE).
-const USEFUL_RESET_PERIOD: u64 = 1 << 18;
 
 impl Vtage {
     /// Creates a VTAGE with the paper's geometry.
@@ -87,22 +92,18 @@ impl Vtage {
     ///
     /// # Panics
     ///
-    /// Panics if `history_lengths` is rejected by [`FoldMemo::new`]
-    /// (empty, not strictly ascending, or too long).
+    /// Panics if `history_lengths` is rejected by
+    /// [`FoldMemo::new`](crate::history::FoldMemo::new) (empty, not
+    /// strictly ascending, or too long).
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: VtageConfig, seed: u64) -> Self {
-        let memo = FoldMemo::new(&config.history_lengths, 0x1d_0000, 0x7a_0000);
-        let base_n = config.base_entries.next_power_of_two().max(1);
-        let tagged_n = config.tagged_entries.next_power_of_two().max(1);
-        let comps = config.history_lengths.len();
+        let rows = config.tagged_entries.next_power_of_two().max(1);
         Vtage {
-            base: vec![BaseEntry::default(); base_n],
-            tagged: vec![vec![TaggedEntry::default(); tagged_n]; comps],
+            base: vec![Slot::default(); config.base_entries.next_power_of_two().max(1)],
+            tagged: TaggedTables::new(&config.history_lengths, (0x1d_0000, 0x7a_0000), rows),
             config,
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
-            updates: 0,
-            memo,
         }
     }
 
@@ -110,78 +111,16 @@ impl Vtage {
         (hash_pc(pc, 0xb5e) as usize) & (self.base.len() - 1)
     }
 
-    fn tagged_index(&self, comp: usize, pc: u64, folds: &Folds) -> usize {
-        (hash_pc(pc ^ folds.index(comp), 0x7a6e) as usize) & (self.tagged[comp].len() - 1)
-    }
-
-    fn tag_for(&self, comp: usize, pc: u64, folds: &Folds) -> u32 {
-        let bits = self.config.base_tag_bits + comp as u32;
-        (hash_pc(pc ^ folds.tag(comp).rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1)
-    }
-
-    /// Longest matching tagged component and its entry index, if any.
-    fn provider(&self, pc: u64, folds: &Folds) -> Option<(usize, usize)> {
-        for comp in (0..self.tagged.len()).rev() {
-            let idx = self.tagged_index(comp, pc, folds);
-            let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == self.tag_for(comp, pc, folds) {
-                return Some((comp, idx));
-            }
-        }
-        None
-    }
-
-    fn allocate_above(
-        &mut self,
-        provider_comp: Option<usize>,
-        pc: u64,
-        folds: &Folds,
-        actual: u64,
-    ) {
-        let start = provider_comp.map(|c| c + 1).unwrap_or(0);
-        if start >= self.tagged.len() {
-            return;
-        }
-        // Scan candidate slots with useful == 0. Only the two shortest
-        // candidates and the total count matter below, so track them in
-        // place — this runs on the commit path, allocation-free.
-        let mut shortest: Option<(usize, usize)> = None;
-        let mut second: Option<(usize, usize)> = None;
-        let mut free_count = 0usize;
-        for comp in start..self.tagged.len() {
-            let idx = self.tagged_index(comp, pc, folds);
-            if self.tagged[comp][idx].useful == 0 {
-                free_count += 1;
-                if shortest.is_none() {
-                    shortest = Some((comp, idx));
-                } else if second.is_none() {
-                    second = Some((comp, idx));
-                }
-            }
-        }
-        let Some(shortest) = shortest else {
-            // Aging: make room for the future instead of thrashing now.
-            for comp in start..self.tagged.len() {
-                let idx = self.tagged_index(comp, pc, folds);
-                let e = &mut self.tagged[comp][idx];
-                e.useful = e.useful.saturating_sub(1);
-            }
-            return;
-        };
-        // Prefer shorter-history slots (cheaper to hit again), with a random
-        // tie-break among the two shortest so allocations spread out.
-        let (comp, idx) = if free_count >= 2 && self.rng.one_in(3) {
-            second.expect("free_count >= 2")
-        } else {
-            shortest
-        };
-        self.tagged[comp][idx] = TaggedEntry {
-            valid: true,
-            tag: self.tag_for(comp, pc, folds),
-            value: actual,
-            conf: Fpc::new(),
-            useful: 0,
-        };
+    /// Each tagged component's row and `12 + rank`-bit tag for `pc`.
+    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys {
+        let base_tag_bits = self.config.base_tag_bits;
+        self.tagged.keys(hist, |comp, index_fold, tag_fold| {
+            let bits = base_tag_bits + comp as u32;
+            (
+                hash_pc(pc ^ index_fold, 0x7a6e) as usize,
+                (hash_pc(pc ^ tag_fold.rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1),
+            )
+        })
     }
 
     /// The prediction, and whether a tagged component provided it — one
@@ -192,30 +131,13 @@ impl Vtage {
         pc: u64,
         hist: HistoryView<'_>,
     ) -> (ValuePrediction, bool) {
-        let folds = self.memo.folds(hist);
-        let provider = self.provider(pc, &folds);
-        let (value, conf) = match provider {
-            Some((comp, idx)) => {
-                let e = &self.tagged[comp][idx];
-                (e.value, e.conf)
-            }
-            None => {
-                let e = &self.base[self.base_index(pc)];
-                (e.value, e.conf)
-            }
+        let keys = self.keys(pc, hist);
+        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let s = match provider {
+            Some(comp) => self.tagged[keys.index(comp)].data,
+            None => self.base[self.base_index(pc)],
         };
-        (ValuePrediction::from_conf(value, conf), provider.is_some())
-    }
-
-    fn maybe_age_useful(&mut self) {
-        self.updates += 1;
-        if self.updates.is_multiple_of(USEFUL_RESET_PERIOD) {
-            for comp in &mut self.tagged {
-                for e in comp.iter_mut() {
-                    e.useful = e.useful.saturating_sub(1);
-                }
-            }
-        }
+        (ValuePrediction::from_conf(s.value, s.conf), provider.is_some())
     }
 }
 
@@ -225,42 +147,27 @@ impl ValuePredictor for Vtage {
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        self.maybe_age_useful();
-        let folds = self.memo.folds(hist);
-        match self.provider(pc, &folds) {
-            Some((comp, idx)) => {
-                let correct = self.tagged[comp][idx].value == actual;
-                if correct {
-                    let policy = self.policy;
-                    let e = &mut self.tagged[comp][idx];
-                    e.useful = (e.useful + 1).min(3);
-                    e.conf.on_correct(&policy, &mut self.rng);
-                } else {
-                    let e = &mut self.tagged[comp][idx];
-                    e.useful = e.useful.saturating_sub(1);
-                    if e.conf.level() == 0 {
-                        e.value = actual;
-                    } else {
-                        e.conf.on_incorrect();
-                    }
-                    self.allocate_above(Some(comp), pc, &folds, actual);
-                }
+        self.tagged.age(|u| u.saturating_sub(1));
+        let keys = self.keys(pc, hist);
+        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let correct = match provider {
+            Some(comp) => {
+                let e = &mut self.tagged[keys.index(comp)];
+                let correct = e.data.train(actual, &self.policy, &mut self.rng);
+                e.meta.reward(correct);
+                correct
             }
             None => {
                 let bidx = self.base_index(pc);
-                let correct = self.base[bidx].value == actual;
-                if correct {
-                    let policy = self.policy;
-                    self.base[bidx].conf.on_correct(&policy, &mut self.rng);
-                } else {
-                    if self.base[bidx].conf.level() == 0 {
-                        self.base[bidx].value = actual;
-                    } else {
-                        self.base[bidx].conf.on_incorrect();
-                    }
-                    self.allocate_above(None, pc, &folds, actual);
-                }
+                self.base[bidx].train(actual, &self.policy, &mut self.rng)
             }
+        };
+        if !correct {
+            // Allocate above the provider: prefer shorter-history slots
+            // (cheaper to hit again), spread by the random tie-break.
+            let start = provider.map_or(0, |c| c + 1);
+            let fresh = Slot { value: actual, conf: Fpc::new() };
+            self.tagged.allocate(&keys, start, &mut self.rng, fresh);
         }
     }
 
@@ -271,9 +178,9 @@ impl ValuePredictor for Vtage {
     fn storage_bits(&self) -> u64 {
         let base = self.base.len() as u64 * (64 + Fpc::BITS);
         let mut tagged = 0u64;
-        for (i, comp) in self.tagged.iter().enumerate() {
+        for i in 0..self.tagged.comps() {
             let tag_bits = self.config.base_tag_bits as u64 + i as u64;
-            tagged += comp.len() as u64 * (1 + tag_bits + 64 + Fpc::BITS + 2);
+            tagged += self.tagged.rows() as u64 * (1 + tag_bits + 64 + Fpc::BITS + 2);
         }
         base + tagged
     }
@@ -290,19 +197,19 @@ impl crate::snapshot::Snapshot for Vtage {
             w.put_u64(e.value);
             e.conf.snapshot(w);
         }
-        w.put_usize(self.tagged.len());
-        for comp in &self.tagged {
+        w.put_usize(self.tagged.comps());
+        for comp in self.tagged.components() {
             w.put_usize(comp.len());
             for e in comp {
-                w.put_bool(e.valid);
-                w.put_u32(e.tag);
-                w.put_u64(e.value);
-                e.conf.snapshot(w);
-                w.put_u8(e.useful);
+                w.put_bool(e.meta.valid);
+                w.put_u32(e.meta.tag);
+                w.put_u64(e.data.value);
+                e.data.conf.snapshot(w);
+                w.put_u8(e.meta.useful);
             }
         }
         self.rng.snapshot(w);
-        w.put_u64(self.updates);
+        w.put_u64(self.tagged.updates);
     }
 
     fn restore(
@@ -317,23 +224,23 @@ impl crate::snapshot::Snapshot for Vtage {
             e.value = r.get_u64()?;
             e.conf.restore(r)?;
         }
-        if r.get_usize()? != self.tagged.len() {
+        if r.get_usize()? != self.tagged.comps() {
             return Err(SnapError::new("vtage component count mismatch"));
         }
-        for comp in &mut self.tagged {
+        for comp in self.tagged.components_mut() {
             if r.get_usize()? != comp.len() {
                 return Err(SnapError::new("vtage component size mismatch"));
             }
-            for e in comp.iter_mut() {
-                e.valid = r.get_bool()?;
-                e.tag = r.get_u32()?;
-                e.value = r.get_u64()?;
-                e.conf.restore(r)?;
-                e.useful = r.get_u8()?;
+            for e in comp {
+                e.meta.valid = r.get_bool()?;
+                e.meta.tag = r.get_u32()?;
+                e.data.value = r.get_u64()?;
+                e.data.conf.restore(r)?;
+                e.meta.useful = r.get_u8()?;
             }
         }
         self.rng.restore(r)?;
-        self.updates = r.get_u64()?;
+        self.tagged.updates = r.get_u64()?;
         Ok(())
     }
 }

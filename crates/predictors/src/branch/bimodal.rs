@@ -13,6 +13,7 @@ pub struct Bimodal {
 impl Bimodal {
     /// Creates a bimodal table with `entries` counters (rounded to a power
     /// of two), initialized weakly taken.
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(entries: usize) -> Self {
         Bimodal { counters: vec![2; entries.next_power_of_two().max(1)] }
     }

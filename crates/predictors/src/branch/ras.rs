@@ -18,6 +18,7 @@ impl ReturnStack {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         ReturnStack { slots: vec![0; capacity], top: 0, depth: 0 }

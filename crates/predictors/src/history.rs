@@ -1,4 +1,4 @@
-//! Global conditional-branch history, shared by TAGE and VTAGE.
+//! Global conditional-branch history, shared by TAGE, VTAGE and D-VTAGE.
 //!
 //! The trace-driven simulator precomputes the (always correct-path) outcome
 //! log once; predictors index it through a [`HistoryView`] anchored at the
@@ -36,6 +36,7 @@ pub struct BranchHistory {
     id: u64,
 }
 
+// lint:allow(hot-alloc) cold path: a log is built once per trace, before the measured loop
 impl Default for BranchHistory {
     fn default() -> Self {
         BranchHistory {
@@ -46,6 +47,7 @@ impl Default for BranchHistory {
     }
 }
 
+// lint:allow(hot-alloc) cold path: a log is built once per trace, before the measured loop
 impl Clone for BranchHistory {
     fn clone(&self) -> Self {
         BranchHistory { words: self.words.clone(), len: self.len, ..Self::default() }
@@ -250,6 +252,7 @@ impl FoldMemo {
     /// Panics if `lengths` is empty, not strictly ascending, longer than
     /// [`MAX_FOLD_COMPONENTS`], or holds a length above
     /// [`MAX_HISTORY_BITS`].
+    // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(lengths: &[usize], index_seed: u64, tag_seed: u64) -> Self {
         assert!(!lengths.is_empty(), "a tagged predictor needs at least one history length");
         assert!(

@@ -9,7 +9,7 @@
 //! other is selected.
 
 use crate::history::HistoryView;
-use crate::value::{StridePredictor, TwoDeltaStride, ValuePrediction, ValuePredictor, Vtage};
+use crate::value::{TwoDeltaStride, ValuePrediction, ValuePredictor, Vtage};
 
 /// Hybrid of [`Vtage`] and [`TwoDeltaStride`] with tagged-hit-first
 /// selection.
@@ -91,29 +91,6 @@ impl crate::snapshot::Snapshot for VtageTwoDeltaStride {
     ) -> Result<(), crate::snapshot::SnapError> {
         self.vtage.restore(r)?;
         self.stride.restore(r)
-    }
-}
-
-/// A simple stride-only hybrid stand-in used in ablations (same interface,
-/// no context component).
-#[derive(Clone, Debug)]
-pub struct StrideOnly(pub StridePredictor);
-
-impl ValuePredictor for StrideOnly {
-    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        self.0.predict(pc, hist)
-    }
-    fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        self.0.train(pc, hist, actual);
-    }
-    fn squash(&mut self, pc: u64) {
-        self.0.squash(pc);
-    }
-    fn storage_bits(&self) -> u64 {
-        self.0.storage_bits()
-    }
-    fn name(&self) -> &'static str {
-        "Stride-only"
     }
 }
 

@@ -39,7 +39,7 @@ pub use any::AnyValuePredictor;
 pub use block::{BlockBackend, BlockParams, BlockQuery, BlockVp};
 pub use dvtage::{DVtage, DVtageConfig};
 pub use fcm::Fcm;
-pub use hybrid::{StrideOnly, VtageTwoDeltaStride};
+pub use hybrid::VtageTwoDeltaStride;
 pub use last_value::LastValue;
 pub use stride::{StridePredictor, TwoDeltaStride};
 pub use vtage::{Vtage, VtageConfig};

@@ -5,7 +5,6 @@
 //! * [`report::ExperimentReport`] — the typed result grid every experiment
 //!   returns: named, unit-annotated columns and text/Markdown/JSON/CSV
 //!   emitters (the JSON layout is documented in `EXPERIMENTS.md`).
-//! * [`table::Table`] — a plain string table for ad-hoc display.
 //! * [`json::Json`] — a minimal JSON reader, the matching parser for the
 //!   hand-rolled emitters (trend tooling reads back `results.json` and
 //!   `BENCH_throughput.json` with it).
@@ -32,4 +31,3 @@
 pub mod json;
 pub mod report;
 pub mod summary;
-pub mod table;

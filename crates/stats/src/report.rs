@@ -2,12 +2,11 @@
 //!
 //! [`ExperimentReport`] is the result type of every experiment in the
 //! harness: a titled grid of typed cells with named, unit-annotated
-//! columns. Unlike [`crate::table::Table`] (display-only strings), a
-//! report keeps numbers as numbers until an emitter renders them, so the
-//! same result can feed a terminal ([`ExperimentReport::render_text`]),
-//! `EXPERIMENTS.md` ([`ExperimentReport::render_markdown`]), or
-//! downstream tooling ([`ExperimentReport::to_json`],
-//! [`ExperimentReport::to_csv`]).
+//! columns. A report keeps numbers as numbers until an emitter renders
+//! them, so the same result can feed a terminal
+//! ([`ExperimentReport::render_text`]), `EXPERIMENTS.md`
+//! ([`ExperimentReport::render_markdown`]), or downstream tooling
+//! ([`ExperimentReport::to_json`], [`ExperimentReport::to_csv`]).
 //!
 //! All serialization is hand-rolled — the build environment has no
 //! crates.io access. The JSON layout is versioned (`eole-report/v1`) and

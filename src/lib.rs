@@ -53,6 +53,5 @@ pub mod prelude {
     };
     pub use eole_stats::report::{Cell, ColumnSpec, ExperimentReport};
     pub use eole_stats::summary::geometric_mean;
-    pub use eole_stats::table::Table;
     pub use eole_workloads::{all_workloads, workload_by_name, Workload};
 }

@@ -54,8 +54,8 @@ under interval-tagged keys); --interval-warmup W sets the per-interval warmup wi
 µ-ops (default warmup/2, min 1000), or `auto` to probe the smallest window whose seam \
 error clears half the pinned budget; warm checkpoints are cached in the --store under \
 eole-warmstate/v1 keys, and --assert-warm-cached exits 1 if any checkpoint was rebuilt \
-instead of served; EOLE_INTERVAL_PARANOID=1 cross-checks every stitched run against a \
-serial one (machine-readable delta line on stderr)
+instead of served; EOLE_PARANOID=1 cross-checks every stitched run against a serial \
+one (machine-readable delta line on stderr) and single-steps every fast-forwarded idle cycle
 robustness: --faults SPEC installs a seeded deterministic fault-injection plan (chaos testing; \
 also read from EOLE_FAULTS — grammar and site catalog in EXPERIMENTS.md); --run-deadline-ms N \
 fails any single run whose job exceeds N ms wall-clock with a typed deadline error instead of \

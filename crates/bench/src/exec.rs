@@ -21,10 +21,7 @@ use crate::faults;
 use crate::plan::Shard;
 use crate::spec::{Grid, RunSpec};
 use crate::store::{ResultStore, RunKey, StoreError, WarmKey};
-use crate::{
-    check_stitched_against_serial, interval_paranoid, stitch_pieces, IntervalPolicy, Runner,
-    WarmOrigin,
-};
+use crate::{check_stitched_against_serial, stitch_pieces, IntervalPolicy, Runner, WarmOrigin};
 
 /// Poisoning-proof lock: a panicked worker marks every mutex it held as
 /// poisoned, but the protected data here (job deques, piece slots,
@@ -833,7 +830,7 @@ impl Executor {
                     .iter_mut()
                     .map(|slot| slot.take().expect("remaining hit zero with a piece missing")), // lint:allow(error-typing) the atomic remaining-counter proves every piece landed
             )?;
-            if interval_paranoid() {
+            if eole_core::paranoid() {
                 let trace = self.cache.get_or_prepare(&spec.workload, &spec.runner)?;
                 let serial = spec
                     .runner

@@ -123,7 +123,7 @@ impl IntervalPolicy {
 
 /// Relative error budget of a stitched run's cycle and squashed-µ-op
 /// counts against the exact-boundary serial run (0.5%): the
-/// `EOLE_INTERVAL_PARANOID=1` mode and the golden stitched-vs-serial
+/// `EOLE_PARANOID=1` mode and the golden stitched-vs-serial
 /// table both pin it.
 pub const INTERVAL_CYCLE_BUDGET: f64 = 0.005;
 
@@ -150,16 +150,6 @@ pub struct WarmSweepStats {
     pub loaded: usize,
     /// Checkpoints built by functional replay (published via the sink).
     pub built: usize,
-}
-
-/// True when `EOLE_INTERVAL_PARANOID=1`-style validation is requested:
-/// every stitched run also executes the serial comparator, reports the
-/// delta on stderr, and panics if committed counts diverge or the cycle
-/// or squashed error exceeds [`INTERVAL_CYCLE_BUDGET`]. Read once (the
-/// executor consults this per stitched run).
-pub fn interval_paranoid() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("EOLE_INTERVAL_PARANOID").is_some())
 }
 
 /// Warmup/measurement methodology for one experiment run.
@@ -386,9 +376,9 @@ impl Runner {
     /// replay of the same prefix (the [`WarmState`] contract, pinned by
     /// the `checkpoint_restore_equals_prefix_replay` proptest).
     ///
-    /// Under `EOLE_INTERVAL_PARANOID=1` the piece additionally replays
-    /// the prefix from zero and asserts the two simulators agree byte for
-    /// byte before the detailed window starts.
+    /// Under `EOLE_PARANOID=1` the piece additionally replays the prefix
+    /// from zero and asserts the two simulators agree byte for byte
+    /// before the detailed window starts.
     ///
     /// # Errors
     ///
@@ -398,8 +388,8 @@ impl Runner {
     /// # Panics
     ///
     /// If a checkpoint the piece just swept does not restore, or, under
-    /// `EOLE_INTERVAL_PARANOID=1`, if a restored checkpoint is not
-    /// byte-identical to the replayed prefix (both codec bugs).
+    /// `EOLE_PARANOID=1`, if a restored checkpoint is not byte-identical
+    /// to the replayed prefix (both codec bugs).
     pub fn try_run_piece(
         &self,
         trace: &PreparedTrace,
@@ -434,7 +424,7 @@ impl Runner {
                 "{name}: the checkpoint just swept at {warm_from} does not restore"
             );
         }
-        if interval_paranoid() {
+        if eole_core::paranoid() {
             let mut replayed = build()?;
             replayed.functional_warm(warm_from as usize);
             assert_eq!(
@@ -480,7 +470,7 @@ impl Runner {
             },
         );
         let stitched = stitch_pieces(pieces)?;
-        if interval_paranoid() {
+        if eole_core::paranoid() {
             let serial = self.try_run_serial_exact(trace, config.clone())?;
             check_stitched_against_serial(&config.name, policy, &stitched, &serial);
         }
@@ -585,7 +575,7 @@ pub fn stitch_pieces(
     })
 }
 
-/// The `EOLE_INTERVAL_PARANOID` validation: emits the stitched-vs-serial
+/// The `EOLE_PARANOID` validation: emits the stitched-vs-serial
 /// delta as one machine-readable JSON line on stderr (`"event":
 /// "interval-paranoid"`, greppable by CI) and panics when the stitch
 /// breaks its contract — committed counts diverging, or the cycle or

@@ -57,3 +57,14 @@ pub mod config;
 pub mod pipeline;
 pub mod prf;
 pub mod stats;
+
+/// True when `EOLE_PARANOID` is set: the one switch for every
+/// crash-on-divergence validation mode. The simulator single-steps each
+/// idle cycle it would fast-forward over and panics if one acts; the
+/// interval harness (`eole-bench`) re-checks restored checkpoints and
+/// stitched runs against replays. Read once per process, so the hot path
+/// stays allocation-free.
+pub fn paranoid() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("EOLE_PARANOID").is_some())
+}

@@ -745,18 +745,15 @@ impl<'t> Simulator<'t> {
         debug_assert!(self.idle);
         // Validation mode for the fast-forward machinery: instead of
         // jumping, single-step to the predicted event and panic if any
-        // skipped cycle turns out not to be a no-op. Used by the golden
-        // fingerprint tooling; read once so the hot path stays
-        // allocation-free.
-        static PARANOID: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        // skipped cycle turns out not to be a no-op.
         if let Some(ev) = self.next_event() {
-            if *PARANOID.get_or_init(|| std::env::var_os("EOLE_FF_PARANOID").is_some()) {
+            if crate::paranoid() {
                 while self.cycle < ev && !self.finished() {
                     let before = (self.stats.committed, self.stats.fetched, self.rob.len(), self.iq.len(), self.front_q.len());
                     let c = self.cycle;
                     self.step();
                     if !self.idle && self.cycle <= ev {
-                        panic!( // lint:allow(error-typing) EOLE_FF_PARANOID is a crash-on-divergence debug mode
+                        panic!( // lint:allow(error-typing) EOLE_PARANOID is a crash-on-divergence debug mode
                             "fast-forward would miss an event: acted at cycle {c}, predicted {ev}; before={before:?} after=({}, {}, {}, {}, {})",
                             self.stats.committed, self.stats.fetched, self.rob.len(), self.iq.len(), self.front_q.len()
                         );

@@ -267,9 +267,9 @@ impl<'a> SnapReader<'a> {
 /// `snapshot` appends the value's dynamic state; `restore` overwrites
 /// the same state in a value built from the same configuration. The
 /// contract — checked by the warm-state proptests in `eole-core` and by
-/// `EOLE_INTERVAL_PARANOID=1` — is that restore-then-snapshot
-/// reproduces the exact bytes, and that a restored table is
-/// behaviorally indistinguishable from the one captured.
+/// the interval harness under `EOLE_PARANOID=1` — is that
+/// restore-then-snapshot reproduces the exact bytes, and that a restored
+/// table is behaviorally indistinguishable from the one captured.
 pub trait Snapshot {
     /// Appends this value's dynamic state to `w`.
     fn snapshot(&self, w: &mut SnapWriter);

@@ -24,7 +24,7 @@
 use crate::branch::{Bimodal, BranchConfidence, BranchPrediction, DirectionPredictor};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{Keys, TaggedTables};
+use crate::tagged::{KeyHash, Keys, TaggedTables};
 
 /// Geometry of a [`Tage`] predictor.
 #[derive(Clone, Debug)]
@@ -102,41 +102,45 @@ impl Tage {
         (hash_pc(pc, 0xbcf1) as usize) & (self.base_conf.len() - 1)
     }
 
-    /// Each tagged component's row and tag for `pc`.
-    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys {
+    /// The tagged components' keys for `pc`.
+    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
         let base_tag_bits = self.config.base_tag_bits;
-        self.tagged.keys(hist, |comp, index_fold, tag_fold| {
-            (
-                hash_pc(pc ^ index_fold, 0x7a93) as usize,
-                (hash_pc(pc ^ tag_fold.rotate_left(21), 0x3d71) as u32)
-                    & ((1 << tag_bits(base_tag_bits, comp)) - 1),
-            )
-        })
+        let row = move |_, fold| hash_pc(pc ^ fold, 0x7a93) as usize;
+        let tag = move |comp, fold: u64| {
+            (hash_pc(pc ^ fold.rotate_left(21), 0x3d71) as u32)
+                & ((1 << tag_bits(base_tag_bits, comp)) - 1)
+        };
+        self.tagged.keys(hist, (row, tag))
     }
 
     /// The alternate prediction: the longest hit below `below`, else the
     /// base.
-    fn alternate_taken(&self, pc: u64, keys: &Keys, below: usize) -> bool {
+    fn alternate_taken(&self, pc: u64, keys: &Keys<impl KeyHash>, below: usize) -> bool {
         match self.tagged.hit_below(keys, below) {
-            Some(comp) => self.tagged[keys.index(comp)].data.ctr >= 0,
+            Some((_, i)) => self.tagged.data[i].ctr >= 0,
             None => self.base.counter(pc) >= 2,
         }
     }
 
     /// The final prediction, given the keys and the provider they select.
-    fn predict_with(&self, pc: u64, keys: &Keys, provider: Option<usize>) -> BranchPrediction {
+    fn predict_with(
+        &self,
+        pc: u64,
+        keys: &Keys<impl KeyHash>,
+        provider: Option<(usize, usize)>,
+    ) -> BranchPrediction {
         match provider {
-            Some(comp) => {
-                let e = &self.tagged[keys.index(comp)];
+            Some((comp, i)) => {
+                let c = self.tagged.data[i];
                 // Newly allocated entries (weak counter, never useful) are
                 // unreliable: fall back to the alternate prediction.
-                let weak_new = (e.data.ctr == 0 || e.data.ctr == -1) && e.meta.useful == 0;
+                let weak_new = (c.ctr == 0 || c.ctr == -1) && self.tagged.meta[i].useful == 0;
                 let taken = if weak_new {
                     self.alternate_taken(pc, keys, comp)
                 } else {
-                    e.data.ctr >= 0
+                    c.ctr >= 0
                 };
-                let confidence = if !weak_new && e.data.conf == 3 {
+                let confidence = if !weak_new && c.conf == 3 {
                     BranchConfidence::VeryHigh
                 } else {
                     BranchConfidence::Medium
@@ -166,7 +170,8 @@ fn tag_bits(base_tag_bits: u32, comp: usize) -> u32 {
 impl DirectionPredictor for Tage {
     fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> BranchPrediction {
         let keys = self.keys(pc, hist);
-        self.predict_with(pc, &keys, self.tagged.hit_below(&keys, self.tagged.comps()))
+        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        self.predict_with(pc, &keys, provider)
     }
 
     fn update(&mut self, pc: u64, hist: HistoryView<'_>, taken: bool) {
@@ -177,16 +182,15 @@ impl DirectionPredictor for Tage {
         let final_taken = self.predict_with(pc, &keys, provider).taken;
         let conf_gate = self.rng.one_in(32);
         let mispredicted = match provider {
-            Some(comp) => {
+            Some((comp, i)) => {
                 let alt = self.alternate_taken(pc, &keys, comp);
-                let e = &mut self.tagged[keys.index(comp)];
-                let provider_taken = e.data.ctr >= 0;
+                let provider_taken = self.tagged.data[i].ctr >= 0;
                 // Usefulness tracks "provider beat the alternate".
                 if provider_taken != alt {
-                    e.meta.reward(provider_taken == taken);
+                    self.tagged.meta[i].reward(provider_taken == taken);
                 }
                 // Probabilistic confidence: slow to earn, instant to lose.
-                let c = &mut e.data;
+                let c = &mut self.tagged.data[i];
                 if final_taken != taken {
                     c.conf = 0;
                 } else if conf_gate {
@@ -210,7 +214,7 @@ impl DirectionPredictor for Tage {
             }
         };
         if mispredicted {
-            let start = provider.map_or(0, |c| c + 1);
+            let start = provider.map_or(0, |(c, _)| c + 1);
             let fresh = Counters { ctr: if taken { 0 } else { -1 }, conf: 0 };
             self.tagged.allocate(&keys, start, &mut self.rng, fresh);
         }
@@ -238,14 +242,14 @@ impl crate::snapshot::Snapshot for Tage {
             w.put_u8(c);
         }
         w.put_usize(self.tagged.comps());
-        for comp in self.tagged.components() {
-            w.put_usize(comp.len());
-            for e in comp {
-                w.put_bool(e.meta.valid);
-                w.put_u32(e.meta.tag);
-                w.put_i8(e.data.ctr);
-                w.put_u8(e.meta.useful);
-                w.put_u8(e.data.conf);
+        for (metas, counters) in self.tagged.components() {
+            w.put_usize(metas.len());
+            for (m, c) in metas.iter().zip(counters) {
+                w.put_bool(m.valid);
+                w.put_u32(m.tag);
+                w.put_i8(c.ctr);
+                w.put_u8(m.useful);
+                w.put_u8(c.conf);
             }
         }
         self.rng.snapshot(w);
@@ -267,16 +271,16 @@ impl crate::snapshot::Snapshot for Tage {
         if r.get_usize()? != self.tagged.comps() {
             return Err(SnapError::new("tage component count mismatch"));
         }
-        for comp in self.tagged.components_mut() {
-            if r.get_usize()? != comp.len() {
+        for (metas, counters) in self.tagged.components_mut() {
+            if r.get_usize()? != metas.len() {
                 return Err(SnapError::new("tage component size mismatch"));
             }
-            for e in comp {
-                e.meta.valid = r.get_bool()?;
-                e.meta.tag = r.get_u32()?;
-                e.data.ctr = r.get_i8()?;
-                e.meta.useful = r.get_u8()?;
-                e.data.conf = r.get_u8()?;
+            for (m, c) in metas.iter_mut().zip(counters) {
+                m.valid = r.get_bool()?;
+                m.tag = r.get_u32()?;
+                c.ctr = r.get_i8()?;
+                m.useful = r.get_u8()?;
+                c.conf = r.get_u8()?;
             }
         }
         self.rng.restore(r)?;

@@ -1,32 +1,16 @@
-//! The tagged half of every TAGE-family predictor: [`Tage`], [`Vtage`] and
-//! [`DVtage`] all keep `N` tagged components indexed and tagged by hashes
-//! of the pc (or block address) with geometric slices of the global branch
-//! history, and all share one table policy, defined here once:
-//!
-//! * **Lookup** ([`TaggedTables::keys`]): each component's `(row, tag)`
-//!   is computed once per predictor call, from the [`FoldMemo`]'s folds
-//!   and the predictor's own hash formula, into a [`Keys`].
-//! * **Provider scan** ([`TaggedTables::hit_below`]): the longest valid
-//!   tag match below a component — the provider is the longest match
-//!   overall, TAGE's alternate the longest below the provider.
-//! * **Allocation** ([`TaggedTables::victim`]): on a misprediction, a new
-//!   entry goes to the shortest component above the provider whose entry
-//!   is not useful, or (with probability 1/3, when two are free) to the
-//!   second-shortest; with none free, every candidate's usefulness decays
-//!   instead.
-//! * **Aging** ([`TaggedTables::age`]): every [`USEFUL_RESET_PERIOD`]
-//!   updates, every entry's usefulness decays under the predictor's decay
-//!   operator.
-//!
-//! What differs between the predictors — the payload next to each
-//! [`TagMeta`], the base table, the hash seeds, snapshot field order —
-//! stays with each predictor.
+//! The tagged half of every TAGE-family predictor ([`Tage`], [`Vtage`],
+//! [`DVtage`]) and the table policy they share, defined once: the
+//! per-lookup [`Keys`], the longest-match scan
+//! ([`TaggedTables::hit_below`]: the provider, and TAGE's alternate), the
+//! allocation victim pick ([`TaggedTables::victim`]) and the periodic
+//! usefulness decay ([`TaggedTables::age`]). Each predictor keeps its
+//! payload, base table, hash seeds and snapshot field order.
 //!
 //! [`Tage`]: crate::branch::Tage
 //! [`Vtage`]: crate::value::Vtage
 //! [`DVtage`]: crate::value::DVtage
 
-use crate::history::{FoldMemo, HistoryView, MAX_FOLD_COMPONENTS};
+use crate::history::{FoldMemo, Folds, HistoryView};
 use crate::rng::SimRng;
 
 /// How often (in updates) the usefulness counters decay.
@@ -51,38 +35,65 @@ impl TagMeta {
     }
 }
 
-/// One tagged entry: its [`TagMeta`] next to the predictor's payload.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Entry<P> {
-    pub meta: TagMeta,
-    pub data: P,
+/// A predictor's hash of one lookup's keys, from each component's
+/// history folds: a pair of closures `(row, tag)`, taking the component
+/// and its fold. [`Keys`] reduces the row hash modulo the rows.
+pub(crate) trait KeyHash {
+    fn row(&self, comp: usize, index_fold: u64) -> usize;
+    fn tag(&self, comp: usize, tag_fold: u64) -> u32;
+}
+
+impl<R: Fn(usize, u64) -> usize, T: Fn(usize, u64) -> u32> KeyHash for (R, T) {
+    #[inline]
+    fn row(&self, comp: usize, index_fold: u64) -> usize {
+        (self.0)(comp, index_fold)
+    }
+
+    #[inline]
+    fn tag(&self, comp: usize, tag_fold: u64) -> u32 {
+        (self.1)(comp, tag_fold)
+    }
 }
 
 /// Every component's entry index (into [`TaggedTables`]) and tag for one
-/// lookup.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Keys([(usize, u32); MAX_FOLD_COMPONENTS]);
+/// lookup: the history folds, read once per predictor call, bound to the
+/// predictor's hash. A key is hashed where a scan reads it, so the
+/// provider scan's early exit skips the components it never reaches, and
+/// a tag is only hashed for a valid entry. Hashing all keys up front, or
+/// caching each one, measured slower (PERF.md, "Predictor history
+/// folds").
+pub(crate) struct Keys<H> {
+    hash: H,
+    folds: Folds,
+    rows: usize,
+}
 
-impl Keys {
+impl<H: KeyHash> Keys<H> {
     /// Component `comp`'s entry index into the tables.
     #[inline]
     pub fn index(&self, comp: usize) -> usize {
-        self.0[comp].0
+        comp * self.rows + (self.hash.row(comp, self.folds.index(comp)) & (self.rows - 1))
     }
 
     /// Component `comp`'s tag.
     #[inline]
     pub fn tag(&self, comp: usize) -> u32 {
-        self.0[comp].1
+        self.hash.tag(comp, self.folds.tag(comp))
     }
 }
 
 /// The tagged components of a TAGE-family predictor: `comps` components
 /// of `rows` entries each, stored component-major, plus the history-fold
 /// memo and the update counter that drives aging.
+///
+/// Entry `i` (a [`Keys`] index) is `meta[i]` and the payload `data[i]`,
+/// held in two parallel arrays: the scans read only the compact metadata,
+/// so the payload (a 64-bit value in VTAGE) does not dilute the cache
+/// lines they touch.
 #[derive(Clone, Debug)]
 pub(crate) struct TaggedTables<P> {
-    entries: Vec<Entry<P>>,
+    pub meta: Vec<TagMeta>,
+    pub data: Vec<P>,
     rows: usize,
     comps: usize,
     /// History folds per position (derived state: never snapshotted, not
@@ -95,7 +106,7 @@ pub(crate) struct TaggedTables<P> {
 
 impl<P: PartialEq> PartialEq for TaggedTables<P> {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries && self.updates == other.updates
+        self.meta == other.meta && self.data == other.data && self.updates == other.updates
     }
 }
 
@@ -114,7 +125,8 @@ impl<P: Copy + Default> TaggedTables<P> {
         let memo = FoldMemo::new(lengths, index_seed, tag_seed);
         assert!(rows.is_power_of_two(), "tagged component rows must be a power of two");
         TaggedTables {
-            entries: vec![Entry::default(); lengths.len() * rows],
+            meta: vec![TagMeta::default(); lengths.len() * rows],
+            data: vec![P::default(); lengths.len() * rows],
             rows,
             comps: lengths.len(),
             memo,
@@ -134,54 +146,55 @@ impl<P> TaggedTables<P> {
         self.rows
     }
 
-    /// The components in order, each as its `rows` entries.
-    pub fn components(&self) -> std::slice::Chunks<'_, Entry<P>> {
-        self.entries.chunks(self.rows)
+    /// The components in order, each as its `rows` metadata and payloads.
+    pub fn components(&self) -> impl Iterator<Item = (&[TagMeta], &[P])> {
+        self.meta.chunks(self.rows).zip(self.data.chunks(self.rows))
     }
 
     /// Mutable [`components`](Self::components).
-    pub fn components_mut(&mut self) -> std::slice::ChunksMut<'_, Entry<P>> {
-        self.entries.chunks_mut(self.rows)
+    pub fn components_mut(&mut self) -> impl Iterator<Item = (&mut [TagMeta], &mut [P])> {
+        self.meta.chunks_mut(self.rows).zip(self.data.chunks_mut(self.rows))
     }
 
-    /// The [`Keys`] of one lookup at `hist`: `key(comp, index_fold,
-    /// tag_fold)` is the predictor's hash, returning a row hash (reduced
-    /// modulo `rows` here) and the component's tag.
+    /// The [`Keys`] of one lookup at `hist` under the predictor's `hash`,
+    /// whose row hash is reduced modulo `rows` here.
     #[inline]
-    pub fn keys(
-        &mut self,
-        hist: HistoryView<'_>,
-        key: impl Fn(usize, u64, u64) -> (usize, u32),
-    ) -> Keys {
-        let folds = self.memo.folds(hist);
-        let mut keys = Keys([(0, 0); MAX_FOLD_COMPONENTS]);
-        for (comp, k) in keys.0[..self.comps].iter_mut().enumerate() {
-            let (row, tag) = key(comp, folds.index(comp), folds.tag(comp));
-            *k = (comp * self.rows + (row & (self.rows - 1)), tag);
-        }
-        keys
+    pub fn keys<H: KeyHash>(&mut self, hist: HistoryView<'_>, hash: H) -> Keys<H> {
+        Keys { hash, folds: self.memo.folds(hist), rows: self.rows }
     }
 
     /// The longest component below `n` whose entry is valid and matches
-    /// its tag. `hit_below(keys, comps())` is the provider.
+    /// its tag, with that entry's index. `hit_below(keys, comps())` is the
+    /// provider.
     #[inline]
-    pub fn hit_below(&self, keys: &Keys, n: usize) -> Option<usize> {
-        (0..n).rev().find(|&c| {
-            let m = &self.entries[keys.index(c)].meta;
-            m.valid && m.tag == keys.tag(c)
-        })
+    pub fn hit_below(&self, keys: &Keys<impl KeyHash>, n: usize) -> Option<(usize, usize)> {
+        for c in (0..n).rev() {
+            let i = keys.index(c);
+            let m = &self.meta[i];
+            if m.valid && m.tag == keys.tag(c) {
+                return Some((c, i));
+            }
+        }
+        None
     }
 
-    /// The component to allocate in, among `start..comps()`: the shortest
-    /// whose entry has `useful == 0`, or — with probability 1/3, drawn
-    /// only when at least two are free — the second-shortest. With none
-    /// free, every candidate's usefulness decays and nothing is chosen.
-    pub fn victim(&mut self, keys: &Keys, start: usize, rng: &mut SimRng) -> Option<usize> {
-        let mut free =
-            (start..self.comps).filter(|&c| self.entries[keys.index(c)].meta.useful == 0);
+    /// The component to allocate in, among `start..comps()`, with its
+    /// entry index: the shortest whose entry has `useful == 0`, or — with
+    /// probability 1/3, drawn only when at least two are free — the
+    /// second-shortest. With none free, every candidate's usefulness
+    /// decays and nothing is chosen.
+    pub fn victim(
+        &mut self,
+        keys: &Keys<impl KeyHash>,
+        start: usize,
+        rng: &mut SimRng,
+    ) -> Option<(usize, usize)> {
+        let mut free = (start..self.comps)
+            .map(|c| (c, keys.index(c)))
+            .filter(|&(_, i)| self.meta[i].useful == 0);
         let Some(shortest) = free.next() else {
             for c in start..self.comps {
-                let m = &mut self.entries[keys.index(c)].meta;
+                let m = &mut self.meta[keys.index(c)];
                 m.useful = m.useful.saturating_sub(1);
             }
             return None;
@@ -193,18 +206,18 @@ impl<P> TaggedTables<P> {
     }
 
     /// [`victim`](Self::victim), then a fresh valid entry holding `data`
-    /// in the chosen component, which is returned.
+    /// at the chosen slot, which is returned.
     pub fn allocate(
         &mut self,
-        keys: &Keys,
+        keys: &Keys<impl KeyHash>,
         start: usize,
         rng: &mut SimRng,
         data: P,
-    ) -> Option<usize> {
-        let comp = self.victim(keys, start, rng)?;
-        let meta = TagMeta { valid: true, tag: keys.tag(comp), useful: 0 };
-        self.entries[keys.index(comp)] = Entry { meta, data };
-        Some(comp)
+    ) -> Option<(usize, usize)> {
+        let (comp, i) = self.victim(keys, start, rng)?;
+        self.meta[i] = TagMeta { valid: true, tag: keys.tag(comp), useful: 0 };
+        self.data[i] = data;
+        Some((comp, i))
     }
 
     /// Counts one update and, every [`USEFUL_RESET_PERIOD`] updates,
@@ -212,26 +225,10 @@ impl<P> TaggedTables<P> {
     pub fn age(&mut self, decay: impl Fn(u8) -> u8) {
         self.updates += 1;
         if self.updates.is_multiple_of(USEFUL_RESET_PERIOD) {
-            for e in &mut self.entries {
-                e.meta.useful = decay(e.meta.useful);
+            for m in &mut self.meta {
+                m.useful = decay(m.useful);
             }
         }
-    }
-}
-
-impl<P> std::ops::Index<usize> for TaggedTables<P> {
-    type Output = Entry<P>;
-
-    #[inline]
-    fn index(&self, i: usize) -> &Entry<P> {
-        &self.entries[i]
-    }
-}
-
-impl<P> std::ops::IndexMut<usize> for TaggedTables<P> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut Entry<P> {
-        &mut self.entries[i]
     }
 }
 
@@ -242,33 +239,38 @@ mod tests {
 
     const COMPS: usize = 4;
 
+    /// Component `c`'s row is `row + c` and its tag `tag + c`.
+    fn fixed(row: usize, tag: u32) -> impl KeyHash {
+        (move |c, _| row + c, move |c, _| tag + c as u32)
+    }
+
     /// Four components of 8 rows; component `c`'s key is row `c`, tag
     /// `10 + c`.
-    fn tables() -> (TaggedTables<()>, Keys) {
+    fn tables() -> (TaggedTables<()>, Keys<impl KeyHash>) {
         let mut t = TaggedTables::new(&[2, 4, 8, 16], (1, 2), 8);
         let hist = BranchHistory::new();
-        let keys = t.keys(hist.view(0), |c, _, _| (c, 10 + c as u32));
+        let keys = t.keys(hist.view(0), fixed(0, 10));
         (t, keys)
     }
 
     /// Sets component `c`'s keyed entry's usefulness.
-    fn set_useful(t: &mut TaggedTables<()>, keys: &Keys, useful: [u8; COMPS]) {
+    fn set_useful(t: &mut TaggedTables<()>, keys: &Keys<impl KeyHash>, useful: [u8; COMPS]) {
         for (c, u) in useful.into_iter().enumerate() {
-            t[keys.index(c)].meta.useful = u;
+            t.meta[keys.index(c)].useful = u;
         }
     }
 
-    fn usefuls(t: &TaggedTables<()>, keys: &Keys) -> [u8; COMPS] {
-        std::array::from_fn(|c| t[keys.index(c)].meta.useful)
+    fn usefuls(t: &TaggedTables<()>, keys: &Keys<impl KeyHash>) -> [u8; COMPS] {
+        std::array::from_fn(|c| t.meta[keys.index(c)].useful)
     }
 
     #[test]
     fn keys_are_component_major_and_reduced_modulo_rows() {
         let mut t: TaggedTables<()> = TaggedTables::new(&[2, 4], (1, 2), 8);
         let hist = BranchHistory::new();
-        let keys = t.keys(hist.view(0), |c, _, _| (13 + c, 7));
+        let keys = t.keys(hist.view(0), fixed(13, 7));
         assert_eq!((keys.index(0), keys.index(1)), (5, 8 + 6));
-        assert_eq!(keys.tag(1), 7);
+        assert_eq!(keys.tag(1), 8);
     }
 
     #[test]
@@ -276,7 +278,7 @@ mod tests {
         let (mut t, keys) = tables();
         set_useful(&mut t, &keys, [1, 0, 2, 3]);
         let mut rng = SimRng::new(5);
-        assert_eq!(t.victim(&keys, 0, &mut rng), Some(1));
+        assert_eq!(t.victim(&keys, 0, &mut rng).map(|(c, _)| c), Some(1));
         // One free slot: no draw, and nothing decayed.
         assert_eq!(rng, SimRng::new(5));
         assert_eq!(usefuls(&t, &keys), [1, 0, 2, 3]);
@@ -290,7 +292,7 @@ mod tests {
             let mut rng = SimRng::new(seed);
             let mut draw = SimRng::new(seed);
             let want = if draw.one_in(3) { 3 } else { 1 };
-            assert_eq!(t.victim(&keys, 0, &mut rng), Some(want), "seed {seed}");
+            assert_eq!(t.victim(&keys, 0, &mut rng).map(|(c, _)| c), Some(want), "seed {seed}");
             // Exactly one draw.
             assert_eq!(rng, draw, "seed {seed}");
         }
@@ -301,7 +303,7 @@ mod tests {
     fn start_excludes_shorter_components() {
         let (mut t, keys) = tables();
         let mut rng = SimRng::new(3);
-        assert_eq!(t.victim(&keys, 3, &mut rng), Some(3));
+        assert_eq!(t.victim(&keys, 3, &mut rng).map(|(c, _)| c), Some(3));
         assert_eq!(rng, SimRng::new(3));
     }
 
@@ -313,14 +315,14 @@ mod tests {
         assert_eq!(t.allocate(&keys, 1, &mut rng, ()), None);
         assert_eq!(rng, SimRng::new(9));
         assert_eq!(usefuls(&t, &keys), [2, 0, 2, 0]);
-        assert!((0..COMPS).all(|c| !t[keys.index(c)].meta.valid));
+        assert!((0..COMPS).all(|c| !t.meta[keys.index(c)].valid));
     }
 
     #[test]
     fn start_at_comps_returns_none_without_a_draw() {
         let (mut t, keys) = tables();
         let mut rng = SimRng::new(4);
-        assert_eq!(t.victim(&keys, COMPS, &mut rng), None);
+        assert_eq!(t.victim(&keys, COMPS, &mut rng).map(|(c, _)| c), None);
         assert_eq!(rng, SimRng::new(4));
         assert_eq!(usefuls(&t, &keys), [0; COMPS]);
     }
@@ -329,22 +331,22 @@ mod tests {
     fn allocate_installs_a_fresh_tagged_entry() {
         let (mut t, keys) = tables();
         set_useful(&mut t, &keys, [0, 1, 1, 1]);
-        assert_eq!(t.allocate(&keys, 0, &mut SimRng::new(1), ()), Some(0));
-        assert_eq!(t[keys.index(0)].meta, TagMeta { valid: true, tag: 10, useful: 0 });
+        assert_eq!(t.allocate(&keys, 0, &mut SimRng::new(1), ()), Some((0, keys.index(0))));
+        assert_eq!(t.meta[keys.index(0)], TagMeta { valid: true, tag: 10, useful: 0 });
     }
 
     #[test]
     fn hit_below_ignores_invalid_entries_and_tag_mismatches() {
         let (mut t, keys) = tables();
-        assert_eq!(t.hit_below(&keys, COMPS), None);
+        assert_eq!(t.hit_below(&keys, COMPS).map(|(c, _)| c), None);
         // Component 3: right tag but invalid. Component 2: valid, wrong tag.
-        t[keys.index(3)].meta = TagMeta { valid: false, tag: 13, useful: 0 };
-        t[keys.index(2)].meta = TagMeta { valid: true, tag: 99, useful: 0 };
-        t[keys.index(1)].meta = TagMeta { valid: true, tag: 11, useful: 0 };
-        t[keys.index(0)].meta = TagMeta { valid: true, tag: 10, useful: 0 };
-        assert_eq!(t.hit_below(&keys, COMPS), Some(1));
-        assert_eq!(t.hit_below(&keys, 1), Some(0));
-        assert_eq!(t.hit_below(&keys, 0), None);
+        t.meta[keys.index(3)] = TagMeta { valid: false, tag: 13, useful: 0 };
+        t.meta[keys.index(2)] = TagMeta { valid: true, tag: 99, useful: 0 };
+        t.meta[keys.index(1)] = TagMeta { valid: true, tag: 11, useful: 0 };
+        t.meta[keys.index(0)] = TagMeta { valid: true, tag: 10, useful: 0 };
+        assert_eq!(t.hit_below(&keys, COMPS).map(|(c, _)| c), Some(1));
+        assert_eq!(t.hit_below(&keys, 1).map(|(c, _)| c), Some(0));
+        assert_eq!(t.hit_below(&keys, 0).map(|(c, _)| c), None);
     }
 
     #[test]

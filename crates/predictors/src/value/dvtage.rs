@@ -38,7 +38,7 @@
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{Keys, TaggedTables};
+use crate::tagged::{KeyHash, Keys, TaggedTables};
 use crate::value::{ValuePrediction, ValuePredictor};
 
 /// Bytes per µ-op in trace addresses (`Program::inst_addr` spacing).
@@ -218,24 +218,26 @@ impl DVtage {
 
     #[inline]
     fn lvt_index(&self, bpc: u64) -> usize {
-        banked_index(&self.config, bpc, self.config.lvt_entries, 0x1f7a)
+        let c = &self.config;
+        banked_index((c.banks, c.block_size), bpc, c.lvt_entries, 0x1f7a)
     }
 
     #[inline]
     fn base_index(&self, bpc: u64) -> usize {
-        banked_index(&self.config, bpc, self.config.base_entries, 0xd5e1)
+        let c = &self.config;
+        banked_index((c.banks, c.block_size), bpc, c.base_entries, 0xd5e1)
     }
 
-    /// Each tagged component's banked row and tag for the block at `bpc`.
-    fn keys(&mut self, bpc: u64, hist: HistoryView<'_>) -> Keys {
-        let config = &self.config;
-        self.tagged.keys(hist, |comp, index_fold, tag_fold| {
-            let bits = config.base_tag_bits + comp as u32;
-            (
-                banked_index(config, bpc ^ index_fold, config.tagged_entries, 0x6d7a + comp as u64),
-                (hash_pc(bpc ^ tag_fold.rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1),
-            )
-        })
+    /// The tagged components' banked rows and tags for the block at `bpc`.
+    fn keys(&mut self, bpc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
+        let c = &self.config;
+        let (shape, rows, tag_bits) = ((c.banks, c.block_size), c.tagged_entries, c.base_tag_bits);
+        let row = move |comp, fold| banked_index(shape, bpc ^ fold, rows, 0x6d7a + comp as u64);
+        let tag = move |comp, fold: u64| {
+            let bits = tag_bits + comp as u32;
+            (hash_pc(bpc ^ fold.rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1)
+        };
+        self.tagged.keys(hist, (row, tag))
     }
 
     /// Signed range check against `delta_bits`.
@@ -284,8 +286,8 @@ impl DVtage {
         let base = self.base[self.base_index(bpc) * self.config.block_size + slot];
         let keys = self.keys(bpc, hist);
         let ds = match self.tagged.hit_below(&keys, self.tagged.comps()) {
-            Some(comp) => {
-                let tagged = self.slots[keys.index(comp) * self.config.block_size + slot];
+            Some((_, i)) => {
+                let tagged = self.slots[i * self.config.block_size + slot];
                 if tagged.conf.level() >= base.conf.level() {
                     tagged
                 } else {
@@ -305,19 +307,19 @@ impl DVtage {
     /// mispredicting slot resets to the observed delta at zero confidence.
     fn allocate_entry(
         &mut self,
-        keys: &Keys,
-        provider: Option<usize>,
+        keys: &Keys<impl KeyHash>,
+        provider: Option<(usize, usize)>,
         (bpc, slot): (u64, usize),
         delta: i64,
     ) {
-        let start = provider.map_or(0, |c| c + 1);
-        let Some(comp) = self.tagged.allocate(keys, start, &mut self.rng, ()) else {
+        let start = provider.map_or(0, |(c, _)| c + 1);
+        let Some((_, i)) = self.tagged.allocate(keys, start, &mut self.rng, ()) else {
             return;
         };
         let b = self.config.block_size;
-        let at = keys.index(comp) * b;
+        let at = i * b;
         match provider {
-            Some(p) => self.slots.copy_within(keys.index(p) * b..keys.index(p) * b + b, at),
+            Some((_, p)) => self.slots.copy_within(p * b..p * b + b, at),
             None => {
                 let from = self.base_index(bpc) * b;
                 self.slots[at..at + b].copy_from_slice(&self.base[from..from + b]);
@@ -353,10 +355,9 @@ impl DVtage {
         let keys = self.keys(bpc, hist);
         let provider = self.tagged.hit_below(&keys, self.tagged.comps());
         let correct = match provider {
-            Some(comp) => {
-                let at = keys.index(comp);
+            Some((_, at)) => {
                 let correct = self.slots[at * b + slot].train(deltas, &self.policy, &mut self.rng);
-                self.tagged[at].meta.reward(correct);
+                self.tagged.meta[at].reward(correct);
                 correct
             }
             None => base_correct,
@@ -384,15 +385,17 @@ impl DVtage {
     }
 }
 
-/// Banked row index: the block's bank is `block_number % banks`, the row
-/// within the bank a hash over the remaining block bits.
+/// Banked row index under `(banks, block_size)`: the block's bank is
+/// `block_number % banks`, the row within the bank a hash over the
+/// remaining block bits. Every size is a power of two, so the divisions
+/// are shifts.
 #[inline]
-fn banked_index(config: &DVtageConfig, bpc: u64, entries: usize, seed: u64) -> usize {
-    let banks = config.banks;
-    let rows = entries / banks;
-    let block_num = bpc / (config.block_size as u64 * INST_BYTES);
+fn banked_index((banks, block_size): (usize, usize), bpc: u64, entries: usize, seed: u64) -> usize {
+    let bank_bits = banks.trailing_zeros();
+    let rows = entries >> bank_bits;
+    let block_num = bpc >> (block_size as u64 * INST_BYTES).trailing_zeros();
     let bank = (block_num as usize) & (banks - 1);
-    let row = (hash_pc(block_num >> banks.trailing_zeros(), seed) as usize) & (rows - 1);
+    let row = (hash_pc(block_num >> bank_bits, seed) as usize) & (rows - 1);
     bank * rows + row
 }
 
@@ -409,12 +412,12 @@ impl crate::snapshot::Snapshot for DVtage {
         }
         w.put_usize(self.tagged.comps());
         let per_comp = self.tagged.rows() * self.config.block_size;
-        for (comp, slots) in self.tagged.components().zip(self.slots.chunks(per_comp)) {
-            w.put_usize(comp.len());
-            for e in comp {
-                w.put_bool(e.meta.valid);
-                w.put_u32(e.meta.tag);
-                w.put_u8(e.meta.useful);
+        for ((metas, _), slots) in self.tagged.components().zip(self.slots.chunks(per_comp)) {
+            w.put_usize(metas.len());
+            for m in metas {
+                w.put_bool(m.valid);
+                w.put_u32(m.tag);
+                w.put_u8(m.useful);
             }
             w.put_usize(slots.len());
             for s in slots {
@@ -448,14 +451,15 @@ impl crate::snapshot::Snapshot for DVtage {
             return Err(SnapError::new("dvtage component count mismatch"));
         }
         let per_comp = self.tagged.rows() * self.config.block_size;
-        for (comp, slots) in self.tagged.components_mut().zip(self.slots.chunks_mut(per_comp)) {
-            if r.get_usize()? != comp.len() {
+        let slots = self.slots.chunks_mut(per_comp);
+        for ((metas, _), slots) in self.tagged.components_mut().zip(slots) {
+            if r.get_usize()? != metas.len() {
                 return Err(SnapError::new("dvtage meta size mismatch"));
             }
-            for e in comp {
-                e.meta.valid = r.get_bool()?;
-                e.meta.tag = r.get_u32()?;
-                e.meta.useful = r.get_u8()?;
+            for m in metas {
+                m.valid = r.get_bool()?;
+                m.tag = r.get_u32()?;
+                m.useful = r.get_u8()?;
             }
             if r.get_usize()? != slots.len() {
                 return Err(SnapError::new("dvtage slots size mismatch"));

@@ -19,7 +19,7 @@
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{Keys, TaggedTables};
+use crate::tagged::{KeyHash, Keys, TaggedTables};
 use crate::value::{ValuePrediction, ValuePredictor};
 
 /// Geometry and sizing of a [`Vtage`] predictor.
@@ -111,16 +111,15 @@ impl Vtage {
         (hash_pc(pc, 0xb5e) as usize) & (self.base.len() - 1)
     }
 
-    /// Each tagged component's row and `12 + rank`-bit tag for `pc`.
-    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys {
+    /// The tagged components' keys for `pc`, with `12 + rank`-bit tags.
+    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
         let base_tag_bits = self.config.base_tag_bits;
-        self.tagged.keys(hist, |comp, index_fold, tag_fold| {
+        let row = move |_, fold| hash_pc(pc ^ fold, 0x7a6e) as usize;
+        let tag = move |comp, fold: u64| {
             let bits = base_tag_bits + comp as u32;
-            (
-                hash_pc(pc ^ index_fold, 0x7a6e) as usize,
-                (hash_pc(pc ^ tag_fold.rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1),
-            )
-        })
+            (hash_pc(pc ^ fold.rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1)
+        };
+        self.tagged.keys(hist, (row, tag))
     }
 
     /// The prediction, and whether a tagged component provided it — one
@@ -134,7 +133,7 @@ impl Vtage {
         let keys = self.keys(pc, hist);
         let provider = self.tagged.hit_below(&keys, self.tagged.comps());
         let s = match provider {
-            Some(comp) => self.tagged[keys.index(comp)].data,
+            Some((_, i)) => self.tagged.data[i],
             None => self.base[self.base_index(pc)],
         };
         (ValuePrediction::from_conf(s.value, s.conf), provider.is_some())
@@ -151,10 +150,9 @@ impl ValuePredictor for Vtage {
         let keys = self.keys(pc, hist);
         let provider = self.tagged.hit_below(&keys, self.tagged.comps());
         let correct = match provider {
-            Some(comp) => {
-                let e = &mut self.tagged[keys.index(comp)];
-                let correct = e.data.train(actual, &self.policy, &mut self.rng);
-                e.meta.reward(correct);
+            Some((_, i)) => {
+                let correct = self.tagged.data[i].train(actual, &self.policy, &mut self.rng);
+                self.tagged.meta[i].reward(correct);
                 correct
             }
             None => {
@@ -165,7 +163,7 @@ impl ValuePredictor for Vtage {
         if !correct {
             // Allocate above the provider: prefer shorter-history slots
             // (cheaper to hit again), spread by the random tie-break.
-            let start = provider.map_or(0, |c| c + 1);
+            let start = provider.map_or(0, |(c, _)| c + 1);
             let fresh = Slot { value: actual, conf: Fpc::new() };
             self.tagged.allocate(&keys, start, &mut self.rng, fresh);
         }
@@ -198,14 +196,14 @@ impl crate::snapshot::Snapshot for Vtage {
             e.conf.snapshot(w);
         }
         w.put_usize(self.tagged.comps());
-        for comp in self.tagged.components() {
-            w.put_usize(comp.len());
-            for e in comp {
-                w.put_bool(e.meta.valid);
-                w.put_u32(e.meta.tag);
-                w.put_u64(e.data.value);
-                e.data.conf.snapshot(w);
-                w.put_u8(e.meta.useful);
+        for (metas, slots) in self.tagged.components() {
+            w.put_usize(metas.len());
+            for (m, s) in metas.iter().zip(slots) {
+                w.put_bool(m.valid);
+                w.put_u32(m.tag);
+                w.put_u64(s.value);
+                s.conf.snapshot(w);
+                w.put_u8(m.useful);
             }
         }
         self.rng.snapshot(w);
@@ -227,16 +225,16 @@ impl crate::snapshot::Snapshot for Vtage {
         if r.get_usize()? != self.tagged.comps() {
             return Err(SnapError::new("vtage component count mismatch"));
         }
-        for comp in self.tagged.components_mut() {
-            if r.get_usize()? != comp.len() {
+        for (metas, slots) in self.tagged.components_mut() {
+            if r.get_usize()? != metas.len() {
                 return Err(SnapError::new("vtage component size mismatch"));
             }
-            for e in comp {
-                e.meta.valid = r.get_bool()?;
-                e.meta.tag = r.get_u32()?;
-                e.data.value = r.get_u64()?;
-                e.data.conf.restore(r)?;
-                e.meta.useful = r.get_u8()?;
+            for (m, s) in metas.iter_mut().zip(slots) {
+                m.valid = r.get_bool()?;
+                m.tag = r.get_u32()?;
+                s.value = r.get_u64()?;
+                s.conf.restore(r)?;
+                m.useful = r.get_u8()?;
             }
         }
         self.rng.restore(r)?;

@@ -48,14 +48,14 @@ impl Btb {
         (hash_pc(pc, 0xb7b) as usize) % self.sets
     }
 
-    fn tag_of(&self, pc: u64) -> u32 {
+    fn pc_tag(&self, pc: u64) -> u32 {
         (hash_pc(pc, 0x7b7) >> 13) as u32
     }
 
     /// Looks up the stored target for `pc`, updating LRU on a hit.
     pub fn lookup(&mut self, pc: u64) -> Option<u32> {
         let set = self.set_of(pc);
-        let tag = self.tag_of(pc);
+        let tag = self.pc_tag(pc);
         let base = set * self.ways;
         for w in 0..self.ways {
             let e = self.entries[base + w];
@@ -74,7 +74,7 @@ impl Btb {
     /// Inserts or updates the target for `pc`.
     pub fn insert(&mut self, pc: u64, target: u32) {
         let set = self.set_of(pc);
-        let tag = self.tag_of(pc);
+        let tag = self.pc_tag(pc);
         let base = set * self.ways;
         // Update on hit.
         for w in 0..self.ways {

@@ -305,7 +305,7 @@ impl DVtage {
     /// delta *and* confidence, so one erratic µ-op allocating for its
     /// block never wipes what its neighbors learned; only the
     /// mispredicting slot resets to the observed delta at zero confidence.
-    fn allocate_entry(
+    fn copy_on_allocate(
         &mut self,
         keys: &Keys<impl KeyHash>,
         provider: Option<(usize, usize)>,
@@ -363,7 +363,7 @@ impl DVtage {
             None => base_correct,
         };
         if !correct {
-            self.allocate_entry(&keys, provider, (bpc, slot), storable);
+            self.copy_on_allocate(&keys, provider, (bpc, slot), storable);
         }
         self.lvt[lvt_at] = actual;
     }

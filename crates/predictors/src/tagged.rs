@@ -60,8 +60,7 @@ impl<R: Fn(usize, u64) -> usize, T: Fn(usize, u64) -> u32> KeyHash for (R, T) {
 /// predictor's hash. A key is hashed where a scan reads it, so the
 /// provider scan's early exit skips the components it never reaches, and
 /// a tag is only hashed for a valid entry. Hashing all keys up front, or
-/// caching each one, measured slower (PERF.md, "Predictor history
-/// folds").
+/// caching each one, measured slower (PERF.md, "One tagged-table core").
 pub(crate) struct Keys<H> {
     hash: H,
     folds: Folds,

@@ -14,7 +14,7 @@ use crate::history::{FoldMemo, Folds, HistoryView};
 use crate::rng::SimRng;
 
 /// How often (in updates) the usefulness counters decay.
-pub(crate) const USEFUL_RESET_PERIOD: u64 = 1 << 18;
+const USEFUL_RESET_PERIOD: u64 = 1 << 18;
 
 /// The tag-match and replacement state every tagged entry carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -168,8 +168,9 @@ impl DVtage {
     ///
     /// # Panics
     ///
-    /// Panics if `history_lengths` is rejected by [`FoldMemo::new`]
-    /// (empty, not strictly ascending, or too long), or if
+    /// Panics if `history_lengths` is rejected by
+    /// [`FoldMemo::new`](crate::history::FoldMemo::new) (empty, not
+    /// strictly ascending, or too long), or if
     /// `block_size`/`banks` are not powers of two (`CoreConfig`
     /// validation reports these as typed errors before any predictor is
     /// built; hitting one here is a harness authoring bug).

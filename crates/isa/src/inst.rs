@@ -195,6 +195,18 @@ impl Opcode {
             Halt => InstClass::Halt,
         }
     }
+
+    /// Bytes a load or store accesses; 0 for every other opcode.
+    pub(crate) fn access_size(self) -> u8 {
+        use Opcode::*;
+        match self {
+            Ld | LdIdx | Fld | St | Fst => 8,
+            Ld32 | St32 => 4,
+            Ld16 | St16 => 2,
+            Ld8 | St8 => 1,
+            _ => 0,
+        }
+    }
 }
 
 impl InstClass {
@@ -247,6 +259,73 @@ impl Inst {
     /// The timing class.
     pub fn class(&self) -> InstClass {
         self.op.class()
+    }
+
+    /// The value an integer or FP µ-op computes from its source values
+    /// (`s1`, `s2`, read as 0 when absent) and its immediate; `None` for
+    /// loads, stores and control flow, whose effects need machine state.
+    /// Division by zero follows RISC-V (quotient all ones, remainder the
+    /// dividend), so no µ-op traps.
+    pub fn eval(&self, s1: u64, s2: u64) -> Option<u64> {
+        use Opcode::*;
+        let imm = self.imm as u64;
+        let f = f64::from_bits;
+        Some(match self.op {
+            Add => s1.wrapping_add(s2),
+            Sub => s1.wrapping_sub(s2),
+            And => s1 & s2,
+            Or => s1 | s2,
+            Xor => s1 ^ s2,
+            Shl => s1.wrapping_shl((s2 & 63) as u32),
+            Shr => s1.wrapping_shr((s2 & 63) as u32),
+            Sar => (s1 as i64).wrapping_shr((s2 & 63) as u32) as u64,
+            Slt => ((s1 as i64) < (s2 as i64)) as u64,
+            Sltu => (s1 < s2) as u64,
+            AddI => s1.wrapping_add(imm),
+            SubI => s1.wrapping_sub(imm),
+            AndI => s1 & imm,
+            OrI => s1 | imm,
+            XorI => s1 ^ imm,
+            ShlI => s1.wrapping_shl((imm & 63) as u32),
+            ShrI => s1.wrapping_shr((imm & 63) as u32),
+            SarI => (s1 as i64).wrapping_shr((imm & 63) as u32) as u64,
+            SltI => ((s1 as i64) < self.imm) as u64,
+            MovI => imm,
+            Mov | Fmov => s1,
+            Lea => self.effective_addr(s1, s2),
+            Mul => s1.wrapping_mul(s2),
+            Div => match (s1 as i64, s2 as i64) {
+                (_, 0) => u64::MAX,
+                (a, -1) if a == i64::MIN => a as u64,
+                (a, b) => (a / b) as u64,
+            },
+            Rem => match (s1 as i64, s2 as i64) {
+                (a, 0) => a as u64,
+                (a, -1) if a == i64::MIN => 0,
+                (a, b) => (a % b) as u64,
+            },
+            Fadd => (f(s1) + f(s2)).to_bits(),
+            Fsub => (f(s1) - f(s2)).to_bits(),
+            Fmul => (f(s1) * f(s2)).to_bits(),
+            Fdiv => (f(s1) / f(s2)).to_bits(),
+            FcmpLt => (f(s1) < f(s2)) as u64,
+            Fcvti2f => ((s1 as i64) as f64).to_bits(),
+            // `as` saturates out-of-range values; NaN converts to 0.
+            Fcvtf2i => f(s1) as i64 as u64,
+            Ld | Ld32 | Ld16 | Ld8 | LdIdx | Fld | St | St32 | St16 | St8 | Fst | Beq | Bne
+            | Blt | Bge | Bltu | Bgeu | Jmp | JmpR | Call | CallR | Ret | Halt => return None,
+        })
+    }
+
+    /// The address a load or store accesses, and the value `Lea` computes:
+    /// `src1 + imm`, plus the scaled index `src2 << aux` for `Lea` and
+    /// `LdIdx` (a store's `src2` is its data, not an index).
+    pub(crate) fn effective_addr(&self, s1: u64, s2: u64) -> u64 {
+        let base = s1.wrapping_add(self.imm as u64);
+        match self.op {
+            Opcode::Lea | Opcode::LdIdx => base.wrapping_add(s2.wrapping_shl(self.aux as u32)),
+            _ => base,
+        }
     }
 
     /// Value-prediction eligibility per the paper's §4.2: the µ-op produces
@@ -368,6 +447,19 @@ mod tests {
         assert!(!Inst::new(Opcode::Mul).is_single_cycle_alu());
         assert!(!Inst::new(Opcode::Fadd).is_single_cycle_alu());
         assert!(!Inst::new(Opcode::Ld).is_single_cycle_alu());
+    }
+
+    #[test]
+    fn eval_leaves_memory_and_control_to_the_machine() {
+        let mut lea = Inst::new(Opcode::Lea);
+        (lea.imm, lea.aux) = (4, 3);
+        assert_eq!(lea.eval(100, 2), Some(120));
+        assert_eq!(Inst::new(Opcode::Fcvtf2i).eval(f64::NAN.to_bits(), 0), Some(0));
+        for op in [Opcode::LdIdx, Opcode::St8, Opcode::Beq, Opcode::Call, Opcode::Halt] {
+            assert_eq!(Inst::new(op).eval(1, 2), None);
+        }
+        let sizes = [Opcode::Fld, Opcode::Ld32, Opcode::St16, Opcode::St8, Opcode::Lea];
+        assert_eq!(sizes.map(Opcode::access_size), [8, 4, 2, 1, 0]);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Functional (architectural) simulator.
 //!
 //! Executes a [`Program`] one instruction per step, producing the oracle
-//! values the timing model replays. Division by zero follows RISC-V
-//! semantics (quotient = all ones, remainder = dividend) so programs never
-//! trap.
+//! values the timing model replays. Integer and FP results come from
+//! [`Inst::eval`]; this module adds what needs machine state: registers,
+//! memory and control flow.
 
-use crate::inst::{Inst, InstClass, Opcode};
+use crate::inst::{Inst, InstClass};
 use crate::memory::SparseMemory;
 use crate::program::Program;
 use crate::reg::{ArchReg, FpReg, IntReg, RegClass, NUM_FP_REGS, NUM_INT_REGS};
@@ -34,9 +34,12 @@ pub struct StepInfo {
 }
 
 /// Architectural machine state.
+///
+/// The program's data segments live only in memory: the machine keeps the
+/// instructions, not a copy of the [`Program`].
 #[derive(Clone, Debug)]
 pub struct Machine {
-    program: Program,
+    insts: Vec<Inst>,
     int_regs: [u64; NUM_INT_REGS],
     fp_regs: [u64; NUM_FP_REGS],
     pc: u32,
@@ -53,7 +56,7 @@ impl Machine {
             mem.load_bytes(seg.base, &seg.bytes);
         }
         Machine {
-            program: program.clone(),
+            insts: program.insts().to_vec(),
             int_regs: [0; NUM_INT_REGS],
             fp_regs: [0; NUM_FP_REGS],
             pc: program.entry(),
@@ -88,16 +91,6 @@ impl Machine {
         f64::from_bits(self.fp_regs[r.index() as usize])
     }
 
-    /// Direct access to memory (e.g. for checking results in tests).
-    pub fn memory(&self) -> &SparseMemory {
-        &self.mem
-    }
-
-    /// Mutable access to memory (e.g. for poking inputs in tests).
-    pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-
     fn read(&self, r: ArchReg) -> u64 {
         match r.class() {
             RegClass::Int => self.int_regs[r.index_in_class() as usize],
@@ -124,139 +117,36 @@ impl Machine {
             return Err(IsaError::PcOutOfRange(self.pc));
         }
         let pc = self.pc;
-        let inst = *self.program.inst(pc).ok_or(IsaError::PcOutOfRange(pc))?;
+        let inst = *self.insts.get(pc as usize).ok_or(IsaError::PcOutOfRange(pc))?;
         let s1 = inst.src1.map(|r| self.read(r)).unwrap_or(0);
         let s2 = inst.src2.map(|r| self.read(r)).unwrap_or(0);
-        let imm = inst.imm;
-        let immu = imm as u64;
+        let size = inst.op.access_size();
+        let addr = inst.effective_addr(s1, s2);
+        let len = self.insts.len() as u64;
+        let indirect = |target: u64| {
+            if target < len {
+                Ok(target as u32)
+            } else {
+                Err(IsaError::IndirectOutOfRange { pc, target })
+            }
+        };
         let mut info = StepInfo {
             pc,
             inst,
-            dst_value: None,
-            mem_addr: None,
-            mem_size: 0,
-            taken: false,
+            dst_value: inst.eval(s1, s2),
+            mem_addr: (size > 0).then_some(addr),
+            mem_size: size,
+            taken: inst.class().is_control(),
             next_pc: pc + 1,
             halted: false,
         };
 
-        use Opcode::*;
-        let mut dst_value: Option<u64> = None;
-        match inst.op {
-            Add => dst_value = Some(s1.wrapping_add(s2)),
-            Sub => dst_value = Some(s1.wrapping_sub(s2)),
-            And => dst_value = Some(s1 & s2),
-            Or => dst_value = Some(s1 | s2),
-            Xor => dst_value = Some(s1 ^ s2),
-            Shl => dst_value = Some(s1.wrapping_shl((s2 & 63) as u32)),
-            Shr => dst_value = Some(s1.wrapping_shr((s2 & 63) as u32)),
-            Sar => dst_value = Some(((s1 as i64).wrapping_shr((s2 & 63) as u32)) as u64),
-            Slt => dst_value = Some(((s1 as i64) < (s2 as i64)) as u64),
-            Sltu => dst_value = Some((s1 < s2) as u64),
-            AddI => dst_value = Some(s1.wrapping_add(immu)),
-            SubI => dst_value = Some(s1.wrapping_sub(immu)),
-            AndI => dst_value = Some(s1 & immu),
-            OrI => dst_value = Some(s1 | immu),
-            XorI => dst_value = Some(s1 ^ immu),
-            ShlI => dst_value = Some(s1.wrapping_shl((immu & 63) as u32)),
-            ShrI => dst_value = Some(s1.wrapping_shr((immu & 63) as u32)),
-            SarI => dst_value = Some(((s1 as i64).wrapping_shr((immu & 63) as u32)) as u64),
-            SltI => dst_value = Some(((s1 as i64) < imm) as u64),
-            MovI => dst_value = Some(immu),
-            Mov => dst_value = Some(s1),
-            Lea => dst_value = Some(
-                s1.wrapping_add(s2.wrapping_shl(inst.aux as u32)).wrapping_add(immu),
-            ),
-            Mul => dst_value = Some(s1.wrapping_mul(s2)),
-            Div => {
-                let (a, b) = (s1 as i64, s2 as i64);
-                dst_value = Some(if b == 0 {
-                    u64::MAX
-                } else if a == i64::MIN && b == -1 {
-                    a as u64
-                } else {
-                    (a / b) as u64
-                });
-            }
-            Rem => {
-                let (a, b) = (s1 as i64, s2 as i64);
-                dst_value = Some(if b == 0 {
-                    a as u64
-                } else if a == i64::MIN && b == -1 {
-                    0
-                } else {
-                    (a % b) as u64
-                });
-            }
-            Fadd => dst_value = Some((f64::from_bits(s1) + f64::from_bits(s2)).to_bits()),
-            Fsub => dst_value = Some((f64::from_bits(s1) - f64::from_bits(s2)).to_bits()),
-            Fmul => dst_value = Some((f64::from_bits(s1) * f64::from_bits(s2)).to_bits()),
-            Fdiv => dst_value = Some((f64::from_bits(s1) / f64::from_bits(s2)).to_bits()),
-            FcmpLt => dst_value = Some((f64::from_bits(s1) < f64::from_bits(s2)) as u64),
-            Fcvti2f => dst_value = Some(((s1 as i64) as f64).to_bits()),
-            Fcvtf2i => {
-                let f = f64::from_bits(s1);
-                let v = if f.is_nan() { 0 } else { f as i64 };
-                dst_value = Some(v as u64);
-            }
-            Fmov => dst_value = Some(s1),
-            Ld | Fld => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 8;
-                dst_value = Some(self.mem.read_le(addr, 8));
-            }
-            Ld32 => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 4;
-                dst_value = Some(self.mem.read_le(addr, 4));
-            }
-            Ld16 => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 2;
-                dst_value = Some(self.mem.read_le(addr, 2));
-            }
-            Ld8 => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 1;
-                dst_value = Some(self.mem.read_le(addr, 1));
-            }
-            LdIdx => {
-                let addr =
-                    s1.wrapping_add(s2.wrapping_shl(inst.aux as u32)).wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 8;
-                dst_value = Some(self.mem.read_le(addr, 8));
-            }
-            St | Fst => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 8;
-                self.mem.write_le(addr, 8, s2);
-            }
-            St32 => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 4;
-                self.mem.write_le(addr, 4, s2);
-            }
-            St16 => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 2;
-                self.mem.write_le(addr, 2, s2);
-            }
-            St8 => {
-                let addr = s1.wrapping_add(immu);
-                info.mem_addr = Some(addr);
-                info.mem_size = 1;
-                self.mem.write_le(addr, 1, s2);
-            }
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-                let cond = match inst.op {
+        use crate::inst::Opcode::*;
+        match inst.class() {
+            InstClass::Load => info.dst_value = Some(self.mem.read_le(addr, size as usize)),
+            InstClass::Store => self.mem.write_le(addr, size as usize, s2),
+            InstClass::Branch => {
+                info.taken = match inst.op {
                     Beq => s1 == s2,
                     Bne => s1 != s2,
                     Blt => (s1 as i64) < (s2 as i64),
@@ -265,53 +155,30 @@ impl Machine {
                     Bgeu => s1 >= s2,
                     _ => unreachable!(),
                 };
-                info.taken = cond;
-                if cond {
-                    info.next_pc = imm as u32;
+                if info.taken {
+                    info.next_pc = inst.imm as u32;
                 }
             }
-            Jmp => {
-                info.taken = true;
-                info.next_pc = imm as u32;
+            InstClass::Jump => info.next_pc = inst.imm as u32,
+            InstClass::JumpIndirect | InstClass::Return => info.next_pc = indirect(s1)?,
+            InstClass::Call | InstClass::CallIndirect => {
+                info.dst_value = Some((pc + 1) as u64);
+                info.next_pc = match inst.op {
+                    Call => inst.imm as u32,
+                    _ => indirect(s1)?,
+                };
             }
-            JmpR => {
-                info.taken = true;
-                if s1 >= self.program.len() as u64 {
-                    return Err(IsaError::IndirectOutOfRange { pc, target: s1 });
-                }
-                info.next_pc = s1 as u32;
-            }
-            Call => {
-                info.taken = true;
-                dst_value = Some((pc + 1) as u64);
-                info.next_pc = imm as u32;
-            }
-            CallR => {
-                info.taken = true;
-                if s1 >= self.program.len() as u64 {
-                    return Err(IsaError::IndirectOutOfRange { pc, target: s1 });
-                }
-                dst_value = Some((pc + 1) as u64);
-                info.next_pc = s1 as u32;
-            }
-            Ret => {
-                info.taken = true;
-                if s1 >= self.program.len() as u64 {
-                    return Err(IsaError::IndirectOutOfRange { pc, target: s1 });
-                }
-                info.next_pc = s1 as u32;
-            }
-            Halt => {
+            InstClass::Halt => {
                 self.halted = true;
                 info.halted = true;
                 info.next_pc = pc;
             }
+            _ => {}
         }
 
-        if let (Some(d), Some(v)) = (inst.dst, dst_value) {
+        if let (Some(d), Some(v)) = (inst.dst, info.dst_value) {
             self.write(d, v);
         }
-        info.dst_value = dst_value;
         self.pc = info.next_pc;
         self.retired += 1;
         debug_assert!(
@@ -382,6 +249,28 @@ mod tests {
         m.run(100).unwrap();
         assert_eq!(m.int_reg(r(2)), 25);
         assert_eq!(m.int_reg(r(3)), 25);
+    }
+
+    #[test]
+    fn narrow_loads_and_stores_touch_only_their_width() {
+        let mut b = ProgramBuilder::new();
+        let buf = b.add_data_u64(&[u64::MAX]);
+        b.movi(r(1), buf as i64);
+        b.movi(r(2), 0x1122_3344_5566_7788);
+        b.st32(r(1), 0, r(2));
+        b.st16(r(1), 4, r(2));
+        b.st8(r(1), 7, r(2));
+        b.ld(r(3), r(1), 0);
+        b.ld32(r(4), r(1), 4);
+        b.ld16(r(5), r(1), 2);
+        b.ld8(r(6), r(1), 6);
+        b.halt();
+        let mut m = Machine::new(&b.build().unwrap());
+        m.run(100).unwrap();
+        assert_eq!(m.int_reg(r(3)), 0x88ff_7788_5566_7788);
+        assert_eq!(m.int_reg(r(4)), 0x88ff_7788);
+        assert_eq!(m.int_reg(r(5)), 0x5566);
+        assert_eq!(m.int_reg(r(6)), 0xff);
     }
 
     #[test]

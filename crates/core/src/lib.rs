@@ -60,7 +60,8 @@ pub mod stats;
 
 /// True when `EOLE_PARANOID` is set: the one switch for every
 /// crash-on-divergence validation mode. The simulator single-steps each
-/// idle cycle it would fast-forward over and panics if one acts; the
+/// idle cycle it would fast-forward over and panics if one acts, and
+/// cross-checks the issue stage's waiter lists after every cycle; the
 /// interval harness (`eole-bench`) re-checks restored checkpoints and
 /// stitched runs against replays. Read once per process, so the hot path
 /// stays allocation-free.

@@ -154,6 +154,9 @@ impl Simulator<'_> {
             }
             let e = self.rob.pop_back().expect("non-empty"); // lint:allow(error-typing) while-let guard proves the queue is non-empty
             min_trace_idx = Some(min_trace_idx.map_or(e.trace_idx, |m| m.min(e.trace_idx)));
+            // A parked µ-op leaves its register's waiter list; a queued one
+            // leaves the IQ below.
+            self.waiters.unpark(e.seq);
             if let Some(d) = e.dst {
                 self.spec_rat[d.arch_flat as usize] = d.old;
                 self.prf.free(d.class, d.new);
@@ -302,5 +305,92 @@ mod tests {
         assert_eq!(now_free, fresh_free, "squash must not leak physical registers");
         sim.run(u64::MAX).unwrap();
         assert!(sim.finished());
+    }
+
+    /// A squash unlinks every squashed µ-op from its register's waiter
+    /// list: a full squash leaves no waiter anywhere, a partial one only
+    /// waiters older than the cut.
+    #[test]
+    fn squash_leaves_no_waiter_behind() {
+        let trace = serial_chain(60);
+        let mut sim = Simulator::new(&trace, CoreConfig::baseline_6_64()).unwrap();
+        fill_rob(&mut sim, 24);
+        assert!(sim.waiters.len() > 8, "the multiply chain parks its consumers");
+        let mid = sim.rob[sim.rob.len() / 2].seq;
+        sim.squash_from(mid);
+        sim.check_wakeup();
+        assert!(sim.waiters.iter().all(|(_, _, seq)| seq < mid));
+        fill_rob(&mut sim, 16);
+        sim.squash_from(sim.total_committed);
+        sim.check_wakeup();
+        assert_eq!(sim.waiters.len(), 0);
+        assert_eq!(sim.waiters.iter().count(), 0, "no waiter on any register");
+        sim.run(u64::MAX).unwrap();
+        assert!(sim.finished());
+    }
+
+    /// A register freed by a squash and reallocated to a younger producer
+    /// collects (and, at that producer's issue, wakes) only the new
+    /// producer's consumers — never the squashed reader that once waited
+    /// on it.
+    #[test]
+    fn reallocated_register_wakes_only_its_new_producers_consumers() {
+        use crate::prf::NOT_READY;
+        let trace = serial_chain(60);
+        let mut sim = Simulator::new(&trace, CoreConfig::baseline_6_64()).unwrap();
+        fill_rob(&mut sim, 24);
+        // Squash from the producer of a register a consumer is parked on:
+        // both go, and the register returns to the free list.
+        let half = sim.rob[sim.rob.len() / 2].seq;
+        let (class, preg, cut) = sim
+            .waiters
+            .iter()
+            .find_map(|(class, preg, _)| {
+                let producer = sim.rob.iter().find(|e| e.dst.is_some_and(|d| d.new == preg))?;
+                (producer.seq > half).then_some((class, preg, producer.seq))
+            })
+            .expect("a parked consumer of a squashable producer");
+        sim.squash_from(cut);
+        sim.check_wakeup();
+        assert!(sim.waiters.iter().all(|(c, p, _)| (c, p) != (class, preg)));
+        // Step until the register is reallocated and read by a parked µ-op.
+        let producer = loop {
+            sim.step();
+            sim.check_wakeup();
+            assert!(sim.cycle() < 100_000, "register never reallocated");
+            let producer = sim.rob.iter().find(|e| e.dst.is_some_and(|d| d.new == preg));
+            if let Some(p) = producer {
+                if sim.waiters.iter().any(|(c, q, _)| (c, q) == (class, preg)) {
+                    break p.seq;
+                }
+            }
+        };
+        assert_ne!(producer, cut, "the register went to a different µ-op");
+        let waiting: Vec<u64> = sim
+            .waiters
+            .iter()
+            .filter(|&(c, q, _)| (c, q) == (class, preg))
+            .map(|(_, _, seq)| seq)
+            .collect();
+        for &seq in &waiting {
+            assert!(seq > producer, "seq {seq} is younger than the new producer {producer}");
+            assert!(sim.rob.slot(seq).srcs.iter().flatten().any(|s| s.preg == preg));
+        }
+        // The producer's issue wakes exactly those µ-ops.
+        while sim.rob.slot(producer).done_cycle == NOT_READY {
+            assert!(sim.waiters.iter().any(|(c, q, _)| (c, q) == (class, preg)));
+            sim.step();
+            sim.check_wakeup();
+        }
+        assert!(sim.waiters.iter().all(|(c, q, _)| (c, q) != (class, preg)));
+        for seq in waiting {
+            assert!(
+                sim.iq.iter().any(|q| q.seq == seq) || sim.waiters.parked_on(seq).is_some(),
+                "woken seq {seq} went back to the queue or on to another register"
+            );
+        }
+        sim.run(u64::MAX).unwrap();
+        assert!(sim.finished());
+        assert_eq!(sim.committed_total(), trace.len() as u64);
     }
 }

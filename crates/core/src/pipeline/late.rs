@@ -20,7 +20,7 @@ impl Simulator<'_> {
             if e.dispatch_cycle + self.config.levt_depth() > now {
                 return false;
             }
-            self.srcs_known_ready_by(e).is_some_and(|t| t <= now)
+            self.src_readiness(e).is_ok_and(|t| t <= now)
         } else {
             e.done_cycle != crate::prf::NOT_READY
                 && e.done_cycle + self.config.levt_depth() <= now

@@ -13,6 +13,7 @@
 //! | [`frontend`](self) | fetch, branch prediction, VP query at fetch (§4.2) |
 //! | [`early`](self) | Early Execution beside Rename (§3.1) |
 //! | [`ooo`](self) | rename/dispatch and the OoO issue/execute engine |
+//! | [`wakeup`](self) | issue wakeup: µ-ops parked on their producer's tag |
 //! | [`late`](self) | Late Execution + Validation/Training before Commit (§3.2) |
 //! | [`commit`](self) | in-order commit and squash recovery |
 //! | [`state`](self) | shared [`Simulator`] state, [`PreparedTrace`], [`SimError`] |
@@ -27,6 +28,7 @@ mod frontend;
 mod late;
 mod ooo;
 mod state;
+mod wakeup;
 mod warm;
 mod window;
 

@@ -5,18 +5,20 @@
 //!
 //! Hot-loop invariants (see `PERF.md`): no steady-state heap allocation —
 //! the per-group write budget lives in a reused scratch buffer and the IQ
-//! is compacted in place — and no O(n) window searches: ROB entries are
+//! is double-buffered — and no O(n) window searches: ROB entries are
 //! addressed by sequence number, LQ/SQ entries through the slot id cached
-//! in [`RobEntry::lsq_slot`].
+//! in [`RobEntry::lsq_slot`]. A µ-op whose producer has not issued costs
+//! no per-cycle work: it waits in `pipeline/wakeup.rs`, off the queue the
+//! issue scan walks.
 
 use eole_isa::{InstClass, RegClass};
 
 use crate::config::latency;
-use crate::prf::NOT_READY;
+use crate::prf::{PhysReg, NOT_READY};
 
 use super::state::{
-    contains, overlap, pck, Avail, DstReg, IqEntry, LoadEntry, RobEntry, Simulator, SrcReg,
-    StoreEntry, Writer,
+    contains, issues_from_iq, overlap, pck, Avail, DstReg, IqEntry, LoadEntry, RobEntry, Simulator,
+    SrcReg, StoreEntry, Writer,
 };
 
 impl Simulator<'_> {
@@ -59,9 +61,9 @@ impl Simulator<'_> {
                 && fu.pred_used
                 && di.inst.is_single_cycle_alu();
             let le_branch = self.config.eole.late && fu.hc && cls == InstClass::Branch;
-            let needs_iq =
-                !(ee || le_alu || le_branch || matches!(cls, InstClass::Jump | InstClass::Call));
-            if needs_iq && self.iq.len() >= self.config.iq_entries {
+            let needs_iq = issues_from_iq(ee, le_alu, le_branch, cls);
+            // Parked µ-ops hold their IQ entries too.
+            if needs_iq && self.iq.len() + self.waiters.len() >= self.config.iq_entries {
                 self.stats.stall_iq_full += 1;
                 break;
             }
@@ -211,18 +213,21 @@ impl Simulator<'_> {
         self.rob.slot(seq)
     }
 
-    /// Source readiness as a wakeup bound: `Ok(())` when every source is
-    /// readable this cycle, otherwise `Err(wake)` — the earliest future
-    /// cycle worth re-examining this µ-op (`now + 1` while a producer has
-    /// not even issued yet; the known completion cycle afterwards).
-    fn srcs_wake(&self, e: &RobEntry) -> Result<(), u64> {
-        let now = self.cycle;
-        match self.srcs_known_ready_by(e) {
-            // Producer not issued: its completion is unknowable, but it
-            // cannot complete before next cycle.
-            None => Err(now + 1),
-            Some(t) if t <= now => Ok(()),
-            Some(t) => Err(t),
+    /// Producer-driven wakeup: `(class, preg)` just got its readiness
+    /// cycle (its producer issued), so every µ-op parked on it either
+    /// re-parks on its next unready source or joins this cycle's woken
+    /// set with its now-known wake cycle. The woken set stays sorted
+    /// oldest-last, so `do_issue` merges it into the scan in age order.
+    fn wake_waiters(&mut self, class: RegClass, preg: PhysReg) {
+        while let Some(seq) = self.waiters.pop(class, preg) {
+            match self.src_readiness(self.rob_entry(seq)) {
+                Err(src) => self.waiters.park(seq, src),
+                Ok(wake) => {
+                    let woken = &mut self.scratch.woken;
+                    let at = woken.partition_point(|w| w.seq > seq);
+                    woken.insert(at, IqEntry { seq, wake });
+                }
+            }
         }
     }
 
@@ -271,16 +276,35 @@ impl Simulator<'_> {
         let mut fmul_used = 0usize;
         let mut mem_used = 0usize;
         let mut violation: Option<(u64, u64)> = None; // (load_seq, store_seq)
-        // In-place IQ compaction: entries that cannot issue this cycle are
-        // written back at `kept` (order preserved), the tail is truncated.
-        let mut kept = 0usize;
-        let iq_len = self.iq.len();
-        for i in 0..iq_len {
-            let IqEntry { seq, wake } = self.iq[i];
+
+        // The scan reads the queue and writes the entries it keeps, in
+        // order, into the spare buffer. µ-ops woken by this cycle's issues
+        // merge in at their age position, so one made ready this very
+        // cycle (by a zero-latency producer) can still issue in it.
+        let mut queue = std::mem::take(&mut self.iq);
+        let mut kept = std::mem::take(&mut self.scratch.iq_spare);
+        debug_assert!(kept.is_empty() && self.scratch.woken.is_empty());
+        let mut next = 0usize;
+        loop {
+            let IqEntry { seq, wake } =
+                match (queue.get(next).copied(), self.scratch.woken.last().copied()) {
+                    (Some(q), Some(w)) if w.seq < q.seq => {
+                        self.scratch.woken.pop();
+                        w
+                    }
+                    (Some(q), _) => {
+                        next += 1;
+                        q
+                    }
+                    (None, Some(w)) => {
+                        self.scratch.woken.pop();
+                        w
+                    }
+                    (None, None) => break,
+                };
             macro_rules! keep {
                 ($wake:expr) => {{
-                    self.iq[kept] = IqEntry { seq, wake: $wake };
-                    kept += 1;
+                    kept.push(IqEntry { seq, wake: $wake });
                     continue;
                 }};
             }
@@ -292,8 +316,14 @@ impl Simulator<'_> {
                 keep!(wake);
             }
             let e = self.rob_entry(seq);
-            if let Err(wake) = self.srcs_wake(e) {
-                keep!(wake);
+            match self.src_readiness(e) {
+                // Producer not issued: park on its register until it is.
+                Err(src) => {
+                    self.waiters.park(seq, src);
+                    continue;
+                }
+                Ok(t) if t > now => keep!(t),
+                Ok(_) => {}
             }
             let class = e.class;
             let done = match class {
@@ -424,6 +454,7 @@ impl Simulator<'_> {
             };
             if let Some(d) = dst {
                 self.prf.set_ready_min(d.class, d.new, done);
+                self.wake_waiters(d.class, d.new);
             }
             if awaited && self.pending_redirect == Some(seq) {
                 // Mispredicted control µ-op resolves at `done`: fetch
@@ -433,7 +464,9 @@ impl Simulator<'_> {
                 self.last_fetch_line = u64::MAX;
             }
         }
-        self.iq.truncate(kept);
+        queue.clear();
+        self.scratch.iq_spare = queue;
+        self.iq = kept;
 
         if let Some((load_seq, store_seq)) = violation {
             // Both µ-ops are still in flight: O(1) ROB lookups recover
@@ -447,5 +480,174 @@ impl Simulator<'_> {
             return (true, issued);
         }
         (false, issued)
+    }
+
+    /// `EOLE_PARANOID` cross-check of the wakeup rule, run after every
+    /// `do_issue`: each parked µ-op waits on one of its own sources whose
+    /// register is still `NOT_READY`, and every dispatched-but-unissued IQ
+    /// µ-op in the ROB is either queued or parked, exactly once — so
+    /// queued + parked equals IQ occupancy. Panics naming the seq.
+    pub(super) fn check_wakeup(&self) {
+        fn fail(seq: u64, cycle: u64, what: std::fmt::Arguments<'_>) -> ! {
+            panic!("wakeup: seq {seq} {what} at cycle {cycle}") // lint:allow(error-typing) EOLE_PARANOID is a crash-on-divergence debug mode
+        }
+        let in_iq = |seq: u64| {
+            self.rob.holds_slot(seq) && {
+                let e = self.rob_entry(seq);
+                e.done_cycle == NOT_READY && issues_from_iq(e.ee, e.le_alu, e.le_branch, e.class)
+            }
+        };
+        let mut parked = 0usize;
+        for (class, preg, seq) in self.waiters.iter() {
+            parked += 1;
+            let reader = in_iq(seq) && self.rob_entry(seq).srcs.contains(&Some(SrcReg { class, preg }));
+            let ready_at = self.prf.ready_at(class, preg);
+            if !reader || ready_at != NOT_READY {
+                let why = format_args!("unissued reader {reader}, ready_at {ready_at}");
+                fail(seq, self.cycle, format_args!("parked on {class:?} p{preg} ({why})"));
+            }
+        }
+        if let Some(q) = self.iq.iter().find(|q| !in_iq(q.seq)) {
+            fail(q.seq, self.cycle, format_args!("is queued but is no unissued IQ µ-op"));
+        }
+        let mut occupancy = 0usize;
+        for e in self.rob.iter().filter(|e| in_iq(e.seq)) {
+            occupancy += 1;
+            let queued = self.iq.iter().filter(|q| q.seq == e.seq).count();
+            let parked = usize::from(self.waiters.parked_on(e.seq).is_some());
+            if queued + parked != 1 {
+                fail(e.seq, self.cycle, format_args!("is queued {queued}× and parked {parked}×"));
+            }
+        }
+        if parked != self.waiters.len() || self.iq.len() + parked != occupancy {
+            panic!( // lint:allow(error-typing) EOLE_PARANOID is a crash-on-divergence debug mode
+                "wakeup: {} queued + {parked} parked (count {}) != IQ occupancy {occupancy} at cycle {}",
+                self.iq.len(),
+                self.waiters.len(),
+                self.cycle
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::state::RobEntry;
+    use super::super::{PreparedTrace, Simulator};
+    use crate::config::{latency, CoreConfig};
+    use crate::prf::NOT_READY;
+    use eole_isa::{generate_trace, IntReg, ProgramBuilder, RegClass};
+
+    fn r(i: u8) -> IntReg {
+        IntReg::new(i)
+    }
+
+    /// Per-cycle view of one in-flight µ-op, sampled after each step.
+    #[derive(Clone, Copy, Debug)]
+    struct Seen {
+        cycle: u64,
+        entry: RobEntry,
+        parked_on: Option<u16>,
+        queued: bool,
+    }
+
+    /// Single-steps (no fast-forward) until every µ-op in `seqs` has
+    /// issued, returning each one's per-cycle history from dispatch to
+    /// issue.
+    fn trace_until_issued(sim: &mut Simulator<'_>, seqs: &[u64]) -> Vec<Vec<Seen>> {
+        let mut hist = vec![Vec::new(); seqs.len()];
+        let issued = |s: &Seen| s.entry.done_cycle != NOT_READY;
+        while hist.iter().any(|h| !h.last().is_some_and(issued)) {
+            let cycle = sim.cycle();
+            sim.step();
+            sim.check_wakeup();
+            for (h, &seq) in hist.iter_mut().zip(seqs) {
+                if h.last().is_some_and(issued) || !sim.rob.holds_slot(seq) {
+                    continue;
+                }
+                h.push(Seen {
+                    cycle,
+                    entry: *sim.rob.slot(seq),
+                    parked_on: sim.waiters.parked_on(seq).map(|(class, preg)| {
+                        assert_eq!(class, RegClass::Int);
+                        preg
+                    }),
+                    queued: sim.iq.iter().any(|q| q.seq == seq),
+                });
+            }
+            assert!(sim.cycle() < 100_000, "µ-ops never issued");
+        }
+        hist
+    }
+
+    /// The cycle a µ-op issued in, from its history.
+    fn issue_cycle(h: &[Seen]) -> u64 {
+        h.last().unwrap().cycle
+    }
+
+    /// The µ-op's ROB entry as it issued (it may have committed since).
+    fn at_issue(h: &[Seen]) -> RobEntry {
+        h.last().unwrap().entry
+    }
+
+    /// A program whose pointer load misses all the way to DRAM; no
+    /// branches, so sequence numbers equal trace indices.
+    fn program(body: impl FnOnce(&mut ProgramBuilder, IntReg)) -> PreparedTrace {
+        let mut b = ProgramBuilder::new();
+        let buf = b.alloc_zeroed(4096);
+        b.movi(r(1), buf as i64);
+        body(&mut b, r(1));
+        b.halt();
+        PreparedTrace::new(generate_trace(&b.build().unwrap(), 1_000).unwrap())
+    }
+
+    #[test]
+    fn consumer_of_a_dram_miss_issues_exactly_when_the_load_completes() {
+        let trace = program(|b, base| {
+            b.movi(r(6), 1); // seq 1
+            b.div(r(7), base, r(6)); // seq 2: the same base, 25 cycles later
+            b.ld(r(5), r(7), 0); // seq 3: cold line
+            b.addi(r(2), r(5), 1); // seq 4: its consumer
+        });
+        let mut sim = Simulator::new(&trace, CoreConfig::baseline_6_64()).unwrap();
+        let hist = trace_until_issued(&mut sim, &[3, 4]);
+        let load = at_issue(&hist[0]);
+        assert!(load.done_cycle > issue_cycle(&hist[0]) + 100, "the load misses to DRAM");
+        assert_eq!(issue_cycle(&hist[1]), load.done_cycle, "issued at the load's done_cycle");
+        // Dispatched into the queue, the consumer's first scan parks it on
+        // the load's register, off the queue the issue scan walks, until
+        // the load issues; then it waits in the queue for the known cycle.
+        assert!(hist[1][0].queued);
+        let load_dst = load.dst.unwrap().new;
+        let (parked, queued) = hist[1][1..]
+            .split_at(hist[1][1..].partition_point(|s| s.cycle < issue_cycle(&hist[0])));
+        assert!(parked.len() > 20, "parked while the load waits on its base");
+        assert!(parked.iter().all(|s| s.parked_on == Some(load_dst) && !s.queued));
+        assert!(queued[..queued.len() - 1].iter().all(|s| s.queued && s.parked_on.is_none()));
+    }
+
+    #[test]
+    fn two_source_uop_reparks_on_its_second_unready_source() {
+        let trace = program(|b, base| {
+            b.ld(r(5), base, 0); // seq 1: DRAM miss
+            b.addi(r(2), r(5), 1); // seq 2: first source, issues at the miss's done
+            b.mul(r(3), r(2), r(2)); // seq 3: second source, issues one cycle later
+            b.add(r(4), r(2), r(3)); // seq 4: waits on both
+        });
+        let mut sim = Simulator::new(&trace, CoreConfig::baseline_6_64()).unwrap();
+        let hist = trace_until_issued(&mut sim, &[2, 3, 4]);
+        let [first, second] = at_issue(&hist[2]).srcs.map(|s| s.unwrap().preg);
+        assert_eq!(first, at_issue(&hist[0]).dst.unwrap().new);
+        assert_eq!(second, at_issue(&hist[1]).dst.unwrap().new);
+        let mut parked: Vec<u16> = hist[2].iter().filter_map(|s| s.parked_on).collect();
+        parked.dedup();
+        assert_eq!(parked, vec![first, second], "parked on the first source, then the second");
+        // The first producer's issue moves the consumer to the second
+        // producer's list; that one's issue queues it, and it issues as
+        // soon as the multiply completes.
+        let repark = hist[2].iter().find(|s| s.parked_on == Some(second)).unwrap().cycle;
+        assert_eq!(repark, issue_cycle(&hist[0]));
+        assert_eq!(issue_cycle(&hist[1]), issue_cycle(&hist[0]) + latency::INT_ALU);
+        assert_eq!(issue_cycle(&hist[2]), issue_cycle(&hist[1]) + latency::INT_MUL);
     }
 }

@@ -14,6 +14,7 @@ use eole_predictors::value::{
     StridePredictor, TwoDeltaStride, Vtage, VtageTwoDeltaStride,
 };
 
+use super::wakeup::Waiters;
 use super::window::SeqRing;
 use crate::config::{ConfigError, CoreConfig, ValuePredictorKind, VpConfig};
 use crate::prf::{PhysReg, Prf, NOT_READY};
@@ -105,7 +106,7 @@ pub(super) struct Writer {
     pub(super) avail: Avail,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct SrcReg {
     pub(super) class: RegClass,
     pub(super) preg: PhysReg,
@@ -200,18 +201,20 @@ impl RobEntry {
     }
 }
 
-/// One issue-queue entry: the µ-op's sequence number plus a cached
+/// One queued issue-queue entry: the µ-op's sequence number plus a cached
 /// wakeup bound.
 ///
-/// `wake` is a *sound lower bound* on the first cycle the µ-op's sources
-/// can all be readable, so the issue loop skips the operand check while
-/// `wake > now` without ever issuing late: a physical register's
-/// `ready_at` only transitions `NOT_READY → final cycle` while a reader
-/// sits in the IQ (`Prf::set_ready_min` at dispatch precedes the reader's
-/// rename; the later write at issue takes the minimum and cannot lower a
-/// known value further). Sources still `NOT_READY` leave `wake` at
-/// `now + 1` — re-examined every cycle until the producer issues, at
-/// which point the completion cycle becomes the bound.
+/// Only µ-ops whose sources all have a *known* readiness cycle are
+/// queued. One with a source still `NOT_READY` (its producer has not
+/// issued) is parked on that register in [`Waiters`] and costs nothing
+/// per cycle until the producer's issue wakes it back into the queue.
+/// `wake` is the first cycle the sources are all readable (0 for a fresh
+/// or functional-unit-blocked entry), so the issue loop skips the operand
+/// check while `wake > now` without ever issuing late: a physical
+/// register's `ready_at` only transitions `NOT_READY → final cycle` while
+/// a reader sits in the IQ (`Prf::set_ready_min` at dispatch precedes the
+/// reader's rename; the later write at issue takes the minimum and cannot
+/// lower a known value further).
 #[derive(Clone, Copy, Debug)]
 pub(super) struct IqEntry {
     pub(super) seq: u64,
@@ -263,6 +266,13 @@ pub(super) fn contains(
         && inner_addr + inner_size as u64 <= outer_addr + outer_size as u64
 }
 
+/// Whether a dispatched µ-op takes an issue-queue entry: everything but
+/// early-executed µ-ops, late-executed ALU µ-ops and branches, and
+/// direct jumps and calls (resolved in the front end).
+pub(super) fn issues_from_iq(ee: bool, le_alu: bool, le_branch: bool, class: InstClass) -> bool {
+    !(ee || le_alu || le_branch || matches!(class, InstClass::Jump | InstClass::Call))
+}
+
 pub(super) fn pck(pc: u32) -> u64 {
     Program::inst_addr(pc)
 }
@@ -312,14 +322,22 @@ pub(super) struct Scratch {
     pub(super) ee_writes: Vec<[usize; 2]>,
     /// LE/VT read ports consumed per (bank, class) this commit group.
     pub(super) port_reads: Vec<[usize; 2]>,
+    /// The issue queue's other half: `do_issue` reads `Simulator::iq`
+    /// and writes the entries it keeps here, then swaps the two.
+    pub(super) iq_spare: Vec<IqEntry>,
+    /// µ-ops woken by this cycle's issues, oldest last, merged into the
+    /// issue scan in age order.
+    pub(super) woken: Vec<IqEntry>,
 }
 
 impl Scratch {
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
-    fn new(prf_banks: usize) -> Self {
+    fn new(prf_banks: usize, iq_entries: usize) -> Self {
         Scratch {
             ee_writes: vec![[0usize; 2]; prf_banks],
             port_reads: vec![[0usize; 2]; prf_banks],
+            iq_spare: Vec::with_capacity(iq_entries),
+            woken: Vec::with_capacity(iq_entries),
         }
     }
 }
@@ -356,7 +374,10 @@ pub struct Simulator<'t> {
     // ROB slot ids coincide with sequence numbers (see `squash_from`);
     // LQ/SQ slot ids are cached in `RobEntry::lsq_slot`.
     pub(super) rob: SeqRing<RobEntry>,
+    /// Queued IQ entries, oldest first. IQ occupancy is `iq.len()` plus
+    /// the µ-ops parked in `waiters`.
     pub(super) iq: Vec<IqEntry>,
+    pub(super) waiters: Waiters,
     pub(super) lq: SeqRing<LoadEntry>,
     pub(super) sq: SeqRing<StoreEntry>,
     pub(super) store_sets: StoreSets,
@@ -422,6 +443,7 @@ impl<'t> Simulator<'t> {
             prev_group_cycle: u64::MAX,
             rob: SeqRing::new(config.rob_entries, RobEntry::vacant()),
             iq: Vec::with_capacity(config.iq_entries),
+            waiters: Waiters::new(config.int_prf, config.fp_prf, config.rob_entries),
             lq: SeqRing::new(config.lq_entries, LoadEntry::vacant()),
             sq: SeqRing::new(config.sq_entries, StoreEntry::vacant()),
             store_sets,
@@ -429,7 +451,7 @@ impl<'t> Simulator<'t> {
             muldiv_busy: vec![0; config.fu.int_muldiv],
             fpmuldiv_busy: vec![0; config.fu.fp_muldiv],
             mem: MemoryHierarchy::new(&config.mem),
-            scratch: Scratch::new(config.prf_banks),
+            scratch: Scratch::new(config.prf_banks, config.iq_entries),
             idle: false,
             commit_limit: u64::MAX,
             stats: SimStats::default(),
@@ -625,6 +647,9 @@ impl<'t> Simulator<'t> {
         let squashed = self.do_commit();
         if !squashed {
             let (violated, issued) = self.do_issue();
+            if crate::paranoid() {
+                self.check_wakeup();
+            }
             if !violated {
                 let dispatched = self.do_dispatch();
                 self.do_fetch();
@@ -638,22 +663,24 @@ impl<'t> Simulator<'t> {
         self.stats.cycles += 1;
     }
 
-    /// Max `ready_at` over the µ-op's register sources, or `None` while
-    /// any source's readiness is still unknown (its producer has not
-    /// issued). THE readiness scan: `srcs_wake` (issue), `levt_complete`
-    /// (LE pre-commit), and `next_event` (fast-forward) all share it, so
-    /// a change to operand-readiness semantics cannot silently diverge
-    /// between the stepping and skipping paths.
-    pub(super) fn srcs_known_ready_by(&self, e: &RobEntry) -> Option<u64> {
+    /// Max `ready_at` over the µ-op's register sources, or the first
+    /// source whose readiness is still unknown (its producer has not
+    /// issued). THE readiness scan: issue (`do_issue` and the wakeup of
+    /// parked µ-ops), `levt_complete` (LE pre-commit), and `next_event`
+    /// (fast-forward) all share it, so a change to operand-readiness
+    /// semantics cannot silently diverge between the stepping and
+    /// skipping paths.
+    #[inline]
+    pub(super) fn src_readiness(&self, e: &RobEntry) -> Result<u64, SrcReg> {
         let mut t = 0u64;
         for s in e.srcs.iter().flatten() {
             let r = self.prf.ready_at(s.class, s.preg);
             if r == NOT_READY {
-                return None;
+                return Err(*s);
             }
             t = t.max(r);
         }
-        Some(t)
+        Ok(t)
     }
 
     /// The earliest future cycle at which any stage could act again,
@@ -667,9 +694,10 @@ impl<'t> Simulator<'t> {
     ///   `dispatch + levt_depth` once their sources — produced by already
     ///   committed µ-ops, hence with known readiness — are readable);
     /// * an IQ entry with a known wake bound issues no earlier than it;
-    ///   an entry still waiting on an *unissued* producer (wake pinned to
-    ///   "next cycle" by `srcs_wake`) cannot move before one of the other
-    ///   events fires first, so it contributes nothing;
+    ///   every queued entry has one, or `wake == 0` when it is ready but
+    ///   blocked on a functional unit; a µ-op parked on an *unissued*
+    ///   producer cannot move before one of the other events fires first,
+    ///   so it contributes nothing;
     /// * a ready entry blocked on an unpipelined divider waits for the
     ///   unit's busy-until cycle;
     /// * fetch resumes at `fetch_stall_until`; the front-queue head
@@ -687,7 +715,7 @@ impl<'t> Simulator<'t> {
         // Commit: the ROB head's completion.
         if let Some(e) = self.rob.front() {
             if e.le_alu || e.le_branch {
-                if let Some(ready) = self.srcs_known_ready_by(e) {
+                if let Ok(ready) = self.src_readiness(e) {
                     let t = ready.max(e.dispatch_cycle + self.config.levt_depth());
                     if t > pre {
                         ev = ev.min(t);
@@ -703,20 +731,11 @@ impl<'t> Simulator<'t> {
         // Issue: known wakeups, and FU frees for ready-but-blocked entries.
         let mut fu_blocked = false;
         for entry in &self.iq {
-            if entry.wake > pre && entry.wake != pre + 1 {
+            if entry.wake > pre {
                 ev = ev.min(entry.wake);
-            } else if entry.wake == 0 {
-                fu_blocked = true;
             } else {
-                // `wake == pre + 1` is ambiguous: `srcs_wake` pins entries
-                // blocked on an *unissued* producer to "next cycle", and a
-                // genuinely known wake can also land there. Re-read the
-                // sources (unchanged during idle cycles) to tell them
-                // apart: any NOT_READY source means the entry only moves
-                // as a consequence of another event.
-                if let Some(t) = self.srcs_known_ready_by(self.rob.slot(entry.seq)) {
-                    ev = ev.min(t.max(pre + 1));
-                }
+                debug_assert_eq!(entry.wake, 0, "an idle scan left seq {} unresolved", entry.seq);
+                fu_blocked = true;
             }
         }
         if fu_blocked {

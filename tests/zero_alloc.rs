@@ -63,12 +63,46 @@ fn hot_loop_trace(iters: i64) -> PreparedTrace {
     PreparedTrace::new(generate_trace(&b.build().unwrap(), 2_000_000).unwrap())
 }
 
+/// A memory-bound kernel: every iteration loads one pseudo-random line of
+/// an 8 MiB buffer (four times the L2), so the loads miss to DRAM, and
+/// their consumers wait in the issue stage — parked on the load's
+/// register, woken at its issue, re-queued in age order — for hundreds
+/// of cycles. The addresses come from a multiply chain, not from earlier
+/// loads, so many misses are in flight at once.
+fn dram_miss_trace(iters: i64) -> PreparedTrace {
+    let mut b = ProgramBuilder::new();
+    let buf = b.alloc_zeroed(8 << 20);
+    let (i, n, base, x, k, t, y, sum) = (r(1), r(2), r(3), r(4), r(5), r(6), r(7), r(8));
+    b.movi(i, 0);
+    b.movi(n, iters);
+    b.movi(base, buf as i64);
+    b.movi(x, 0x2545_f491);
+    b.movi(k, 0x5851_f42d_4c95_7f2d);
+    let top = b.label();
+    b.bind(top);
+    b.mul(x, x, k);
+    b.addi(x, x, 0x1405_7b7e_f767_814f);
+    b.shri(t, x, 40);
+    b.andi(t, t, (1 << 17) - 1); // 128 Ki lines of 64 B
+    b.shli(t, t, 6);
+    b.add(t, base, t);
+    b.ld(y, t, 0);
+    b.add(sum, sum, y);
+    b.addi(i, i, 1);
+    b.blt(i, n, top);
+    b.halt();
+    PreparedTrace::new(generate_trace(&b.build().unwrap(), 2_000_000).unwrap())
+}
+
 /// Warm the simulator, then assert that steady-state stepping allocates
 /// nothing at all.
 fn assert_zero_alloc_steady_state(config: CoreConfig) {
-    let trace = hot_loop_trace(100_000);
+    assert_zero_alloc_steady_state_on(&hot_loop_trace(100_000), config);
+}
+
+fn assert_zero_alloc_steady_state_on(trace: &PreparedTrace, config: CoreConfig) {
     let name = config.name.clone();
-    let mut sim = Simulator::new(&trace, config).expect("preset is valid");
+    let mut sim = Simulator::new(trace, config).expect("preset is valid");
     // Warmup: caches, predictors, high-water marks (runs through the
     // production `run` path so its one-time lazy state initializes too).
     sim.run(60_000).expect("warmup");
@@ -90,6 +124,23 @@ fn assert_zero_alloc_steady_state(config: CoreConfig) {
 #[test]
 fn baseline_steps_without_allocating() {
     assert_zero_alloc_steady_state(CoreConfig::baseline_6_64());
+}
+
+/// Loads that miss to DRAM keep the issue stage's wakeup path busy:
+/// consumers park on the load's register, wake at its issue and re-enter
+/// the queue, all out of storage sized at construction.
+#[test]
+fn dram_miss_wakeups_do_not_allocate() {
+    let trace = dram_miss_trace(20_000);
+    let mut sim = Simulator::new(&trace, CoreConfig::baseline_6_64()).unwrap();
+    sim.run(60_000).expect("warmup");
+    let dram_before = sim.stats().mem.dram.accesses;
+    let (allocs, bytes) = count_allocations(|| {
+        sim.run(40_000).expect("steady state");
+    });
+    let misses = sim.stats().mem.dram.accesses - dram_before;
+    assert!(misses > 2_000, "the loads must miss to DRAM ({misses} DRAM accesses)");
+    assert_eq!((allocs, bytes), (0, 0), "the parked-wakeup path allocated");
 }
 
 #[test]

@@ -17,12 +17,18 @@
 //! Methodology: warmup 2 000 + measure 5 000 µ-ops (matches
 //! `GOLDEN_RUNNER` in the tool), every preset of
 //! `CoreConfig::all_presets()` over every Table 3 workload.
+//!
+//! The presets only drive the hybrid and D-VTAGE, so a second table pins
+//! the other five predictor kinds (LVP, Stride, 2D-Stride, FCM, VTAGE)
+//! behind `Baseline_VP_6_64` and `EOLE_4_64` — including the stride
+//! family's extrapolation over overlapping in-flight instances, which
+//! only shows in the timing pipeline.
 
 use std::collections::HashMap;
 
 use eole_bench::Runner;
-use eole_core::config::CoreConfig;
-use eole_core::pipeline::Simulator;
+use eole_core::config::{CoreConfig, ValuePredictorKind};
+use eole_core::pipeline::{PreparedTrace, Simulator};
 
 const GOLDEN_RUNNER: Runner = Runner { warmup: 2_000, measure: 5_000 };
 
@@ -278,6 +284,221 @@ const FINGERPRINTS: [(&str, &str, u64, u64, u64); 247] = [
     ("EOLE_DVTAGE_4_64", "lbm", 24057, 5002, 0),
 ];
 
+/// The predictor kinds no preset uses (matches `KINDS` in the tool).
+const KINDS: [ValuePredictorKind; 5] = [
+    ValuePredictorKind::LastValue,
+    ValuePredictorKind::Stride,
+    ValuePredictorKind::TwoDeltaStride,
+    ValuePredictorKind::Fcm,
+    ValuePredictorKind::Vtage,
+];
+
+/// `(preset, kind, workload, cycles, committed, squashed)` — the VP
+/// presets with their predictor swapped for each of [`KINDS`].
+#[rustfmt::skip]
+const KIND_FINGERPRINTS: [(&str, &str, &str, u64, u64, u64); 190] = [
+    ("Baseline_VP_6_64", "LastValue", "gzip", 3012, 5001, 0),
+    ("Baseline_VP_6_64", "Stride", "gzip", 3012, 5001, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "gzip", 3015, 5001, 0),
+    ("Baseline_VP_6_64", "Fcm", "gzip", 3012, 5001, 0),
+    ("Baseline_VP_6_64", "Vtage", "gzip", 3012, 5001, 0),
+    ("EOLE_4_64", "LastValue", "gzip", 3159, 5001, 0),
+    ("EOLE_4_64", "Stride", "gzip", 3159, 5001, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "gzip", 3156, 5001, 0),
+    ("EOLE_4_64", "Fcm", "gzip", 3159, 5001, 0),
+    ("EOLE_4_64", "Vtage", "gzip", 3159, 5001, 0),
+    ("Baseline_VP_6_64", "LastValue", "wupwise", 3063, 5003, 0),
+    ("Baseline_VP_6_64", "Stride", "wupwise", 3059, 5003, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "wupwise", 3059, 5003, 0),
+    ("Baseline_VP_6_64", "Fcm", "wupwise", 3063, 5003, 0),
+    ("Baseline_VP_6_64", "Vtage", "wupwise", 3063, 5003, 0),
+    ("EOLE_4_64", "LastValue", "wupwise", 3055, 5003, 0),
+    ("EOLE_4_64", "Stride", "wupwise", 3059, 5003, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "wupwise", 3203, 5000, 0),
+    ("EOLE_4_64", "Fcm", "wupwise", 3055, 5003, 0),
+    ("EOLE_4_64", "Vtage", "wupwise", 3055, 5003, 0),
+    ("Baseline_VP_6_64", "LastValue", "applu", 2950, 5000, 0),
+    ("Baseline_VP_6_64", "Stride", "applu", 2950, 5000, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "applu", 2950, 5000, 0),
+    ("Baseline_VP_6_64", "Fcm", "applu", 2950, 5000, 0),
+    ("Baseline_VP_6_64", "Vtage", "applu", 2950, 5000, 0),
+    ("EOLE_4_64", "LastValue", "applu", 2926, 5000, 0),
+    ("EOLE_4_64", "Stride", "applu", 2926, 5000, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "applu", 2926, 5000, 0),
+    ("EOLE_4_64", "Fcm", "applu", 2926, 5000, 0),
+    ("EOLE_4_64", "Vtage", "applu", 2926, 5000, 0),
+    ("Baseline_VP_6_64", "LastValue", "vpr", 15774, 5001, 0),
+    ("Baseline_VP_6_64", "Stride", "vpr", 15774, 5001, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "vpr", 15774, 5001, 0),
+    ("Baseline_VP_6_64", "Fcm", "vpr", 15774, 5001, 0),
+    ("Baseline_VP_6_64", "Vtage", "vpr", 15774, 5001, 0),
+    ("EOLE_4_64", "LastValue", "vpr", 15775, 5001, 0),
+    ("EOLE_4_64", "Stride", "vpr", 15775, 5001, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "vpr", 15775, 5001, 0),
+    ("EOLE_4_64", "Fcm", "vpr", 15775, 5001, 0),
+    ("EOLE_4_64", "Vtage", "vpr", 15775, 5001, 0),
+    ("Baseline_VP_6_64", "LastValue", "art", 10343, 5000, 0),
+    ("Baseline_VP_6_64", "Stride", "art", 10343, 5000, 881),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "art", 10343, 5000, 881),
+    ("Baseline_VP_6_64", "Fcm", "art", 10343, 5000, 0),
+    ("Baseline_VP_6_64", "Vtage", "art", 10343, 5000, 0),
+    ("EOLE_4_64", "LastValue", "art", 10343, 5000, 0),
+    ("EOLE_4_64", "Stride", "art", 10343, 5000, 516),
+    ("EOLE_4_64", "TwoDeltaStride", "art", 10343, 5000, 516),
+    ("EOLE_4_64", "Fcm", "art", 10343, 5000, 0),
+    ("EOLE_4_64", "Vtage", "art", 10343, 5000, 0),
+    ("Baseline_VP_6_64", "LastValue", "crafty", 1114, 5004, 0),
+    ("Baseline_VP_6_64", "Stride", "crafty", 1114, 5004, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "crafty", 1114, 5004, 0),
+    ("Baseline_VP_6_64", "Fcm", "crafty", 1114, 5004, 0),
+    ("Baseline_VP_6_64", "Vtage", "crafty", 1114, 5004, 0),
+    ("EOLE_4_64", "LastValue", "crafty", 1255, 5004, 0),
+    ("EOLE_4_64", "Stride", "crafty", 1188, 5004, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "crafty", 1211, 5004, 0),
+    ("EOLE_4_64", "Fcm", "crafty", 1255, 5004, 0),
+    ("EOLE_4_64", "Vtage", "crafty", 1255, 5004, 0),
+    ("Baseline_VP_6_64", "LastValue", "parser", 91404, 5004, 0),
+    ("Baseline_VP_6_64", "Stride", "parser", 91404, 5004, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "parser", 91404, 5004, 0),
+    ("Baseline_VP_6_64", "Fcm", "parser", 91404, 5004, 0),
+    ("Baseline_VP_6_64", "Vtage", "parser", 91404, 5004, 0),
+    ("EOLE_4_64", "LastValue", "parser", 91404, 5004, 0),
+    ("EOLE_4_64", "Stride", "parser", 91404, 5004, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "parser", 91404, 5004, 0),
+    ("EOLE_4_64", "Fcm", "parser", 91404, 5004, 0),
+    ("EOLE_4_64", "Vtage", "parser", 91404, 5004, 0),
+    ("Baseline_VP_6_64", "LastValue", "vortex", 11773, 5000, 0),
+    ("Baseline_VP_6_64", "Stride", "vortex", 11773, 5000, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "vortex", 11773, 5000, 0),
+    ("Baseline_VP_6_64", "Fcm", "vortex", 11773, 5000, 0),
+    ("Baseline_VP_6_64", "Vtage", "vortex", 11773, 5000, 0),
+    ("EOLE_4_64", "LastValue", "vortex", 11773, 5000, 0),
+    ("EOLE_4_64", "Stride", "vortex", 11773, 5000, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "vortex", 11773, 5000, 0),
+    ("EOLE_4_64", "Fcm", "vortex", 11773, 5000, 0),
+    ("EOLE_4_64", "Vtage", "vortex", 11773, 5000, 0),
+    ("Baseline_VP_6_64", "LastValue", "bzip2", 14436, 5007, 0),
+    ("Baseline_VP_6_64", "Stride", "bzip2", 14440, 5007, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "bzip2", 14449, 5005, 0),
+    ("Baseline_VP_6_64", "Fcm", "bzip2", 14432, 5000, 251),
+    ("Baseline_VP_6_64", "Vtage", "bzip2", 14440, 5007, 0),
+    ("EOLE_4_64", "LastValue", "bzip2", 14436, 5007, 0),
+    ("EOLE_4_64", "Stride", "bzip2", 14440, 5007, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "bzip2", 14449, 5005, 0),
+    ("EOLE_4_64", "Fcm", "bzip2", 14432, 5000, 251),
+    ("EOLE_4_64", "Vtage", "bzip2", 14440, 5007, 0),
+    ("Baseline_VP_6_64", "LastValue", "gcc", 5174, 5003, 0),
+    ("Baseline_VP_6_64", "Stride", "gcc", 5142, 5003, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "gcc", 5133, 5003, 0),
+    ("Baseline_VP_6_64", "Fcm", "gcc", 5174, 5003, 0),
+    ("Baseline_VP_6_64", "Vtage", "gcc", 5174, 5003, 0),
+    ("EOLE_4_64", "LastValue", "gcc", 5195, 5003, 0),
+    ("EOLE_4_64", "Stride", "gcc", 5145, 5003, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "gcc", 5135, 5003, 0),
+    ("EOLE_4_64", "Fcm", "gcc", 5195, 5003, 0),
+    ("EOLE_4_64", "Vtage", "gcc", 5195, 5003, 0),
+    ("Baseline_VP_6_64", "LastValue", "gamess", 4943, 5000, 0),
+    ("Baseline_VP_6_64", "Stride", "gamess", 4943, 5000, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "gamess", 4943, 5000, 0),
+    ("Baseline_VP_6_64", "Fcm", "gamess", 4943, 5000, 0),
+    ("Baseline_VP_6_64", "Vtage", "gamess", 4943, 5000, 0),
+    ("EOLE_4_64", "LastValue", "gamess", 4943, 5000, 0),
+    ("EOLE_4_64", "Stride", "gamess", 4951, 5000, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "gamess", 4951, 5000, 0),
+    ("EOLE_4_64", "Fcm", "gamess", 4943, 5000, 0),
+    ("EOLE_4_64", "Vtage", "gamess", 4943, 5000, 0),
+    ("Baseline_VP_6_64", "LastValue", "mcf", 99082, 5006, 0),
+    ("Baseline_VP_6_64", "Stride", "mcf", 99082, 5006, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "mcf", 99082, 5006, 0),
+    ("Baseline_VP_6_64", "Fcm", "mcf", 99082, 5006, 0),
+    ("Baseline_VP_6_64", "Vtage", "mcf", 99082, 5006, 0),
+    ("EOLE_4_64", "LastValue", "mcf", 99081, 5005, 0),
+    ("EOLE_4_64", "Stride", "mcf", 99081, 5005, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "mcf", 99081, 5005, 0),
+    ("EOLE_4_64", "Fcm", "mcf", 99081, 5005, 0),
+    ("EOLE_4_64", "Vtage", "mcf", 99081, 5005, 0),
+    ("Baseline_VP_6_64", "LastValue", "milc", 12198, 5000, 0),
+    ("Baseline_VP_6_64", "Stride", "milc", 12198, 5000, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "milc", 12198, 5000, 0),
+    ("Baseline_VP_6_64", "Fcm", "milc", 12198, 5000, 0),
+    ("Baseline_VP_6_64", "Vtage", "milc", 12198, 5000, 0),
+    ("EOLE_4_64", "LastValue", "milc", 12198, 5000, 0),
+    ("EOLE_4_64", "Stride", "milc", 12198, 5000, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "milc", 12198, 5000, 0),
+    ("EOLE_4_64", "Fcm", "milc", 12198, 5000, 0),
+    ("EOLE_4_64", "Vtage", "milc", 12198, 5000, 0),
+    ("Baseline_VP_6_64", "LastValue", "namd", 9200, 5003, 0),
+    ("Baseline_VP_6_64", "Stride", "namd", 9000, 5003, 343),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "namd", 9049, 5003, 0),
+    ("Baseline_VP_6_64", "Fcm", "namd", 9200, 5003, 0),
+    ("Baseline_VP_6_64", "Vtage", "namd", 9200, 5003, 0),
+    ("EOLE_4_64", "LastValue", "namd", 9125, 5003, 0),
+    ("EOLE_4_64", "Stride", "namd", 9000, 5003, 343),
+    ("EOLE_4_64", "TwoDeltaStride", "namd", 9049, 5003, 0),
+    ("EOLE_4_64", "Fcm", "namd", 9125, 5003, 0),
+    ("EOLE_4_64", "Vtage", "namd", 9125, 5003, 0),
+    ("Baseline_VP_6_64", "LastValue", "gobmk", 40157, 5001, 0),
+    ("Baseline_VP_6_64", "Stride", "gobmk", 40157, 5001, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "gobmk", 40157, 5001, 0),
+    ("Baseline_VP_6_64", "Fcm", "gobmk", 40157, 5001, 0),
+    ("Baseline_VP_6_64", "Vtage", "gobmk", 40157, 5001, 0),
+    ("EOLE_4_64", "LastValue", "gobmk", 40157, 5001, 0),
+    ("EOLE_4_64", "Stride", "gobmk", 40157, 5001, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "gobmk", 40157, 5001, 0),
+    ("EOLE_4_64", "Fcm", "gobmk", 40157, 5001, 0),
+    ("EOLE_4_64", "Vtage", "gobmk", 40157, 5001, 0),
+    ("Baseline_VP_6_64", "LastValue", "hmmer", 3744, 5000, 0),
+    ("Baseline_VP_6_64", "Stride", "hmmer", 3745, 5000, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "hmmer", 3750, 5000, 0),
+    ("Baseline_VP_6_64", "Fcm", "hmmer", 3750, 5000, 0),
+    ("Baseline_VP_6_64", "Vtage", "hmmer", 3750, 5000, 0),
+    ("EOLE_4_64", "LastValue", "hmmer", 3744, 5000, 0),
+    ("EOLE_4_64", "Stride", "hmmer", 3745, 5000, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "hmmer", 3750, 5000, 0),
+    ("EOLE_4_64", "Fcm", "hmmer", 3750, 5000, 0),
+    ("EOLE_4_64", "Vtage", "hmmer", 3750, 5000, 0),
+    ("Baseline_VP_6_64", "LastValue", "sjeng", 18582, 5005, 0),
+    ("Baseline_VP_6_64", "Stride", "sjeng", 18582, 5005, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "sjeng", 18582, 5005, 0),
+    ("Baseline_VP_6_64", "Fcm", "sjeng", 18582, 5005, 0),
+    ("Baseline_VP_6_64", "Vtage", "sjeng", 18582, 5005, 0),
+    ("EOLE_4_64", "LastValue", "sjeng", 18643, 5003, 0),
+    ("EOLE_4_64", "Stride", "sjeng", 18599, 5004, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "sjeng", 18635, 5004, 0),
+    ("EOLE_4_64", "Fcm", "sjeng", 18643, 5003, 0),
+    ("EOLE_4_64", "Vtage", "sjeng", 18643, 5003, 0),
+    ("Baseline_VP_6_64", "LastValue", "h264", 2520, 5005, 0),
+    ("Baseline_VP_6_64", "Stride", "h264", 2520, 5005, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "h264", 2520, 5005, 0),
+    ("Baseline_VP_6_64", "Fcm", "h264", 2520, 5005, 0),
+    ("Baseline_VP_6_64", "Vtage", "h264", 2520, 5005, 0),
+    ("EOLE_4_64", "LastValue", "h264", 2773, 5003, 0),
+    ("EOLE_4_64", "Stride", "h264", 2773, 5003, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "h264", 2773, 5003, 0),
+    ("EOLE_4_64", "Fcm", "h264", 2773, 5003, 0),
+    ("EOLE_4_64", "Vtage", "h264", 2773, 5003, 0),
+    ("Baseline_VP_6_64", "LastValue", "lbm", 24057, 5002, 0),
+    ("Baseline_VP_6_64", "Stride", "lbm", 24057, 5002, 0),
+    ("Baseline_VP_6_64", "TwoDeltaStride", "lbm", 24057, 5002, 0),
+    ("Baseline_VP_6_64", "Fcm", "lbm", 24057, 5002, 0),
+    ("Baseline_VP_6_64", "Vtage", "lbm", 24057, 5002, 0),
+    ("EOLE_4_64", "LastValue", "lbm", 24057, 5002, 0),
+    ("EOLE_4_64", "Stride", "lbm", 24057, 5002, 0),
+    ("EOLE_4_64", "TwoDeltaStride", "lbm", 24057, 5002, 0),
+    ("EOLE_4_64", "Fcm", "lbm", 24057, 5002, 0),
+    ("EOLE_4_64", "Vtage", "lbm", 24057, 5002, 0),
+];
+
+/// Simulates `config` over `trace` with the golden methodology.
+fn fingerprint(trace: &PreparedTrace, config: &CoreConfig) -> (u64, u64, u64) {
+    let mut sim = Simulator::new(trace, config.clone()).expect("config is valid");
+    sim.run(GOLDEN_RUNNER.warmup).expect("warmup");
+    sim.begin_measurement();
+    sim.run(GOLDEN_RUNNER.measure).expect("measure");
+    let s = sim.stats();
+    (s.cycles, s.committed, s.squashed)
+}
+
 /// Every preset × workload reproduces its pre-refactor fingerprint.
 #[test]
 fn flat_window_simulator_is_cycle_exact() {
@@ -292,12 +513,7 @@ fn flat_window_simulator_is_cycle_exact() {
         let trace = GOLDEN_RUNNER.prepare(&w);
         for config in &presets {
             let name = config.name.clone();
-            let mut sim = Simulator::new(&trace, config.clone()).expect("preset is valid");
-            sim.run(GOLDEN_RUNNER.warmup).expect("warmup");
-            sim.begin_measurement();
-            sim.run(GOLDEN_RUNNER.measure).expect("measure");
-            let s = sim.stats();
-            let got = (s.cycles, s.committed, s.squashed);
+            let got = fingerprint(&trace, config);
             match expected.get(&(name.as_str(), w.name)) {
                 Some(want) if *want == got => checked += 1,
                 Some(want) => mismatches.push(format!(
@@ -334,4 +550,41 @@ fn golden_table_covers_the_cross_product() {
             );
         }
     }
+}
+
+/// Every VP preset × non-preset kind × workload reproduces its pinned
+/// fingerprint, and the table covers that whole cross product.
+#[test]
+fn non_preset_kinds_are_cycle_exact() {
+    let workloads = eole_workloads::all_workloads();
+    assert_eq!(KIND_FINGERPRINTS.len(), 2 * KINDS.len() * workloads.len());
+    let mut mismatches = Vec::new();
+    for w in &workloads {
+        let trace = GOLDEN_RUNNER.prepare(w);
+        for preset in [CoreConfig::baseline_vp_6_64(), CoreConfig::eole_4_64()] {
+            for kind in KINDS {
+                let mut config = preset.clone();
+                config.vp.as_mut().expect("VP preset").kind = kind;
+                let kind = format!("{kind:?}");
+                let got = fingerprint(&trace, &config);
+                let want = KIND_FINGERPRINTS
+                    .iter()
+                    .find(|(p, k, b, ..)| *p == preset.name && *k == kind && *b == w.name)
+                    .map(|&(.., c, n, q)| (c, n, q));
+                if want != Some(got) {
+                    mismatches.push(format!(
+                        "{}/{kind}/{}: expected {want:?}, got {got:?}",
+                        preset.name, w.name
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "cycle-exactness broken for {} of {} kind runs:\n{}",
+        mismatches.len(),
+        KIND_FINGERPRINTS.len(),
+        mismatches.join("\n")
+    );
 }

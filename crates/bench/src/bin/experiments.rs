@@ -53,7 +53,7 @@ pinned budget; stored \
 under interval-tagged keys); --interval-warmup W sets the per-interval warmup window in \
 µ-ops (default warmup/2, min 1000), or `auto` to probe the smallest window whose seam \
 error clears half the pinned budget; warm checkpoints are cached in the --store under \
-eole-warmstate/v1 keys, and --assert-warm-cached exits 1 if any checkpoint was rebuilt \
+eole-warmstate/v2 keys, and --assert-warm-cached exits 1 if any checkpoint was rebuilt \
 instead of served; EOLE_PARANOID=1 cross-checks every stitched run against a serial \
 one (machine-readable delta line on stderr) and single-steps every fast-forwarded idle cycle
 robustness: --faults SPEC installs a seeded deterministic fault-injection plan (chaos testing; \

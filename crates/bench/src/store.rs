@@ -191,7 +191,7 @@ impl RunKey {
 pub const WARM_STEM_PREFIX: &str = "warm__";
 
 /// The canonical identity of one warm-state checkpoint
-/// (`eole-warmstate/v1`, see [`eole_core::pipeline::WarmState`]).
+/// (`eole-warmstate/v2`, see [`eole_core::pipeline::WarmState`]).
 ///
 /// A checkpoint is the byte-exact functional-warm state at trace
 /// `position`, so its identity is everything that determines that state:
@@ -317,7 +317,7 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     fn abandon(&self, _key: &RunKey) {}
 
     /// The serialized warm-state checkpoint for `key`
-    /// (`eole-warmstate/v1` bytes), if present and intact. Checkpoints
+    /// (`eole-warmstate/v2` bytes), if present and intact. Checkpoints
     /// are an optional acceleration layer: a store that does not persist
     /// them (the default) answers `None` and the chained sweep rebuilds
     /// the state functionally — a miss, or a corrupt entry, costs a
@@ -866,7 +866,7 @@ fn parse_checked_payload(v: &Json, key: &RunKey) -> Result<SimStats, String> {
     }
 }
 
-// ---- eole-warmstate/v1 payload -------------------------------------------
+// ---- eole-warmstate/v2 payload -------------------------------------------
 // The store wrapper around `WarmState` checkpoint bytes: the same
 // spliced-FNV-checksum discipline as `eole-result/v2`, with the binary
 // snapshot carried as base64 (the store formats are line-oriented JSON
@@ -954,7 +954,7 @@ pub fn render_warm_payload(key: &WarmKey, bytes: &[u8]) -> String {
     splice_checksum(out)
 }
 
-/// Parses an `eole-warmstate/v1` wrapper back into checkpoint bytes,
+/// Parses an `eole-warmstate/v2` wrapper back into checkpoint bytes,
 /// verifying schema, checksum, and that the payload belongs to `key`.
 /// The same recovery split as results: [`PayloadError::Corrupt`] entries
 /// get quarantined by [`DirStore`], [`PayloadError::Foreign`] ones are

@@ -10,7 +10,7 @@ use eole_predictors::branch::{Btb, DirectionPredictor, ReturnStack, Tage};
 use eole_predictors::history::BranchHistory;
 use eole_predictors::storesets::StoreSets;
 use eole_predictors::value::{
-    AnyValuePredictor, BlockBackend, BlockParams, BlockVp, DVtage, DVtageConfig, Fcm, LastValue,
+    AnyValuePredictor, BlockParams, BlockVp, DVtage, DVtageConfig, Fcm, LastValue,
     StridePredictor, TwoDeltaStride, Vtage, VtageTwoDeltaStride,
 };
 
@@ -277,40 +277,31 @@ pub(super) fn pck(pc: u32) -> u64 {
     Program::inst_addr(pc)
 }
 
-/// Builds a legacy per-instruction predictor as a by-value enum: the
-/// fetch path queries it every cycle, and static dispatch keeps that
-/// query free of the `Box<dyn>` pointer chase.
-fn make_value_predictor(kind: ValuePredictorKind, seed: u64) -> AnyValuePredictor {
-    match kind {
-        ValuePredictorKind::VtageTwoDeltaStride => VtageTwoDeltaStride::paper(seed).into(),
-        ValuePredictorKind::Vtage => Vtage::paper(seed).into(),
-        ValuePredictorKind::TwoDeltaStride => TwoDeltaStride::paper(seed).into(),
-        ValuePredictorKind::Stride => StridePredictor::new(8192, seed).into(),
-        ValuePredictorKind::LastValue => LastValue::new(8192, seed).into(),
-        ValuePredictorKind::Fcm => Fcm::new(8192, 8192, seed).into(),
-        ValuePredictorKind::DVtage => unreachable!("DVtage is a native block backend"),
-    }
-}
-
 /// Builds the block-based VP subsystem the pipeline talks to: the
-/// configured backend (native D-VTAGE, or a legacy predictor behind the
-/// block adapter) plus the speculative window, pre-sized to the
-/// pipeline's maximum in-flight µ-op count so steady-state registration
-/// never allocates.
+/// configured predictor, held by value as an enum (the fetch path queries
+/// it every cycle, and static dispatch keeps that query free of the
+/// `Box<dyn>` pointer chase), plus the speculative window, pre-sized to
+/// the pipeline's maximum in-flight µ-op count so steady-state
+/// registration never allocates.
 fn make_block_vp(vp: &VpConfig, window_hint: usize) -> BlockVp {
     let params = BlockParams {
         block_size: vp.block_size,
         banks: vp.banks,
         spec_window: vp.spec_window,
     };
-    let backend = match vp.kind {
-        ValuePredictorKind::DVtage => BlockBackend::DVtage(DVtage::new(
-            DVtageConfig::paper(vp.block_size, vp.banks),
-            vp.seed,
-        )),
-        kind => BlockBackend::Legacy(make_value_predictor(kind, vp.seed)),
+    let seed = vp.seed;
+    let predictor: AnyValuePredictor = match vp.kind {
+        ValuePredictorKind::VtageTwoDeltaStride => VtageTwoDeltaStride::paper(seed).into(),
+        ValuePredictorKind::Vtage => Vtage::paper(seed).into(),
+        ValuePredictorKind::TwoDeltaStride => TwoDeltaStride::paper(seed).into(),
+        ValuePredictorKind::Stride => StridePredictor::new(8192, seed).into(),
+        ValuePredictorKind::LastValue => LastValue::new(8192, seed).into(),
+        ValuePredictorKind::Fcm => Fcm::new(8192, 8192, seed).into(),
+        ValuePredictorKind::DVtage => {
+            DVtage::new(DVtageConfig::paper(vp.block_size, vp.banks), seed).into()
+        }
     };
-    BlockVp::new(backend, params, window_hint)
+    BlockVp::new(predictor, params, window_hint)
 }
 
 /// Reusable per-cycle scratch buffers: cleared at the top of the stage

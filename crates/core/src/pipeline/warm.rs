@@ -3,10 +3,10 @@
 //!
 //! A [`WarmState`] captures the long-lived microarchitectural state that a
 //! functional replay of the committed prefix reconstructs — TAGE/BTB/RAS,
-//! the value-prediction backend (including its RNG stream positions and
-//! in-flight stride accounting), the whole cache/DRAM/MSHR hierarchy with
-//! its cumulative counters, and the handful of scalar fields the replay
-//! advances (`cursor`, the functional clock, the fetch-line filter).
+//! the value predictor (including its RNG stream positions), the whole
+//! cache/DRAM/MSHR hierarchy with its cumulative counters, and the handful
+//! of scalar fields the replay advances (`cursor`, the functional clock,
+//! the fetch-line filter).
 //! Restoring it into a freshly constructed [`Simulator`] is **bit-identical**
 //! to replaying the same prefix from zero: every other simulator field is
 //! untouched by `functional_warm`, so construction defaults already match.
@@ -18,7 +18,7 @@
 //! `checkpoint_restore_equals_prefix_replay` proptest assert.
 //!
 //! Versioning: the leading marker is [`WARMSTATE_FORMAT`]. Any change to
-//! the field layout of any snapshotted component must bump the `v1` suffix
+//! the field layout of any snapshotted component must bump the `vN` suffix
 //! (see `PERF.md` §checkpointed-warmup) — stores key checkpoints by this
 //! string, so a bump simply makes old cached checkpoints miss and be
 //! rebuilt by a functional sweep, never misdecoded.
@@ -28,7 +28,7 @@ use eole_predictors::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use super::state::Simulator;
 
 /// Format marker (and store payload kind) for serialized warm state.
-pub const WARMSTATE_FORMAT: &str = "eole-warmstate/v1";
+pub const WARMSTATE_FORMAT: &str = "eole-warmstate/v2";
 
 /// An opaque, store-cacheable checkpoint of a simulator's warm state.
 ///

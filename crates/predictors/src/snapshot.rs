@@ -6,8 +6,7 @@
 //!
 //! * **Canonical bytes.** Two states are equal iff their serialized
 //!   bytes are equal; everything is written little-endian in a fixed
-//!   field order, and map-shaped state is written sorted by key. The
-//!   byte buffer is the equality witness used by the paranoid
+//!   field order. The byte buffer is the equality witness used by the paranoid
 //!   restored-vs-replayed checks in `eole-core`.
 //! * **Restore into an existing value.** `restore` mutates a value that
 //!   was built from the *same configuration*; pure-configuration fields
@@ -16,10 +15,8 @@
 //!   [`SnapError`] — callers treat it as a corrupt checkpoint and fall
 //!   back to functional replay, never a panic.
 //! * **No versioning here.** Format evolution is handled one level up by
-//!   the `eole-warmstate/v1` payload marker; the codec itself is
+//!   the `eole-warmstate/vN` payload marker; the codec itself is
 //!   deliberately dumb.
-
-use std::collections::HashMap;
 
 /// Typed decode error: the buffer does not describe a value compatible
 /// with the one being restored.
@@ -283,41 +280,6 @@ pub trait Snapshot {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// Serializes a `HashMap<u64, u32>` deterministically (sorted by key).
-///
-/// Zero-valued entries are written too: the warm contract is
-/// *byte-identity of behavior-relevant state*, and keeping the map's
-/// exact key set means a restored run and a replayed run hash, grow,
-/// and rehash identically from the restore point on.
-// lint:allow(hot-alloc) cold checkpoint-capture path; the sort buffer is per-snapshot
-pub fn put_map_u64_u32(w: &mut SnapWriter, map: &HashMap<u64, u32>) {
-    let mut keys: Vec<u64> = map.keys().copied().collect();
-    keys.sort_unstable();
-    w.put_usize(keys.len());
-    for k in keys {
-        w.put_u64(k);
-        if let Some(v) = map.get(&k) {
-            w.put_u32(*v);
-        }
-    }
-}
-
-/// Restores a map written by [`put_map_u64_u32`].
-///
-/// # Errors
-///
-/// Returns [`SnapError`] on truncation.
-pub fn get_map_u64_u32(r: &mut SnapReader<'_>, map: &mut HashMap<u64, u32>) -> Result<(), SnapError> {
-    let n = r.get_usize()?;
-    map.clear();
-    for _ in 0..n {
-        let k = r.get_u64()?;
-        let v = r.get_u32()?;
-        map.insert(k, v);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,31 +328,5 @@ mod tests {
 
         let mut r = SnapReader::new(&[2]);
         assert!(r.get_bool().is_err());
-    }
-
-    #[test]
-    fn maps_serialize_sorted_and_keep_zero_entries() {
-        let mut m = HashMap::new();
-        m.insert(9u64, 0u32);
-        m.insert(1, 4);
-        m.insert(5, 2);
-        let mut w = SnapWriter::new();
-        put_map_u64_u32(&mut w, &m);
-        let a = w.into_bytes();
-
-        // Same contents inserted in a different order → same bytes.
-        let mut m2 = HashMap::new();
-        m2.insert(5u64, 2u32);
-        m2.insert(9, 0);
-        m2.insert(1, 4);
-        let mut w2 = SnapWriter::new();
-        put_map_u64_u32(&mut w2, &m2);
-        assert_eq!(a, w2.into_bytes());
-
-        let mut out = HashMap::new();
-        let mut r = SnapReader::new(&a);
-        get_map_u64_u32(&mut r, &mut out).unwrap();
-        r.finish().unwrap();
-        assert_eq!(out, m);
     }
 }

@@ -10,8 +10,8 @@
 
 use crate::history::HistoryView;
 use crate::value::{
-    DVtage, Fcm, LastValue, StridePredictor, TwoDeltaStride, ValuePrediction, ValuePredictor,
-    Vtage, VtageTwoDeltaStride,
+    DVtage, Fcm, InFlight, LastValue, StridePredictor, TwoDeltaStride, ValuePrediction,
+    ValuePredictor, Vtage, VtageTwoDeltaStride,
 };
 
 /// A value predictor held by value — every kind the harness knows.
@@ -29,10 +29,8 @@ pub enum AnyValuePredictor {
     LastValue(LastValue),
     /// Order-4 FCM.
     Fcm(Fcm),
-    /// Block-based differential VTAGE (BeBoP/D-VTAGE, HPCA 2015) — on
-    /// this per-instruction path it runs in its offline commit-
-    /// immediately mode; the timing core uses it through
-    /// [`crate::value::BlockVp`] instead.
+    /// Block-based differential VTAGE (BeBoP/D-VTAGE, HPCA 2015), the
+    /// one kind whose tables are laid out by fetch block.
     DVtage(DVtage),
 }
 
@@ -52,18 +50,18 @@ macro_rules! dispatch {
 
 impl ValuePredictor for AnyValuePredictor {
     #[inline]
-    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        dispatch!(self, p => p.predict(pc, hist))
+    fn predict(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        inflight: InFlight,
+    ) -> Option<ValuePrediction> {
+        dispatch!(self, p => p.predict(pc, hist, inflight))
     }
 
     #[inline]
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
         dispatch!(self, p => p.train(pc, hist, actual))
-    }
-
-    #[inline]
-    fn squash(&mut self, pc: u64) {
-        dispatch!(self, p => p.squash(pc))
     }
 
     fn storage_bits(&self) -> u64 {
@@ -170,8 +168,9 @@ mod tests {
         let mut as_dyn: Box<dyn ValuePredictor> = Box::new(TwoDeltaStride::paper(7));
         for i in 0..2_000u64 {
             let view = hist.view((i % 4) as usize);
-            let a = as_enum.predict(0x40, view);
-            let b = as_dyn.predict(0x40, view);
+            let inflight = InFlight { depth: (i % 3) as u32, last: None };
+            let a = as_enum.predict(0x40, view, inflight);
+            let b = as_dyn.predict(0x40, view, inflight);
             assert_eq!(a, b, "iteration {i}");
             as_enum.train(0x40, view, i * 3);
             as_dyn.train(0x40, view, i * 3);
@@ -196,10 +195,9 @@ mod tests {
             assert!(!p.name().is_empty());
             assert!(p.storage_bits() > 0);
             // The protocol is total for every variant.
-            let _ = p.predict(0x8, hist.view(0));
+            let _ = p.predict(0x8, hist.view(0), InFlight::default());
             p.train(0x8, hist.view(0), 42);
-            let _ = p.predict(0x8, hist.view(0));
-            p.squash(0x8);
+            let _ = p.predict(0x8, hist.view(0), InFlight { depth: 1, last: Some(42) });
         }
     }
 }

@@ -5,8 +5,8 @@
 //! once the predictor is *cheap to access*: one read per fetch block
 //! instead of one per instruction, banked storage, and a bounded amount
 //! of in-flight speculation the hardware can actually checkpoint. This
-//! module is that subsystem. The timing core no longer talks to a
-//! per-instruction [`ValuePredictor`]; it talks to a [`BlockVp`]:
+//! module is that subsystem. The timing core does not talk to a
+//! [`ValuePredictor`] directly; it talks to a [`BlockVp`]:
 //!
 //! * [`BlockVp::predict`] at **fetch** — tracks fetch-block transitions
 //!   (`new_block` = a real predictor read; later µ-ops of the same block
@@ -15,30 +15,25 @@
 //!   and the µ-op travels unpredicted), and registers the in-flight
 //!   instance.
 //! * [`BlockVp::commit`] at **retire** — pops the oldest in-flight
-//!   instance and trains the backend with the architectural result.
+//!   instance and trains the predictor with the architectural result.
 //! * [`BlockVp::squash_from`] on a pipeline squash — drops every
-//!   in-flight instance with sequence ≥ the cut, youngest first. For the
-//!   D-VTAGE backend that *is* the whole rollback (its tables only hold
-//!   committed state); legacy backends get their per-pc `squash` calls,
-//!   in exactly the order the pipeline used to issue them.
+//!   in-flight instance with sequence ≥ the cut, youngest first. That is
+//!   the whole rollback, for every predictor kind: predictor tables only
+//!   hold committed state.
 //!
-//! The window also supplies **speculative last values**: when several
-//! instances of one static µ-op are in flight, D-VTAGE anchors its delta
-//! on the youngest in-flight *predicted* value instead of the committed
-//! LVT entry — the paper's "conventional value predictors need to track
-//! inflight predictions", done once here instead of inside every
-//! predictor.
-//!
-//! With the behavior-neutral defaults (`block_size` 1, unbounded
-//! window) and a legacy backend, every backend call this module makes is
-//! identical — same call, same order, same RNG stream — to what the
-//! pipeline made before the refactor; the 209 pre-refactor golden
-//! fingerprints pin that.
+//! The window is the only owner of in-flight state — the paper's
+//! "conventional value predictors need to track inflight predictions",
+//! done once here instead of inside every predictor. Each query passes
+//! the predictor an [`InFlight`]: how many earlier instances of the same
+//! static µ-op are in flight (the stride family extrapolates that many
+//! strides further) and the youngest one's predicted value (D-VTAGE
+//! anchors its delta on it instead of the committed last value).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use crate::history::HistoryView;
-use crate::value::{AnyValuePredictor, DVtage, ValuePrediction, ValuePredictor};
+use crate::value::{AnyValuePredictor, InFlight, ValuePrediction, ValuePredictor};
 
 /// Bytes per µ-op in trace addresses.
 const INST_BYTES: u64 = 4;
@@ -62,29 +57,17 @@ impl Default for BlockParams {
     }
 }
 
-/// The storage behind a [`BlockVp`].
-#[derive(Clone, Debug)]
-pub enum BlockBackend {
-    /// One of the five per-instruction predictors behind the block
-    /// adapter (they keep their own in-flight tracking; the window only
-    /// replays their `squash` calls).
-    Legacy(AnyValuePredictor),
-    /// The native block-based D-VTAGE (speculative last values from the
-    /// window).
-    DVtage(DVtage),
-}
-
 /// One in-flight instance: registered at fetch, retired at commit or
 /// dropped at squash.
 #[derive(Clone, Copy, Debug)]
 struct SpecEntry {
     seq: u64,
     pc: u64,
-    /// The `spec_last` index entry this instance shadowed at push time —
-    /// `(seq, value)` of the previous youngest instance of the same pc,
-    /// or `None` if this was the only one. Restored on a squash pop, so
-    /// window rollback keeps the O(1) index exact without a scan.
-    prev: Option<(u64, Option<u64>)>,
+    /// The predicted value of the previous youngest instance of the same
+    /// pc, which this one shadowed in the index at push time. Restored on
+    /// a squash pop, so rollback keeps the O(1) index exact without a
+    /// scan.
+    prev: Option<u64>,
 }
 
 /// Outcome of one fetch-time query.
@@ -104,16 +87,16 @@ pub struct BlockQuery {
 /// The block-based value-prediction subsystem the timing core owns.
 #[derive(Clone, Debug)]
 pub struct BlockVp {
-    backend: BlockBackend,
+    predictor: AnyValuePredictor,
     params: BlockParams,
     window: VecDeque<SpecEntry>,
-    /// Per-pc index of the *youngest* in-flight instance: pc → `(seq,
-    /// predicted value)`. Replaces the old O(window) backward scan in
-    /// [`BlockVp::predict`] with an O(1) probe; kept exact across
-    /// push/commit/squash via the `prev` links on [`SpecEntry`].
+    /// Per-pc index of the in-flight instances: pc → their count and the
+    /// youngest one's predicted value, exactly the [`InFlight`] the next
+    /// query of that pc passes. An O(1) probe instead of a backward
+    /// window scan; a pc's entry lives while its count is non-zero.
     /// Pre-sized to the window capacity, so steady-state inserts never
     /// rehash (the zero-allocation contract).
-    spec_last: HashMap<u64, (u64, Option<u64>)>,
+    index: HashMap<u64, InFlight>,
     /// Last (cycle, block) the predictor was read for.
     last_access: Option<(u64, u64)>,
 }
@@ -122,13 +105,13 @@ impl BlockVp {
     /// Builds the subsystem. `window_hint` pre-sizes the in-flight
     /// window (front-end queue + ROB capacity) so steady-state pushes
     /// never reallocate (the zero-allocation contract of `PERF.md`).
-    pub fn new(backend: BlockBackend, params: BlockParams, window_hint: usize) -> Self {
+    pub fn new(predictor: AnyValuePredictor, params: BlockParams, window_hint: usize) -> Self {
         let cap = params.spec_window.unwrap_or(window_hint).max(1);
         BlockVp {
-            backend,
+            predictor,
             params,
             window: VecDeque::with_capacity(cap + 1),
-            spec_last: HashMap::with_capacity(cap + 1),
+            index: HashMap::with_capacity(cap + 1),
             last_access: None,
         }
     }
@@ -141,6 +124,27 @@ impl BlockVp {
     /// In-flight instances currently registered.
     pub fn inflight(&self) -> usize {
         self.window.len()
+    }
+
+    /// The [`InFlight`] the next prediction of `pc` would be passed.
+    #[cfg(test)]
+    fn in_flight(&self, pc: u64) -> InFlight {
+        self.index.get(&pc).copied().unwrap_or_default()
+    }
+
+    /// Drops one in-flight instance of `pc` from the index; the entry goes
+    /// with the last one. Returns the entry while others remain.
+    fn unindex(&mut self, pc: u64) -> Option<&mut InFlight> {
+        let Entry::Occupied(mut e) = self.index.entry(pc) else {
+            return None;
+        };
+        e.get_mut().depth -= 1;
+        if e.get().depth == 0 {
+            e.remove();
+            None
+        } else {
+            Some(e.into_mut())
+        }
     }
 
     /// The fetch-block address of a µ-op address.
@@ -170,41 +174,27 @@ impl BlockVp {
         if new_block {
             self.last_access = Some((cycle, bpc));
         }
-        let pred = match &mut self.backend {
-            BlockBackend::Legacy(p) => p.predict(pc, hist),
-            BlockBackend::DVtage(d) => {
-                // Youngest in-flight instance of the same static µ-op
-                // anchors the speculative delta chain — one index probe,
-                // not a backward window scan.
-                let spec_last = self.spec_last.get(&pc).and_then(|(_, v)| *v);
-                d.predict_spec(pc, hist, spec_last)
-            }
-        };
-        let value = pred.map(|p| p.value);
-        let prev = self.spec_last.insert(pc, (seq, value));
-        self.window.push_back(SpecEntry { seq, pc, prev });
+        let slot = self.index.entry(pc).or_default();
+        let inflight = *slot;
+        let pred = self.predictor.predict(pc, hist, inflight);
+        *slot = InFlight { depth: inflight.depth + 1, last: pred.map(|p| p.value) };
+        self.window.push_back(SpecEntry { seq, pc, prev: inflight.last });
         BlockQuery { pred, accepted: true, new_block }
     }
 
     /// Retires the oldest in-flight instance (which must be `seq`; the
     /// pipeline commits registered µ-ops in program order) and trains the
-    /// backend with the architectural result.
+    /// predictor with the architectural result.
     pub fn commit(&mut self, seq: u64, pc: u64, hist: HistoryView<'_>, actual: u64) {
         let front = self.window.pop_front();
         debug_assert!(
             front.is_some_and(|e| e.seq == seq && e.pc == pc),
             "commit of seq {seq} does not match the window head {front:?}"
         );
-        // The index owner for a pc is its youngest instance; the retiring
-        // oldest instance owns it only when it is the *sole* one in
-        // flight — then the entry dies with it.
-        if self.spec_last.get(&pc).is_some_and(|(s, _)| *s == seq) {
-            self.spec_last.remove(&pc);
-        }
-        match &mut self.backend {
-            BlockBackend::Legacy(p) => p.train(pc, hist, actual),
-            BlockBackend::DVtage(d) => d.train_commit(pc, hist, actual),
-        }
+        // The oldest instance is the youngest of its pc only when it is
+        // the sole one, so the index keeps its youngest predicted value.
+        self.unindex(pc);
+        self.predictor.train(pc, hist, actual);
     }
 
     /// Drops every in-flight instance with sequence ≥ `first_bad`,
@@ -216,43 +206,23 @@ impl BlockVp {
             }
             let e = self.window.pop_back().expect("non-empty");
             // A popped instance is the youngest of its pc (anything
-            // younger was popped before it), so it owns the index entry.
-            // Restore the instance it shadowed — still in flight iff its
-            // seq has not slid past the window head (the window never
-            // holds two instances of one pc with the shadowed one
-            // squashed first: squashes pop youngest-first). Seqs are
-            // strictly increasing across the window even with post-squash
-            // reuse, so the head comparison is exact.
-            match e.prev {
-                Some((pseq, pval))
-                    if self.window.front().is_some_and(|f| f.seq <= pseq) =>
-                {
-                    self.spec_last.insert(e.pc, (pseq, pval));
-                }
-                _ => {
-                    self.spec_last.remove(&e.pc);
-                }
-            }
-            if let BlockBackend::Legacy(p) = &mut self.backend {
-                p.squash(e.pc);
+            // younger was popped before it). If older ones remain, the
+            // instance it shadowed is still in flight — commits pop the
+            // oldest first — and is their youngest again.
+            if let Some(left) = self.unindex(e.pc) {
+                left.last = e.prev;
             }
         }
     }
 
     /// Total predictor storage in bits.
     pub fn storage_bits(&self) -> u64 {
-        match &self.backend {
-            BlockBackend::Legacy(p) => p.storage_bits(),
-            BlockBackend::DVtage(d) => d.storage_bits(),
-        }
+        self.predictor.storage_bits()
     }
 
-    /// Short display name of the backend.
+    /// Short display name of the predictor.
     pub fn name(&self) -> &'static str {
-        match &self.backend {
-            BlockBackend::Legacy(p) => p.name(),
-            BlockBackend::DVtage(d) => d.name(),
-        }
+        self.predictor.name()
     }
 }
 
@@ -265,16 +235,7 @@ impl crate::snapshot::Snapshot for BlockVp {
         // than silently losing the window.
         debug_assert!(self.window.is_empty(), "warm capture with in-flight instances");
         w.put_usize(self.window.len());
-        match &self.backend {
-            BlockBackend::Legacy(p) => {
-                w.put_u8(0);
-                p.snapshot(w);
-            }
-            BlockBackend::DVtage(d) => {
-                w.put_u8(1);
-                d.snapshot(w);
-            }
-        }
+        self.predictor.snapshot(w);
         match self.last_access {
             None => w.put_bool(false),
             Some((cycle, bpc)) => {
@@ -294,13 +255,8 @@ impl crate::snapshot::Snapshot for BlockVp {
             return Err(SnapError::new("warm snapshot with in-flight window"));
         }
         self.window.clear();
-        self.spec_last.clear();
-        let tag = r.get_u8()?;
-        match (&mut self.backend, tag) {
-            (BlockBackend::Legacy(p), 0) => p.restore(r)?,
-            (BlockBackend::DVtage(d), 1) => d.restore(r)?,
-            _ => return Err(SnapError::new("vp backend kind mismatch")),
-        }
+        self.index.clear();
+        self.predictor.restore(r)?;
         self.last_access = if r.get_bool()? {
             Some((r.get_u64()?, r.get_u64()?))
         } else {
@@ -314,51 +270,32 @@ impl crate::snapshot::Snapshot for BlockVp {
 mod tests {
     use super::*;
     use crate::history::BranchHistory;
-    use crate::value::{DVtageConfig, TwoDeltaStride};
-
-    fn legacy(seed: u64) -> BlockVp {
-        BlockVp::new(
-            BlockBackend::Legacy(TwoDeltaStride::new(64, seed).into()),
-            BlockParams::default(),
-            256,
-        )
-    }
+    use crate::value::{DVtage, DVtageConfig, TwoDeltaStride};
 
     fn dvtage(params: BlockParams, seed: u64) -> BlockVp {
-        BlockVp::new(
-            BlockBackend::DVtage(DVtage::new(
-                DVtageConfig::paper(params.block_size, params.banks),
-                seed,
-            )),
-            params,
-            256,
-        )
+        let cfg = DVtageConfig::paper(params.block_size, params.banks);
+        BlockVp::new(DVtage::new(cfg, seed).into(), params, 256)
     }
 
-    /// The block adapter over a legacy predictor makes exactly the same
-    /// predict/train/squash calls the pipeline used to make directly.
+    /// 2D-Stride in-flight instances extrapolate one stride per earlier
+    /// instance; squashing the youngest frees its depth.
     #[test]
-    fn legacy_adapter_is_call_for_call_identical() {
+    fn inflight_instances_extrapolate() {
         let hist = BranchHistory::new();
-        let mut direct = TwoDeltaStride::new(64, 9);
-        let mut block = legacy(9);
-        let mut seq = 0u64;
-        for i in 0..2_000u64 {
-            let v = hist.view(0);
-            let a = direct.predict(0x40, v);
-            let q = block.predict(i, seq, 0x40, v);
-            assert!(q.accepted);
-            assert_eq!(a.map(|p| (p.value, p.confident)), q.pred.map(|p| (p.value, p.confident)));
-            if i % 5 == 4 {
-                // Squash the in-flight instance instead of committing it.
-                direct.squash(0x40);
-                block.squash_from(seq);
-            } else {
-                direct.train(0x40, v, i * 8);
-                block.commit(seq, 0x40, v, i * 8);
-                seq += 1;
-            }
+        let v = hist.view(0);
+        let mut vp = BlockVp::new(TwoDeltaStride::new(64, 1).into(), BlockParams::default(), 256);
+        for i in 0..5u64 {
+            assert!(vp.predict(i, i, 0x10, v).accepted);
+            vp.commit(i, 0x10, v, 8 * i); // last = 32, stride2 = 8
         }
+        let a = vp.predict(5, 5, 0x10, v).pred.unwrap();
+        let b = vp.predict(5, 6, 0x10, v).pred.unwrap();
+        let c = vp.predict(5, 7, 0x10, v).pred.unwrap();
+        assert_eq!(a.value, 40);
+        assert_eq!(b.value, 48, "second in-flight instance sees one more stride");
+        assert_eq!(c.value, 56);
+        vp.squash_from(7);
+        assert_eq!(vp.predict(6, 7, 0x10, v).pred.unwrap().value, 56);
     }
 
     /// D-VTAGE in-flight instances chain off speculative last values and
@@ -434,21 +371,28 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::history::BranchHistory;
-    use crate::value::DVtageConfig;
+    use crate::snapshot::{SnapWriter, Snapshot};
+    use crate::value::test_predictor;
     use proptest::prelude::*;
+
+    fn snapshot_bytes(p: &AnyValuePredictor) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        p.snapshot(&mut w);
+        w.into_bytes()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Replays only the *committed prefix* of a script through a
-        /// fresh D-VTAGE and asserts full state equality with the
-        /// speculated-over instance — the rollback contract of the
-        /// speculative window: predict never mutates the tables, squash
-        /// never touches them, so after any interleaving the predictor
-        /// state is exactly the from-scratch replay of its committed
-        /// trains.
+        /// For every predictor kind, replays only the *committed prefix*
+        /// of a script through a fresh predictor and asserts snapshot-byte
+        /// equality with the speculated-over instance — the rollback
+        /// contract of the speculative window: predict never changes what
+        /// a predictor has learned and squash never touches it, so after
+        /// any interleaving the predictor state is exactly the
+        /// from-scratch replay of its committed trains.
         #[test]
-        fn dvtage_rollback_equals_committed_prefix_replay(
+        fn rollback_equals_committed_prefix_replay(
             seed in 1u64..u64::MAX,
             block_size in prop::sample::select(vec![1usize, 2, 4]),
             script in proptest::collection::vec(
@@ -457,60 +401,108 @@ mod proptests {
         ) {
             let hist = BranchHistory::from_outcomes(&outcomes);
             let params = BlockParams { block_size, banks: 1, spec_window: Some(48) };
-            let cfg = DVtageConfig {
-                lvt_entries: 64,
-                base_entries: 64,
-                tagged_entries: 16,
-                ..DVtageConfig::paper(block_size, 1)
-            };
-            let mut live = BlockVp::new(
-                BlockBackend::DVtage(DVtage::new(cfg.clone(), seed)), params, 64);
-            // The committed prefix: every (pc, actual) pair that reached
-            // commit, in order.
-            let mut committed: Vec<(u64, usize, u64)> = Vec::new();
-            let mut inflight: Vec<(u64, u64)> = Vec::new(); // (seq, pc)
-            let mut next_seq = 0u64;
-            for (op, pcx, value) in &script {
-                let pc = pcx * 4;
-                let pos = outcomes.len().min(*value as usize % (outcomes.len() + 1));
-                let view = hist.view(pos);
-                match op {
-                    // predict (5/8 of ops: keep the window busy)
-                    0..=4 => {
-                        if live.predict(next_seq, next_seq, pc, view).accepted {
-                            inflight.push((next_seq, pc));
+            for kind in 0..7 {
+                let mut live = BlockVp::new(test_predictor(kind, seed, block_size), params, 64);
+                // The committed prefix: every (pc, actual) pair that reached
+                // commit, in order.
+                let mut committed: Vec<(u64, usize, u64)> = Vec::new();
+                let mut inflight: Vec<(u64, u64)> = Vec::new(); // (seq, pc)
+                let mut next_seq = 0u64;
+                for (op, pcx, value) in &script {
+                    let pc = pcx * 4;
+                    let pos = outcomes.len().min(*value as usize % (outcomes.len() + 1));
+                    let view = hist.view(pos);
+                    match op {
+                        // predict (5/8 of ops: keep the window busy)
+                        0..=4 => {
+                            if live.predict(next_seq, next_seq, pc, view).accepted {
+                                inflight.push((next_seq, pc));
+                            }
+                            next_seq += 1;
                         }
-                        next_seq += 1;
-                    }
-                    // commit the oldest in-flight instance
-                    5..=6 => {
-                        if !inflight.is_empty() {
-                            let (seq, pc) = inflight.remove(0);
-                            live.commit(seq, pc, view, *value);
-                            committed.push((pc, pos, *value));
+                        // commit the oldest in-flight instance
+                        5..=6 => {
+                            if !inflight.is_empty() {
+                                let (seq, pc) = inflight.remove(0);
+                                live.commit(seq, pc, view, *value);
+                                committed.push((pc, pos, *value));
+                            }
+                        }
+                        // squash the youngest half of the window
+                        _ => {
+                            if !inflight.is_empty() {
+                                let cut = inflight[inflight.len() / 2].0;
+                                live.squash_from(cut);
+                                inflight.retain(|(s, _)| *s < cut);
+                            }
                         }
                     }
-                    // squash the youngest half of the window
-                    _ => {
-                        if !inflight.is_empty() {
-                            let cut = inflight[inflight.len() / 2].0;
-                            live.squash_from(cut);
-                            inflight.retain(|(s, _)| *s < cut);
+                }
+                // Drain: squash everything still in flight.
+                live.squash_from(0);
+                prop_assert!(live.index.is_empty());
+                // Reference: a fresh predictor trained on the committed
+                // prefix alone.
+                let mut replay = test_predictor(kind, seed, block_size);
+                for (pc, pos, value) in &committed {
+                    replay.train(*pc, hist.view(*pos), *value);
+                }
+                // Full state equality (tables, confidence, usefulness, RNG).
+                prop_assert_eq!(snapshot_bytes(&live.predictor), snapshot_bytes(&replay));
+            }
+        }
+
+        /// Before every prediction, for every predictor kind (their
+        /// predicted values differ), the window passes exactly what a
+        /// backward scan of the in-flight instances finds: how many share
+        /// the pc, and the youngest one's predicted value.
+        #[test]
+        fn window_index_matches_a_backward_scan(
+            seed in 1u64..u64::MAX,
+            script in proptest::collection::vec(
+                (0u8..8, 0u64..6, any::<u64>()), 1..400),
+        ) {
+            let hist = BranchHistory::new();
+            let view = hist.view(0);
+            let params = BlockParams { spec_window: Some(32), ..BlockParams::default() };
+            for kind in 0..7 {
+                let mut vp = BlockVp::new(test_predictor(kind, seed, 1), params, 32);
+                // The model: (seq, pc, predicted value), oldest first.
+                let mut model: Vec<(u64, u64, Option<u64>)> = Vec::new();
+                let mut next_seq = 0u64;
+                for (op, pcx, value) in &script {
+                    let pc = pcx * 4;
+                    match op {
+                        0..=3 => {
+                            let same = || model.iter().rev().filter(|e| e.1 == pc);
+                            let want = InFlight {
+                                depth: same().count() as u32,
+                                last: same().next().and_then(|e| e.2),
+                            };
+                            prop_assert_eq!(vp.in_flight(pc), want);
+                            let q = vp.predict(next_seq, next_seq, pc, view);
+                            if q.accepted {
+                                model.push((next_seq, pc, q.pred.map(|p| p.value)));
+                            }
+                            next_seq += 1;
+                        }
+                        4..=5 => {
+                            if !model.is_empty() {
+                                let (seq, pc, _) = model.remove(0);
+                                vp.commit(seq, pc, view, *value);
+                            }
+                        }
+                        _ => {
+                            if !model.is_empty() {
+                                let cut = model[*value as usize % model.len()].0;
+                                vp.squash_from(cut);
+                                model.retain(|e| e.0 < cut);
+                                next_seq = cut; // the pipeline reuses squashed seqs
+                            }
                         }
                     }
                 }
             }
-            // Drain: squash everything still in flight.
-            live.squash_from(0);
-            // Reference: a fresh predictor trained on the committed
-            // prefix alone.
-            let mut replay = DVtage::new(cfg, seed);
-            for (pc, pos, value) in &committed {
-                replay.train_commit(*pc, hist.view(*pos), *value);
-            }
-            // Full state equality (tables, confidence, usefulness, RNG).
-            let BlockBackend::DVtage(live_d) = &live.backend else { unreachable!() };
-            prop_assert_eq!(live_d, &replay);
         }
     }
 }

@@ -20,12 +20,12 @@
 //! 3. **Speculative last values.** Computing `last + delta` off the
 //!    *committed* last value is wrong whenever several instances of the
 //!    same µ-op are in flight. The [`BlockVp`](super::BlockVp) window
-//!    feeds the youngest in-flight predicted value in as `spec_last`;
-//!    [`DVtage::predict_spec`] itself never mutates predictor state
-//!    (only the derived history-fold memo), so squash
-//!    recovery is exactly "drop the window entries" — the tables only
-//!    ever learn from committed state (the rollback property pinned by
-//!    the compat-proptest in `value/block.rs`).
+//!    passes the youngest in-flight predicted value in as
+//!    [`InFlight::last`]; `predict` itself never mutates predictor state
+//!    (only the derived history-fold memo), so squash recovery is exactly
+//!    "drop the window entries" — the tables only ever learn from
+//!    committed state (the rollback property pinned by the proptest in
+//!    `value/block.rs`).
 //!
 //! Storage is banked: a block maps to bank `block_number % banks`, each
 //! bank owning `entries / banks` rows — the layout knob Fig. 11-style
@@ -39,7 +39,7 @@ use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
 use crate::tagged::{KeyHash, Keys, TaggedTables};
-use crate::value::{ValuePrediction, ValuePredictor};
+use crate::value::{InFlight, ValuePrediction, ValuePredictor};
 
 /// Bytes per µ-op in trace addresses (`Program::inst_addr` spacing).
 const INST_BYTES: u64 = 4;
@@ -258,48 +258,6 @@ impl DVtage {
         self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
     }
 
-    /// Predicts `last + delta` for the µ-op at `pc`. `spec_last`, when
-    /// present, is the youngest in-flight predicted value of the same
-    /// static µ-op (supplied by the [`BlockVp`](super::BlockVp)
-    /// speculative window); otherwise the committed LVT value anchors the
-    /// delta.
-    ///
-    /// Delta selection is per slot and **by confidence** (the hybrid's
-    /// rule, not plain longest-match-wins): the longest matching tagged
-    /// component competes with the base stride slot and the more
-    /// confident one provides; a tie goes to the tagged side (context
-    /// dominates). This is what keeps a perfectly-strided µ-op covered
-    /// even while an erratic neighbor in the same fetch block churns
-    /// low-confidence tagged entries over their shared tag.
-    ///
-    /// **Never mutates predictor state** (only the derived fold memo) —
-    /// rolling back speculation is the caller's window drop, nothing here.
-    pub fn predict_spec(
-        &mut self,
-        pc: u64,
-        hist: HistoryView<'_>,
-        spec_last: Option<u64>,
-    ) -> Option<ValuePrediction> {
-        let (bpc, slot) = self.block_of(pc);
-        let last = spec_last.unwrap_or_else(|| {
-            self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
-        });
-        let base = self.base[self.base_index(bpc) * self.config.block_size + slot];
-        let keys = self.keys(bpc, hist);
-        let ds = match self.tagged.hit_below(&keys, self.tagged.comps()) {
-            Some((_, i)) => {
-                let tagged = self.slots[i * self.config.block_size + slot];
-                if tagged.conf.level() >= base.conf.level() {
-                    tagged
-                } else {
-                    base
-                }
-            }
-            None => base,
-        };
-        Some(ValuePrediction::from_conf(last.wrapping_add(ds.delta as u64), ds.conf))
-    }
-
     /// Allocates a block entry in a component above the provider.
     /// **Copy-on-allocate** (the property that makes shared block tags
     /// viable, per BeBoP): sibling slots inherit the providing entry's
@@ -327,46 +285,6 @@ impl DVtage {
             }
         }
         self.slots[at + slot] = DeltaSlot { delta, conf: Fpc::new() };
-    }
-
-    /// Trains with the architectural result at commit. The true delta is
-    /// taken against the *committed* last value (commits arrive in
-    /// program order, so that is the previous instance's actual result);
-    /// the LVT then advances to `actual`.
-    ///
-    /// Like the hybrid it replaces, **both halves always train**: the
-    /// base slot learns the stride unconditionally, and the tagged
-    /// provider (when one matches) updates its own slot. A new tagged
-    /// entry is allocated only when whatever provided was wrong — a
-    /// strided µ-op served correctly by the base never spawns tagged
-    /// entries for its block.
-    pub fn train_commit(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        self.tagged.age(|u| u.saturating_sub(1));
-        let (bpc, slot) = self.block_of(pc);
-        let b = self.config.block_size;
-        let lvt_at = self.lvt_index(bpc) * b + slot;
-        let committed_last = self.lvt[lvt_at];
-        let true_delta = actual.wrapping_sub(committed_last) as i64;
-        let storable = if self.representable(true_delta) { true_delta } else { 0 };
-        // Base (stride) half: always trains.
-        let base_at = self.base_index(bpc) * b + slot;
-        let deltas = (true_delta, storable);
-        let base_correct = self.base[base_at].train(deltas, &self.policy, &mut self.rng);
-        // Tagged (context) half: the longest match trains its own slot.
-        let keys = self.keys(bpc, hist);
-        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
-        let correct = match provider {
-            Some((_, at)) => {
-                let correct = self.slots[at * b + slot].train(deltas, &self.policy, &mut self.rng);
-                self.tagged.meta[at].reward(correct);
-                correct
-            }
-            None => base_correct,
-        };
-        if !correct {
-            self.copy_on_allocate(&keys, provider, (bpc, slot), storable);
-        }
-        self.lvt[lvt_at] = actual;
     }
 
     fn storage_bits_of(cfg: &DVtageConfig) -> u64 {
@@ -476,23 +394,87 @@ impl crate::snapshot::Snapshot for DVtage {
     }
 }
 
-/// The per-instruction protocol, used by offline evaluation
-/// ([`evaluate_stream`](super::evaluate_stream), the predictor
-/// microbench) where fetch is immediately followed by commit: no
-/// overlap, so the committed LVT value *is* the speculative last value
-/// and nothing needs repairing on `squash`.
 impl ValuePredictor for DVtage {
-    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        self.predict_spec(pc, hist, None)
+    /// Predicts `last + delta` for the µ-op at `pc`. `inflight.last`,
+    /// when present, is the youngest in-flight predicted value of the
+    /// same static µ-op (supplied by the [`BlockVp`](super::BlockVp)
+    /// speculative window); otherwise the committed LVT value anchors the
+    /// delta.
+    ///
+    /// Delta selection is per slot and **by confidence** (the hybrid's
+    /// rule, not plain longest-match-wins): the longest matching tagged
+    /// component competes with the base stride slot and the more
+    /// confident one provides; a tie goes to the tagged side (context
+    /// dominates). This is what keeps a perfectly-strided µ-op covered
+    /// even while an erratic neighbor in the same fetch block churns
+    /// low-confidence tagged entries over their shared tag.
+    ///
+    /// **Never mutates predictor state** (only the derived fold memo) —
+    /// rolling back speculation is the caller's window drop, nothing here.
+    fn predict(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        inflight: InFlight,
+    ) -> Option<ValuePrediction> {
+        let (bpc, slot) = self.block_of(pc);
+        let last = inflight.last.unwrap_or_else(|| {
+            self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
+        });
+        let base = self.base[self.base_index(bpc) * self.config.block_size + slot];
+        let keys = self.keys(bpc, hist);
+        let ds = match self.tagged.hit_below(&keys, self.tagged.comps()) {
+            Some((_, i)) => {
+                let tagged = self.slots[i * self.config.block_size + slot];
+                if tagged.conf.level() >= base.conf.level() {
+                    tagged
+                } else {
+                    base
+                }
+            }
+            None => base,
+        };
+        Some(ValuePrediction::from_conf(last.wrapping_add(ds.delta as u64), ds.conf))
     }
 
+    /// Trains with the architectural result at commit. The true delta is
+    /// taken against the *committed* last value (commits arrive in
+    /// program order, so that is the previous instance's actual result);
+    /// the LVT then advances to `actual`.
+    ///
+    /// Like the hybrid it replaces, **both halves always train**: the
+    /// base slot learns the stride unconditionally, and the tagged
+    /// provider (when one matches) updates its own slot. A new tagged
+    /// entry is allocated only when whatever provided was wrong — a
+    /// strided µ-op served correctly by the base never spawns tagged
+    /// entries for its block.
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        self.train_commit(pc, hist, actual);
-    }
-
-    fn squash(&mut self, _pc: u64) {
-        // Tables only hold committed state; speculation lives in the
-        // BlockVp window, which is not in play on this path.
+        self.tagged.age(|u| u.saturating_sub(1));
+        let (bpc, slot) = self.block_of(pc);
+        let b = self.config.block_size;
+        let lvt_at = self.lvt_index(bpc) * b + slot;
+        let committed_last = self.lvt[lvt_at];
+        let true_delta = actual.wrapping_sub(committed_last) as i64;
+        let storable = if self.representable(true_delta) { true_delta } else { 0 };
+        // Base (stride) half: always trains.
+        let base_at = self.base_index(bpc) * b + slot;
+        let deltas = (true_delta, storable);
+        let base_correct = self.base[base_at].train(deltas, &self.policy, &mut self.rng);
+        // Tagged (context) half: the longest match trains its own slot.
+        let keys = self.keys(bpc, hist);
+        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let correct = match provider {
+            Some((_, at)) => {
+                let correct = self.slots[at * b + slot].train(deltas, &self.policy, &mut self.rng);
+                self.tagged.meta[at].reward(correct);
+                correct
+            }
+            None => base_correct,
+        };
+        if !correct {
+            self.copy_on_allocate(&keys, provider, (bpc, slot), storable);
+        }
+        self.lvt[lvt_at] = actual;
     }
 
     fn storage_bits(&self) -> u64 {
@@ -517,12 +499,12 @@ mod tests {
         for i in 0..4_000u64 {
             let actual = 1000 + 24 * i;
             if i > 4 {
-                let pred = p.predict_spec(0x40, hist.view(0), None).unwrap();
+                let pred = p.predict(0x40, hist.view(0), InFlight::default()).unwrap();
                 assert_eq!(pred.value, actual, "iteration {i}");
             }
-            p.train_commit(0x40, hist.view(0), actual);
+            p.train(0x40, hist.view(0), actual);
         }
-        assert!(p.predict_spec(0x40, hist.view(0), None).unwrap().confident);
+        assert!(p.predict(0x40, hist.view(0), InFlight::default()).unwrap().confident);
     }
 
     #[test]
@@ -530,16 +512,16 @@ mod tests {
         let hist = BranchHistory::new();
         let mut p = DVtage::paper(1, 1, 7);
         for i in 0..3_000u64 {
-            p.train_commit(0x40, hist.view(0), 8 * i);
+            p.train(0x40, hist.view(0), 8 * i);
         }
         let committed = p.committed_last(0x40);
         // First in-flight instance extrapolates from the committed value,
         // the second from the first's prediction, and so on.
-        let a = p.predict_spec(0x40, hist.view(0), None).unwrap();
+        let a = p.predict(0x40, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(a.value, committed.wrapping_add(8));
-        let b = p.predict_spec(0x40, hist.view(0), Some(a.value)).unwrap();
+        let b = p.predict(0x40, hist.view(0), InFlight { depth: 1, last: Some(a.value) }).unwrap();
         assert_eq!(b.value, committed.wrapping_add(16));
-        let c = p.predict_spec(0x40, hist.view(0), Some(b.value)).unwrap();
+        let c = p.predict(0x40, hist.view(0), InFlight { depth: 2, last: Some(b.value) }).unwrap();
         assert_eq!(c.value, committed.wrapping_add(24));
     }
 
@@ -557,11 +539,11 @@ mod tests {
             hist.push(taken);
             let pos = hist.len();
             value = value.wrapping_add(if taken { 1 } else { 3 });
-            let pred = p.predict_spec(0x50, hist.view(pos), None).unwrap();
+            let pred = p.predict(0x50, hist.view(pos), InFlight::default()).unwrap();
             if i > total / 2 && pred.value == value {
                 correct_late += 1;
             }
-            p.train_commit(0x50, hist.view(pos), value);
+            p.train(0x50, hist.view(pos), value);
         }
         let rate = correct_late as f64 / (total / 2 - 1) as f64;
         assert!(rate > 0.8, "history-correlated delta accuracy = {rate:.3}");
@@ -573,11 +555,11 @@ mod tests {
         let mut p = DVtage::paper(4, 1, 3);
         // Two µ-ops in the same 4-slot block, different strides.
         for i in 0..3_000u64 {
-            p.train_commit(0x40, hist.view(0), 10 * i);
-            p.train_commit(0x44, hist.view(0), 7 * i);
+            p.train(0x40, hist.view(0), 10 * i);
+            p.train(0x44, hist.view(0), 7 * i);
         }
-        let a = p.predict_spec(0x40, hist.view(0), None).unwrap();
-        let b = p.predict_spec(0x44, hist.view(0), None).unwrap();
+        let a = p.predict(0x40, hist.view(0), InFlight::default()).unwrap();
+        let b = p.predict(0x44, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(a.value.wrapping_sub(p.committed_last(0x40)), 10);
         assert_eq!(b.value.wrapping_sub(p.committed_last(0x44)), 7);
         assert!(a.confident && b.confident);

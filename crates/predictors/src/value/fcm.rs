@@ -16,7 +16,7 @@
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::value::{ValuePrediction, ValuePredictor};
+use crate::value::{InFlight, ValuePrediction, ValuePredictor};
 
 /// Context order: how many previous values form the context.
 const ORDER_BITS_PER_VALUE: u32 = 16;
@@ -73,7 +73,12 @@ impl Fcm {
 }
 
 impl ValuePredictor for Fcm {
-    fn predict(&mut self, pc: u64, _hist: HistoryView<'_>) -> Option<ValuePrediction> {
+    fn predict(
+        &mut self,
+        pc: u64,
+        _hist: HistoryView<'_>,
+        _inflight: InFlight,
+    ) -> Option<ValuePrediction> {
         let e = &self.vht[self.vht_index(pc)];
         if e.valid && e.tag == pc {
             let v = &self.vpt[self.vpt_index(pc, e.context)];
@@ -102,10 +107,6 @@ impl ValuePredictor for Fcm {
         } else {
             *e = VhtEntry { valid: true, tag: pc, context: Self::fold_value(actual) };
         }
-    }
-
-    fn squash(&mut self, _pc: u64) {
-        // Contexts advance at commit only; nothing speculative to undo.
     }
 
     fn storage_bits(&self) -> u64 {
@@ -187,7 +188,7 @@ mod tests {
     fn no_prediction_before_context_exists() {
         let hist = BranchHistory::new();
         let mut p = Fcm::new(64, 64, 1);
-        assert!(p.predict(0x99, hist.view(0)).is_none());
+        assert!(p.predict(0x99, hist.view(0), InFlight::default()).is_none());
     }
 
     #[test]
@@ -198,7 +199,7 @@ mod tests {
         for _ in 0..200 {
             p.train(0x10, hist.view(0), 5);
         }
-        let before = p.predict(0x10, hist.view(0)).unwrap();
+        let before = p.predict(0x10, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(before.value, 5);
     }
 

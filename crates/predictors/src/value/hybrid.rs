@@ -9,7 +9,7 @@
 //! other is selected.
 
 use crate::history::HistoryView;
-use crate::value::{TwoDeltaStride, ValuePrediction, ValuePredictor, Vtage};
+use crate::value::{InFlight, TwoDeltaStride, ValuePrediction, ValuePredictor, Vtage};
 
 /// Hybrid of [`Vtage`] and [`TwoDeltaStride`] with tagged-hit-first
 /// selection.
@@ -46,11 +46,14 @@ impl VtageTwoDeltaStride {
 }
 
 impl ValuePredictor for VtageTwoDeltaStride {
-    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        // Query both so the stride side tracks its in-flight instances
-        // regardless of which component is selected.
+    fn predict(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        inflight: InFlight,
+    ) -> Option<ValuePrediction> {
         let (v, vtage_tagged_hit) = self.vtage.predict_and_hit(pc, hist);
-        let s = self.stride.predict(pc, hist);
+        let s = self.stride.predict(pc, hist, inflight);
         // Selection: the more confident component wins; on a tie, a tagged
         // VTAGE hit beats the stride side (context dominates), which in turn
         // beats the last-value-style VTAGE base.
@@ -63,11 +66,6 @@ impl ValuePredictor for VtageTwoDeltaStride {
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
         self.vtage.train(pc, hist, actual);
         self.stride.train(pc, hist, actual);
-    }
-
-    fn squash(&mut self, pc: u64) {
-        self.vtage.squash(pc);
-        self.stride.squash(pc);
     }
 
     fn storage_bits(&self) -> u64 {
@@ -121,7 +119,7 @@ mod tests {
             hist.push(taken);
             let pos = hist.len() as u32;
             let actual = if taken { 1111 } else { 2222 };
-            let pred = p.predict(0x20, hist.view(pos as usize)).unwrap();
+            let pred = p.predict(0x20, hist.view(pos as usize), InFlight::default()).unwrap();
             if i > total / 2 && pred.value == actual {
                 late_correct += 1;
             }
@@ -151,19 +149,5 @@ mod tests {
         // Table 2 total ≈ 252 + 133 KB; assert the right order of magnitude.
         let kb = p.storage_bits() as f64 / 8.0 / 1024.0;
         assert!((300.0..450.0).contains(&kb), "hybrid storage = {kb:.1} KB");
-    }
-
-    #[test]
-    fn squash_keeps_inflight_balanced() {
-        let hist = BranchHistory::new();
-        let mut p = VtageTwoDeltaStride::paper(4);
-        for i in 0..10u64 {
-            p.train(0x40, hist.view(0), i * 8);
-        }
-        let _ = p.predict(0x40, hist.view(0));
-        let _ = p.predict(0x40, hist.view(0));
-        p.squash(0x40);
-        p.squash(0x40);
-        assert_eq!(p.stride().inflight(0x40), 0);
     }
 }

@@ -7,7 +7,7 @@
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::value::{ValuePrediction, ValuePredictor};
+use crate::value::{InFlight, ValuePrediction, ValuePredictor};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Entry {
@@ -44,7 +44,12 @@ impl LastValue {
 }
 
 impl ValuePredictor for LastValue {
-    fn predict(&mut self, pc: u64, _hist: HistoryView<'_>) -> Option<ValuePrediction> {
+    fn predict(
+        &mut self,
+        pc: u64,
+        _hist: HistoryView<'_>,
+        _inflight: InFlight,
+    ) -> Option<ValuePrediction> {
         let e = &self.entries[self.index(pc)];
         if e.valid && e.tag == pc {
             Some(ValuePrediction::from_conf(e.last, e.conf))
@@ -66,10 +71,6 @@ impl ValuePredictor for LastValue {
         } else {
             *e = Entry { valid: true, tag: pc, last: actual, conf: Fpc::new() };
         }
-    }
-
-    fn squash(&mut self, _pc: u64) {
-        // LVP predicts from committed state only; nothing speculative to undo.
     }
 
     fn storage_bits(&self) -> u64 {
@@ -125,9 +126,9 @@ mod tests {
     fn predicts_repeated_value_after_training() {
         let h = BranchHistory::new();
         let mut p = LastValue::new(64, 1);
-        assert!(p.predict(0x100, view(&h)).is_none());
+        assert!(p.predict(0x100, view(&h), InFlight::default()).is_none());
         p.train(0x100, view(&h), 42);
-        let pr = p.predict(0x100, view(&h)).unwrap();
+        let pr = p.predict(0x100, view(&h), InFlight::default()).unwrap();
         assert_eq!(pr.value, 42);
         assert!(!pr.confident, "one training must not saturate FPC");
     }
@@ -139,7 +140,7 @@ mod tests {
         for _ in 0..5_000 {
             p.train(0x100, view(&h), 42);
         }
-        assert!(p.predict(0x100, view(&h)).unwrap().confident);
+        assert!(p.predict(0x100, view(&h), InFlight::default()).unwrap().confident);
     }
 
     #[test]
@@ -150,7 +151,7 @@ mod tests {
             p.train(0x100, view(&h), 42);
         }
         p.train(0x100, view(&h), 43);
-        let pr = p.predict(0x100, view(&h)).unwrap();
+        let pr = p.predict(0x100, view(&h), InFlight::default()).unwrap();
         assert_eq!(pr.value, 43);
         assert!(!pr.confident);
     }
@@ -162,8 +163,8 @@ mod tests {
         p.train(0x100, view(&h), 1);
         p.train(0x200, view(&h), 2);
         // 0x100 was evicted by 0x200 in the single slot.
-        assert!(p.predict(0x100, view(&h)).is_none());
-        assert_eq!(p.predict(0x200, view(&h)).unwrap().value, 2);
+        assert!(p.predict(0x100, view(&h), InFlight::default()).is_none());
+        assert_eq!(p.predict(0x200, view(&h), InFlight::default()).unwrap().value, 2);
     }
 
     #[test]

@@ -7,19 +7,17 @@
 //! hybrid (Table 2: 8192 entries, full tags, 251.9 KB).
 //!
 //! Computational predictors extrapolate from the *last committed* value, so
-//! with several instances of the same static µ-op in flight the k-th
-//! speculative instance must be predicted as `last + stride * (k+1)`
-//! (the paper notes conventional value predictors "need to track inflight
-//! predictions"). Each entry therefore carries an in-flight counter,
-//! incremented at [`predict`](super::ValuePredictor::predict) and drained by
-//! `train`/`squash`.
-
-use std::collections::HashMap;
+//! with `k` earlier instances of the same static µ-op in flight the next
+//! one must be predicted as `last + stride * (k+1)` (the paper notes
+//! conventional value predictors "need to track inflight predictions").
+//! The speculative window ([`BlockVp`](super::BlockVp)) tracks them and
+//! passes `k` in as [`InFlight::depth`]; the tables hold committed state
+//! only.
 
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::value::{ValuePrediction, ValuePredictor};
+use crate::value::{InFlight, ValuePrediction, ValuePredictor};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct StrideEntry {
@@ -36,7 +34,6 @@ pub struct StridePredictor {
     entries: Vec<StrideEntry>,
     policy: FpcPolicy,
     rng: SimRng,
-    inflight: HashMap<u64, u32>,
 }
 
 impl StridePredictor {
@@ -48,7 +45,6 @@ impl StridePredictor {
             entries: vec![StrideEntry::default(); n],
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
-            inflight: HashMap::new(),
         }
     }
 
@@ -58,16 +54,15 @@ impl StridePredictor {
 }
 
 impl ValuePredictor for StridePredictor {
-    fn predict(&mut self, pc: u64, _hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        let idx = self.index(pc);
-        // Every queried instance counts as in flight (even on a table
-        // miss): its later train/squash will decrement, and this keeps the
-        // count exact across entry allocation and replacement.
-        let k = self.inflight.entry(pc).or_insert(0);
-        let steps = *k as i64 + 1;
-        *k += 1;
-        let e = &self.entries[idx];
+    fn predict(
+        &mut self,
+        pc: u64,
+        _hist: HistoryView<'_>,
+        inflight: InFlight,
+    ) -> Option<ValuePrediction> {
+        let e = &self.entries[self.index(pc)];
         if e.valid && e.tag == pc {
+            let steps = inflight.depth as i64 + 1;
             let value = e.last.wrapping_add((e.stride.wrapping_mul(steps)) as u64);
             Some(ValuePrediction::from_conf(value, e.conf))
         } else {
@@ -76,9 +71,6 @@ impl ValuePredictor for StridePredictor {
     }
 
     fn train(&mut self, pc: u64, _hist: HistoryView<'_>, actual: u64) {
-        if let Some(k) = self.inflight.get_mut(&pc) {
-            *k = k.saturating_sub(1);
-        }
         let idx = self.index(pc);
         let e = &mut self.entries[idx];
         if e.valid && e.tag == pc {
@@ -98,12 +90,6 @@ impl ValuePredictor for StridePredictor {
                 stride: 0,
                 conf: Fpc::new(),
             };
-        }
-    }
-
-    fn squash(&mut self, pc: u64) {
-        if let Some(k) = self.inflight.get_mut(&pc) {
-            *k = k.saturating_sub(1);
         }
     }
 
@@ -135,7 +121,6 @@ pub struct TwoDeltaStride {
     entries: Vec<TwoDeltaEntry>,
     policy: FpcPolicy,
     rng: SimRng,
-    inflight: HashMap<u64, u32>,
 }
 
 impl TwoDeltaStride {
@@ -152,29 +137,24 @@ impl TwoDeltaStride {
             entries: vec![TwoDeltaEntry::default(); n],
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
-            inflight: HashMap::new(),
         }
     }
 
     fn index(&self, pc: u64) -> usize {
         (hash_pc(pc, 0x2d57) as usize) & (self.entries.len() - 1)
     }
-
-    /// Number of in-flight (queried, not yet retired) instances of `pc`
-    /// (exposed for pipeline assertions in tests).
-    pub fn inflight(&self, pc: u64) -> u32 {
-        self.inflight.get(&pc).copied().unwrap_or(0)
-    }
 }
 
 impl ValuePredictor for TwoDeltaStride {
-    fn predict(&mut self, pc: u64, _hist: HistoryView<'_>) -> Option<ValuePrediction> {
-        let idx = self.index(pc);
-        let k = self.inflight.entry(pc).or_insert(0);
-        let steps = *k as i64 + 1;
-        *k += 1;
-        let e = &self.entries[idx];
+    fn predict(
+        &mut self,
+        pc: u64,
+        _hist: HistoryView<'_>,
+        inflight: InFlight,
+    ) -> Option<ValuePrediction> {
+        let e = &self.entries[self.index(pc)];
         if e.valid && e.tag == pc {
+            let steps = inflight.depth as i64 + 1;
             let value = e.last.wrapping_add((e.stride2.wrapping_mul(steps)) as u64);
             Some(ValuePrediction::from_conf(value, e.conf))
         } else {
@@ -183,9 +163,6 @@ impl ValuePredictor for TwoDeltaStride {
     }
 
     fn train(&mut self, pc: u64, _hist: HistoryView<'_>, actual: u64) {
-        if let Some(k) = self.inflight.get_mut(&pc) {
-            *k = k.saturating_sub(1);
-        }
         let idx = self.index(pc);
         let e = &mut self.entries[idx];
         if e.valid && e.tag == pc {
@@ -213,12 +190,6 @@ impl ValuePredictor for TwoDeltaStride {
         }
     }
 
-    fn squash(&mut self, pc: u64) {
-        if let Some(k) = self.inflight.get_mut(&pc) {
-            *k = k.saturating_sub(1);
-        }
-    }
-
     fn storage_bits(&self) -> u64 {
         // Table 2 counts tag + last value + two strides + confidence.
         self.entries.len() as u64 * (64 + 64 + 64 + 64 + Fpc::BITS)
@@ -240,9 +211,6 @@ impl crate::snapshot::Snapshot for StridePredictor {
             e.conf.snapshot(w);
         }
         self.rng.snapshot(w);
-        // Zero-count keys are kept on drain (`saturating_sub`), so they are
-        // part of the state a replay would rebuild — serialize them too.
-        crate::snapshot::put_map_u64_u32(w, &self.inflight);
     }
 
     fn restore(
@@ -260,8 +228,7 @@ impl crate::snapshot::Snapshot for StridePredictor {
             e.stride = r.get_i64()?;
             e.conf.restore(r)?;
         }
-        self.rng.restore(r)?;
-        crate::snapshot::get_map_u64_u32(r, &mut self.inflight)
+        self.rng.restore(r)
     }
 }
 
@@ -277,7 +244,6 @@ impl crate::snapshot::Snapshot for TwoDeltaStride {
             e.conf.snapshot(w);
         }
         self.rng.snapshot(w);
-        crate::snapshot::put_map_u64_u32(w, &self.inflight);
     }
 
     fn restore(
@@ -296,8 +262,7 @@ impl crate::snapshot::Snapshot for TwoDeltaStride {
             e.stride2 = r.get_i64()?;
             e.conf.restore(r)?;
         }
-        self.rng.restore(r)?;
-        crate::snapshot::get_map_u64_u32(r, &mut self.inflight)
+        self.rng.restore(r)
     }
 }
 
@@ -318,9 +283,11 @@ mod tests {
         for i in 0..3u64 {
             p.train(0x10, hist.view(0), 100 + 8 * i);
         }
-        let pr = p.predict(0x10, hist.view(0)).unwrap();
+        let pr = p.predict(0x10, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(pr.value, 100 + 8 * 3);
-        p.squash(0x10);
+        // Two earlier instances in flight: extrapolate two strides further.
+        let pr = p.predict(0x10, hist.view(0), InFlight { depth: 2, last: None }).unwrap();
+        assert_eq!(pr.value, 100 + 8 * 5);
     }
 
     #[test]
@@ -329,13 +296,11 @@ mod tests {
         let mut p = TwoDeltaStride::new(64, 1);
         p.train(0x10, hist.view(0), 100); // allocate
         p.train(0x10, hist.view(0), 108); // stride1 = 8, stride2 still 0
-        let pr = p.predict(0x10, hist.view(0)).unwrap();
+        let pr = p.predict(0x10, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(pr.value, 108, "stride2 not yet promoted");
-        p.squash(0x10);
         p.train(0x10, hist.view(0), 116); // stride 8 repeats → stride2 = 8
-        let pr = p.predict(0x10, hist.view(0)).unwrap();
+        let pr = p.predict(0x10, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(pr.value, 124);
-        p.squash(0x10);
     }
 
     #[test]
@@ -349,30 +314,8 @@ mod tests {
         p.train(0x10, hist.view(0), 1000);
         // stride1 became the jump, but stride2 is still 8: next prediction
         // extrapolates 1000 + 8.
-        let pr = p.predict(0x10, hist.view(0)).unwrap();
+        let pr = p.predict(0x10, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(pr.value, 1008);
-        p.squash(0x10);
-    }
-
-    #[test]
-    fn inflight_instances_extrapolate() {
-        let hist = h();
-        let mut p = TwoDeltaStride::new(64, 1);
-        for i in 0..5u64 {
-            p.train(0x10, hist.view(0), 8 * i); // last = 32, stride2 = 8
-        }
-        let a = p.predict(0x10, hist.view(0)).unwrap();
-        let b = p.predict(0x10, hist.view(0)).unwrap();
-        let c = p.predict(0x10, hist.view(0)).unwrap();
-        assert_eq!(a.value, 40);
-        assert_eq!(b.value, 48, "second in-flight instance sees one more stride");
-        assert_eq!(c.value, 56);
-        assert_eq!(p.inflight(0x10), 3);
-        // Commit them in order: each train consumes one in-flight instance.
-        p.train(0x10, hist.view(0), 40);
-        p.train(0x10, hist.view(0), 48);
-        p.squash(0x10); // the third was squashed instead
-        assert_eq!(p.inflight(0x10), 0);
     }
 
     #[test]
@@ -383,13 +326,6 @@ mod tests {
         let s = evaluate_stream(&mut p, &hist, stream);
         assert!(s.confident > 2000, "confident = {}", s.confident);
         assert_eq!(s.confident, s.confident_correct);
-    }
-
-    #[test]
-    fn squash_on_unknown_pc_is_harmless() {
-        let mut p = TwoDeltaStride::new(16, 1);
-        p.squash(0xdead);
-        assert_eq!(p.inflight(0xdead), 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! the prediction.
 //!
 //! Its key property (quoted in §2): *"it does not require the previous value
-//! to predict the current one"* — so unlike stride/FCM predictors it needs
-//! no in-flight tracking and nothing must be repaired on a squash.
+//! to predict the current one"* — so unlike the stride family it ignores
+//! the in-flight depth the speculative window passes to `predict`.
 //!
 //! Configuration from Table 2: 8192-entry base, 6 × 1024-entry tagged
 //! components, tags of `12 + rank` bits, FPC confidence. The provider
@@ -20,7 +20,7 @@ use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
 use crate::tagged::{KeyHash, Keys, TaggedTables};
-use crate::value::{ValuePrediction, ValuePredictor};
+use crate::value::{InFlight, ValuePrediction, ValuePredictor};
 
 /// Geometry and sizing of a [`Vtage`] predictor.
 #[derive(Clone, Debug)]
@@ -141,7 +141,12 @@ impl Vtage {
 }
 
 impl ValuePredictor for Vtage {
-    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<ValuePrediction> {
+    fn predict(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        _inflight: InFlight,
+    ) -> Option<ValuePrediction> {
         Some(self.predict_and_hit(pc, hist).0)
     }
 
@@ -167,10 +172,6 @@ impl ValuePredictor for Vtage {
             let fresh = Slot { value: actual, conf: Fpc::new() };
             self.tagged.allocate(&keys, start, &mut self.rng, fresh);
         }
-    }
-
-    fn squash(&mut self, _pc: u64) {
-        // Context-based on global branch history: nothing speculative kept.
     }
 
     fn storage_bits(&self) -> u64 {
@@ -256,7 +257,7 @@ mod tests {
         for _ in 0..3_000 {
             p.train(0x40, hist.view(0), 123);
         }
-        let pr = p.predict(0x40, hist.view(0)).unwrap();
+        let pr = p.predict(0x40, hist.view(0), InFlight::default()).unwrap();
         assert_eq!(pr.value, 123);
         assert!(pr.confident);
     }
@@ -275,7 +276,7 @@ mod tests {
             hist.push(taken);
             let pos = hist.len();
             let actual = if taken { 7 } else { 9 };
-            let pred = p.predict(0x50, hist.view(pos)).unwrap();
+            let pred = p.predict(0x50, hist.view(pos), InFlight::default()).unwrap();
             if i > total / 2 && pred.value == actual {
                 correct_late += 1;
             }
@@ -330,15 +331,5 @@ mod tests {
             ..VtageConfig::paper()
         };
         assert!(std::panic::catch_unwind(|| Vtage::new(cfg, 1)).is_err());
-    }
-
-    #[test]
-    fn squash_is_a_no_op() {
-        let hist = BranchHistory::new();
-        let mut p = Vtage::paper(1);
-        p.train(0x40, hist.view(0), 5);
-        let before = p.predict(0x40, hist.view(0));
-        p.squash(0x40);
-        assert_eq!(p.predict(0x40, hist.view(0)), before);
     }
 }

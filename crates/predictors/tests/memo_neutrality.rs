@@ -13,7 +13,9 @@ use eole_predictors::branch::{BranchPrediction, DirectionPredictor, Tage};
 use eole_predictors::history::BranchHistory;
 use eole_predictors::rng::SimRng;
 use eole_predictors::snapshot::{SnapReader, SnapWriter, Snapshot};
-use eole_predictors::value::{DVtage, ValuePrediction, ValuePredictor, Vtage, VtageTwoDeltaStride};
+use eole_predictors::value::{
+    DVtage, InFlight, ValuePrediction, ValuePredictor, Vtage, VtageTwoDeltaStride,
+};
 
 /// µ-ops trained before the snapshot.
 const TRAIN: usize = 20_000;
@@ -65,7 +67,7 @@ fn check_value_predictor<P: ValuePredictor + Snapshot>(make: impl Fn() -> P) -> 
     let (hist, ops) = stream();
     let mut warm = make();
     for &(pc, pos, value, _) in &ops[..TRAIN] {
-        let _ = warm.predict(pc, hist.view(pos));
+        let _ = warm.predict(pc, hist.view(pos), InFlight::default());
         warm.train(pc, hist.view(pos), value);
     }
     let bytes = snapshot_bytes(&warm);
@@ -77,8 +79,8 @@ fn check_value_predictor<P: ValuePredictor + Snapshot>(make: impl Fn() -> P) -> 
         warm.name()
     );
     for (i, &(pc, pos, value, _)) in ops[TRAIN..].iter().enumerate() {
-        let a: Option<ValuePrediction> = warm.predict(pc, hist.view(pos));
-        let b = cold.predict(pc, hist.view(pos));
+        let a: Option<ValuePrediction> = warm.predict(pc, hist.view(pos), InFlight::default());
+        let b = cold.predict(pc, hist.view(pos), InFlight::default());
         assert_eq!(a, b, "{}: prediction {i} after restore", warm.name());
         warm.train(pc, hist.view(pos), value);
         cold.train(pc, hist.view(pos), value);
@@ -109,7 +111,7 @@ fn dvtage_restore_is_memo_neutral_and_equal() {
     // Equality ignores the memo: a warm-memo instance equals a fresh one
     // with the same tables.
     let mut warm = make();
-    let _ = warm.predict(ops[0].0, hist.view(ops[0].1));
+    let _ = warm.predict(ops[0].0, hist.view(ops[0].1), InFlight::default());
     assert!(warm == make());
     let (warm, cold) = check_value_predictor(make);
     assert!(warm == cold);
@@ -148,7 +150,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn trained_value_digest(mut p: impl ValuePredictor + Snapshot) -> u64 {
     let (hist, ops) = stream();
     for &(pc, pos, value, _) in &ops[..TRAIN] {
-        let _ = p.predict(pc, hist.view(pos));
+        let _ = p.predict(pc, hist.view(pos), InFlight::default());
         p.train(pc, hist.view(pos), value);
     }
     fnv1a(&snapshot_bytes(&p))
@@ -170,7 +172,7 @@ fn snapshot_bytes_are_pinned() {
     ];
     let want = [
         ("VTAGE", 0xb1de_7054_d99b_ab0c),
-        ("VTAGE-2DStride", 0x8d9c_7c3f_5706_475f),
+        ("VTAGE-2DStride", 0x509f_cd01_8637_09b8),
         ("D-VTAGE", 0x32b0_d8c0_5039_32f5),
         ("TAGE", 0x09c3_57b6_0fc9_99a4),
     ];

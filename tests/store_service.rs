@@ -179,7 +179,7 @@ fn daemon_loss_mid_run_degrades_to_local_simulation() {
 /// Warm checkpoints ride the daemon end to end: a real captured
 /// [`WarmState`] published by one client is served to another, decodes,
 /// and restores bit-identically — the daemon is payload-agnostic, so
-/// `eole-warmstate/v1` needs no server-side support, only the disjoint
+/// `eole-warmstate/v2` needs no server-side support, only the disjoint
 /// `warm__` key namespace.
 ///
 /// [`WarmState`]: eole_core::pipeline::WarmState

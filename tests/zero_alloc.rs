@@ -7,8 +7,8 @@
 //! observe each other (or the test harness) allocating.
 //!
 //! Warmup exists because several structures legitimately reach a
-//! high-water mark once: predictor in-flight maps meet each static load
-//! pc, MSHR files grow to their peak occupancy, the prefetch scratch
+//! high-water mark once: the speculative window's per-pc index meets its
+//! peak occupancy, MSHR files grow to their peak occupancy, the prefetch scratch
 //! fills to its degree. After that, a cycle — commit, issue, dispatch,
 //! fetch, squash recovery included — must run entirely out of the
 //! pre-sized rings and scratch buffers.
@@ -169,7 +169,7 @@ fn banked_port_limited_eole_steps_without_allocating() {
 
 /// A tight speculative-window bound keeps the window pinned at its cap:
 /// every cycle mixes accepted registrations, full-window refusals, and
-/// index restores on squash. The per-pc `spec_last` index is pre-sized to
+/// index restores on squash. The window's per-pc index is pre-sized to
 /// the cap, so none of that churn — insert, shadow-restore, remove —
 /// may ever rehash or allocate.
 #[test]
@@ -179,7 +179,7 @@ fn tight_spec_window_churn_does_not_allocate() {
 }
 
 /// Squash recovery (the heaviest non-steady path: ROB walk, queue purges,
-/// predictor squash callbacks, cursor rewind) is also allocation-free.
+/// window rollback, cursor rewind) is also allocation-free.
 #[test]
 fn squash_storms_do_not_allocate() {
     let trace = hot_loop_trace(100_000);

@@ -331,18 +331,18 @@ fn main() {
         set.session().accounting(),
         start.elapsed().as_secs_f64()
     );
-    if assert_cached && set.executor().simulated() > 0 {
+    if assert_cached && set.session().simulated() > 0 {
         eprintln!(
             "[FAIL: --assert-cached but {} run(s) were simulated instead of served from the store]",
-            set.executor().simulated()
+            set.session().simulated()
         );
         std::process::exit(1);
     }
-    if assert_warm_cached && set.executor().warm_built() > 0 {
+    if assert_warm_cached && set.session().warm_built() > 0 {
         eprintln!(
             "[FAIL: --assert-warm-cached but {} warm checkpoint(s) were rebuilt instead of \
              served from the store]",
-            set.executor().warm_built()
+            set.session().warm_built()
         );
         std::process::exit(1);
     }

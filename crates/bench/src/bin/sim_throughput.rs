@@ -2,7 +2,7 @@
 //!
 //! Measures how many µ-ops per wall-clock second `Simulator::step` retires
 //! in steady state (after warmup), per (configuration, workload) pair of
-//! the quick suite, and emits the `eole-throughput/v3` JSON payload
+//! the quick suite, and emits the `eole-throughput/v4` JSON payload
 //! (schema in `PERF.md`). This is the regression harness for the hot
 //! loop: CI runs it per push, and `BENCH_throughput.json` at the repo
 //! root records the trajectory.
@@ -10,11 +10,12 @@
 //! v2 added a `threads` section: the full suite re-run interval-parallel
 //! (`--intervals K` pieces per run) at 1, 2, and machine-size workers,
 //! recording wall-clock seconds and the speedup over one worker — the
-//! scaling record for interval-parallel simulation. v3 splits each scale
-//! entry's time into `warmup_seconds` (the serial chained checkpoint
-//! sweep — the Amdahl fraction) and `detailed_seconds` (the concurrent
-//! detailed pieces). `--baseline` still accepts v1 and v2 payloads
-//! (they just lack the newer sections/fields).
+//! scaling record for interval-parallel simulation. v3 split each scale
+//! entry's time into the checkpoint sweep and the detailed pieces; v4
+//! drops that split again: the suite runs through [`Session::run_specs`],
+//! which overlaps each run's sweep with its pieces and with other runs,
+//! so each entry records the batch's wall-clock only. `--baseline`
+//! accepts v1–v4 payloads (only their `current` sections are read).
 //!
 //! ```text
 //! cargo run --release -p eole-bench --bin sim-throughput
@@ -32,9 +33,7 @@
 //! branches, isolating predictor table cost from pipeline cost — unless
 //! `--no-microbench` skips it.
 
-use eole_bench::{
-    quick_suite_configs, IntervalPolicy, RunSpec, Runner, Session, QUICK_SUITE_WORKLOADS,
-};
+use eole_bench::{quick_suite_configs, Grid, RunSpec, Runner, Session, QUICK_SUITE_WORKLOADS};
 use eole_core::config::CoreConfig;
 use eole_isa::{InstClass, Program};
 use eole_predictors::branch::{DirectionPredictor, Tage};
@@ -183,74 +182,67 @@ fn runs_to_json(runs: &[Measured], label: &str) -> String {
     section_to_json(label, &rendered, gmean)
 }
 
-/// The interval-parallel threads scaling section: the whole suite re-run
-/// split into `k` intervals per run, at each worker count of `counts`,
-/// timing the parallel stitch wall-clock (sum over the suite's runs).
-/// The first count is the reference for `speedup_vs_first`.
+/// The interval-parallel threads scaling section: the whole suite,
+/// split into `k` intervals per run, timed as one [`Session::run_specs`]
+/// batch at each worker count of `counts` (traces prepared before the
+/// clock starts). The first count is the reference for `speedup_vs_1`.
 fn threads_scan(
-    session: &Session,
     configs: &[CoreConfig],
     runner: Runner,
     k: u32,
     reps: usize,
     counts: &[usize],
 ) -> String {
-    let policy = IntervalPolicy::of(k, &runner);
+    let grid = Grid::new()
+        .runner(runner)
+        .workload_names(&QUICK_SUITE_WORKLOADS)
+        .configs(configs.iter().cloned());
+    let specs = grid.specs();
     let mut entries: Vec<String> = Vec::new();
     let mut reference = None;
     for &t in counts {
+        let session = Session::builder()
+            .runner(runner)
+            .threads(t)
+            .intervals(k)
+            .build()
+            .unwrap_or_else(|e| fail(&e));
+        for w in grid.workload_list() {
+            session.prepare(w).unwrap_or_else(|e| fail(&e.to_string()));
+        }
         let mut seconds = f64::INFINITY;
-        let mut warmup_seconds = 0.0;
-        let mut detailed_seconds = 0.0;
         let mut committed = 0u64;
         for _ in 0..reps.max(1) {
-            let mut rep_warm = 0.0;
-            let mut rep_detail = 0.0;
-            let mut rep_committed = 0u64;
-            for name in QUICK_SUITE_WORKLOADS {
-                let w = eole_workloads::workload_by_name(name)
-                    .unwrap_or_else(|| fail(&format!("unknown workload {name}")));
-                for config in configs {
-                    let spec =
-                        RunSpec { config: config.clone(), workload: w.clone(), runner, seed: 0 };
-                    let timed = session
-                        .time_run_intervals(&spec, t, policy)
-                        .unwrap_or_else(|e| fail(&e.to_string()));
-                    rep_warm += timed.warmup_seconds;
-                    rep_detail += timed.detailed_seconds;
-                    rep_committed += timed.stats.committed;
-                }
-            }
-            if rep_warm + rep_detail < seconds {
-                seconds = rep_warm + rep_detail;
-                warmup_seconds = rep_warm;
-                detailed_seconds = rep_detail;
-            }
-            committed = rep_committed;
+            let batch = specs.clone();
+            let start = std::time::Instant::now();
+            let results = session.run_specs(batch);
+            seconds = seconds.min(start.elapsed().as_secs_f64());
+            committed = results
+                .iter()
+                .map(|r| r.stats().map_or_else(|e| fail(&e.to_string()), |s| s.committed))
+                .sum();
         }
         let reference = *reference.get_or_insert(seconds);
         let speedup = if seconds > 0.0 { reference / seconds } else { 0.0 };
         let mups = committed as f64 / seconds / 1.0e6;
         eprintln!(
-            "  threads {t:<2} suite {seconds:>8.3}s (warm {warmup_seconds:.3}s + detail \
-             {detailed_seconds:.3}s)  {mups:>8.3} Mµops/s  {speedup:.2}x vs 1"
+            "  threads {t:<2} suite {seconds:>8.3}s  {mups:>8.3} Mµops/s  {speedup:.2}x vs 1"
         );
         entries.push(format!(
-            "{{\"threads\":{t},\"seconds\":{seconds:.6},\"warmup_seconds\":{warmup_seconds:.6},\
-             \"detailed_seconds\":{detailed_seconds:.6},\"mups\":{mups:.4},\
+            "{{\"threads\":{t},\"seconds\":{seconds:.6},\"mups\":{mups:.4},\
              \"speedup_vs_1\":{speedup:.4}}}"
         ));
     }
     format!(
         "{{\"intervals\":{k},\"interval_warmup\":{},\"scales\":[{}]}}",
-        policy.warmup,
+        runner.default_interval_warmup(),
         entries.join(",")
     )
 }
 
 /// Extracts the `current` section of a previous payload verbatim (it
-/// becomes the new payload's `baseline`), plus its gmean. Accepts both
-/// the v2 schema and the pre-threads v1 (identical `current` shape).
+/// becomes the new payload's `baseline`), plus its gmean. Accepts v1–v4
+/// (every version has the same `current` shape).
 fn load_baseline(path: &str) -> (String, f64) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
@@ -258,9 +250,14 @@ fn load_baseline(path: &str) -> (String, f64) {
     let schema = v.get("schema").and_then(Json::as_str);
     if !matches!(
         schema,
-        Some("eole-throughput/v1") | Some("eole-throughput/v2") | Some("eole-throughput/v3")
+        Some(
+            "eole-throughput/v1"
+                | "eole-throughput/v2"
+                | "eole-throughput/v3"
+                | "eole-throughput/v4"
+        )
     ) {
-        fail(&format!("{path} is not an eole-throughput/v1, /v2, or /v3 payload"));
+        fail(&format!("{path} is not an eole-throughput/v1–v4 payload"));
     }
     let current = v.get("current").unwrap_or_else(|| fail(&format!("{path}: no `current`")));
     let gmean = current
@@ -367,7 +364,7 @@ fn main() {
 
     let current = runs_to_json(&runs, &label);
     let mut payload = String::new();
-    payload.push_str("{\"schema\":\"eole-throughput/v3\",");
+    payload.push_str("{\"schema\":\"eole-throughput/v4\",");
     payload.push_str(&format!(
         "\"runner\":{{\"warmup\":{},\"measure\":{}}},\"reps\":{reps},",
         runner.warmup, runner.measure
@@ -382,7 +379,7 @@ fn main() {
         counts.sort_unstable();
         counts.dedup();
         eprintln!("[threads scan: intervals={intervals}, workers {counts:?}]");
-        let section = threads_scan(&session, &configs, runner, intervals, reps, &counts);
+        let section = threads_scan(&configs, runner, intervals, reps, &counts);
         payload.push_str(&format!(",\"threads\":{section}"));
     }
     let mut speedup = None;

@@ -1,17 +1,20 @@
-//! The executor layer: running many [`RunSpec`]s, fast and fallibly.
+//! The execution layer: what a run yields, and the job loop behind
+//! [`Session::run`].
 //!
 //! * [`RunError`] — every way a run can fail, as data instead of a panic.
 //! * [`TraceCache`] — prepared traces keyed by (workload, trace length);
 //!   each trace is generated exactly once and shared across every
 //!   configuration and seed that needs it.
-//! * [`Executor`] — a work-stealing thread pool that schedules individual
-//!   runs (not whole workloads) and returns results in grid order.
+//! * The job loop — every run of a grid is `k` piece jobs (`k = 1` for a
+//!   serial run) in work-stealing deques; individual runs, not whole
+//!   workloads, are the unit of scheduling, and results come back in
+//!   grid order.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use eole_core::pipeline::{PreparedTrace, SimError, WarmState};
 use eole_core::stats::SimStats;
@@ -19,8 +22,9 @@ use eole_workloads::Workload;
 
 use crate::faults;
 use crate::plan::Shard;
+use crate::session::Session;
 use crate::spec::{Grid, RunSpec};
-use crate::store::{ResultStore, RunKey, StoreError, WarmKey};
+use crate::store::{RunKey, StoreError, WarmKey};
 use crate::{check_stitched_against_serial, stitch_pieces, IntervalPolicy, Runner, WarmOrigin};
 
 /// Poisoning-proof lock: a panicked worker marks every mutex it held as
@@ -125,7 +129,7 @@ pub enum RunError {
     NotInShard {
         /// Human label of the skipped run.
         label: String,
-        /// The shard this executor was restricted to.
+        /// The shard this session was restricted to.
         shard: Shard,
     },
     /// The result store failed to persist a completed run.
@@ -144,8 +148,9 @@ pub enum RunError {
         /// The panic message, as far as it could be recovered.
         message: String,
     },
-    /// The run finished but blew through the executor's per-run deadline
-    /// ([`Executor::with_deadline`]); its result is withheld so a CI
+    /// The run finished but blew through the session's per-run deadline
+    /// ([`SessionBuilder::run_deadline`](crate::SessionBuilder::run_deadline));
+    /// its result is withheld so a CI
     /// time-budget violation is loud instead of silently slow.
     Deadline {
         /// Human label of the overrunning run.
@@ -168,7 +173,7 @@ impl std::fmt::Display for RunError {
             }
             RunError::UnknownExperiment(name) => write!(f, "unknown experiment {name}"),
             RunError::NotInShard { label, shard } => {
-                write!(f, "{label}: owned by another shard (this executor runs {shard})")
+                write!(f, "{label}: owned by another shard (this session runs {shard})")
             }
             RunError::Store { label, source } => {
                 write!(f, "{label}: result store failed: {source}")
@@ -299,304 +304,73 @@ impl RunResult {
     }
 }
 
-/// A work-stealing executor over run grids.
-///
-/// Individual [`RunSpec`]s — not whole workloads — are the unit of
-/// scheduling: each worker owns a deque of runs and, when its own
-/// drains, steals from the back of the first other worker's deque that
-/// still has work, so a slow workload (e.g. `mcf`'s DRAM-bound chase)
-/// never serializes the tail of an experiment. Prepared traces are shared through a
-/// [`TraceCache`], which can itself be shared across executors (the
-/// `ExperimentSet` shares one across all experiments).
-///
-/// Two optional layers sit in front of the simulator:
-///
-/// * a [`ResultStore`] ([`Executor::with_store`]) is consulted by
-///   [`RunKey`] before any trace is prepared or cycle simulated, and
-///   every fresh result is saved back — a warm store serves a repeated
-///   grid with **zero** simulations;
-/// * a [`Shard`] ([`Executor::with_shard`]) restricts simulation to the
-///   runs this process owns; foreign cells missing from the store come
-///   back as [`RunError::NotInShard`] (the populate-pass contract — see
-///   `crate::plan`).
-#[derive(Debug)]
-pub struct Executor {
-    threads: usize,
-    cache: Arc<TraceCache>,
-    store: Option<Arc<dyn ResultStore>>,
-    shard: Option<Shard>,
-    intervals: Option<IntervalPolicy>,
-    deadline: Option<Duration>,
-    store_hits: AtomicUsize,
-    store_misses: AtomicUsize,
-    simulated: AtomicUsize,
-    shard_skips: AtomicUsize,
-    warm_loaded: AtomicUsize,
-    warm_built: AtomicUsize,
-}
-
-/// Shared checkpoint slots for one stitched run: the first piece job to
-/// claim the set becomes the *producer* (one chained functional sweep,
-/// store-backed); every other piece is a *consumer* that blocks until
-/// its slot fills. `done` is published unconditionally — even when the
-/// producer fails or panics — so consumers always wake; a piece left with
-/// an empty slot rebuilds its own checkpoint (see [`Runner::try_run_piece`]).
-struct WarmSet {
+/// One run of a grid, shared by its `k` piece jobs (`k = 1` for a serial
+/// run). The first job to start *claims* the run: it consults the store
+/// and the shard, publishes the verdict, and for a stitched run becomes
+/// the checkpoint-sweep producer. Every other piece job waits for the
+/// verdict, then for its checkpoint slot. `swept` is published
+/// unconditionally — even when the sweep fails or panics — so waiting
+/// pieces always wake; a piece left with an empty slot rebuilds its own
+/// checkpoint (see [`Runner::try_run_piece`]).
+struct OpenRun {
     claimed: AtomicBool,
-    slots: Mutex<WarmSlots>,
+    state: Mutex<RunState>,
     ready: Condvar,
+    remaining: AtomicUsize,
 }
 
-struct WarmSlots {
-    states: Vec<Option<WarmState>>,
-    done: bool,
+struct RunState {
+    verdict: Verdict,
+    warm: Vec<Option<WarmState>>,
+    swept: bool,
+    pieces: Vec<Option<Result<SimStats, RunError>>>,
 }
 
-impl WarmSet {
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// The claiming job has not consulted the store yet.
+    Pending,
+    /// This process simulates the run.
+    Simulate,
+    /// A store hit or a foreign shard's cell: the claiming job returned
+    /// the result, and no piece runs.
+    Resolved,
+}
+
+impl OpenRun {
     fn new(k: usize) -> Self {
-        WarmSet {
+        OpenRun {
             claimed: AtomicBool::new(false),
-            slots: Mutex::new(WarmSlots { states: vec![None; k], done: false }),
+            state: Mutex::new(RunState {
+                verdict: Verdict::Pending,
+                warm: vec![None; k],
+                swept: false,
+                pieces: vec![None; k],
+            }),
             ready: Condvar::new(),
+            remaining: AtomicUsize::new(k),
+        }
+    }
+
+    /// Updates the shared state and wakes every waiting piece job.
+    fn update(&self, update: impl FnOnce(&mut RunState)) {
+        update(&mut lock_clean(&self.state));
+        self.ready.notify_all();
+    }
+
+    /// Blocks until `done` holds of the shared state, then maps it.
+    fn wait_for<T>(&self, mut done: impl FnMut(&mut RunState) -> Option<T>) -> T {
+        let mut state = lock_clean(&self.state);
+        loop {
+            if let Some(out) = done(&mut state) {
+                return out;
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Executor {
-    /// An executor sized to the machine with a fresh trace cache.
-    pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        Self::with_threads(threads)
-    }
-
-    /// An executor with an explicit worker count (≥ 1).
-    pub fn with_threads(threads: usize) -> Self {
-        Executor {
-            threads: threads.max(1),
-            cache: Arc::new(TraceCache::new()),
-            store: None,
-            shard: None,
-            intervals: None,
-            deadline: None,
-            store_hits: AtomicUsize::new(0),
-            store_misses: AtomicUsize::new(0),
-            simulated: AtomicUsize::new(0),
-            shard_skips: AtomicUsize::new(0),
-            warm_loaded: AtomicUsize::new(0),
-            warm_built: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replaces the trace cache with a shared one.
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<TraceCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Attaches a result store, consulted before every simulation and
-    /// written after.
-    #[must_use]
-    pub fn with_store(mut self, store: Arc<dyn ResultStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Restricts simulation to the runs `shard` owns (a full `1/1` shard
-    /// is a no-op and is not recorded).
-    #[must_use]
-    pub fn with_shard(mut self, shard: Shard) -> Self {
-        self.shard = if shard.is_full() { None } else { Some(shard) };
-        self
-    }
-
-    /// Splits every simulated run into `policy.k` deterministic
-    /// intervals, each scheduled as its own job in the work-stealing
-    /// deques (intra-run intervals interleave with other grid cells), and
-    /// stitches the per-interval statistics back together in interval
-    /// order. A `k == 0` policy disables splitting; note that even
-    /// `k == 1` runs through the exact-boundary piece path and is stored
-    /// under an interval-tagged [`RunKey`], never the serial one.
-    #[must_use]
-    pub fn with_intervals(mut self, policy: IntervalPolicy) -> Self {
-        self.intervals = (policy.k >= 1).then_some(policy);
-        self
-    }
-
-    /// The interval policy, if interval-parallel execution is active.
-    pub fn intervals(&self) -> Option<IntervalPolicy> {
-        self.intervals
-    }
-
-    /// Arms a per-run wall-clock watchdog: a run (or interval piece)
-    /// whose job exceeds `deadline` resolves to [`RunError::Deadline`]
-    /// instead of a result. The check is cooperative — it fires when
-    /// the job *returns*, so it bounds reported results, not a thread
-    /// wedged inside the simulator (the simulator's own no-retirement
-    /// deadlock detector covers in-sim hangs). `None` disarms.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// The armed per-run deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Applies the watchdog to one finished job: an overrunning success
-    /// is demoted to [`RunError::Deadline`] (a real failure keeps its
-    /// own, more specific error).
-    fn enforce_deadline(
-        &self,
-        label: &str,
-        started: Instant,
-        outcome: Result<SimStats, RunError>,
-    ) -> Result<SimStats, RunError> {
-        let Some(budget) = self.deadline else { return outcome };
-        let elapsed = started.elapsed();
-        if elapsed <= budget || outcome.is_err() {
-            return outcome;
-        }
-        Err(RunError::Deadline {
-            label: label.to_string(),
-            elapsed_ms: elapsed.as_millis() as u64,
-            budget_ms: budget.as_millis() as u64,
-        })
-    }
-
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The trace cache (inspectable: generation/hit counters).
-    pub fn cache(&self) -> &TraceCache {
-        &self.cache
-    }
-
-    /// The attached result store, if any.
-    pub fn store(&self) -> Option<&Arc<dyn ResultStore>> {
-        self.store.as_ref()
-    }
-
-    /// Runs served from the result store without simulating.
-    pub fn store_hits(&self) -> usize {
-        self.store_hits.load(Ordering::Relaxed)
-    }
-
-    /// Store lookups that found no entry (each miss is followed by a
-    /// simulation, a shard skip, or — on a degraded remote store — a
-    /// local fallback simulation).
-    pub fn store_misses(&self) -> usize {
-        self.store_misses.load(Ordering::Relaxed)
-    }
-
-    /// Runs actually simulated (the "zero on a warm store" counter).
-    pub fn simulated(&self) -> usize {
-        self.simulated.load(Ordering::Relaxed)
-    }
-
-    /// Runs skipped because another shard owns them.
-    pub fn shard_skips(&self) -> usize {
-        self.shard_skips.load(Ordering::Relaxed)
-    }
-
-    /// Warm checkpoints served from the result store (no functional
-    /// replay paid for those positions).
-    pub fn warm_loaded(&self) -> usize {
-        self.warm_loaded.load(Ordering::Relaxed)
-    }
-
-    /// Warm checkpoints built by a producer sweep (and published to the
-    /// store when one is attached). `--assert-warm-cached` pins this to
-    /// zero on a warm store.
-    pub fn warm_built(&self) -> usize {
-        self.warm_built.load(Ordering::Relaxed)
-    }
-
-    fn simulate(&self, spec: &RunSpec, idx: usize) -> Result<SimStats, RunError> {
-        let trace = self.cache.get_or_prepare(&spec.workload, &spec.runner)?;
-        // Chaos hooks, keyed by the run's stable grid index so a plan
-        // targets the same cell at any thread count. Cold path only —
-        // one atomic load each when no fault plan is installed.
-        faults::sleep_if_fired(faults::SIM_DELAY, idx as u64);
-        faults::panic_if_fired(faults::SIM_PANIC, idx as u64);
-        self.simulated.fetch_add(1, Ordering::Relaxed);
-        spec.runner
-            .try_run(&trace, spec.effective_config())
-            .map_err(|e| attribute_workload(e, spec))
-    }
-
-    fn execute(&self, spec: &RunSpec, idx: usize) -> Result<SimStats, RunError> {
-        if self.store.is_none() && self.shard.is_none() {
-            return catch_panic(&spec.label(), || self.simulate(spec, idx));
-        }
-        let key = RunKey::of(spec);
-        if let Some(outcome) = self.consult(&key, spec) {
-            return outcome;
-        }
-        // Catch panics *here*, not just in the worker loop: the lease
-        // release in `publish` must still run when the simulation
-        // crashes, or single-flight waiters would idle out the TTL.
-        let outcome = catch_panic(&spec.label(), || self.simulate(spec, idx));
-        self.publish(&key, spec, outcome)
-    }
-
-    /// Resolves a run before any simulation: a store hit, or
-    /// [`RunError::NotInShard`] for a cell another shard owns. `None`
-    /// means this process simulates it.
-    fn consult(&self, key: &RunKey, spec: &RunSpec) -> Option<Result<SimStats, RunError>> {
-        if let Some(store) = &self.store {
-            if let Some(stats) = store.load(key) {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Ok(stats));
-            }
-            self.store_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let shard = self.shard.filter(|shard| !shard.owns(key))?;
-        self.shard_skips.fetch_add(1, Ordering::Relaxed);
-        // The miss above may have granted this process the key's
-        // single-flight lease; a skipped cell will never publish, so
-        // release it for the owning shard's session.
-        if let Some(store) = &self.store {
-            store.abandon(key);
-        }
-        Some(Err(RunError::NotInShard { label: spec.label(), shard }))
-    }
-
-    /// Settles a simulated run's key in the store: a result is saved; a
-    /// failure releases the single-flight lease the miss may hold, so
-    /// waiters move on instead of idling out its TTL on a result that
-    /// will never land.
-    fn publish(
-        &self,
-        key: &RunKey,
-        spec: &RunSpec,
-        outcome: Result<SimStats, RunError>,
-    ) -> Result<SimStats, RunError> {
-        let Some(store) = &self.store else { return outcome };
-        match outcome {
-            Ok(stats) => {
-                store
-                    .save(key, &stats)
-                    .map_err(|source| RunError::Store { label: spec.label(), source })?;
-                Ok(stats)
-            }
-            Err(e) => {
-                store.abandon(key);
-                Err(e)
-            }
-        }
-    }
-
+impl Session {
     /// Runs every spec of the grid; `results[i]` corresponds to
     /// `grid.specs()[i]` regardless of scheduling.
     pub fn run(&self, grid: &Grid) -> Vec<RunResult> {
@@ -604,175 +378,161 @@ impl Executor {
     }
 
     /// Runs an explicit spec list; results keep the input order.
+    ///
+    /// Every run is `k` piece jobs (`k` = the interval count, 1 for a
+    /// serial run) in work-stealing deques, so pieces of one run
+    /// interleave with other grid cells and a slow workload never
+    /// serializes the tail. The job that finishes a run's last piece
+    /// stitches the pieces in interval order, so the result is
+    /// deterministic regardless of scheduling.
     pub fn run_specs(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
-        match self.intervals {
-            Some(policy) => self.run_specs_stitched(specs, policy),
-            None => self.run_specs_serial(specs),
-        }
-    }
-
-    fn run_specs_serial(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
-        let n = specs.len();
-        let workers = self.threads.min(n);
-        // Specs of one workload are adjacent in grid order; dealing them
-        // round-robin spreads workloads across workers.
-        let queues = deal(n, workers);
-        let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-        let results_mutex = Mutex::new(&mut results);
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let queues = &queues;
-                let specs = &specs;
-                let results_mutex = &results_mutex;
-                scope.spawn(move || {
-                    while let Some(i) = next_job(queues, me) {
-                        let label = specs[i].label();
-                        let started = Instant::now();
-                        // Backstop isolation: `execute` catches simulation
-                        // panics itself (it still has lease cleanup to do);
-                        // this catch covers everything else in the job.
-                        let outcome = catch_panic(&label, || self.execute(&specs[i], i));
-                        let outcome = self.enforce_deadline(&label, started, outcome);
-                        let result = RunResult { spec: specs[i].clone(), outcome };
-                        lock_clean(results_mutex)[i] = Some(result);
-                    }
-                });
-            }
-        });
-        results.into_iter().map(|r| r.expect("all specs executed")).collect() // lint:allow(error-typing) scope join guarantees every slot was filled
-    }
-
-    /// Interval-parallel execution: each pending spec fans out into
-    /// `policy.k` piece jobs sharing the work-stealing deques, the last
-    /// piece to finish stitches the run (in interval order, so the result
-    /// is deterministic regardless of scheduling). Store and shard are
-    /// consulted up front under the interval-tagged key.
-    fn run_specs_stitched(&self, specs: Vec<RunSpec>, policy: IntervalPolicy) -> Vec<RunResult> {
-        let n = specs.len();
-        let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-        let mut open: Vec<usize> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            match self.consult(&RunKey::of_intervals(spec, policy), spec) {
-                Some(outcome) => results[i] = Some(RunResult { spec: spec.clone(), outcome }),
-                None => open.push(i),
-            }
-        }
-        if open.is_empty() {
-            return results.into_iter().map(|r| r.expect("resolved in pre-pass")).collect(); // lint:allow(error-typing) the pre-pass above filled every slot when `open` is empty
-        }
-
-        struct PendingRun {
-            spec: usize,
-            pieces: Mutex<Vec<Option<Result<SimStats, RunError>>>>,
-            remaining: AtomicUsize,
-            warm: WarmSet,
-        }
-        let k = policy.k.max(1) as usize;
-        let pending: Vec<PendingRun> = open
-            .iter()
-            .map(|&i| PendingRun {
-                spec: i,
-                pieces: Mutex::new(vec![None; k]),
-                remaining: AtomicUsize::new(k),
-                warm: WarmSet::new(k),
-            })
-            .collect();
-        // Job j is piece (j % k) of pending run (j / k); dealt round-robin
-        // like serial specs so workers start with a spread of runs.
-        let jobs = pending.len() * k;
+        let k = self.intervals.map_or(1, |policy| policy.k.max(1) as usize);
+        let runs: Vec<OpenRun> = specs.iter().map(|_| OpenRun::new(k)).collect();
+        // Job j is piece (j % k) of run (j / k). Specs of one workload
+        // are adjacent in grid order; dealing them round-robin spreads
+        // workloads across workers.
+        let jobs = specs.len() * k;
         let workers = self.threads.min(jobs);
         let queues = deal(jobs, workers);
-        let results_mutex = Mutex::new(&mut results);
+        let results: Mutex<Vec<Option<RunResult>>> = Mutex::new(vec![None; specs.len()]);
         std::thread::scope(|scope| {
             for me in 0..workers {
-                let queues = &queues;
-                let specs = &specs;
-                let pending = &pending;
-                let results_mutex = &results_mutex;
+                let (queues, specs, runs, results) = (&queues, &specs, &runs, &results);
                 scope.spawn(move || {
                     while let Some(j) = next_job(queues, me) {
-                        let run = &pending[j / k];
-                        let piece = j % k;
-                        let spec = &specs[run.spec];
-                        let label = spec.label();
-                        let started = Instant::now();
-                        let outcome = catch_panic(&label, || {
-                            self.simulate_piece(spec, policy, piece, run.spec, &run.warm)
-                        });
-                        let outcome = self.enforce_deadline(&label, started, outcome);
-                        lock_clean(&run.pieces)[piece] = Some(outcome);
-                        if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // Last piece in: stitch this run (backstop catch —
-                            // `stitch` handles its own lease cleanup on error).
-                            let outcome =
-                                catch_panic(&label, || self.stitch(spec, policy, &run.pieces));
-                            let result = RunResult { spec: spec.clone(), outcome };
-                            lock_clean(results_mutex)[run.spec] = Some(result);
+                        let (i, piece) = (j / k, j % k);
+                        if let Some(outcome) = self.job(&specs[i], i, &runs[i], piece) {
+                            let result = RunResult { spec: specs[i].clone(), outcome };
+                            lock_clean(results)[i] = Some(result);
                         }
                     }
                 });
             }
         });
-        results.into_iter().map(|r| r.expect("all specs executed")).collect() // lint:allow(error-typing) scope join guarantees every slot was filled
+        let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+        results.into_iter().map(|r| r.expect("all specs executed")).collect() // lint:allow(error-typing) scope join guarantees every run's last job filled its slot
     }
 
+    /// One piece job. Returns the run's outcome when this job settles the
+    /// run: the claiming job of a resolved run, or the job that finishes
+    /// the last piece.
+    fn job(
+        &self,
+        spec: &RunSpec,
+        idx: usize,
+        run: &OpenRun,
+        piece: usize,
+    ) -> Option<Result<SimStats, RunError>> {
+        let label = spec.label();
+        let started = Instant::now();
+        if !run.claimed.swap(true, Ordering::AcqRel) {
+            if let Some(outcome) = self.claim(spec, run) {
+                return Some(outcome);
+            }
+        } else if run.wait_for(|s| (s.verdict != Verdict::Pending).then_some(s.verdict))
+            == Verdict::Resolved
+        {
+            return None;
+        }
+        let outcome = catch_panic(&label, || self.simulate_piece(spec, idx, run, piece));
+        let outcome = self.enforce_deadline(&label, started, outcome);
+        lock_clean(&run.state).pieces[piece] = Some(outcome);
+        if run.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        // Last piece in: stitch the run (backstop catch — `stitch`
+        // handles its own lease cleanup on error).
+        Some(catch_panic(&label, || self.stitch(spec, run)))
+    }
+
+    /// The claiming job's duty, before any trace is prepared: resolve the
+    /// run from the store or the shard, or decide to simulate it and, for
+    /// a stitched run, produce its checkpoints. Returns the outcome of a
+    /// resolved run.
+    fn claim(&self, spec: &RunSpec, run: &OpenRun) -> Option<Result<SimStats, RunError>> {
+        let resolved = catch_panic(&spec.label(), || Ok(self.consult(spec)))
+            .unwrap_or_else(|e| Some(Err(e)));
+        let verdict = if resolved.is_some() { Verdict::Resolved } else { Verdict::Simulate };
+        run.update(|s| s.verdict = verdict);
+        if let (None, Some(policy)) = (&resolved, self.intervals) {
+            self.produce_warm(run, spec, policy);
+        }
+        resolved
+    }
+
+    /// The store key of a run under this session's interval policy.
+    fn key(&self, spec: &RunSpec) -> RunKey {
+        match self.intervals {
+            Some(policy) => RunKey::of_intervals(spec, policy),
+            None => RunKey::of(spec),
+        }
+    }
+
+    /// Resolves a run before any simulation: a store hit, or
+    /// [`RunError::NotInShard`] for a cell another shard owns. `None`
+    /// means this process simulates it.
+    fn consult(&self, spec: &RunSpec) -> Option<Result<SimStats, RunError>> {
+        if self.store.is_none() && self.shard.is_none() {
+            return None;
+        }
+        let key = self.key(spec);
+        if let Some(store) = &self.store {
+            if let Some(stats) = store.load(&key) {
+                self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(Ok(stats));
+            }
+            self.counters.store_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        let shard = self.shard.filter(|shard| !shard.owns(&key))?;
+        self.counters.shard_skips.fetch_add(1, Ordering::Relaxed);
+        // The miss above may have granted this process the key's
+        // single-flight lease; a skipped cell will never publish, so
+        // release it for the owning shard's session.
+        if let Some(store) = &self.store {
+            store.abandon(&key);
+        }
+        Some(Err(RunError::NotInShard { label: spec.label(), shard }))
+    }
+
+    /// One piece of a simulated run: the whole measurement window
+    /// ([`Runner::try_run`]) for a serial run, else the interval's
+    /// detailed window restored from its checkpoint.
     fn simulate_piece(
         &self,
         spec: &RunSpec,
-        policy: IntervalPolicy,
-        piece: usize,
         idx: usize,
-        warm: &WarmSet,
+        run: &OpenRun,
+        piece: usize,
     ) -> Result<SimStats, RunError> {
         let trace = self.cache.get_or_prepare(&spec.workload, &spec.runner)?;
-        // Keyed by the run's grid index (not the piece): `sim.panic@i`
-        // fails run i whole, at any k and any thread count.
+        // Chaos hooks, keyed by the run's stable grid index (not the
+        // piece), so `sim.panic@i` fails run i whole at any k and any
+        // thread count. Cold path only — one atomic load each when no
+        // fault plan is installed.
         faults::sleep_if_fired(faults::SIM_DELAY, idx as u64);
         faults::panic_if_fired(faults::SIM_PANIC, idx as u64);
-        let ws = self.obtain_warm(warm, spec, policy, piece);
-        let (start, end) = spec.runner.interval_bounds(policy.k)[piece];
-        spec.runner
-            .try_run_piece(&trace, spec.effective_config(), ws.as_ref(), start, end, policy.warmup)
-            .map_err(|e| attribute_workload(e, spec))
-    }
-
-    /// Hands a piece its warm checkpoint, electing this job as the
-    /// producer when the run's sweep has not started yet. Returns `None`
-    /// when the sweep failed or left the slot empty — the piece then
-    /// rebuilds that one checkpoint inside [`Runner::try_run_piece`],
-    /// preserving the result.
-    fn obtain_warm(
-        &self,
-        set: &WarmSet,
-        spec: &RunSpec,
-        policy: IntervalPolicy,
-        piece: usize,
-    ) -> Option<WarmState> {
-        if !set.claimed.swap(true, Ordering::AcqRel) {
-            self.produce_warm(set, spec, policy);
-        }
-        let mut slots = lock_clean(&set.slots);
-        loop {
-            if let Some(ws) = slots.states[piece].take() {
-                return Some(ws);
+        let outcome = match self.intervals {
+            None => spec.runner.try_run(&trace, spec.effective_config()),
+            Some(policy) => {
+                let ws = run.wait_for(|s| match s.warm[piece].take() {
+                    Some(ws) => Some(Some(ws)),
+                    None => s.swept.then_some(None),
+                });
+                let (start, end) = spec.runner.interval_bounds(policy.k)[piece];
+                let config = spec.effective_config();
+                spec.runner.try_run_piece(&trace, config, ws.as_ref(), start, end, policy.warmup)
             }
-            if slots.done {
-                return None;
-            }
-            slots = set.ready.wait(slots).unwrap_or_else(PoisonError::into_inner);
-        }
+        };
+        outcome.map_err(|e| attribute_workload(e, spec))
     }
 
     /// The producer sweep: one chained functional pass over the trace
     /// emitting every piece's checkpoint in position order, fetching
     /// cached checkpoints from the result store and publishing freshly
     /// built ones back (best-effort — a read-only store never fails the
-    /// run). Each checkpoint is handed to the waiting consumers the
-    /// moment it exists, so detailed windows overlap the sweep's tail.
-    fn produce_warm(&self, set: &WarmSet, spec: &RunSpec, policy: IntervalPolicy) {
+    /// run). Each checkpoint is handed to the waiting pieces the moment
+    /// it exists, so detailed windows overlap the sweep's tail.
+    fn produce_warm(&self, run: &OpenRun, spec: &RunSpec, policy: IntervalPolicy) {
         let outcome = catch_panic(&spec.label(), || {
             let trace = self.cache.get_or_prepare(&spec.workload, &spec.runner)?;
             let positions = spec.runner.warm_positions(policy);
@@ -793,44 +553,55 @@ impl Executor {
                                 let _ = store.save_warm(&WarmKey::of(spec, pos), ws.as_bytes());
                             }
                         }
-                        let mut slots = lock_clean(&set.slots);
-                        slots.states[i] = Some(ws.clone());
-                        drop(slots);
-                        set.ready.notify_all();
+                        run.update(|s| s.warm[i] = Some(ws.clone()));
                     },
                 )
                 .map_err(|e| attribute_workload(e, spec))?;
-            self.warm_loaded.fetch_add(sweep.loaded, Ordering::Relaxed);
-            self.warm_built.fetch_add(sweep.built, Ordering::Relaxed);
+            self.counters.warm_loaded.fetch_add(sweep.loaded, Ordering::Relaxed);
+            self.counters.warm_built.fetch_add(sweep.built, Ordering::Relaxed);
             Ok(())
         });
         // A failed or panicked sweep leaves its remaining slots empty;
-        // publishing `done` (always, on every path) wakes the consumers,
+        // publishing `swept` (always, on every path) wakes the pieces,
         // which rebuild those checkpoints instead of deadlocking.
         drop(outcome);
-        let mut slots = lock_clean(&set.slots);
-        slots.done = true;
-        drop(slots);
-        set.ready.notify_all();
+        run.update(|s| s.swept = true);
+    }
+
+    /// Applies the watchdog to one finished piece: an overrunning success
+    /// is demoted to [`RunError::Deadline`] (a real failure keeps its
+    /// own, more specific error).
+    fn enforce_deadline(
+        &self,
+        label: &str,
+        started: Instant,
+        outcome: Result<SimStats, RunError>,
+    ) -> Result<SimStats, RunError> {
+        let Some(budget) = self.deadline else { return outcome };
+        let elapsed = started.elapsed();
+        if elapsed <= budget || outcome.is_err() {
+            return outcome;
+        }
+        Err(RunError::Deadline {
+            label: label.to_string(),
+            elapsed_ms: elapsed.as_millis() as u64,
+            budget_ms: budget.as_millis() as u64,
+        })
     }
 
     /// Merges a completed run's pieces in interval order, applies the
-    /// paranoid serial cross-check when requested, and persists the result
-    /// under the interval-tagged key.
-    fn stitch(
-        &self,
-        spec: &RunSpec,
-        policy: IntervalPolicy,
-        pieces: &Mutex<Vec<Option<Result<SimStats, RunError>>>>,
-    ) -> Result<SimStats, RunError> {
-        self.simulated.fetch_add(1, Ordering::Relaxed);
+    /// paranoid serial cross-check to a stitched run when requested, and
+    /// persists the result.
+    fn stitch(&self, spec: &RunSpec, run: &OpenRun) -> Result<SimStats, RunError> {
+        self.counters.simulated.fetch_add(1, Ordering::Relaxed);
+        let pieces = std::mem::take(&mut lock_clean(&run.state).pieces);
         let outcome = (|| -> Result<SimStats, RunError> {
             let stitched = stitch_pieces(
-                lock_clean(pieces)
-                    .iter_mut()
-                    .map(|slot| slot.take().expect("remaining hit zero with a piece missing")), // lint:allow(error-typing) the atomic remaining-counter proves every piece landed
+                pieces
+                    .into_iter()
+                    .map(|slot| slot.expect("remaining hit zero with a piece missing")), // lint:allow(error-typing) the atomic remaining-counter proves every piece landed
             )?;
-            if eole_core::paranoid() {
+            if let Some(policy) = self.intervals.filter(|_| eole_core::paranoid()) {
                 let trace = self.cache.get_or_prepare(&spec.workload, &spec.runner)?;
                 let serial = spec
                     .runner
@@ -847,7 +618,32 @@ impl Executor {
             }
             Ok(stitched)
         })();
-        self.publish(&RunKey::of_intervals(spec, policy), spec, outcome)
+        self.publish(spec, outcome)
+    }
+
+    /// Settles a simulated run's key in the store: a result is saved; a
+    /// failure releases the single-flight lease the miss may hold, so
+    /// waiters move on instead of idling out its TTL on a result that
+    /// will never land.
+    fn publish(
+        &self,
+        spec: &RunSpec,
+        outcome: Result<SimStats, RunError>,
+    ) -> Result<SimStats, RunError> {
+        let Some(store) = &self.store else { return outcome };
+        let key = self.key(spec);
+        match outcome {
+            Ok(stats) => {
+                store
+                    .save(&key, &stats)
+                    .map_err(|source| RunError::Store { label: spec.label(), source })?;
+                Ok(stats)
+            }
+            Err(e) => {
+                store.abandon(&key);
+                Err(e)
+            }
+        }
     }
 }
 
@@ -868,8 +664,14 @@ pub(crate) fn attribute_workload(e: RunError, spec: &RunSpec) -> RunError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionBuilder;
+    use crate::store::ResultStore;
     use eole_core::config::CoreConfig;
     use eole_workloads::workload_by_name;
+
+    fn quick(threads: usize) -> SessionBuilder {
+        Session::builder().runner(Runner::quick()).threads(threads)
+    }
 
     #[test]
     fn trace_cache_generates_exactly_once_per_key() {
@@ -905,12 +707,12 @@ mod tests {
                 CoreConfig::eole_4_64(),
             ])
             .workload_names(&["gzip", "namd"]);
-        let exec = Executor::with_threads(4);
-        let results = exec.run(&grid);
+        let session = quick(4).build().unwrap();
+        let results = session.run(&grid);
         assert_eq!(results.len(), 6);
         assert!(results.iter().all(|r| r.outcome.is_ok()));
-        assert_eq!(exec.cache().generated(), 2, "one trace per workload, not per run");
-        assert_eq!(exec.cache().hits(), 4);
+        assert_eq!(session.cache().generated(), 2, "one trace per workload, not per run");
+        assert_eq!(session.cache().hits(), 4);
     }
 
     #[test]
@@ -921,7 +723,7 @@ mod tests {
             .workload_names(&["gzip", "namd", "hmmer"]);
         let expected: Vec<String> = grid.specs().iter().map(RunSpec::label).collect();
         for threads in [1, 2, 7] {
-            let results = Executor::with_threads(threads).run(&grid);
+            let results = quick(threads).build().unwrap().run(&grid);
             let got: Vec<String> = results.iter().map(|r| r.spec.label()).collect();
             assert_eq!(got, expected, "order must be stable with {threads} threads");
             for r in &results {
@@ -939,7 +741,7 @@ mod tests {
             .runner(Runner::quick())
             .configs([bad, CoreConfig::baseline_6_64()])
             .workload_names(&["gzip"]);
-        let results = Executor::with_threads(2).run(&grid);
+        let results = quick(2).build().unwrap().run(&grid);
         assert_eq!(results.len(), 2);
         match &results[0].outcome {
             Err(RunError::Sim { phase, source, workload, .. }) => {
@@ -960,11 +762,11 @@ mod tests {
             .runner(Runner::quick())
             .configs([CoreConfig::baseline_6_64(), CoreConfig::eole_4_64()])
             .workload_names(&["gzip", "namd"]);
-        let cold = Executor::with_threads(2).with_store(Arc::clone(&store));
+        let cold = quick(2).store(Arc::clone(&store)).build().unwrap();
         let first = cold.run(&grid);
         assert_eq!(cold.simulated(), 4);
         assert_eq!(cold.store_hits(), 0);
-        let warm = Executor::with_threads(2).with_store(Arc::clone(&store));
+        let warm = quick(2).store(Arc::clone(&store)).build().unwrap();
         let second = warm.run(&grid);
         assert_eq!(warm.simulated(), 0, "every cell must come from the store");
         assert_eq!(warm.store_hits(), 4);
@@ -986,8 +788,8 @@ mod tests {
         let mut simulated = 0;
         let mut skipped = 0;
         for k in 1..=2 {
-            let exec = Executor::with_threads(2).with_shard(Shard::new(k, 2).unwrap());
-            for r in exec.run(&grid) {
+            let session = quick(2).shard(Shard::new(k, 2).unwrap()).build().unwrap();
+            for r in session.run(&grid) {
                 match r.stats() {
                     Ok(s) => {
                         simulated += 1;
@@ -1000,14 +802,14 @@ mod tests {
                     Err(other) => panic!("unexpected error: {other}"),
                 }
             }
-            assert_eq!(exec.shard_skips() + exec.simulated(), 4);
+            assert_eq!(session.shard_skips() + session.simulated(), 4);
         }
         // Across both shards every cell ran exactly once and was skipped
         // exactly once.
         assert_eq!(simulated, 4);
         assert_eq!(skipped, 4);
         // A full shard is a no-op.
-        let full = Executor::with_threads(1).with_shard(Shard::full());
+        let full = quick(1).shard(Shard::full()).build().unwrap();
         assert!(full.run(&grid).iter().all(|r| r.stats().is_ok()));
     }
 
@@ -1018,10 +820,10 @@ mod tests {
             .config(CoreConfig::baseline_vp_6_64())
             .workload_names(&["gzip"])
             .seeds([0, 1, 2]);
-        let exec = Executor::new();
-        let results = exec.run(&grid);
+        let session = Session::new(Runner::quick());
+        let results = session.run(&grid);
         assert_eq!(results.len(), 3);
-        assert_eq!(exec.cache().generated(), 1, "replicates share the trace");
+        assert_eq!(session.cache().generated(), 1, "replicates share the trace");
         for r in &results {
             assert!(r.stats().expect("replicate failed").committed > 0);
         }

@@ -1,7 +1,7 @@
 //! One function per table/figure of the paper's evaluation.
 //!
 //! Each experiment builds a [`Grid`], hands it to the shared
-//! [`Executor`] (one [`TraceCache`](crate::TraceCache) across the whole
+//! [`Session`] (one [`TraceCache`](crate::TraceCache) across the whole
 //! set, so a workload's trace is generated once no matter how many
 //! experiments replay it), and folds the per-run statistics into an
 //! [`ExperimentReport`] whose rows follow the paper's benchmark order;
@@ -20,7 +20,7 @@ use eole_stats::report::{Cell, ExperimentReport};
 use eole_stats::summary::geometric_mean;
 use eole_workloads::{all_workloads, Workload};
 
-use crate::exec::{Executor, RunError};
+use crate::exec::RunError;
 use crate::session::Session;
 use crate::spec::Grid;
 use crate::Runner;
@@ -57,8 +57,6 @@ pub const EXPERIMENT_NAMES: [&str; 20] = [
 
 /// Driver for the full experiment suite.
 pub struct ExperimentSet {
-    /// Methodology shared by all runs.
-    pub runner: Runner,
     workloads: Vec<Workload>,
     session: Session,
 }
@@ -80,18 +78,13 @@ impl ExperimentSet {
     /// Builds a set over an explicit [`Session`] — the way the CLI wires
     /// in a persistent result store and/or a shard restriction.
     pub fn with_session(session: Session, workloads: Vec<Workload>) -> Self {
-        ExperimentSet { runner: session.runner(), workloads, session }
+        ExperimentSet { workloads, session }
     }
 
-    /// The session driving the runs.
+    /// The session driving the runs (its [`crate::TraceCache`] and store
+    /// counters show trace/result sharing across experiments).
     pub fn session(&self) -> &Session {
         &self.session
-    }
-
-    /// The executor (its [`crate::TraceCache`] and store counters show
-    /// trace/result sharing across experiments).
-    pub fn executor(&self) -> &Executor {
-        self.session.executor()
     }
 
     /// Runs `configs` over every workload of the set and returns, per
@@ -99,7 +92,7 @@ impl ExperimentSet {
     fn run_grid(&self, configs: Vec<CoreConfig>) -> Result<Vec<Vec<SimStats>>, RunError> {
         let n_configs = configs.len();
         let grid = Grid::new()
-            .runner(self.runner)
+            .runner(self.session.runner())
             .workloads(self.workloads.iter().cloned())
             .configs(configs);
         let results = self.session.run(&grid);
@@ -803,8 +796,8 @@ mod tests {
         set.offload().unwrap();
         set.table3().unwrap();
         // Three experiments over 2 workloads: 2 trace generations total.
-        assert_eq!(set.executor().cache().generated(), 2);
-        assert!(set.executor().cache().hits() > 0);
+        assert_eq!(set.session().cache().generated(), 2);
+        assert!(set.session().cache().hits() > 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! arrow points `eole-bench → eole-store-service`, and the daemon needs
 //! the same hooks), so this module re-exports it wholesale: one
 //! process-global plan covers every layer — `DirStore` IO, the
-//! executor's workers, the remote client's frames, and (in-process
+//! session's workers, the remote client's frames, and (in-process
 //! servers) the daemon itself. See that module for the spec grammar and
 //! the site catalog; EXPERIMENTS.md ("Fault injection") documents the
 //! user-facing semantics.

@@ -3,20 +3,22 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (§5–§6) over the synthetic Table 3 suite.
 //!
-//! The harness is split into three layers, mirroring how trace-driven
+//! The harness is split into layers, mirroring how trace-driven
 //! simulators separate "describe a run", "execute many runs", and
 //! "report results":
 //!
 //! * **Spec** ([`spec`]) — [`RunSpec`] describes one run (configuration ×
 //!   workload × methodology × seed) and [`Grid`] enumerates the
 //!   cross-product, in workload-major order.
-//! * **Executor** ([`exec`]) — [`Executor`] schedules individual runs
-//!   across a work-stealing thread pool, shares prepared traces through a
-//!   keyed [`TraceCache`] (one generation per (workload, length)), and
-//!   returns `Result<SimStats, RunError>` per run instead of panicking.
+//! * **Session** ([`session`], job loop in [`exec`]) — [`Session`] is the
+//!   single grid driver behind the `experiments`, `sim-throughput`, and
+//!   `fingerprints` bins: it schedules every run as piece jobs across a
+//!   work-stealing thread pool, shares prepared traces through a keyed
+//!   [`TraceCache`] (one generation per (workload, length)), and returns
+//!   `Result<SimStats, RunError>` per run instead of panicking.
 //! * **Report** — every experiment in [`experiments::ExperimentSet`]
-//!   returns an [`eole_stats::report::ExperimentReport`], which renders
-//!   to text/Markdown and serializes to JSON/CSV (`EXPERIMENTS.md`
+//!   returns an [`eole_stats::report::ExperimentReport`], which
+//!   [`Session::render`] emits as Markdown, JSON or CSV (`EXPERIMENTS.md`
 //!   documents the JSON schema).
 //!
 //! Around those sit the run-identity layers added by the canonical-run
@@ -27,12 +29,9 @@
 //!   [`eole_core::canon::SIM_FINGERPRINT_VERSION`]); a [`ResultStore`]
 //!   ([`MemStore`] in memory, [`DirStore`] on disk) remembers completed
 //!   runs so unchanged cells are never re-simulated.
-//! * **Plan** ([`plan`]) — [`Shard`]/[`Plan`] partition a grid across
-//!   processes deterministically (ownership is a pure function of the
-//!   run key) and merge shard outputs back into grid order.
-//! * **Session** ([`session`]) — the single driver (store + trace cache +
-//!   executor + report emitters) behind the `experiments`,
-//!   `sim-throughput`, and `fingerprints` bins.
+//! * **Shard** ([`plan`]) — [`Shard`] partitions a grid across processes
+//!   deterministically (ownership is a pure function of the run key);
+//!   the store read-back merges the shards.
 //!
 //! The `experiments` CLI drives it all:
 //! `cargo run --release -p eole-bench --bin experiments -- all --format json`.
@@ -40,14 +39,14 @@
 //! ## Example
 //!
 //! ```no_run
-//! use eole_bench::{Executor, Grid, Runner};
+//! use eole_bench::{Grid, Runner, Session};
 //! use eole_core::config::CoreConfig;
 //!
 //! let grid = Grid::new()
 //!     .runner(Runner::quick())
 //!     .configs([CoreConfig::baseline_vp_6_64(), CoreConfig::eole_4_64()])
 //!     .workload_names(&["gzip", "namd"]);
-//! let results = Executor::new().run(&grid);
+//! let results = Session::new(Runner::quick()).run(&grid);
 //! for r in &results {
 //!     match &r.outcome {
 //!         Ok(stats) => println!("{}: IPC {:.3}", r.spec.label(), stats.ipc()),
@@ -69,11 +68,11 @@ pub mod spec;
 pub mod store;
 
 pub use compare::Comparison;
-pub use exec::{Executor, RunError, RunPhase, RunResult, TraceCache};
+pub use exec::{RunError, RunPhase, RunResult, TraceCache};
 pub use faults::FaultPlan;
-pub use plan::{Plan, Shard};
+pub use plan::Shard;
 pub use remote::RemoteStore;
-pub use session::{Format, Session, SessionBuilder, StoreSummary, TimedIntervals, TimedRun};
+pub use session::{Format, Session, SessionBuilder, StoreSummary, TimedRun};
 pub use spec::{quick_suite_configs, Grid, RunSpec, QUICK_SUITE_WORKLOADS};
 pub use store::{DirStore, MemStore, ResultStore, RunKey, StoreError, WarmKey, WARM_STEM_PREFIX};
 pub use eole_core::pipeline::{WarmState, WARMSTATE_FORMAT};
@@ -198,7 +197,7 @@ impl Runner {
     ///
     /// [`RunError::Sim`] on configuration rejection or simulator deadlock,
     /// tagged with the phase that failed. (The workload field is filled by
-    /// the [`Executor`]; direct callers get `"-"`.)
+    /// [`Session::run`]; direct callers get `"-"`.)
     pub fn try_run(
         &self,
         trace: &PreparedTrace,
@@ -305,7 +304,7 @@ impl Runner {
     ///
     /// `sink(i, pos, state, origin)` observes every checkpoint the
     /// moment it is final (validated-loaded or freshly built), in
-    /// position order — the executor uses it to unblock waiting piece
+    /// position order — [`Session::run`] uses it to unblock waiting piece
     /// jobs and to publish built checkpoints to the store.
     ///
     /// # Errors
@@ -383,7 +382,7 @@ impl Runner {
     /// # Errors
     ///
     /// [`RunError::Sim`] tagged with the failing phase, as
-    /// [`Runner::try_run`] (workload attributed by the executor).
+    /// [`Runner::try_run`] (workload attributed by [`Session::run`]).
     ///
     /// # Panics
     ///
@@ -444,7 +443,7 @@ impl Runner {
     /// each piece restores its checkpoint and runs its detailed window
     /// ([`Runner::try_run_piece`]), and [`stitch_pieces`] merges them.
     /// The committed count is exactly `measure` by construction. This is
-    /// the single-threaded reference for the executor's interval path,
+    /// the single-threaded reference for [`Session::run`]'s interval path,
     /// and the one the compat-proptests drive; the sweep's accounting is
     /// returned alongside.
     ///
@@ -547,8 +546,8 @@ impl Runner {
 }
 
 /// A simulator failure in `phase` of a run of `config`, as a
-/// [`RunError::Sim`]; the workload (`"-"` here) is attributed by the
-/// executor.
+/// [`RunError::Sim`]; the workload (`"-"` here) is attributed by
+/// [`Session::run`].
 fn sim_error(config: &str, phase: RunPhase) -> impl Fn(SimError) -> RunError + '_ {
     move |source| RunError::Sim {
         config: config.to_string(),
@@ -560,8 +559,8 @@ fn sim_error(config: &str, phase: RunPhase) -> impl Fn(SimError) -> RunError + '
 
 /// Merges a run's interval pieces, in interval order, into the stitched
 /// statistics with [`SimStats::merge`] — the one place pieces are
-/// combined, shared by [`Runner::try_run_intervals`], the executor and
-/// the throughput harness.
+/// combined, shared by [`Runner::try_run_intervals`] and
+/// [`Session::run`].
 ///
 /// # Errors
 ///

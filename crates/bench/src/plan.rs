@@ -1,5 +1,5 @@
 //! The plan layer: deterministically partitioning a [`Grid`] across
-//! processes, and merging the pieces back.
+//! processes.
 //!
 //! A [`Shard`] names one slice of a partition (`--shard k/n` on the CLI);
 //! ownership of a run is a pure function of its [`RunKey`] digest, so
@@ -13,15 +13,13 @@
 //!   one shard and served to the rest through the
 //!   [`ResultStore`](crate::store::ResultStore).
 //!
-//! [`Plan`] applies a shard count to a concrete grid: it enumerates each
-//! shard's spec list and reassembles per-shard result vectors into grid
-//! order, which is all a caller needs to fold a sharded execution into
-//! the same `ExperimentReport` an unsharded run produces.
+//! Merging is the store read-back: after every shard's populate pass,
+//! an unsharded session over the same store serves the whole grid in
+//! grid order without simulating.
+//!
+//! [`Grid`]: crate::spec::Grid
 
-use std::collections::VecDeque;
-
-use crate::exec::RunResult;
-use crate::spec::{Grid, RunSpec};
+use crate::spec::RunSpec;
 use crate::store::RunKey;
 
 /// One slice of an `n`-way partition (1-based, like the CLI flag).
@@ -97,98 +95,10 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// An `n`-way partition of one grid.
-#[derive(Clone, Debug)]
-pub struct Plan {
-    specs: Vec<RunSpec>,
-    count: usize,
-}
-
-impl Plan {
-    /// Partitions `grid` into `count` shards (`count ≥ 1`).
-    pub fn new(grid: &Grid, count: usize) -> Plan {
-        Plan { specs: grid.specs(), count: count.max(1) }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.count
-    }
-
-    /// Total runs across all shards (the grid size).
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True when the underlying grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// The specs owned by shard `index` (1-based), in grid order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is outside `1..=num_shards()` — a harness
-    /// authoring error, like an out-of-range CLI flag.
-    pub fn shard(&self, index: usize) -> Vec<RunSpec> {
-        let shard = Shard::new(index, self.count)
-            .unwrap_or_else(|e| panic!("plan shard: {e}")); // lint:allow(error-typing) documented `# Panics`: out-of-range shard index is a harness authoring error
-        self.specs.iter().filter(|s| shard.owns_spec(s)).cloned().collect()
-    }
-
-    /// Every shard's spec list, in shard order.
-    pub fn shards(&self) -> Vec<Vec<RunSpec>> {
-        (1..=self.count).map(|k| self.shard(k)).collect()
-    }
-
-    /// Reassembles per-shard result vectors (as produced by running each
-    /// [`Plan::shard`] list in order) into grid order, so the merged
-    /// vector is indistinguishable from an unsharded
-    /// `Executor::run(&grid)` — ready to fold into one report.
-    ///
-    /// # Errors
-    ///
-    /// A rendered description when the shard outputs do not tile the
-    /// grid (wrong shard count, missing or reordered results).
-    pub fn merge(&self, shard_results: Vec<Vec<RunResult>>) -> Result<Vec<RunResult>, String> {
-        if shard_results.len() != self.count {
-            return Err(format!(
-                "expected {} shard result vectors, got {}",
-                self.count,
-                shard_results.len()
-            ));
-        }
-        let mut queues: Vec<VecDeque<RunResult>> =
-            shard_results.into_iter().map(VecDeque::from).collect();
-        let mut merged = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let key = RunKey::of(spec);
-            let owner = (key.digest64() % self.count as u64) as usize;
-            let next = queues[owner]
-                .pop_front()
-                .ok_or_else(|| format!("shard {}/{} ran out of results", owner + 1, self.count))?;
-            if next.spec.label() != spec.label() {
-                return Err(format!(
-                    "shard {}/{} out of order: expected {}, got {}",
-                    owner + 1,
-                    self.count,
-                    spec.label(),
-                    next.spec.label()
-                ));
-            }
-            merged.push(next);
-        }
-        if let Some((k, q)) = queues.iter().enumerate().find(|(_, q)| !q.is_empty()) {
-            return Err(format!("shard {}/{} has {} surplus results", k + 1, self.count, q.len()));
-        }
-        Ok(merged)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Grid;
     use crate::Runner;
     use eole_core::config::CoreConfig;
 
@@ -216,35 +126,30 @@ mod tests {
         }
     }
 
+    /// Shard `index` of `count`'s cells of `grid`, in grid order.
+    fn owned(grid: &Grid, index: usize, count: usize) -> Vec<String> {
+        let shard = Shard::new(index, count).unwrap();
+        grid.specs().iter().filter(|s| shard.owns_spec(s)).map(RunSpec::label).collect()
+    }
+
     #[test]
     fn shards_tile_the_grid_disjointly() {
         let g = grid();
-        let labels = |specs: &[RunSpec]| -> Vec<String> {
-            specs.iter().map(RunSpec::label).collect()
-        };
-        let all: Vec<String> = labels(&g.specs());
+        let mut all: Vec<String> = g.specs().iter().map(RunSpec::label).collect();
+        all.sort();
         for n in [1usize, 2, 3, 5, 7] {
-            let plan = Plan::new(&g, n);
-            let shards = plan.shards();
-            assert_eq!(shards.len(), n);
-            let mut union: Vec<String> = shards.iter().flat_map(|s| labels(s)).collect();
+            let mut union: Vec<String> = (1..=n).flat_map(|k| owned(&g, k, n)).collect();
             assert_eq!(union.len(), all.len(), "n={n}: union covers the grid exactly once");
             union.sort();
-            let mut sorted_all = all.clone();
-            sorted_all.sort();
-            assert_eq!(union, sorted_all, "n={n}");
+            assert_eq!(union, all, "n={n}");
         }
     }
 
     #[test]
     fn partition_is_deterministic_across_plans() {
-        let g = grid();
-        let a = Plan::new(&g, 3).shards();
-        let b = Plan::new(&g, 3).shards();
-        for (x, y) in a.iter().zip(&b) {
-            let lx: Vec<String> = x.iter().map(RunSpec::label).collect();
-            let ly: Vec<String> = y.iter().map(RunSpec::label).collect();
-            assert_eq!(lx, ly);
+        // Two independently built grids partition identically.
+        for k in 1..=3 {
+            assert_eq!(owned(&grid(), k, 3), owned(&grid(), k, 3));
         }
     }
 
@@ -264,44 +169,5 @@ mod tests {
                 .collect();
             assert_eq!(owners.len(), 1, "exactly one owner for n={n}");
         }
-    }
-
-    #[test]
-    fn merge_reassembles_grid_order() {
-        let g = grid();
-        let plan = Plan::new(&g, 3);
-        // Fake results: outcome content does not matter for the merge.
-        let fake = |spec: &RunSpec| RunResult {
-            spec: spec.clone(),
-            outcome: Ok(eole_core::stats::SimStats::default()),
-        };
-        let shard_results: Vec<Vec<RunResult>> =
-            plan.shards().iter().map(|specs| specs.iter().map(fake).collect()).collect();
-        let merged = plan.merge(shard_results).unwrap();
-        let merged_labels: Vec<String> = merged.iter().map(|r| r.spec.label()).collect();
-        let grid_labels: Vec<String> = g.specs().iter().map(RunSpec::label).collect();
-        assert_eq!(merged_labels, grid_labels);
-    }
-
-    #[test]
-    fn merge_rejects_mis_tiled_outputs() {
-        let g = grid();
-        let plan = Plan::new(&g, 2);
-        assert!(plan.merge(vec![Vec::new()]).is_err(), "wrong shard count");
-        let mut shards: Vec<Vec<RunResult>> = plan
-            .shards()
-            .iter()
-            .map(|specs| {
-                specs
-                    .iter()
-                    .map(|s| RunResult {
-                        spec: s.clone(),
-                        outcome: Ok(eole_core::stats::SimStats::default()),
-                    })
-                    .collect()
-            })
-            .collect();
-        shards[0].pop();
-        assert!(plan.merge(shards).is_err(), "missing result");
     }
 }

@@ -1,5 +1,5 @@
 //! [`RemoteStore`]: the networked [`ResultStore`] — an adapter over
-//! `eole-store-service`'s [`StoreClient`] that lets an [`Executor`]
+//! `eole-store-service`'s [`StoreClient`] that lets a [`Session`]
 //! share one result cache with every other session talking to the same
 //! `eole-stored` daemon (`experiments --store tcp://HOST:PORT`).
 //!
@@ -10,7 +10,7 @@
 //!   simulates while every concurrent requester waits (server-side, on
 //!   the same `Get`) for the lease holder's `save`. Two sessions racing
 //!   on a cold key therefore trigger exactly one simulation. If the
-//!   simulation fails, the executor calls [`RemoteStore::abandon`] so
+//!   simulation fails, the session calls [`RemoteStore::abandon`] so
 //!   waiters are woken instead of idling out the lease TTL.
 //! * **Graceful degradation.** The first unrecoverable transport failure
 //!   (after the client's bounded retries) flips the store into degraded
@@ -19,7 +19,7 @@
 //!   efficiency, never correctness — the run completes with the same
 //!   statistics it would have produced with no store at all.
 //!
-//! [`Executor`]: crate::exec::Executor
+//! [`Session`]: crate::Session
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};

@@ -1,15 +1,16 @@
-//! The session layer: one entry point over store + trace cache +
-//! executor + report emitters.
+//! The session layer: the one grid driver, over store + trace cache +
+//! job loop + report emitters.
 //!
-//! Before this layer existed, the `experiments` CLI, the `sim-throughput`
-//! harness, and the `fingerprints` regenerator each hand-rolled their own
-//! driver: their own executor wiring, their own trace preparation, their
-//! own payload-writing discipline. A [`Session`] owns all of it:
+//! The `experiments` CLI, the `sim-throughput` harness, the `fingerprints`
+//! regenerator and the examples all drive runs through a [`Session`]. It
+//! owns:
 //!
 //! * the methodology ([`Runner`]) every run of the session shares;
-//! * the [`Executor`] with its [`TraceCache`](crate::TraceCache), an
-//!   optional persistent [`ResultStore`], and an optional [`Shard`]
-//!   restriction;
+//! * the execution settings — worker count, the
+//!   [`TraceCache`], an optional persistent [`ResultStore`], an optional
+//!   [`Shard`] restriction, the interval policy and the per-run
+//!   deadline — and the run counters; the job loop itself lives in
+//!   [`crate::exec`];
 //! * the report emitters ([`Format`], [`Session::render`]) and the
 //!   temp-file + rename payload-writing discipline
 //!   ([`Session::write_payload`]);
@@ -20,17 +21,19 @@
 //! Experiments run through a session via
 //! [`ExperimentSet::with_session`](crate::experiments::ExperimentSet::with_session).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use eole_core::pipeline::PreparedTrace;
 use eole_core::stats::SimStats;
 use eole_stats::report::{reports_to_json, ExperimentReport};
 use eole_workloads::Workload;
 
-use crate::exec::{attribute_workload, Executor, RunError, RunResult};
+use crate::exec::{attribute_workload, RunError, TraceCache};
 use crate::plan::Shard;
 use crate::remote::RemoteStore;
-use crate::spec::{Grid, RunSpec};
+use crate::spec::RunSpec;
 use crate::store::{DirStore, ResultStore};
 use crate::{IntervalPolicy, Runner};
 
@@ -68,28 +71,6 @@ pub struct TimedRun {
     pub seconds: f64,
 }
 
-/// One timed interval-parallel stitch, with the checkpointed warmup
-/// sweep accounted separately from the concurrent detailed windows —
-/// the split `sim-throughput` v3 records, because the sweep is the
-/// serial fraction that bounds interval-parallel speedup (Amdahl).
-#[derive(Clone, Copy, Debug)]
-pub struct TimedIntervals {
-    /// Statistics of the stitched measurement window.
-    pub stats: SimStats,
-    /// Wall-clock seconds of the serial chained checkpoint sweep.
-    pub warmup_seconds: f64,
-    /// Wall-clock seconds of the concurrent detailed pieces (the whole
-    /// parallel phase, not the per-piece sum).
-    pub detailed_seconds: f64,
-}
-
-impl TimedIntervals {
-    /// Total wall-clock seconds (sweep + detailed phase).
-    pub fn seconds(&self) -> f64 {
-        self.warmup_seconds + self.detailed_seconds
-    }
-}
-
 /// Builder for a [`Session`].
 #[derive(Debug, Default)]
 pub struct SessionBuilder {
@@ -100,7 +81,7 @@ pub struct SessionBuilder {
     shard: Option<Shard>,
     intervals: u32,
     interval_warmup: Option<u64>,
-    deadline: Option<std::time::Duration>,
+    deadline: Option<Duration>,
 }
 
 impl SessionBuilder {
@@ -162,12 +143,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets a per-run wall-clock deadline (cooperative watchdog — see
-    /// [`Executor::with_deadline`]): a run whose job outlives the budget
-    /// fails with a typed [`RunError::Deadline`] instead of silently
-    /// stalling the whole suite. `None` (the default) disables it.
+    /// Arms a per-run wall-clock watchdog: a run whose piece job
+    /// outlives the budget fails with a typed [`RunError::Deadline`]
+    /// instead of silently stalling the whole suite. The check is
+    /// cooperative — it fires when the job *returns*, so it bounds
+    /// reported results, not a thread wedged inside the simulator (the
+    /// simulator's own no-retirement deadlock detector covers in-sim
+    /// hangs). `None` (the default) disables it.
     #[must_use]
-    pub fn run_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
+    pub fn run_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.deadline = deadline;
         self
     }
@@ -179,10 +163,6 @@ impl SessionBuilder {
     /// A rendered description if the store directory cannot be created.
     pub fn build(self) -> Result<Session, String> {
         let runner = self.runner.unwrap_or_default();
-        let mut executor = match self.threads {
-            Some(n) => Executor::with_threads(n),
-            None => Executor::new(),
-        };
         let store = match (self.store, self.store_dir) {
             (Some(store), _) => Some(store),
             (None, Some(spec)) => Some(match spec.strip_prefix("tcp://") {
@@ -195,22 +175,26 @@ impl SessionBuilder {
             }),
             (None, None) => None,
         };
-        if let Some(store) = store {
-            executor = executor.with_store(store);
-        }
-        if let Some(shard) = self.shard {
-            executor = executor.with_shard(shard);
-        }
-        if self.intervals >= 1 {
-            let warmup = self.interval_warmup.unwrap_or_else(|| runner.default_interval_warmup());
-            executor = executor.with_intervals(IntervalPolicy { k: self.intervals, warmup });
-        }
-        executor = executor.with_deadline(self.deadline);
-        Ok(Session { runner, executor })
+        // Even `k == 1` runs through the exact-boundary piece path and is
+        // stored under an interval-tagged key, never the serial one.
+        let intervals = (self.intervals >= 1).then(|| IntervalPolicy {
+            k: self.intervals,
+            warmup: self.interval_warmup.unwrap_or_else(|| runner.default_interval_warmup()),
+        });
+        let plain = Session::new(runner);
+        Ok(Session {
+            threads: self.threads.map_or(plain.threads, |n| n.max(1)),
+            store,
+            // A full `1/1` shard is no restriction.
+            shard: self.shard.filter(|shard| !shard.is_full()),
+            intervals,
+            deadline: self.deadline,
+            ..plain
+        })
     }
 }
 
-/// Store accounting for one session: the executor's view of cache
+/// Store accounting for one session: the session's view of cache
 /// traffic plus the backing store's health. Serialized as the flat
 /// `store` block of the `eole-report-set/v1` JSON header (flat on
 /// purpose — byte-compare tooling strips it with one non-nested-brace
@@ -236,12 +220,41 @@ pub struct StoreSummary {
     pub degraded: bool,
 }
 
-/// The unified driver: everything a harness front end needs to turn
-/// specs into results and results into payloads.
+/// The run counters of a session, shared by its workers.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    pub(crate) store_hits: AtomicUsize,
+    pub(crate) store_misses: AtomicUsize,
+    pub(crate) simulated: AtomicUsize,
+    pub(crate) shard_skips: AtomicUsize,
+    pub(crate) warm_loaded: AtomicUsize,
+    pub(crate) warm_built: AtomicUsize,
+}
+
+/// The grid driver: everything a harness front end needs to turn specs
+/// into results and results into payloads.
+///
+/// Runs are scheduled on a pool of `threads` workers (see
+/// [`Session::run`]). Two optional layers sit in front of the simulator:
+///
+/// * a [`ResultStore`] is consulted by [`RunKey`](crate::RunKey) before
+///   any trace is prepared or cycle simulated, and every fresh result is
+///   saved back — a warm store serves a repeated grid with **zero**
+///   simulations;
+/// * a [`Shard`] restricts simulation to the runs this process owns;
+///   foreign cells missing from the store come back as
+///   [`RunError::NotInShard`] (the populate-pass contract — see
+///   `crate::plan`).
 #[derive(Debug)]
 pub struct Session {
     runner: Runner,
-    executor: Executor,
+    pub(crate) threads: usize,
+    pub(crate) cache: TraceCache,
+    pub(crate) store: Option<Arc<dyn ResultStore>>,
+    pub(crate) shard: Option<Shard>,
+    pub(crate) intervals: Option<IntervalPolicy>,
+    pub(crate) deadline: Option<Duration>,
+    pub(crate) counters: Counters,
 }
 
 impl Session {
@@ -250,9 +263,19 @@ impl Session {
         SessionBuilder::default()
     }
 
-    /// A plain session (no store, no shard, machine-sized executor).
+    /// A plain session: machine-sized worker pool, fresh trace cache, no
+    /// store, no shard, serial runs.
     pub fn new(runner: Runner) -> Session {
-        Session { runner, executor: Executor::new() }
+        Session {
+            runner,
+            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            cache: TraceCache::new(),
+            store: None,
+            shard: None,
+            intervals: None,
+            deadline: None,
+            counters: Counters::default(),
+        }
     }
 
     /// The methodology shared by the session's runs.
@@ -260,39 +283,63 @@ impl Session {
         self.runner
     }
 
-    /// The executor (counters: trace cache, store hits, simulations).
-    pub fn executor(&self) -> &Executor {
-        &self.executor
-    }
-
     /// The interval-parallel policy, if the session splits runs.
     pub fn intervals(&self) -> Option<IntervalPolicy> {
-        self.executor.intervals()
+        self.intervals
+    }
+
+    /// The trace cache (inspectable: generation/hit counters).
+    pub fn cache(&self) -> &TraceCache {
+        &self.cache
+    }
+
+    /// Runs served from the result store without simulating.
+    pub fn store_hits(&self) -> usize {
+        self.counters.store_hits.load(Ordering::Relaxed)
+    }
+
+    /// Store lookups that found no entry (each miss is followed by a
+    /// simulation, a shard skip, or — on a degraded remote store — a
+    /// local fallback simulation).
+    pub fn store_misses(&self) -> usize {
+        self.counters.store_misses.load(Ordering::Relaxed)
+    }
+
+    /// Runs actually simulated (the "zero on a warm store" counter).
+    pub fn simulated(&self) -> usize {
+        self.counters.simulated.load(Ordering::Relaxed)
+    }
+
+    /// Runs skipped because another shard owns them.
+    pub fn shard_skips(&self) -> usize {
+        self.counters.shard_skips.load(Ordering::Relaxed)
+    }
+
+    /// Warm checkpoints served from the result store (no functional
+    /// replay paid for those positions).
+    pub fn warm_loaded(&self) -> usize {
+        self.counters.warm_loaded.load(Ordering::Relaxed)
+    }
+
+    /// Warm checkpoints built by a producer sweep (and published to the
+    /// store when one is attached). `--assert-warm-cached` pins this to
+    /// zero on a warm store.
+    pub fn warm_built(&self) -> usize {
+        self.counters.warm_built.load(Ordering::Relaxed)
     }
 
     /// Store accounting, if a result store is attached.
     pub fn store_summary(&self) -> Option<StoreSummary> {
-        let store = self.executor.store()?;
+        let store = self.store.as_ref()?;
         Some(StoreSummary {
-            hits: self.executor.store_hits(),
-            misses: self.executor.store_misses(),
-            sims: self.executor.simulated(),
-            skips: self.executor.shard_skips(),
+            hits: self.store_hits(),
+            misses: self.store_misses(),
+            sims: self.simulated(),
+            skips: self.shard_skips(),
             quarantined: store.quarantined(),
             evictions_observed: store.observed_evictions(),
             degraded: store.degraded(),
         })
-    }
-
-    /// Runs every spec of a grid (store consulted first, shard respected);
-    /// results keep grid order.
-    pub fn run(&self, grid: &Grid) -> Vec<RunResult> {
-        self.executor.run(grid)
-    }
-
-    /// Runs an explicit spec list; results keep the input order.
-    pub fn run_specs(&self, specs: Vec<RunSpec>) -> Vec<RunResult> {
-        self.executor.run_specs(specs)
     }
 
     /// The prepared trace for `workload` under the session's methodology,
@@ -302,7 +349,7 @@ impl Session {
     ///
     /// [`RunError::Kernel`] if the kernel fails to trace.
     pub fn prepare(&self, workload: &Workload) -> Result<Arc<PreparedTrace>, RunError> {
-        self.executor.cache().get_or_prepare(workload, &self.runner)
+        self.cache.get_or_prepare(workload, &self.runner)
     }
 
     /// Simulates one spec and times its measurement window (via
@@ -313,7 +360,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`RunError`] as from the executor path (kernel / build / warmup /
+    /// [`RunError`] as from [`Session::run`] (kernel / build / warmup /
     /// measure).
     pub fn time_run(&self, spec: &RunSpec) -> Result<TimedRun, RunError> {
         let trace = self.prepare(&spec.workload)?;
@@ -322,75 +369,6 @@ impl Session {
             .try_run_timed(&trace, spec.effective_config())
             .map_err(|e| attribute_workload(e, spec))?;
         Ok(TimedRun { stats, seconds })
-    }
-
-    /// Simulates one spec interval-parallel the checkpointed way: one
-    /// serial chained sweep builds every piece's [`WarmState`], then
-    /// `policy.k` detailed pieces are pulled from a shared counter by
-    /// `threads` scoped workers, each restoring its checkpoint. The two
-    /// phases are timed separately (the split the threads scaling
-    /// section of `BENCH_throughput.json` v3 records — the sweep is the
-    /// serial fraction that bounds the speedup). Like
-    /// [`Session::time_run`], never touches the result store.
-    ///
-    /// [`WarmState`]: eole_core::pipeline::WarmState
-    ///
-    /// # Errors
-    ///
-    /// A sweep failure, then the first piece failure in interval order.
-    pub fn time_run_intervals(
-        &self,
-        spec: &RunSpec,
-        threads: usize,
-        policy: IntervalPolicy,
-    ) -> Result<TimedIntervals, RunError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let trace = self.prepare(&spec.workload)?;
-        let bounds = spec.runner.interval_bounds(policy.k);
-        let positions = spec.runner.warm_positions(policy);
-        let warm_start = std::time::Instant::now();
-        let (states, _sweep) = spec
-            .runner
-            .try_sweep_warm_states(
-                &trace,
-                spec.effective_config(),
-                &positions,
-                |_, _| None,
-                |_, _, _, _| {},
-            )
-            .map_err(|e| attribute_workload(e, spec))?;
-        let warmup_seconds = warm_start.elapsed().as_secs_f64();
-        let slots: Vec<Mutex<Option<Result<SimStats, RunError>>>> =
-            bounds.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = threads.clamp(1, bounds.len());
-        let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(s, e)) = bounds.get(i) else { break };
-                    let out = spec.runner.try_run_piece(
-                        &trace,
-                        spec.effective_config(),
-                        states.get(i),
-                        s,
-                        e,
-                        policy.warmup,
-                    );
-                    *crate::exec::lock_clean(&slots[i]) = Some(out);
-                });
-            }
-        });
-        let detailed_seconds = start.elapsed().as_secs_f64();
-        let stats = crate::stitch_pieces(slots.into_iter().map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every piece executed") // lint:allow(error-typing) scope join guarantees every slot was filled
-        }))
-        .map_err(|e| attribute_workload(e, spec))?;
-        Ok(TimedIntervals { stats, warmup_seconds, detailed_seconds })
     }
 
     /// Renders a report set in the requested format. The JSON form wraps
@@ -461,7 +439,7 @@ impl Session {
     /// One-line cache/store accounting for stderr status output (CI
     /// parses `simulated N` out of this line; keep that token stable).
     pub fn accounting(&self) -> String {
-        let degraded = if self.executor.store().is_some_and(|s| s.degraded()) {
+        let degraded = if self.store.as_ref().is_some_and(|s| s.degraded()) {
             ", store DEGRADED (daemon lost; ran without the cache)"
         } else {
             ""
@@ -469,18 +447,18 @@ impl Session {
         let warm = if self.intervals().is_some() {
             format!(
                 ", warm checkpoints loaded {} built {}",
-                self.executor.warm_loaded(),
-                self.executor.warm_built(),
+                self.warm_loaded(),
+                self.warm_built(),
             )
         } else {
             String::new()
         };
         format!(
             "store hits {}, simulated {}, shard-skipped {}, traces generated {}{}{}",
-            self.executor.store_hits(),
-            self.executor.simulated(),
-            self.executor.shard_skips(),
-            self.executor.cache().generated(),
+            self.store_hits(),
+            self.simulated(),
+            self.shard_skips(),
+            self.cache.generated(),
             warm,
             degraded,
         )
@@ -490,6 +468,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Grid;
     use crate::store::MemStore;
     use eole_core::config::CoreConfig;
     use eole_workloads::workload_by_name;
@@ -519,12 +498,12 @@ mod tests {
         let results = session.run(&grid);
         assert_eq!(results.len(), 1);
         assert!(results[0].stats().is_ok());
-        assert_eq!(session.executor().simulated(), 1);
+        assert_eq!(session.simulated(), 1);
         // Second pass: pure store hits.
         let again = session.run(&grid);
         assert!(again[0].stats().is_ok());
-        assert_eq!(session.executor().simulated(), 1);
-        assert_eq!(session.executor().store_hits(), 1);
+        assert_eq!(session.simulated(), 1);
+        assert_eq!(session.store_hits(), 1);
         assert!(session.accounting().contains("simulated 1"));
     }
 

@@ -5,7 +5,7 @@
 //! cross-product the way the paper's §5–§6 evaluation is structured
 //! (configurations × workloads, optionally × seeds for replication).
 //! Execution is a separate concern: hand the grid to
-//! [`crate::exec::Executor`].
+//! [`Session::run`](crate::Session::run).
 
 use eole_core::config::CoreConfig;
 use eole_workloads::{all_workloads, workload_by_name, Workload};

@@ -12,7 +12,7 @@
 //!   repeated invocations — and shards of a partitioned grid — share
 //!   work across processes.
 //!
-//! The executor consults the store *before* simulating and saves every
+//! A session consults the store *before* simulating and saves every
 //! fresh result after; a warm store therefore serves a whole experiment
 //! suite with zero simulations (`experiments --store DIR
 //! --assert-cached` turns that into a checkable gate).
@@ -283,7 +283,7 @@ impl WarmKey {
 
 /// Where completed runs are remembered.
 ///
-/// Implementations must be shareable across the executor's worker threads
+/// Implementations must be shareable across a session's worker threads
 /// (`&self` methods, internal synchronization). `load` answering `None`
 /// means "simulate it"; a corrupt or unreadable entry is a miss, never an
 /// error — the store is a cache, and the simulator is always able to
@@ -529,7 +529,7 @@ impl ResultStore for DirStore {
             Err(PayloadError::Corrupt(_)) => {
                 // Damaged entry: set it aside under a name no lookup will
                 // ever read again (forensics can inspect it), then miss —
-                // the executor re-simulates and saves a fresh `.json`.
+                // the session re-simulates and saves a fresh `.json`.
                 // A rename race (another worker already quarantined it)
                 // is harmless; both count the same damaged entry once
                 // because only one read can have seen each damaged file

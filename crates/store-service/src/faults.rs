@@ -46,9 +46,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const DIR_LOAD_CORRUPT: &str = "dir.load.corrupt";
 /// `DirStore::save`: the write fails with an injected IO error.
 pub const DIR_SAVE_IO: &str = "dir.save.io";
-/// Executor worker: the simulation panics (keyed by grid index).
+/// Session worker: the simulation panics (keyed by grid index).
 pub const SIM_PANIC: &str = "sim.panic";
-/// Executor worker: the simulation stalls for ARG ms (keyed by grid
+/// Session worker: the simulation stalls for ARG ms (keyed by grid
 /// index) — exercises the per-run deadline watchdog.
 pub const SIM_DELAY: &str = "sim.delay";
 /// `StoreClient`: sending the request frame fails with an IO error

@@ -3,8 +3,11 @@
 //! [`StoreError`] (or be absorbed by the client's bounded retry) — never
 //! a panic, a hang, or a silently wrong payload.
 //!
-//! The fault injector is process-global, so every test serializes
-//! through [`faults::install_guarded`] (RAII: uninstalls on drop).
+//! The fault injector is process-global, so every test holds the
+//! injector's test lock for its whole body ([`serialized`]): servers and
+//! clients are set up with nothing installed, and the test installs its
+//! plan just before the request it targets. A sibling test's server or
+//! request can then never consume an occurrence of this test's plan.
 
 use std::time::Duration;
 
@@ -12,6 +15,20 @@ use eole_store_service::faults::{self, FaultPlan};
 use eole_store_service::{
     ClientConfig, GetOutcome, ServerConfig, ServerHandle, StoreClient, StoreError, StoreServer,
 };
+
+/// Takes the process-wide fault-test lock with no plan installed; the
+/// guard uninstalls whatever the test installed and releases the lock
+/// on drop.
+fn serialized() -> faults::InstallGuard {
+    let guard = faults::install_guarded(FaultPlan::default());
+    faults::install(None);
+    guard
+}
+
+/// Installs `spec` (under the lock [`serialized`] holds).
+fn arm(spec: &str) {
+    faults::install(Some(FaultPlan::parse(spec).unwrap()));
+}
 
 fn spawn_server(config: ServerConfig) -> ServerHandle {
     StoreServer::bind("127.0.0.1:0", config).expect("bind loopback").spawn()
@@ -50,13 +67,14 @@ fn get_lease_eventually(client: &StoreClient, key: &str) {
 
 #[test]
 fn garbled_response_is_a_typed_protocol_error_not_a_retry_storm() {
+    let _guard = serialized();
     let dir = tempdir("garble");
     let server = spawn_server(ServerConfig::new(&dir));
     // Connect BEFORE installing the plan: the handshake bypasses the
     // request path, but keeping it fault-free makes occurrence 0 below
     // unambiguous.
     let client = fast_client(&server);
-    let _guard = faults::install_guarded(FaultPlan::parse("client.recv.corrupt@0,seed=1").unwrap());
+    arm("client.recv.corrupt@0,seed=1");
     // The very first request's response frame is garbled in flight: the
     // decoder must reject it typed, and the client must NOT retry (a
     // corrupted stream is not a transient transport failure).
@@ -70,11 +88,11 @@ fn garbled_response_is_a_typed_protocol_error_not_a_retry_storm() {
 
 #[test]
 fn truncated_response_is_a_typed_protocol_error() {
+    let _guard = serialized();
     let dir = tempdir("truncate");
     let server = spawn_server(ServerConfig::new(&dir));
     let client = fast_client(&server);
-    let _guard =
-        faults::install_guarded(FaultPlan::parse("client.recv.truncate@0,seed=1").unwrap());
+    arm("client.recv.truncate@0,seed=1");
     let err = client.get("k", 0).unwrap_err();
     assert!(matches!(err, StoreError::Protocol(_)), "got {err:?}");
     get_lease_eventually(&client, "k"); // recovers on the next request
@@ -83,10 +101,11 @@ fn truncated_response_is_a_typed_protocol_error() {
 
 #[test]
 fn injected_send_failure_is_absorbed_by_reconnect_and_retry() {
+    let _guard = serialized();
     let dir = tempdir("send-io");
     let server = spawn_server(ServerConfig::new(&dir));
     let client = fast_client(&server);
-    let _guard = faults::install_guarded(FaultPlan::parse("client.send.io@0,seed=1").unwrap());
+    arm("client.send.io@0,seed=1");
     // Attempt 0 fails with an injected Io error; the client reconnects
     // and attempt 1 (occurrence 1 — no match) succeeds. The caller never
     // sees the fault.
@@ -98,6 +117,7 @@ fn injected_send_failure_is_absorbed_by_reconnect_and_retry() {
 
 #[test]
 fn forced_lease_expiry_regrants_and_counts() {
+    let _guard = serialized();
     let dir = tempdir("lease-expire");
     let server = spawn_server(ServerConfig::new(&dir));
     let a = fast_client(&server);
@@ -106,7 +126,7 @@ fn forced_lease_expiry_regrants_and_counts() {
     // Force the server to treat a's (healthy, hours-from-expiry) lease as
     // expired the moment b asks — the deterministic stand-in for a real
     // TTL expiry, without the wall-clock wait.
-    let _guard = faults::install_guarded(FaultPlan::parse("server.lease.expire@0,seed=1").unwrap());
+    arm("server.lease.expire@0,seed=1");
     assert_eq!(b.get("k", 0).unwrap(), GetOutcome::Lease, "the expired lease is re-granted");
     let stats = server.stats();
     assert_eq!(stats.leases_expired, 1);
@@ -120,6 +140,7 @@ fn forced_lease_expiry_regrants_and_counts() {
 
 #[test]
 fn garbled_inbound_request_gets_a_typed_err_response_and_the_daemon_lives() {
+    let _guard = serialized();
     let dir = tempdir("server-garble");
     let server = spawn_server(ServerConfig::new(&dir));
     let client = fast_client(&server);
@@ -128,7 +149,7 @@ fn garbled_inbound_request_gets_a_typed_err_response_and_the_daemon_lives() {
     // Protocol error) and keep serving other connections. A Stats
     // request is a single tag byte, so the garble always destroys the
     // tag — deterministic regardless of where the salt lands the flip.
-    let _guard = faults::install_guarded(FaultPlan::parse("server.recv.corrupt@0,seed=2").unwrap());
+    arm("server.recv.corrupt@0,seed=2");
     let err = client.stats().unwrap_err();
     assert!(matches!(err, StoreError::Protocol(_)), "got {err:?}");
     // The daemon is still healthy for a fresh connection.
@@ -139,10 +160,11 @@ fn garbled_inbound_request_gets_a_typed_err_response_and_the_daemon_lives() {
 
 #[test]
 fn injected_client_delay_only_slows_the_request() {
+    let _guard = serialized();
     let dir = tempdir("delay");
     let server = spawn_server(ServerConfig::new(&dir));
     let client = fast_client(&server);
-    let _guard = faults::install_guarded(FaultPlan::parse("client.delay@0:80,seed=1").unwrap());
+    arm("client.delay@0:80,seed=1");
     let start = std::time::Instant::now();
     assert_eq!(client.get("k", 0).unwrap(), GetOutcome::Lease);
     assert!(start.elapsed() >= Duration::from_millis(80), "the delay was injected");

@@ -6,13 +6,13 @@
 //! 10–60 % of µ-ops bypass the OoO engine entirely.
 //!
 //! The whole study is one [`Grid`]: 4 configurations × N workloads,
-//! scheduled run-by-run across the executor's thread pool with the
+//! scheduled run-by-run across the session's thread pool with the
 //! prepared traces shared through its [`TraceCache`].
 //!
 //! Run with: `cargo run --release --example issue_width_study [workload ...]`
 
 use eole::prelude::*;
-use eole_bench::{Executor, Grid, Runner};
+use eole_bench::{Grid, Runner, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,15 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CoreConfig::eole_4_64(),
         CoreConfig::eole_6_64(),
     ];
+    let runner = Runner { warmup: 30_000, measure: 120_000 };
     let mut grid = Grid::new()
-        .runner(Runner { warmup: 30_000, measure: 120_000 })
+        .runner(runner)
         .configs(configs.clone());
     for name in &names {
         grid = grid.workload(workload_by_name(name).expect("known workload"));
     }
 
-    let executor = Executor::new();
-    let results = executor.run(&grid);
+    let session = Session::new(runner);
+    let results = session.run(&grid);
 
     let mut report = ExperimentReport::new(
         "issue_width_study",
@@ -61,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!(
         "[{} runs, {} trace(s) prepared once each]",
         grid.len(),
-        executor.cache().generated()
+        session.cache().generated()
     );
     Ok(())
 }

@@ -1,18 +1,19 @@
 //! The paper's §6.3 register-file study in miniature: banked PRFs
 //! (Fig. 10) and restricted LE/VT read ports (Fig. 11), plus the §6.2
-//! port/area arithmetic — one grid, one executor pass, two reports.
+//! port/area arithmetic — one grid, one session pass, two reports.
 //!
 //! Run with: `cargo run --release --example prf_banking [workload]`
 
 use eole::prelude::*;
-use eole_bench::{Executor, Grid, Runner};
+use eole_bench::{Grid, Runner, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "namd".to_string());
     let workload = workload_by_name(&name).expect("known workload");
 
+    let runner = Runner { warmup: 30_000, measure: 120_000 };
     let grid = Grid::new()
-        .runner(Runner { warmup: 30_000, measure: 120_000 })
+        .runner(runner)
         .workload(workload)
         .config(CoreConfig::eole_4_64()) // unbanked reference, first
         .configs([
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             CoreConfig::eole_4_64_ports(4, 3),
             CoreConfig::eole_4_64_ports(4, 4),
         ]);
-    let results = Executor::new().run(&grid);
+    let results = Session::new(runner).run(&grid);
     let reference = results[0].expect_stats().ipc();
 
     let mut report = ExperimentReport::new(

@@ -1,11 +1,11 @@
 //! Quickstart: simulate one workload on the paper's three headline
-//! configurations — described as a [`Grid`], executed by the job-queue
-//! [`Executor`], reported as an [`ExperimentReport`].
+//! configurations — described as a [`Grid`], executed by a [`Session`]'s
+//! job queue, reported as an [`ExperimentReport`].
 //!
 //! Run with: `cargo run --release --example quickstart [workload]`
 
 use eole::prelude::*;
-use eole_bench::{Executor, Grid, Runner};
+use eole_bench::{Grid, Runner, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "namd".to_string());
@@ -13,16 +13,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| panic!("unknown workload {name}; try one of Table 3's names"));
     println!("workload: {} — {}", workload.name, workload.description);
 
+    let runner = Runner { warmup: 50_000, measure: 100_000 };
     let grid = Grid::new()
-        .runner(Runner { warmup: 50_000, measure: 100_000 })
+        .runner(runner)
         .workload(workload)
         .configs([
             CoreConfig::baseline_6_64(),
             CoreConfig::baseline_vp_6_64(),
             CoreConfig::eole_4_64(),
         ]);
-    let executor = Executor::new();
-    let results = executor.run(&grid);
+    let results = Session::new(runner).run(&grid);
     println!(
         "trace: prepared once, shared across {} configs\n",
         grid.config_list().len()

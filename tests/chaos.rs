@@ -1,4 +1,4 @@
-//! Executor-level chaos: seeded deterministic fault injection against
+//! Session-level chaos: seeded deterministic fault injection against
 //! real (quick-methodology) simulations.
 //!
 //! The contracts under test, end to end:
@@ -6,9 +6,10 @@
 //! * **Crash isolation** — an injected panic inside one run's simulation
 //!   surfaces as a typed [`RunError::Panicked`] for that run only;
 //!   sibling runs complete with byte-identical statistics and the worker
-//!   pool survives.
-//! * **Deadline watchdog** — a run that outlives the executor's per-run
-//!   budget fails typed ([`RunError::Deadline`]), never silently slow.
+//!   pool survives — for serial and interval-stitched runs alike.
+//! * **Deadline watchdog** — a run that outlives the session's per-run
+//!   budget fails typed ([`RunError::Deadline`]), never silently slow —
+//!   serial or stitched.
 //! * **Quarantine self-healing** — a damaged `DirStore` entry is set
 //!   aside as `<stem>.quarantined`, transparently re-simulated, and the
 //!   healed store serves bytes identical to a never-damaged one.
@@ -29,7 +30,7 @@ use std::time::Duration;
 
 use eole_bench::faults::{self, FaultPlan};
 use eole_bench::{
-    DirStore, Executor, Grid, ResultStore, RunError, RunResult, Runner, StoreError,
+    DirStore, Grid, ResultStore, RunError, RunResult, Runner, Session, SessionBuilder, StoreError,
 };
 use eole_core::config::CoreConfig;
 use proptest::prelude::*;
@@ -40,6 +41,14 @@ fn small_grid() -> Grid {
         .configs([CoreConfig::baseline_6_64(), CoreConfig::eole_4_64()])
         .workload_names(&["gzip", "mcf"])
 }
+
+/// A quick-methodology session over `threads` workers.
+fn session(threads: usize) -> SessionBuilder {
+    Session::builder().runner(Runner::quick()).threads(threads)
+}
+
+/// Both kinds of run: serial, and stitched from 4 intervals.
+const INTERVAL_COUNTS: [u32; 2] = [0, 4];
 
 fn temp_store_dir(tag: &str) -> std::path::PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -68,26 +77,31 @@ fn injected_panic_is_isolated_to_its_run() {
     // Serialize with other fault tests, then compute the fault-free
     // baseline with the plan temporarily uninstalled.
     let _guard = faults::install_guarded(FaultPlan::parse("sim.panic@1,seed=1").unwrap());
-    faults::install(None);
-    let baseline = outcome_fingerprints(&Executor::with_threads(2).run(&grid));
+    for k in INTERVAL_COUNTS {
+        faults::install(None);
+        let baseline =
+            outcome_fingerprints(&session(2).intervals(k).build().unwrap().run(&grid));
 
-    // `sim.panic` is keyed by stable grid index, so run #1 crashes at any
-    // thread count while every sibling completes identically.
-    for threads in [1usize, 2, 4] {
-        faults::install(Some(FaultPlan::parse("sim.panic@1,seed=1").unwrap()));
-        let results = Executor::with_threads(threads).run(&grid);
-        assert_eq!(results.len(), grid.len(), "threads={threads}: every run has an outcome");
-        for (i, (r, base)) in results.iter().zip(&baseline).enumerate() {
-            if i == 1 {
-                match &r.outcome {
-                    Err(RunError::Panicked { message, .. }) => {
-                        assert!(message.contains("injected fault: sim.panic"), "{message}");
+        // `sim.panic` is keyed by stable grid index, so run #1 crashes at
+        // any thread count (and, stitched, in every piece) while every
+        // sibling completes identically.
+        for threads in [1usize, 2, 4] {
+            faults::install(Some(FaultPlan::parse("sim.panic@1,seed=1").unwrap()));
+            let results = session(threads).intervals(k).build().unwrap().run(&grid);
+            let at = format!("k={k} threads={threads}");
+            assert_eq!(results.len(), grid.len(), "{at}: every run has an outcome");
+            for (i, (r, base)) in results.iter().zip(&baseline).enumerate() {
+                if i == 1 {
+                    match &r.outcome {
+                        Err(RunError::Panicked { message, .. }) => {
+                            assert!(message.contains("injected fault: sim.panic"), "{message}");
+                        }
+                        other => panic!("{at}: run 1 must be Panicked, got {other:?}"),
                     }
-                    other => panic!("threads={threads}: run 1 must be Panicked, got {other:?}"),
+                } else {
+                    let stats = format!("{:?}", r.outcome.as_ref().expect("sibling must survive"));
+                    assert_eq!(&Ok(stats), base, "{at}: sibling {i} drifted");
                 }
-            } else {
-                let stats = format!("{:?}", r.outcome.as_ref().expect("sibling must survive"));
-                assert_eq!(&Ok(stats), base, "threads={threads}: sibling {i} drifted");
             }
         }
     }
@@ -99,20 +113,23 @@ fn deadline_watchdog_fails_overrunning_runs_typed() {
         .runner(Runner::quick())
         .config(CoreConfig::baseline_6_64())
         .workload_names(&["gzip"]);
-    // A 1 ms budget: any real simulation overruns it, deterministically.
-    let results =
-        Executor::with_threads(1).with_deadline(Some(Duration::from_millis(1))).run(&grid);
-    match &results[0].outcome {
-        Err(RunError::Deadline { elapsed_ms, budget_ms, .. }) => {
-            assert_eq!(*budget_ms, 1);
-            assert!(*elapsed_ms >= 1, "elapsed {elapsed_ms} ms must be over the budget");
+    for k in INTERVAL_COUNTS {
+        // A 1 ms budget: any real simulation (or interval piece) overruns
+        // it, deterministically.
+        let budget = Some(Duration::from_millis(1));
+        let results = session(1).intervals(k).run_deadline(budget).build().unwrap().run(&grid);
+        match &results[0].outcome {
+            Err(RunError::Deadline { elapsed_ms, budget_ms, .. }) => {
+                assert_eq!(*budget_ms, 1);
+                assert!(*elapsed_ms >= 1, "k={k}: elapsed {elapsed_ms} ms must be over the budget");
+            }
+            other => panic!("k={k}: a 1 ms budget must fail the run typed, got {other:?}"),
         }
-        other => panic!("a 1 ms budget must fail the run typed, got {other:?}"),
+        // A generous budget never fires.
+        let budget = Some(Duration::from_secs(600));
+        let results = session(1).intervals(k).run_deadline(budget).build().unwrap().run(&grid);
+        assert!(results[0].outcome.is_ok(), "k={k}: {:?}", results[0].outcome);
     }
-    // A generous budget never fires.
-    let results =
-        Executor::with_threads(1).with_deadline(Some(Duration::from_secs(600))).run(&grid);
-    assert!(results[0].outcome.is_ok(), "{:?}", results[0].outcome);
 }
 
 #[test]
@@ -124,18 +141,18 @@ fn quarantined_entry_self_heals_to_byte_identity() {
 
     // Warm the store fault-free and keep the baseline.
     let store: Arc<dyn ResultStore> = Arc::new(DirStore::open(&dir).unwrap());
-    let baseline = outcome_fingerprints(&Executor::with_threads(2).with_store(store).run(&grid));
+    let baseline = outcome_fingerprints(&session(2).store(store).build().unwrap().run(&grid));
 
     // Second pass with the fault armed: the first successful read off
     // disk is damaged in flight, quarantined, and re-simulated — the
     // results must still match the baseline byte for byte.
     faults::install(Some(FaultPlan::parse("dir.load.corrupt@0,seed=3").unwrap()));
     let store = Arc::new(DirStore::open(&dir).unwrap());
-    let exec = Executor::with_threads(2).with_store(Arc::<DirStore>::clone(&store));
-    let healed = outcome_fingerprints(&exec.run(&grid));
+    let pass = session(2).store(Arc::<DirStore>::clone(&store)).build().unwrap();
+    let healed = outcome_fingerprints(&pass.run(&grid));
     assert_eq!(healed, baseline, "self-healed results must be identical");
     assert_eq!(store.quarantined_count(), 1, "exactly one entry was damaged");
-    assert_eq!(exec.simulated(), 1, "exactly one re-simulation healed it");
+    assert_eq!(pass.simulated(), 1, "exactly one re-simulation healed it");
     let quarantined: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(Result::ok)
@@ -146,10 +163,10 @@ fn quarantined_entry_self_heals_to_byte_identity() {
     // Third pass, faults off: the healed store serves everything.
     faults::install(None);
     let store = Arc::new(DirStore::open(&dir).unwrap());
-    let exec = Executor::with_threads(2).with_store(Arc::<DirStore>::clone(&store));
-    let warm = outcome_fingerprints(&exec.run(&grid));
+    let pass = session(2).store(Arc::<DirStore>::clone(&store)).build().unwrap();
+    let warm = outcome_fingerprints(&pass.run(&grid));
     assert_eq!(warm, baseline);
-    assert_eq!(exec.simulated(), 0, "the healed store is fully warm");
+    assert_eq!(pass.simulated(), 0, "the healed store is fully warm");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -162,7 +179,7 @@ fn injected_save_failure_is_a_typed_store_error() {
     let dir = temp_store_dir("save-io");
     let _guard = faults::install_guarded(FaultPlan::parse("dir.save.io@0,seed=1").unwrap());
     let store: Arc<dyn ResultStore> = Arc::new(DirStore::open(&dir).unwrap());
-    let results = Executor::with_threads(1).with_store(store).run(&grid);
+    let results = session(1).store(store).build().unwrap().run(&grid);
     match &results[0].outcome {
         Err(RunError::Store { source: StoreError::Io(msg), .. }) => {
             assert!(msg.contains("injected fault: dir.save.io"), "{msg}");
@@ -189,7 +206,9 @@ fn rate_faults_replay_identically_across_thread_counts() {
     let _guard = faults::install_guarded(FaultPlan::parse(spec).unwrap());
     let failing = |threads: usize| -> Vec<usize> {
         faults::install(Some(FaultPlan::parse(spec).unwrap()));
-        Executor::with_threads(threads)
+        session(threads)
+            .build()
+            .unwrap()
             .run(&grid)
             .iter()
             .enumerate()
@@ -203,7 +222,9 @@ fn rate_faults_replay_identically_across_thread_counts() {
     assert_eq!(first, failing(4));
     // A different seed draws a different (still deterministic) schedule.
     faults::install(Some(FaultPlan::parse("sim.panic~0.5,seed=8").unwrap()));
-    let reseeded: Vec<usize> = Executor::with_threads(2)
+    let reseeded: Vec<usize> = session(2)
+        .build()
+        .unwrap()
         .run(&grid)
         .iter()
         .enumerate()
@@ -211,7 +232,9 @@ fn rate_faults_replay_identically_across_thread_counts() {
         .map(|(i, _)| i)
         .collect();
     faults::install(Some(FaultPlan::parse("sim.panic~0.5,seed=8").unwrap()));
-    let reseeded_again: Vec<usize> = Executor::with_threads(4)
+    let reseeded_again: Vec<usize> = session(4)
+        .build()
+        .unwrap()
         .run(&grid)
         .iter()
         .enumerate()
@@ -223,7 +246,7 @@ fn rate_faults_replay_identically_across_thread_counts() {
 
 // ---- satellite: closure under random fault plans --------------------------
 
-/// A random clause over the executor-facing sites. `sim.panic` crashes a
+/// A random clause over the session-facing sites. `sim.panic` crashes a
 /// run; `dir.save.io` fails a persist; `dir.load.corrupt` damages a read
 /// (a no-op against the cold stores used here — load faults only fire on
 /// bytes actually read — but it keeps the plan space honest).
@@ -244,7 +267,7 @@ fn clause_strategy() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any random plan over a 2×2 quick grid: the executor returns
+    /// Any random plan over a 2×2 quick grid: the session returns
     /// exactly N outcomes, every failure is typed (`Panicked` or
     /// `Store` — the only errors these sites can produce), and every
     /// survivor's statistics equal the fault-free baseline's.
@@ -259,12 +282,12 @@ proptest! {
 
         let _guard = faults::install_guarded(plan);
         faults::install(None);
-        let baseline = outcome_fingerprints(&Executor::with_threads(2).run(&grid));
+        let baseline = outcome_fingerprints(&session(2).build().unwrap().run(&grid));
 
         faults::install(Some(FaultPlan::parse(&spec).unwrap()));
         let dir = temp_store_dir("proptest");
         let store: Arc<dyn ResultStore> = Arc::new(DirStore::open(&dir).unwrap());
-        let results = Executor::with_threads(2).with_store(store).run(&grid);
+        let results = session(2).store(store).build().unwrap().run(&grid);
 
         prop_assert_eq!(results.len(), grid.len(), "exactly N outcomes, always");
         for (i, r) in results.iter().enumerate() {

@@ -140,7 +140,7 @@ fn interval_keys_are_distinct_from_serial_keys() {
     assert_eq!(back.committed, 42);
 }
 
-/// The executor's interval path: grid results equal the library-level
+/// The session's interval path: grid results equal the library-level
 /// stitch, results keep grid order, and a warm store serves the repeat
 /// grid with zero simulations — under the interval-tagged keys.
 #[test]
@@ -162,7 +162,7 @@ fn executor_interval_path_matches_library_stitch_and_caches() {
     assert_eq!(session.intervals(), Some(policy));
     let results = session.run(&grid);
     assert_eq!(results.len(), 4);
-    assert_eq!(session.executor().simulated(), 4);
+    assert_eq!(session.simulated(), 4);
     for (r, spec) in results.iter().zip(grid.specs()) {
         assert_eq!(r.spec.label(), spec.label(), "stitched results keep grid order");
         let got = r.stats().expect("stitched run succeeds");
@@ -179,8 +179,8 @@ fn executor_interval_path_matches_library_stitch_and_caches() {
         .build()
         .unwrap();
     let again = warm.run(&grid);
-    assert_eq!(warm.executor().simulated(), 0, "warm store serves every stitched cell");
-    assert_eq!(warm.executor().store_hits(), 4);
+    assert_eq!(warm.simulated(), 0, "warm store serves every stitched cell");
+    assert_eq!(warm.store_hits(), 4);
     for (a, b) in results.iter().zip(&again) {
         assert_same_stats(a.stats().unwrap(), b.stats().unwrap(), &a.spec.label());
     }
@@ -193,8 +193,8 @@ fn executor_interval_path_matches_library_stitch_and_caches() {
         .build()
         .unwrap();
     serial.run(&grid);
-    assert_eq!(serial.executor().store_hits(), 0, "serial keys must miss stitched results");
-    assert_eq!(serial.executor().simulated(), 4);
+    assert_eq!(serial.store_hits(), 0, "serial keys must miss stitched results");
+    assert_eq!(serial.simulated(), 4);
 }
 
 /// `(cycles, committed, squashed)` of one stitched run.
@@ -271,12 +271,10 @@ fn stitched_fingerprints_match_the_pinned_table() {
                     .unwrap_or_else(|| panic!("{label}: no pinned row"))
                     .3;
                 assert_eq!((s.cycles, s.committed, s.squashed), want, "{label}");
-                assert!(
-                    sweep.swept <= runner.warmup + runner.measure,
-                    "{label}: sweep replayed {} µ-ops, more than one trace prefix ({})",
-                    sweep.swept,
-                    runner.warmup + runner.measure,
-                );
+                // One trace prefix exactly: the sweep replays up to the
+                // last checkpoint position and not a µ-op more.
+                let last = *runner.warm_positions(policy).last().expect("k ≥ 1 positions");
+                assert_eq!(sweep.swept, last, "{label}: sweep work must be one trace prefix");
                 assert_eq!(sweep.built, k as usize, "{label}: one checkpoint per piece");
                 assert_eq!(sweep.loaded, 0, "{label}: no cache was offered");
             }
@@ -284,7 +282,7 @@ fn stitched_fingerprints_match_the_pinned_table() {
     }
 }
 
-/// The executor's checkpoint cache: a cold stitched run builds and
+/// The session's checkpoint cache: a cold stitched run builds and
 /// publishes its checkpoints; a later run at a *different* k (whose
 /// result keys therefore miss) re-serves the positions it shares —
 /// [`eole_bench::WarmKey`] deliberately carries no k, so k=2's positions
@@ -307,8 +305,8 @@ fn executor_checkpoint_sweep_caches_warm_state_across_k() {
         .build()
         .unwrap();
     let first = cold.run(&grid);
-    assert_eq!(cold.executor().warm_built(), 4, "cold sweep builds one checkpoint per piece");
-    assert_eq!(cold.executor().warm_loaded(), 0);
+    assert_eq!(cold.warm_built(), 4, "cold sweep builds one checkpoint per piece");
+    assert_eq!(cold.warm_loaded(), 0);
     assert_eq!(store.len(), 1, "checkpoints never count as result entries");
 
     let warm = Session::builder()
@@ -320,9 +318,9 @@ fn executor_checkpoint_sweep_caches_warm_state_across_k() {
         .build()
         .unwrap();
     let second = warm.run(&grid);
-    assert_eq!(warm.executor().store_hits(), 0, "k=2 result keys miss k=4 results");
-    assert_eq!(warm.executor().warm_loaded(), 2, "k=2 positions are a subset of k=4's");
-    assert_eq!(warm.executor().warm_built(), 0, "nothing to rebuild on a warm store");
+    assert_eq!(warm.store_hits(), 0, "k=2 result keys miss k=4 results");
+    assert_eq!(warm.warm_loaded(), 2, "k=2 positions are a subset of k=4's");
+    assert_eq!(warm.warm_built(), 0, "nothing to rebuild on a warm store");
     // Checkpoint-restored pieces produce the same stitch the library does.
     let spec = &grid.specs()[0];
     let trace = runner.try_prepare(&spec.workload).unwrap();
@@ -362,7 +360,7 @@ fn corrupt_warm_checkpoint_degrades_to_replay_and_heals() {
         .build()
         .unwrap();
     cold.run(&grid);
-    assert_eq!(cold.executor().warm_built(), 2);
+    assert_eq!(cold.warm_built(), 2);
 
     // Flip one byte inside one checkpoint payload on disk.
     let victim = std::fs::read_dir(&dir)
@@ -391,8 +389,8 @@ fn corrupt_warm_checkpoint_degrades_to_replay_and_heals() {
         .build()
         .unwrap();
     let results = rerun.run(&grid);
-    assert_eq!(rerun.executor().warm_loaded(), 1, "the undamaged checkpoint is served");
-    assert_eq!(rerun.executor().warm_built(), 3, "the damaged one is rebuilt, plus k=4's new positions");
+    assert_eq!(rerun.warm_loaded(), 1, "the undamaged checkpoint is served");
+    assert_eq!(rerun.warm_built(), 3, "the damaged one is rebuilt, plus k=4's new positions");
     assert_eq!(store.quarantined_count(), 1, "damage is quarantined, not silently retried");
     assert!(
         victim.with_extension("quarantined").exists(),

@@ -18,8 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eole_bench::{
-    DirStore, Executor, Grid, MemStore, Plan, ResultStore, RunKey, RunSpec, Runner, Session,
-    Shard,
+    DirStore, Grid, MemStore, ResultStore, RunKey, RunSpec, Runner, Session, SessionBuilder, Shard,
 };
 use eole_core::canon::SIM_FINGERPRINT_VERSION;
 use eole_core::config::{CoreConfig, EoleConfig, FuConfig, ValuePredictorKind, VpConfig};
@@ -186,15 +185,16 @@ fn small_grid() -> Grid {
         .workload_names(&["gzip", "namd", "mcf"])
 }
 
+/// A quick-methodology session over `threads` workers.
+fn session(threads: usize) -> SessionBuilder {
+    Session::builder().runner(Runner::quick()).threads(threads)
+}
+
 #[test]
 fn shard_partitions_are_disjoint_cover_the_grid_and_ignore_thread_counts() {
     let grid = small_grid();
     let keys: Vec<RunKey> = grid.specs().iter().map(RunSpec::run_key).collect();
     for n in [1usize, 2, 3, 4, 7] {
-        let plan = Plan::new(&grid, n);
-        let shards = plan.shards();
-        let total: usize = shards.iter().map(Vec::len).sum();
-        assert_eq!(total, keys.len(), "n={n}: exact cover");
         for key in &keys {
             let owners: Vec<usize> = (1..=n)
                 .filter(|&k| Shard::new(k, n).unwrap().owns(key))
@@ -204,12 +204,15 @@ fn shard_partitions_are_disjoint_cover_the_grid_and_ignore_thread_counts() {
     }
     // Thread counts affect scheduling, never ownership: run each shard
     // with different worker counts and check the same cells simulated.
-    let plan = Plan::new(&grid, 2);
     for k in 1..=2 {
-        let expected: Vec<String> = plan.shard(k).iter().map(RunSpec::label).collect();
+        let shard = Shard::new(k, 2).unwrap();
+        let expected: Vec<String> =
+            grid.specs().iter().filter(|s| shard.owns_spec(s)).map(RunSpec::label).collect();
         for threads in [1usize, 4] {
-            let exec = Executor::with_threads(threads).with_shard(Shard::new(k, 2).unwrap());
-            let ran: Vec<String> = exec
+            let ran: Vec<String> = session(threads)
+                .shard(shard)
+                .build()
+                .unwrap()
                 .run(&grid)
                 .iter()
                 .filter(|r| r.stats().is_ok())
@@ -304,29 +307,28 @@ fn stored_results_are_keyed_by_sim_version() {
 #[test]
 fn sharded_populate_plus_merge_equals_unsharded_run_with_zero_sims() {
     let grid = small_grid();
-    let fresh = Executor::with_threads(4).run(&grid);
+    let fresh = session(4).build().unwrap().run(&grid);
 
     let dir = temp_store_dir("merge");
-    // Populate: each shard in its own executor (own process, morally).
+    // Populate: each shard in its own session (own process, morally).
     for k in 1..=2 {
         let store: Arc<dyn ResultStore> = Arc::new(DirStore::open(&dir).unwrap());
-        let exec = Executor::with_threads(2)
-            .with_store(store)
-            .with_shard(Shard::new(k, 2).unwrap());
-        let results = exec.run(&grid);
+        let populate =
+            session(2).store(store).shard(Shard::new(k, 2).unwrap()).build().unwrap();
+        let results = populate.run(&grid);
         let ok = results.iter().filter(|r| r.stats().is_ok()).count();
         // Successes are either this shard's own simulations or cells the
         // earlier shard already put in the shared store.
         assert_eq!(
             ok,
-            exec.simulated() + exec.store_hits(),
+            populate.simulated() + populate.store_hits(),
             "shard {k}: successes = own sims + store hits"
         );
-        assert!(exec.simulated() > 0, "shard {k} owns a non-empty slice of this grid");
+        assert!(populate.simulated() > 0, "shard {k} owns a non-empty slice of this grid");
     }
-    // Merge: unsharded executor over a warm store.
+    // Merge: unsharded session over a warm store.
     let store: Arc<dyn ResultStore> = Arc::new(DirStore::open(&dir).unwrap());
-    let warm = Executor::with_threads(4).with_store(store);
+    let warm = session(4).store(store).build().unwrap();
     let merged = warm.run(&grid);
     assert_eq!(warm.simulated(), 0, "a warm store serves the whole grid");
     assert_eq!(warm.store_hits(), grid.len());
@@ -344,29 +346,8 @@ fn sharded_populate_plus_merge_equals_unsharded_run_with_zero_sims() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The Plan-level merge produces the same vector executors produce,
-/// proving the two merge paths (in-process `Plan::merge`, cross-process
-/// store read-back) agree.
-#[test]
-fn plan_merge_agrees_with_store_merge() {
-    let grid = small_grid();
-    let plan = Plan::new(&grid, 2);
-    let session = Session::builder().runner(Runner::quick()).threads(2).build().unwrap();
-    let shard_results: Vec<_> =
-        (1..=2).map(|k| session.run_specs(plan.shard(k))).collect();
-    let merged = plan.merge(shard_results).unwrap();
-    let fresh = session.run(&grid);
-    assert_eq!(merged.len(), fresh.len());
-    for (a, b) in merged.iter().zip(&fresh) {
-        assert_eq!(a.spec.label(), b.spec.label());
-        let (sa, sb) = (a.stats().unwrap(), b.stats().unwrap());
-        assert_eq!(sa.cycles, sb.cycles, "{}", a.spec.label());
-        assert_eq!(sa.committed, sb.committed);
-    }
-}
-
 /// The MemStore path used for in-process dedup behaves like DirStore for
-/// the executor (hit counters, zero re-simulation).
+/// the session (hit counters, zero re-simulation).
 #[test]
 fn mem_store_dedups_repeat_grids() {
     let store: Arc<dyn ResultStore> = Arc::new(MemStore::new());
@@ -374,11 +355,11 @@ fn mem_store_dedups_repeat_grids() {
         .runner(Runner::quick())
         .config(CoreConfig::baseline_6_64())
         .workload_names(&["gzip"]);
-    let exec = Executor::with_threads(1).with_store(Arc::clone(&store));
-    exec.run(&grid);
-    exec.run(&grid);
-    assert_eq!(exec.simulated(), 1);
-    assert_eq!(exec.store_hits(), 1);
+    let session = session(1).store(Arc::clone(&store)).build().unwrap();
+    session.run(&grid);
+    session.run(&grid);
+    assert_eq!(session.simulated(), 1);
+    assert_eq!(session.store_hits(), 1);
     assert_eq!(store.len(), 1);
 }
 

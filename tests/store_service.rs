@@ -128,8 +128,8 @@ fn concurrent_sessions_single_flight_and_match_the_serial_run_byte_for_byte() {
     for (label, payload) in &warm_payloads {
         assert_eq!(payload, &reference[label]);
     }
-    assert_eq!(warm.executor().simulated(), 0, "warm re-run must be 100% hits");
-    assert_eq!(warm.executor().store_hits(), reference.len());
+    assert_eq!(warm.simulated(), 0, "warm re-run must be 100% hits");
+    assert_eq!(warm.store_hits(), reference.len());
 
     // The report-set header carries the flat store block, and stripping
     // it (the CI byte-compare discipline) restores the store-less bytes.
@@ -168,7 +168,7 @@ fn daemon_loss_mid_run_degrades_to_local_simulation() {
     for (label, payload) in &payloads {
         assert_eq!(payload, &reference[label], "{label}: degraded run must stay correct");
     }
-    assert_eq!(session.executor().simulated(), reference.len(), "all cells simulated locally");
+    assert_eq!(session.simulated(), reference.len(), "all cells simulated locally");
     let summary = session.store_summary().expect("store attached");
     assert!(summary.degraded, "losing the daemon must flip the degraded flag");
     assert!(session.accounting().contains("DEGRADED"), "{}", session.accounting());

@@ -202,7 +202,7 @@ fn squash_storms_do_not_allocate() {
 /// the borrowed `(&'static str, u64)` pair (`Workload::name` is static),
 /// so after the one-time generation a `get_or_prepare` per run costs a
 /// hash lookup and an `Arc` bump — no `String` per probe. Guards the
-/// executor's per-run lookup path the same way the tests above guard the
+/// session's per-run lookup path the same way the tests above guard the
 /// simulator's per-cycle path.
 #[test]
 fn trace_cache_probes_do_not_allocate() {

@@ -29,14 +29,15 @@
 //!
 //! The payload also carries a `microbench` section — raw
 //! `evaluate_stream` lookups/sec per value-predictor kind (LVP through
-//! D-VTAGE) plus TAGE's predict + update rate over the conditional
-//! branches, isolating predictor table cost from pipeline cost — unless
-//! `--no-microbench` skips it.
+//! D-VTAGE), TAGE's keyed predict + update rate over the conditional
+//! branches, and the rate at which their keys are built — isolating
+//! predictor table cost from pipeline cost — unless `--no-microbench`
+//! skips it.
 
 use eole_bench::{quick_suite_configs, Grid, RunSpec, Runner, Session, QUICK_SUITE_WORKLOADS};
 use eole_core::config::CoreConfig;
 use eole_isa::{InstClass, Program};
-use eole_predictors::branch::{DirectionPredictor, Tage};
+use eole_predictors::branch::{Tage, TageKeys};
 use eole_predictors::value::{
     evaluate_stream, DVtage, Fcm, LastValue, StridePredictor, TwoDeltaStride, ValuePredictor,
     Vtage, VtageTwoDeltaStride,
@@ -98,8 +99,11 @@ fn measure(session: &Session, spec: &RunSpec, reps: usize) -> Measured {
 /// isolated from the timing pipeline, so a table-layout change (e.g.
 /// D-VTAGE's block organization) shows up as a lookups/sec delta in
 /// `BENCH_throughput.json` even when pipeline throughput hides it. The
-/// `TAGE` row times `predict` + `update` per conditional branch of the
-/// same trace (its `events` are the branch count).
+/// `TAGE` row times keyed `predict` + `update` per conditional branch of
+/// the same trace, as the pipeline drives them, with the keys built
+/// before the clock starts; the `TAGE-keys` row times building those
+/// keys, the once-per-trace cost the pipeline pays (both rows' `events`
+/// are the branch count).
 fn microbench(session: &Session, reps: usize) -> String {
     let w = eole_workloads::workload_by_name("gzip").expect("gzip is in the registry");
     let trace = session.prepare(&w).unwrap_or_else(|e| fail(&e.to_string()));
@@ -142,14 +146,23 @@ fn microbench(session: &Session, reps: usize) -> String {
         .filter(|di| di.class() == InstClass::Branch)
         .map(|di| (Program::inst_addr(di.pc), di.bhist_pos as usize, di.taken))
         .collect();
+    let build_keys = |tage: &mut Tage| -> Vec<TageKeys> {
+        branches.iter().map(|&(pc, pos, _)| tage.keys(pc, trace.history().view(pos))).collect()
+    };
+    let keys = build_keys(&mut Tage::paper(seed));
     runs.push(row("TAGE", branches.len(), &|| {
         let mut tage = Tage::paper(seed);
         let start = std::time::Instant::now();
-        for &(pc, pos, taken) in &branches {
-            let view = trace.history().view(pos);
-            std::hint::black_box(tage.predict(pc, view));
-            tage.update(pc, view, taken);
+        for (k, &(pc, _, taken)) in keys.iter().zip(&branches) {
+            std::hint::black_box(tage.predict_keyed(pc, k));
+            tage.update_keyed(pc, k, taken);
         }
+        start.elapsed().as_secs_f64()
+    }));
+    runs.push(row("TAGE-keys", branches.len(), &|| {
+        let mut tage = Tage::paper(seed);
+        let start = std::time::Instant::now();
+        std::hint::black_box(build_keys(&mut tage));
         start.elapsed().as_secs_f64()
     }));
     format!("{{\"workload\":\"gzip\",\"runs\":[{}]}}", runs.join(","))

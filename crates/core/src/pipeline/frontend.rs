@@ -6,7 +6,7 @@
 //! which case the µ-op simply travels unpredicted.
 
 use eole_isa::InstClass;
-use eole_predictors::branch::{BranchConfidence, DirectionPredictor};
+use eole_predictors::branch::BranchConfidence;
 
 use super::state::{pck, FrontUop, Simulator};
 
@@ -78,7 +78,8 @@ impl Simulator<'_> {
             let cls = di.class();
             match cls {
                 InstClass::Branch => {
-                    let pred = self.tage.predict(pck(di.pc), view);
+                    let keys = self.branch_keys(di);
+                    let pred = self.tage.predict_keyed(pck(di.pc), keys);
                     fu.hc = pred.confidence == BranchConfidence::VeryHigh;
                     if pred.taken {
                         if self.btb.lookup(pck(di.pc)).is_none() {

@@ -5,7 +5,6 @@
 //! of Fig. 11.
 
 use eole_isa::InstClass;
-use eole_predictors::branch::DirectionPredictor;
 
 use super::state::{pck, RobEntry, Simulator};
 
@@ -68,8 +67,6 @@ impl Simulator<'_> {
             self.stats.late_executed_branches += 1;
         }
 
-        let di = &self.trace.insts()[e.trace_idx];
-        let view = self.trace.history.view(di.bhist_pos as usize);
         if e.class == InstClass::Branch {
             self.stats.cond_branches += 1;
             if e.hc {
@@ -88,7 +85,9 @@ impl Simulator<'_> {
                     self.last_fetch_line = u64::MAX;
                 }
             }
-            self.tage.update(pck(di.pc), view, di.taken);
+            let di = &self.trace.insts()[e.trace_idx];
+            let keys = self.branch_keys(di);
+            self.tage.update_keyed(pck(di.pc), keys, di.taken);
         } else if e.ind_mispredict {
             self.stats.indirect_mispredicts += 1;
         }

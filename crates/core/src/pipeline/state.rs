@@ -3,10 +3,11 @@
 //! the cycle loop that sequences the stage modules.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use eole_isa::{InstClass, Program, RegClass, Trace};
 use eole_mem::hierarchy::MemoryHierarchy;
-use eole_predictors::branch::{Btb, DirectionPredictor, ReturnStack, Tage};
+use eole_predictors::branch::{Btb, ReturnStack, Tage, TageKeys};
 use eole_predictors::history::BranchHistory;
 use eole_predictors::storesets::StoreSets;
 use eole_predictors::value::{
@@ -26,13 +27,36 @@ use crate::stats::SimStats;
 pub struct PreparedTrace {
     insts: Vec<eole_isa::DynInst>,
     pub(super) history: BranchHistory,
+    /// Every conditional branch's TAGE keys, by branch ordinal: built by
+    /// the first simulator over this trace ([`PreparedTrace::tage_keys`]),
+    /// then shared by every configuration and thread.
+    tage_keys: OnceLock<Vec<TageKeys>>,
 }
 
 impl PreparedTrace {
     /// Prepares a raw trace for timing simulation.
     pub fn new(trace: Trace) -> Self {
         let history = BranchHistory::from_outcomes(&trace.branch_outcomes);
-        PreparedTrace { insts: trace.insts, history }
+        PreparedTrace { insts: trace.insts, history, tage_keys: OnceLock::new() }
+    }
+
+    /// The TAGE keys of every conditional branch, indexed by branch
+    /// ordinal (a conditional branch's `bhist_pos`), 48 bytes each. Built
+    /// with `tage` on the first call and served to every later one: the
+    /// keys are a pure function of the trace and TAGE's geometry, and
+    /// every simulator builds the same geometry (`Tage::paper`, whose seed
+    /// drives only the allocation RNG). `EOLE_PARANOID` re-derives each
+    /// key at use ([`Simulator::branch_keys`]).
+    // lint:allow(hot-alloc) cold path: built once per trace, inside the first `Simulator::new`, before any measured loop
+    pub(super) fn tage_keys(&self, tage: &mut Tage) -> &[TageKeys] {
+        self.tage_keys.get_or_init(|| {
+            let mut keys = Vec::with_capacity(self.history.len());
+            for di in self.insts.iter().filter(|di| di.class() == InstClass::Branch) {
+                assert_eq!(di.bhist_pos as usize, keys.len(), "a branch's bhist_pos is its ordinal");
+                keys.push(tage.keys(pck(di.pc), self.history.view(di.bhist_pos as usize)));
+            }
+            keys
+        })
     }
 
     /// Number of µ-ops.
@@ -350,6 +374,8 @@ pub struct Simulator<'t> {
     pub(super) front_q: VecDeque<FrontUop>,
     pub(super) front_cap: usize,
     pub(super) tage: Tage,
+    /// The trace's TAGE key table ([`PreparedTrace::tage_keys`]).
+    pub(super) tage_keys: &'t [TageKeys],
     pub(super) btb: Btb,
     pub(super) ras: ReturnStack,
     pub(super) vp: Option<BlockVp>,
@@ -408,6 +434,8 @@ impl<'t> Simulator<'t> {
         let store_sets = StoreSets::paper();
         let lfst = vec![None; store_sets.num_ssids() as usize];
         let front_cap = config.fetch_width * (config.frontend_depth as usize + 4);
+        let mut tage = Tage::paper(config.branch_seed);
+        let tage_keys = trace.tage_keys(&mut tage);
         Ok(Simulator {
             cycle: 0,
             cursor: 0,
@@ -419,7 +447,8 @@ impl<'t> Simulator<'t> {
             last_fetch_line: u64::MAX,
             front_q: VecDeque::with_capacity(front_cap),
             front_cap,
-            tage: Tage::paper(config.branch_seed),
+            tage,
+            tage_keys,
             btb: Btb::paper(),
             ras: ReturnStack::paper(),
             vp: config
@@ -504,11 +533,12 @@ impl<'t> Simulator<'t> {
             let cls = di.class();
             match cls {
                 InstClass::Branch => {
-                    let pred = self.tage.predict(pck(di.pc), view);
+                    let keys = self.branch_keys(di);
+                    let pred = self.tage.predict_keyed(pck(di.pc), keys);
                     if pred.taken {
                         self.btb.insert(pck(di.pc), di.inst.imm as u32);
                     }
-                    self.tage.update(pck(di.pc), view, di.taken);
+                    self.tage.update_keyed(pck(di.pc), keys, di.taken);
                 }
                 InstClass::Jump | InstClass::Call => {
                     self.btb.insert(pck(di.pc), di.next_pc);
@@ -541,6 +571,25 @@ impl<'t> Simulator<'t> {
         // window; re-arm it so the first detailed commit isn't declared
         // overdue.
         self.last_commit_cycle = cycle;
+    }
+
+    /// The TAGE keys of the conditional branch `di`, from the trace's key
+    /// table. Under `EOLE_PARANOID` they are re-derived from the history
+    /// and compared; a mismatch panics naming the branch ordinal.
+    #[inline]
+    pub(super) fn branch_keys(&mut self, di: &eole_isa::DynInst) -> &'t TageKeys {
+        let ordinal = di.bhist_pos as usize;
+        let keys = &self.tage_keys[ordinal];
+        if crate::paranoid() {
+            let fresh = self.tage.keys(pck(di.pc), self.trace.history.view(ordinal));
+            if fresh != *keys {
+                panic!( // lint:allow(error-typing) EOLE_PARANOID is a crash-on-divergence debug mode
+                    "TAGE keys of branch ordinal {ordinal} (pc {:#x}): table {keys:x?}, derived {fresh:x?}",
+                    di.pc
+                );
+            }
+        }
+        keys
     }
 
     /// Trace index of the next µ-op to fetch (equals the number of
@@ -795,7 +844,10 @@ impl std::fmt::Debug for Simulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eole_isa::{generate_trace, IntReg, ProgramBuilder};
+    use eole_isa::{generate_trace, DynInst, Inst, IntReg, Opcode, ProgramBuilder};
+    use eole_predictors::branch::DirectionPredictor;
+    use eole_predictors::snapshot::{SnapWriter, Snapshot};
+    use proptest::prelude::*;
 
     fn tiny_trace(iters: i64) -> Trace {
         let r = IntReg::new;
@@ -841,6 +893,84 @@ mod tests {
         assert!(sim.finished());
         sim.run(u64::MAX).unwrap();
         assert_eq!(sim.committed_total(), 0);
+    }
+
+    /// A synthetic trace from `(branch, pc, coin)` draws: a conditional
+    /// branch or an ALU µ-op at static pc `pc`. Branch pcs 0–7 are always
+    /// taken, 8–15 follow a period-3 pattern, the rest take `coin`.
+    fn branch_stream(draws: &[(bool, u8, bool)]) -> Trace {
+        let mut insts = Vec::with_capacity(draws.len());
+        let mut branch_outcomes = Vec::new();
+        for &(branch, pc, coin) in draws {
+            let op = if branch { Opcode::Bne } else { Opcode::Add };
+            let taken = branch
+                && match pc {
+                    0..=7 => true,
+                    8..=15 => branch_outcomes.len() % 3 != 0,
+                    _ => coin,
+                };
+            insts.push(DynInst {
+                pc: u32::from(pc),
+                inst: Inst::new(op),
+                result: 0,
+                addr: 0,
+                size: 0,
+                taken,
+                next_pc: u32::from(pc) + 1,
+                bhist_pos: branch_outcomes.len() as u32,
+            });
+            if branch {
+                branch_outcomes.push(taken);
+            }
+        }
+        Trace { insts, branch_outcomes, halted: false }
+    }
+
+    fn snapshot_bytes(tage: &Tage) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        tage.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The trace's key table holds, for every conditional branch,
+        /// exactly the keys `Tage::keys` derives on the fly (from an
+        /// instance of another seed: the keys do not depend on it), and
+        /// the keyed predict/update the pipeline drives make the same
+        /// predictions and leave the same snapshot bytes as the
+        /// `DirectionPredictor` adapter.
+        #[test]
+        fn tage_key_table_equals_on_the_fly_keys_and_the_adapter(
+            draws in proptest::collection::vec((any::<bool>(), 0u8..40, any::<bool>()), 0..3000),
+            seed in any::<u64>(),
+        ) {
+            let trace = PreparedTrace::new(branch_stream(&draws));
+            let table = trace.tage_keys(&mut Tage::paper(seed));
+            prop_assert_eq!(table.len(), trace.history().len());
+            let (mut fly, mut keyed, mut adapter) =
+                (Tage::paper(!seed), Tage::paper(seed), Tage::paper(seed));
+            let branches = trace.insts().iter().filter(|di| di.class() == InstClass::Branch);
+            for (ordinal, di) in branches.enumerate() {
+                let (pc, view) = (pck(di.pc), trace.history().view(di.bhist_pos as usize));
+                let keys = &table[ordinal];
+                prop_assert_eq!(*keys, fly.keys(pc, view), "ordinal {}", ordinal);
+                prop_assert_eq!(keyed.predict_keyed(pc, keys), adapter.predict(pc, view));
+                keyed.update_keyed(pc, keys, di.taken);
+                adapter.update(pc, view, di.taken);
+            }
+            prop_assert_eq!(snapshot_bytes(&keyed), snapshot_bytes(&adapter));
+        }
+    }
+
+    #[test]
+    fn tage_key_table_is_built_once_and_shared() {
+        let trace = PreparedTrace::new(tiny_trace(40));
+        let a = Simulator::new(&trace, crate::config::CoreConfig::baseline_6_64()).unwrap();
+        let b = Simulator::new(&trace, crate::config::CoreConfig::eole_4_64()).unwrap();
+        assert_eq!(a.tage_keys.len(), 40);
+        assert!(std::ptr::eq(a.tage_keys, b.tage_keys));
     }
 
     #[test]

@@ -27,6 +27,18 @@ impl Bimodal {
         self.counters[self.index(pc)]
     }
 
+    /// Trains `pc`'s counter toward the resolved outcome (history plays
+    /// no part).
+    pub fn train(&mut self, pc: u64, taken: bool) {
+        let idx = self.index(pc);
+        let c = &mut self.counters[idx];
+        if taken {
+            *c = (*c + 1).min(3);
+        } else {
+            *c = c.saturating_sub(1);
+        }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.counters.len()
@@ -52,13 +64,7 @@ impl DirectionPredictor for Bimodal {
     }
 
     fn update(&mut self, pc: u64, _hist: HistoryView<'_>, taken: bool) {
-        let idx = self.index(pc);
-        let c = &mut self.counters[idx];
-        if taken {
-            *c = (*c + 1).min(3);
-        } else {
-            *c = c.saturating_sub(1);
-        }
+        self.train(pc, taken);
     }
 
     fn storage_bits(&self) -> u64 {

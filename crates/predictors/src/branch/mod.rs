@@ -16,7 +16,7 @@ mod tage;
 pub use bimodal::Bimodal;
 pub use btb::Btb;
 pub use ras::ReturnStack;
-pub use tage::{Tage, TageConfig};
+pub use tage::{Tage, TageConfig, TageKeys, TAGE_COMPONENTS};
 
 use crate::history::HistoryView;
 

@@ -20,11 +20,29 @@
 //! 4…640. The provider and alternate scans, allocation and usefulness
 //! aging are the TAGE family's shared policy (`tagged.rs`); this module
 //! holds the counters, the bimodal base and the weak-new-entry fallback.
+//!
+//! Keys: a branch's 12 (entry, tag) pairs are a pure function of its pc,
+//! its history position and the geometry — the seed drives only the
+//! allocation RNG. [`Tage::keys`] computes them as one [`TageKeys`], and
+//! the keyed [`Tage::predict_keyed`] / [`Tage::update_keyed`] are the
+//! predictor. The timing core builds every conditional branch's keys once
+//! per trace and calls the keyed pair directly; the
+//! [`DirectionPredictor`] impl is a thin adapter that derives the keys
+//! per call from the fold memo, for callers that only hold a history
+//! view.
 
 use crate::branch::{Bimodal, BranchConfidence, BranchPrediction, DirectionPredictor};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{KeyHash, Keys, TaggedTables};
+use crate::tagged::TaggedTables;
+
+/// Most tagged components a [`Tage`] holds (the paper's 12).
+pub const TAGE_COMPONENTS: usize = 12;
+
+/// One conditional branch's keys into TAGE's tagged components: per
+/// component, the entry index into the component-major tables `<< 16 |`
+/// the tag (components past the configured count hold 0). 48 bytes.
+pub type TageKeys = [u32; TAGE_COMPONENTS];
 
 /// Geometry of a [`Tage`] predictor.
 #[derive(Clone, Debug)]
@@ -83,11 +101,19 @@ impl Tage {
     ///
     /// Panics if `history_lengths` is rejected by
     /// [`FoldMemo::new`](crate::history::FoldMemo::new) (empty, not
-    /// strictly ascending, or too long).
+    /// strictly ascending, or too long), holds more than
+    /// [`TAGE_COMPONENTS`] lengths, or the tagged tables exceed the 2^16
+    /// entries a [`TageKeys`] entry index addresses.
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: TageConfig, seed: u64) -> Self {
         let rows = config.tagged_entries.next_power_of_two().max(1);
         let tagged = TaggedTables::new(&config.history_lengths, (0x7163, 0x91b7), rows);
+        assert!(
+            tagged.comps() <= TAGE_COMPONENTS,
+            "{} tagged components exceed TAGE's {TAGE_COMPONENTS}",
+            tagged.comps()
+        );
+        assert!(tagged.comps() * rows <= 1 << 16, "TAGE's tagged tables exceed 2^16 entries");
         let base = Bimodal::new(config.base_entries);
         Tage {
             base_conf: vec![0u8; base.len()],
@@ -102,20 +128,26 @@ impl Tage {
         (hash_pc(pc, 0xbcf1) as usize) & (self.base_conf.len() - 1)
     }
 
-    /// The tagged components' keys for `pc`.
-    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
+    /// The tagged components' keys of the branch at `pc` under `hist`.
+    /// A pure function of `pc`, `hist` and the geometry: the seed and the
+    /// table contents play no part, so keys computed by one instance
+    /// serve every instance of the same geometry. Takes `&mut self` only
+    /// for the history-fold memo.
+    pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> TageKeys {
         let base_tag_bits = self.config.base_tag_bits;
         let row = move |_, fold| hash_pc(pc ^ fold, 0x7a93) as usize;
         let tag = move |comp, fold: u64| {
             (hash_pc(pc ^ fold.rotate_left(21), 0x3d71) as u32)
                 & ((1 << tag_bits(base_tag_bits, comp)) - 1)
         };
-        self.tagged.keys(hist, (row, tag))
+        let comps = self.tagged.comps();
+        let keys = self.tagged.keys(hist, (row, tag));
+        std::array::from_fn(|c| if c < comps { keys.packed(c) } else { 0 })
     }
 
     /// The alternate prediction: the longest hit below `below`, else the
     /// base.
-    fn alternate_taken(&self, pc: u64, keys: &Keys<impl KeyHash>, below: usize) -> bool {
+    fn alternate_taken(&self, pc: u64, keys: &TageKeys, below: usize) -> bool {
         match self.tagged.hit_below(keys, below) {
             Some((_, i)) => self.tagged.data[i].ctr >= 0,
             None => self.base.counter(pc) >= 2,
@@ -126,7 +158,7 @@ impl Tage {
     fn predict_with(
         &self,
         pc: u64,
-        keys: &Keys<impl KeyHash>,
+        keys: &TageKeys,
         provider: Option<(usize, usize)>,
     ) -> BranchPrediction {
         match provider {
@@ -160,30 +192,25 @@ impl Tage {
             }
         }
     }
-}
 
-/// Tag bits of component `comp`: one more every two ranks, at most 15.
-fn tag_bits(base_tag_bits: u32, comp: usize) -> u32 {
-    (base_tag_bits + comp as u32 / 2).min(15)
-}
-
-impl DirectionPredictor for Tage {
-    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> BranchPrediction {
-        let keys = self.keys(pc, hist);
-        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
-        self.predict_with(pc, &keys, provider)
+    /// Predicts the direction of the conditional branch at `pc` whose
+    /// tagged-component keys are `keys` ([`Tage::keys`]).
+    pub fn predict_keyed(&self, pc: u64, keys: &TageKeys) -> BranchPrediction {
+        let provider = self.tagged.hit_below(keys, self.tagged.comps());
+        self.predict_with(pc, keys, provider)
     }
 
-    fn update(&mut self, pc: u64, hist: HistoryView<'_>, taken: bool) {
+    /// Trains the branch at `pc` whose keys are `keys` with its resolved
+    /// outcome (called in commit order).
+    pub fn update_keyed(&mut self, pc: u64, keys: &TageKeys, taken: bool) {
         self.tagged.age(|u| u >> 1);
         // Reproduce the fetch-time final prediction for confidence upkeep.
-        let keys = self.keys(pc, hist);
-        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
-        let final_taken = self.predict_with(pc, &keys, provider).taken;
+        let provider = self.tagged.hit_below(keys, self.tagged.comps());
+        let final_taken = self.predict_with(pc, keys, provider).taken;
         let conf_gate = self.rng.one_in(32);
         let mispredicted = match provider {
             Some((comp, i)) => {
-                let alt = self.alternate_taken(pc, &keys, comp);
+                let alt = self.alternate_taken(pc, keys, comp);
                 let provider_taken = self.tagged.data[i].ctr >= 0;
                 // Usefulness tracks "provider beat the alternate".
                 if provider_taken != alt {
@@ -209,15 +236,33 @@ impl DirectionPredictor for Tage {
                 } else {
                     self.base_conf[bidx] = 0;
                 }
-                self.base.update(pc, hist, taken);
+                self.base.train(pc, taken);
                 base_taken != taken
             }
         };
         if mispredicted {
             let start = provider.map_or(0, |(c, _)| c + 1);
             let fresh = Counters { ctr: if taken { 0 } else { -1 }, conf: 0 };
-            self.tagged.allocate(&keys, start, &mut self.rng, fresh);
+            self.tagged.allocate(keys, start, &mut self.rng, fresh);
         }
+    }
+}
+
+/// Tag bits of component `comp`: one more every two ranks, at most 15.
+fn tag_bits(base_tag_bits: u32, comp: usize) -> u32 {
+    (base_tag_bits + comp as u32 / 2).min(15)
+}
+
+/// Adapter over the keyed pair, deriving the keys per call.
+impl DirectionPredictor for Tage {
+    fn predict(&mut self, pc: u64, hist: HistoryView<'_>) -> BranchPrediction {
+        let keys = self.keys(pc, hist);
+        self.predict_keyed(pc, &keys)
+    }
+
+    fn update(&mut self, pc: u64, hist: HistoryView<'_>, taken: bool) {
+        let keys = self.keys(pc, hist);
+        self.update_keyed(pc, &keys, taken);
     }
 
     fn storage_bits(&self) -> u64 {
@@ -386,6 +431,16 @@ mod tests {
             base_tag_bits: 8,
         };
         assert!(std::panic::catch_unwind(|| Tage::new(cfg, 1)).is_err());
+    }
+
+    #[test]
+    fn rejects_geometry_its_packed_keys_cannot_address() {
+        let thirteen = TageConfig { history_lengths: (1..=13).collect(), ..TageConfig::paper() };
+        assert!(std::panic::catch_unwind(|| Tage::new(thirteen, 1)).is_err());
+        // 12 × 8192 entries exceed a key's 16-bit entry index.
+        let wide = TageConfig { tagged_entries: 8192, ..TageConfig::paper() };
+        assert!(std::panic::catch_unwind(|| Tage::new(wide, 1)).is_err());
+        let _ = Tage::new(TageConfig { tagged_entries: 4096, ..TageConfig::paper() }, 1);
     }
 
     #[test]

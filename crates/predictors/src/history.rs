@@ -17,6 +17,11 @@
 //! is bit-identical to hashing afresh; and because the memo is a pure
 //! function of the log, it is derived state — predictors never snapshot or
 //! compare it, and a restored predictor simply starts with an empty memo.
+//!
+//! The memo serves VTAGE, D-VTAGE and TAGE's `DirectionPredictor`
+//! adapter. The timing core's TAGE does not fold per lookup: its keys
+//! depend only on the branch, so they are built once per trace
+//! (`Tage::keys`, `PreparedTrace`'s key table in `eole-core`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,14 +1,21 @@
 //! The tagged half of every TAGE-family predictor ([`Tage`], [`Vtage`],
 //! [`DVtage`]) and the table policy they share, defined once: the
-//! per-lookup [`Keys`], the longest-match scan
+//! per-lookup keys ([`LookupKeys`]), the longest-match scan
 //! ([`TaggedTables::hit_below`]: the provider, and TAGE's alternate), the
 //! allocation victim pick ([`TaggedTables::victim`]) and the periodic
 //! usefulness decay ([`TaggedTables::age`]). Each predictor keeps its
 //! payload, base table, hash seeds and snapshot field order.
 //!
+//! VTAGE and D-VTAGE hash their keys lazily from the history-fold memo
+//! ([`Keys`]). TAGE's keys depend only on the branch's pc and history
+//! position, so the timing core builds them once per trace and TAGE reads
+//! them packed ([`PackedKey`]); its [`DirectionPredictor`] adapter packs
+//! them from the same memo.
+//!
 //! [`Tage`]: crate::branch::Tage
 //! [`Vtage`]: crate::value::Vtage
 //! [`DVtage`]: crate::value::DVtage
+//! [`DirectionPredictor`]: crate::branch::DirectionPredictor
 
 use crate::history::{FoldMemo, Folds, HistoryView};
 use crate::rng::SimRng;
@@ -56,11 +63,20 @@ impl<R: Fn(usize, u64) -> usize, T: Fn(usize, u64) -> u32> KeyHash for (R, T) {
 }
 
 /// Every component's entry index (into [`TaggedTables`]) and tag for one
-/// lookup: the history folds, read once per predictor call, bound to the
-/// predictor's hash. A key is hashed where a scan reads it, so the
-/// provider scan's early exit skips the components it never reaches, and
-/// a tag is only hashed for a valid entry. Hashing all keys up front, or
-/// caching each one, measured slower (PERF.md, "One tagged-table core").
+/// lookup, as the table scans read them.
+pub(crate) trait LookupKeys {
+    /// Component `comp`'s entry index into the tables.
+    fn index(&self, comp: usize) -> usize;
+    /// Component `comp`'s tag.
+    fn tag(&self, comp: usize) -> u32;
+}
+
+/// Lazily hashed [`LookupKeys`]: the history folds, read once per
+/// predictor call, bound to the predictor's hash. A key is hashed where a
+/// scan reads it, so the provider scan's early exit skips the components
+/// it never reaches, and a tag is only hashed for a valid entry. Hashing
+/// all keys up front, or caching each one, measured slower for VTAGE
+/// (PERF.md, "One tagged-table core").
 pub(crate) struct Keys<H> {
     hash: H,
     folds: Folds,
@@ -68,16 +84,40 @@ pub(crate) struct Keys<H> {
 }
 
 impl<H: KeyHash> Keys<H> {
-    /// Component `comp`'s entry index into the tables.
+    /// Component `comp`'s key packed as a [`PackedKey`].
     #[inline]
-    pub fn index(&self, comp: usize) -> usize {
+    pub fn packed(&self, comp: usize) -> u32 {
+        debug_assert!(self.index(comp) < 1 << 16 && self.tag(comp) < 1 << 16);
+        (self.index(comp) as u32) << 16 | self.tag(comp)
+    }
+}
+
+impl<H: KeyHash> LookupKeys for Keys<H> {
+    #[inline]
+    fn index(&self, comp: usize) -> usize {
         comp * self.rows + (self.hash.row(comp, self.folds.index(comp)) & (self.rows - 1))
     }
 
-    /// Component `comp`'s tag.
     #[inline]
-    pub fn tag(&self, comp: usize) -> u32 {
+    fn tag(&self, comp: usize) -> u32 {
         self.hash.tag(comp, self.folds.tag(comp))
+    }
+}
+
+/// One component's precomputed key, packed as `entry index << 16 | tag`:
+/// an array of them, one per component, is a [`LookupKeys`]. Fits tables
+/// of at most 2^16 entries with tags of at most 16 bits.
+pub(crate) type PackedKey = u32;
+
+impl<const N: usize> LookupKeys for [PackedKey; N] {
+    #[inline]
+    fn index(&self, comp: usize) -> usize {
+        (self[comp] >> 16) as usize
+    }
+
+    #[inline]
+    fn tag(&self, comp: usize) -> u32 {
+        self[comp] & 0xffff
     }
 }
 
@@ -166,7 +206,7 @@ impl<P> TaggedTables<P> {
     /// its tag, with that entry's index. `hit_below(keys, comps())` is the
     /// provider.
     #[inline]
-    pub fn hit_below(&self, keys: &Keys<impl KeyHash>, n: usize) -> Option<(usize, usize)> {
+    pub fn hit_below(&self, keys: &impl LookupKeys, n: usize) -> Option<(usize, usize)> {
         for c in (0..n).rev() {
             let i = keys.index(c);
             let m = &self.meta[i];
@@ -184,7 +224,7 @@ impl<P> TaggedTables<P> {
     /// decays and nothing is chosen.
     pub fn victim(
         &mut self,
-        keys: &Keys<impl KeyHash>,
+        keys: &impl LookupKeys,
         start: usize,
         rng: &mut SimRng,
     ) -> Option<(usize, usize)> {
@@ -208,7 +248,7 @@ impl<P> TaggedTables<P> {
     /// at the chosen slot, which is returned.
     pub fn allocate(
         &mut self,
-        keys: &Keys<impl KeyHash>,
+        keys: &impl LookupKeys,
         start: usize,
         rng: &mut SimRng,
         data: P,

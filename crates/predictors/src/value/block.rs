@@ -31,6 +31,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::history::HistoryView;
 use crate::value::{AnyValuePredictor, InFlight, ValuePrediction, ValuePredictor};
@@ -54,6 +55,31 @@ pub struct BlockParams {
 impl Default for BlockParams {
     fn default() -> Self {
         BlockParams { block_size: 1, banks: 1, spec_window: None }
+    }
+}
+
+/// The in-flight index's hasher: one 64×64→128-bit multiply per pc key,
+/// folded, so every key bit reaches both the low bits (the bucket) and
+/// the high bits (the control byte) the table reads. SipHash's DoS
+/// resistance buys nothing here, and the index is only probed, never
+/// iterated, so the hash cannot change any result.
+#[derive(Clone, Copy, Debug, Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(self.0 ^ key) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -96,7 +122,7 @@ pub struct BlockVp {
     /// window scan; a pc's entry lives while its count is non-zero.
     /// Pre-sized to the window capacity, so steady-state inserts never
     /// rehash (the zero-allocation contract).
-    index: HashMap<u64, InFlight>,
+    index: HashMap<u64, InFlight, BuildHasherDefault<PcHasher>>,
     /// Last (cycle, block) the predictor was read for.
     last_access: Option<(u64, u64)>,
 }
@@ -111,7 +137,7 @@ impl BlockVp {
             predictor,
             params,
             window: VecDeque::with_capacity(cap + 1),
-            index: HashMap::with_capacity(cap + 1),
+            index: HashMap::with_capacity_and_hasher(cap + 1, Default::default()),
             last_access: None,
         }
     }

@@ -107,6 +107,22 @@ fn single_interval_is_bit_identical_to_serial_exact() {
     assert_same_stats(&stitched, &serial, "k=1 stitch vs serial");
 }
 
+/// `--interval-warmup auto` on gzip / `EOLE_4_64` (the CLI's probe) over
+/// the quick runner picks a pinned window, and always one of its three
+/// candidates: a quarter of the warmup, the default half, or all of it.
+#[test]
+fn auto_interval_warmup_probe_is_pinned() {
+    let runner = Runner::quick();
+    let trace = runner.try_prepare(&workload_by_name("gzip").unwrap()).unwrap();
+    let candidates = [runner.warmup / 4, runner.default_interval_warmup(), runner.warmup];
+    for (k, pinned) in [(2u32, 2_500u64), (8, 2_500)] {
+        let chosen =
+            runner.try_probe_interval_warmup(&trace, CoreConfig::eole_4_64(), k).unwrap();
+        assert!(candidates.contains(&chosen), "k={k}: {chosen} is no candidate of {candidates:?}");
+        assert_eq!(chosen, pinned, "k={k}: probed window moved");
+    }
+}
+
 /// Interval-tagged run keys never collide with serial keys: the tag
 /// participates in the digest, the file stem, and the payload.
 #[test]

@@ -27,20 +27,25 @@
 //! embedded as `baseline` and the gmean speedup is computed;
 //! `--min-speedup X` then turns the exit status into a regression gate.
 //!
-//! The payload also carries a `microbench` section — raw
-//! `evaluate_stream` lookups/sec per value-predictor kind (LVP through
-//! D-VTAGE), TAGE's keyed predict + update rate over the conditional
-//! branches, and the rate at which their keys are built — isolating
-//! predictor table cost from pipeline cost — unless `--no-microbench`
-//! skips it.
+//! The payload also carries a `microbench` section — lookups/sec per
+//! value-predictor kind (LVP through D-VTAGE, the kinds with keys on the
+//! keyed path the pipeline runs), TAGE's keyed predict + update rate over
+//! the conditional branches, and the rates at which the keys are built —
+//! isolating predictor table cost from pipeline cost — unless
+//! `--no-microbench` skips it.
+//!
+//! Every row is the fastest of `--reps` timings, and within each section
+//! the reps run round-robin across its rows (round `r` times every row
+//! once before round `r + 1` starts), so a drift in host speed reaches
+//! every row alike.
 
 use eole_bench::{quick_suite_configs, Grid, RunSpec, Runner, Session, QUICK_SUITE_WORKLOADS};
 use eole_core::config::CoreConfig;
 use eole_isa::{InstClass, Program};
 use eole_predictors::branch::{Tage, TageKeys};
 use eole_predictors::value::{
-    evaluate_stream, DVtage, Fcm, LastValue, StridePredictor, TwoDeltaStride, ValuePredictor,
-    Vtage, VtageTwoDeltaStride,
+    evaluate_stream, AnyValuePredictor, DVtage, Fcm, InFlight, LastValue, StridePredictor,
+    TwoDeltaStride, VpKeys, Vtage, VtageTwoDeltaStride,
 };
 use eole_stats::json::Json;
 use eole_stats::report::json_string;
@@ -68,103 +73,158 @@ impl Measured {
     }
 }
 
-/// One steady-state measurement, repeated `reps` times through
-/// [`Session::time_run`]: each rep builds a fresh simulator, warms it up
-/// (trace-cold effects, predictor and cache training), then times the
-/// identical measurement window. The fastest rep is kept — every rep
-/// simulates the exact same µ-op stream, so the minimum is the
-/// least-noisy estimate of the hot loop's cost. Timing never consults a
-/// result store by construction (`time_run` is the uncacheable path).
-fn measure(session: &Session, spec: &RunSpec, reps: usize) -> Measured {
-    let mut best_seconds = f64::INFINITY;
-    let mut committed = 0;
+/// The fastest of `reps` timings per row, the reps round-robin across
+/// rows: round `r` times every row once before round `r + 1` starts.
+fn best_of_interleaved(rows: usize, reps: usize, mut time: impl FnMut(usize) -> f64) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; rows];
     for _ in 0..reps.max(1) {
-        let timed = session
-            .time_run(spec)
-            .unwrap_or_else(|e| fail(&e.to_string()));
-        committed = timed.stats.committed;
-        best_seconds = best_seconds.min(timed.seconds);
+        for (i, b) in best.iter_mut().enumerate() {
+            *b = b.min(time(i));
+        }
     }
-    Measured {
-        config: spec.config.name.clone(),
-        workload: spec.workload.name.to_string(),
-        committed,
-        seconds: best_seconds,
-    }
+    best
 }
 
-/// The predictor microbench: raw `evaluate_stream` lookup throughput
-/// (one lookup = predict + train) per predictor kind over gzip's
-/// VP-eligible µ-op stream — the cost of the predictor *itself*,
-/// isolated from the timing pipeline, so a table-layout change (e.g.
-/// D-VTAGE's block organization) shows up as a lookups/sec delta in
+/// The steady-state suite: every spec timed `reps` times through
+/// [`Session::time_run`], round-robin ([`best_of_interleaved`]). Each rep
+/// builds a fresh simulator, warms it up (trace-cold effects, predictor
+/// and cache training), then times the identical measurement window; the
+/// fastest rep is kept — every rep simulates the exact same µ-op stream,
+/// so the minimum is the least-noisy estimate of the hot loop's cost.
+/// Timing never consults a result store by construction (`time_run` is
+/// the uncacheable path).
+fn measure_suite(session: &Session, specs: &[RunSpec], reps: usize) -> Vec<Measured> {
+    let mut committed = vec![0; specs.len()];
+    let best = best_of_interleaved(specs.len(), reps, |i| {
+        let timed = session.time_run(&specs[i]).unwrap_or_else(|e| fail(&e.to_string()));
+        committed[i] = timed.stats.committed;
+        timed.seconds
+    });
+    specs
+        .iter()
+        .zip(best)
+        .zip(committed)
+        .map(|((spec, seconds), committed)| Measured {
+            config: spec.config.name.clone(),
+            workload: spec.workload.name.to_string(),
+            committed,
+            seconds,
+        })
+        .collect()
+}
+
+/// The predictor microbench over gzip's trace: lookups/sec (one lookup
+/// = predict + train) per predictor kind over the VP-eligible µ-op
+/// stream — the cost of the predictor *itself*, isolated from the timing
+/// pipeline, so a table-layout change (e.g. D-VTAGE's block
+/// organization) shows up as a lookups/sec delta in
 /// `BENCH_throughput.json` even when pipeline throughput hides it. The
-/// `TAGE` row times keyed `predict` + `update` per conditional branch of
-/// the same trace, as the pipeline drives them, with the keys built
-/// before the clock starts; the `TAGE-keys` row times building those
-/// keys, the once-per-trace cost the pipeline pays (both rows' `events`
-/// are the branch count).
+/// kinds without keys replay `evaluate_stream`; `VTAGE`,
+/// `VTAGE-2DStride` and `D-VTAGE` replay keyed predict + train, as the
+/// pipeline drives them, with the keys built before the clock starts,
+/// and the `VTAGE-keys` / `D-VTAGE-keys` rows time building those keys,
+/// the once-per-trace cost the pipeline pays (the hybrid's keys are
+/// VTAGE's). The `TAGE` and `TAGE-keys` rows do the same per conditional
+/// branch (their `events` are the branch count). Predictor construction
+/// is left out of every timing.
 fn microbench(session: &Session, reps: usize) -> String {
     let w = eole_workloads::workload_by_name("gzip").expect("gzip is in the registry");
     let trace = session.prepare(&w).unwrap_or_else(|e| fail(&e.to_string()));
-    let stream = eole_bench::vp_stream(&trace);
+    let hist = trace.history();
+    let stream = &eole_bench::vp_stream(&trace);
     let seed = 0xe01e;
-    type Builder = Box<dyn Fn() -> Box<dyn ValuePredictor>>;
-    let make: Vec<(&str, Builder)> = vec![
-        ("LVP", Box::new(move || Box::new(LastValue::new(8192, seed)))),
-        ("Stride", Box::new(move || Box::new(StridePredictor::new(8192, seed)))),
-        ("2D-Stride", Box::new(move || Box::new(TwoDeltaStride::paper(seed)))),
-        ("FCM-4", Box::new(move || Box::new(Fcm::new(8192, 8192, seed)))),
-        ("VTAGE", Box::new(move || Box::new(Vtage::paper(seed)))),
-        ("VTAGE-2DStride", Box::new(move || Box::new(VtageTwoDeltaStride::paper(seed)))),
-        ("D-VTAGE", Box::new(move || Box::new(DVtage::paper(4, 4, seed)))),
+    type Make = fn(u64) -> AnyValuePredictor;
+    let kinds: [(&str, Make); 7] = [
+        ("LVP", |s| LastValue::new(8192, s).into()),
+        ("Stride", |s| StridePredictor::new(8192, s).into()),
+        ("2D-Stride", |s| TwoDeltaStride::paper(s).into()),
+        ("FCM-4", |s| Fcm::new(8192, 8192, s).into()),
+        ("VTAGE", |s| Vtage::paper(s).into()),
+        ("VTAGE-2DStride", |s| VtageTwoDeltaStride::paper(s).into()),
+        ("D-VTAGE", |s| DVtage::paper(4, 4, s).into()),
     ];
-    // Fastest of `reps` replays (each returns its timed seconds, with
-    // predictor construction left out), as a microbench JSON row.
-    let row = |name: &str, events: usize, replay: &dyn Fn() -> f64| {
-        let best = (0..reps.max(1)).map(|_| replay()).fold(f64::INFINITY, f64::min);
-        let mlps = events as f64 / best / 1.0e6;
-        eprintln!("  microbench {name:<16} {mlps:>8.3} Mlookups/s");
-        format!(
-            "{{\"predictor\":{},\"mlookups_per_sec\":{mlps:.4},\"events\":{events}}}",
-            json_string(name)
-        )
+    // Every VP-eligible µ-op's keys, for the kinds that have them.
+    let build_vp_keys = |p: &mut AnyValuePredictor| -> Option<Vec<VpKeys>> {
+        let mut keys = |&(pc, pos, _): &(u64, u32, u64)| p.keys(pc, hist.view(pos as usize));
+        stream.iter().map(&mut keys).collect()
     };
-    let mut runs = Vec::new();
-    for (name, build) in &make {
-        runs.push(row(name, stream.len(), &|| {
-            let mut p = build();
-            let start = std::time::Instant::now();
-            let stats = evaluate_stream(&mut *p, trace.history(), stream.iter().copied());
-            std::hint::black_box(stats);
-            start.elapsed().as_secs_f64()
-        }));
-    }
+    let vp_keys: Vec<Option<Vec<VpKeys>>> =
+        kinds.iter().map(|(_, make)| build_vp_keys(&mut make(seed))).collect();
     let branches: Vec<(u64, usize, bool)> = trace
         .insts()
         .iter()
         .filter(|di| di.class() == InstClass::Branch)
         .map(|di| (Program::inst_addr(di.pc), di.bhist_pos as usize, di.taken))
         .collect();
-    let build_keys = |tage: &mut Tage| -> Vec<TageKeys> {
-        branches.iter().map(|&(pc, pos, _)| tage.keys(pc, trace.history().view(pos))).collect()
+    let build_tage_keys = |tage: &mut Tage| -> Vec<TageKeys> {
+        branches.iter().map(|&(pc, pos, _)| tage.keys(pc, hist.view(pos))).collect()
     };
-    let keys = build_keys(&mut Tage::paper(seed));
-    runs.push(row("TAGE", branches.len(), &|| {
+    let tage_keys = build_tage_keys(&mut Tage::paper(seed));
+
+    // Each row: its name, its event count, and one timed replay.
+    type Replay<'a> = Box<dyn Fn() -> f64 + 'a>;
+    let mut rows: Vec<(&str, usize, Replay)> = Vec::new();
+    for ((name, make), keys) in kinds.iter().zip(&vp_keys) {
+        let replay: Replay = match keys {
+            None => Box::new(|| {
+                let mut p = make(seed);
+                let start = std::time::Instant::now();
+                let stats = evaluate_stream(&mut p, hist, stream.iter().copied());
+                std::hint::black_box(stats);
+                start.elapsed().as_secs_f64()
+            }),
+            Some(keys) => Box::new(move || {
+                let mut p = make(seed);
+                let start = std::time::Instant::now();
+                for (k, &(pc, pos, actual)) in keys.iter().zip(stream) {
+                    let view = hist.view(pos as usize);
+                    std::hint::black_box(p.predict_keyed(pc, view, k, InFlight::default()));
+                    p.train_keyed(pc, view, k, actual);
+                }
+                start.elapsed().as_secs_f64()
+            }),
+        };
+        rows.push((name, stream.len(), replay));
+    }
+    for (name, kind) in [("VTAGE-keys", "VTAGE"), ("D-VTAGE-keys", "D-VTAGE")] {
+        let make = kinds.iter().find(|(k, _)| *k == kind).expect("a listed kind").1;
+        let build = &build_vp_keys;
+        rows.push((name, stream.len(), Box::new(move || {
+            let mut p = make(seed);
+            let start = std::time::Instant::now();
+            std::hint::black_box(build(&mut p));
+            start.elapsed().as_secs_f64()
+        })));
+    }
+    rows.push(("TAGE", branches.len(), Box::new(|| {
         let mut tage = Tage::paper(seed);
         let start = std::time::Instant::now();
-        for (k, &(pc, _, taken)) in keys.iter().zip(&branches) {
+        for (k, &(pc, _, taken)) in tage_keys.iter().zip(&branches) {
             std::hint::black_box(tage.predict_keyed(pc, k));
             tage.update_keyed(pc, k, taken);
         }
         start.elapsed().as_secs_f64()
-    }));
-    runs.push(row("TAGE-keys", branches.len(), &|| {
+    })));
+    rows.push(("TAGE-keys", branches.len(), Box::new(|| {
         let mut tage = Tage::paper(seed);
         let start = std::time::Instant::now();
-        std::hint::black_box(build_keys(&mut tage));
+        std::hint::black_box(build_tage_keys(&mut tage));
         start.elapsed().as_secs_f64()
-    }));
+    })));
+
+    let best = best_of_interleaved(rows.len(), reps, |i| (rows[i].2)());
+    let runs: Vec<String> = rows
+        .iter()
+        .zip(best)
+        .map(|((name, events, _), best)| {
+            let mlps = *events as f64 / best / 1.0e6;
+            eprintln!("  microbench {name:<16} {mlps:>8.3} Mlookups/s");
+            format!(
+                "{{\"predictor\":{},\"mlookups_per_sec\":{mlps:.4},\"events\":{events}}}",
+                json_string(name)
+            )
+        })
+        .collect();
     format!("{{\"workload\":\"gzip\",\"runs\":[{}]}}", runs.join(","))
 }
 
@@ -359,20 +419,20 @@ fn main() {
 
     let session = Session::new(runner);
     let configs = quick_suite_configs();
-    let mut runs: Vec<Measured> = Vec::new();
+    let mut specs: Vec<RunSpec> = Vec::new();
     for name in QUICK_SUITE_WORKLOADS {
         let w = eole_workloads::workload_by_name(name)
             .unwrap_or_else(|| fail(&format!("unknown workload {name}")));
         // Warm the session's trace cache once per workload; every config
-        // rep below replays the same prepared trace.
+        // rep replays the same prepared trace.
         session.prepare(&w).unwrap_or_else(|e| fail(&e.to_string()));
         for config in &configs {
-            let spec =
-                RunSpec { config: config.clone(), workload: w.clone(), runner, seed: 0 };
-            let m = measure(&session, &spec, reps);
-            eprintln!("  {:<28} {:<8} {:>8.3} Mµops/s", m.config, m.workload, m.mups());
-            runs.push(m);
+            specs.push(RunSpec { config: config.clone(), workload: w.clone(), runner, seed: 0 });
         }
+    }
+    let runs = measure_suite(&session, &specs, reps);
+    for m in &runs {
+        eprintln!("  {:<28} {:<8} {:>8.3} Mµops/s", m.config, m.workload, m.mups());
     }
 
     let current = runs_to_json(&runs, &label);

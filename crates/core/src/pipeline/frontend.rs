@@ -8,7 +8,7 @@
 use eole_isa::InstClass;
 use eole_predictors::branch::BranchConfidence;
 
-use super::state::{pck, FrontUop, Simulator};
+use super::state::{pck, vp_keys_at, FrontUop, Simulator};
 
 impl Simulator<'_> {
     pub(super) fn do_fetch(&mut self) {
@@ -52,7 +52,8 @@ impl Simulator<'_> {
             // Value prediction at fetch (§4.2), block-granular (BeBoP).
             if let Some(vp) = self.vp.as_mut() {
                 if di.inst.is_vp_eligible() {
-                    let q = vp.predict(self.cycle, seq, pck(di.pc), view);
+                    let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, self.cursor);
+                    let q = vp.predict(self.cycle, seq, pck(di.pc), view, keys.as_ref());
                     if q.new_block {
                         self.stats.vp_block_reads += 1;
                     }

@@ -6,7 +6,7 @@
 
 use eole_isa::InstClass;
 
-use super::state::{pck, RobEntry, Simulator};
+use super::state::{pck, vp_keys_at, RobEntry, Simulator};
 
 impl Simulator<'_> {
     /// Can the ROB head pre-commit this cycle? LE µ-ops execute in the
@@ -119,7 +119,8 @@ impl Simulator<'_> {
         let view = self.trace.history.view(di.bhist_pos as usize);
         if let Some(vp) = self.vp.as_mut() {
             if e.vp_queried {
-                vp.commit(e.seq, pck(di.pc), view, di.result);
+                let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, e.trace_idx);
+                vp.commit(e.seq, pck(di.pc), view, keys.as_ref(), di.result);
             }
         }
     }

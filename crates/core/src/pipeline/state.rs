@@ -3,7 +3,7 @@
 //! the cycle loop that sequences the stage modules.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use eole_isa::{InstClass, Program, RegClass, Trace};
 use eole_mem::hierarchy::MemoryHierarchy;
@@ -12,7 +12,7 @@ use eole_predictors::history::BranchHistory;
 use eole_predictors::storesets::StoreSets;
 use eole_predictors::value::{
     AnyValuePredictor, BlockParams, BlockVp, DVtage, DVtageConfig, Fcm, LastValue,
-    StridePredictor, TwoDeltaStride, Vtage, VtageTwoDeltaStride,
+    StridePredictor, TwoDeltaStride, VpKeySchema, VpKeys, Vtage, VtageTwoDeltaStride,
 };
 
 use super::wakeup::Waiters;
@@ -31,13 +31,68 @@ pub struct PreparedTrace {
     /// the first simulator over this trace ([`PreparedTrace::tage_keys`]),
     /// then shared by every configuration and thread.
     tage_keys: OnceLock<Vec<TageKeys>>,
+    /// Every µ-op's value-predictor keys, one table per key schema
+    /// ([`PreparedTrace::vp_keys`]), each built by the first simulator
+    /// that needs it and shared by every later one.
+    vp_keys: VpKeyTables,
+}
+
+/// The per-schema value-predictor key tables of one trace.
+#[derive(Debug, Default)]
+struct VpKeyTables(Mutex<Vec<(VpKeySchema, Arc<[VpKeys]>)>>);
+
+// lint:allow(hot-alloc) cold path: copies the list of shared tables, not the tables, when a trace is cloned
+impl Clone for VpKeyTables {
+    fn clone(&self) -> Self {
+        VpKeyTables(Mutex::new(lock_clean(&self.0).clone()))
+    }
+}
+
+/// Poisoning-proof lock: the key-table list is only ever changed by a
+/// complete push, so a panic elsewhere never leaves it inconsistent.
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl PreparedTrace {
     /// Prepares a raw trace for timing simulation.
     pub fn new(trace: Trace) -> Self {
         let history = BranchHistory::from_outcomes(&trace.branch_outcomes);
-        PreparedTrace { insts: trace.insts, history, tage_keys: OnceLock::new() }
+        PreparedTrace {
+            insts: trace.insts,
+            history,
+            tage_keys: OnceLock::new(),
+            vp_keys: VpKeyTables::default(),
+        }
+    }
+
+    /// The value-predictor keys of every µ-op under `vp`'s key schema,
+    /// indexed by trace index (0 for µ-ops that are not VP-eligible), 24
+    /// bytes each; `None` if `vp`'s predictor hashes no history. Built
+    /// with `vp` on the first call for a schema and served to every later
+    /// one: the keys are a pure function of the trace and the schema, so
+    /// configurations whose predictors share a schema (the hybrid's
+    /// VTAGE and VTAGE alone, any seed) share one table. Building holds
+    /// the trace's table lock. `EOLE_PARANOID` re-derives each key at use
+    /// ([`vp_keys_at`]).
+    // lint:allow(hot-alloc) cold path: built once per trace and schema, inside the first `Simulator::new` that needs it, before any measured loop
+    pub(super) fn vp_keys(&self, vp: &mut BlockVp) -> Option<Arc<[VpKeys]>> {
+        let schema = vp.key_schema()?;
+        let mut tables = lock_clean(&self.vp_keys.0);
+        if let Some((_, table)) = tables.iter().find(|(s, _)| *s == schema) {
+            return Some(Arc::clone(table));
+        }
+        let table: Arc<[VpKeys]> = self
+            .insts
+            .iter()
+            .map(|di| {
+                let view = self.history.view(di.bhist_pos as usize);
+                let keys = if di.inst.is_vp_eligible() { vp.keys(pck(di.pc), view) } else { None };
+                keys.unwrap_or_default()
+            })
+            .collect();
+        tables.push((schema, Arc::clone(&table)));
+        Some(table)
     }
 
     /// The TAGE keys of every conditional branch, indexed by branch
@@ -313,8 +368,13 @@ fn make_block_vp(vp: &VpConfig, window_hint: usize) -> BlockVp {
         banks: vp.banks,
         spec_window: vp.spec_window,
     };
+    BlockVp::new(make_value_predictor(vp), params, window_hint)
+}
+
+/// The configured value predictor.
+fn make_value_predictor(vp: &VpConfig) -> AnyValuePredictor {
     let seed = vp.seed;
-    let predictor: AnyValuePredictor = match vp.kind {
+    match vp.kind {
         ValuePredictorKind::VtageTwoDeltaStride => VtageTwoDeltaStride::paper(seed).into(),
         ValuePredictorKind::Vtage => Vtage::paper(seed).into(),
         ValuePredictorKind::TwoDeltaStride => TwoDeltaStride::paper(seed).into(),
@@ -324,8 +384,32 @@ fn make_block_vp(vp: &VpConfig, window_hint: usize) -> BlockVp {
         ValuePredictorKind::DVtage => {
             DVtage::new(DVtageConfig::paper(vp.block_size, vp.banks), seed).into()
         }
-    };
-    BlockVp::new(predictor, params, window_hint)
+    }
+}
+
+/// The value-predictor keys of the µ-op at trace index `idx` (which must
+/// be VP-eligible), from its key table `table` ([`PreparedTrace::vp_keys`]),
+/// or `None` without one. Under `EOLE_PARANOID` they are re-derived with
+/// `vp` and compared; a mismatch panics naming the trace index.
+#[inline]
+pub(super) fn vp_keys_at(
+    table: Option<&[VpKeys]>,
+    vp: &mut BlockVp,
+    trace: &PreparedTrace,
+    idx: usize,
+) -> Option<VpKeys> {
+    let keys = table?[idx];
+    if crate::paranoid() {
+        let di = &trace.insts()[idx];
+        let fresh = vp.keys(pck(di.pc), trace.history.view(di.bhist_pos as usize));
+        if fresh != Some(keys) {
+            panic!( // lint:allow(error-typing) EOLE_PARANOID is a crash-on-divergence debug mode
+                "VP keys of trace index {idx} (pc {:#x}): table {keys:x?}, derived {fresh:x?}",
+                di.pc
+            );
+        }
+    }
+    Some(keys)
 }
 
 /// Reusable per-cycle scratch buffers: cleared at the top of the stage
@@ -379,6 +463,8 @@ pub struct Simulator<'t> {
     pub(super) btb: Btb,
     pub(super) ras: ReturnStack,
     pub(super) vp: Option<BlockVp>,
+    /// The trace's key table for `vp`'s schema ([`PreparedTrace::vp_keys`]).
+    pub(super) vp_keys: Option<Arc<[VpKeys]>>,
 
     // Rename.
     pub(super) spec_rat: [PhysReg; 64],
@@ -436,6 +522,8 @@ impl<'t> Simulator<'t> {
         let front_cap = config.fetch_width * (config.frontend_depth as usize + 4);
         let mut tage = Tage::paper(config.branch_seed);
         let tage_keys = trace.tage_keys(&mut tage);
+        let mut vp = config.vp.as_ref().map(|v| make_block_vp(v, front_cap + config.rob_entries));
+        let vp_keys = vp.as_mut().and_then(|vp| trace.vp_keys(vp));
         Ok(Simulator {
             cycle: 0,
             cursor: 0,
@@ -451,10 +539,8 @@ impl<'t> Simulator<'t> {
             tage_keys,
             btb: Btb::paper(),
             ras: ReturnStack::paper(),
-            vp: config
-                .vp
-                .as_ref()
-                .map(|v| make_block_vp(v, front_cap + config.rob_entries)),
+            vp,
+            vp_keys,
             spec_rat,
             commit_rat: spec_rat,
             prf: Prf::try_new(config.int_prf, config.fp_prf, config.prf_banks)
@@ -521,9 +607,10 @@ impl<'t> Simulator<'t> {
             // detailed machine issues at fetch and commit.
             if let Some(vp) = self.vp.as_mut() {
                 if di.inst.is_vp_eligible() {
-                    let q = vp.predict(cycle, seq, pck(di.pc), view);
+                    let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, self.cursor);
+                    let q = vp.predict(cycle, seq, pck(di.pc), view, keys.as_ref());
                     if q.accepted {
-                        vp.commit(seq, pck(di.pc), view, di.result);
+                        vp.commit(seq, pck(di.pc), view, keys.as_ref(), di.result);
                     }
                     seq += 1;
                 }
@@ -844,9 +931,11 @@ impl std::fmt::Debug for Simulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eole_isa::{generate_trace, DynInst, Inst, IntReg, Opcode, ProgramBuilder};
+    use crate::config::CoreConfig;
+    use eole_isa::{generate_trace, ArchReg, DynInst, Inst, IntReg, Opcode, ProgramBuilder};
     use eole_predictors::branch::DirectionPredictor;
     use eole_predictors::snapshot::{SnapWriter, Snapshot};
+    use eole_predictors::value::{InFlight, ValuePredictor};
     use proptest::prelude::*;
 
     fn tiny_trace(iters: i64) -> Trace {
@@ -888,8 +977,7 @@ mod tests {
         assert_eq!(prepared.len(), 0);
         assert!(prepared.is_empty());
         assert!(prepared.insts().is_empty());
-        let mut sim =
-            Simulator::new(&prepared, crate::config::CoreConfig::baseline_6_64()).unwrap();
+        let mut sim = Simulator::new(&prepared, CoreConfig::baseline_6_64()).unwrap();
         assert!(sim.finished());
         sim.run(u64::MAX).unwrap();
         assert_eq!(sim.committed_total(), 0);
@@ -926,9 +1014,36 @@ mod tests {
         Trace { insts, branch_outcomes, halted: false }
     }
 
-    fn snapshot_bytes(tage: &Tage) -> Vec<u8> {
+    /// A synthetic trace from `(branch, pc, value)` draws: a conditional
+    /// branch taken iff `value` is odd, or a VP-eligible `Add` at static pc
+    /// `pc` producing `value` when `pc` is even, else `value` plus the
+    /// last two branch outcomes (a history-correlated result).
+    fn value_stream(draws: &[(bool, u8, u64)]) -> Trace {
+        let mut insts = Vec::with_capacity(draws.len());
+        let mut branch_outcomes: Vec<bool> = Vec::new();
+        for &(branch, pc, value) in draws {
+            let (op, taken) = if branch { (Opcode::Bne, value % 2 == 1) } else { (Opcode::Add, false) };
+            let recent = branch_outcomes.iter().rev().take(2).filter(|&&t| t).count() as u64;
+            insts.push(DynInst {
+                pc: u32::from(pc),
+                inst: Inst { dst: (!branch).then(|| ArchReg::int(IntReg::new(1))), ..Inst::new(op) },
+                result: if pc % 2 == 0 { value } else { value + recent },
+                addr: 0,
+                size: 0,
+                taken,
+                next_pc: u32::from(pc) + 1,
+                bhist_pos: branch_outcomes.len() as u32,
+            });
+            if branch {
+                branch_outcomes.push(taken);
+            }
+        }
+        Trace { insts, branch_outcomes, halted: false }
+    }
+
+    fn snapshot_bytes(p: &impl Snapshot) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        tage.snapshot(&mut w);
+        p.snapshot(&mut w);
         w.into_bytes()
     }
 
@@ -962,15 +1077,84 @@ mod tests {
             }
             prop_assert_eq!(snapshot_bytes(&keyed), snapshot_bytes(&adapter));
         }
+
+        /// For VTAGE, the hybrid and D-VTAGE at every block size, the
+        /// trace's key table holds, for every VP-eligible µ-op, exactly the
+        /// keys derived on the fly (by an instance of another seed), and
+        /// the keyed predict/train the pipeline drives make the same
+        /// predictions and leave the same snapshot bytes as the
+        /// `ValuePredictor` adapter.
+        #[test]
+        fn vp_key_tables_equal_on_the_fly_keys_and_the_adapter(
+            draws in proptest::collection::vec((any::<bool>(), 0u8..48, 0u64..6), 0..2000),
+            kind in prop::sample::select(vec![
+                ValuePredictorKind::Vtage,
+                ValuePredictorKind::VtageTwoDeltaStride,
+                ValuePredictorKind::DVtage,
+            ]),
+            block_size in prop::sample::select(vec![1usize, 2, 4, 8]),
+            banks in prop::sample::select(vec![1usize, 4]),
+            seed in any::<u64>(),
+        ) {
+            let trace = PreparedTrace::new(value_stream(&draws));
+            let vp = VpConfig { kind, seed, block_size, banks, spec_window: None };
+            let table = trace.vp_keys(&mut make_block_vp(&vp, 64)).expect("a keyed kind");
+            prop_assert_eq!(table.len(), trace.len());
+            let mut fly = make_value_predictor(&VpConfig { seed: !seed, ..vp.clone() });
+            let (mut keyed, mut adapter) = (make_value_predictor(&vp), make_value_predictor(&vp));
+            for (idx, di) in trace.insts().iter().enumerate() {
+                if !di.inst.is_vp_eligible() {
+                    continue;
+                }
+                let (pc, view) = (pck(di.pc), trace.history().view(di.bhist_pos as usize));
+                let keys = &table[idx];
+                prop_assert_eq!(Some(*keys), fly.keys(pc, view), "trace index {}", idx);
+                // A chained in-flight value on some µ-ops, for D-VTAGE.
+                let last = (di.result % 3 == 0).then_some(di.result);
+                let inflight = InFlight { depth: last.is_some().into(), last };
+                prop_assert_eq!(
+                    keyed.predict_keyed(pc, view, keys, inflight),
+                    adapter.predict(pc, view, inflight)
+                );
+                keyed.train_keyed(pc, view, keys, di.result);
+                adapter.train(pc, view, di.result);
+            }
+            prop_assert_eq!(snapshot_bytes(&keyed), snapshot_bytes(&adapter));
+        }
     }
 
     #[test]
     fn tage_key_table_is_built_once_and_shared() {
         let trace = PreparedTrace::new(tiny_trace(40));
-        let a = Simulator::new(&trace, crate::config::CoreConfig::baseline_6_64()).unwrap();
-        let b = Simulator::new(&trace, crate::config::CoreConfig::eole_4_64()).unwrap();
+        let a = Simulator::new(&trace, CoreConfig::baseline_6_64()).unwrap();
+        let b = Simulator::new(&trace, CoreConfig::eole_4_64()).unwrap();
         assert_eq!(a.tage_keys.len(), 40);
         assert!(std::ptr::eq(a.tage_keys, b.tage_keys));
+    }
+
+    /// One value-predictor key table per schema: configurations whose
+    /// predictors share a schema share a table, whatever their seed;
+    /// history-free kinds and VP-off configurations build none.
+    #[test]
+    fn vp_key_tables_are_built_once_per_schema_and_shared() {
+        let trace = PreparedTrace::new(tiny_trace(40));
+        let table = |config: CoreConfig| Simulator::new(&trace, config).unwrap().vp_keys;
+        let reseeded = |config: CoreConfig| {
+            let vp = VpConfig { seed: 7, ..config.vp.clone().unwrap() };
+            config.to_builder().vp(vp).build().unwrap()
+        };
+        let hybrid = table(CoreConfig::baseline_vp_6_64()).unwrap();
+        assert_eq!(hybrid.len(), trace.len());
+        assert!(Arc::ptr_eq(&hybrid, &table(CoreConfig::eole_4_64()).unwrap()));
+        let vtage = CoreConfig::eole_4_64().to_builder().vp_kind(ValuePredictorKind::Vtage);
+        assert!(Arc::ptr_eq(&hybrid, &table(vtage.build().unwrap()).unwrap()));
+        let dvtage = table(CoreConfig::eole_dvtage_4_64()).unwrap();
+        assert!(!Arc::ptr_eq(&hybrid, &dvtage));
+        assert!(Arc::ptr_eq(&dvtage, &table(reseeded(CoreConfig::eole_dvtage_4_64())).unwrap()));
+        let lvp = CoreConfig::eole_4_64().to_builder().vp_kind(ValuePredictorKind::LastValue);
+        assert!(table(lvp.build().unwrap()).is_none());
+        assert!(table(CoreConfig::baseline_6_64()).is_none());
+        assert_eq!(lock_clean(&trace.vp_keys.0).len(), 2);
     }
 
     #[test]
@@ -980,8 +1164,7 @@ mod tests {
         assert_eq!(prepared.len(), cloned.len());
         // Two simulators over the same prepared trace agree exactly.
         let run = |t: &PreparedTrace| {
-            let mut sim =
-                Simulator::new(t, crate::config::CoreConfig::baseline_6_64()).unwrap();
+            let mut sim = Simulator::new(t, CoreConfig::baseline_6_64()).unwrap();
             sim.run(u64::MAX).unwrap();
             sim.stats().cycles
         };

@@ -18,10 +18,12 @@
 //! function of the log, it is derived state — predictors never snapshot or
 //! compare it, and a restored predictor simply starts with an empty memo.
 //!
-//! The memo serves VTAGE, D-VTAGE and TAGE's `DirectionPredictor`
-//! adapter. The timing core's TAGE does not fold per lookup: its keys
-//! depend only on the branch, so they are built once per trace
-//! (`Tage::keys`, `PreparedTrace`'s key table in `eole-core`).
+//! The memo serves the per-call adapters: TAGE's `DirectionPredictor`
+//! and VTAGE's, the hybrid's and D-VTAGE's `ValuePredictor`, and with
+//! them each key table's one build. The timing core folds nothing per
+//! lookup: every predictor's keys depend only on the µ-op, so they are
+//! built once per trace (`Tage::keys`, `Vtage::keys`, `DVtage::keys`;
+//! `PreparedTrace`'s key tables in `eole-core`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -6,16 +6,19 @@
 //! usefulness decay ([`TaggedTables::age`]). Each predictor keeps its
 //! payload, base table, hash seeds and snapshot field order.
 //!
-//! VTAGE and D-VTAGE hash their keys lazily from the history-fold memo
-//! ([`Keys`]). TAGE's keys depend only on the branch's pc and history
-//! position, so the timing core builds them once per trace and TAGE reads
-//! them packed ([`PackedKey`]); its [`DirectionPredictor`] adapter packs
-//! them from the same memo.
+//! Every predictor's keys depend only on the µ-op's pc, its history
+//! position and the geometry, so the timing core builds them once per
+//! trace and the scans read them packed: TAGE's as `[PackedKey; N]`
+//! (`entry index << 16 | tag`), VTAGE's and D-VTAGE's as [`Packed`]
+//! words (`tag << index_bits | entry index`, since their tags are wider).
+//! The per-call adapters ([`DirectionPredictor`], [`ValuePredictor`])
+//! derive them from the history folds ([`Keys`]).
 //!
 //! [`Tage`]: crate::branch::Tage
 //! [`Vtage`]: crate::value::Vtage
 //! [`DVtage`]: crate::value::DVtage
 //! [`DirectionPredictor`]: crate::branch::DirectionPredictor
+//! [`ValuePredictor`]: crate::value::ValuePredictor
 
 use crate::history::{FoldMemo, Folds, HistoryView};
 use crate::rng::SimRng;
@@ -71,12 +74,12 @@ pub(crate) trait LookupKeys {
     fn tag(&self, comp: usize) -> u32;
 }
 
-/// Lazily hashed [`LookupKeys`]: the history folds, read once per
-/// predictor call, bound to the predictor's hash. A key is hashed where a
-/// scan reads it, so the provider scan's early exit skips the components
-/// it never reaches, and a tag is only hashed for a valid entry. Hashing
-/// all keys up front, or caching each one, measured slower for VTAGE
-/// (PERF.md, "One tagged-table core").
+/// One lookup's [`LookupKeys`] as the history folds, read once per call,
+/// bound to the predictor's hash. A key is hashed where a scan reads it,
+/// so the value predictors' per-call adapters scan these directly (the
+/// provider scan's early exit skips the components it never reaches);
+/// every packed key is hashed from them ([`Keys::packed`],
+/// [`TaggedTables::pack`]).
 pub(crate) struct Keys<H> {
     hash: H,
     folds: Folds,
@@ -121,6 +124,27 @@ impl<const N: usize> LookupKeys for [PackedKey; N] {
     }
 }
 
+/// Precomputed keys, one word per component, packed as
+/// `tag << index_bits | entry index` ([`TaggedTables::pack`]): the value
+/// predictors' layout, whose tags (up to 17 bits in VTAGE) do not fit
+/// beside a 16-bit entry index.
+pub(crate) struct Packed<'a, const N: usize> {
+    words: &'a [u32; N],
+    index_bits: u32,
+}
+
+impl<const N: usize> LookupKeys for Packed<'_, N> {
+    #[inline]
+    fn index(&self, comp: usize) -> usize {
+        (self.words[comp] & ((1 << self.index_bits) - 1)) as usize
+    }
+
+    #[inline]
+    fn tag(&self, comp: usize) -> u32 {
+        self.words[comp] >> self.index_bits
+    }
+}
+
 /// The tagged components of a TAGE-family predictor: `comps` components
 /// of `rows` entries each, stored component-major, plus the history-fold
 /// memo and the update counter that drives aging.
@@ -135,6 +159,8 @@ pub(crate) struct TaggedTables<P> {
     pub data: Vec<P>,
     rows: usize,
     comps: usize,
+    /// Bits of a [`Packed`] word's entry index: enough for every entry.
+    index_bits: u32,
     /// History folds per position (derived state: never snapshotted, not
     /// part of equality).
     memo: FoldMemo,
@@ -168,6 +194,7 @@ impl<P: Copy + Default> TaggedTables<P> {
             data: vec![P::default(); lengths.len() * rows],
             rows,
             comps: lengths.len(),
+            index_bits: (lengths.len() * rows).next_power_of_two().trailing_zeros(),
             memo,
             updates: 0,
         }
@@ -200,6 +227,38 @@ impl<P> TaggedTables<P> {
     #[inline]
     pub fn keys<H: KeyHash>(&mut self, hist: HistoryView<'_>, hash: H) -> Keys<H> {
         Keys { hash, folds: self.memo.folds(hist), rows: self.rows }
+    }
+
+    /// One lookup's `keys` as [`Packed`] words; the words past
+    /// [`comps`](Self::comps) are 0.
+    #[inline]
+    pub fn pack<const N: usize>(&self, keys: &impl LookupKeys) -> [u32; N] {
+        std::array::from_fn(|c| {
+            if c < self.comps {
+                debug_assert!(u64::from(keys.tag(c)) < 1 << (32 - self.index_bits));
+                keys.tag(c) << self.index_bits | keys.index(c) as u32
+            } else {
+                0
+            }
+        })
+    }
+
+    /// `words` ([`pack`](Self::pack)) as the scans read them.
+    #[inline]
+    pub fn packed<'a, const N: usize>(&self, words: &'a [u32; N]) -> Packed<'a, N> {
+        Packed { words, index_bits: self.index_bits }
+    }
+
+    /// Panics unless [`Packed`] keys of `N` words address these tables:
+    /// at most `N` components, and every entry index beside the widest
+    /// tag (`widest_tag` bits) in a 32-bit word.
+    pub fn assert_packable<const N: usize>(&self, widest_tag: u32, name: &str) {
+        assert!(self.comps <= N, "{} tagged components exceed {name}'s {N}", self.comps);
+        assert!(
+            self.index_bits + widest_tag <= 32,
+            "{name}'s {}-bit entry index and {widest_tag}-bit tags exceed a 32-bit key",
+            self.index_bits
+        );
     }
 
     /// The longest component below `n` whose entry is valid and matches

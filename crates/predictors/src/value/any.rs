@@ -11,7 +11,7 @@
 use crate::history::HistoryView;
 use crate::value::{
     DVtage, Fcm, InFlight, LastValue, StridePredictor, TwoDeltaStride, ValuePrediction,
-    ValuePredictor, Vtage, VtageTwoDeltaStride,
+    ValuePredictor, VpKeySchema, VpKeys, Vtage, VtageTwoDeltaStride,
 };
 
 /// A value predictor held by value — every kind the harness knows.
@@ -46,6 +46,63 @@ macro_rules! dispatch {
             AnyValuePredictor::DVtage($p) => $body,
         }
     };
+}
+
+impl AnyValuePredictor {
+    /// The keys of the µ-op at `pc` under `hist`, for the kinds that hash
+    /// the branch history (VTAGE, the hybrid, D-VTAGE); `None` for the
+    /// others.
+    pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<VpKeys> {
+        match self {
+            AnyValuePredictor::VtageTwoDeltaStride(p) => Some(p.keys(pc, hist)),
+            AnyValuePredictor::Vtage(p) => Some(p.keys(pc, hist)),
+            AnyValuePredictor::DVtage(p) => Some(p.keys(pc, hist)),
+            _ => None,
+        }
+    }
+
+    /// What fixes [`keys`](Self::keys); `None` for the kinds that have
+    /// none.
+    pub fn key_schema(&self) -> Option<VpKeySchema> {
+        match self {
+            AnyValuePredictor::VtageTwoDeltaStride(p) => Some(p.key_schema()),
+            AnyValuePredictor::Vtage(p) => Some(p.key_schema()),
+            AnyValuePredictor::DVtage(p) => Some(p.key_schema()),
+            _ => None,
+        }
+    }
+
+    /// [`ValuePredictor::predict`] with the µ-op's [`keys`](Self::keys);
+    /// the kinds without keys ignore them.
+    #[inline]
+    pub fn predict_keyed(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        keys: &VpKeys,
+        inflight: InFlight,
+    ) -> Option<ValuePrediction> {
+        match self {
+            AnyValuePredictor::VtageTwoDeltaStride(p) => {
+                Some(p.predict_keyed(pc, hist, keys, inflight))
+            }
+            AnyValuePredictor::Vtage(p) => Some(p.predict_keyed(pc, keys)),
+            AnyValuePredictor::DVtage(p) => Some(p.predict_keyed(pc, keys, inflight)),
+            p => p.predict(pc, hist, inflight),
+        }
+    }
+
+    /// [`ValuePredictor::train`] with the µ-op's [`keys`](Self::keys);
+    /// the kinds without keys ignore them.
+    #[inline]
+    pub fn train_keyed(&mut self, pc: u64, hist: HistoryView<'_>, keys: &VpKeys, actual: u64) {
+        match self {
+            AnyValuePredictor::VtageTwoDeltaStride(p) => p.train_keyed(pc, hist, keys, actual),
+            AnyValuePredictor::Vtage(p) => p.train_keyed(pc, keys, actual),
+            AnyValuePredictor::DVtage(p) => p.train_keyed(pc, keys, actual),
+            p => p.train(pc, hist, actual),
+        }
+    }
 }
 
 impl ValuePredictor for AnyValuePredictor {

@@ -21,6 +21,11 @@
 //!   the whole rollback, for every predictor kind: predictor tables only
 //!   hold committed state.
 //!
+//! Both calls take the µ-op's precomputed keys ([`VpKeys`]) for the kinds
+//! that hash the branch history: the timing core builds them once per
+//! trace ([`BlockVp::keys`], one table per [`BlockVp::key_schema`]), and
+//! `None` derives them from `hist` per call.
+//!
 //! The window is the only owner of in-flight state — the paper's
 //! "conventional value predictors need to track inflight predictions",
 //! done once here instead of inside every predictor. Each query passes
@@ -34,7 +39,9 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::history::HistoryView;
-use crate::value::{AnyValuePredictor, InFlight, ValuePrediction, ValuePredictor};
+use crate::value::{
+    AnyValuePredictor, InFlight, ValuePrediction, ValuePredictor, VpKeySchema, VpKeys,
+};
 
 /// Bytes per µ-op in trace addresses.
 const INST_BYTES: u64 = 4;
@@ -179,13 +186,26 @@ impl BlockVp {
         pc & !(self.params.block_size as u64 * INST_BYTES - 1)
     }
 
-    /// Fetch-time query for the µ-op `(seq, pc)` fetched at `cycle`.
+    /// The predictor's keys for the µ-op at `pc` under `hist`
+    /// ([`AnyValuePredictor::keys`]); `None` for kinds without keys.
+    pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Option<VpKeys> {
+        self.predictor.keys(pc, hist)
+    }
+
+    /// What fixes [`keys`](Self::keys) ([`AnyValuePredictor::key_schema`]).
+    pub fn key_schema(&self) -> Option<VpKeySchema> {
+        self.predictor.key_schema()
+    }
+
+    /// Fetch-time query for the µ-op `(seq, pc)` fetched at `cycle`, with
+    /// its [`keys`](Self::keys) if precomputed.
     pub fn predict(
         &mut self,
         cycle: u64,
         seq: u64,
         pc: u64,
         hist: HistoryView<'_>,
+        keys: Option<&VpKeys>,
     ) -> BlockQuery {
         // A refused query performs no predictor access: it must neither
         // charge a block read nor consume the (cycle, block) read credit
@@ -202,7 +222,10 @@ impl BlockVp {
         }
         let slot = self.index.entry(pc).or_default();
         let inflight = *slot;
-        let pred = self.predictor.predict(pc, hist, inflight);
+        let pred = match keys {
+            Some(k) => self.predictor.predict_keyed(pc, hist, k, inflight),
+            None => self.predictor.predict(pc, hist, inflight),
+        };
         *slot = InFlight { depth: inflight.depth + 1, last: pred.map(|p| p.value) };
         self.window.push_back(SpecEntry { seq, pc, prev: inflight.last });
         BlockQuery { pred, accepted: true, new_block }
@@ -210,8 +233,16 @@ impl BlockVp {
 
     /// Retires the oldest in-flight instance (which must be `seq`; the
     /// pipeline commits registered µ-ops in program order) and trains the
-    /// predictor with the architectural result.
-    pub fn commit(&mut self, seq: u64, pc: u64, hist: HistoryView<'_>, actual: u64) {
+    /// predictor with the architectural result, reading `keys` as
+    /// [`predict`](Self::predict) does.
+    pub fn commit(
+        &mut self,
+        seq: u64,
+        pc: u64,
+        hist: HistoryView<'_>,
+        keys: Option<&VpKeys>,
+        actual: u64,
+    ) {
         let front = self.window.pop_front();
         debug_assert!(
             front.is_some_and(|e| e.seq == seq && e.pc == pc),
@@ -220,7 +251,10 @@ impl BlockVp {
         // The oldest instance is the youngest of its pc only when it is
         // the sole one, so the index keeps its youngest predicted value.
         self.unindex(pc);
-        self.predictor.train(pc, hist, actual);
+        match keys {
+            Some(k) => self.predictor.train_keyed(pc, hist, k, actual),
+            None => self.predictor.train(pc, hist, actual),
+        }
     }
 
     /// Drops every in-flight instance with sequence ≥ `first_bad`,
@@ -311,17 +345,17 @@ mod tests {
         let v = hist.view(0);
         let mut vp = BlockVp::new(TwoDeltaStride::new(64, 1).into(), BlockParams::default(), 256);
         for i in 0..5u64 {
-            assert!(vp.predict(i, i, 0x10, v).accepted);
-            vp.commit(i, 0x10, v, 8 * i); // last = 32, stride2 = 8
+            assert!(vp.predict(i, i, 0x10, v, None).accepted);
+            vp.commit(i, 0x10, v, None, 8 * i); // last = 32, stride2 = 8
         }
-        let a = vp.predict(5, 5, 0x10, v).pred.unwrap();
-        let b = vp.predict(5, 6, 0x10, v).pred.unwrap();
-        let c = vp.predict(5, 7, 0x10, v).pred.unwrap();
+        let a = vp.predict(5, 5, 0x10, v, None).pred.unwrap();
+        let b = vp.predict(5, 6, 0x10, v, None).pred.unwrap();
+        let c = vp.predict(5, 7, 0x10, v, None).pred.unwrap();
         assert_eq!(a.value, 40);
         assert_eq!(b.value, 48, "second in-flight instance sees one more stride");
         assert_eq!(c.value, 56);
         vp.squash_from(7);
-        assert_eq!(vp.predict(6, 7, 0x10, v).pred.unwrap().value, 56);
+        assert_eq!(vp.predict(6, 7, 0x10, v, None).pred.unwrap().value, 56);
     }
 
     /// D-VTAGE in-flight instances chain off speculative last values and
@@ -332,21 +366,21 @@ mod tests {
         let mut vp = dvtage(BlockParams::default(), 5);
         let v = hist.view(0);
         for i in 0..3_000u64 {
-            let q = vp.predict(i, i, 0x40, v);
+            let q = vp.predict(i, i, 0x40, v, None);
             assert!(q.accepted);
-            vp.commit(i, 0x40, v, 8 * i);
+            vp.commit(i, 0x40, v, None, 8 * i);
         }
         // Three overlapping instances: predictions chain +8 each.
-        let a = vp.predict(3_000, 3_000, 0x40, v).pred.unwrap();
-        let b = vp.predict(3_000, 3_001, 0x40, v).pred.unwrap();
-        let c = vp.predict(3_001, 3_002, 0x40, v).pred.unwrap();
+        let a = vp.predict(3_000, 3_000, 0x40, v, None).pred.unwrap();
+        let b = vp.predict(3_000, 3_001, 0x40, v, None).pred.unwrap();
+        let c = vp.predict(3_001, 3_002, 0x40, v, None).pred.unwrap();
         assert_eq!(b.value, a.value.wrapping_add(8));
         assert_eq!(c.value, b.value.wrapping_add(8));
         // Squash all three: the next prediction re-anchors on committed
         // state and equals the first one again.
         vp.squash_from(3_000);
         assert_eq!(vp.inflight(), 0);
-        let again = vp.predict(3_002, 3_000, 0x40, v).pred.unwrap();
+        let again = vp.predict(3_002, 3_000, 0x40, v, None).pred.unwrap();
         assert_eq!(again.value, a.value);
     }
 
@@ -360,14 +394,14 @@ mod tests {
             5,
         );
         let v = hist.view(0);
-        assert!(vp.predict(0, 0, 0x40, v).accepted);
-        assert!(vp.predict(0, 1, 0x44, v).accepted);
-        let refused = vp.predict(0, 2, 0x48, v);
+        assert!(vp.predict(0, 0, 0x40, v, None).accepted);
+        assert!(vp.predict(0, 1, 0x44, v, None).accepted);
+        let refused = vp.predict(0, 2, 0x48, v, None);
         assert!(!refused.accepted);
         assert!(refused.pred.is_none());
         assert_eq!(vp.inflight(), 2);
-        vp.commit(0, 0x40, v, 1);
-        assert!(vp.predict(1, 2, 0x48, v).accepted, "commit freed a slot");
+        vp.commit(0, 0x40, v, None, 1);
+        assert!(vp.predict(1, 2, 0x48, v, None).accepted, "commit freed a slot");
         vp.squash_from(1);
         assert_eq!(vp.inflight(), 0, "squash dropped seqs 1 and 2");
     }
@@ -383,13 +417,13 @@ mod tests {
         );
         let v = hist.view(0);
         // Same 4-µ-op block (addresses 0x40..0x50), same cycle.
-        assert!(vp.predict(7, 0, 0x40, v).new_block);
-        assert!(!vp.predict(7, 1, 0x44, v).new_block);
-        assert!(!vp.predict(7, 2, 0x48, v).new_block);
+        assert!(vp.predict(7, 0, 0x40, v, None).new_block);
+        assert!(!vp.predict(7, 1, 0x44, v, None).new_block);
+        assert!(!vp.predict(7, 2, 0x48, v, None).new_block);
         // Next block in the same cycle: a new read.
-        assert!(vp.predict(7, 3, 0x50, v).new_block);
+        assert!(vp.predict(7, 3, 0x50, v, None).new_block);
         // Same block again but a later cycle: a new read.
-        assert!(vp.predict(8, 4, 0x40, v).new_block);
+        assert!(vp.predict(8, 4, 0x40, v, None).new_block);
     }
 }
 
@@ -441,7 +475,7 @@ mod proptests {
                     match op {
                         // predict (5/8 of ops: keep the window busy)
                         0..=4 => {
-                            if live.predict(next_seq, next_seq, pc, view).accepted {
+                            if live.predict(next_seq, next_seq, pc, view, None).accepted {
                                 inflight.push((next_seq, pc));
                             }
                             next_seq += 1;
@@ -450,7 +484,7 @@ mod proptests {
                         5..=6 => {
                             if !inflight.is_empty() {
                                 let (seq, pc) = inflight.remove(0);
-                                live.commit(seq, pc, view, *value);
+                                live.commit(seq, pc, view, None, *value);
                                 committed.push((pc, pos, *value));
                             }
                         }
@@ -506,7 +540,7 @@ mod proptests {
                                 last: same().next().and_then(|e| e.2),
                             };
                             prop_assert_eq!(vp.in_flight(pc), want);
-                            let q = vp.predict(next_seq, next_seq, pc, view);
+                            let q = vp.predict(next_seq, next_seq, pc, view, None);
                             if q.accepted {
                                 model.push((next_seq, pc, q.pred.map(|p| p.value)));
                             }
@@ -515,7 +549,7 @@ mod proptests {
                         4..=5 => {
                             if !model.is_empty() {
                                 let (seq, pc, _) = model.remove(0);
-                                vp.commit(seq, pc, view, *value);
+                                vp.commit(seq, pc, view, None, *value);
                             }
                         }
                         _ => {

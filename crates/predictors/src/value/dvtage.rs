@@ -34,12 +34,20 @@
 //! The provider scan, the allocation victim pick and usefulness aging are
 //! the TAGE family's shared policy (`tagged.rs`); this module holds the
 //! delta slots, copy-on-allocate, the LVT and base, and the banking.
+//!
+//! Keys: a µ-op's tagged (entry, tag) pairs hash its fetch block's
+//! address and its history position under the geometry and block shape
+//! ([`VpKeySchema`]), so, as for VTAGE, [`DVtage::keys`] computes them as
+//! one [`VpKeys`], the keyed [`DVtage::predict_keyed`] /
+//! [`DVtage::train_keyed`] are the predictor, the timing core builds the
+//! keys once per trace, and the [`ValuePredictor`] impl is a thin adapter
+//! deriving them per call.
 
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{KeyHash, Keys, TaggedTables};
-use crate::value::{InFlight, ValuePrediction, ValuePredictor};
+use crate::tagged::{KeyHash, Keys, LookupKeys, TaggedTables};
+use crate::value::{InFlight, ValuePrediction, ValuePredictor, VpKeySchema, VpKeys, VP_COMPONENTS};
 
 /// Bytes per µ-op in trace addresses (`Program::inst_addr` spacing).
 const INST_BYTES: u64 = 4;
@@ -94,7 +102,9 @@ impl DVtageConfig {
     ///
     /// Best effort: capacities floor at `banks` rows (a bank cannot be
     /// empty), so a budget below that smallest geometry is *not*
-    /// reachable and the returned configuration exceeds it. Callers
+    /// reachable and the returned configuration exceeds it; they stop
+    /// growing at 8192-block tagged components, the most a [`VpKeys`]
+    /// word addresses beside the paper's 16-bit tags. Callers
     /// that report equal-budget comparisons read the actual size back
     /// via `storage_bits()` (the experiment prints both sizes in its
     /// title and its test asserts the ≤ relation for the real budget).
@@ -102,7 +112,7 @@ impl DVtageConfig {
         let mut cfg = Self::paper(block_size, banks);
         // Grow first (the paper geometry may sit far below the budget),
         // then shrink until it fits.
-        while DVtage::storage_bits_of(&cfg) * 2 <= budget_bits && cfg.lvt_entries < 1 << 20 {
+        while DVtage::storage_bits_of(&cfg) * 2 <= budget_bits && cfg.tagged_entries < 1 << 13 {
             cfg.lvt_entries *= 2;
             cfg.base_entries *= 2;
             cfg.tagged_entries *= 2;
@@ -170,10 +180,12 @@ impl DVtage {
     ///
     /// Panics if `history_lengths` is rejected by
     /// [`FoldMemo::new`](crate::history::FoldMemo::new) (empty, not
-    /// strictly ascending, or too long), or if
-    /// `block_size`/`banks` are not powers of two (`CoreConfig`
-    /// validation reports these as typed errors before any predictor is
-    /// built; hitting one here is a harness authoring bug).
+    /// strictly ascending, or too long), holds more than
+    /// [`VP_COMPONENTS`] lengths, if an entry index and the widest tag do
+    /// not fit one 32-bit [`VpKeys`] word, or if `block_size`/`banks` are
+    /// not powers of two (`CoreConfig` validation reports these as typed
+    /// errors before any predictor is built; hitting one here is a
+    /// harness authoring bug).
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: DVtageConfig, seed: u64) -> Self {
         assert!(config.block_size.is_power_of_two() && config.banks.is_power_of_two());
@@ -187,6 +199,8 @@ impl DVtage {
         let b = config.block_size;
         let seeds = (0x2d_0000, 0x9d_0000);
         let tagged = TaggedTables::new(&config.history_lengths, seeds, config.tagged_entries);
+        let widest_tag = config.base_tag_bits + tagged.comps() as u32 - 1;
+        tagged.assert_packable::<VP_COMPONENTS>(widest_tag, "D-VTAGE");
         DVtage {
             lvt: vec![0; config.lvt_entries * b],
             base: vec![DeltaSlot::default(); config.base_entries * b],
@@ -229,8 +243,20 @@ impl DVtage {
         banked_index((c.banks, c.block_size), bpc, c.base_entries, 0xd5e1)
     }
 
-    /// The tagged components' banked rows and tags for the block at `bpc`.
-    fn keys(&mut self, bpc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
+    /// The tagged components' keys of the µ-op at `pc` under `hist`: the
+    /// banked rows and tags of its fetch block. A pure function of `pc`,
+    /// `hist` and the [`key_schema`](Self::key_schema): keys computed by
+    /// one instance serve every instance of the same schema. Takes
+    /// `&mut self` only for the history-fold memo.
+    pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> VpKeys {
+        let keys = self.hashed(pc, hist);
+        self.tagged.pack(&keys)
+    }
+
+    /// [`keys`](Self::keys), hashed from the fold memo where a scan reads
+    /// them (the per-call adapter's keys).
+    fn hashed(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
+        let (bpc, _) = self.block_of(pc);
         let c = &self.config;
         let (shape, rows, tag_bits) = ((c.banks, c.block_size), c.tagged_entries, c.base_tag_bits);
         let row = move |comp, fold| banked_index(shape, bpc ^ fold, rows, 0x6d7a + comp as u64);
@@ -239,6 +265,19 @@ impl DVtage {
             (hash_pc(bpc ^ fold.rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1)
         };
         self.tagged.keys(hist, (row, tag))
+    }
+
+    /// What fixes this predictor's [`keys`](Self::keys).
+    // lint:allow(hot-alloc) cold path: read once per simulator, at construction, to find its key table
+    pub fn key_schema(&self) -> VpKeySchema {
+        let c = &self.config;
+        VpKeySchema {
+            family: "D-VTAGE",
+            history_lengths: c.history_lengths.clone(),
+            rows: c.tagged_entries,
+            base_tag_bits: c.base_tag_bits,
+            shape: (c.block_size, c.banks),
+        }
     }
 
     /// Signed range check against `delta_bits`.
@@ -266,7 +305,7 @@ impl DVtage {
     /// mispredicting slot resets to the observed delta at zero confidence.
     fn copy_on_allocate(
         &mut self,
-        keys: &Keys<impl KeyHash>,
+        keys: &impl LookupKeys,
         provider: Option<(usize, usize)>,
         (bpc, slot): (u64, usize),
         delta: i64,
@@ -394,12 +433,12 @@ impl crate::snapshot::Snapshot for DVtage {
     }
 }
 
-impl ValuePredictor for DVtage {
-    /// Predicts `last + delta` for the µ-op at `pc`. `inflight.last`,
-    /// when present, is the youngest in-flight predicted value of the
-    /// same static µ-op (supplied by the [`BlockVp`](super::BlockVp)
-    /// speculative window); otherwise the committed LVT value anchors the
-    /// delta.
+impl DVtage {
+    /// Predicts `last + delta` for the µ-op at `pc` whose tagged-component
+    /// keys are `keys` ([`DVtage::keys`]). `inflight.last`, when present,
+    /// is the youngest in-flight predicted value of the same static µ-op
+    /// (supplied by the [`BlockVp`](super::BlockVp) speculative window);
+    /// otherwise the committed LVT value anchors the delta.
     ///
     /// Delta selection is per slot and **by confidence** (the hybrid's
     /// rule, not plain longest-match-wins): the longest matching tagged
@@ -409,21 +448,20 @@ impl ValuePredictor for DVtage {
     /// even while an erratic neighbor in the same fetch block churns
     /// low-confidence tagged entries over their shared tag.
     ///
-    /// **Never mutates predictor state** (only the derived fold memo) —
-    /// rolling back speculation is the caller's window drop, nothing here.
-    fn predict(
-        &mut self,
-        pc: u64,
-        hist: HistoryView<'_>,
-        inflight: InFlight,
-    ) -> Option<ValuePrediction> {
+    /// **Never mutates predictor state** — rolling back speculation is
+    /// the caller's window drop, nothing here.
+    pub fn predict_keyed(&self, pc: u64, keys: &VpKeys, inflight: InFlight) -> ValuePrediction {
+        self.predict_with(pc, &self.tagged.packed(keys), inflight)
+    }
+
+    /// [`predict_keyed`](Self::predict_keyed) over keys in either form.
+    fn predict_with(&self, pc: u64, keys: &impl LookupKeys, inflight: InFlight) -> ValuePrediction {
         let (bpc, slot) = self.block_of(pc);
         let last = inflight.last.unwrap_or_else(|| {
             self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
         });
         let base = self.base[self.base_index(bpc) * self.config.block_size + slot];
-        let keys = self.keys(bpc, hist);
-        let ds = match self.tagged.hit_below(&keys, self.tagged.comps()) {
+        let ds = match self.tagged.hit_below(keys, self.tagged.comps()) {
             Some((_, i)) => {
                 let tagged = self.slots[i * self.config.block_size + slot];
                 if tagged.conf.level() >= base.conf.level() {
@@ -434,13 +472,14 @@ impl ValuePredictor for DVtage {
             }
             None => base,
         };
-        Some(ValuePrediction::from_conf(last.wrapping_add(ds.delta as u64), ds.conf))
+        ValuePrediction::from_conf(last.wrapping_add(ds.delta as u64), ds.conf)
     }
 
-    /// Trains with the architectural result at commit. The true delta is
-    /// taken against the *committed* last value (commits arrive in
-    /// program order, so that is the previous instance's actual result);
-    /// the LVT then advances to `actual`.
+    /// Trains the µ-op at `pc` whose keys are `keys` with the
+    /// architectural result at commit. The true delta is taken against
+    /// the *committed* last value (commits arrive in program order, so
+    /// that is the previous instance's actual result); the LVT then
+    /// advances to `actual`.
     ///
     /// Like the hybrid it replaces, **both halves always train**: the
     /// base slot learns the stride unconditionally, and the tagged
@@ -448,7 +487,12 @@ impl ValuePredictor for DVtage {
     /// entry is allocated only when whatever provided was wrong — a
     /// strided µ-op served correctly by the base never spawns tagged
     /// entries for its block.
-    fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
+    pub fn train_keyed(&mut self, pc: u64, keys: &VpKeys, actual: u64) {
+        self.train_with(pc, &self.tagged.packed(keys), actual);
+    }
+
+    /// [`train_keyed`](Self::train_keyed) over keys in either form.
+    fn train_with(&mut self, pc: u64, keys: &impl LookupKeys, actual: u64) {
         self.tagged.age(|u| u.saturating_sub(1));
         let (bpc, slot) = self.block_of(pc);
         let b = self.config.block_size;
@@ -461,8 +505,7 @@ impl ValuePredictor for DVtage {
         let deltas = (true_delta, storable);
         let base_correct = self.base[base_at].train(deltas, &self.policy, &mut self.rng);
         // Tagged (context) half: the longest match trains its own slot.
-        let keys = self.keys(bpc, hist);
-        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let provider = self.tagged.hit_below(keys, self.tagged.comps());
         let correct = match provider {
             Some((_, at)) => {
                 let correct = self.slots[at * b + slot].train(deltas, &self.policy, &mut self.rng);
@@ -472,9 +515,27 @@ impl ValuePredictor for DVtage {
             None => base_correct,
         };
         if !correct {
-            self.copy_on_allocate(&keys, provider, (bpc, slot), storable);
+            self.copy_on_allocate(keys, provider, (bpc, slot), storable);
         }
         self.lvt[lvt_at] = actual;
+    }
+}
+
+/// Adapter over the keyed pair, deriving the keys per call.
+impl ValuePredictor for DVtage {
+    fn predict(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        inflight: InFlight,
+    ) -> Option<ValuePrediction> {
+        let keys = self.hashed(pc, hist);
+        Some(self.predict_with(pc, &keys, inflight))
+    }
+
+    fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
+        let keys = self.hashed(pc, hist);
+        self.train_with(pc, &keys, actual);
     }
 
     fn storage_bits(&self) -> u64 {
@@ -622,5 +683,20 @@ mod tests {
             ..DVtageConfig::paper(1, 1)
         };
         assert!(std::panic::catch_unwind(|| DVtage::new(cfg, 1)).is_err());
+    }
+
+    #[test]
+    fn rejects_geometry_its_packed_keys_cannot_address() {
+        let paper = DVtageConfig::paper(4, 4);
+        let seven = DVtageConfig { history_lengths: (1..=7).collect(), ..paper.clone() };
+        assert!(std::panic::catch_unwind(|| DVtage::new(seven, 1)).is_err());
+        // 6 × 8192 blocks need a 16-bit index; with 16-bit tags that is
+        // 32 bits, and one more tag bit does not fit.
+        let wide = DVtageConfig { tagged_entries: 8192, ..paper.clone() };
+        let _ = DVtage::new(wide.clone(), 1);
+        let wider_tags = DVtageConfig { base_tag_bits: 12, ..wide };
+        assert!(std::panic::catch_unwind(|| DVtage::new(wider_tags, 1)).is_err());
+        let wider_rows = DVtageConfig { tagged_entries: 16384, ..paper };
+        assert!(std::panic::catch_unwind(|| DVtage::new(wider_rows, 1)).is_err());
     }
 }

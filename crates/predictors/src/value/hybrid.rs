@@ -7,9 +7,17 @@
 //! otherwise the VTAGE base table provides a last-value-style fallback.
 //! Both sides are always trained, so each keeps learning even while the
 //! other is selected.
+//!
+//! The VTAGE side runs keyed ([`Vtage::keys`]): the hybrid's keys are its
+//! VTAGE's, and the keyed [`VtageTwoDeltaStride::predict_keyed`] /
+//! [`VtageTwoDeltaStride::train_keyed`] are the predictor, under a
+//! per-call [`ValuePredictor`] adapter.
 
 use crate::history::HistoryView;
-use crate::value::{InFlight, TwoDeltaStride, ValuePrediction, ValuePredictor, Vtage};
+use crate::tagged::LookupKeys;
+use crate::value::{
+    InFlight, TwoDeltaStride, ValuePrediction, ValuePredictor, VpKeySchema, VpKeys, Vtage,
+};
 
 /// Hybrid of [`Vtage`] and [`TwoDeltaStride`] with tagged-hit-first
 /// selection.
@@ -43,8 +51,59 @@ impl VtageTwoDeltaStride {
     pub fn stride(&self) -> &TwoDeltaStride {
         &self.stride
     }
+
+    /// The VTAGE side's keys ([`Vtage::keys`]).
+    pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> VpKeys {
+        self.vtage.keys(pc, hist)
+    }
+
+    /// What fixes the hybrid's [`keys`](Self::keys): its VTAGE's schema.
+    pub fn key_schema(&self) -> VpKeySchema {
+        self.vtage.key_schema()
+    }
+
+    /// Predicts the µ-op at `pc` whose VTAGE keys are `keys`; the stride
+    /// side reads `hist` and `inflight` as [`ValuePredictor::predict`]
+    /// does.
+    pub fn predict_keyed(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        keys: &VpKeys,
+        inflight: InFlight,
+    ) -> ValuePrediction {
+        let keys = self.vtage.packed(keys);
+        self.predict_with(pc, hist, &keys, inflight)
+    }
+
+    /// Trains both sides of the µ-op at `pc` whose VTAGE keys are `keys`.
+    pub fn train_keyed(&mut self, pc: u64, hist: HistoryView<'_>, keys: &VpKeys, actual: u64) {
+        let keys = self.vtage.packed(keys);
+        self.vtage.train_with(pc, &keys, actual);
+        self.stride.train(pc, hist, actual);
+    }
+
+    /// [`predict_keyed`](Self::predict_keyed) over keys in either form.
+    fn predict_with(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        keys: &impl LookupKeys,
+        inflight: InFlight,
+    ) -> ValuePrediction {
+        let (v, vtage_tagged_hit) = self.vtage.predict_and_hit(pc, keys);
+        let s = self.stride.predict(pc, hist, inflight);
+        // Selection: the more confident component wins; on a tie, a tagged
+        // VTAGE hit beats the stride side (context dominates), which in turn
+        // beats the last-value-style VTAGE base.
+        match s {
+            Some(s) if v.level < s.level || (v.level == s.level && !vtage_tagged_hit) => s,
+            _ => v,
+        }
+    }
 }
 
+/// Adapter over the keyed pair, deriving the keys per call.
 impl ValuePredictor for VtageTwoDeltaStride {
     fn predict(
         &mut self,
@@ -52,19 +111,13 @@ impl ValuePredictor for VtageTwoDeltaStride {
         hist: HistoryView<'_>,
         inflight: InFlight,
     ) -> Option<ValuePrediction> {
-        let (v, vtage_tagged_hit) = self.vtage.predict_and_hit(pc, hist);
-        let s = self.stride.predict(pc, hist, inflight);
-        // Selection: the more confident component wins; on a tie, a tagged
-        // VTAGE hit beats the stride side (context dominates), which in turn
-        // beats the last-value-style VTAGE base.
-        match s {
-            Some(s) if v.level < s.level || (v.level == s.level && !vtage_tagged_hit) => Some(s),
-            _ => Some(v),
-        }
+        let keys = self.vtage.hashed(pc, hist);
+        Some(self.predict_with(pc, hist, &keys, inflight))
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        self.vtage.train(pc, hist, actual);
+        let keys = self.vtage.hashed(pc, hist);
+        self.vtage.train_with(pc, &keys, actual);
         self.stride.train(pc, hist, actual);
     }
 

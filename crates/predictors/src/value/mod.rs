@@ -17,13 +17,17 @@
 //!   [`BlockVp::commit`] at **retire** or a covering
 //!   [`BlockVp::squash_from`] on a pipeline squash. The window is the
 //!   only owner of in-flight state, for every predictor kind: a squash
-//!   is the window drop and never reaches the predictor.
+//!   is the window drop and never reaches the predictor. For the kinds
+//!   that hash the branch history (VTAGE, the hybrid, D-VTAGE), fetch
+//!   and commit pass the µ-op's [`VpKeys`], built once per trace per
+//!   [`VpKeySchema`], to their keyed `predict_keyed` / `train_keyed`.
 //! * **The per-instruction protocol** ([`ValuePredictor`]) is what the
 //!   window drives and what offline evaluation ([`evaluate_stream`], the
 //!   predictor microbench, the `predictor_showdown` example) uses
 //!   directly: `predict` at fetch with the [`InFlight`] summary of
-//!   earlier in-flight instances, `train` at commit. Predictor tables
-//!   only ever learn committed results.
+//!   earlier in-flight instances, `train` at commit. For the keyed
+//!   kinds it is a thin adapter that derives the keys per call. Predictor
+//!   tables only ever learn committed results.
 //!
 //! A prediction is *used* by the pipeline only when `confident` is true
 //! (saturated FPC), per §4.2.
@@ -47,6 +51,32 @@ pub use stride::{StridePredictor, TwoDeltaStride};
 pub use vtage::{Vtage, VtageConfig};
 
 use crate::history::HistoryView;
+
+/// Most tagged components a [`Vtage`] or [`DVtage`] holds (the paper's 6).
+pub const VP_COMPONENTS: usize = 6;
+
+/// One µ-op's keys into a [`Vtage`]'s or [`DVtage`]'s tagged components:
+/// per component, its tag `<< index_bits |` its entry index into the
+/// component-major tables, where `index_bits` is the fewest bits that
+/// address every entry (components past the configured count hold 0).
+/// A pure function of the µ-op's pc, its history position and the
+/// predictor's [`VpKeySchema`]. 24 bytes.
+pub type VpKeys = [u32; VP_COMPONENTS];
+
+/// What fixes a [`Vtage`]'s or [`DVtage`]'s [`VpKeys`]: the predictor
+/// family and the geometry its hash reads. Seeds and table contents play
+/// no part, so two predictors of one schema derive the same keys for
+/// every µ-op, and one key table per schema serves both.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VpKeySchema {
+    family: &'static str,
+    history_lengths: Vec<usize>,
+    rows: usize,
+    base_tag_bits: u32,
+    /// `(block_size, banks)`; `(1, 1)` for VTAGE, which hashes the
+    /// µ-op's own pc.
+    shape: (usize, usize),
+}
 
 /// A value prediction produced at fetch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -15,12 +15,20 @@
 //! components, tags of `12 + rank` bits, FPC confidence. The provider
 //! scan, allocation and usefulness aging are the TAGE family's shared
 //! policy (`tagged.rs`); this module holds the value payload and the base.
+//!
+//! Keys: a µ-op's 6 (entry, tag) pairs are a pure function of its pc, its
+//! history position and the geometry ([`VpKeySchema`]). [`Vtage::keys`]
+//! computes them as one [`VpKeys`], and the keyed
+//! [`Vtage::predict_keyed`] / [`Vtage::train_keyed`] are the predictor.
+//! The timing core builds every VP-eligible µ-op's keys once per trace
+//! and calls the keyed pair; the [`ValuePredictor`] impl is a thin
+//! adapter that derives the keys per call from the fold memo.
 
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{KeyHash, Keys, TaggedTables};
-use crate::value::{InFlight, ValuePrediction, ValuePredictor};
+use crate::tagged::{KeyHash, Keys, LookupKeys, Packed, TaggedTables};
+use crate::value::{InFlight, ValuePrediction, ValuePredictor, VpKeySchema, VpKeys, VP_COMPONENTS};
 
 /// Geometry and sizing of a [`Vtage`] predictor.
 #[derive(Clone, Debug)]
@@ -94,13 +102,18 @@ impl Vtage {
     ///
     /// Panics if `history_lengths` is rejected by
     /// [`FoldMemo::new`](crate::history::FoldMemo::new) (empty, not
-    /// strictly ascending, or too long).
+    /// strictly ascending, or too long), holds more than
+    /// [`VP_COMPONENTS`] lengths, or an entry index and the widest tag
+    /// do not fit one 32-bit [`VpKeys`] word.
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: VtageConfig, seed: u64) -> Self {
         let rows = config.tagged_entries.next_power_of_two().max(1);
+        let tagged = TaggedTables::new(&config.history_lengths, (0x1d_0000, 0x7a_0000), rows);
+        let widest_tag = config.base_tag_bits + tagged.comps() as u32 - 1;
+        tagged.assert_packable::<VP_COMPONENTS>(widest_tag, "VTAGE");
         Vtage {
             base: vec![Slot::default(); config.base_entries.next_power_of_two().max(1)],
-            tagged: TaggedTables::new(&config.history_lengths, (0x1d_0000, 0x7a_0000), rows),
+            tagged,
             config,
             policy: FpcPolicy::eole(),
             rng: SimRng::new(seed),
@@ -111,8 +124,20 @@ impl Vtage {
         (hash_pc(pc, 0xb5e) as usize) & (self.base.len() - 1)
     }
 
-    /// The tagged components' keys for `pc`, with `12 + rank`-bit tags.
-    fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
+    /// The tagged components' keys of the µ-op at `pc` under `hist`, with
+    /// `12 + rank`-bit tags. A pure function of `pc`, `hist` and the
+    /// [`key_schema`](Self::key_schema): keys computed by one instance
+    /// serve every instance of the same schema. Takes `&mut self` only
+    /// for the history-fold memo.
+    pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> VpKeys {
+        let keys = self.hashed(pc, hist);
+        self.tagged.pack(&keys)
+    }
+
+    /// [`keys`](Self::keys), hashed from the fold memo where a scan reads
+    /// them: the per-call adapters' keys, cheaper than packing every
+    /// component when the provider scan stops early.
+    pub(crate) fn hashed(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
         let base_tag_bits = self.config.base_tag_bits;
         let row = move |_, fold| hash_pc(pc ^ fold, 0x7a6e) as usize;
         let tag = move |comp, fold: u64| {
@@ -122,38 +147,55 @@ impl Vtage {
         self.tagged.keys(hist, (row, tag))
     }
 
+    /// `keys` as the table scans read them.
+    pub(crate) fn packed<'k>(&self, keys: &'k VpKeys) -> Packed<'k, VP_COMPONENTS> {
+        self.tagged.packed(keys)
+    }
+
+    /// What fixes this predictor's [`keys`](Self::keys).
+    // lint:allow(hot-alloc) cold path: read once per simulator, at construction, to find its key table
+    pub fn key_schema(&self) -> VpKeySchema {
+        VpKeySchema {
+            family: "VTAGE",
+            history_lengths: self.config.history_lengths.clone(),
+            rows: self.tagged.rows(),
+            base_tag_bits: self.config.base_tag_bits,
+            shape: (1, 1),
+        }
+    }
+
     /// The prediction, and whether a tagged component provided it — one
     /// provider scan for the hybrid's selection rule (a tagged hit beats
     /// the stride side).
     pub(crate) fn predict_and_hit(
-        &mut self,
+        &self,
         pc: u64,
-        hist: HistoryView<'_>,
+        keys: &impl LookupKeys,
     ) -> (ValuePrediction, bool) {
-        let keys = self.keys(pc, hist);
-        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let provider = self.tagged.hit_below(keys, self.tagged.comps());
         let s = match provider {
             Some((_, i)) => self.tagged.data[i],
             None => self.base[self.base_index(pc)],
         };
         (ValuePrediction::from_conf(s.value, s.conf), provider.is_some())
     }
-}
 
-impl ValuePredictor for Vtage {
-    fn predict(
-        &mut self,
-        pc: u64,
-        hist: HistoryView<'_>,
-        _inflight: InFlight,
-    ) -> Option<ValuePrediction> {
-        Some(self.predict_and_hit(pc, hist).0)
+    /// Predicts the result of the µ-op at `pc` whose tagged-component keys
+    /// are `keys` ([`Vtage::keys`]).
+    pub fn predict_keyed(&self, pc: u64, keys: &VpKeys) -> ValuePrediction {
+        self.predict_and_hit(pc, &self.packed(keys)).0
     }
 
-    fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
+    /// Trains the µ-op at `pc` whose keys are `keys` with its
+    /// architectural result (called in commit order).
+    pub fn train_keyed(&mut self, pc: u64, keys: &VpKeys, actual: u64) {
+        self.train_with(pc, &self.packed(keys), actual);
+    }
+
+    /// [`train_keyed`](Self::train_keyed) over keys in either form.
+    pub(crate) fn train_with(&mut self, pc: u64, keys: &impl LookupKeys, actual: u64) {
         self.tagged.age(|u| u.saturating_sub(1));
-        let keys = self.keys(pc, hist);
-        let provider = self.tagged.hit_below(&keys, self.tagged.comps());
+        let provider = self.tagged.hit_below(keys, self.tagged.comps());
         let correct = match provider {
             Some((_, i)) => {
                 let correct = self.tagged.data[i].train(actual, &self.policy, &mut self.rng);
@@ -170,8 +212,26 @@ impl ValuePredictor for Vtage {
             // (cheaper to hit again), spread by the random tie-break.
             let start = provider.map_or(0, |(c, _)| c + 1);
             let fresh = Slot { value: actual, conf: Fpc::new() };
-            self.tagged.allocate(&keys, start, &mut self.rng, fresh);
+            self.tagged.allocate(keys, start, &mut self.rng, fresh);
         }
+    }
+}
+
+/// Adapter over the keyed pair, deriving the keys per call.
+impl ValuePredictor for Vtage {
+    fn predict(
+        &mut self,
+        pc: u64,
+        hist: HistoryView<'_>,
+        _inflight: InFlight,
+    ) -> Option<ValuePrediction> {
+        let keys = self.hashed(pc, hist);
+        Some(self.predict_and_hit(pc, &keys).0)
+    }
+
+    fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
+        let keys = self.hashed(pc, hist);
+        self.train_with(pc, &keys, actual);
     }
 
     fn storage_bits(&self) -> u64 {
@@ -331,5 +391,19 @@ mod tests {
             ..VtageConfig::paper()
         };
         assert!(std::panic::catch_unwind(|| Vtage::new(cfg, 1)).is_err());
+    }
+
+    #[test]
+    fn rejects_geometry_its_packed_keys_cannot_address() {
+        let seven = VtageConfig { history_lengths: (1..=7).collect(), ..VtageConfig::paper() };
+        assert!(std::panic::catch_unwind(|| Vtage::new(seven, 1)).is_err());
+        // 6 × 4096 entries need a 15-bit index; with 17-bit tags that is
+        // 32 bits, and one more tag bit does not fit.
+        let wide = VtageConfig { tagged_entries: 4096, ..VtageConfig::paper() };
+        let _ = Vtage::new(wide.clone(), 1);
+        let wider_tags = VtageConfig { base_tag_bits: 13, ..wide };
+        assert!(std::panic::catch_unwind(|| Vtage::new(wider_tags, 1)).is_err());
+        let wider_rows = VtageConfig { tagged_entries: 8192, ..VtageConfig::paper() };
+        assert!(std::panic::catch_unwind(|| Vtage::new(wider_rows, 1)).is_err());
     }
 }

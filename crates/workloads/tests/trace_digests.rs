@@ -1,4 +1,4 @@
-//! Golden digests of every kernel's dynamic trace.
+//! Golden digests of every kernel's dynamic trace and data segments.
 //!
 //! The golden fingerprints (`tests/golden_fingerprints.rs`) pin only the
 //! timing model's `(cycles, committed, squashed)` over a short prefix;
@@ -13,8 +13,14 @@
 //! generators that changes one retired µ-op fails here, not somewhere
 //! downstream in a cycle count. A failure means the traces moved: that is
 //! a workload change and must be justified, never re-captured silently.
+//!
+//! A trace reads only part of a kernel's data: mcf's 200,016-µ-op window
+//! visits about 1% of its 32 MB arena. `segments_are_pinned` therefore
+//! also digests every byte the kernel generators write, each segment's
+//! base and bytes from `Program::data()`, so a change to how the data is
+//! generated or encoded fails here even where no trace reads it.
 
-use eole_isa::{ArchReg, DynInst, Trace};
+use eole_isa::{ArchReg, DynInst, Program, Trace};
 use eole_workloads::all_workloads;
 
 /// `Runner { warmup: 50_000, measure: 150_000 }.trace_len()`.
@@ -41,6 +47,29 @@ const DIGESTS: [(&str, u64); 19] = [
     ("sjeng", 0x0955_fc69_5feb_278f),
     ("h264", 0x82d2_b9ec_f320_0cd0),
     ("lbm", 0xe356_3272_1a4e_f165),
+];
+
+/// `(kernel, digest of its data segments)`, in registry order.
+const SEGMENT_DIGESTS: [(&str, u64); 19] = [
+    ("gzip", 0xc5f2_d543_0fd0_35f9),
+    ("wupwise", 0xca3c_c8e6_4d9c_6acb),
+    ("applu", 0x4258_7748_0c08_c2f9),
+    ("vpr", 0x28c2_a396_fdcb_c746),
+    ("art", 0x4c83_4c7e_56e8_26b2),
+    ("crafty", 0x4a8a_1f2b_67d0_c5f8),
+    ("parser", 0x2c7b_3e14_af9b_1906),
+    ("vortex", 0x06ca_b7fe_ebc7_577b),
+    ("bzip2", 0xeeab_2e4c_d9b1_f45f),
+    ("gcc", 0x525e_280c_0f21_32e9),
+    ("gamess", 0x2b9a_75ad_4364_2dcb),
+    ("mcf", 0x6f58_7421_94aa_3066),
+    ("milc", 0x1894_bd72_baab_d0f2),
+    ("namd", 0x0360_21cc_26f7_885e),
+    ("gobmk", 0x3d04_525f_b15d_3625),
+    ("hmmer", 0xf86b_fcc3_d2c4_039a),
+    ("sjeng", 0x5a4d_d7b9_ba20_e5ad),
+    ("h264", 0xd0a3_a4d8_dc16_11f1),
+    ("lbm", 0xdcdc_cfdd_0dcb_953d),
 ];
 
 /// Streaming FNV-1a 64.
@@ -92,6 +121,19 @@ fn trace_digest(t: &Trace) -> u64 {
     h.0
 }
 
+/// Digest of the segment count and each segment's base, length and bytes,
+/// in program order.
+fn segment_digest(p: &Program) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(&(p.data().len() as u64).to_le_bytes());
+    for seg in p.data() {
+        h.bytes(&seg.base.to_le_bytes());
+        h.bytes(&(seg.bytes.len() as u64).to_le_bytes());
+        h.bytes(&seg.bytes);
+    }
+    h.0
+}
+
 #[test]
 fn traces_are_pinned() {
     let workloads = all_workloads();
@@ -106,4 +148,19 @@ fn traces_are_pinned() {
         }
     }
     assert!(moved.is_empty(), "traces moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn segments_are_pinned() {
+    let workloads = all_workloads();
+    assert_eq!(workloads.len(), SEGMENT_DIGESTS.len());
+    let mut moved = Vec::new();
+    for (w, &(name, want)) in workloads.iter().zip(&SEGMENT_DIGESTS) {
+        assert_eq!(w.name, name, "registry order changed");
+        let got = segment_digest(&w.program());
+        if got != want {
+            moved.push(format!("(\"{name}\", {got:#018x}), // was {want:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "data segments moved:\n{}", moved.join("\n"));
 }

@@ -115,10 +115,10 @@ impl Simulator<'_> {
                 self.stats.vp_used_correct += 1;
             }
         }
-        let di = &self.trace.insts()[e.trace_idx];
-        let view = self.trace.history.view(di.bhist_pos as usize);
         if let Some(vp) = self.vp.as_mut() {
             if e.vp_queried {
+                let di = &self.trace.insts()[e.trace_idx];
+                let view = self.trace.history.view(di.bhist_pos as usize);
                 let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, e.trace_idx);
                 vp.commit(e.seq, pck(di.pc), view, keys.as_ref(), di.result);
             }

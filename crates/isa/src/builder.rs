@@ -90,17 +90,21 @@ impl ProgramBuilder {
 
     /// Allocates `words` little-endian u64 values as a data segment.
     pub fn add_data_u64(&mut self, words: &[u64]) -> u64 {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
+        self.add_le_words(words.len(), words.iter().copied())
+    }
+
+    /// Allocates `values` f64 values (as their bit patterns) as a data segment.
+    pub fn add_data_f64(&mut self, values: &[f64]) -> u64 {
+        self.add_le_words(values.len(), values.iter().map(|v| v.to_bits()))
+    }
+
+    /// Allocates `n` words, encoded little-endian straight into the segment.
+    fn add_le_words(&mut self, n: usize, words: impl Iterator<Item = u64>) -> u64 {
+        let mut bytes = Vec::with_capacity(n * 8);
         for w in words {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
         self.add_data(bytes)
-    }
-
-    /// Allocates `words` f64 values (as their bit patterns) as a data segment.
-    pub fn add_data_f64(&mut self, values: &[f64]) -> u64 {
-        let words: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        self.add_data_u64(&words)
     }
 
     /// Reserves `len` zeroed bytes of address space (no segment is stored —

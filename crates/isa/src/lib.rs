@@ -5,8 +5,9 @@
 //!
 //! * [`ProgramBuilder`] — an assembler-style builder with labels and data
 //!   segments for authoring workloads in Rust;
-//! * [`Machine`] — a functional (architectural) simulator over a sparse
-//!   64-bit memory;
+//! * [`Machine`] — a functional (architectural) simulator that borrows its
+//!   program and reads the data segments in place, through a sparse
+//!   copy-on-write 64-bit memory;
 //! * [`generate_trace`] — runs a [`Program`] to completion and records one
 //!   [`DynInst`] per retired micro-op, which the cycle-level timing model in
 //!   `eole-core` replays.
@@ -74,6 +75,8 @@ pub enum IsaError {
     StepBudgetExhausted,
     /// Two data segments overlap.
     DataOverlap { base: u64 },
+    /// A data segment runs past the top of the address space.
+    DataWraps { base: u64 },
 }
 
 impl std::fmt::Display for IsaError {
@@ -90,6 +93,9 @@ impl std::fmt::Display for IsaError {
             IsaError::StepBudgetExhausted => write!(f, "step budget exhausted before halt"),
             IsaError::DataOverlap { base } => {
                 write!(f, "data segment at {base:#x} overlaps an earlier segment")
+            }
+            IsaError::DataWraps { base } => {
+                write!(f, "data segment at {base:#x} runs past the top of the address space")
             }
         }
     }

@@ -4,6 +4,13 @@
 //! values the timing model replays. Integer and FP results come from
 //! [`Inst::eval`]; this module adds what needs machine state: registers,
 //! memory and control flow.
+//!
+//! A machine borrows its [`Program`]: it fetches from the program's
+//! instruction slice and reads the data segments in place through a
+//! copy-on-write [`SparseMemory`], so building one copies neither. Only
+//! the 4 KiB pages a store touches are copied, which keeps set-up cheap
+//! for kernels with tens of megabytes of data of which a trace reads a
+//! small part.
 
 use crate::inst::{Inst, InstClass};
 use crate::memory::SparseMemory;
@@ -33,34 +40,28 @@ pub struct StepInfo {
     pub halted: bool,
 }
 
-/// Architectural machine state.
-///
-/// The program's data segments live only in memory: the machine keeps the
-/// instructions, not a copy of the [`Program`].
+/// Architectural machine state over a borrowed [`Program`].
 #[derive(Clone, Debug)]
-pub struct Machine {
-    insts: Vec<Inst>,
+pub struct Machine<'p> {
+    insts: &'p [Inst],
     int_regs: [u64; NUM_INT_REGS],
     fp_regs: [u64; NUM_FP_REGS],
     pc: u32,
-    mem: SparseMemory,
+    mem: SparseMemory<'p>,
     halted: bool,
     retired: u64,
 }
 
-impl Machine {
-    /// Loads `program` (instructions + data segments) into a fresh machine.
-    pub fn new(program: &Program) -> Self {
-        let mut mem = SparseMemory::new();
-        for seg in program.data() {
-            mem.load_bytes(seg.base, &seg.bytes);
-        }
+impl<'p> Machine<'p> {
+    /// A fresh machine at `program`'s entry, its memory initialized to the
+    /// program's data segments (read in place, not copied).
+    pub fn new(program: &'p Program) -> Self {
         Machine {
-            insts: program.insts().to_vec(),
+            insts: program.insts(),
             int_regs: [0; NUM_INT_REGS],
             fp_regs: [0; NUM_FP_REGS],
             pc: program.entry(),
-            mem,
+            mem: SparseMemory::backed(program.data()),
             halted: false,
             retired: 0,
         }
@@ -265,12 +266,37 @@ mod tests {
         b.ld16(r(5), r(1), 2);
         b.ld8(r(6), r(1), 6);
         b.halt();
-        let mut m = Machine::new(&b.build().unwrap());
+        let p = b.build().unwrap();
+        let mut m = Machine::new(&p);
         m.run(100).unwrap();
         assert_eq!(m.int_reg(r(3)), 0x88ff_7788_5566_7788);
         assert_eq!(m.int_reg(r(4)), 0x88ff_7788);
         assert_eq!(m.int_reg(r(5)), 0x5566);
         assert_eq!(m.int_reg(r(6)), 0xff);
+    }
+
+    #[test]
+    fn data_is_read_in_place_until_the_first_store() {
+        let words: Vec<u64> = (0..1 << 17).map(|i| i * 3).collect(); // 1 MiB
+        let mut b = ProgramBuilder::new();
+        let buf = b.add_data_u64(&words);
+        b.movi(r(1), buf as i64);
+        b.ld(r(2), r(1), 8 * 1000);
+        b.ld(r(3), r(1), 8 * 131_071);
+        b.st(r(1), 8 * 70_000, r(2));
+        b.ld(r(4), r(1), 8 * 70_000);
+        b.halt();
+        let p = b.build().unwrap();
+        let mut m = Machine::new(&p);
+        m.step().unwrap();
+        m.step().unwrap();
+        m.step().unwrap();
+        assert_eq!((m.int_reg(r(2)), m.int_reg(r(3))), (3000, 393_213));
+        assert_eq!(m.mem.page_count(), 0, "loads materialize nothing");
+        m.run(10).unwrap();
+        assert_eq!(m.int_reg(r(4)), 3000);
+        assert_eq!(m.mem.page_count(), 1, "the store copies its page only");
+        assert_eq!(p.data()[0].bytes[8 * 70_000..8 * 70_001], 210_000u64.to_le_bytes());
     }
 
     #[test]

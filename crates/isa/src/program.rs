@@ -3,12 +3,18 @@
 use crate::inst::{Inst, InstClass};
 use crate::IsaError;
 
-/// An initialized region of memory loaded before execution.
+/// An initialized region of memory: the bytes a program's data starts as.
+///
+/// A [`Machine`](crate::Machine) reads a segment where it lies, through a
+/// borrow of its [`Program`], and never writes it: a store copies the
+/// 4 KiB page it touches and writes the copy. One program can therefore
+/// back any number of machines, and its segments stay the program's
+/// initial data for its whole life.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DataSegment {
     /// Base byte address.
     pub base: u64,
-    /// Contents.
+    /// Contents, little-endian for multi-byte values.
     pub bytes: Vec<u8>,
 }
 
@@ -33,8 +39,9 @@ impl Program {
     /// # Errors
     ///
     /// Returns [`IsaError::TargetOutOfRange`] if any direct branch, jump or
-    /// call targets an instruction index outside the program, and
-    /// [`IsaError::DataOverlap`] if two data segments overlap.
+    /// call targets an instruction index outside the program,
+    /// [`IsaError::DataOverlap`] if two data segments overlap, and
+    /// [`IsaError::DataWraps`] if one runs past `u64::MAX`.
     pub fn new(insts: Vec<Inst>, data: Vec<DataSegment>, entry: u32) -> Result<Self, IsaError> {
         let n = insts.len() as u32;
         if entry >= n {
@@ -53,8 +60,11 @@ impl Program {
         let mut spans: Vec<(u64, u64)> = data
             .iter()
             .filter(|s| !s.bytes.is_empty())
-            .map(|s| (s.base, s.base + s.bytes.len() as u64))
-            .collect();
+            .map(|s| {
+                let end = s.base.checked_add(s.bytes.len() as u64);
+                end.map(|end| (s.base, end)).ok_or(IsaError::DataWraps { base: s.base })
+            })
+            .collect::<Result<_, _>>()?;
         spans.sort_unstable();
         for w in spans.windows(2) {
             if w[0].1 > w[1].0 {
@@ -120,6 +130,14 @@ mod tests {
         let d2 = DataSegment { base: 105, bytes: vec![0; 10] };
         let err = Program::new(insts, vec![d1, d2], 0).unwrap_err();
         assert!(matches!(err, IsaError::DataOverlap { base: 105 }));
+    }
+
+    #[test]
+    fn rejects_data_past_the_top_of_memory() {
+        let insts = vec![Inst::new(Opcode::Halt)];
+        let d = DataSegment { base: u64::MAX - 3, bytes: vec![0; 8] };
+        let err = Program::new(insts, vec![d], 0).unwrap_err();
+        assert!(matches!(err, IsaError::DataWraps { base } if base == u64::MAX - 3));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub fn program() -> Program {
     let mut rng = DataRng::new(0xa991);
 
     let n = (DIM * DIM) as usize;
-    let grid = b.add_data_f64(&gen::random_f64(&mut rng, n, 0.0, 1.0));
+    let grid = b.add_data(gen::random_f64_le(&mut rng, n, 0.0, 1.0));
     let out = b.alloc_zeroed((n * 8) as u64);
 
     let (gi, go, idx, lim, t1, t2, sweep) = (r(1), r(2), r(3), r(4), r(5), r(6), r(7));

@@ -22,8 +22,8 @@ pub fn program() -> Program {
     let mut rng = DataRng::new(0xa127);
 
     let n = (NEURONS * INPUTS) as usize;
-    let weights = b.add_data_f64(&gen::random_f64(&mut rng, n, 0.0, 1.0));
-    let inputs = b.add_data_f64(&gen::random_f64(&mut rng, INPUTS as usize, 0.0, 1.0));
+    let weights = b.add_data(gen::random_f64_le(&mut rng, n, 0.0, 1.0));
+    let inputs = b.add_data(gen::random_f64_le(&mut rng, INPUTS as usize, 0.0, 1.0));
     let acts = b.alloc_zeroed(NEURONS as u64 * 8);
 
     let (wb, inb, ab, i, j, idx, t1, t2, rowoff) = (r(1), r(2), r(3), r(4), r(5), r(6), r(7), r(8), r(9));

@@ -20,8 +20,8 @@ pub fn program() -> Program {
     let mut b = ProgramBuilder::new();
     let mut rng = DataRng::new(0x6a3e);
 
-    let am = b.add_data_f64(&gen::random_f64(&mut rng, N2, -1.0, 1.0));
-    let bm = b.add_data_f64(&gen::random_f64(&mut rng, N2, -1.0, 1.0));
+    let am = b.add_data(gen::random_f64_le(&mut rng, N2, -1.0, 1.0));
+    let bm = b.add_data(gen::random_f64_le(&mut rng, N2, -1.0, 1.0));
     let cm = b.alloc_zeroed((N2 * 8) as u64);
 
     let (ab, bb, cb, idx, lim, t1, t2, t3, tile) =

@@ -21,7 +21,7 @@ pub fn program() -> Program {
     let mut rng = DataRng::new(0x1b30);
 
     let n = CELLS * DIRS as usize;
-    let dist = b.add_data_f64(&gen::random_f64(&mut rng, n, 0.0, 1.0));
+    let dist = b.add_data(gen::random_f64_le(&mut rng, n, 0.0, 1.0));
     let out = b.alloc_zeroed((CELLS * 8) as u64);
 
     let (db, ob, i, t, plane, lim) = (r(1), r(2), r(3), r(4), r(5), r(6));

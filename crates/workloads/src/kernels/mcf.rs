@@ -20,13 +20,7 @@ pub fn program() -> Program {
     let mut rng = DataRng::new(0x3cf0);
 
     // Node i: [next_index, cost]; one giant random cycle.
-    let next = gen::pointer_cycle(&mut rng, NODES);
-    let mut nodes = Vec::with_capacity(NODES * 2);
-    for n in next {
-        nodes.push(n);
-        nodes.push(rng.below(1 << 20));
-    }
-    let base = b.add_data_u64(&nodes);
+    let base = b.add_data(gen::chase_nodes(&mut rng, NODES, |rng| rng.below(1 << 20)));
 
     let (nb, p, cost, best, t, steps) = (r(1), r(2), r(3), r(4), r(5), r(6));
 

@@ -19,7 +19,7 @@ pub fn program() -> Program {
     let mut b = ProgramBuilder::new();
     let mut rng = DataRng::new(0x317c);
 
-    let field = b.add_data_f64(&gen::random_f64(&mut rng, SITES * 6, -1.0, 1.0));
+    let field = b.add_data(gen::random_f64_le(&mut rng, SITES * 6, -1.0, 1.0));
     let out = b.alloc_zeroed((SITES * 2 * 8) as u64);
 
     let (fb, ob, i, t1, t2, lim) = (r(1), r(2), r(3), r(4), r(5), r(6));

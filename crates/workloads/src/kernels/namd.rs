@@ -28,7 +28,7 @@ pub fn program() -> Program {
     let pairs: Vec<u64> = (0..PAIRS as u64).collect();
     let plist = b.add_data_u64(&pairs);
     let _ = &mut rng;
-    let xs = b.add_data_f64(&gen::random_f64(&mut rng, ATOMS, 0.0, 64.0));
+    let xs = b.add_data(gen::random_f64_le(&mut rng, ATOMS, 0.0, 64.0));
     let forces = b.alloc_zeroed((ATOMS * 8) as u64);
 
     let (pb, xb, fo, k, packed, ai, aj, t1, t2, near) =

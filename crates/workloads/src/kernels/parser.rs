@@ -19,13 +19,7 @@ pub fn program() -> Program {
     let mut rng = DataRng::new(0x9a25);
 
     // Node i: [next_index, key], interleaved in one array.
-    let next = gen::pointer_cycle(&mut rng, NODES);
-    let mut nodes = Vec::with_capacity(NODES * 2);
-    for n in next {
-        nodes.push(n);
-        nodes.push(rng.next_u64());
-    }
-    let base = b.add_data_u64(&nodes);
+    let base = b.add_data(gen::chase_nodes(&mut rng, NODES, DataRng::next_u64));
 
     let (nb, p, key, hits, steps, t) = (r(1), r(2), r(3), r(4), r(5), r(6));
 

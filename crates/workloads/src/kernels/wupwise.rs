@@ -25,8 +25,8 @@ pub fn program() -> Program {
     // Sequential "linked" index array: next[i] = (i + 1) mod N.
     let next: Vec<u64> = (0..N as u64).map(|i| (i + 1) % N as u64).collect();
     let next_base = b.add_data_u64(&next);
-    let re_base = b.add_data_f64(&gen::random_f64(&mut rng, N, -1.0, 1.0));
-    let im_base = b.add_data_f64(&gen::random_f64(&mut rng, N, -1.0, 1.0));
+    let re_base = b.add_data(gen::random_f64_le(&mut rng, N, -1.0, 1.0));
+    let im_base = b.add_data(gen::random_f64_le(&mut rng, N, -1.0, 1.0));
     let coef = b.add_data_f64(&[0.7548776662, 0.6559780438]);
 
     let (i, nb, rb, ib, t1, t2, iter, bound) = (r(1), r(2), r(3), r(4), r(5), r(6), r(7), r(8));

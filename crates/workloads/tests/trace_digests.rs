@@ -18,7 +18,9 @@
 //! visits about 1% of its 32 MB arena. `segments_are_pinned` therefore
 //! also digests every byte the kernel generators write, each segment's
 //! base and bytes from `Program::data()`, so a change to how the data is
-//! generated or encoded fails here even where no trace reads it.
+//! generated or encoded fails here even where no trace reads it. They were
+//! captured before the kernels encoded their data straight into segment
+//! bytes and before the machine read the segments in place.
 
 use eole_isa::{ArchReg, DynInst, Program, Trace};
 use eole_workloads::all_workloads;

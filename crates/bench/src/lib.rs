@@ -93,7 +93,7 @@ pub fn vp_stream(trace: &PreparedTrace) -> Vec<(u64, u32, u64)> {
     trace
         .insts()
         .iter()
-        .filter(|di| di.inst.is_vp_eligible())
+        .filter(|di| trace.text()[di.pc as usize].is_vp_eligible())
         .map(|di| (eole_isa::Program::inst_addr(di.pc), di.bhist_pos, di.result))
         .collect()
 }

@@ -3,6 +3,8 @@
 //! prediction — never the PRF) execute in-order beside Rename and never
 //! enter the OoO engine.
 
+use eole_isa::Inst;
+
 use super::state::{Avail, Simulator};
 
 impl Simulator<'_> {
@@ -28,14 +30,14 @@ impl Simulator<'_> {
         }
     }
 
-    /// EE decision for a single-cycle ALU µ-op: `Some(Ee1 | Ee2)` if every
-    /// register source is EE-available.
-    pub(super) fn decide_early(&self, di: &eole_isa::DynInst, now: u64) -> Option<Avail> {
-        if !self.config.eole.early || !di.inst.is_single_cycle_alu() {
+    /// EE decision for a single-cycle ALU µ-op `inst`: `Some(Ee1 | Ee2)`
+    /// if every register source is EE-available.
+    pub(super) fn decide_early(&self, inst: &Inst, now: u64) -> Option<Avail> {
+        if !self.config.eole.early || !inst.is_single_cycle_alu() {
             return None;
         }
         let mut depth = 1usize;
-        for src in di.inst.sources() {
+        for src in inst.sources() {
             match self.ee_src_depth(src.flat(), now) {
                 Some(d) => depth = depth.max(d),
                 None => return None,

@@ -48,10 +48,11 @@ impl Simulator<'_> {
                 awaited: false,
                 ind_mispredict: false,
             };
+            let inst = &self.text[di.pc as usize];
             let view = self.trace.history.view(di.bhist_pos as usize);
             // Value prediction at fetch (§4.2), block-granular (BeBoP).
             if let Some(vp) = self.vp.as_mut() {
-                if di.inst.is_vp_eligible() {
+                if inst.is_vp_eligible() {
                     let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, self.cursor);
                     let q = vp.predict(self.cycle, seq, pck(di.pc), view, keys.as_ref());
                     if q.new_block {
@@ -88,7 +89,7 @@ impl Simulator<'_> {
                             self.stats.btb_miss_bubbles += 1;
                             self.fetch_stall_until = self.cycle + self.config.btb_miss_bubble;
                         }
-                        self.btb.insert(pck(di.pc), di.inst.imm as u32);
+                        self.btb.insert(pck(di.pc), inst.imm as u32);
                     }
                     if pred.taken != di.taken {
                         fu.awaited = true;

@@ -40,6 +40,7 @@ impl Simulator<'_> {
                 break;
             }
             let di = &self.trace.insts()[fu.trace_idx];
+            let inst = &self.text[di.pc as usize];
             let cls = di.class();
             if self.rob.len() >= self.config.rob_entries {
                 self.stats.stall_rob_full += 1;
@@ -54,12 +55,12 @@ impl Simulator<'_> {
                 break;
             }
             // EOLE designations.
-            let ee_kind = self.decide_early(di, now);
+            let ee_kind = self.decide_early(inst, now);
             let ee = ee_kind.is_some();
             let le_alu = !ee
                 && self.config.eole.late
                 && fu.pred_used
-                && di.inst.is_single_cycle_alu();
+                && inst.is_single_cycle_alu();
             let le_branch = self.config.eole.late && fu.hc && cls == InstClass::Branch;
             let needs_iq = issues_from_iq(ee, le_alu, le_branch, cls);
             // Parked µ-ops hold their IQ entries too.
@@ -68,10 +69,10 @@ impl Simulator<'_> {
                 break;
             }
             // EE/prediction write-port budget (§6.3 ablation).
-            let writes_prediction = (ee || fu.pred_used) && di.inst.dst.is_some();
+            let writes_prediction = (ee || fu.pred_used) && inst.dst.is_some();
             if writes_prediction {
                 if let Some(cap) = self.config.eole.ee_writes_per_bank {
-                    let class = di.inst.dst.map(|d| d.class()).unwrap_or(RegClass::Int);
+                    let class = inst.dst.map(|d| d.class()).unwrap_or(RegClass::Int);
                     let bank = self.prf.peek_alloc_bank(class);
                     let ci = if class == RegClass::Int { 0 } else { 1 };
                     if self.scratch.ee_writes[bank][ci] + 1 > cap {
@@ -82,11 +83,11 @@ impl Simulator<'_> {
             }
             // Rename: sources first, then the destination.
             let mut srcs: [Option<SrcReg>; 2] = [None, None];
-            for (i, src) in di.inst.sources().enumerate() {
+            for (i, src) in inst.sources().enumerate() {
                 let preg = self.spec_rat[src.flat() as usize];
                 srcs[i] = Some(SrcReg { class: src.class(), preg });
             }
-            let dst = match di.inst.dst {
+            let dst = match inst.dst {
                 Some(d) => {
                     let class = d.class();
                     match self.prf.alloc(class) {
@@ -182,7 +183,7 @@ impl Simulator<'_> {
                 ee,
                 le_alu,
                 le_branch,
-                vp_eligible: di.inst.is_vp_eligible(),
+                vp_eligible: inst.is_vp_eligible(),
                 vp_queried: fu.vp_queried,
                 pred_some: fu.pred_some,
                 pred_used: fu.pred_used,

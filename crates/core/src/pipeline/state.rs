@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use eole_isa::{InstClass, Program, RegClass, Trace};
+use eole_isa::{Inst, InstClass, Program, RegClass, Trace};
 use eole_mem::hierarchy::MemoryHierarchy;
 use eole_predictors::branch::{Btb, ReturnStack, Tage, TageKeys};
 use eole_predictors::history::BranchHistory;
@@ -25,6 +25,8 @@ use crate::stats::SimStats;
 /// across many simulator instances (one per configuration).
 #[derive(Clone, Debug)]
 pub struct PreparedTrace {
+    /// The program's static instructions, indexed by a µ-op's pc.
+    text: Vec<Inst>,
     insts: Vec<eole_isa::DynInst>,
     pub(super) history: BranchHistory,
     /// Every conditional branch's TAGE keys, by branch ordinal: built by
@@ -59,6 +61,7 @@ impl PreparedTrace {
     pub fn new(trace: Trace) -> Self {
         let history = BranchHistory::from_outcomes(&trace.branch_outcomes);
         PreparedTrace {
+            text: trace.text,
             insts: trace.insts,
             history,
             tage_keys: OnceLock::new(),
@@ -87,7 +90,8 @@ impl PreparedTrace {
             .iter()
             .map(|di| {
                 let view = self.history.view(di.bhist_pos as usize);
-                let keys = if di.inst.is_vp_eligible() { vp.keys(pck(di.pc), view) } else { None };
+                let eligible = self.text[di.pc as usize].is_vp_eligible();
+                let keys = if eligible { vp.keys(pck(di.pc), view) } else { None };
                 keys.unwrap_or_default()
             })
             .collect();
@@ -133,6 +137,11 @@ impl PreparedTrace {
     /// The µ-ops.
     pub fn insts(&self) -> &[eole_isa::DynInst] {
         &self.insts
+    }
+
+    /// The static instructions every µ-op's pc indexes.
+    pub fn text(&self) -> &[Inst] {
+        &self.text
     }
 }
 
@@ -361,14 +370,15 @@ pub(super) fn pck(pc: u32) -> u64 {
 /// it every cycle, and static dispatch keeps that query free of the
 /// `Box<dyn>` pointer chase), plus the speculative window, pre-sized to
 /// the pipeline's maximum in-flight µ-op count so steady-state
-/// registration never allocates.
-fn make_block_vp(vp: &VpConfig, window_hint: usize) -> BlockVp {
+/// registration never allocates, and its per-static-µ-op index, sized to
+/// the trace text's `static_uops` instructions.
+fn make_block_vp(vp: &VpConfig, window_hint: usize, static_uops: usize) -> BlockVp {
     let params = BlockParams {
         block_size: vp.block_size,
         banks: vp.banks,
         spec_window: vp.spec_window,
     };
-    BlockVp::new(make_value_predictor(vp), params, window_hint)
+    BlockVp::new(make_value_predictor(vp), params, window_hint, static_uops)
 }
 
 /// The configured value predictor.
@@ -444,6 +454,8 @@ impl Scratch {
 /// The cycle-level simulator for one core configuration over one trace.
 pub struct Simulator<'t> {
     pub(super) trace: &'t PreparedTrace,
+    /// The trace's static instructions ([`PreparedTrace::text`]).
+    pub(super) text: &'t [Inst],
     pub(super) config: CoreConfig,
     pub(super) cycle: u64,
     pub(super) cursor: usize,
@@ -522,7 +534,9 @@ impl<'t> Simulator<'t> {
         let front_cap = config.fetch_width * (config.frontend_depth as usize + 4);
         let mut tage = Tage::paper(config.branch_seed);
         let tage_keys = trace.tage_keys(&mut tage);
-        let mut vp = config.vp.as_ref().map(|v| make_block_vp(v, front_cap + config.rob_entries));
+        let window_hint = front_cap + config.rob_entries;
+        let mut vp =
+            config.vp.as_ref().map(|v| make_block_vp(v, window_hint, trace.text().len()));
         let vp_keys = vp.as_mut().and_then(|vp| trace.vp_keys(vp));
         Ok(Simulator {
             cycle: 0,
@@ -561,6 +575,7 @@ impl<'t> Simulator<'t> {
             idle: false,
             commit_limit: u64::MAX,
             stats: SimStats::default(),
+            text: trace.text(),
             trace,
             config,
         })
@@ -605,8 +620,9 @@ impl<'t> Simulator<'t> {
             }
             // Value predictor: the same in-order query/train pair the
             // detailed machine issues at fetch and commit.
+            let inst = &self.text[di.pc as usize];
             if let Some(vp) = self.vp.as_mut() {
-                if di.inst.is_vp_eligible() {
+                if inst.is_vp_eligible() {
                     let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, self.cursor);
                     let q = vp.predict(cycle, seq, pck(di.pc), view, keys.as_ref());
                     if q.accepted {
@@ -623,7 +639,7 @@ impl<'t> Simulator<'t> {
                     let keys = self.branch_keys(di);
                     let pred = self.tage.predict_keyed(pck(di.pc), keys);
                     if pred.taken {
-                        self.btb.insert(pck(di.pc), di.inst.imm as u32);
+                        self.btb.insert(pck(di.pc), inst.imm as u32);
                     }
                     self.tage.update_keyed(pck(di.pc), keys, di.taken);
                 }
@@ -954,8 +970,9 @@ mod tests {
     #[test]
     fn prepared_trace_round_trips_the_raw_trace() {
         let raw = tiny_trace(10);
-        let raw_insts = raw.insts.clone();
+        let (raw_text, raw_insts) = (raw.text.clone(), raw.insts.clone());
         let prepared = PreparedTrace::new(raw);
+        assert_eq!(prepared.text(), raw_text);
         assert_eq!(prepared.len(), raw_insts.len());
         assert!(!prepared.is_empty());
         // `insts()` exposes the same µ-ops in the same order.
@@ -970,6 +987,7 @@ mod tests {
     #[test]
     fn empty_trace_is_empty_and_finishes_immediately() {
         let prepared = PreparedTrace::new(Trace {
+            text: Vec::new(),
             insts: Vec::new(),
             branch_outcomes: Vec::new(),
             halted: false,
@@ -983,14 +1001,28 @@ mod tests {
         assert_eq!(sim.committed_total(), 0);
     }
 
-    /// A synthetic trace from `(branch, pc, coin)` draws: a conditional
-    /// branch or an ALU µ-op at static pc `pc`. Branch pcs 0–7 are always
-    /// taken, 8–15 follow a period-3 pattern, the rest take `coin`.
-    fn branch_stream(draws: &[(bool, u8, bool)]) -> Trace {
+    /// Whether the synthetic streams' static pc `pc` is a conditional
+    /// branch (every third pc) rather than an ALU µ-op.
+    fn is_branch(pc: u8) -> bool {
+        pc % 3 == 1
+    }
+
+    /// The synthetic streams' static text, one instruction per `u8` pc: a
+    /// conditional branch where [`is_branch`], else a VP-eligible `Add`.
+    fn synthetic_text() -> Vec<Inst> {
+        let add = Inst { dst: Some(ArchReg::int(IntReg::new(1))), ..Inst::new(Opcode::Add) };
+        (0..=u8::MAX).map(|pc| if is_branch(pc) { Inst::new(Opcode::Bne) } else { add }).collect()
+    }
+
+    /// A synthetic trace from `(pc, coin)` draws: the µ-op at static pc
+    /// `pc` of [`synthetic_text`]. Branch pcs 0–7 are always taken, 8–15
+    /// follow a period-3 pattern, the rest take `coin`.
+    fn branch_stream(draws: &[(u8, bool)]) -> Trace {
+        let text = synthetic_text();
         let mut insts = Vec::with_capacity(draws.len());
         let mut branch_outcomes = Vec::new();
-        for &(branch, pc, coin) in draws {
-            let op = if branch { Opcode::Bne } else { Opcode::Add };
+        for &(pc, coin) in draws {
+            let branch = is_branch(pc);
             let taken = branch
                 && match pc {
                     0..=7 => true,
@@ -999,7 +1031,7 @@ mod tests {
                 };
             insts.push(DynInst {
                 pc: u32::from(pc),
-                inst: Inst::new(op),
+                op: text[usize::from(pc)].op,
                 result: 0,
                 addr: 0,
                 size: 0,
@@ -1011,22 +1043,25 @@ mod tests {
                 branch_outcomes.push(taken);
             }
         }
-        Trace { insts, branch_outcomes, halted: false }
+        Trace { text, insts, branch_outcomes, halted: false }
     }
 
-    /// A synthetic trace from `(branch, pc, value)` draws: a conditional
-    /// branch taken iff `value` is odd, or a VP-eligible `Add` at static pc
-    /// `pc` producing `value` when `pc` is even, else `value` plus the
-    /// last two branch outcomes (a history-correlated result).
-    fn value_stream(draws: &[(bool, u8, u64)]) -> Trace {
+    /// A synthetic trace from `(pc, value)` draws: the µ-op at static pc
+    /// `pc` of [`synthetic_text`]. A conditional branch is taken iff
+    /// `value` is odd; an `Add` produces `value` when `pc` is even, else
+    /// `value` plus the last two branch outcomes (a history-correlated
+    /// result).
+    fn value_stream(draws: &[(u8, u64)]) -> Trace {
+        let text = synthetic_text();
         let mut insts = Vec::with_capacity(draws.len());
         let mut branch_outcomes: Vec<bool> = Vec::new();
-        for &(branch, pc, value) in draws {
-            let (op, taken) = if branch { (Opcode::Bne, value % 2 == 1) } else { (Opcode::Add, false) };
+        for &(pc, value) in draws {
+            let branch = is_branch(pc);
+            let taken = branch && value % 2 == 1;
             let recent = branch_outcomes.iter().rev().take(2).filter(|&&t| t).count() as u64;
             insts.push(DynInst {
                 pc: u32::from(pc),
-                inst: Inst { dst: (!branch).then(|| ArchReg::int(IntReg::new(1))), ..Inst::new(op) },
+                op: text[usize::from(pc)].op,
                 result: if pc % 2 == 0 { value } else { value + recent },
                 addr: 0,
                 size: 0,
@@ -1038,7 +1073,7 @@ mod tests {
                 branch_outcomes.push(taken);
             }
         }
-        Trace { insts, branch_outcomes, halted: false }
+        Trace { text, insts, branch_outcomes, halted: false }
     }
 
     fn snapshot_bytes(p: &impl Snapshot) -> Vec<u8> {
@@ -1058,7 +1093,7 @@ mod tests {
         /// `DirectionPredictor` adapter.
         #[test]
         fn tage_key_table_equals_on_the_fly_keys_and_the_adapter(
-            draws in proptest::collection::vec((any::<bool>(), 0u8..40, any::<bool>()), 0..3000),
+            draws in proptest::collection::vec((0u8..40, any::<bool>()), 0..3000),
             seed in any::<u64>(),
         ) {
             let trace = PreparedTrace::new(branch_stream(&draws));
@@ -1086,7 +1121,7 @@ mod tests {
         /// `ValuePredictor` adapter.
         #[test]
         fn vp_key_tables_equal_on_the_fly_keys_and_the_adapter(
-            draws in proptest::collection::vec((any::<bool>(), 0u8..48, 0u64..6), 0..2000),
+            draws in proptest::collection::vec((0u8..48, 0u64..6), 0..2000),
             kind in prop::sample::select(vec![
                 ValuePredictorKind::Vtage,
                 ValuePredictorKind::VtageTwoDeltaStride,
@@ -1098,12 +1133,13 @@ mod tests {
         ) {
             let trace = PreparedTrace::new(value_stream(&draws));
             let vp = VpConfig { kind, seed, block_size, banks, spec_window: None };
-            let table = trace.vp_keys(&mut make_block_vp(&vp, 64)).expect("a keyed kind");
+            let mut block = make_block_vp(&vp, 64, trace.text().len());
+            let table = trace.vp_keys(&mut block).expect("a keyed kind");
             prop_assert_eq!(table.len(), trace.len());
             let mut fly = make_value_predictor(&VpConfig { seed: !seed, ..vp.clone() });
             let (mut keyed, mut adapter) = (make_value_predictor(&vp), make_value_predictor(&vp));
             for (idx, di) in trace.insts().iter().enumerate() {
-                if !di.inst.is_vp_eligible() {
+                if !trace.text()[di.pc as usize].is_vp_eligible() {
                     continue;
                 }
                 let (pc, view) = (pck(di.pc), trace.history().view(di.bhist_pos as usize));

@@ -5,6 +5,12 @@
 //! recorded as a [`DynInst`]. The timing model replays this stream with a
 //! cursor; squash-and-refetch is a cursor rewind.
 //!
+//! A record holds only the µ-op's dynamic facts (plus its opcode, so the
+//! timing class needs no second lookup). The static instruction — its
+//! registers, immediate and scale — is stored once per trace in
+//! [`Trace::text`] and read through the record's pc: a kernel has tens
+//! of static instructions, and a trace hundreds of thousands of µ-ops.
+//!
 //! Two things are precomputed here because they are pure functions of the
 //! (always correct-path) instruction stream:
 //!
@@ -14,19 +20,20 @@
 //!   never changes);
 //! * oracle results, effective addresses and branch targets.
 
-use crate::inst::{Inst, InstClass};
+use crate::inst::{Inst, InstClass, Opcode};
 use crate::machine::Machine;
 use crate::program::Program;
-use crate::reg::ArchReg;
 use crate::IsaError;
 
-/// One retired micro-op of the dynamic instruction stream.
+/// One retired micro-op of the dynamic instruction stream: 32 bytes. Its
+/// static instruction is `text[pc]` of the trace it belongs to
+/// ([`Trace::text`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DynInst {
     /// Static instruction index (the pc).
     pub pc: u32,
-    /// The decoded instruction.
-    pub inst: Inst,
+    /// The instruction's opcode (`text[pc].op`).
+    pub op: Opcode,
     /// Oracle value written to the destination register (0 if none).
     pub result: u64,
     /// Effective address for loads/stores (0 otherwise).
@@ -43,14 +50,9 @@ pub struct DynInst {
 }
 
 impl DynInst {
-    /// Destination register, if any.
-    pub fn dst(&self) -> Option<ArchReg> {
-        self.inst.dst
-    }
-
     /// Timing class.
     pub fn class(&self) -> InstClass {
-        self.inst.class()
+        self.op.class()
     }
 
     /// True if this µ-op is a load.
@@ -67,6 +69,9 @@ impl DynInst {
 /// A complete dynamic trace plus the conditional-branch outcome log.
 #[derive(Clone, Debug)]
 pub struct Trace {
+    /// The program's static instructions, indexed by pc: the text every
+    /// [`DynInst::pc`] points into.
+    pub text: Vec<Inst>,
     /// Retired µ-ops in program order.
     pub insts: Vec<DynInst>,
     /// Outcome (taken?) of every conditional branch, in retirement order.
@@ -133,7 +138,7 @@ pub fn generate_trace(program: &Program, max_insts: u64) -> Result<Trace, IsaErr
         }
         insts.push(DynInst {
             pc: info.pc,
-            inst: info.inst,
+            op: info.inst.op,
             result: info.dst_value.unwrap_or(0),
             addr: info.mem_addr.unwrap_or(0),
             size: info.mem_size,
@@ -142,14 +147,13 @@ pub fn generate_trace(program: &Program, max_insts: u64) -> Result<Trace, IsaErr
             bhist_pos,
         });
     }
-    Ok(Trace { insts, branch_outcomes, halted })
+    Ok(Trace { text: program.insts().to_vec(), insts, branch_outcomes, halted })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::inst::Opcode;
     use crate::reg::IntReg;
 
     fn r(i: u8) -> IntReg {
@@ -168,6 +172,23 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The record holds dynamic facts only; a regrowth to carry the
+    /// static instruction again doubles every trace's footprint.
+    #[test]
+    fn dyn_inst_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<DynInst>(), 32);
+    }
+
+    #[test]
+    fn text_is_the_program_and_every_record_points_into_it() {
+        let program = loop_program(4);
+        let t = generate_trace(&program, 10_000).unwrap();
+        assert_eq!(t.text, program.insts());
+        for d in &t.insts {
+            assert_eq!(d.op, t.text[d.pc as usize].op, "pc {}", d.pc);
+        }
+    }
+
     #[test]
     fn trace_records_all_retired_uops_except_halt() {
         let t = generate_trace(&loop_program(5), 10_000).unwrap();
@@ -181,7 +202,7 @@ mod tests {
         let t = generate_trace(&loop_program(3), 10_000).unwrap();
         assert_eq!(t.branch_outcomes, vec![true, true, false]);
         let branches: Vec<&DynInst> =
-            t.insts.iter().filter(|d| d.inst.is_cond_branch()).collect();
+            t.insts.iter().filter(|d| d.class() == InstClass::Branch).collect();
         for (i, br) in branches.iter().enumerate() {
             // Each branch sees exactly the history produced by earlier branches.
             assert_eq!(br.bhist_pos as usize, i);
@@ -199,7 +220,7 @@ mod tests {
     #[test]
     fn oracle_values_and_next_pc_are_recorded() {
         let t = generate_trace(&loop_program(2), 10_000).unwrap();
-        let first_addi = t.insts.iter().find(|d| d.inst.op == Opcode::AddI).unwrap();
+        let first_addi = t.insts.iter().find(|d| d.op == Opcode::AddI).unwrap();
         assert_eq!(first_addi.result, 1);
         let taken_branch = t.insts.iter().find(|d| d.taken).unwrap();
         assert_eq!(taken_branch.next_pc, 2); // loop head

@@ -65,16 +65,9 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    dirty: bool,
-    /// Cycle at which the (possibly in-flight) fill completes.
-    ready_at: u64,
-    /// Larger = more recently used.
-    lru: u64,
-}
+/// The tag of a line that holds nothing. No address has it: a tag is an
+/// address divided by the line size.
+const INVALID: u64 = u64::MAX;
 
 crate::counters! {
     /// Running hit/miss counters.
@@ -98,11 +91,18 @@ impl CacheStats {
     }
 }
 
-/// One cache level.
+/// One cache level. Its lines are parallel arrays, indexed by
+/// `set * ways + way`: a set scan reads only the tags, 8 bytes a way.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Each line's tag, [`INVALID`] while it holds nothing.
+    tags: Vec<u64>,
+    /// Cycle at which each line's (possibly in-flight) fill completes.
+    ready_at: Vec<u64>,
+    /// Each line's last use; larger = more recently used.
+    lru: Vec<u64>,
+    dirty: Vec<bool>,
     lru_clock: u64,
     stats: CacheStats,
 }
@@ -118,7 +118,15 @@ impl Cache {
         assert!(config.sets > 0 && config.ways > 0);
         assert!(config.line_bytes.is_power_of_two());
         let n = config.sets * config.ways;
-        Cache { config, lines: vec![Line::default(); n], lru_clock: 0, stats: CacheStats::default() }
+        Cache {
+            config,
+            tags: vec![INVALID; n],
+            ready_at: vec![0; n],
+            lru: vec![0; n],
+            dirty: vec![false; n],
+            lru_clock: 0,
+            stats: CacheStats::default(),
+        }
     }
 
     /// The cache's configuration.
@@ -144,104 +152,101 @@ impl Cache {
         addr / self.config.line_bytes / self.config.sets as u64
     }
 
+    /// The first line index of `addr`'s set, and its tag.
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+        (self.set_of(addr) * self.config.ways, self.tag_of(addr))
+    }
+
+    /// The line of `addr`'s set (starting at `base`) that holds `tag`.
+    #[inline]
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let ways = &self.tags[base..base + self.config.ways];
+        ways.iter().position(|&t| t == tag).map(|w| base + w)
+    }
+
     /// Looks up `addr` at `cycle`, updating LRU and counters.
     pub fn lookup(&mut self, addr: u64, cycle: u64) -> Lookup {
         self.stats.accesses += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.config.ways;
-        for w in 0..self.config.ways {
-            let idx = base + w;
-            if self.lines[idx].valid && self.lines[idx].tag == tag {
+        let (base, tag) = self.set_and_tag(addr);
+        match self.find(base, tag) {
+            Some(idx) => {
                 self.lru_clock += 1;
-                self.lines[idx].lru = self.lru_clock;
-                let fill_done = self.lines[idx].ready_at;
-                let available = cycle.max(fill_done) + self.config.latency;
-                return Lookup::Hit { available };
+                self.lru[idx] = self.lru_clock;
+                let available = cycle.max(self.ready_at[idx]) + self.config.latency;
+                Lookup::Hit { available }
+            }
+            None => {
+                self.stats.misses += 1;
+                Lookup::Miss
             }
         }
-        self.stats.misses += 1;
-        Lookup::Miss
     }
 
     /// Checks for presence without touching LRU or counters (used by
     /// prefetchers to avoid redundant fills).
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.config.ways;
-        (0..self.config.ways).any(|w| {
-            let l = &self.lines[base + w];
-            l.valid && l.tag == tag
-        })
+        let (base, tag) = self.set_and_tag(addr);
+        self.find(base, tag).is_some()
     }
 
     /// Installs the line containing `addr`, whose fill completes at
     /// `ready_at`. Returns the evicted victim, if any.
     pub fn fill(&mut self, addr: u64, ready_at: u64) -> Option<Evicted> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.config.ways;
+        let (base, tag) = self.set_and_tag(addr);
         // Refill of a line that is already present just updates timing.
-        for w in 0..self.config.ways {
-            let l = &mut self.lines[base + w];
-            if l.valid && l.tag == tag {
-                l.ready_at = l.ready_at.max(ready_at);
-                return None;
-            }
+        if let Some(idx) = self.find(base, tag) {
+            self.ready_at[idx] = self.ready_at[idx].max(ready_at);
+            return None;
         }
+        // The first invalid way, else the least recently used one.
         let mut victim = base;
         let mut best = u64::MAX;
-        for w in 0..self.config.ways {
-            let l = &self.lines[base + w];
-            if !l.valid {
-                victim = base + w;
+        for idx in base..base + self.config.ways {
+            if self.tags[idx] == INVALID {
+                victim = idx;
                 break;
             }
-            if l.lru < best {
-                best = l.lru;
-                victim = base + w;
+            if self.lru[idx] < best {
+                best = self.lru[idx];
+                victim = idx;
             }
         }
-        let old = self.lines[victim];
+        let (old_tag, old_dirty) = (self.tags[victim], self.dirty[victim]);
         self.lru_clock += 1;
-        self.lines[victim] =
-            Line { valid: true, tag, dirty: false, ready_at, lru: self.lru_clock };
-        if old.valid {
-            let line_bytes = self.config.line_bytes;
-            let old_addr = (old.tag * self.config.sets as u64 + set as u64) * line_bytes;
-            Some(Evicted { line_addr: old_addr, dirty: old.dirty })
-        } else {
-            None
-        }
+        self.tags[victim] = tag;
+        self.dirty[victim] = false;
+        self.ready_at[victim] = ready_at;
+        self.lru[victim] = self.lru_clock;
+        (old_tag != INVALID).then(|| {
+            let set = (base / self.config.ways) as u64;
+            let line_addr = (old_tag * self.config.sets as u64 + set) * self.config.line_bytes;
+            Evicted { line_addr, dirty: old_dirty }
+        })
     }
 
     /// Marks the line containing `addr` dirty (store hit). Returns false if
     /// the line is absent.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.config.ways;
-        for w in 0..self.config.ways {
-            let l = &mut self.lines[base + w];
-            if l.valid && l.tag == tag {
-                l.dirty = true;
-                return true;
-            }
+        let (base, tag) = self.set_and_tag(addr);
+        let found = self.find(base, tag);
+        if let Some(idx) = found {
+            self.dirty[idx] = true;
         }
-        false
+        found.is_some()
     }
 }
 
 impl eole_predictors::snapshot::Snapshot for Cache {
     fn snapshot(&self, w: &mut eole_predictors::snapshot::SnapWriter) {
-        w.put_usize(self.lines.len());
-        for l in &self.lines {
-            w.put_bool(l.valid);
-            w.put_u64(l.tag);
-            w.put_bool(l.dirty);
-            w.put_u64(l.ready_at);
-            w.put_u64(l.lru);
+        // Per line: valid, tag (0 while invalid), dirty, ready_at, lru.
+        w.put_usize(self.tags.len());
+        for i in 0..self.tags.len() {
+            let valid = self.tags[i] != INVALID;
+            w.put_bool(valid);
+            w.put_u64(if valid { self.tags[i] } else { 0 });
+            w.put_bool(self.dirty[i]);
+            w.put_u64(self.ready_at[i]);
+            w.put_u64(self.lru[i]);
         }
         w.put_u64(self.lru_clock);
         w.put_u64(self.stats.accesses);
@@ -252,15 +257,22 @@ impl eole_predictors::snapshot::Snapshot for Cache {
         &mut self,
         r: &mut eole_predictors::snapshot::SnapReader<'_>,
     ) -> Result<(), eole_predictors::snapshot::SnapError> {
-        if r.get_usize()? != self.lines.len() {
-            return Err(eole_predictors::snapshot::SnapError::new("cache size mismatch"));
+        use eole_predictors::snapshot::SnapError;
+        if r.get_usize()? != self.tags.len() {
+            return Err(SnapError::new("cache size mismatch"));
         }
-        for l in &mut self.lines {
-            l.valid = r.get_bool()?;
-            l.tag = r.get_u64()?;
-            l.dirty = r.get_bool()?;
-            l.ready_at = r.get_u64()?;
-            l.lru = r.get_u64()?;
+        for i in 0..self.tags.len() {
+            let valid = r.get_bool()?;
+            let tag = r.get_u64()?;
+            self.tags[i] = match (valid, tag) {
+                (true, INVALID) => return Err(SnapError::new("cache tag out of range")),
+                (true, tag) => tag,
+                (false, 0) => INVALID,
+                (false, _) => return Err(SnapError::new("invalid cache line with a tag")),
+            };
+            self.dirty[i] = r.get_bool()?;
+            self.ready_at[i] = r.get_u64()?;
+            self.lru[i] = r.get_u64()?;
         }
         self.lru_clock = r.get_u64()?;
         self.stats.accesses = r.get_u64()?;
@@ -272,6 +284,7 @@ impl eole_predictors::snapshot::Snapshot for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eole_predictors::snapshot::{SnapReader, SnapWriter, Snapshot};
 
     fn small() -> Cache {
         Cache::new(CacheConfig { sets: 2, ways: 2, line_bytes: 64, latency: 2 })
@@ -336,6 +349,46 @@ mod tests {
         assert_eq!(CacheConfig::l1d_paper().capacity(), 32 * 1024);
         assert_eq!(CacheConfig::l1i_paper().capacity(), 32 * 1024);
         assert_eq!(CacheConfig::l2_paper().capacity(), 2 * 1024 * 1024);
+    }
+
+    fn snapshot_bytes(c: &Cache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    /// Per line the snapshot holds valid, tag, dirty, ready_at and lru;
+    /// a line that holds nothing reads as invalid with tag 0.
+    #[test]
+    fn snapshot_layout_and_round_trip() {
+        let mut c = small();
+        c.fill(0x080, 7);
+        assert!(c.mark_dirty(0x080));
+        let bytes = snapshot_bytes(&c);
+        assert_eq!(bytes.len(), 8 + 4 * 26 + 3 * 8);
+        // Set 0, way 0: valid, tag 1, dirty, ready at 7, lru 1.
+        let line0 = &bytes[8..8 + 26];
+        assert_eq!(line0[0], 1);
+        assert_eq!(line0[1..9], 1u64.to_le_bytes());
+        assert_eq!(line0[9], 1);
+        assert_eq!(line0[10..18], 7u64.to_le_bytes());
+        assert_eq!(line0[18..26], 1u64.to_le_bytes());
+        // Every other line is empty: all zero.
+        assert!(bytes[8 + 26..8 + 4 * 26].iter().all(|&b| b == 0));
+        let mut back = small();
+        back.restore(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(snapshot_bytes(&back), bytes);
+        assert!(back.probe(0x080) && !back.probe(0x000));
+    }
+
+    /// A snapshot line that is invalid yet has a tag is not a state this
+    /// cache produces: restore refuses it.
+    #[test]
+    fn restore_rejects_an_invalid_line_with_a_tag() {
+        let mut bytes = snapshot_bytes(&small());
+        bytes[9] = 1; // line 0's tag, its valid byte left false
+        let err = small().restore(&mut SnapReader::new(&bytes));
+        assert!(err.is_err());
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub struct MshrFile {
 }
 
 impl MshrFile {
-    /// Creates a file with `capacity` entries.
+    /// Creates a file with `capacity` entries, allocated up front: the
+    /// file never holds more, so registering misses never allocates.
     ///
     /// # Panics
     ///
@@ -47,7 +48,7 @@ impl MshrFile {
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        MshrFile { entries: Vec::new(), capacity, full_stall_cycles: 0, merges: 0 }
+        MshrFile { entries: Vec::with_capacity(capacity), capacity, full_stall_cycles: 0, merges: 0 }
     }
 
     fn prune(&mut self, cycle: u64) {
@@ -77,9 +78,9 @@ impl MshrFile {
     /// Records the completion time of a previously `Allocated` miss so later
     /// accesses to the same line can merge with it.
     pub fn complete(&mut self, line_addr: u64, ready: u64) {
-        // A full file at registration time resolves itself by `prune` once
-        // the earliest entry retires; here we may temporarily exceed
-        // capacity by one, which models the freed slot being reused.
+        // A miss registered on a full file was delayed until the earliest
+        // entry retires: that entry's slot is the one it reuses, so the
+        // file never holds more than `capacity` entries.
         if self.entries.len() >= self.capacity {
             if let Some(pos) = self
                 .entries
@@ -120,9 +121,8 @@ impl eole_predictors::snapshot::Snapshot for MshrFile {
         r: &mut eole_predictors::snapshot::SnapReader<'_>,
     ) -> Result<(), eole_predictors::snapshot::SnapError> {
         let n = r.get_usize()?;
-        if n > self.capacity + 1 {
-            // `complete` may overshoot capacity by one transiently; more
-            // than that cannot be a state this file produced.
+        if n > self.capacity {
+            // `complete` never grows the file past capacity.
             return Err(eole_predictors::snapshot::SnapError::new("mshr count out of range"));
         }
         self.entries.clear();
@@ -178,6 +178,42 @@ mod tests {
         m.complete(0x100, 30);
         assert_eq!(m.outstanding(31), 0);
         assert_eq!(m.register(0x200, 31), MshrOutcome::Allocated { start: 31 });
+    }
+
+    /// A storm of misses, more than the file holds and all in flight at
+    /// once, runs out of the storage allocated at construction.
+    #[test]
+    fn miss_storm_never_reallocates() {
+        let mut m = MshrFile::new(64);
+        let capacity = m.entries.capacity();
+        for i in 0..1_000u64 {
+            if let MshrOutcome::Allocated { start } = m.register(i * 64, i) {
+                m.complete(i * 64, start + 300);
+            }
+            assert!(m.entries.len() <= 64, "miss {i}");
+            assert_eq!(m.entries.capacity(), capacity, "miss {i}");
+        }
+        assert!(m.full_stall_cycles > 0, "the storm must fill the file");
+    }
+
+    /// A full file round-trips; one entry more is not a state the file
+    /// produces, and restore refuses it.
+    #[test]
+    fn restore_takes_a_full_file_and_refuses_more() {
+        use eole_predictors::snapshot::{SnapReader, SnapWriter, Snapshot};
+        let snapshot = |m: &MshrFile| {
+            let mut w = SnapWriter::new();
+            m.snapshot(&mut w);
+            w.into_bytes()
+        };
+        let mut full = MshrFile::new(2);
+        full.complete(0x100, 50);
+        full.complete(0x200, 60);
+        let bytes = snapshot(&full);
+        let mut back = MshrFile::new(2);
+        back.restore(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(snapshot(&back), bytes);
+        assert!(MshrFile::new(1).restore(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

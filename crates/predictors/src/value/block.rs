@@ -34,9 +34,7 @@
 //! strides further) and the youngest one's predicted value (D-VTAGE
 //! anchors its delta on it instead of the committed last value).
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use crate::history::HistoryView;
 use crate::value::{
@@ -45,6 +43,12 @@ use crate::value::{
 
 /// Bytes per µ-op in trace addresses.
 const INST_BYTES: u64 = 4;
+
+/// The in-flight index slot of the µ-op at address `pc`.
+#[inline]
+fn slot(pc: u64) -> usize {
+    (pc / INST_BYTES) as usize
+}
 
 /// Shape of the block-based front: fetch-block size, storage banks, and
 /// the speculative-window bound (mirrors `VpConfig` in `eole-core`).
@@ -62,31 +66,6 @@ pub struct BlockParams {
 impl Default for BlockParams {
     fn default() -> Self {
         BlockParams { block_size: 1, banks: 1, spec_window: None }
-    }
-}
-
-/// The in-flight index's hasher: one 64×64→128-bit multiply per pc key,
-/// folded, so every key bit reaches both the low bits (the bucket) and
-/// the high bits (the control byte) the table reads. SipHash's DoS
-/// resistance buys nothing here, and the index is only probed, never
-/// iterated, so the hash cannot change any result.
-#[derive(Clone, Copy, Debug, Default)]
-struct PcHasher(u64);
-
-impl Hasher for PcHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, key: u64) {
-        let p = u128::from(self.0 ^ key) * 0x9e37_79b9_7f4a_7c15;
-        self.0 = p as u64 ^ (p >> 64) as u64;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -123,13 +102,13 @@ pub struct BlockVp {
     predictor: AnyValuePredictor,
     params: BlockParams,
     window: VecDeque<SpecEntry>,
-    /// Per-pc index of the in-flight instances: pc → their count and the
-    /// youngest one's predicted value, exactly the [`InFlight`] the next
-    /// query of that pc passes. An O(1) probe instead of a backward
-    /// window scan; a pc's entry lives while its count is non-zero.
-    /// Pre-sized to the window capacity, so steady-state inserts never
-    /// rehash (the zero-allocation contract).
-    index: HashMap<u64, InFlight, BuildHasherDefault<PcHasher>>,
+    /// Dense per-static-µ-op index of the in-flight instances, by
+    /// `pc / INST_BYTES`: their count and the youngest one's predicted
+    /// value, exactly the [`InFlight`] the next query of that pc passes
+    /// (the default while none is in flight). An O(1) array read instead
+    /// of a backward window scan; sized at construction to the program's
+    /// static µ-op count, so it never allocates.
+    index: Vec<InFlight>,
     /// Last (cycle, block) the predictor was read for.
     last_access: Option<(u64, u64)>,
 }
@@ -138,13 +117,22 @@ impl BlockVp {
     /// Builds the subsystem. `window_hint` pre-sizes the in-flight
     /// window (front-end queue + ROB capacity) so steady-state pushes
     /// never reallocate (the zero-allocation contract of `PERF.md`).
-    pub fn new(predictor: AnyValuePredictor, params: BlockParams, window_hint: usize) -> Self {
+    /// Every µ-op address passed later must lie below
+    /// `static_uops * INST_BYTES`: `static_uops` is the length of the
+    /// program text the addresses point into.
+    // lint:allow(hot-alloc) cold construction path: the index is allocated once, before the measured loop
+    pub fn new(
+        predictor: AnyValuePredictor,
+        params: BlockParams,
+        window_hint: usize,
+        static_uops: usize,
+    ) -> Self {
         let cap = params.spec_window.unwrap_or(window_hint).max(1);
         BlockVp {
             predictor,
             params,
             window: VecDeque::with_capacity(cap + 1),
-            index: HashMap::with_capacity_and_hasher(cap + 1, Default::default()),
+            index: vec![InFlight::default(); static_uops],
             last_access: None,
         }
     }
@@ -162,21 +150,19 @@ impl BlockVp {
     /// The [`InFlight`] the next prediction of `pc` would be passed.
     #[cfg(test)]
     fn in_flight(&self, pc: u64) -> InFlight {
-        self.index.get(&pc).copied().unwrap_or_default()
+        self.index[slot(pc)]
     }
 
-    /// Drops one in-flight instance of `pc` from the index; the entry goes
-    /// with the last one. Returns the entry while others remain.
+    /// Drops one in-flight instance of `pc` from the index; the entry
+    /// resets with the last one. Returns the entry while others remain.
     fn unindex(&mut self, pc: u64) -> Option<&mut InFlight> {
-        let Entry::Occupied(mut e) = self.index.entry(pc) else {
-            return None;
-        };
-        e.get_mut().depth -= 1;
-        if e.get().depth == 0 {
-            e.remove();
+        let e = &mut self.index[slot(pc)];
+        e.depth -= 1;
+        if e.depth == 0 {
+            *e = InFlight::default();
             None
         } else {
-            Some(e.into_mut())
+            Some(e)
         }
     }
 
@@ -220,13 +206,13 @@ impl BlockVp {
         if new_block {
             self.last_access = Some((cycle, bpc));
         }
-        let slot = self.index.entry(pc).or_default();
-        let inflight = *slot;
+        let entry = &mut self.index[slot(pc)];
+        let inflight = *entry;
         let pred = match keys {
             Some(k) => self.predictor.predict_keyed(pc, hist, k, inflight),
             None => self.predictor.predict(pc, hist, inflight),
         };
-        *slot = InFlight { depth: inflight.depth + 1, last: pred.map(|p| p.value) };
+        *entry = InFlight { depth: inflight.depth + 1, last: pred.map(|p| p.value) };
         self.window.push_back(SpecEntry { seq, pc, prev: inflight.last });
         BlockQuery { pred, accepted: true, new_block }
     }
@@ -315,7 +301,7 @@ impl crate::snapshot::Snapshot for BlockVp {
             return Err(SnapError::new("warm snapshot with in-flight window"));
         }
         self.window.clear();
-        self.index.clear();
+        self.index.fill(InFlight::default());
         self.predictor.restore(r)?;
         self.last_access = if r.get_bool()? {
             Some((r.get_u64()?, r.get_u64()?))
@@ -334,7 +320,7 @@ mod tests {
 
     fn dvtage(params: BlockParams, seed: u64) -> BlockVp {
         let cfg = DVtageConfig::paper(params.block_size, params.banks);
-        BlockVp::new(DVtage::new(cfg, seed).into(), params, 256)
+        BlockVp::new(DVtage::new(cfg, seed).into(), params, 256, 32)
     }
 
     /// 2D-Stride in-flight instances extrapolate one stride per earlier
@@ -343,7 +329,7 @@ mod tests {
     fn inflight_instances_extrapolate() {
         let hist = BranchHistory::new();
         let v = hist.view(0);
-        let mut vp = BlockVp::new(TwoDeltaStride::new(64, 1).into(), BlockParams::default(), 256);
+        let mut vp = BlockVp::new(TwoDeltaStride::new(64, 1).into(), BlockParams::default(), 256, 8);
         for i in 0..5u64 {
             assert!(vp.predict(i, i, 0x10, v, None).accepted);
             vp.commit(i, 0x10, v, None, 8 * i); // last = 32, stride2 = 8
@@ -462,7 +448,7 @@ mod proptests {
             let hist = BranchHistory::from_outcomes(&outcomes);
             let params = BlockParams { block_size, banks: 1, spec_window: Some(48) };
             for kind in 0..7 {
-                let mut live = BlockVp::new(test_predictor(kind, seed, block_size), params, 64);
+                let mut live = BlockVp::new(test_predictor(kind, seed, block_size), params, 64, 24);
                 // The committed prefix: every (pc, actual) pair that reached
                 // commit, in order.
                 let mut committed: Vec<(u64, usize, u64)> = Vec::new();
@@ -500,7 +486,7 @@ mod proptests {
                 }
                 // Drain: squash everything still in flight.
                 live.squash_from(0);
-                prop_assert!(live.index.is_empty());
+                prop_assert!(live.index.iter().all(|e| *e == InFlight::default()));
                 // Reference: a fresh predictor trained on the committed
                 // prefix alone.
                 let mut replay = test_predictor(kind, seed, block_size);
@@ -526,7 +512,7 @@ mod proptests {
             let view = hist.view(0);
             let params = BlockParams { spec_window: Some(32), ..BlockParams::default() };
             for kind in 0..7 {
-                let mut vp = BlockVp::new(test_predictor(kind, seed, 1), params, 32);
+                let mut vp = BlockVp::new(test_predictor(kind, seed, 1), params, 32, 6);
                 // The model: (seq, pc, predicted value), oldest first.
                 let mut model: Vec<(u64, u64, Option<u64>)> = Vec::new();
                 let mut next_seq = 0u64;

@@ -100,7 +100,7 @@ mod tests {
         let leas: Vec<u64> = t
             .insts
             .iter()
-            .filter(|d| d.inst.op == eole_isa::Opcode::Lea)
+            .filter(|d| d.op == eole_isa::Opcode::Lea)
             .map(|d| d.result)
             .collect();
         let strided = leas.windows(3).filter(|w| w[2].wrapping_sub(w[0]) == 8).count();

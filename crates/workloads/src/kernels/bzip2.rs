@@ -69,7 +69,7 @@ mod tests {
         let runs: Vec<u64> = t
             .insts
             .iter()
-            .filter(|d| d.inst.op == Opcode::LdIdx)
+            .filter(|d| d.op == Opcode::LdIdx)
             .map(|d| d.result)
             .collect();
         let fours = runs.iter().filter(|v| **v == 4).count();

@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn many_immediate_seeded_ops() {
         let t = generate_trace(&program(), 30_000).unwrap();
-        let movi = t.insts.iter().filter(|d| d.inst.op == Opcode::MovI).count();
+        let movi = t.insts.iter().filter(|d| d.op == Opcode::MovI).count();
         assert!(movi as f64 / t.len() as f64 > 0.08, "mask immediates feed EE");
     }
 }

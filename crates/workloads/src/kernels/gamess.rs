@@ -96,7 +96,7 @@ mod tests {
         let leas: Vec<u64> = t
             .insts
             .iter()
-            .filter(|d| d.inst.op == eole_isa::Opcode::Lea)
+            .filter(|d| d.op == eole_isa::Opcode::Lea)
             .map(|d| d.result)
             .collect();
         assert!(leas.len() > 1000);

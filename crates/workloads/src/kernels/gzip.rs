@@ -86,7 +86,7 @@ mod tests {
         let t = generate_trace(&program(), 30_000).unwrap();
         let loads = t.insts.iter().filter(|d| d.class() == InstClass::Load).count();
         let stores = t.insts.iter().filter(|d| d.class() == InstClass::Store).count();
-        let branches = t.insts.iter().filter(|d| d.inst.is_cond_branch()).count();
+        let branches = t.insts.iter().filter(|d| d.class() == InstClass::Branch).count();
         assert!(loads * 10 > t.len(), "loads < 10%");
         assert!(stores > 0);
         assert!(branches * 3 > t.len() / 10, "branches < 3%");

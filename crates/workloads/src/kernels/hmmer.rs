@@ -81,7 +81,7 @@ mod tests {
     #[test]
     fn very_few_branches_lots_of_alu() {
         let t = generate_trace(&program(), 40_000).unwrap();
-        let branches = t.insts.iter().filter(|d| d.inst.is_cond_branch()).count();
+        let branches = t.insts.iter().filter(|d| d.class() == InstClass::Branch).count();
         let alu = t.insts.iter().filter(|d| d.class() == InstClass::IntAlu).count();
         assert!((branches as f64) < t.len() as f64 * 0.05, "hmmer is not branchy");
         assert!(alu as f64 / t.len() as f64 > 0.5);
@@ -90,19 +90,8 @@ mod tests {
     #[test]
     fn lane_values_are_data_dependent() {
         let t = generate_trace(&program(), 40_000).unwrap();
-        // Values stored (running maxima) must not be constant or strided.
-        let vals: Vec<u64> = t
-            .insts
-            .iter()
-            .filter(|d| d.is_store())
-            .map(|d| {
-                d.inst
-                    .src2
-                    .map(|_| d.result)
-                    .unwrap_or(0)
-            })
-            .collect();
-        let _ = vals;
+        // Values loaded must not be strided. (A store's data is not in its
+        // trace record, so the stored running maxima cannot be checked.)
         let loads: Vec<u64> =
             t.insts.iter().filter(|d| d.is_load()).map(|d| d.result).collect();
         let mut strided = 0;

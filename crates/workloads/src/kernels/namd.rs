@@ -110,7 +110,7 @@ mod tests {
         let addrs: Vec<u64> = t
             .insts
             .iter()
-            .filter(|d| d.inst.op == eole_isa::Opcode::LdIdx)
+            .filter(|d| d.op == eole_isa::Opcode::LdIdx)
             .map(|d| d.addr)
             .collect();
         let strided = addrs.windows(2).filter(|w| w[1] == w[0] + 8).count();

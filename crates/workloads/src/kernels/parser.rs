@@ -56,7 +56,7 @@ mod tests {
         let hops: Vec<u64> = t
             .insts
             .iter()
-            .filter(|d| d.inst.op == Opcode::LdIdx)
+            .filter(|d| d.op == Opcode::LdIdx)
             .map(|d| d.result)
             .collect();
         assert!(hops.len() > 1000);

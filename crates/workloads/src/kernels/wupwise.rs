@@ -78,7 +78,7 @@ mod tests {
         let chain: Vec<u64> = t
             .insts
             .iter()
-            .filter(|d| d.inst.op == Opcode::LdIdx)
+            .filter(|d| d.op == Opcode::LdIdx)
             .map(|d| d.result)
             .collect();
         assert!(chain.len() > 500);

@@ -4,8 +4,8 @@
 //! timing model's `(cycles, committed, squashed)` over a short prefix;
 //! they never look at an oracle value or an effective address. This test
 //! pins the functional machine itself: an FNV-1a digest over every field
-//! of every [`DynInst`], the conditional-branch outcome log and the
-//! `halted` flag, at the trace length the benchmark prepares
+//! of every [`DynInst`] and of its static instruction (`text[pc]`), the
+//! conditional-branch outcome log and the `halted` flag, at the trace length the benchmark prepares
 //! (`Runner { warmup: 50_000, measure: 150_000 }.trace_len()`).
 //!
 //! The digests were captured before the functional memory became
@@ -93,12 +93,17 @@ impl Fnv {
     }
 }
 
-/// Digest of every field of every µ-op, the outcome log and `halted`.
+/// Digest of every field of every µ-op and its static instruction, in
+/// the byte order the digests were captured in while each record still
+/// carried its own copy of the instruction, then the outcome log and
+/// `halted`.
 fn trace_digest(t: &Trace) -> u64 {
     let mut h = Fnv::new();
     h.bytes(&(t.insts.len() as u64).to_le_bytes());
     for d in &t.insts {
-        let DynInst { pc, inst, result, addr, size, taken, next_pc, bhist_pos } = d;
+        let DynInst { pc, op, result, addr, size, taken, next_pc, bhist_pos } = d;
+        let inst = &t.text[*pc as usize];
+        assert_eq!(*op, inst.op, "the record's opcode is its text's, pc {pc}");
         h.bytes(&pc.to_le_bytes());
         // The opcode by name, so reordering the enum moves no digest.
         let op = format!("{:?}", inst.op);

@@ -6,12 +6,11 @@
 //! allocator; its counters are per thread, so the `#[test]`s here do not
 //! observe each other (or the test harness) allocating.
 //!
-//! Warmup exists because several structures legitimately reach a
-//! high-water mark once: the speculative window's per-pc index meets its
-//! peak occupancy, MSHR files grow to their peak occupancy, the prefetch scratch
-//! fills to its degree. After that, a cycle — commit, issue, dispatch,
-//! fetch, squash recovery included — must run entirely out of the
-//! pre-sized rings and scratch buffers.
+//! Warmup brings the caches and predictors to steady state and fills the
+//! prefetch scratch to its degree. Every structure is sized at
+//! construction, so after warmup a cycle — commit, issue, dispatch, fetch,
+//! squash recovery included — must run entirely out of the pre-sized
+//! rings and scratch buffers.
 
 use alloc_counter::{count_allocations, CountingAllocator};
 use eole_core::config::CoreConfig;
@@ -169,9 +168,9 @@ fn banked_port_limited_eole_steps_without_allocating() {
 
 /// A tight speculative-window bound keeps the window pinned at its cap:
 /// every cycle mixes accepted registrations, full-window refusals, and
-/// index restores on squash. The window's per-pc index is pre-sized to
-/// the cap, so none of that churn — insert, shadow-restore, remove —
-/// may ever rehash or allocate.
+/// index restores on squash. The window's per-static-µ-op index is
+/// allocated at construction, so none of that churn — insert,
+/// shadow-restore, remove — may ever allocate.
 #[test]
 fn tight_spec_window_churn_does_not_allocate() {
     let config = CoreConfig::baseline_dvtage_6_64().to_builder().vp_spec_window(Some(8)).build();

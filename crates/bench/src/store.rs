@@ -1062,6 +1062,72 @@ mod tests {
         \"dram\":{\"accesses\":55,\"row_hits\":56,\"row_conflicts\":57},\
         \"prefetch\":{\"trains\":58,\"issued\":59},\"writebacks\":60}}}\n";
 
+    /// The `eole-warmstate/v2` bytes of a fixed key and snapshot (40
+    /// bytes, so the base64 body ends in `==` padding).
+    #[test]
+    fn warm_payload_bytes_are_pinned() {
+        let key = WarmKey {
+            sim_version: 7,
+            config_name: "EOLE_4_64".into(),
+            config_digest: 0x0123_4567_89ab_cdef,
+            workload: "gzip".into(),
+            trace_len: 35_000,
+            seed: 3,
+            position: 12_500,
+        };
+        let bytes: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        assert_eq!(render_warm_payload(&key, &bytes), PINNED_WARM_PAYLOAD);
+    }
+
+    const PINNED_WARM_PAYLOAD: &str = "{\"schema\":\"eole-warmstate/v2\",\"crc\":\"0cd50aed260ce6f5\",\
+        \"sim_version\":7,\"key\":{\"config\":\"EOLE_4_64\",\"config_digest\":\"0123456789abcdef\",\
+        \"workload\":\"gzip\",\"trace_len\":35000,\"seed\":3,\"position\":12500},\
+        \"data\":\"pYDvyjEce6aN6NcyGUSjjvXQPxpBrIv23ThnQqmU894FYE+qkfzbBg==\"}\n";
+
+    /// File stems are the store's addresses: a drift would orphan every
+    /// stored entry while reading as a plain cache miss.
+    #[test]
+    fn file_stems_are_pinned() {
+        let serial = RunKey {
+            sim_version: 7,
+            config_name: "EOLE_4_64".into(),
+            config_digest: 0x0123_4567_89ab_cdef,
+            workload: "gzip".into(),
+            warmup: 10_000,
+            measure: 25_000,
+            seed: 3,
+            intervals: 0,
+            interval_warmup: 0,
+        };
+        assert_eq!(
+            serial.file_stem(),
+            "gzip__EOLE_4_64__v7_w10000_m25000_s3__0123456789abcdef-b3ccd033da1f1876"
+        );
+        let tagged = RunKey {
+            config_name: "odd name/v2".into(),
+            intervals: 8,
+            interval_warmup: 5_000,
+            ..serial
+        };
+        assert_eq!(
+            tagged.file_stem(),
+            "gzip__odd-name-v2__v7_w10000_m25000_s3_i8-5000__0123456789abcdef-5f1ef157999d193b"
+        );
+        let warm = WarmKey {
+            sim_version: 7,
+            config_name: "EOLE_4_64".into(),
+            config_digest: 0x0123_4567_89ab_cdef,
+            workload: "gzip".into(),
+            trace_len: 35_000,
+            seed: 3,
+            position: 12_500,
+        };
+        assert_eq!(
+            warm.file_stem(),
+            "warm__gzip__EOLE_4_64__v7_t35000_s3_p12500__0123456789abcdef-d42c520d1a8bb140"
+        );
+    }
+
     #[test]
     fn payload_round_trips_every_counter() {
         let key = RunKey::of(&spec());

@@ -104,7 +104,7 @@ fn run_compare(args: &[String]) -> ! {
     let md = cmp.to_markdown();
     match out_path {
         Some(path) => {
-            std::fs::write(&path, &md).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+            Session::write_payload(&path, &md).unwrap_or_else(|e| fail(&e));
             eprintln!("[written to {path}]");
         }
         None => print!("{md}"),
@@ -224,8 +224,11 @@ fn main() {
     // the new one is complete; the `compare` trend workflow depends on
     // it), and probe with a process-unique name that is removed at once,
     // so no stray file is left and no concurrent writer's temp file is
-    // truncated. Populate passes emit no payload, so they skip the probe.
-    if let (Some(path), true) = (&out_path, shard.is_full()) {
+    // truncated. Populate passes emit no payload, so they skip the probe;
+    // so does a destination that is not a regular file (`/dev/null`),
+    // which `write_payload` writes in place.
+    let replaced = |path: &str| std::fs::metadata(path).map_or(true, |m| m.is_file());
+    if let Some(path) = out_path.as_deref().filter(|p| shard.is_full() && replaced(p)) {
         let probe = format!("{path}.probe-{}.tmp", std::process::id());
         std::fs::File::create(&probe).unwrap_or_else(|e| fail(&format!("create {probe}: {e}")));
         std::fs::remove_file(&probe).ok();

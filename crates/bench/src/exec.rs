@@ -10,14 +10,16 @@
 //!   workloads, are the unit of scheduling, and results come back in
 //!   grid order.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use eole_core::pipeline::{PreparedTrace, SimError, WarmState};
 use eole_core::stats::SimStats;
+use eole_store_service::lock_clean;
 use eole_workloads::Workload;
 
 use crate::faults;
@@ -26,15 +28,6 @@ use crate::session::Session;
 use crate::spec::{Grid, RunSpec};
 use crate::store::{RunKey, StoreError, WarmKey};
 use crate::{check_stitched_against_serial, stitch_pieces, IntervalPolicy, Runner, WarmOrigin};
-
-/// Poisoning-proof lock: a panicked worker marks every mutex it held as
-/// poisoned, but the protected data here (job deques, piece slots,
-/// result vectors) is only ever mutated by complete push/pop/assign
-/// operations, so the value is still consistent — recover it instead of
-/// cascading the panic into every sibling worker.
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Work-stealing deques holding jobs `0..jobs`, dealt round-robin across
 /// `workers` so every worker starts with a spread of them.
@@ -532,7 +525,14 @@ impl Session {
     /// built ones back (best-effort — a read-only store never fails the
     /// run). Each checkpoint is handed to the waiting pieces the moment
     /// it exists, so detailed windows overlap the sweep's tail.
+    ///
+    /// A checkpoint load that misses may have granted this client the
+    /// key's single-flight lease; if the sweep fails before publishing
+    /// that checkpoint, the lease is released so other sessions do not
+    /// wait out its TTL.
     fn produce_warm(&self, run: &OpenRun, spec: &RunSpec, policy: IntervalPolicy) {
+        // The position whose checkpoint missed and is not yet published.
+        let unpublished = Cell::new(None);
         let outcome = catch_panic(&spec.label(), || {
             let trace = self.cache.get_or_prepare(&spec.workload, &spec.runner)?;
             let positions = spec.runner.warm_positions(policy);
@@ -544,13 +544,17 @@ impl Session {
                     &positions,
                     |_, pos| {
                         let store = self.store.as_ref()?;
-                        let bytes = store.load_warm(&WarmKey::of(spec, pos))?;
+                        let Some(bytes) = store.load_warm(&WarmKey::of(spec, pos)) else {
+                            unpublished.set(Some(pos));
+                            return None;
+                        };
                         WarmState::from_bytes(bytes).ok()
                     },
                     |i, pos, ws, origin| {
                         if origin == WarmOrigin::Built {
                             if let Some(store) = &self.store {
                                 let _ = store.save_warm(&WarmKey::of(spec, pos), ws.as_bytes());
+                                unpublished.set(None);
                             }
                         }
                         run.update(|s| s.warm[i] = Some(ws.clone()));
@@ -561,10 +565,12 @@ impl Session {
             self.counters.warm_built.fetch_add(sweep.built, Ordering::Relaxed);
             Ok(())
         });
+        if let (Err(_), Some(pos), Some(store)) = (outcome, unpublished.get(), &self.store) {
+            store.abandon_warm(&WarmKey::of(spec, pos));
+        }
         // A failed or panicked sweep leaves its remaining slots empty;
         // publishing `swept` (always, on every path) wakes the pieces,
         // which rebuild those checkpoints instead of deadlocking.
-        drop(outcome);
         run.update(|s| s.swept = true);
     }
 
@@ -811,6 +817,61 @@ mod tests {
         // A full shard is a no-op.
         let full = quick(1).shard(Shard::full()).build().unwrap();
         assert!(full.run(&grid).iter().all(|r| r.stats().is_ok()));
+    }
+
+    /// A store whose checkpoint loads always miss (so a networked store
+    /// would have granted this client the lease) and whose checkpoint
+    /// saves panic, recording every released checkpoint lease.
+    #[derive(Debug, Default)]
+    struct FailingWarmStore {
+        results: crate::store::MemStore,
+        abandoned: Mutex<Vec<WarmKey>>,
+    }
+
+    impl ResultStore for FailingWarmStore {
+        fn load(&self, key: &RunKey) -> Option<SimStats> {
+            self.results.load(key)
+        }
+
+        fn save(&self, key: &RunKey, stats: &SimStats) -> Result<(), StoreError> {
+            self.results.save(key, stats)
+        }
+
+        fn len(&self) -> usize {
+            self.results.len()
+        }
+
+        fn save_warm(&self, _key: &WarmKey, _bytes: &[u8]) -> Result<(), StoreError> {
+            panic!("injected checkpoint save failure")
+        }
+
+        fn abandon_warm(&self, key: &WarmKey) {
+            lock_clean(&self.abandoned).push(key.clone());
+        }
+    }
+
+    #[test]
+    fn a_failed_sweep_releases_its_missed_checkpoint_lease() {
+        let store = Arc::new(FailingWarmStore::default());
+        let grid = Grid::new()
+            .runner(Runner::quick())
+            .config(CoreConfig::eole_4_64())
+            .workload_names(&["gzip"]);
+        let session = quick(2)
+            .intervals(2)
+            .store(Arc::clone(&store) as Arc<dyn ResultStore>)
+            .build()
+            .unwrap();
+        let results = session.run(&grid);
+        let spec = &grid.specs()[0];
+        let policy = session.intervals().unwrap();
+        let first = spec.runner.warm_positions(policy)[0];
+        assert_eq!(*lock_clean(&store.abandoned), vec![WarmKey::of(spec, first)]);
+        // The pieces rebuild their own checkpoints: the run completes
+        // with the same stitched result as a store-less session.
+        let plain = quick(2).intervals(2).build().unwrap().run(&grid);
+        let (got, want) = (results[0].stats().unwrap(), plain[0].stats().unwrap());
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

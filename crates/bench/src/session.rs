@@ -12,8 +12,7 @@
 //!   deadline — and the run counters; the job loop itself lives in
 //!   [`crate::exec`];
 //! * the report emitters ([`Format`], [`Session::render`]) and the
-//!   temp-file + rename payload-writing discipline
-//!   ([`Session::write_payload`]);
+//!   atomic payload writer ([`Session::write_payload`]);
 //! * wall-clock timing for the throughput harness
 //!   ([`Session::time_run`]) — timing is the one path that must *never*
 //!   be served from the store.
@@ -21,6 +20,7 @@
 //! Experiments run through a session via
 //! [`ExperimentSet::with_session`](crate::experiments::ExperimentSet::with_session).
 
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,6 +28,7 @@ use std::time::Duration;
 use eole_core::pipeline::PreparedTrace;
 use eole_core::stats::SimStats;
 use eole_stats::report::{reports_to_json, ExperimentReport};
+use eole_store_service::dir;
 use eole_workloads::Workload;
 
 use crate::exec::{attribute_workload, RunError, TraceCache};
@@ -423,17 +424,20 @@ impl Session {
         }
     }
 
-    /// Writes a payload to `path` through a sibling temp file and an
-    /// atomic rename, so a mid-write failure never truncates the previous
-    /// contents (trend tooling depends on the old payload surviving).
+    /// Writes a payload to `path` with [`dir::write_atomically`], so a
+    /// mid-write failure never truncates the previous contents (trend
+    /// tooling depends on the old payload surviving). A destination that
+    /// exists but is not a regular file (`/dev/null`, a FIFO) is written
+    /// in place: renaming over it would replace it with a plain file.
     ///
     /// # Errors
     ///
     /// A rendered description of the I/O failure.
     pub fn write_payload(path: &str, payload: &str) -> Result<(), String> {
-        let tmp = format!("{path}.tmp");
-        std::fs::write(&tmp, payload).map_err(|e| format!("write {tmp}: {e}"))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("rename {tmp} -> {path}: {e}"))
+        if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+            return std::fs::write(path, payload).map_err(|e| format!("write {path}: {e}"));
+        }
+        dir::write_atomically(Path::new(path), payload.as_bytes())
     }
 
     /// One-line cache/store accounting for stderr status output (CI
@@ -519,6 +523,35 @@ mod tests {
         let timed = session.time_run(&spec).unwrap();
         assert!(timed.stats.committed >= session.runner().measure);
         assert!(timed.seconds > 0.0);
+    }
+
+    /// `--out /dev/null` and other non-regular destinations are written
+    /// in place: replacing them with a renamed regular file would turn a
+    /// device node or a FIFO into a plain file.
+    #[cfg(unix)]
+    #[test]
+    fn write_payload_writes_a_fifo_in_place() {
+        use std::io::Read;
+        use std::os::unix::fs::FileTypeExt;
+        let dir = std::env::temp_dir().join(format!("eole-fifo-out-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fifo = dir.join("out.fifo");
+        let _ = std::fs::remove_file(&fifo);
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status().unwrap();
+        assert!(made.success(), "mkfifo failed");
+        let reader = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || {
+                let mut text = String::new();
+                std::fs::File::open(&fifo).unwrap().read_to_string(&mut text).unwrap();
+                text
+            })
+        };
+        Session::write_payload(fifo.to_str().unwrap(), "payload\n").unwrap();
+        let kind = std::fs::symlink_metadata(&fifo).unwrap().file_type();
+        assert!(kind.is_fifo(), "the FIFO must not be replaced by a regular file");
+        assert_eq!(reader.join().unwrap(), "payload\n");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use eole_store_service::{dir, lock_clean};
 pub use eole_store_service::StoreError;
 
 use eole_core::canon::{CanonicalBytes, Fnv64, SIM_FINGERPRINT_VERSION};
@@ -31,7 +32,6 @@ use eole_mem::counters::{Counter, CounterVisitor};
 use eole_stats::json::Json;
 use eole_stats::report::json_string;
 
-use crate::exec::lock_clean;
 use crate::faults;
 use crate::spec::RunSpec;
 
@@ -152,35 +152,40 @@ impl RunKey {
         c.digest()
     }
 
-    /// Filesystem-safe file stem: human-readable prefix (sanitized, so
-    /// two names may legitimately collide there) followed by the config
-    /// digest *and* the full key digest — the latter covers the raw
-    /// workload name, methodology, seed, and sim version, so distinct
-    /// keys can never share a file even when their sanitized prefixes do.
+    /// The entry's file stem (layout in `render_stem`); its axes are the
+    /// sim version, methodology, seed and interval tag.
     pub fn file_stem(&self) -> String {
-        let sanitize = |s: &str| -> String {
-            s.chars()
-                .map(|ch| if ch.is_ascii_alphanumeric() || ch == '_' || ch == '-' { ch } else { '-' })
-                .collect()
-        };
-        let interval_tag = if self.intervals > 0 {
-            format!("_i{}-{}", self.intervals, self.interval_warmup)
-        } else {
-            String::new()
-        };
-        format!(
-            "{}__{}__v{}_w{}_m{}_s{}{}__{:016x}-{:016x}",
-            sanitize(&self.workload),
-            sanitize(&self.config_name),
-            self.sim_version,
-            self.warmup,
-            self.measure,
-            self.seed,
-            interval_tag,
-            self.config_digest,
-            self.digest64(),
-        )
+        let mut axes =
+            format!("v{}_w{}_m{}_s{}", self.sim_version, self.warmup, self.measure, self.seed);
+        if self.intervals > 0 {
+            axes.push_str(&format!("_i{}-{}", self.intervals, self.interval_warmup));
+        }
+        let (workload, config) = (&self.workload, &self.config_name);
+        render_stem("", workload, config, &axes, self.config_digest, self.digest64())
     }
+}
+
+/// The file-stem layout of both key kinds:
+/// `<prefix><workload>__<config>__<axes>__<config digest>-<key digest>`.
+/// Names are sanitized into the stem alphabet (ASCII alphanumerics, `_`,
+/// `-` — which the `eole-stored` wire-key grammar also accepts), so two
+/// names may collide there; the full key digest covers the raw names and
+/// every axis, so distinct keys never share a file.
+fn render_stem(
+    prefix: &str,
+    workload: &str,
+    config: &str,
+    axes: &str,
+    config_digest: u64,
+    key_digest: u64,
+) -> String {
+    let sanitize = |name: &str| -> String {
+        name.chars()
+            .map(|ch| if ch.is_ascii_alphanumeric() || ch == '_' || ch == '-' { ch } else { '-' })
+            .collect()
+    };
+    let (workload, config) = (sanitize(workload), sanitize(config));
+    format!("{prefix}{workload}__{config}__{axes}__{config_digest:016x}-{key_digest:016x}")
 }
 
 /// The distinctive stem prefix of warm-state checkpoint entries: stores
@@ -254,30 +259,14 @@ impl WarmKey {
         c.digest()
     }
 
-    /// Filesystem- and wire-safe file stem, always starting with
-    /// [`WARM_STEM_PREFIX`]. Same discipline as [`RunKey::file_stem`]:
-    /// sanitized human-readable prefix, then the config digest and the
-    /// full key digest so distinct keys can never share a file. The
-    /// alphabet (ASCII alphanumerics, `_`, `-`) and length also satisfy
-    /// the `eole-stored` daemon's wire-key grammar.
+    /// The entry's file stem (layout in `render_stem`), always starting
+    /// with [`WARM_STEM_PREFIX`]; its axes are the sim version, trace
+    /// length, seed and position.
     pub fn file_stem(&self) -> String {
-        let sanitize = |s: &str| -> String {
-            s.chars()
-                .map(|ch| if ch.is_ascii_alphanumeric() || ch == '_' || ch == '-' { ch } else { '-' })
-                .collect()
-        };
-        format!(
-            "{}{}__{}__v{}_t{}_s{}_p{}__{:016x}-{:016x}",
-            WARM_STEM_PREFIX,
-            sanitize(&self.workload),
-            sanitize(&self.config_name),
-            self.sim_version,
-            self.trace_len,
-            self.seed,
-            self.position,
-            self.config_digest,
-            self.digest64(),
-        )
+        let axes =
+            format!("v{}_t{}_s{}_p{}", self.sim_version, self.trace_len, self.seed, self.position);
+        let (workload, config) = (&self.workload, &self.config_name);
+        render_stem(WARM_STEM_PREFIX, workload, config, &axes, self.config_digest, self.digest64())
     }
 }
 
@@ -406,11 +395,11 @@ impl ResultStore for MemStore {
     }
 }
 
-/// An on-disk [`ResultStore`]: one `eole-result/v2` JSON file per key.
+/// An on-disk [`ResultStore`]: one JSON file per key, in the
+/// [`eole_store_service::dir`] layout the `eole-stored` daemon shares.
 ///
-/// Writes go through a sibling temp file and an atomic rename (the same
-/// discipline the `experiments --out` path uses), so a crashed or killed
-/// process can leave at worst a stray `.tmp` file — never a truncated
+/// Writes go through [`dir::write_atomically`], so a crashed or killed
+/// process can leave at worst a stray `.tmp-*` file — never a truncated
 /// entry. Every payload carries a spliced-in FNV-1a checksum; reads that
 /// fail it (or fail to parse at all) are *damaged* — the file is renamed
 /// to `<stem>.quarantined` so it can never be served again, the miss
@@ -426,13 +415,6 @@ pub struct DirStore {
     corrupt: AtomicUsize,
     quarantined: AtomicUsize,
 }
-
-/// Process-global temp-name counter: two `DirStore` instances over the
-/// same directory in one process share the pid, so a per-instance
-/// counter could collide. One counter per process makes `.tmp-{pid}-{n}`
-/// unique across *every* instance (and the pid keeps it unique across
-/// processes).
-static TMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
 impl DirStore {
     /// Opens (creating if needed) a store rooted at `dir`.
@@ -483,144 +465,82 @@ impl DirStore {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    fn path_for(&self, key: &RunKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.file_stem()))
-    }
-
-    fn warm_path_for(&self, key: &WarmKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.file_stem()))
-    }
-
-    /// Shared temp-file + atomic-rename write (results and checkpoints).
-    fn write_atomically(&self, path: &Path, payload: &str) -> Result<(), StoreError> {
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, payload)
-            .map_err(|e| StoreError::Io(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            StoreError::Io(format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-        })
-    }
-}
-
-impl ResultStore for DirStore {
-    fn load(&self, key: &RunKey) -> Option<SimStats> {
-        let path = self.path_for(key);
-        let mut text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+    /// The one load path of results and checkpoints: read the entry,
+    /// parse it against its key, and quarantine it if it is damaged.
+    fn load_entry<T>(
+        &self,
+        stem: &str,
+        parse: impl FnOnce(&str) -> Result<T, PayloadError>,
+    ) -> Option<T> {
+        let path = dir::entry_path(&self.dir, stem);
+        let Ok(mut text) = std::fs::read_to_string(&path) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
         if faults::fire(faults::DIR_LOAD_CORRUPT).is_some() {
             // Simulated media damage: truncating mid-object guarantees
             // unparsable JSON, so the quarantine path below always fires.
             text.truncate(text.len() / 2);
         }
-        match parse_result_payload(&text, key) {
-            Ok(stats) => {
+        match parse(&text) {
+            Ok(value) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(stats)
+                Some(value)
             }
-            Err(PayloadError::Corrupt(_)) => {
-                // Damaged entry: set it aside under a name no lookup will
-                // ever read again (forensics can inspect it), then miss —
-                // the session re-simulates and saves a fresh `.json`.
-                // A rename race (another worker already quarantined it)
-                // is harmless; both count the same damaged entry once
-                // because only one read can have seen each damaged file
-                // before the first rename wins.
-                let _ = std::fs::rename(&path, path.with_extension("quarantined"));
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(PayloadError::Foreign(_)) => {
-                // Well-formed but not ours (old schema, key drift): a
-                // plain miss; the next save overwrites in place.
+            Err(why) => {
+                // A damaged entry is set aside under a name no lookup will
+                // ever read again (forensics can inspect it); the session
+                // re-simulates (or the sweep rebuilds) and saves a fresh
+                // `.json`. A rename race (another worker already
+                // quarantined it) is harmless: only one read can have seen
+                // each damaged file before the first rename wins. A
+                // foreign entry (old schema, key drift) is a plain miss
+                // that the next save overwrites in place.
+                if matches!(why, PayloadError::Corrupt(_)) {
+                    let _ = std::fs::rename(&path, path.with_extension("quarantined"));
+                    self.quarantined.fetch_add(1, Ordering::Relaxed);
+                }
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
+    }
+
+    /// The one save path of results and checkpoints.
+    fn save_entry(&self, stem: &str, payload: &str) -> Result<(), StoreError> {
+        if faults::fire(faults::DIR_SAVE_IO).is_some() {
+            // Before the temp write, so an injected failure never leaks
+            // a `.tmp-*` file.
+            return Err(StoreError::Io("injected fault: dir.save.io".to_string()));
+        }
+        dir::write_atomically(&dir::entry_path(&self.dir, stem), payload.as_bytes())
+            .map_err(StoreError::Io)
+    }
+}
+
+impl ResultStore for DirStore {
+    fn load(&self, key: &RunKey) -> Option<SimStats> {
+        self.load_entry(&key.file_stem(), |text| parse_result_payload(text, key))
     }
 
     fn save(&self, key: &RunKey, stats: &SimStats) -> Result<(), StoreError> {
-        if faults::fire(faults::DIR_SAVE_IO).is_some() {
-            // Before the temp write, so an injected failure never leaks
-            // a `.tmp` file.
-            return Err(StoreError::Io("injected fault: dir.save.io".to_string()));
-        }
-        self.write_atomically(&self.path_for(key), &render_result_payload(key, stats))
+        self.save_entry(&key.file_stem(), &render_result_payload(key, stats))
     }
 
     fn load_warm(&self, key: &WarmKey) -> Option<Vec<u8>> {
-        let path = self.warm_path_for(key);
-        let mut text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        if faults::fire(faults::DIR_LOAD_CORRUPT).is_some() {
-            text.truncate(text.len() / 2);
-        }
-        match parse_warm_payload(&text, key) {
-            Ok(bytes) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            Err(PayloadError::Corrupt(_)) => {
-                // Same quarantine discipline as damaged results: set the
-                // entry aside for forensics, answer a miss — the sweep
-                // rebuilds the checkpoint and the fresh save recreates
-                // `<stem>.json`.
-                let _ = std::fs::rename(&path, path.with_extension("quarantined"));
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(PayloadError::Foreign(_)) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load_entry(&key.file_stem(), |text| parse_warm_payload(text, key))
     }
 
     fn save_warm(&self, key: &WarmKey, bytes: &[u8]) -> Result<(), StoreError> {
-        if faults::fire(faults::DIR_SAVE_IO).is_some() {
-            return Err(StoreError::Io("injected fault: dir.save.io".to_string()));
-        }
-        self.write_atomically(&self.warm_path_for(key), &render_warm_payload(key, bytes))
+        self.save_entry(&key.file_stem(), &render_warm_payload(key, bytes))
     }
 
     fn len(&self) -> usize {
         // Warm-state checkpoints share the directory but are excluded:
         // `len()` is the *result* count (shard accounting and the
         // single-flight CI invariant `sims == keys` depend on it).
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .filter(|e| {
-                        let path = e.path();
-                        path.extension().is_some_and(|ext| ext == "json")
-                            && !path
-                                .file_name()
-                                .and_then(|n| n.to_str())
-                                .is_some_and(|n| n.starts_with(WARM_STEM_PREFIX))
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
+        dir::scan(&self.dir).iter().filter(|(stem, _)| !stem.starts_with(WARM_STEM_PREFIX)).count()
     }
 
     fn quarantined(&self) -> u64 {
@@ -637,32 +557,19 @@ impl ResultStore for DirStore {
 /// built from stored results is byte-identical to one built from fresh
 /// simulations.
 pub fn render_result_payload(key: &RunKey, s: &SimStats) -> String {
-    let mut out = String::with_capacity(1536);
-    // The checksum field sits right after the schema tag, *before* any
-    // user-influenced string (config/workload names are JSON-escaped but
-    // could still contain the bytes `"crc":"` if it appeared later), so
-    // the first occurrence of CRC_FIELD in the text is always this one.
-    out.push_str("{\"schema\":\"eole-result/v2\",\"crc\":\"0000000000000000\",");
-    out.push_str(&format!("\"sim_version\":{},", key.sim_version));
-    let interval_tag = if key.intervals > 0 {
-        format!(
+    let (name, digest) = (&key.config_name, key.config_digest);
+    let mut out = render_head(RESULT_SCHEMA, key.sim_version, name, digest, &key.workload);
+    out.push_str(&format!(
+        "\"warmup\":{},\"measure\":{},\"seed\":{}",
+        key.warmup, key.measure, key.seed
+    ));
+    if key.intervals > 0 {
+        out.push_str(&format!(
             ",\"intervals\":{{\"k\":{},\"warmup\":{}}}",
             key.intervals, key.interval_warmup
-        )
-    } else {
-        String::new()
-    };
-    out.push_str(&format!(
-        "\"key\":{{\"config\":{},\"config_digest\":\"{:016x}\",\"workload\":{},\"warmup\":{},\"measure\":{},\"seed\":{}{}}},",
-        json_string(&key.config_name),
-        key.config_digest,
-        json_string(&key.workload),
-        key.warmup,
-        key.measure,
-        key.seed,
-        interval_tag,
-    ));
-    out.push_str("\"stats\":{");
+        ));
+    }
+    out.push_str("},\"stats\":{");
     // Counters in declaration order, nested structs as nested objects.
     let mut stats = *s;
     stats.visit_counters(&mut RenderCounters { out: &mut out, first: true });
@@ -670,9 +577,68 @@ pub fn render_result_payload(key: &RunKey, s: &SimStats) -> String {
     splice_checksum(out)
 }
 
+/// The schema tag of a stored run result.
+const RESULT_SCHEMA: &str = "eole-result/v2";
+
 /// The checksum field marker; rendered once, immediately after the
 /// schema tag.
 const CRC_FIELD: &str = "\"crc\":\"";
+
+/// The opening both payload kinds share: schema tag, checksum
+/// placeholder, simulator version, and the key object up to and
+/// including its `config`, `config_digest` and `workload` members. The
+/// caller appends its own key members and closes the key object.
+fn render_head(
+    schema: &str,
+    sim_version: u32,
+    config_name: &str,
+    config_digest: u64,
+    workload: &str,
+) -> String {
+    let mut out = String::with_capacity(1536);
+    // The checksum field sits right after the schema tag, *before* any
+    // user-influenced string (config/workload names are JSON-escaped but
+    // could still contain the bytes `"crc":"` if it appeared later), so
+    // the first occurrence of CRC_FIELD in the text is always this one.
+    out.push_str(&format!(
+        "{{\"schema\":\"{schema}\",\"crc\":\"0000000000000000\",\"sim_version\":{sim_version},\
+         \"key\":{{\"config\":{},\"config_digest\":\"{config_digest:016x}\",\"workload\":{},",
+        json_string(config_name),
+        json_string(workload),
+    ));
+    out
+}
+
+/// The checks both payload kinds share, in recovery order: unparsable
+/// bytes are damage (every generation of this store wrote valid JSON); a
+/// parsable payload with another schema tag is foreign, and only a
+/// schema-matched payload gets checksum-checked; then the simulator
+/// version and the key's `config_digest` and `workload` must match.
+/// Returns the parsed payload for the caller's own key members.
+fn parse_head(
+    text: &str,
+    schema: &str,
+    sim_version: u32,
+    config_digest: u64,
+    workload: &str,
+) -> Result<Json, PayloadError> {
+    let v = Json::parse(text).map_err(PayloadError::Corrupt)?;
+    if v.get("schema").and_then(Json::as_str) != Some(schema) {
+        return Err(PayloadError::Foreign(format!("not an {schema} payload")));
+    }
+    verify_payload_checksum(text)?;
+    if u64_field(&v, "sim_version").map_err(PayloadError::Foreign)? != u64::from(sim_version) {
+        return Err(PayloadError::Foreign("sim_version mismatch".into()));
+    }
+    let k = v.get("key").ok_or_else(|| PayloadError::Foreign("missing `key`".into()))?;
+    if k.get("config_digest").and_then(Json::as_str)
+        != Some(format!("{config_digest:016x}").as_str())
+        || k.get("workload").and_then(Json::as_str) != Some(workload)
+    {
+        return Err(PayloadError::Foreign("key mismatch".into()));
+    }
+    Ok(v)
+}
 
 /// Splices the checksum over the zero placeholder of a rendered payload:
 /// digest the payload with the crc field zeroed, then write the 16-hex
@@ -817,29 +783,16 @@ impl CounterVisitor for ParseCounters<'_> {
 /// quarantines [`PayloadError::Corrupt`] entries and plainly overwrites
 /// [`PayloadError::Foreign`] ones.
 pub fn parse_result_payload(text: &str, key: &RunKey) -> Result<SimStats, PayloadError> {
-    // Unparsable bytes are damage (every generation of this store wrote
-    // valid JSON); a parsable payload with the wrong schema tag is
-    // foreign, and only a schema-matched payload gets checksum-checked.
-    let v = Json::parse(text).map_err(PayloadError::Corrupt)?;
-    if v.get("schema").and_then(Json::as_str) != Some("eole-result/v2") {
-        return Err(PayloadError::Foreign("not an eole-result/v2 payload".into()));
-    }
-    verify_payload_checksum(text)?;
+    let v = parse_head(text, RESULT_SCHEMA, key.sim_version, key.config_digest, &key.workload)?;
     parse_checked_payload(&v, key).map_err(PayloadError::Foreign)
 }
 
-/// Field extraction and key matching for an already checksum-verified
-/// payload; every failure here is a key/schema-drift mismatch
-/// ([`PayloadError::Foreign`]), never damage.
+/// The result-specific key members and the counters of a payload whose
+/// head [`parse_head`] accepted; every failure here is a key/schema-drift
+/// mismatch ([`PayloadError::Foreign`]), never damage.
 fn parse_checked_payload(v: &Json, key: &RunKey) -> Result<SimStats, String> {
-    if u64_field(v, "sim_version")? != u64::from(key.sim_version) {
-        return Err("sim_version mismatch".into());
-    }
     let k = v.get("key").ok_or("missing `key`")?;
-    if k.get("config_digest").and_then(Json::as_str)
-        != Some(format!("{:016x}", key.config_digest).as_str())
-        || k.get("workload").and_then(Json::as_str) != Some(key.workload.as_str())
-        || u64_field(k, "warmup")? != key.warmup
+    if u64_field(k, "warmup")? != key.warmup
         || u64_field(k, "measure")? != key.measure
         || u64_field(k, "seed")? != key.seed
     {
@@ -936,21 +889,16 @@ fn base64_decode(text: &str) -> Result<Vec<u8>, String> {
 /// the full [`WarmKey`] for verification, and the snapshot bytes as
 /// base64 under `data`.
 pub fn render_warm_payload(key: &WarmKey, bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4 + 512);
+    let (name, digest) = (&key.config_name, key.config_digest);
+    let mut out = render_head(WARMSTATE_FORMAT, key.sim_version, name, digest, &key.workload);
+    out.reserve(bytes.len().div_ceil(3) * 4 + 64);
     out.push_str(&format!(
-        "{{\"schema\":\"{WARMSTATE_FORMAT}\",\"crc\":\"0000000000000000\","
-    ));
-    out.push_str(&format!("\"sim_version\":{},", key.sim_version));
-    out.push_str(&format!(
-        "\"key\":{{\"config\":{},\"config_digest\":\"{:016x}\",\"workload\":{},\"trace_len\":{},\"seed\":{},\"position\":{}}},",
-        json_string(&key.config_name),
-        key.config_digest,
-        json_string(&key.workload),
+        "\"trace_len\":{},\"seed\":{},\"position\":{}}},\"data\":\"{}\"}}\n",
         key.trace_len,
         key.seed,
         key.position,
+        base64_encode(bytes)
     ));
-    out.push_str(&format!("\"data\":\"{}\"}}\n", base64_encode(bytes)));
     splice_checksum(out)
 }
 
@@ -964,22 +912,10 @@ pub fn render_warm_payload(key: &WarmKey, bytes: &[u8]) -> String {
 ///
 /// [`PayloadError`] as above; never a panic.
 pub fn parse_warm_payload(text: &str, key: &WarmKey) -> Result<Vec<u8>, PayloadError> {
-    let v = Json::parse(text).map_err(PayloadError::Corrupt)?;
-    if v.get("schema").and_then(Json::as_str) != Some(WARMSTATE_FORMAT) {
-        return Err(PayloadError::Foreign(format!("not an {WARMSTATE_FORMAT} payload")));
-    }
-    verify_payload_checksum(text)?;
-    if u64_field(&v, "sim_version").map_err(PayloadError::Foreign)?
-        != u64::from(key.sim_version)
-    {
-        return Err(PayloadError::Foreign("sim_version mismatch".into()));
-    }
+    let v = parse_head(text, WARMSTATE_FORMAT, key.sim_version, key.config_digest, &key.workload)?;
     let k = v.get("key").ok_or_else(|| PayloadError::Foreign("missing `key`".into()))?;
     let field = |name| u64_field(k, name).map_err(PayloadError::Foreign);
-    if k.get("config_digest").and_then(Json::as_str)
-        != Some(format!("{:016x}", key.config_digest).as_str())
-        || k.get("workload").and_then(Json::as_str) != Some(key.workload.as_str())
-        || field("trace_len")? != key.trace_len
+    if field("trace_len")? != key.trace_len
         || field("seed")? != key.seed
         || field("position")? != key.position
     {
@@ -1288,15 +1224,12 @@ mod tests {
 
     #[test]
     fn dir_store_quarantines_damaged_entries() {
-        let dir = std::env::temp_dir().join(format!(
-            "eole-quarantine-test-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("eole-quarantine-test-{}", std::process::id()));
         let store = DirStore::open(&dir).unwrap();
         let key = RunKey::of(&spec());
         store.save(&key, &dense_stats()).unwrap();
-        let path = dir.join(format!("{}.json", key.file_stem()));
+        let path = dir::entry_path(&dir, &key.file_stem());
         let quarantine = path.with_extension("quarantined");
 
         // Damage the entry on disk: next load must miss, quarantine the
@@ -1431,11 +1364,8 @@ mod tests {
 
     #[test]
     fn dir_store_warm_round_trip_quarantines_damage_and_skips_len() {
-        let dir = std::env::temp_dir().join(format!(
-            "eole-warm-store-test-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("eole-warm-store-test-{}", std::process::id()));
         let store = DirStore::open(&dir).unwrap();
         let key = WarmKey::of(&spec(), 10_000);
         let bytes: Vec<u8> = (0..4_096u32).map(|i| (i % 253) as u8).collect();
@@ -1447,7 +1377,7 @@ mod tests {
 
         // Damage the checkpoint: the load must miss, quarantine the
         // file, and a fresh save must self-heal.
-        let path = dir.join(format!("{}.json", key.file_stem()));
+        let path = dir::entry_path(&dir, &key.file_stem());
         let mut raw = std::fs::read(&path).unwrap();
         let at = raw.len() / 2;
         raw[at] ^= 0x01;

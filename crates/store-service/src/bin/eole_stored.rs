@@ -5,8 +5,8 @@
 //!             [--lease-ttl-secs N]
 //! ```
 //!
-//! Serves the `eole-store/v2` protocol over `DIR` (one `<key>.json` per
-//! entry — the same layout `experiments --store DIR` writes, so a warm
+//! Serves the `eole-store/v2` protocol over `DIR` (the
+//! `eole_store_service::dir` layout `experiments --store DIR` writes, so a warm
 //! local store can be promoted to a shared one by pointing the daemon at
 //! it). Clients connect via `experiments --store tcp://HOST:PORT`.
 //!

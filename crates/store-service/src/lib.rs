@@ -5,8 +5,8 @@
 //! harness's content-addressed result cache (`eole-bench`'s `DirStore`).
 //!
 //! The service is deliberately *generic*: it stores opaque payload bytes
-//! under filesystem-safe string keys, one `<key>.json` file per entry, in
-//! exactly the layout `DirStore` uses — a directory served by
+//! under filesystem-safe string keys, in the directory layout of the
+//! [`dir`] module, which `DirStore` uses too — a directory served by
 //! `eole-stored` can be opened directly by `--store DIR` and vice versa.
 //! Interpreting payloads (the `eole-result/v2` schema, key verification)
 //! stays client-side in `eole-bench::RemoteStore`, so the daemon never
@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod dir;
 pub mod faults;
 pub mod proto;
 pub mod server;
@@ -37,11 +38,12 @@ pub mod server;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Poisoning-proof mutex acquisition — the only sanctioned way to take a
-/// lock in this crate (`eole-lint`'s `lock-hygiene` rule enforces it).
-/// A panic isolated to one connection or one run must not wedge every
-/// later acquisition behind a `PoisonError`; the protected state is
-/// always left consistent because every critical section is
-/// short, allocation-only bookkeeping.
+/// lock in this crate and in `eole-bench` (`eole-lint`'s `lock-hygiene`
+/// rule enforces it). A panic isolated to one connection or one run must
+/// not wedge every later acquisition behind a `PoisonError`; the
+/// protected state is always left consistent because every critical
+/// section is short bookkeeping made of complete push, pop and assign
+/// operations.
 pub fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -1,5 +1,5 @@
 //! The `eole-stored` server: a thread-per-connection TCP daemon over a
-//! `DirStore`-compatible directory (one `<key>.json` file per entry),
+//! store directory in the [`crate::dir`] layout (shared with `DirStore`),
 //! adding the three things a *shared* cache needs beyond a directory:
 //! single-flight leases, an eviction budget, and crash-safe publication.
 //!
@@ -27,9 +27,9 @@
 //!
 //! ## Publication
 //!
-//! Payload files are written to a process-unique temp name and renamed
-//! into place — the same discipline `DirStore` uses — so a crashed
-//! daemon can leave at worst a stray `.tmp` file, never a torn entry.
+//! Payload files are published with [`crate::dir::write_atomically`], so a
+//! crashed daemon can leave at worst a stray `.tmp-*` file, never a torn
+//! entry.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
+use crate::dir;
 use crate::faults;
 use crate::proto::{
     decode_request, encode_response, read_frame, valid_key, write_frame, Request, Response,
@@ -48,7 +49,7 @@ use crate::StoreError;
 /// Tuning knobs of one `eole-stored` instance.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Directory holding one `<key>.json` per entry (created if absent;
+    /// Store directory in the [`crate::dir`] layout (created if absent;
     /// shareable with `DirStore`).
     pub dir: PathBuf,
     /// Evict down to this many payload bytes (`None` = unbounded).
@@ -109,14 +110,6 @@ struct Shared {
     next_conn: AtomicU64,
 }
 
-/// Cross-process- and cross-instance-unique temp names: two daemons (or a
-/// daemon and a `DirStore`) sharing one directory can never collide.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn payload_path(dir: &std::path::Path, key: &str) -> PathBuf {
-    dir.join(format!("{key}.json"))
-}
-
 impl Shared {
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
@@ -128,18 +121,10 @@ impl Shared {
         crate::lock_clean(&self.state)
     }
 
-    /// Atomic publish: temp + rename, then index update and waiter wakeup.
+    /// Atomic publish, then index update and waiter wakeup.
     fn publish(&self, key: &str, payload: &[u8]) -> Result<(), StoreError> {
-        let tmp = self.config.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let path = payload_path(&self.config.dir, key);
-        std::fs::write(&tmp, payload)
-            .map_err(|e| StoreError::Io(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| StoreError::Io(format!("rename {} -> {}: {e}", tmp.display(), path.display())))?;
+        dir::write_atomically(&dir::entry_path(&self.config.dir, key), payload)
+            .map_err(StoreError::Io)?;
         let mut st = self.lock_state();
         st.tick += 1;
         let tick = st.tick;
@@ -177,7 +162,7 @@ impl Shared {
             let Some(entry) = st.entries.remove(&key) else { break };
             st.total_bytes -= entry.bytes;
             st.stats.evictions += 1;
-            let _ = std::fs::remove_file(payload_path(&self.config.dir, &key));
+            let _ = std::fs::remove_file(dir::entry_path(&self.config.dir, &key));
         }
     }
 
@@ -198,7 +183,7 @@ impl Shared {
         };
         loop {
             if st.entries.contains_key(key) {
-                let path = payload_path(&self.config.dir, key);
+                let path = dir::entry_path(&self.config.dir, key);
                 match std::fs::read(&path) {
                     Ok(payload) => {
                         st.tick += 1;
@@ -343,34 +328,16 @@ impl StoreServer {
             next_conn: AtomicU64::new(1),
             config,
         });
-        let mut found: Vec<(String, u64, SystemTime)> = Vec::new();
-        if let Ok(dir) = std::fs::read_dir(&shared.config.dir) {
-            for e in dir.filter_map(Result::ok) {
-                let path = e.path();
-                let Some(stem) = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .and_then(|n| n.strip_suffix(".json"))
-                else {
-                    continue;
-                };
-                if !valid_key(stem) {
-                    continue;
-                }
-                if let Ok(meta) = e.metadata() {
-                    let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                    found.push((stem.to_string(), meta.len(), mtime));
-                }
-            }
-        }
-        found.sort_by_key(|(_, _, mtime)| *mtime);
+        let mut found = dir::scan(&shared.config.dir);
+        found.retain(|(stem, _)| valid_key(stem));
+        found.sort_by_key(|(_, meta)| meta.modified().unwrap_or(SystemTime::UNIX_EPOCH));
         {
             let mut st = shared.lock_state();
-            for (key, bytes, _) in found {
+            for (key, meta) in found {
                 st.tick += 1;
                 let tick = st.tick;
-                st.total_bytes += bytes;
-                st.entries.insert(key, Entry { bytes, last_access: tick });
+                st.total_bytes += meta.len();
+                st.entries.insert(key, Entry { bytes: meta.len(), last_access: tick });
             }
             shared.evict(&mut st, None);
         }

@@ -246,3 +246,48 @@ fn dead_daemon_at_connect_time_is_a_loud_typed_error() {
         .unwrap_err();
     assert!(err.contains("connect result store"), "{err}");
 }
+
+/// A daemon and a `DirStore` in one process publish into one directory
+/// through one temp-name sequence. Two sequences that both start at 0
+/// hand out the same `.tmp-{pid}-{n}` name whenever they run in step;
+/// the `stats` round trip before each save keeps them in step, so a
+/// shared name would lose an entry or fail a rename here.
+#[test]
+fn dir_store_and_in_process_daemon_never_share_a_temp_name() {
+    use eole_bench::{DirStore, ResultStore};
+    use eole_core::stats::SimStats;
+    use eole_store_service::{ClientConfig, StoreClient};
+
+    const WRITES: u64 = 4_000;
+    let dir = temp_dir("tmp-seq");
+    let daemon = spawn_daemon(&dir);
+    let addr = daemon.addr().to_string();
+    let store = DirStore::open(&dir).unwrap();
+    let base = RunKey::of(&small_grid().specs()[0]);
+    std::thread::scope(|scope| {
+        let saver = scope.spawn(|| {
+            let pacer = StoreClient::connect(ClientConfig::new(addr.clone())).unwrap();
+            for seed in 0..WRITES {
+                pacer.stats().unwrap();
+                let key = RunKey { seed, ..base.clone() };
+                store.save(&key, &SimStats::default()).unwrap();
+            }
+        });
+        let putter = scope.spawn(|| {
+            let client = StoreClient::connect(ClientConfig::new(addr.clone())).unwrap();
+            for n in 0..WRITES {
+                client.put(&format!("tmp-seq-{n}"), b"{}\n".to_vec()).unwrap();
+            }
+        });
+        saver.join().expect("every DirStore save succeeds");
+        putter.join().expect("every daemon put succeeds");
+    });
+    let entries = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|ext| ext == "json"))
+        .count();
+    assert_eq!(entries as u64, 2 * WRITES, "no write may be lost");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

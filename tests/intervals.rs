@@ -442,6 +442,90 @@ fn session_json_header_carries_the_interval_tag() {
     assert!(!payload.contains("intervals"), "serial payloads must be byte-stable: {payload}");
 }
 
+/// `(workload, configuration, FNV-1a of capture_warm())`: every preset,
+/// then the value-predictor kinds no preset uses swapped into
+/// `EOLE_4_64`, each captured after `functional_warm(20_000)`.
+const CHECKPOINT_DIGESTS: [(&str, &str, u64); 36] = [
+    ("gzip", "Baseline_6_64", 0xfeef_ad55_d515_7e28),
+    ("gzip", "Baseline_VP_6_64", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "Baseline_VP_4_64", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "Baseline_VP_6_48", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "EOLE_6_64", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "EOLE_4_64", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "EOLE_6_48", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "EOLE_4_64_4banks", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "EOLE_4_64_4ports_4banks", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "OLE_4_64_4ports_4banks", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "EOE_4_64_4ports_4banks", 0x6990_8fe1_9f16_ef09),
+    ("gzip", "Baseline_DVTAGE_6_64", 0xc23a_877a_e665_3a5f),
+    ("gzip", "EOLE_DVTAGE_4_64", 0xc23a_877a_e665_3a5f),
+    ("gzip", "EOLE_4_64+LastValue", 0x52b6_2f27_adf7_0d27),
+    ("gzip", "EOLE_4_64+Stride", 0xbc95_0cc8_7f99_4343),
+    ("gzip", "EOLE_4_64+TwoDeltaStride", 0x526e_2eb0_9705_49d9),
+    ("gzip", "EOLE_4_64+Fcm", 0xd730_d828_2b9c_becc),
+    ("gzip", "EOLE_4_64+Vtage", 0x5e33_591a_b6dc_bef4),
+    ("mcf", "Baseline_6_64", 0x5c61_db35_7407_c461),
+    ("mcf", "Baseline_VP_6_64", 0x2986_7420_c1cc_de64),
+    ("mcf", "Baseline_VP_4_64", 0x2986_7420_c1cc_de64),
+    ("mcf", "Baseline_VP_6_48", 0x2986_7420_c1cc_de64),
+    ("mcf", "EOLE_6_64", 0x2986_7420_c1cc_de64),
+    ("mcf", "EOLE_4_64", 0x2986_7420_c1cc_de64),
+    ("mcf", "EOLE_6_48", 0x2986_7420_c1cc_de64),
+    ("mcf", "EOLE_4_64_4banks", 0x2986_7420_c1cc_de64),
+    ("mcf", "EOLE_4_64_4ports_4banks", 0x2986_7420_c1cc_de64),
+    ("mcf", "OLE_4_64_4ports_4banks", 0x2986_7420_c1cc_de64),
+    ("mcf", "EOE_4_64_4ports_4banks", 0x2986_7420_c1cc_de64),
+    ("mcf", "Baseline_DVTAGE_6_64", 0x270f_792e_2c89_c8f1),
+    ("mcf", "EOLE_DVTAGE_4_64", 0x270f_792e_2c89_c8f1),
+    ("mcf", "EOLE_4_64+LastValue", 0xf83d_f0c6_fc60_701b),
+    ("mcf", "EOLE_4_64+Stride", 0x1a75_9169_cd47_bcb9),
+    ("mcf", "EOLE_4_64+TwoDeltaStride", 0xf339_6c9f_fc62_021d),
+    ("mcf", "EOLE_4_64+Fcm", 0x83bb_41ad_bd77_14cd),
+    ("mcf", "EOLE_4_64+Vtage", 0x0ea6_b7e4_7974_a0f0),
+];
+
+/// Pins the checkpoint bytes of every checkpointed table (TAGE, BTB, RAS,
+/// each value-predictor kind, the caches, MSHRs, DRAM and prefetcher).
+/// A restore round trip passes for any self-consistent layout; stored
+/// checkpoints restore only if the layout itself does not move.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    use eole_core::canon::Fnv64;
+    use eole_core::config::ValuePredictorKind;
+    use eole_core::pipeline::Simulator;
+
+    let mut configs = CoreConfig::all_presets();
+    for kind in [
+        ValuePredictorKind::LastValue,
+        ValuePredictorKind::Stride,
+        ValuePredictorKind::TwoDeltaStride,
+        ValuePredictorKind::Fcm,
+        ValuePredictorKind::Vtage,
+    ] {
+        let mut c = CoreConfig::eole_4_64();
+        c.vp.as_mut().expect("EOLE_4_64 predicts values").kind = kind;
+        c.name = format!("EOLE_4_64+{kind:?}");
+        configs.push(c);
+    }
+    let runner = Runner::quick();
+    let mut got = Vec::new();
+    for workload in ["gzip", "mcf"] {
+        let trace = runner.try_prepare(&workload_by_name(workload).expect("kernel")).expect("trace");
+        for config in &configs {
+            let mut sim = Simulator::new(&trace, config.clone()).expect("preset builds");
+            sim.functional_warm(20_000);
+            let mut h = Fnv64::new();
+            h.write(sim.capture_warm().as_bytes());
+            got.push((workload, config.name.clone(), h.finish()));
+        }
+    }
+    let want: Vec<(&str, String, u64)> =
+        CHECKPOINT_DIGESTS.iter().map(|&(w, n, d)| (w, n.to_string(), d)).collect();
+    let table: Vec<String> =
+        got.iter().map(|(w, n, d)| format!("(\"{w}\", \"{n}\", {d:#018x}),")).collect();
+    assert!(got == want, "checkpoint bytes moved; the current table:\n{}", table.join("\n"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -950,7 +950,7 @@ mod tests {
     use crate::config::CoreConfig;
     use eole_isa::{generate_trace, ArchReg, DynInst, Inst, IntReg, Opcode, ProgramBuilder};
     use eole_predictors::branch::DirectionPredictor;
-    use eole_predictors::snapshot::{SnapWriter, Snapshot};
+    use eole_predictors::snapshot::Snapshot;
     use eole_predictors::value::{InFlight, ValuePredictor};
     use proptest::prelude::*;
 
@@ -1076,12 +1076,6 @@ mod tests {
         Trace { text, insts, branch_outcomes, halted: false }
     }
 
-    fn snapshot_bytes(p: &impl Snapshot) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        p.snapshot(&mut w);
-        w.into_bytes()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1110,7 +1104,7 @@ mod tests {
                 keyed.update_keyed(pc, keys, di.taken);
                 adapter.update(pc, view, di.taken);
             }
-            prop_assert_eq!(snapshot_bytes(&keyed), snapshot_bytes(&adapter));
+            prop_assert_eq!(keyed.snapshot_bytes(), adapter.snapshot_bytes());
         }
 
         /// For VTAGE, the hybrid and D-VTAGE at every block size, the
@@ -1155,7 +1149,7 @@ mod tests {
                 keyed.train_keyed(pc, view, keys, di.result);
                 adapter.train(pc, view, di.result);
             }
-            prop_assert_eq!(snapshot_bytes(&keyed), snapshot_bytes(&adapter));
+            prop_assert_eq!(keyed.snapshot_bytes(), adapter.snapshot_bytes());
         }
     }
 

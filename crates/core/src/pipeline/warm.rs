@@ -23,7 +23,7 @@
 //! string, so a bump simply makes old cached checkpoints miss and be
 //! rebuilt by a functional sweep, never misdecoded.
 
-use eole_predictors::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
+use eole_predictors::snapshot::{Snap, SnapError, Snapshot};
 
 use super::state::Simulator;
 
@@ -36,6 +36,13 @@ pub const WARMSTATE_FORMAT: &str = "eole-warmstate/v2";
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarmState {
     bytes: Vec<u8>,
+}
+
+/// The checkpoint head every reader and writer shares: the format
+/// marker, then the trace position, which must not pass `max`.
+fn head(s: &mut Snap<'_>, cursor: &mut usize, max: usize) -> Result<(), SnapError> {
+    s.marker(WARMSTATE_FORMAT)?;
+    s.bounded(cursor, ..=max, "warm cursor past end of trace")
 }
 
 impl WarmState {
@@ -60,7 +67,8 @@ impl WarmState {
         self.bytes.is_empty()
     }
 
-    /// Wraps bytes received from a store, checking the format marker.
+    /// Wraps bytes received from a store, checking the head (the format
+    /// marker and the position).
     ///
     /// This validates only the *kind* of payload; structural validation
     /// happens in [`Simulator::restore_warm`], against the live
@@ -69,11 +77,11 @@ impl WarmState {
     /// # Errors
     ///
     /// [`SnapError`] if the payload does not start with
-    /// [`WARMSTATE_FORMAT`].
+    /// [`WARMSTATE_FORMAT`] and a position.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(&bytes);
-        r.expect_marker(WARMSTATE_FORMAT)?;
-        Ok(WarmState { bytes })
+        let warm = WarmState { bytes };
+        warm.position()?;
+        Ok(warm)
     }
 
     /// The trace position (µ-op index) this checkpoint was captured at,
@@ -83,9 +91,9 @@ impl WarmState {
     ///
     /// [`SnapError`] if the payload is truncated before the cursor field.
     pub fn position(&self) -> Result<u64, SnapError> {
-        let mut r = SnapReader::new(&self.bytes);
-        r.expect_marker(WARMSTATE_FORMAT)?;
-        r.get_u64()
+        let mut cursor = 0;
+        head(&mut Snap::reader(&self.bytes), &mut cursor, usize::MAX)?;
+        Ok(cursor as u64)
     }
 }
 
@@ -96,25 +104,8 @@ impl Simulator<'_> {
     /// [`Simulator::functional_warm`] / construction, not mid-detailed-run.
     /// (`functional_warm` drains the window one query/train pair at a
     /// time, so this always holds on the chained-sweep path.)
-    pub fn capture_warm(&self) -> WarmState {
-        let mut w = SnapWriter::new();
-        w.put_marker(WARMSTATE_FORMAT);
-        w.put_usize(self.cursor);
-        w.put_u64(self.cycle);
-        w.put_u64(self.last_commit_cycle);
-        w.put_u64(self.last_fetch_line);
-        self.tage.snapshot(&mut w);
-        self.btb.snapshot(&mut w);
-        self.ras.snapshot(&mut w);
-        match &self.vp {
-            None => w.put_bool(false),
-            Some(vp) => {
-                w.put_bool(true);
-                vp.snapshot(&mut w);
-            }
-        }
-        self.mem.snapshot(&mut w);
-        WarmState { bytes: w.into_bytes() }
+    pub fn capture_warm(&mut self) -> WarmState {
+        WarmState { bytes: Snap::write(|s| self.snap_warm(s)) }
     }
 
     /// Restores warm state captured by [`Simulator::capture_warm`],
@@ -131,27 +122,24 @@ impl Simulator<'_> {
     /// kind, prefetcher presence). **On error the simulator may be left
     /// partially restored — discard it and rebuild the checkpoint.**
     pub fn restore_warm(&mut self, warm: &WarmState) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(warm.as_bytes());
-        r.expect_marker(WARMSTATE_FORMAT)?;
-        let cursor = r.get_usize()?;
-        if cursor > self.trace.len() {
-            return Err(SnapError::new("warm cursor past end of trace"));
+        Snap::read(warm.as_bytes(), |s| self.snap_warm(s))
+    }
+
+    /// The checkpoint's one field list: the head, the scalars the replay
+    /// advances, then every trained table.
+    fn snap_warm(&mut self, s: &mut Snap<'_>) -> Result<(), SnapError> {
+        head(s, &mut self.cursor, self.trace.len())?;
+        s.field(&mut self.cycle)?;
+        s.field(&mut self.last_commit_cycle)?;
+        s.field(&mut self.last_fetch_line)?;
+        self.tage.snap(s)?;
+        self.btb.snap(s)?;
+        self.ras.snap(s)?;
+        s.shape(self.vp.is_some(), "vp presence mismatch")?;
+        if let Some(vp) = &mut self.vp {
+            vp.snap(s)?;
         }
-        self.cursor = cursor;
-        self.cycle = r.get_u64()?;
-        self.last_commit_cycle = r.get_u64()?;
-        self.last_fetch_line = r.get_u64()?;
-        self.tage.restore(&mut r)?;
-        self.btb.restore(&mut r)?;
-        self.ras.restore(&mut r)?;
-        let has_vp = r.get_bool()?;
-        match (&mut self.vp, has_vp) {
-            (Some(vp), true) => vp.restore(&mut r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::new("vp presence mismatch")),
-        }
-        self.mem.restore(&mut r)?;
-        r.finish()
+        self.mem.snap(s)
     }
 }
 
@@ -161,19 +149,18 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_wrong_marker() {
-        let mut w = SnapWriter::new();
-        w.put_marker("eole-result/v2");
-        assert!(WarmState::from_bytes(w.into_bytes()).is_err());
+        let bytes = Snap::write(|s| s.marker("eole-result/v2"));
+        assert!(WarmState::from_bytes(bytes).is_err());
         assert!(WarmState::from_bytes(Vec::new()).is_err());
     }
 
     #[test]
     fn position_reads_cursor_without_full_decode() {
-        let mut w = SnapWriter::new();
-        w.put_marker(WARMSTATE_FORMAT);
-        w.put_usize(12_345);
-        w.put_u8(0xff); // trailing garbage a full decode would reject
-        let warm = WarmState::from_bytes(w.into_bytes()).expect("marker ok");
+        let bytes = Snap::write(|s| {
+            head(s, &mut 12_345, usize::MAX)?;
+            s.field(&mut 0xffu8) // trailing garbage a full decode would reject
+        });
+        let warm = WarmState::from_bytes(bytes).expect("head ok");
         assert_eq!(warm.position().expect("cursor present"), 12_345);
     }
 }

@@ -149,7 +149,7 @@ fn corrupt_payload_is_rejected_not_misdecoded() {
 #[test]
 fn capture_at_zero_is_the_construction_state() {
     let trace = kernel_trace(60, 1, 1, 600);
-    let sim = Simulator::new(&trace, CoreConfig::eole_4_64()).expect("config valid");
+    let mut sim = Simulator::new(&trace, CoreConfig::eole_4_64()).expect("config valid");
     let warm = sim.capture_warm();
     assert_eq!(warm.position().expect("cursor"), 0);
     let mut fresh = Simulator::new(&trace, CoreConfig::eole_4_64()).expect("config valid");

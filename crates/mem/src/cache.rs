@@ -237,54 +237,40 @@ impl Cache {
 }
 
 impl eole_predictors::snapshot::Snapshot for Cache {
-    fn snapshot(&self, w: &mut eole_predictors::snapshot::SnapWriter) {
-        // Per line: valid, tag (0 while invalid), dirty, ready_at, lru.
-        w.put_usize(self.tags.len());
-        for i in 0..self.tags.len() {
-            let valid = self.tags[i] != INVALID;
-            w.put_bool(valid);
-            w.put_u64(if valid { self.tags[i] } else { 0 });
-            w.put_bool(self.dirty[i]);
-            w.put_u64(self.ready_at[i]);
-            w.put_u64(self.lru[i]);
-        }
-        w.put_u64(self.lru_clock);
-        w.put_u64(self.stats.accesses);
-        w.put_u64(self.stats.misses);
-    }
-
-    fn restore(
+    fn snap(
         &mut self,
-        r: &mut eole_predictors::snapshot::SnapReader<'_>,
+        s: &mut eole_predictors::snapshot::Snap<'_>,
     ) -> Result<(), eole_predictors::snapshot::SnapError> {
         use eole_predictors::snapshot::SnapError;
-        if r.get_usize()? != self.tags.len() {
-            return Err(SnapError::new("cache size mismatch"));
-        }
+        // Per line: valid, tag (0 while invalid), dirty, ready_at, lru.
+        s.shape(self.tags.len(), "cache size mismatch")?;
         for i in 0..self.tags.len() {
-            let valid = r.get_bool()?;
-            let tag = r.get_u64()?;
-            self.tags[i] = match (valid, tag) {
-                (true, INVALID) => return Err(SnapError::new("cache tag out of range")),
-                (true, tag) => tag,
-                (false, 0) => INVALID,
-                (false, _) => return Err(SnapError::new("invalid cache line with a tag")),
-            };
-            self.dirty[i] = r.get_bool()?;
-            self.ready_at[i] = r.get_u64()?;
-            self.lru[i] = r.get_u64()?;
+            let mut valid = self.tags[i] != INVALID;
+            let mut tag = if valid { self.tags[i] } else { 0 };
+            s.field(&mut valid)?;
+            s.field(&mut tag)?;
+            if s.reading() {
+                self.tags[i] = match (valid, tag) {
+                    (true, INVALID) => return Err(SnapError::new("cache tag out of range")),
+                    (true, tag) => tag,
+                    (false, 0) => INVALID,
+                    (false, _) => return Err(SnapError::new("invalid cache line with a tag")),
+                };
+            }
+            s.field(&mut self.dirty[i])?;
+            s.field(&mut self.ready_at[i])?;
+            s.field(&mut self.lru[i])?;
         }
-        self.lru_clock = r.get_u64()?;
-        self.stats.accesses = r.get_u64()?;
-        self.stats.misses = r.get_u64()?;
-        Ok(())
+        s.field(&mut self.lru_clock)?;
+        s.field(&mut self.stats.accesses)?;
+        s.field(&mut self.stats.misses)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eole_predictors::snapshot::{SnapReader, SnapWriter, Snapshot};
+    use eole_predictors::snapshot::Snapshot;
 
     fn small() -> Cache {
         Cache::new(CacheConfig { sets: 2, ways: 2, line_bytes: 64, latency: 2 })
@@ -351,12 +337,6 @@ mod tests {
         assert_eq!(CacheConfig::l2_paper().capacity(), 2 * 1024 * 1024);
     }
 
-    fn snapshot_bytes(c: &Cache) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        c.snapshot(&mut w);
-        w.into_bytes()
-    }
-
     /// Per line the snapshot holds valid, tag, dirty, ready_at and lru;
     /// a line that holds nothing reads as invalid with tag 0.
     #[test]
@@ -364,7 +344,7 @@ mod tests {
         let mut c = small();
         c.fill(0x080, 7);
         assert!(c.mark_dirty(0x080));
-        let bytes = snapshot_bytes(&c);
+        let bytes = c.snapshot_bytes();
         assert_eq!(bytes.len(), 8 + 4 * 26 + 3 * 8);
         // Set 0, way 0: valid, tag 1, dirty, ready at 7, lru 1.
         let line0 = &bytes[8..8 + 26];
@@ -376,8 +356,8 @@ mod tests {
         // Every other line is empty: all zero.
         assert!(bytes[8 + 26..8 + 4 * 26].iter().all(|&b| b == 0));
         let mut back = small();
-        back.restore(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(snapshot_bytes(&back), bytes);
+        back.restore_bytes(&bytes).unwrap();
+        assert_eq!(back.snapshot_bytes(), bytes);
         assert!(back.probe(0x080) && !back.probe(0x000));
     }
 
@@ -385,9 +365,9 @@ mod tests {
     /// cache produces: restore refuses it.
     #[test]
     fn restore_rejects_an_invalid_line_with_a_tag() {
-        let mut bytes = snapshot_bytes(&small());
+        let mut bytes = small().snapshot_bytes();
         bytes[9] = 1; // line 0's tag, its valid byte left false
-        let err = small().restore(&mut SnapReader::new(&bytes));
+        let err = small().restore_bytes(&bytes);
         assert!(err.is_err());
     }
 

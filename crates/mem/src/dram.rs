@@ -123,49 +123,22 @@ impl Dram {
 }
 
 impl eole_predictors::snapshot::Snapshot for Dram {
-    fn snapshot(&self, w: &mut eole_predictors::snapshot::SnapWriter) {
-        w.put_usize(self.open_row.len());
-        for row in &self.open_row {
-            match row {
-                None => w.put_bool(false),
-                Some(v) => {
-                    w.put_bool(true);
-                    w.put_u64(*v);
-                }
-            }
-        }
-        w.put_usize(self.bank_free.len());
-        for &f in &self.bank_free {
-            w.put_u64(f);
-        }
-        w.put_u64(self.bus_free);
-        w.put_u64(self.stats.accesses);
-        w.put_u64(self.stats.row_hits);
-        w.put_u64(self.stats.row_conflicts);
-    }
-
-    fn restore(
+    fn snap(
         &mut self,
-        r: &mut eole_predictors::snapshot::SnapReader<'_>,
+        s: &mut eole_predictors::snapshot::Snap<'_>,
     ) -> Result<(), eole_predictors::snapshot::SnapError> {
-        use eole_predictors::snapshot::SnapError;
-        if r.get_usize()? != self.open_row.len() {
-            return Err(SnapError::new("dram bank count mismatch"));
-        }
+        s.shape(self.open_row.len(), "dram bank count mismatch")?;
         for row in &mut self.open_row {
-            *row = if r.get_bool()? { Some(r.get_u64()?) } else { None };
+            s.option(row, |s, v| s.field(v))?;
         }
-        if r.get_usize()? != self.bank_free.len() {
-            return Err(SnapError::new("dram bank_free count mismatch"));
-        }
+        s.shape(self.bank_free.len(), "dram bank_free count mismatch")?;
         for f in &mut self.bank_free {
-            *f = r.get_u64()?;
+            s.field(f)?;
         }
-        self.bus_free = r.get_u64()?;
-        self.stats.accesses = r.get_u64()?;
-        self.stats.row_hits = r.get_u64()?;
-        self.stats.row_conflicts = r.get_u64()?;
-        Ok(())
+        s.field(&mut self.bus_free)?;
+        s.field(&mut self.stats.accesses)?;
+        s.field(&mut self.stats.row_hits)?;
+        s.field(&mut self.stats.row_conflicts)
     }
 }
 

@@ -242,47 +242,27 @@ impl MemoryHierarchy {
 }
 
 impl eole_predictors::snapshot::Snapshot for MemoryHierarchy {
-    fn snapshot(&self, w: &mut eole_predictors::snapshot::SnapWriter) {
-        self.l1i.snapshot(w);
-        self.l1d.snapshot(w);
-        self.l2.snapshot(w);
-        self.dram.snapshot(w);
-        self.l1i_mshrs.snapshot(w);
-        self.l1d_mshrs.snapshot(w);
-        self.l2_mshrs.snapshot(w);
-        match &self.prefetcher {
-            None => w.put_bool(false),
-            Some(pf) => {
-                w.put_bool(true);
-                pf.snapshot(w);
-            }
+    fn snap(
+        &mut self,
+        s: &mut eole_predictors::snapshot::Snap<'_>,
+    ) -> Result<(), eole_predictors::snapshot::SnapError> {
+        self.l1i.snap(s)?;
+        self.l1d.snap(s)?;
+        self.l2.snap(s)?;
+        self.dram.snap(s)?;
+        self.l1i_mshrs.snap(s)?;
+        self.l1d_mshrs.snap(s)?;
+        self.l2_mshrs.snap(s)?;
+        s.shape(self.prefetcher.is_some(), "prefetcher presence mismatch")?;
+        if let Some(pf) = &mut self.prefetcher {
+            pf.snap(s)?;
         }
         // `pf_targets` is per-call scratch (always drained before the next
         // observable event) — not state.
-        w.put_u64(self.writebacks);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut eole_predictors::snapshot::SnapReader<'_>,
-    ) -> Result<(), eole_predictors::snapshot::SnapError> {
-        use eole_predictors::snapshot::SnapError;
-        self.l1i.restore(r)?;
-        self.l1d.restore(r)?;
-        self.l2.restore(r)?;
-        self.dram.restore(r)?;
-        self.l1i_mshrs.restore(r)?;
-        self.l1d_mshrs.restore(r)?;
-        self.l2_mshrs.restore(r)?;
-        let has_pf = r.get_bool()?;
-        match (&mut self.prefetcher, has_pf) {
-            (Some(pf), true) => pf.restore(r)?,
-            (None, false) => {}
-            _ => return Err(SnapError::new("prefetcher presence mismatch")),
+        if s.reading() {
+            self.pf_targets.clear();
         }
-        self.pf_targets.clear();
-        self.writebacks = r.get_u64()?;
-        Ok(())
+        s.field(&mut self.writebacks)
     }
 }
 

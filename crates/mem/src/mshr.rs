@@ -103,37 +103,26 @@ impl MshrFile {
 }
 
 impl eole_predictors::snapshot::Snapshot for MshrFile {
-    fn snapshot(&self, w: &mut eole_predictors::snapshot::SnapWriter) {
+    fn snap(
+        &mut self,
+        s: &mut eole_predictors::snapshot::Snap<'_>,
+    ) -> Result<(), eole_predictors::snapshot::SnapError> {
         // Entry order is part of the state: `complete` pushes in call
         // order and `swap_remove`/`retain` are deterministic, so a replay
-        // reproduces the same vector — serialize it verbatim.
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.line_addr);
-            w.put_u64(e.ready);
+        // reproduces the same vector — serialize it verbatim. `complete`
+        // never grows the file past capacity.
+        let mut n = self.entries.len();
+        s.bounded(&mut n, ..=self.capacity, "mshr count out of range")?;
+        if s.reading() {
+            self.entries.clear();
+            self.entries.resize(n, Entry { line_addr: 0, ready: 0 });
         }
-        w.put_u64(self.full_stall_cycles);
-        w.put_u64(self.merges);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut eole_predictors::snapshot::SnapReader<'_>,
-    ) -> Result<(), eole_predictors::snapshot::SnapError> {
-        let n = r.get_usize()?;
-        if n > self.capacity {
-            // `complete` never grows the file past capacity.
-            return Err(eole_predictors::snapshot::SnapError::new("mshr count out of range"));
+        for e in &mut self.entries {
+            s.field(&mut e.line_addr)?;
+            s.field(&mut e.ready)?;
         }
-        self.entries.clear();
-        for _ in 0..n {
-            let line_addr = r.get_u64()?;
-            let ready = r.get_u64()?;
-            self.entries.push(Entry { line_addr, ready });
-        }
-        self.full_stall_cycles = r.get_u64()?;
-        self.merges = r.get_u64()?;
-        Ok(())
+        s.field(&mut self.full_stall_cycles)?;
+        s.field(&mut self.merges)
     }
 }
 
@@ -200,20 +189,15 @@ mod tests {
     /// produces, and restore refuses it.
     #[test]
     fn restore_takes_a_full_file_and_refuses_more() {
-        use eole_predictors::snapshot::{SnapReader, SnapWriter, Snapshot};
-        let snapshot = |m: &MshrFile| {
-            let mut w = SnapWriter::new();
-            m.snapshot(&mut w);
-            w.into_bytes()
-        };
+        use eole_predictors::snapshot::Snapshot;
         let mut full = MshrFile::new(2);
         full.complete(0x100, 50);
         full.complete(0x200, 60);
-        let bytes = snapshot(&full);
+        let bytes = full.snapshot_bytes();
         let mut back = MshrFile::new(2);
-        back.restore(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(snapshot(&back), bytes);
-        assert!(MshrFile::new(1).restore(&mut SnapReader::new(&bytes)).is_err());
+        back.restore_bytes(&bytes).unwrap();
+        assert_eq!(back.snapshot_bytes(), bytes);
+        assert!(MshrFile::new(1).restore_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -120,40 +120,20 @@ impl StridePrefetcher {
 }
 
 impl eole_predictors::snapshot::Snapshot for StridePrefetcher {
-    fn snapshot(&self, w: &mut eole_predictors::snapshot::SnapWriter) {
-        w.put_usize(self.table.len());
-        for e in &self.table {
-            w.put_bool(e.valid);
-            w.put_u64(e.tag);
-            w.put_u64(e.last_addr);
-            w.put_i64(e.stride);
-            w.put_u8(e.conf);
-        }
-        w.put_u64(self.stats.trains);
-        w.put_u64(self.stats.issued);
-    }
-
-    fn restore(
+    fn snap(
         &mut self,
-        r: &mut eole_predictors::snapshot::SnapReader<'_>,
+        s: &mut eole_predictors::snapshot::Snap<'_>,
     ) -> Result<(), eole_predictors::snapshot::SnapError> {
-        use eole_predictors::snapshot::SnapError;
-        if r.get_usize()? != self.table.len() {
-            return Err(SnapError::new("prefetch table size mismatch"));
-        }
+        s.shape(self.table.len(), "prefetch table size mismatch")?;
         for e in &mut self.table {
-            e.valid = r.get_bool()?;
-            e.tag = r.get_u64()?;
-            e.last_addr = r.get_u64()?;
-            e.stride = r.get_i64()?;
-            e.conf = r.get_u8()?;
-            if e.conf > 3 {
-                return Err(SnapError::new("prefetch conf out of range"));
-            }
+            s.field(&mut e.valid)?;
+            s.field(&mut e.tag)?;
+            s.field(&mut e.last_addr)?;
+            s.field(&mut e.stride)?;
+            s.bounded(&mut e.conf, ..=3, "prefetch conf out of range")?;
         }
-        self.stats.trains = r.get_u64()?;
-        self.stats.issued = r.get_u64()?;
-        Ok(())
+        s.field(&mut self.stats.trains)?;
+        s.field(&mut self.stats.issued)
     }
 }
 

@@ -77,27 +77,10 @@ impl DirectionPredictor for Bimodal {
 }
 
 impl crate::snapshot::Snapshot for Bimodal {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.counters.len());
-        for &c in &self.counters {
-            w.put_u8(c);
-        }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.counters.len() {
-            return Err(SnapError::new("bimodal size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.counters.len(), "bimodal size mismatch")?;
         for c in &mut self.counters {
-            let v = r.get_u8()?;
-            if v > 3 {
-                return Err(SnapError::new("bimodal counter out of range"));
-            }
-            *c = v;
+            s.bounded(c, ..=3, "bimodal counter out of range")?;
         }
         Ok(())
     }

@@ -113,28 +113,13 @@ impl Btb {
 }
 
 impl crate::snapshot::Snapshot for Btb {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_bool(e.valid);
-            w.put_u32(e.tag);
-            w.put_u32(e.target);
-            w.put_u8(e.lru);
-        }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        if r.get_usize()? != self.entries.len() {
-            return Err(crate::snapshot::SnapError::new("btb size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.entries.len(), "btb size mismatch")?;
         for e in &mut self.entries {
-            e.valid = r.get_bool()?;
-            e.tag = r.get_u32()?;
-            e.target = r.get_u32()?;
-            e.lru = r.get_u8()?;
+            s.field(&mut e.valid)?;
+            s.field(&mut e.tag)?;
+            s.field(&mut e.target)?;
+            s.field(&mut e.lru)?;
         }
         Ok(())
     }

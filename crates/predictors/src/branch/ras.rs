@@ -59,34 +59,14 @@ impl ReturnStack {
 }
 
 impl crate::snapshot::Snapshot for ReturnStack {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.slots.len());
-        for &s in &self.slots {
-            w.put_u32(s);
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        let len = self.slots.len();
+        s.shape(len, "ras size mismatch")?;
+        for slot in &mut self.slots {
+            s.field(slot)?;
         }
-        w.put_usize(self.top);
-        w.put_usize(self.depth);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.slots.len() {
-            return Err(SnapError::new("ras size mismatch"));
-        }
-        for s in &mut self.slots {
-            *s = r.get_u32()?;
-        }
-        let top = r.get_usize()?;
-        let depth = r.get_usize()?;
-        if top >= self.slots.len() || depth > self.slots.len() {
-            return Err(SnapError::new("ras cursor out of range"));
-        }
-        self.top = top;
-        self.depth = depth;
-        Ok(())
+        s.bounded(&mut self.top, ..len, "ras cursor out of range")?;
+        s.bounded(&mut self.depth, ..=len, "ras cursor out of range")
     }
 }
 

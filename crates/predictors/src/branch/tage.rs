@@ -280,57 +280,25 @@ impl DirectionPredictor for Tage {
 }
 
 impl crate::snapshot::Snapshot for Tage {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.base.snapshot(w);
-        w.put_usize(self.base_conf.len());
-        for &c in &self.base_conf {
-            w.put_u8(c);
-        }
-        w.put_usize(self.tagged.comps());
-        for (metas, counters) in self.tagged.components() {
-            w.put_usize(metas.len());
-            for (m, c) in metas.iter().zip(counters) {
-                w.put_bool(m.valid);
-                w.put_u32(m.tag);
-                w.put_i8(c.ctr);
-                w.put_u8(m.useful);
-                w.put_u8(c.conf);
-            }
-        }
-        self.rng.snapshot(w);
-        w.put_u64(self.tagged.updates);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        self.base.restore(r)?;
-        if r.get_usize()? != self.base_conf.len() {
-            return Err(SnapError::new("tage base_conf size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        self.base.snap(s)?;
+        s.shape(self.base_conf.len(), "tage base_conf size mismatch")?;
         for c in &mut self.base_conf {
-            *c = r.get_u8()?;
+            s.bounded(c, ..=3, "tage base_conf out of range")?;
         }
-        if r.get_usize()? != self.tagged.comps() {
-            return Err(SnapError::new("tage component count mismatch"));
-        }
+        s.shape(self.tagged.comps(), "tage component count mismatch")?;
         for (metas, counters) in self.tagged.components_mut() {
-            if r.get_usize()? != metas.len() {
-                return Err(SnapError::new("tage component size mismatch"));
-            }
+            s.shape(metas.len(), "tage component size mismatch")?;
             for (m, c) in metas.iter_mut().zip(counters) {
-                m.valid = r.get_bool()?;
-                m.tag = r.get_u32()?;
-                c.ctr = r.get_i8()?;
-                m.useful = r.get_u8()?;
-                c.conf = r.get_u8()?;
+                s.field(&mut m.valid)?;
+                s.field(&mut m.tag)?;
+                s.bounded(&mut c.ctr, -4..=3, "tage ctr out of range")?;
+                s.bounded(&mut m.useful, ..=3, "tage useful out of range")?;
+                s.bounded(&mut c.conf, ..=3, "tage conf out of range")?;
             }
         }
-        self.rng.restore(r)?;
-        self.tagged.updates = r.get_u64()?;
-        Ok(())
+        self.rng.snap(s)?;
+        s.field(&mut self.tagged.updates)
     }
 }
 

@@ -88,20 +88,8 @@ impl Fpc {
 }
 
 impl crate::snapshot::Snapshot for Fpc {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_u8(self.level);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        let level = r.get_u8()?;
-        if level > FPC_LEVELS {
-            return Err(crate::snapshot::SnapError::new("fpc level out of range"));
-        }
-        self.level = level;
-        Ok(())
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.bounded(&mut self.level, ..=FPC_LEVELS, "fpc level out of range")
     }
 }
 

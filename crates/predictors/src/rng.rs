@@ -47,22 +47,10 @@ impl SimRng {
 }
 
 impl crate::snapshot::Snapshot for SimRng {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_u64(self.state);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        let state = r.get_u64()?;
-        if state == 0 {
-            // xorshift cannot leave the zero state; a live generator can
-            // never hold it, so a zero here is corruption.
-            return Err(crate::snapshot::SnapError::new("zero rng state"));
-        }
-        self.state = state;
-        Ok(())
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        // xorshift cannot leave the zero state; a live generator can
+        // never hold it, so a zero here is corruption.
+        s.bounded(&mut self.state, 1.., "zero rng state")
     }
 }
 

@@ -213,11 +213,6 @@ impl<P> TaggedTables<P> {
     }
 
     /// The components in order, each as its `rows` metadata and payloads.
-    pub fn components(&self) -> impl Iterator<Item = (&[TagMeta], &[P])> {
-        self.meta.chunks(self.rows).zip(self.data.chunks(self.rows))
-    }
-
-    /// Mutable [`components`](Self::components).
     pub fn components_mut(&mut self) -> impl Iterator<Item = (&mut [TagMeta], &mut [P])> {
         self.meta.chunks_mut(self.rows).zip(self.data.chunks_mut(self.rows))
     }

@@ -131,7 +131,7 @@ impl ValuePredictor for AnyValuePredictor {
 }
 
 impl crate::snapshot::Snapshot for AnyValuePredictor {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
         // Variant tag pins the kind; restore refuses a different variant
         // (the predictor kind is configuration, not warm state).
         let tag: u8 = match self {
@@ -143,29 +143,8 @@ impl crate::snapshot::Snapshot for AnyValuePredictor {
             AnyValuePredictor::Fcm(_) => 5,
             AnyValuePredictor::DVtage(_) => 6,
         };
-        w.put_u8(tag);
-        dispatch!(self, p => p.snapshot(w))
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        let tag = r.get_u8()?;
-        let expected: u8 = match self {
-            AnyValuePredictor::VtageTwoDeltaStride(_) => 0,
-            AnyValuePredictor::Vtage(_) => 1,
-            AnyValuePredictor::TwoDeltaStride(_) => 2,
-            AnyValuePredictor::Stride(_) => 3,
-            AnyValuePredictor::LastValue(_) => 4,
-            AnyValuePredictor::Fcm(_) => 5,
-            AnyValuePredictor::DVtage(_) => 6,
-        };
-        if tag != expected {
-            return Err(SnapError::new("value predictor kind mismatch"));
-        }
-        dispatch!(self, p => p.restore(r))
+        s.shape(tag, "value predictor kind mismatch")?;
+        dispatch!(self, p => p.snap(s))
     }
 }
 

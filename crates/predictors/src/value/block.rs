@@ -273,42 +273,23 @@ impl BlockVp {
 }
 
 impl crate::snapshot::Snapshot for BlockVp {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
         // Warm-state capture happens at a drained boundary (functional
         // warmup commits every instance it predicts), so the speculative
         // window carries no state worth serializing. The count is written
         // so a capture taken mid-flight is rejected on restore rather
         // than silently losing the window.
+        if s.reading() {
+            self.window.clear();
+            self.index.fill(InFlight::default());
+        }
         debug_assert!(self.window.is_empty(), "warm capture with in-flight instances");
-        w.put_usize(self.window.len());
-        self.predictor.snapshot(w);
-        match self.last_access {
-            None => w.put_bool(false),
-            Some((cycle, bpc)) => {
-                w.put_bool(true);
-                w.put_u64(cycle);
-                w.put_u64(bpc);
-            }
-        }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != 0 {
-            return Err(SnapError::new("warm snapshot with in-flight window"));
-        }
-        self.window.clear();
-        self.index.fill(InFlight::default());
-        self.predictor.restore(r)?;
-        self.last_access = if r.get_bool()? {
-            Some((r.get_u64()?, r.get_u64()?))
-        } else {
-            None
-        };
-        Ok(())
+        s.shape(self.window.len(), "warm snapshot with in-flight window")?;
+        self.predictor.snap(s)?;
+        s.option(&mut self.last_access, |s, (cycle, bpc)| {
+            s.field(cycle)?;
+            s.field(bpc)
+        })
     }
 }
 
@@ -417,15 +398,9 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::history::BranchHistory;
-    use crate::snapshot::{SnapWriter, Snapshot};
+    use crate::snapshot::Snapshot;
     use crate::value::test_predictor;
     use proptest::prelude::*;
-
-    fn snapshot_bytes(p: &AnyValuePredictor) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        p.snapshot(&mut w);
-        w.into_bytes()
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -494,7 +469,7 @@ mod proptests {
                     replay.train(*pc, hist.view(*pos), *value);
                 }
                 // Full state equality (tables, confidence, usefulness, RNG).
-                prop_assert_eq!(snapshot_bytes(&live.predictor), snapshot_bytes(&replay));
+                prop_assert_eq!(live.predictor.snapshot_bytes(), replay.snapshot_bytes());
             }
         }
 

@@ -358,78 +358,34 @@ fn banked_index((banks, block_size): (usize, usize), bpc: u64, entries: usize, s
 }
 
 impl crate::snapshot::Snapshot for DVtage {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.lvt.len());
-        for &v in &self.lvt {
-            w.put_u64(v);
-        }
-        w.put_usize(self.base.len());
-        for s in &self.base {
-            w.put_i64(s.delta);
-            s.conf.snapshot(w);
-        }
-        w.put_usize(self.tagged.comps());
-        let per_comp = self.tagged.rows() * self.config.block_size;
-        for ((metas, _), slots) in self.tagged.components().zip(self.slots.chunks(per_comp)) {
-            w.put_usize(metas.len());
-            for m in metas {
-                w.put_bool(m.valid);
-                w.put_u32(m.tag);
-                w.put_u8(m.useful);
-            }
-            w.put_usize(slots.len());
-            for s in slots {
-                w.put_i64(s.delta);
-                s.conf.snapshot(w);
-            }
-        }
-        self.rng.snapshot(w);
-        w.put_u64(self.tagged.updates);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.lvt.len() {
-            return Err(SnapError::new("dvtage lvt size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.lvt.len(), "dvtage lvt size mismatch")?;
         for v in &mut self.lvt {
-            *v = r.get_u64()?;
+            s.field(v)?;
         }
-        if r.get_usize()? != self.base.len() {
-            return Err(SnapError::new("dvtage base size mismatch"));
+        s.shape(self.base.len(), "dvtage base size mismatch")?;
+        for slot in &mut self.base {
+            s.field(&mut slot.delta)?;
+            slot.conf.snap(s)?;
         }
-        for s in &mut self.base {
-            s.delta = r.get_i64()?;
-            s.conf.restore(r)?;
-        }
-        if r.get_usize()? != self.tagged.comps() {
-            return Err(SnapError::new("dvtage component count mismatch"));
-        }
+        s.shape(self.tagged.comps(), "dvtage component count mismatch")?;
         let per_comp = self.tagged.rows() * self.config.block_size;
         let slots = self.slots.chunks_mut(per_comp);
         for ((metas, _), slots) in self.tagged.components_mut().zip(slots) {
-            if r.get_usize()? != metas.len() {
-                return Err(SnapError::new("dvtage meta size mismatch"));
-            }
+            s.shape(metas.len(), "dvtage meta size mismatch")?;
             for m in metas {
-                m.valid = r.get_bool()?;
-                m.tag = r.get_u32()?;
-                m.useful = r.get_u8()?;
+                s.field(&mut m.valid)?;
+                s.field(&mut m.tag)?;
+                s.bounded(&mut m.useful, ..=3, "dvtage useful out of range")?;
             }
-            if r.get_usize()? != slots.len() {
-                return Err(SnapError::new("dvtage slots size mismatch"));
-            }
-            for s in slots {
-                s.delta = r.get_i64()?;
-                s.conf.restore(r)?;
+            s.shape(slots.len(), "dvtage slots size mismatch")?;
+            for slot in slots {
+                s.field(&mut slot.delta)?;
+                slot.conf.snap(s)?;
             }
         }
-        self.rng.restore(r)?;
-        self.tagged.updates = r.get_u64()?;
-        Ok(())
+        self.rng.snap(s)?;
+        s.field(&mut self.tagged.updates)
     }
 }
 

@@ -121,42 +121,19 @@ impl ValuePredictor for Fcm {
 }
 
 impl crate::snapshot::Snapshot for Fcm {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.vht.len());
-        for e in &self.vht {
-            w.put_bool(e.valid);
-            w.put_u64(e.tag);
-            w.put_u64(e.context);
-        }
-        w.put_usize(self.vpt.len());
-        for e in &self.vpt {
-            w.put_u64(e.value);
-            e.conf.snapshot(w);
-        }
-        self.rng.snapshot(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.vht.len() {
-            return Err(SnapError::new("fcm vht size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.vht.len(), "fcm vht size mismatch")?;
         for e in &mut self.vht {
-            e.valid = r.get_bool()?;
-            e.tag = r.get_u64()?;
-            e.context = r.get_u64()?;
+            s.field(&mut e.valid)?;
+            s.field(&mut e.tag)?;
+            s.field(&mut e.context)?;
         }
-        if r.get_usize()? != self.vpt.len() {
-            return Err(SnapError::new("fcm vpt size mismatch"));
-        }
+        s.shape(self.vpt.len(), "fcm vpt size mismatch")?;
         for e in &mut self.vpt {
-            e.value = r.get_u64()?;
-            e.conf.restore(r)?;
+            s.field(&mut e.value)?;
+            e.conf.snap(s)?;
         }
-        self.rng.restore(r)
+        self.rng.snap(s)
     }
 }
 

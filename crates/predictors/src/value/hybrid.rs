@@ -131,17 +131,9 @@ impl ValuePredictor for VtageTwoDeltaStride {
 }
 
 impl crate::snapshot::Snapshot for VtageTwoDeltaStride {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.vtage.snapshot(w);
-        self.stride.snapshot(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        self.vtage.restore(r)?;
-        self.stride.restore(r)
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        self.vtage.snap(s)?;
+        self.stride.snap(s)
     }
 }
 

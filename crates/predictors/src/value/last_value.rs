@@ -84,32 +84,15 @@ impl ValuePredictor for LastValue {
 }
 
 impl crate::snapshot::Snapshot for LastValue {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_bool(e.valid);
-            w.put_u64(e.tag);
-            w.put_u64(e.last);
-            e.conf.snapshot(w);
-        }
-        self.rng.snapshot(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.entries.len() {
-            return Err(SnapError::new("lvp size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.entries.len(), "lvp size mismatch")?;
         for e in &mut self.entries {
-            e.valid = r.get_bool()?;
-            e.tag = r.get_u64()?;
-            e.last = r.get_u64()?;
-            e.conf.restore(r)?;
+            s.field(&mut e.valid)?;
+            s.field(&mut e.tag)?;
+            s.field(&mut e.last)?;
+            e.conf.snap(s)?;
         }
-        self.rng.restore(r)
+        self.rng.snap(s)
     }
 }
 

@@ -201,68 +201,31 @@ impl ValuePredictor for TwoDeltaStride {
 }
 
 impl crate::snapshot::Snapshot for StridePredictor {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_bool(e.valid);
-            w.put_u64(e.tag);
-            w.put_u64(e.last);
-            w.put_i64(e.stride);
-            e.conf.snapshot(w);
-        }
-        self.rng.snapshot(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.entries.len() {
-            return Err(SnapError::new("stride size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.entries.len(), "stride size mismatch")?;
         for e in &mut self.entries {
-            e.valid = r.get_bool()?;
-            e.tag = r.get_u64()?;
-            e.last = r.get_u64()?;
-            e.stride = r.get_i64()?;
-            e.conf.restore(r)?;
+            s.field(&mut e.valid)?;
+            s.field(&mut e.tag)?;
+            s.field(&mut e.last)?;
+            s.field(&mut e.stride)?;
+            e.conf.snap(s)?;
         }
-        self.rng.restore(r)
+        self.rng.snap(s)
     }
 }
 
 impl crate::snapshot::Snapshot for TwoDeltaStride {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_bool(e.valid);
-            w.put_u64(e.tag);
-            w.put_u64(e.last);
-            w.put_i64(e.stride1);
-            w.put_i64(e.stride2);
-            e.conf.snapshot(w);
-        }
-        self.rng.snapshot(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.entries.len() {
-            return Err(SnapError::new("2d-stride size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.entries.len(), "2d-stride size mismatch")?;
         for e in &mut self.entries {
-            e.valid = r.get_bool()?;
-            e.tag = r.get_u64()?;
-            e.last = r.get_u64()?;
-            e.stride1 = r.get_i64()?;
-            e.stride2 = r.get_i64()?;
-            e.conf.restore(r)?;
+            s.field(&mut e.valid)?;
+            s.field(&mut e.tag)?;
+            s.field(&mut e.last)?;
+            s.field(&mut e.stride1)?;
+            s.field(&mut e.stride2)?;
+            e.conf.snap(s)?;
         }
-        self.rng.restore(r)
+        self.rng.snap(s)
     }
 }
 

@@ -250,57 +250,25 @@ impl ValuePredictor for Vtage {
 }
 
 impl crate::snapshot::Snapshot for Vtage {
-    fn snapshot(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_usize(self.base.len());
-        for e in &self.base {
-            w.put_u64(e.value);
-            e.conf.snapshot(w);
-        }
-        w.put_usize(self.tagged.comps());
-        for (metas, slots) in self.tagged.components() {
-            w.put_usize(metas.len());
-            for (m, s) in metas.iter().zip(slots) {
-                w.put_bool(m.valid);
-                w.put_u32(m.tag);
-                w.put_u64(s.value);
-                s.conf.snapshot(w);
-                w.put_u8(m.useful);
-            }
-        }
-        self.rng.snapshot(w);
-        w.put_u64(self.tagged.updates);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapError> {
-        use crate::snapshot::SnapError;
-        if r.get_usize()? != self.base.len() {
-            return Err(SnapError::new("vtage base size mismatch"));
-        }
+    fn snap(&mut self, s: &mut crate::snapshot::Snap<'_>) -> Result<(), crate::snapshot::SnapError> {
+        s.shape(self.base.len(), "vtage base size mismatch")?;
         for e in &mut self.base {
-            e.value = r.get_u64()?;
-            e.conf.restore(r)?;
+            s.field(&mut e.value)?;
+            e.conf.snap(s)?;
         }
-        if r.get_usize()? != self.tagged.comps() {
-            return Err(SnapError::new("vtage component count mismatch"));
-        }
+        s.shape(self.tagged.comps(), "vtage component count mismatch")?;
         for (metas, slots) in self.tagged.components_mut() {
-            if r.get_usize()? != metas.len() {
-                return Err(SnapError::new("vtage component size mismatch"));
-            }
-            for (m, s) in metas.iter_mut().zip(slots) {
-                m.valid = r.get_bool()?;
-                m.tag = r.get_u32()?;
-                s.value = r.get_u64()?;
-                s.conf.restore(r)?;
-                m.useful = r.get_u8()?;
+            s.shape(metas.len(), "vtage component size mismatch")?;
+            for (m, slot) in metas.iter_mut().zip(slots) {
+                s.field(&mut m.valid)?;
+                s.field(&mut m.tag)?;
+                s.field(&mut slot.value)?;
+                slot.conf.snap(s)?;
+                s.bounded(&mut m.useful, ..=3, "vtage useful out of range")?;
             }
         }
-        self.rng.restore(r)?;
-        self.tagged.updates = r.get_u64()?;
-        Ok(())
+        self.rng.snap(s)?;
+        s.field(&mut self.tagged.updates)
     }
 }
 

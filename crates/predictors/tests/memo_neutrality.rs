@@ -12,7 +12,7 @@
 use eole_predictors::branch::{BranchPrediction, DirectionPredictor, Tage};
 use eole_predictors::history::BranchHistory;
 use eole_predictors::rng::SimRng;
-use eole_predictors::snapshot::{SnapReader, SnapWriter, Snapshot};
+use eole_predictors::snapshot::Snapshot;
 use eole_predictors::value::{
     DVtage, InFlight, ValuePrediction, ValuePredictor, Vtage, VtageTwoDeltaStride,
 };
@@ -47,19 +47,6 @@ fn stream() -> (BranchHistory, Vec<(u64, usize, u64, bool)>) {
     (hist, ops)
 }
 
-fn snapshot_bytes(p: &impl Snapshot) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    p.snapshot(&mut w);
-    w.into_bytes()
-}
-
-fn restored<P: Snapshot>(mut fresh: P, bytes: &[u8]) -> P {
-    let mut r = SnapReader::new(bytes);
-    fresh.restore(&mut r).expect("restore");
-    r.finish().expect("whole snapshot consumed");
-    fresh
-}
-
 /// Trains `make()` over the first `TRAIN` µ-ops, restores its snapshot
 /// into a second `make()`, and checks the two agree from then on.
 /// Returns both, for further comparison.
@@ -70,10 +57,11 @@ fn check_value_predictor<P: ValuePredictor + Snapshot>(make: impl Fn() -> P) -> 
         let _ = warm.predict(pc, hist.view(pos), InFlight::default());
         warm.train(pc, hist.view(pos), value);
     }
-    let bytes = snapshot_bytes(&warm);
-    let mut cold = restored(make(), &bytes);
+    let bytes = warm.snapshot_bytes();
+    let mut cold = make();
+    cold.restore_bytes(&bytes).expect("restore");
     assert_eq!(
-        snapshot_bytes(&cold),
+        cold.snapshot_bytes(),
         bytes,
         "{}: restored snapshot bytes differ",
         warm.name()
@@ -86,8 +74,8 @@ fn check_value_predictor<P: ValuePredictor + Snapshot>(make: impl Fn() -> P) -> 
         cold.train(pc, hist.view(pos), value);
     }
     assert_eq!(
-        snapshot_bytes(&warm),
-        snapshot_bytes(&cold),
+        warm.snapshot_bytes(),
+        cold.snapshot_bytes(),
         "{}: state diverged",
         warm.name()
     );
@@ -125,9 +113,10 @@ fn tage_restore_is_memo_neutral() {
         let _ = warm.predict(pc, hist.view(pos));
         warm.update(pc, hist.view(pos), taken);
     }
-    let bytes = snapshot_bytes(&warm);
-    let mut cold = restored(Tage::paper(14), &bytes);
-    assert_eq!(snapshot_bytes(&cold), bytes);
+    let bytes = warm.snapshot_bytes();
+    let mut cold = Tage::paper(14);
+    cold.restore_bytes(&bytes).expect("restore");
+    assert_eq!(cold.snapshot_bytes(), bytes);
     for (i, &(pc, pos, _, taken)) in ops[TRAIN..].iter().enumerate() {
         let a: BranchPrediction = warm.predict(pc, hist.view(pos));
         assert_eq!(
@@ -138,7 +127,7 @@ fn tage_restore_is_memo_neutral() {
         warm.update(pc, hist.view(pos), taken);
         cold.update(pc, hist.view(pos), taken);
     }
-    assert_eq!(snapshot_bytes(&warm), snapshot_bytes(&cold));
+    assert_eq!(warm.snapshot_bytes(), cold.snapshot_bytes());
 }
 
 /// FNV-1a 64 over `bytes`.
@@ -153,7 +142,7 @@ fn trained_value_digest(mut p: impl ValuePredictor + Snapshot) -> u64 {
         let _ = p.predict(pc, hist.view(pos), InFlight::default());
         p.train(pc, hist.view(pos), value);
     }
-    fnv1a(&snapshot_bytes(&p))
+    fnv1a(&p.snapshot_bytes())
 }
 
 #[test]
@@ -168,7 +157,7 @@ fn snapshot_bytes_are_pinned() {
         ("VTAGE", trained_value_digest(Vtage::paper(11))),
         ("VTAGE-2DStride", trained_value_digest(VtageTwoDeltaStride::paper(12))),
         ("D-VTAGE", trained_value_digest(DVtage::paper(4, 4, 13))),
-        ("TAGE", fnv1a(&snapshot_bytes(&tage))),
+        ("TAGE", fnv1a(&tage.snapshot_bytes())),
     ];
     let want = [
         ("VTAGE", 0xb1de_7054_d99b_ab0c),
@@ -179,4 +168,95 @@ fn snapshot_bytes_are_pinned() {
     for ((name, g), (_, w)) in got.iter().zip(want) {
         assert_eq!(*g, w, "{name}: snapshot digest {g:#018x}, pinned {w:#018x}");
     }
+}
+
+/// The little-endian `u64` length prefix at `bytes[at..]`, as a count.
+fn len_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) as usize
+}
+
+/// The offset of the first valid entry of the first tagged component,
+/// whose table (length prefix, then `entry`-byte entries led by the valid
+/// byte) starts at `at`.
+fn first_valid_entry(bytes: &[u8], at: usize, entry: usize) -> usize {
+    let rows = len_at(bytes, at);
+    (0..rows).map(|r| at + 8 + r * entry).find(|&e| bytes[e] == 1).expect("a valid entry")
+}
+
+/// Sets each byte at `offsets` to each value in `bad` in turn and checks
+/// that `make()` refuses to restore the result, while the unchanged bytes
+/// restore.
+fn rejects_each<P: Snapshot>(
+    make: impl Fn() -> P,
+    bytes: &[u8],
+    offsets: &[(&str, usize, &[u8])],
+) {
+    make().restore_bytes(bytes).expect("the unchanged bytes restore");
+    for &(field, at, bad) in offsets {
+        for &b in bad {
+            let mut flipped = bytes.to_vec();
+            flipped[at] = b;
+            assert!(make().restore_bytes(&flipped).is_err(), "{field} = {b:#04x} restored");
+        }
+    }
+}
+
+/// Every bounded counter of the TAGE family goes through a bounded read:
+/// a value its `update` cannot step (TAGE's `ctr` outside −4..=3, `conf`,
+/// `base_conf` and every `useful` outside 0..=3) is a restore error, not
+/// an overflow panic in the next update.
+#[test]
+fn restore_rejects_out_of_range_counters() {
+    let (hist, ops) = stream();
+    let mut tage = Tage::paper(3);
+    for &(pc, pos, _, taken) in &ops[..TRAIN] {
+        let _ = tage.predict(pc, hist.view(pos));
+        tage.update(pc, hist.view(pos), taken);
+    }
+    // Bimodal (length, counters), base_conf (length, counters), the
+    // component count, then per component: length, then entries of
+    // valid, tag (4), ctr, useful, conf.
+    let bytes = tage.snapshot_bytes();
+    let base_conf = 8 + len_at(&bytes, 0);
+    let comps = base_conf + 8 + len_at(&bytes, base_conf);
+    let e = first_valid_entry(&bytes, comps + 8, 8);
+    let ctr: &[u8] = &[4, 0x7f, 0x80, 0xfb];
+    let two_bits: &[u8] = &[4, 0xff];
+    rejects_each(
+        || Tage::paper(3),
+        &bytes,
+        &[
+            ("base_conf", base_conf + 8, two_bits),
+            ("ctr", e + 5, ctr),
+            ("useful", e + 6, two_bits),
+            ("conf", e + 7, two_bits),
+        ],
+    );
+
+    let train = |p: &mut dyn ValuePredictor| {
+        for &(pc, pos, value, _) in &ops[..TRAIN] {
+            let _ = p.predict(pc, hist.view(pos), InFlight::default());
+            p.train(pc, hist.view(pos), value);
+        }
+    };
+    // VTAGE: base (length, entries of value (8) and FPC level), the
+    // component count, then per component: length, then entries of
+    // valid, tag (4), value (8), FPC level, useful.
+    let mut vtage = Vtage::paper(11);
+    train(&mut vtage);
+    let bytes = vtage.snapshot_bytes();
+    let comps = 8 + 9 * len_at(&bytes, 0);
+    let e = first_valid_entry(&bytes, comps + 8, 15);
+    rejects_each(|| Vtage::paper(11), &bytes, &[("vtage useful", e + 14, two_bits)]);
+
+    // D-VTAGE: the LVT (length, values), base (length, entries of delta
+    // (8) and FPC level), the component count, then per component: the
+    // metadata (length, entries of valid, tag (4), useful), then slots.
+    let mut dvtage = DVtage::paper(4, 4, 13);
+    train(&mut dvtage);
+    let bytes = dvtage.snapshot_bytes();
+    let base = 8 + 8 * len_at(&bytes, 0);
+    let comps = base + 8 + 9 * len_at(&bytes, base);
+    let e = first_valid_entry(&bytes, comps + 8, 6);
+    rejects_each(|| DVtage::paper(4, 4, 13), &bytes, &[("dvtage useful", e + 5, two_bits)]);
 }

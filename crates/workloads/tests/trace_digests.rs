@@ -22,6 +22,7 @@
 //! captured before the kernels encoded their data straight into segment
 //! bytes and before the machine read the segments in place.
 
+use eole_core::canon::Fnv64;
 use eole_isa::{ArchReg, DynInst, Program, Trace};
 use eole_workloads::all_workloads;
 
@@ -74,23 +75,9 @@ const SEGMENT_DIGESTS: [(&str, u64); 19] = [
     ("lbm", 0xdcdc_cfdd_0dcb_953d),
 ];
 
-/// Streaming FNV-1a 64.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn reg(&mut self, r: Option<ArchReg>) {
-        self.bytes(&[r.map_or(0xff, ArchReg::flat)]);
-    }
+/// An optional register as one byte, `0xff` for none.
+fn reg(h: &mut Fnv64, r: Option<ArchReg>) {
+    h.write(&[r.map_or(0xff, ArchReg::flat)]);
 }
 
 /// Digest of every field of every µ-op and its static instruction, in
@@ -98,47 +85,47 @@ impl Fnv {
 /// carried its own copy of the instruction, then the outcome log and
 /// `halted`.
 fn trace_digest(t: &Trace) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(&(t.insts.len() as u64).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.write(&(t.insts.len() as u64).to_le_bytes());
     for d in &t.insts {
         let DynInst { pc, op, result, addr, size, taken, next_pc, bhist_pos } = d;
         let inst = &t.text[*pc as usize];
         assert_eq!(*op, inst.op, "the record's opcode is its text's, pc {pc}");
-        h.bytes(&pc.to_le_bytes());
+        h.write(&pc.to_le_bytes());
         // The opcode by name, so reordering the enum moves no digest.
         let op = format!("{:?}", inst.op);
-        h.bytes(&[op.len() as u8]);
-        h.bytes(op.as_bytes());
-        h.reg(inst.dst);
-        h.reg(inst.src1);
-        h.reg(inst.src2);
-        h.bytes(&inst.imm.to_le_bytes());
-        h.bytes(&[inst.aux]);
-        h.bytes(&result.to_le_bytes());
-        h.bytes(&addr.to_le_bytes());
-        h.bytes(&[*size, *taken as u8]);
-        h.bytes(&next_pc.to_le_bytes());
-        h.bytes(&bhist_pos.to_le_bytes());
+        h.write(&[op.len() as u8]);
+        h.write(op.as_bytes());
+        reg(&mut h, inst.dst);
+        reg(&mut h, inst.src1);
+        reg(&mut h, inst.src2);
+        h.write(&inst.imm.to_le_bytes());
+        h.write(&[inst.aux]);
+        h.write(&result.to_le_bytes());
+        h.write(&addr.to_le_bytes());
+        h.write(&[*size, *taken as u8]);
+        h.write(&next_pc.to_le_bytes());
+        h.write(&bhist_pos.to_le_bytes());
     }
-    h.bytes(&(t.branch_outcomes.len() as u64).to_le_bytes());
+    h.write(&(t.branch_outcomes.len() as u64).to_le_bytes());
     for &b in &t.branch_outcomes {
-        h.bytes(&[b as u8]);
+        h.write(&[b as u8]);
     }
-    h.bytes(&[t.halted as u8]);
-    h.0
+    h.write(&[t.halted as u8]);
+    h.finish()
 }
 
 /// Digest of the segment count and each segment's base, length and bytes,
 /// in program order.
 fn segment_digest(p: &Program) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(&(p.data().len() as u64).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.write(&(p.data().len() as u64).to_le_bytes());
     for seg in p.data() {
-        h.bytes(&seg.base.to_le_bytes());
-        h.bytes(&(seg.bytes.len() as u64).to_le_bytes());
-        h.bytes(&seg.bytes);
+        h.write(&seg.base.to_le_bytes());
+        h.write(&(seg.bytes.len() as u64).to_le_bytes());
+        h.write(&seg.bytes);
     }
-    h.0
+    h.finish()
 }
 
 #[test]

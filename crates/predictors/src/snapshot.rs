@@ -134,7 +134,7 @@ impl Field for usize {
 #[derive(Debug)]
 enum Dir<'a> {
     /// Appends to the bytes written so far.
-    Write(Vec<u8>),
+    Write(&'a mut Vec<u8>),
     /// The bytes not yet read.
     Read(&'a [u8]),
 }
@@ -146,7 +146,7 @@ pub struct Snap<'a> {
     dir: Dir<'a>,
 }
 
-impl Snap<'_> {
+impl<'a> Snap<'a> {
     /// Runs `list` over a writing cursor and returns what it wrote.
     ///
     /// # Panics
@@ -155,16 +155,11 @@ impl Snap<'_> {
     /// runs only when reading).
     #[must_use]
     pub fn write(list: impl FnOnce(&mut Snap<'_>) -> Result<(), SnapError>) -> Vec<u8> {
-        let mut s = Snap { dir: Dir::Write(Vec::new()) };
-        list(&mut s).expect("a writing snapshot cursor never fails");
-        match s.dir {
-            Dir::Write(out) => out,
-            Dir::Read(_) => unreachable!("the cursor was built writing"),
-        }
+        let mut out = Vec::new();
+        list(&mut Snap { dir: Dir::Write(&mut out) }).expect("writing a snapshot never fails");
+        out
     }
-}
 
-impl<'a> Snap<'a> {
     /// A reading cursor over `bytes`, for a caller that reads only a
     /// prefix; [`Snap::read`] reads a whole snapshot.
     #[must_use]
@@ -185,8 +180,8 @@ impl<'a> Snap<'a> {
         let mut s = Snap::reader(bytes);
         list(&mut s)?;
         match s.dir {
-            Dir::Read([]) | Dir::Write(_) => Ok(()),
-            Dir::Read(_) => Err(SnapError::new("trailing bytes after snapshot")),
+            Dir::Read([]) => Ok(()),
+            _ => Err(SnapError::new("trailing bytes after snapshot")),
         }
     }
 

@@ -184,19 +184,20 @@ fn first_valid_entry(bytes: &[u8], at: usize, entry: usize) -> usize {
 }
 
 /// Sets each byte at `offsets` to each value in `bad` in turn and checks
-/// that `make()` refuses to restore the result, while the unchanged bytes
-/// restore.
+/// that `make()` refuses to restore the result with the error `context`
+/// names, while the unchanged bytes restore.
 fn rejects_each<P: Snapshot>(
     make: impl Fn() -> P,
     bytes: &[u8],
     offsets: &[(&str, usize, &[u8])],
 ) {
     make().restore_bytes(bytes).expect("the unchanged bytes restore");
-    for &(field, at, bad) in offsets {
+    for &(context, at, bad) in offsets {
         for &b in bad {
             let mut flipped = bytes.to_vec();
             flipped[at] = b;
-            assert!(make().restore_bytes(&flipped).is_err(), "{field} = {b:#04x} restored");
+            let err = make().restore_bytes(&flipped).expect_err(context);
+            assert_eq!(err.context, context, "byte {at} set to {b:#04x}");
         }
     }
 }
@@ -226,10 +227,10 @@ fn restore_rejects_out_of_range_counters() {
         || Tage::paper(3),
         &bytes,
         &[
-            ("base_conf", base_conf + 8, two_bits),
-            ("ctr", e + 5, ctr),
-            ("useful", e + 6, two_bits),
-            ("conf", e + 7, two_bits),
+            ("tage base_conf out of range", base_conf + 8, two_bits),
+            ("tage ctr out of range", e + 5, ctr),
+            ("tage useful out of range", e + 6, two_bits),
+            ("tage conf out of range", e + 7, two_bits),
         ],
     );
 
@@ -247,7 +248,7 @@ fn restore_rejects_out_of_range_counters() {
     let bytes = vtage.snapshot_bytes();
     let comps = 8 + 9 * len_at(&bytes, 0);
     let e = first_valid_entry(&bytes, comps + 8, 15);
-    rejects_each(|| Vtage::paper(11), &bytes, &[("vtage useful", e + 14, two_bits)]);
+    rejects_each(|| Vtage::paper(11), &bytes, &[("vtage useful out of range", e + 14, two_bits)]);
 
     // D-VTAGE: the LVT (length, values), base (length, entries of delta
     // (8) and FPC level), the component count, then per component: the
@@ -258,5 +259,5 @@ fn restore_rejects_out_of_range_counters() {
     let base = 8 + 8 * len_at(&bytes, 0);
     let comps = base + 8 + 9 * len_at(&bytes, base);
     let e = first_valid_entry(&bytes, comps + 8, 6);
-    rejects_each(|| DVtage::paper(4, 4, 13), &bytes, &[("dvtage useful", e + 5, two_bits)]);
+    rejects_each(|| DVtage::paper(4, 4, 13), &bytes, &[("dvtage useful out of range", e + 5, two_bits)]);
 }

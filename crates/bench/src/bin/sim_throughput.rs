@@ -122,9 +122,10 @@ fn measure_suite(session: &Session, specs: &[RunSpec], reps: usize) -> Vec<Measu
 /// kinds without keys replay `evaluate_stream`; `VTAGE`,
 /// `VTAGE-2DStride` and `D-VTAGE` replay keyed predict + train, as the
 /// pipeline drives them, with the keys built before the clock starts,
-/// and the `VTAGE-keys` / `D-VTAGE-keys` rows time building those keys,
-/// the once-per-trace cost the pipeline pays (the hybrid's keys are
-/// VTAGE's). The `TAGE` and `TAGE-keys` rows do the same per conditional
+/// and the `VTAGE-keys` / `D-VTAGE-keys` rows time deriving those keys
+/// only: the pipeline's once-per-trace table build also deduplicates
+/// them, which these rows leave out (the hybrid's keys are VTAGE's).
+/// The `TAGE` and `TAGE-keys` rows do the same per conditional
 /// branch (their `events` are the branch count). Predictor construction
 /// is left out of every timing.
 fn microbench(session: &Session, reps: usize) -> String {

@@ -8,7 +8,7 @@
 use eole_isa::InstClass;
 use eole_predictors::branch::BranchConfidence;
 
-use super::state::{pck, vp_keys_at, FrontUop, Simulator};
+use super::state::{pck, vp_keys_at, FrontUop, Simulator, KEY_TOUCH_AHEAD};
 
 impl Simulator<'_> {
     pub(super) fn do_fetch(&mut self) {
@@ -54,6 +54,9 @@ impl Simulator<'_> {
             if let Some(vp) = self.vp.as_mut() {
                 if inst.is_vp_eligible() {
                     let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, self.cursor);
+                    if let Some(table) = self.vp_keys.as_deref() {
+                        table.touch(self.cursor + KEY_TOUCH_AHEAD);
+                    }
                     let q = vp.predict(self.cycle, seq, pck(di.pc), view, keys.as_ref());
                     if q.new_block {
                         self.stats.vp_block_reads += 1;

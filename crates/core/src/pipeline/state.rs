@@ -2,7 +2,7 @@
 //! [`Simulator`] struct itself, the in-flight µ-op bookkeeping records, and
 //! the cycle loop that sequences the stage modules.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use eole_isa::{Inst, InstClass, Program, RegClass, Trace};
@@ -41,7 +41,68 @@ pub struct PreparedTrace {
 
 /// The per-schema value-predictor key tables of one trace.
 #[derive(Debug, Default)]
-struct VpKeyTables(Mutex<Vec<(VpKeySchema, Arc<[VpKeys]>)>>);
+struct VpKeyTables(Mutex<Vec<(VpKeySchema, Arc<VpKeyTable>)>>);
+
+/// How many µ-ops ahead of the one it predicts fetch loads VP keys
+/// ([`VpKeyTable::touch`]). A repeated key sits where it was first seen,
+/// so reading it only when it is needed stalls on a cache miss that a
+/// flat table, read in trace order, never took; loading it early lets the
+/// miss overlap the work in between (PERF.md "Trace memory").
+pub(super) const KEY_TOUCH_AHEAD: usize = 48;
+
+/// One trace's value-predictor keys under one key schema, stored once per
+/// distinct key: (pc, branch-history) contexts recur, so a trace visits
+/// far fewer distinct keys than it has µ-ops, and each µ-op holds a
+/// 4-byte index into them instead of its own 24-byte copy.
+#[derive(Debug)]
+pub(super) struct VpKeyTable {
+    /// Per trace index, the position of the µ-op's keys in `distinct`.
+    index: Box<[u32]>,
+    /// Every distinct key of the trace once, in order of first use.
+    distinct: Box<[VpKeys]>,
+}
+
+impl VpKeyTable {
+    /// Derives every µ-op's keys with `vp` (zeros for µ-ops that are not
+    /// VP-eligible) and keeps each distinct key once; the map that finds
+    /// repeats is dropped on return.
+    // lint:allow(hot-alloc) cold path: built once per trace and schema, inside the first `Simulator::new` that needs it, before any measured loop
+    fn build(trace: &PreparedTrace, vp: &mut BlockVp) -> Self {
+        let mut position: HashMap<VpKeys, u32> = HashMap::new();
+        let mut distinct = Vec::new();
+        let index = trace
+            .insts
+            .iter()
+            .map(|di| {
+                let eligible = trace.text[di.pc as usize].is_vp_eligible();
+                let view = trace.history.view(di.bhist_pos as usize);
+                let keys = if eligible { vp.keys(pck(di.pc), view) } else { None };
+                let keys = keys.unwrap_or_default();
+                *position.entry(keys).or_insert_with(|| {
+                    let slot = u32::try_from(distinct.len()).expect("< 2^32 µ-ops"); // lint:allow(error-typing) a trace's history positions are u32 already
+                    distinct.push(keys);
+                    slot
+                })
+            })
+            .collect();
+        VpKeyTable { index, distinct: distinct.into_boxed_slice() }
+    }
+
+    /// The keys of the µ-op at trace index `idx`.
+    #[inline]
+    fn get(&self, idx: usize) -> VpKeys {
+        self.distinct[self.index[idx] as usize]
+    }
+
+    /// Loads the keys of the µ-op at trace index `idx`, if the trace has
+    /// one, into the cache (all six words: a key may straddle two lines).
+    #[inline]
+    pub(super) fn touch(&self, idx: usize) {
+        if let Some(&slot) = self.index.get(idx) {
+            std::hint::black_box(self.distinct[slot as usize]);
+        }
+    }
+}
 
 // lint:allow(hot-alloc) cold path: copies the list of shared tables, not the tables, when a trace is cloned
 impl Clone for VpKeyTables {
@@ -70,31 +131,21 @@ impl PreparedTrace {
     }
 
     /// The value-predictor keys of every µ-op under `vp`'s key schema,
-    /// indexed by trace index (0 for µ-ops that are not VP-eligible), 24
-    /// bytes each; `None` if `vp`'s predictor hashes no history. Built
-    /// with `vp` on the first call for a schema and served to every later
-    /// one: the keys are a pure function of the trace and the schema, so
-    /// configurations whose predictors share a schema (the hybrid's
-    /// VTAGE and VTAGE alone, any seed) share one table. Building holds
-    /// the trace's table lock. `EOLE_PARANOID` re-derives each key at use
-    /// ([`vp_keys_at`]).
-    // lint:allow(hot-alloc) cold path: built once per trace and schema, inside the first `Simulator::new` that needs it, before any measured loop
-    pub(super) fn vp_keys(&self, vp: &mut BlockVp) -> Option<Arc<[VpKeys]>> {
+    /// by trace index (zeros for µ-ops that are not VP-eligible), as a
+    /// [`VpKeyTable`]: 4 bytes per µ-op plus 24 per distinct key; `None`
+    /// if `vp`'s predictor hashes no history. Built with `vp` on the first
+    /// call for a schema and served to every later one: the keys are a
+    /// pure function of the trace and the schema, so configurations whose
+    /// predictors share a schema (the hybrid's VTAGE and VTAGE alone, any
+    /// seed) share one table. Building holds the trace's table lock.
+    /// `EOLE_PARANOID` re-derives each key at use ([`vp_keys_at`]).
+    pub(super) fn vp_keys(&self, vp: &mut BlockVp) -> Option<Arc<VpKeyTable>> {
         let schema = vp.key_schema()?;
         let mut tables = lock_clean(&self.vp_keys.0);
         if let Some((_, table)) = tables.iter().find(|(s, _)| *s == schema) {
             return Some(Arc::clone(table));
         }
-        let table: Arc<[VpKeys]> = self
-            .insts
-            .iter()
-            .map(|di| {
-                let view = self.history.view(di.bhist_pos as usize);
-                let eligible = self.text[di.pc as usize].is_vp_eligible();
-                let keys = if eligible { vp.keys(pck(di.pc), view) } else { None };
-                keys.unwrap_or_default()
-            })
-            .collect();
+        let table = Arc::new(VpKeyTable::build(self, vp));
         tables.push((schema, Arc::clone(&table)));
         Some(table)
     }
@@ -403,12 +454,12 @@ fn make_value_predictor(vp: &VpConfig) -> AnyValuePredictor {
 /// `vp` and compared; a mismatch panics naming the trace index.
 #[inline]
 pub(super) fn vp_keys_at(
-    table: Option<&[VpKeys]>,
+    table: Option<&VpKeyTable>,
     vp: &mut BlockVp,
     trace: &PreparedTrace,
     idx: usize,
 ) -> Option<VpKeys> {
-    let keys = table?[idx];
+    let keys = table?.get(idx);
     if crate::paranoid() {
         let di = &trace.insts()[idx];
         let fresh = vp.keys(pck(di.pc), trace.history.view(di.bhist_pos as usize));
@@ -476,7 +527,7 @@ pub struct Simulator<'t> {
     pub(super) ras: ReturnStack,
     pub(super) vp: Option<BlockVp>,
     /// The trace's key table for `vp`'s schema ([`PreparedTrace::vp_keys`]).
-    pub(super) vp_keys: Option<Arc<[VpKeys]>>,
+    pub(super) vp_keys: Option<Arc<VpKeyTable>>,
 
     // Rename.
     pub(super) spec_rat: [PhysReg; 64],
@@ -1129,7 +1180,7 @@ mod tests {
             let vp = VpConfig { kind, seed, block_size, banks, spec_window: None };
             let mut block = make_block_vp(&vp, 64, trace.text().len());
             let table = trace.vp_keys(&mut block).expect("a keyed kind");
-            prop_assert_eq!(table.len(), trace.len());
+            prop_assert_eq!(table.index.len(), trace.len());
             let mut fly = make_value_predictor(&VpConfig { seed: !seed, ..vp.clone() });
             let (mut keyed, mut adapter) = (make_value_predictor(&vp), make_value_predictor(&vp));
             for (idx, di) in trace.insts().iter().enumerate() {
@@ -1137,7 +1188,7 @@ mod tests {
                     continue;
                 }
                 let (pc, view) = (pck(di.pc), trace.history().view(di.bhist_pos as usize));
-                let keys = &table[idx];
+                let keys = &table.get(idx);
                 prop_assert_eq!(Some(*keys), fly.keys(pc, view), "trace index {}", idx);
                 // A chained in-flight value on some µ-ops, for D-VTAGE.
                 let last = (di.result % 3 == 0).then_some(di.result);
@@ -1174,7 +1225,7 @@ mod tests {
             config.to_builder().vp(vp).build().unwrap()
         };
         let hybrid = table(CoreConfig::baseline_vp_6_64()).unwrap();
-        assert_eq!(hybrid.len(), trace.len());
+        assert_eq!(hybrid.index.len(), trace.len());
         assert!(Arc::ptr_eq(&hybrid, &table(CoreConfig::eole_4_64()).unwrap()));
         let vtage = CoreConfig::eole_4_64().to_builder().vp_kind(ValuePredictorKind::Vtage);
         assert!(Arc::ptr_eq(&hybrid, &table(vtage.build().unwrap()).unwrap()));
@@ -1185,6 +1236,24 @@ mod tests {
         assert!(table(lvp.build().unwrap()).is_none());
         assert!(table(CoreConfig::baseline_6_64()).is_none());
         assert_eq!(lock_clean(&trace.vp_keys.0).len(), 2);
+    }
+
+    /// A loop revisits its (pc, history) contexts, so its key table holds
+    /// each distinct key once, far fewer than µ-ops, in 4 bytes per µ-op
+    /// plus 24 per distinct key: a flat table of 24 bytes per µ-op fails.
+    #[test]
+    fn vp_key_table_stores_each_distinct_key_once() {
+        let trace = PreparedTrace::new(tiny_trace(2000));
+        for config in [CoreConfig::baseline_vp_6_64(), CoreConfig::eole_dvtage_4_64()] {
+            let table = Simulator::new(&trace, config).unwrap().vp_keys.unwrap();
+            let (len, distinct) = (table.index.len(), table.distinct.len());
+            assert_eq!(len, trace.len());
+            assert!(distinct * 10 < len, "{distinct} distinct keys for {len} µ-ops");
+            let unique: std::collections::HashSet<&VpKeys> = table.distinct.iter().collect();
+            assert_eq!(unique.len(), distinct);
+            let heap = std::mem::size_of_val(&*table.index) + std::mem::size_of_val(&*table.distinct);
+            assert_eq!(heap, 4 * len + 24 * distinct);
+        }
     }
 
     #[test]

@@ -106,15 +106,15 @@ impl Simulator<'_> {
                         self.stats.btb_miss_bubbles += 1;
                         self.fetch_stall_until = self.cycle + self.config.btb_miss_bubble;
                     }
-                    self.btb.insert(pck(di.pc), di.next_pc);
+                    self.btb.insert(pck(di.pc), self.trace.next_pc(self.cursor));
                     if cls == InstClass::Call {
-                        self.ras.push(di.pc + 1);
+                        self.ras.push(u32::from(di.pc) + 1);
                     }
                     taken += 1;
                 }
                 InstClass::Return => {
                     let predicted = self.ras.pop();
-                    if predicted != Some(di.next_pc) {
+                    if predicted != Some(self.trace.next_pc(self.cursor)) {
                         fu.awaited = true;
                         fu.ind_mispredict = true;
                     }
@@ -122,11 +122,12 @@ impl Simulator<'_> {
                 }
                 InstClass::JumpIndirect | InstClass::CallIndirect => {
                     let predicted = self.btb.lookup(pck(di.pc));
-                    self.btb.insert(pck(di.pc), di.next_pc);
+                    let next_pc = self.trace.next_pc(self.cursor);
+                    self.btb.insert(pck(di.pc), next_pc);
                     if cls == InstClass::CallIndirect {
-                        self.ras.push(di.pc + 1);
+                        self.ras.push(u32::from(di.pc) + 1);
                     }
-                    if predicted != Some(di.next_pc) {
+                    if predicted != Some(next_pc) {
                         fu.awaited = true;
                         fu.ind_mispredict = true;
                     }

@@ -154,7 +154,7 @@ impl Simulator<'_> {
                 lsq_slot = self.lq.push_back(LoadEntry {
                     seq: fu.seq,
                     addr: di.addr,
-                    size: di.size,
+                    size: di.size(),
                     dep_store,
                     issued_at: NOT_READY,
                 });
@@ -163,7 +163,7 @@ impl Simulator<'_> {
                 lsq_slot = self.sq.push_back(StoreEntry {
                     seq: fu.seq,
                     addr: di.addr,
-                    size: di.size,
+                    size: di.size(),
                     issued_at: NOT_READY,
                 });
                 if let Some(s) = self.store_sets.ssid(pck(di.pc)) {

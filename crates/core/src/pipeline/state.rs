@@ -2,10 +2,10 @@
 //! [`Simulator`] struct itself, the in-flight µ-op bookkeeping records, and
 //! the cycle loop that sequences the stage modules.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use eole_isa::{Inst, InstClass, Program, RegClass, Trace};
+use eole_isa::{Inst, InstClass, Program, RegClass, Trace, WordHashMap};
 use eole_mem::hierarchy::MemoryHierarchy;
 use eole_predictors::branch::{Btb, ReturnStack, Tage, TageKeys};
 use eole_predictors::history::BranchHistory;
@@ -28,6 +28,8 @@ pub struct PreparedTrace {
     /// The program's static instructions, indexed by a µ-op's pc.
     text: Vec<Inst>,
     insts: Vec<eole_isa::DynInst>,
+    /// Pc of the µ-op after the last record ([`PreparedTrace::next_pc`]).
+    end_pc: u32,
     pub(super) history: BranchHistory,
     /// Every conditional branch's TAGE keys, by branch ordinal: built by
     /// the first simulator over this trace ([`PreparedTrace::tage_keys`]),
@@ -68,7 +70,7 @@ impl VpKeyTable {
     /// repeats is dropped on return.
     // lint:allow(hot-alloc) cold path: built once per trace and schema, inside the first `Simulator::new` that needs it, before any measured loop
     fn build(trace: &PreparedTrace, vp: &mut BlockVp) -> Self {
-        let mut position: HashMap<VpKeys, u32> = HashMap::new();
+        let mut position: WordHashMap<VpKeys, u32> = WordHashMap::default();
         let mut distinct = Vec::new();
         let index = trace
             .insts
@@ -124,6 +126,7 @@ impl PreparedTrace {
         PreparedTrace {
             text: trace.text,
             insts: trace.insts,
+            end_pc: trace.end_pc,
             history,
             tage_keys: OnceLock::new(),
             vp_keys: VpKeyTables::default(),
@@ -188,6 +191,13 @@ impl PreparedTrace {
     /// The µ-ops.
     pub fn insts(&self) -> &[eole_isa::DynInst] {
         &self.insts
+    }
+
+    /// Pc of the µ-op after the one at trace index `idx`
+    /// ([`eole_isa::next_pc`], the rule [`Trace::next_pc`] follows).
+    #[inline]
+    pub fn next_pc(&self, idx: usize) -> u32 {
+        eole_isa::next_pc(&self.insts, self.end_pc, idx)
     }
 
     /// The static instructions every µ-op's pc indexes.
@@ -412,7 +422,7 @@ pub(super) fn issues_from_iq(ee: bool, le_alu: bool, le_branch: bool, class: Ins
     !(ee || le_alu || le_branch || matches!(class, InstClass::Jump | InstClass::Call))
 }
 
-pub(super) fn pck(pc: u32) -> u64 {
+pub(super) fn pck(pc: impl Into<u32>) -> u64 {
     Program::inst_addr(pc)
 }
 
@@ -695,18 +705,18 @@ impl<'t> Simulator<'t> {
                     self.tage.update_keyed(pck(di.pc), keys, di.taken);
                 }
                 InstClass::Jump | InstClass::Call => {
-                    self.btb.insert(pck(di.pc), di.next_pc);
+                    self.btb.insert(pck(di.pc), self.trace.next_pc(self.cursor));
                     if cls == InstClass::Call {
-                        self.ras.push(di.pc + 1);
+                        self.ras.push(u32::from(di.pc) + 1);
                     }
                 }
                 InstClass::Return => {
                     self.ras.pop();
                 }
                 InstClass::JumpIndirect | InstClass::CallIndirect => {
-                    self.btb.insert(pck(di.pc), di.next_pc);
+                    self.btb.insert(pck(di.pc), self.trace.next_pc(self.cursor));
                     if cls == InstClass::CallIndirect {
-                        self.ras.push(di.pc + 1);
+                        self.ras.push(u32::from(di.pc) + 1);
                     }
                 }
                 InstClass::Load => {
@@ -1022,16 +1032,16 @@ mod tests {
     fn prepared_trace_round_trips_the_raw_trace() {
         let raw = tiny_trace(10);
         let (raw_text, raw_insts) = (raw.text.clone(), raw.insts.clone());
-        let prepared = PreparedTrace::new(raw);
+        let prepared = PreparedTrace::new(raw.clone());
         assert_eq!(prepared.text(), raw_text);
         assert_eq!(prepared.len(), raw_insts.len());
         assert!(!prepared.is_empty());
         // `insts()` exposes the same µ-ops in the same order.
         assert_eq!(prepared.insts().len(), raw_insts.len());
-        for (a, b) in prepared.insts().iter().zip(raw_insts.iter()) {
+        for (i, (a, b)) in prepared.insts().iter().zip(raw_insts.iter()).enumerate() {
             assert_eq!(a.pc, b.pc);
             assert_eq!(a.result, b.result);
-            assert_eq!(a.next_pc, b.next_pc);
+            assert_eq!(prepared.next_pc(i), raw.next_pc(i));
         }
     }
 
@@ -1042,6 +1052,7 @@ mod tests {
             insts: Vec::new(),
             branch_outcomes: Vec::new(),
             halted: false,
+            end_pc: 0,
         });
         assert_eq!(prepared.len(), 0);
         assert!(prepared.is_empty());
@@ -1081,20 +1092,18 @@ mod tests {
                     _ => coin,
                 };
             insts.push(DynInst {
-                pc: u32::from(pc),
+                pc: u16::from(pc),
                 op: text[usize::from(pc)].op,
                 result: 0,
                 addr: 0,
-                size: 0,
                 taken,
-                next_pc: u32::from(pc) + 1,
                 bhist_pos: branch_outcomes.len() as u32,
             });
             if branch {
                 branch_outcomes.push(taken);
             }
         }
-        Trace { text, insts, branch_outcomes, halted: false }
+        Trace { text, insts, branch_outcomes, halted: false, end_pc: 0 }
     }
 
     /// A synthetic trace from `(pc, value)` draws: the µ-op at static pc
@@ -1111,20 +1120,18 @@ mod tests {
             let taken = branch && value % 2 == 1;
             let recent = branch_outcomes.iter().rev().take(2).filter(|&&t| t).count() as u64;
             insts.push(DynInst {
-                pc: u32::from(pc),
+                pc: u16::from(pc),
                 op: text[usize::from(pc)].op,
                 result: if pc % 2 == 0 { value } else { value + recent },
                 addr: 0,
-                size: 0,
                 taken,
-                next_pc: u32::from(pc) + 1,
                 bhist_pos: branch_outcomes.len() as u32,
             });
             if branch {
                 branch_outcomes.push(taken);
             }
         }
-        Trace { text, insts, branch_outcomes, halted: false }
+        Trace { text, insts, branch_outcomes, halted: false, end_pc: 0 }
     }
 
     proptest! {

@@ -515,6 +515,20 @@ mod tests {
     }
 
     #[test]
+    fn text_longer_than_a_16_bit_pc_is_an_error() {
+        let straight_line = |len: usize| {
+            let mut b = ProgramBuilder::new();
+            for _ in 1..len {
+                b.movi(IntReg::new(1), 0);
+            }
+            b.halt();
+            b.build()
+        };
+        assert_eq!(straight_line(65_536).unwrap().len(), Program::MAX_INSTS);
+        assert_eq!(straight_line(65_537).unwrap_err(), IsaError::TextTooLong { len: 65_537 });
+    }
+
+    #[test]
     fn unbound_label_is_an_error() {
         let mut b = ProgramBuilder::new();
         let l = b.label();

@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 mod builder;
+mod hash;
 mod inst;
 mod machine;
 mod memory;
@@ -53,12 +54,13 @@ mod reg;
 mod trace;
 
 pub use builder::{Label, ProgramBuilder};
+pub use hash::{WordHashMap, WordHasher};
 pub use inst::{Inst, InstClass, Opcode};
 pub use machine::{Machine, StepInfo};
 pub use memory::SparseMemory;
 pub use program::{DataSegment, Program};
 pub use reg::{ArchReg, FpReg, IntReg, RegClass, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
-pub use trace::{generate_trace, DynInst, Trace};
+pub use trace::{generate_trace, next_pc, DynInst, Trace};
 
 /// Errors produced while building or executing programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,6 +79,8 @@ pub enum IsaError {
     DataOverlap { base: u64 },
     /// A data segment runs past the top of the address space.
     DataWraps { base: u64 },
+    /// The program has more than [`Program::MAX_INSTS`] instructions.
+    TextTooLong { len: usize },
 }
 
 impl std::fmt::Display for IsaError {
@@ -96,6 +100,9 @@ impl std::fmt::Display for IsaError {
             }
             IsaError::DataWraps { base } => {
                 write!(f, "data segment at {base:#x} runs past the top of the address space")
+            }
+            IsaError::TextTooLong { len } => {
+                write!(f, "{len} instructions exceed the limit of {}", Program::MAX_INSTS)
             }
         }
     }

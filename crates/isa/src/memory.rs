@@ -14,43 +14,22 @@
 //! or from the segments that overlap it). Addresses wrap at 2^64, so an
 //! access that starts near `u64::MAX` continues at page 0.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
+use crate::hash::WordHashMap;
 use crate::program::DataSegment;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
-/// Hashes a page number with one multiply by 2^64 ÷ φ (Fibonacci
-/// hashing): the table's low index bits stay distinct for neighbouring
-/// pages and its high tag bits mix every bit. Page numbers come from the
-/// program's own addresses, and nothing iterates the map, so SipHash's
-/// keyed, order-scrambling hash bought nothing here.
-#[derive(Clone, Copy, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the page map hashes only u64 page numbers");
-    }
-
-    fn write_u64(&mut self, page: u64) {
-        self.0 = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Sparse memory image used by the functional [`Machine`](crate::Machine).
 #[derive(Clone, Default)]
 pub struct SparseMemory<'p> {
     /// Pages a store materialized; they shadow the backing.
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+    /// Keyed by page number, hashed with one multiply
+    /// ([`WordHasher`](crate::WordHasher)).
+    pages: WordHashMap<u64, Box<[u8; PAGE_SIZE]>>,
     /// Non-empty backing segments, sorted by base; they never overlap.
     backing: Vec<&'p DataSegment>,
 }
@@ -111,7 +90,7 @@ impl<'p> SparseMemory<'p> {
         for w in backing.windows(2) {
             assert!(last_byte(w[0]) < w[1].base, "segments overlap at {:#x}", w[1].base);
         }
-        SparseMemory { pages: HashMap::default(), backing }
+        SparseMemory { pages: WordHashMap::default(), backing }
     }
 
     /// Number of 4 KiB pages currently materialized (touched by a store).

@@ -34,15 +34,24 @@ impl Program {
     /// Bytes per instruction slot (used for I-cache/BTB addressing).
     pub const INST_BYTES: u64 = 4;
 
+    /// Most static instructions a program holds: every pc fits the 16 bits
+    /// a trace record stores ([`DynInst::pc`](crate::DynInst::pc)).
+    pub const MAX_INSTS: usize = 1 << 16;
+
     /// Assembles a program from parts, validating control-flow targets.
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::TargetOutOfRange`] if any direct branch, jump or
+    /// Returns [`IsaError::TextTooLong`] if there are more than
+    /// [`Program::MAX_INSTS`] instructions,
+    /// [`IsaError::TargetOutOfRange`] if any direct branch, jump or
     /// call targets an instruction index outside the program,
     /// [`IsaError::DataOverlap`] if two data segments overlap, and
     /// [`IsaError::DataWraps`] if one runs past `u64::MAX`.
     pub fn new(insts: Vec<Inst>, data: Vec<DataSegment>, entry: u32) -> Result<Self, IsaError> {
+        if insts.len() > Self::MAX_INSTS {
+            return Err(IsaError::TextTooLong { len: insts.len() });
+        }
         let n = insts.len() as u32;
         if entry >= n {
             return Err(IsaError::PcOutOfRange(entry));
@@ -105,8 +114,8 @@ impl Program {
     }
 
     /// Byte address of the instruction slot at `pc` (for I-cache/BTB models).
-    pub fn inst_addr(pc: u32) -> u64 {
-        pc as u64 * Self::INST_BYTES
+    pub fn inst_addr(pc: impl Into<u32>) -> u64 {
+        u64::from(pc.into()) * Self::INST_BYTES
     }
 }
 
@@ -150,8 +159,9 @@ mod tests {
 
     #[test]
     fn inst_addresses_are_word_spaced() {
-        assert_eq!(Program::inst_addr(0), 0);
-        assert_eq!(Program::inst_addr(16), 64); // 16 µ-ops per 64 B cache line
+        assert_eq!(Program::inst_addr(0u32), 0);
+        assert_eq!(Program::inst_addr(16u16), 64); // 16 µ-ops per 64 B cache line
+        assert_eq!(Program::inst_addr(u16::MAX), 4 * 65_535);
     }
 
     #[test]

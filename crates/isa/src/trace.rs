@@ -5,11 +5,14 @@
 //! recorded as a [`DynInst`]. The timing model replays this stream with a
 //! cursor; squash-and-refetch is a cursor rewind.
 //!
-//! A record holds only the µ-op's dynamic facts (plus its opcode, so the
-//! timing class needs no second lookup). The static instruction — its
-//! registers, immediate and scale — is stored once per trace in
-//! [`Trace::text`] and read through the record's pc: a kernel has tens
-//! of static instructions, and a trace hundreds of thousands of µ-ops.
+//! A record holds only the µ-op's dynamic facts that the trace cannot
+//! derive (plus its opcode, so the timing class needs no second lookup):
+//! 24 bytes. The static instruction — its registers, immediate and scale —
+//! is stored once per trace in [`Trace::text`] and read through the
+//! record's pc: a kernel has tens of static instructions, and a trace
+//! hundreds of thousands of µ-ops. The access size is the opcode's
+//! ([`DynInst::size`]), and the next pc is the next record's pc, or the
+//! trace's `end_pc` after the last record ([`next_pc`]).
 //!
 //! Two things are precomputed here because they are pure functions of the
 //! (always correct-path) instruction stream:
@@ -18,38 +21,52 @@
 //!   history through [`DynInst::bhist_pos`], which makes speculative-history
 //!   repair after a squash unnecessary (the history at a given trace position
 //!   never changes);
-//! * oracle results, effective addresses and branch targets.
+//! * oracle results, effective addresses and branch targets (the next
+//!   record's pc).
 
 use crate::inst::{Inst, InstClass, Opcode};
 use crate::machine::Machine;
 use crate::program::Program;
 use crate::IsaError;
 
-/// One retired micro-op of the dynamic instruction stream: 32 bytes. Its
+/// One retired micro-op of the dynamic instruction stream: 24 bytes. Its
 /// static instruction is `text[pc]` of the trace it belongs to
-/// ([`Trace::text`]).
+/// ([`Trace::text`]); its access size is its opcode's ([`DynInst::size`])
+/// and its successor's pc is the next record's ([`next_pc`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DynInst {
-    /// Static instruction index (the pc).
-    pub pc: u32,
+    /// Static instruction index (the pc). A program holds at most
+    /// [`Program::MAX_INSTS`] instructions, so every pc fits.
+    pub pc: u16,
     /// The instruction's opcode (`text[pc].op`).
     pub op: Opcode,
     /// Oracle value written to the destination register (0 if none).
     pub result: u64,
     /// Effective address for loads/stores (0 otherwise).
     pub addr: u64,
-    /// Access size in bytes for loads/stores (0 otherwise).
-    pub size: u8,
     /// For control µ-ops: taken?
     pub taken: bool,
-    /// Pc of the next µ-op in the trace.
-    pub next_pc: u32,
     /// Number of conditional-branch outcomes logged *before* this µ-op;
     /// i.e. the predictor history position at fetch.
     pub bhist_pos: u32,
 }
 
+/// Pc of the µ-op after record `idx` of `insts`: the next record's pc, or
+/// `end_pc` after the last one. The one rule by which [`Trace::next_pc`]
+/// and every trace built from a [`Trace`] derive the successor a record
+/// does not store.
+#[inline]
+pub fn next_pc(insts: &[DynInst], end_pc: u32, idx: usize) -> u32 {
+    insts.get(idx + 1).map_or(end_pc, |d| u32::from(d.pc))
+}
+
 impl DynInst {
+    /// Access size in bytes for loads/stores (0 otherwise).
+    #[inline]
+    pub fn size(&self) -> u8 {
+        self.op.access_size()
+    }
+
     /// Timing class.
     pub fn class(&self) -> InstClass {
         self.op.class()
@@ -79,6 +96,9 @@ pub struct Trace {
     /// True if the program reached `Halt` within the budget (otherwise the
     /// trace is a truncated prefix, which is fine for timing studies).
     pub halted: bool,
+    /// Pc of the µ-op after the last record: the `Halt` of a halted trace,
+    /// the next unrecorded µ-op of a truncated one.
+    pub end_pc: u32,
 }
 
 impl Trace {
@@ -90,6 +110,11 @@ impl Trace {
     /// True if the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
+    }
+
+    /// Pc of the µ-op after record `idx` ([`next_pc`]).
+    pub fn next_pc(&self, idx: usize) -> u32 {
+        next_pc(&self.insts, self.end_pc, idx)
     }
 }
 
@@ -126,6 +151,7 @@ pub fn generate_trace(program: &Program, max_insts: u64) -> Result<Trace, IsaErr
     let mut insts = Vec::new();
     let mut branch_outcomes = Vec::new();
     let mut halted = false;
+    let mut end_pc = program.entry();
     while (insts.len() as u64) < max_insts {
         let info = machine.step()?;
         if info.halted {
@@ -137,17 +163,17 @@ pub fn generate_trace(program: &Program, max_insts: u64) -> Result<Trace, IsaErr
             branch_outcomes.push(info.taken);
         }
         insts.push(DynInst {
-            pc: info.pc,
+            // Never fails: `Program::new` caps the text at `MAX_INSTS`.
+            pc: u16::try_from(info.pc).map_err(|_| IsaError::PcOutOfRange(info.pc))?,
             op: info.inst.op,
             result: info.dst_value.unwrap_or(0),
             addr: info.mem_addr.unwrap_or(0),
-            size: info.mem_size,
             taken: info.taken,
-            next_pc: info.next_pc,
             bhist_pos,
         });
+        end_pc = info.next_pc;
     }
-    Ok(Trace { text: program.insts().to_vec(), insts, branch_outcomes, halted })
+    Ok(Trace { text: program.insts().to_vec(), insts, branch_outcomes, halted, end_pc })
 }
 
 #[cfg(test)]
@@ -172,11 +198,12 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The record holds dynamic facts only; a regrowth to carry the
-    /// static instruction again doubles every trace's footprint.
+    /// The record holds only what the trace cannot derive: `result` 8,
+    /// `addr` 8, `bhist_pos` 4, `pc` 2, `op` 1, `taken` 1. Storing the
+    /// access size or the next pc again grows every trace by a third.
     #[test]
-    fn dyn_inst_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<DynInst>(), 32);
+    fn dyn_inst_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<DynInst>(), 24);
     }
 
     #[test]
@@ -222,8 +249,32 @@ mod tests {
         let t = generate_trace(&loop_program(2), 10_000).unwrap();
         let first_addi = t.insts.iter().find(|d| d.op == Opcode::AddI).unwrap();
         assert_eq!(first_addi.result, 1);
-        let taken_branch = t.insts.iter().find(|d| d.taken).unwrap();
-        assert_eq!(taken_branch.next_pc, 2); // loop head
+        let taken = t.insts.iter().position(|d| d.taken).unwrap();
+        assert_eq!(t.next_pc(taken), 2); // loop head
+    }
+
+    #[test]
+    fn end_pc_of_a_halted_trace_is_the_halt() {
+        let t = generate_trace(&loop_program(3), 10_000).unwrap();
+        assert!(t.halted);
+        // movi, movi, addi, bne, halt: the last record is the fall-through bne.
+        assert_eq!(t.end_pc, 4);
+        assert_eq!(t.text[t.end_pc as usize].op, Opcode::Halt);
+        assert_eq!(t.next_pc(t.len() - 1), t.end_pc);
+    }
+
+    #[test]
+    fn end_pc_of_a_truncated_trace_is_the_next_unrecorded_uop() {
+        let program = loop_program(1_000_000);
+        for len in [0, 1, 2, 3, 4, 99, 100] {
+            let t = generate_trace(&program, len).unwrap();
+            assert!(!t.halted);
+            let longer = generate_trace(&program, len + 1).unwrap();
+            assert_eq!(t.end_pc, u32::from(longer.insts[len as usize].pc), "len {len}");
+            if len > 0 {
+                assert_eq!(t.next_pc(t.len() - 1), t.end_pc);
+            }
+        }
     }
 
     #[test]
@@ -237,6 +288,6 @@ mod tests {
         let t = generate_trace(&b.build().unwrap(), 100).unwrap();
         let st = t.insts.iter().find(|d| d.is_store()).unwrap();
         assert_eq!(st.addr, buf);
-        assert_eq!(st.size, 8);
+        assert_eq!(st.size(), 8);
     }
 }

@@ -111,11 +111,9 @@ mod tests {
     #[test]
     fn dispatch_targets_are_bursty_but_varied() {
         let t = generate_trace(&program(), 60_000).unwrap();
-        let targets: Vec<u32> = t
-            .insts
-            .iter()
-            .filter(|d| d.class() == InstClass::JumpIndirect)
-            .map(|d| d.next_pc)
+        let targets: Vec<u32> = (0..t.len())
+            .filter(|&i| t.insts[i].class() == InstClass::JumpIndirect)
+            .map(|i| t.next_pc(i))
             .collect();
         let distinct: std::collections::HashSet<_> = targets.iter().collect();
         assert!(distinct.len() >= 4, "several handlers visited");

@@ -97,7 +97,7 @@ mod tests {
         let byte_loads = t
             .insts
             .iter()
-            .filter(|d| d.class() == InstClass::Load && d.size == 1)
+            .filter(|d| d.class() == InstClass::Load && d.size() == 1)
             .count();
         assert!(byte_loads as f64 / t.len() as f64 > 0.15);
     }

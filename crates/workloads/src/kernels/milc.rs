@@ -83,7 +83,7 @@ mod tests {
         let addrs: Vec<u64> = t
             .insts
             .iter()
-            .filter(|d| d.is_load() && d.size == 8)
+            .filter(|d| d.is_load() && d.size() == 8)
             .map(|d| d.addr)
             .collect();
         // Within a site the six loads are 8 B apart; across sites 48 B.

@@ -82,16 +82,17 @@ fn reg(h: &mut Fnv64, r: Option<ArchReg>) {
 
 /// Digest of every field of every µ-op and its static instruction, in
 /// the byte order the digests were captured in while each record still
-/// carried its own copy of the instruction, then the outcome log and
-/// `halted`.
+/// carried its own copy of the instruction, its pc as 4 bytes, its access
+/// size and its next pc (now derived: [`DynInst::size`], [`Trace::next_pc`]),
+/// then the outcome log and `halted`.
 fn trace_digest(t: &Trace) -> u64 {
     let mut h = Fnv64::new();
     h.write(&(t.insts.len() as u64).to_le_bytes());
-    for d in &t.insts {
-        let DynInst { pc, op, result, addr, size, taken, next_pc, bhist_pos } = d;
-        let inst = &t.text[*pc as usize];
+    for (i, d) in t.insts.iter().enumerate() {
+        let DynInst { pc, op, result, addr, taken, bhist_pos } = d;
+        let inst = &t.text[usize::from(*pc)];
         assert_eq!(*op, inst.op, "the record's opcode is its text's, pc {pc}");
-        h.write(&pc.to_le_bytes());
+        h.write(&u32::from(*pc).to_le_bytes());
         // The opcode by name, so reordering the enum moves no digest.
         let op = format!("{:?}", inst.op);
         h.write(&[op.len() as u8]);
@@ -103,8 +104,8 @@ fn trace_digest(t: &Trace) -> u64 {
         h.write(&[inst.aux]);
         h.write(&result.to_le_bytes());
         h.write(&addr.to_le_bytes());
-        h.write(&[*size, *taken as u8]);
-        h.write(&next_pc.to_le_bytes());
+        h.write(&[d.size(), *taken as u8]);
+        h.write(&t.next_pc(i).to_le_bytes());
         h.write(&bhist_pos.to_le_bytes());
     }
     h.write(&(t.branch_outcomes.len() as u64).to_le_bytes());

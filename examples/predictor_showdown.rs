@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stream: Vec<(u64, u32, u64)> = trace
         .insts
         .iter()
-        .filter(|d| trace.text[d.pc as usize].is_vp_eligible())
-        .map(|d| (d.pc as u64 * 4, d.bhist_pos, d.result))
+        .filter(|d| trace.text[usize::from(d.pc)].is_vp_eligible())
+        .map(|d| (Program::inst_addr(d.pc), d.bhist_pos, d.result))
         .collect();
     println!("workload {name}: {} eligible µ-ops of {}\n", stream.len(), trace.insts.len());
 

@@ -124,14 +124,18 @@ proptest! {
 
     #[test]
     fn functional_and_trace_results_agree(recipe in recipe_strategy()) {
-        // The trace's recorded dst values must match a fresh functional run.
+        // The trace's recorded dst values must match a fresh functional
+        // run, and so must the facts a record derives instead of storing:
+        // its access size and its successor's pc.
         let program = build(&recipe);
         let trace = generate_trace(&program, 10_000).unwrap();
         let mut machine = Machine::new(&program);
-        for d in &trace.insts {
+        for (i, d) in trace.insts.iter().enumerate() {
             let info = machine.step().unwrap();
-            prop_assert_eq!(info.pc, d.pc);
+            prop_assert_eq!(info.pc, u32::from(d.pc));
             prop_assert_eq!(info.dst_value.unwrap_or(0), d.result);
+            prop_assert_eq!(info.mem_size, d.size());
+            prop_assert_eq!(info.next_pc, trace.next_pc(i));
         }
     }
 }

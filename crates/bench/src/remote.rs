@@ -2,6 +2,10 @@
 //! `eole-store-service`'s [`StoreClient`] that lets a [`Session`]
 //! share one result cache with every other session talking to the same
 //! `eole-stored` daemon (`experiments --store tcp://HOST:PORT`).
+//! Payloads cross the wire as the bytes a [`DirStore`](crate::store::DirStore)
+//! files — `eole-result/v2` JSON for results, the 16-byte header and
+//! snapshot for checkpoints (which the daemon files as `warm__*.bin`) —
+//! and are checked client-side by the same parsers.
 //!
 //! Two behaviors distinguish it from [`DirStore`](crate::store::DirStore):
 //!
@@ -89,7 +93,7 @@ impl RemoteStore {
     fn fetch<T>(
         &self,
         stem: &str,
-        parse: impl Fn(&str) -> Result<T, PayloadError>,
+        parse: impl Fn(&[u8]) -> Result<T, PayloadError>,
     ) -> Option<T> {
         if self.degraded.load(Ordering::Relaxed) {
             return None;
@@ -102,7 +106,7 @@ impl RemoteStore {
                     if let Some(salt) = faults::fire(faults::REMOTE_PAYLOAD_CORRUPT) {
                         faults::garble(&mut payload, salt.unwrap_or(0));
                     }
-                    let parsed = parse(&String::from_utf8_lossy(&payload));
+                    let parsed = parse(&payload);
                     if let Err(why) = &parsed {
                         // A payload that does not verify against its key
                         // is a miss; the fresh one overwrites it at the
@@ -140,11 +144,11 @@ impl RemoteStore {
     /// (releasing this client's lease on `stem`, waking any waiters).
     /// Degraded or budget-refused puts are dropped — the value is already
     /// in hand, so a lost cache write must never fail the run.
-    fn put(&self, stem: &str, payload: String) -> Result<(), StoreError> {
+    fn put(&self, stem: &str, payload: Vec<u8>) -> Result<(), StoreError> {
         if self.degraded.load(Ordering::Relaxed) {
             return Ok(());
         }
-        match self.client.put(stem, payload.into_bytes()) {
+        match self.client.put(stem, payload) {
             Ok(()) | Err(StoreError::Evicted) => {}
             Err(e) => self.degrade(&e),
         }
@@ -176,11 +180,11 @@ impl RemoteStore {
 /// checkpoint by functional replay.
 impl ResultStore for RemoteStore {
     fn load(&self, key: &RunKey) -> Option<SimStats> {
-        self.fetch(&key.file_stem(), |text| parse_result_payload(text, key))
+        self.fetch(&key.file_stem(), |payload| parse_result_payload(payload, key))
     }
 
     fn save(&self, key: &RunKey, stats: &SimStats) -> Result<(), StoreError> {
-        self.put(&key.file_stem(), render_result_payload(key, stats))
+        self.put(&key.file_stem(), render_result_payload(key, stats).into_bytes())
     }
 
     /// Entry count at the daemon (0 when degraded or unanswerable — the
@@ -194,7 +198,7 @@ impl ResultStore for RemoteStore {
     }
 
     fn load_warm(&self, key: &WarmKey) -> Option<Vec<u8>> {
-        self.fetch(&key.file_stem(), |text| parse_warm_payload(text, key))
+        self.fetch(&key.file_stem(), |payload| parse_warm_payload(payload, key))
     }
 
     fn save_warm(&self, key: &WarmKey, bytes: &[u8]) -> Result<(), StoreError> {

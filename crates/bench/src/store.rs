@@ -11,6 +11,10 @@
 //!   JSON file per key (`eole-result/v2`, schema in `EXPERIMENTS.md`) so
 //!   repeated invocations — and shards of a partitioned grid — share
 //!   work across processes.
+//! * Warm-state checkpoints ([`WarmKey`]) are stored as their own bytes:
+//!   a 16-byte header (the FNV-1a of everything after its first 8 bytes,
+//!   then [`WarmKey::digest64`]) followed by the `WarmState` snapshot,
+//!   one `warm__*.bin` file per key in a [`DirStore`].
 //!
 //! A session consults the store *before* simulating and saves every
 //! fresh result after; a warm store therefore serves a whole experiment
@@ -23,6 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use eole_store_service::{dir, lock_clean};
+pub use eole_store_service::dir::WARM_STEM_PREFIX;
 pub use eole_store_service::StoreError;
 
 use eole_core::canon::{CanonicalBytes, Fnv64, SIM_FINGERPRINT_VERSION};
@@ -38,10 +43,11 @@ use crate::spec::RunSpec;
 /// Why a stored payload was rejected — the distinction drives recovery.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PayloadError {
-    /// The entry is *damaged*: unparsable JSON, a truncated or malformed
-    /// checksum field, or a checksum mismatch (bit rot, torn write,
-    /// hostile edit). [`DirStore`] quarantines such files — renamed to
-    /// `<stem>.quarantined` for forensics — and re-simulates.
+    /// The entry is *damaged*: bytes that are not UTF-8 or not JSON (a
+    /// result), shorter than the header (a checkpoint), a truncated or
+    /// malformed checksum field, or a checksum mismatch (bit rot, torn
+    /// write, hostile edit). [`DirStore`] quarantines such files —
+    /// renamed to `<stem>.quarantined` for forensics — and re-simulates.
     Corrupt(String),
     /// The entry is *well-formed but not ours*: a different key, schema
     /// generation, or simulator version — including pre-checksum
@@ -187,13 +193,6 @@ fn render_stem(
     let (workload, config) = (sanitize(workload), sanitize(config));
     format!("{prefix}{workload}__{config}__{axes}__{config_digest:016x}-{key_digest:016x}")
 }
-
-/// The distinctive stem prefix of warm-state checkpoint entries: stores
-/// that share a namespace with run results (one directory, one daemon)
-/// use it to tell the two payload kinds apart without reading them.
-/// (No Table 3 workload is named `warm`, so a result stem can never
-/// start with this prefix.)
-pub const WARM_STEM_PREFIX: &str = "warm__";
 
 /// The canonical identity of one warm-state checkpoint
 /// (`eole-warmstate/v2`, see [`eole_core::pipeline::WarmState`]).
@@ -395,15 +394,16 @@ impl ResultStore for MemStore {
     }
 }
 
-/// An on-disk [`ResultStore`]: one JSON file per key, in the
+/// An on-disk [`ResultStore`]: one file per key (`<stem>.json` for a
+/// result, `<stem>.bin` for a checkpoint), in the
 /// [`eole_store_service::dir`] layout the `eole-stored` daemon shares.
 ///
 /// Writes go through [`dir::write_atomically`], so a crashed or killed
 /// process can leave at worst a stray `.tmp-*` file — never a truncated
-/// entry. Every payload carries a spliced-in FNV-1a checksum; reads that
-/// fail it (or fail to parse at all) are *damaged* — the file is renamed
-/// to `<stem>.quarantined` so it can never be served again, the miss
-/// triggers a re-simulation, and the fresh save recreates `<stem>.json`.
+/// entry. Every payload carries an FNV-1a checksum; reads that fail it
+/// (or fail to parse at all) are *damaged* — the file is renamed to
+/// `<stem>.quarantined` so it can never be served again, the miss
+/// triggers a re-simulation, and the fresh save recreates the entry.
 /// Well-formed entries that merely belong to another schema generation
 /// or key are plain misses; both kinds count in [`DirStore::corrupt`],
 /// quarantines additionally in [`DirStore::quarantined_count`].
@@ -460,7 +460,7 @@ impl DirStore {
 
     /// Damaged entries renamed to `<stem>.quarantined` (checksum
     /// mismatch or unparsable bytes — never served, kept for forensics;
-    /// the re-simulated result lands in a fresh `<stem>.json`).
+    /// the re-simulated result lands in a fresh entry).
     pub fn quarantined_count(&self) -> usize {
         self.quarantined.load(Ordering::Relaxed)
     }
@@ -470,19 +470,20 @@ impl DirStore {
     fn load_entry<T>(
         &self,
         stem: &str,
-        parse: impl FnOnce(&str) -> Result<T, PayloadError>,
+        parse: impl FnOnce(&[u8]) -> Result<T, PayloadError>,
     ) -> Option<T> {
         let path = dir::entry_path(&self.dir, stem);
-        let Ok(mut text) = std::fs::read_to_string(&path) else {
+        let Ok(mut bytes) = std::fs::read(&path) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
         if faults::fire(faults::DIR_LOAD_CORRUPT).is_some() {
-            // Simulated media damage: truncating mid-object guarantees
-            // unparsable JSON, so the quarantine path below always fires.
-            text.truncate(text.len() / 2);
+            // Simulated media damage: halving the entry leaves unparsable
+            // JSON or a checksum mismatch, so the quarantine path below
+            // always fires.
+            bytes.truncate(bytes.len() / 2);
         }
-        match parse(&text) {
+        match parse(&bytes) {
             Ok(value) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(value)
@@ -491,7 +492,7 @@ impl DirStore {
                 // A damaged entry is set aside under a name no lookup will
                 // ever read again (forensics can inspect it); the session
                 // re-simulates (or the sweep rebuilds) and saves a fresh
-                // `.json`. A rename race (another worker already
+                // entry. A rename race (another worker already
                 // quarantined it) is harmless: only one read can have seen
                 // each damaged file before the first rename wins. A
                 // foreign entry (old schema, key drift) is a plain miss
@@ -508,28 +509,28 @@ impl DirStore {
     }
 
     /// The one save path of results and checkpoints.
-    fn save_entry(&self, stem: &str, payload: &str) -> Result<(), StoreError> {
+    fn save_entry(&self, stem: &str, payload: &[u8]) -> Result<(), StoreError> {
         if faults::fire(faults::DIR_SAVE_IO).is_some() {
             // Before the temp write, so an injected failure never leaks
             // a `.tmp-*` file.
             return Err(StoreError::Io("injected fault: dir.save.io".to_string()));
         }
-        dir::write_atomically(&dir::entry_path(&self.dir, stem), payload.as_bytes())
+        dir::write_atomically(&dir::entry_path(&self.dir, stem), payload)
             .map_err(StoreError::Io)
     }
 }
 
 impl ResultStore for DirStore {
     fn load(&self, key: &RunKey) -> Option<SimStats> {
-        self.load_entry(&key.file_stem(), |text| parse_result_payload(text, key))
+        self.load_entry(&key.file_stem(), |payload| parse_result_payload(payload, key))
     }
 
     fn save(&self, key: &RunKey, stats: &SimStats) -> Result<(), StoreError> {
-        self.save_entry(&key.file_stem(), &render_result_payload(key, stats))
+        self.save_entry(&key.file_stem(), render_result_payload(key, stats).as_bytes())
     }
 
     fn load_warm(&self, key: &WarmKey) -> Option<Vec<u8>> {
-        self.load_entry(&key.file_stem(), |text| parse_warm_payload(text, key))
+        self.load_entry(&key.file_stem(), |payload| parse_warm_payload(payload, key))
     }
 
     fn save_warm(&self, key: &WarmKey, bytes: &[u8]) -> Result<(), StoreError> {
@@ -557,11 +558,22 @@ impl ResultStore for DirStore {
 /// built from stored results is byte-identical to one built from fresh
 /// simulations.
 pub fn render_result_payload(key: &RunKey, s: &SimStats) -> String {
-    let (name, digest) = (&key.config_name, key.config_digest);
-    let mut out = render_head(RESULT_SCHEMA, key.sim_version, name, digest, &key.workload);
+    let mut out = String::with_capacity(1536);
+    // The checksum field sits right after the schema tag, *before* any
+    // user-influenced string (config/workload names are JSON-escaped but
+    // could still contain the bytes `"crc":"` if it appeared later), so
+    // the first occurrence of CRC_FIELD in the text is always this one.
     out.push_str(&format!(
-        "\"warmup\":{},\"measure\":{},\"seed\":{}",
-        key.warmup, key.measure, key.seed
+        "{{\"schema\":\"{RESULT_SCHEMA}\",\"crc\":\"0000000000000000\",\"sim_version\":{},\
+         \"key\":{{\"config\":{},\"config_digest\":\"{:016x}\",\"workload\":{},\
+         \"warmup\":{},\"measure\":{},\"seed\":{}",
+        key.sim_version,
+        json_string(&key.config_name),
+        key.config_digest,
+        json_string(&key.workload),
+        key.warmup,
+        key.measure,
+        key.seed
     ));
     if key.intervals > 0 {
         out.push_str(&format!(
@@ -584,69 +596,13 @@ const RESULT_SCHEMA: &str = "eole-result/v2";
 /// schema tag.
 const CRC_FIELD: &str = "\"crc\":\"";
 
-/// The opening both payload kinds share: schema tag, checksum
-/// placeholder, simulator version, and the key object up to and
-/// including its `config`, `config_digest` and `workload` members. The
-/// caller appends its own key members and closes the key object.
-fn render_head(
-    schema: &str,
-    sim_version: u32,
-    config_name: &str,
-    config_digest: u64,
-    workload: &str,
-) -> String {
-    let mut out = String::with_capacity(1536);
-    // The checksum field sits right after the schema tag, *before* any
-    // user-influenced string (config/workload names are JSON-escaped but
-    // could still contain the bytes `"crc":"` if it appeared later), so
-    // the first occurrence of CRC_FIELD in the text is always this one.
-    out.push_str(&format!(
-        "{{\"schema\":\"{schema}\",\"crc\":\"0000000000000000\",\"sim_version\":{sim_version},\
-         \"key\":{{\"config\":{},\"config_digest\":\"{config_digest:016x}\",\"workload\":{},",
-        json_string(config_name),
-        json_string(workload),
-    ));
-    out
-}
-
-/// The checks both payload kinds share, in recovery order: unparsable
-/// bytes are damage (every generation of this store wrote valid JSON); a
-/// parsable payload with another schema tag is foreign, and only a
-/// schema-matched payload gets checksum-checked; then the simulator
-/// version and the key's `config_digest` and `workload` must match.
-/// Returns the parsed payload for the caller's own key members.
-fn parse_head(
-    text: &str,
-    schema: &str,
-    sim_version: u32,
-    config_digest: u64,
-    workload: &str,
-) -> Result<Json, PayloadError> {
-    let v = Json::parse(text).map_err(PayloadError::Corrupt)?;
-    if v.get("schema").and_then(Json::as_str) != Some(schema) {
-        return Err(PayloadError::Foreign(format!("not an {schema} payload")));
-    }
-    verify_payload_checksum(text)?;
-    if u64_field(&v, "sim_version").map_err(PayloadError::Foreign)? != u64::from(sim_version) {
-        return Err(PayloadError::Foreign("sim_version mismatch".into()));
-    }
-    let k = v.get("key").ok_or_else(|| PayloadError::Foreign("missing `key`".into()))?;
-    if k.get("config_digest").and_then(Json::as_str)
-        != Some(format!("{config_digest:016x}").as_str())
-        || k.get("workload").and_then(Json::as_str) != Some(workload)
-    {
-        return Err(PayloadError::Foreign("key mismatch".into()));
-    }
-    Ok(v)
-}
-
 /// Splices the checksum over the zero placeholder of a rendered payload:
 /// digest the payload with the crc field zeroed, then write the 16-hex
 /// digest in place. Verification reverses this (re-zero, re-digest,
 /// compare), so the bytes on disk are self-validating without a sidecar
 /// file.
 fn splice_checksum(mut out: String) -> String {
-    let at = out.find(CRC_FIELD).expect("crc placeholder rendered first") + CRC_FIELD.len(); // lint:allow(error-typing) both payload renderers emit the placeholder right after the schema tag
+    let at = out.find(CRC_FIELD).expect("crc placeholder rendered first") + CRC_FIELD.len(); // lint:allow(error-typing) render_result_payload emits the placeholder right after the schema tag
     let digest = format!("{:016x}", Fnv64::digest(out.as_bytes()));
     out.replace_range(at..at + 16, &digest);
     out
@@ -782,17 +738,34 @@ impl CounterVisitor for ParseCounters<'_> {
 /// cache miss, but the error's variant drives recovery: [`DirStore`]
 /// quarantines [`PayloadError::Corrupt`] entries and plainly overwrites
 /// [`PayloadError::Foreign`] ones.
-pub fn parse_result_payload(text: &str, key: &RunKey) -> Result<SimStats, PayloadError> {
-    let v = parse_head(text, RESULT_SCHEMA, key.sim_version, key.config_digest, &key.workload)?;
+///
+/// The checks run in recovery order: bytes that are not UTF-8 JSON are
+/// damage (every generation of this store wrote valid JSON); a parsable
+/// payload with another schema tag is foreign, and only a schema-matched
+/// payload gets checksum-checked.
+pub fn parse_result_payload(payload: &[u8], key: &RunKey) -> Result<SimStats, PayloadError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| PayloadError::Corrupt(format!("not UTF-8: {e}")))?;
+    let v = Json::parse(text).map_err(PayloadError::Corrupt)?;
+    if v.get("schema").and_then(Json::as_str) != Some(RESULT_SCHEMA) {
+        return Err(PayloadError::Foreign(format!("not an {RESULT_SCHEMA} payload")));
+    }
+    verify_payload_checksum(text)?;
     parse_checked_payload(&v, key).map_err(PayloadError::Foreign)
 }
 
-/// The result-specific key members and the counters of a payload whose
-/// head [`parse_head`] accepted; every failure here is a key/schema-drift
-/// mismatch ([`PayloadError::Foreign`]), never damage.
+/// The key members and the counters of a payload whose schema and
+/// checksum held; every failure here is a key/schema-drift mismatch
+/// ([`PayloadError::Foreign`]), never damage.
 fn parse_checked_payload(v: &Json, key: &RunKey) -> Result<SimStats, String> {
+    if u64_field(v, "sim_version")? != u64::from(key.sim_version) {
+        return Err("sim_version mismatch".into());
+    }
     let k = v.get("key").ok_or("missing `key`")?;
-    if u64_field(k, "warmup")? != key.warmup
+    if k.get("config_digest").and_then(Json::as_str)
+        != Some(format!("{:016x}", key.config_digest).as_str())
+        || k.get("workload").and_then(Json::as_str) != Some(key.workload.as_str())
+        || u64_field(k, "warmup")? != key.warmup
         || u64_field(k, "measure")? != key.measure
         || u64_field(k, "seed")? != key.seed
     {
@@ -819,113 +792,55 @@ fn parse_checked_payload(v: &Json, key: &RunKey) -> Result<SimStats, String> {
     }
 }
 
-// ---- eole-warmstate/v2 payload -------------------------------------------
-// The store wrapper around `WarmState` checkpoint bytes: the same
-// spliced-FNV-checksum discipline as `eole-result/v2`, with the binary
-// snapshot carried as base64 (the store formats are line-oriented JSON
-// end to end — daemon wire frames included — so raw bytes are not an
-// option). A corrupt or foreign wrapper is a miss that degrades to a
-// functional rebuild, never an error.
+// ---- stored checkpoints --------------------------------------------------
+// A checkpoint entry is the `WarmState` bytes behind a 16-byte header.
+// The snapshot bytes already open with `WARMSTATE_FORMAT` and the
+// position, and the key digest covers every other axis, so the header
+// needs nothing more. A corrupt or foreign entry is a miss that degrades
+// to a functional rebuild, never an error.
 
-const BASE64_ALPHABET: &[u8; 64] =
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+/// Bytes ahead of the snapshot in a stored checkpoint: the little-endian
+/// FNV-1a of everything after the first 8 bytes, then the little-endian
+/// [`WarmKey::digest64`].
+pub const WARM_HEADER_LEN: usize = 16;
 
-/// Standard base64 with padding (RFC 4648), hand-rolled — the workspace
-/// takes no external dependencies and the std library has no codec.
-fn base64_encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let n = (u32::from(chunk[0]) << 16)
-            | (u32::from(chunk.get(1).copied().unwrap_or(0)) << 8)
-            | u32::from(chunk.get(2).copied().unwrap_or(0));
-        out.push(BASE64_ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(BASE64_ALPHABET[(n >> 12) as usize & 63] as char);
-        out.push(if chunk.len() > 1 { BASE64_ALPHABET[(n >> 6) as usize & 63] as char } else { '=' });
-        out.push(if chunk.len() > 2 { BASE64_ALPHABET[n as usize & 63] as char } else { '=' });
-    }
-    out
+/// Renders the stored checkpoint entry for `key`: the header, then the
+/// snapshot bytes unchanged.
+pub fn render_warm_payload(key: &WarmKey, bytes: &[u8]) -> Vec<u8> {
+    let digest = key.digest64().to_le_bytes();
+    let mut sum = Fnv64::new();
+    sum.write(&digest);
+    sum.write(bytes);
+    [&sum.finish().to_le_bytes()[..], &digest, bytes].concat()
 }
 
-/// Inverse of [`base64_encode`]; any malformed input is an error (the
-/// caller maps it to [`PayloadError::Corrupt`]).
-fn base64_decode(text: &str) -> Result<Vec<u8>, String> {
-    let value_of = |c: u8| -> Result<u32, String> {
-        match c {
-            b'A'..=b'Z' => Ok(u32::from(c - b'A')),
-            b'a'..=b'z' => Ok(u32::from(c - b'a') + 26),
-            b'0'..=b'9' => Ok(u32::from(c - b'0') + 52),
-            b'+' => Ok(62),
-            b'/' => Ok(63),
-            _ => Err(format!("invalid base64 byte {c:#04x}")),
-        }
-    };
-    let bytes = text.as_bytes();
-    if !bytes.len().is_multiple_of(4) {
-        return Err("base64 length not a multiple of 4".to_string());
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for chunk in bytes.chunks(4) {
-        let pad = chunk.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || chunk[..4 - pad].contains(&b'=') {
-            return Err("misplaced base64 padding".to_string());
-        }
-        let mut n = 0u32;
-        for &c in &chunk[..4 - pad] {
-            n = (n << 6) | value_of(c)?;
-        }
-        n <<= 6 * pad as u32;
-        out.push((n >> 16) as u8);
-        if pad < 2 {
-            out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
-        }
-    }
-    Ok(out)
-}
-
-/// Renders the stored checkpoint payload: schema tag, spliced checksum,
-/// the full [`WarmKey`] for verification, and the snapshot bytes as
-/// base64 under `data`.
-pub fn render_warm_payload(key: &WarmKey, bytes: &[u8]) -> String {
-    let (name, digest) = (&key.config_name, key.config_digest);
-    let mut out = render_head(WARMSTATE_FORMAT, key.sim_version, name, digest, &key.workload);
-    out.reserve(bytes.len().div_ceil(3) * 4 + 64);
-    out.push_str(&format!(
-        "\"trace_len\":{},\"seed\":{},\"position\":{}}},\"data\":\"{}\"}}\n",
-        key.trace_len,
-        key.seed,
-        key.position,
-        base64_encode(bytes)
-    ));
-    splice_checksum(out)
-}
-
-/// Parses an `eole-warmstate/v2` wrapper back into checkpoint bytes,
-/// verifying schema, checksum, and that the payload belongs to `key`.
-/// The same recovery split as results: [`PayloadError::Corrupt`] entries
-/// get quarantined by [`DirStore`], [`PayloadError::Foreign`] ones are
-/// plain misses — either way the sweep rebuilds the checkpoint.
+/// Returns the snapshot bytes of a stored checkpoint entry after checking
+/// it against `key`. The same recovery split as results: an entry
+/// shorter than the header or failing its checksum is
+/// [`PayloadError::Corrupt`] (quarantined by [`DirStore`]); one whose key
+/// digest differs is [`PayloadError::Foreign`], a plain miss — either
+/// way the sweep rebuilds the checkpoint.
 ///
 /// # Errors
 ///
 /// [`PayloadError`] as above; never a panic.
-pub fn parse_warm_payload(text: &str, key: &WarmKey) -> Result<Vec<u8>, PayloadError> {
-    let v = parse_head(text, WARMSTATE_FORMAT, key.sim_version, key.config_digest, &key.workload)?;
-    let k = v.get("key").ok_or_else(|| PayloadError::Foreign("missing `key`".into()))?;
-    let field = |name| u64_field(k, name).map_err(PayloadError::Foreign);
-    if field("trace_len")? != key.trace_len
-        || field("seed")? != key.seed
-        || field("position")? != key.position
-    {
+pub fn parse_warm_payload(payload: &[u8], key: &WarmKey) -> Result<Vec<u8>, PayloadError> {
+    if payload.len() < WARM_HEADER_LEN {
+        return Err(PayloadError::Corrupt(format!(
+            "{} bytes, shorter than the {WARM_HEADER_LEN}-byte header",
+            payload.len()
+        )));
+    }
+    let (sum, rest) = payload.split_at(8);
+    let computed = Fnv64::digest(rest);
+    if sum != computed.to_le_bytes() {
+        return Err(PayloadError::Corrupt(format!("checksum mismatch: computed {computed:016x}")));
+    }
+    let (digest, snapshot) = rest.split_at(8);
+    if digest != key.digest64().to_le_bytes() {
         return Err(PayloadError::Foreign("key mismatch".into()));
     }
-    let data = v
-        .get("data")
-        .and_then(Json::as_str)
-        .ok_or_else(|| PayloadError::Corrupt("missing `data` field".into()))?;
-    base64_decode(data).map_err(PayloadError::Corrupt)
+    Ok(snapshot.to_vec())
 }
 
 #[cfg(test)]
@@ -998,8 +913,8 @@ mod tests {
         \"dram\":{\"accesses\":55,\"row_hits\":56,\"row_conflicts\":57},\
         \"prefetch\":{\"trains\":58,\"issued\":59},\"writebacks\":60}}}\n";
 
-    /// The `eole-warmstate/v2` bytes of a fixed key and snapshot (40
-    /// bytes, so the base64 body ends in `==` padding).
+    /// The stored checkpoint bytes of a fixed key and a 40-byte snapshot:
+    /// the 16-byte header, then the snapshot unchanged.
     #[test]
     fn warm_payload_bytes_are_pinned() {
         let key = WarmKey {
@@ -1012,13 +927,19 @@ mod tests {
             position: 12_500,
         };
         let bytes: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
-        assert_eq!(render_warm_payload(&key, &bytes), PINNED_WARM_PAYLOAD);
+        let mut want = PINNED_WARM_HEADER.to_vec();
+        want.extend_from_slice(&bytes);
+        assert_eq!(render_warm_payload(&key, &bytes), want);
+        assert_eq!(parse_warm_payload(&want, &key).unwrap(), bytes);
     }
 
-    const PINNED_WARM_PAYLOAD: &str = "{\"schema\":\"eole-warmstate/v2\",\"crc\":\"0cd50aed260ce6f5\",\
-        \"sim_version\":7,\"key\":{\"config\":\"EOLE_4_64\",\"config_digest\":\"0123456789abcdef\",\
-        \"workload\":\"gzip\",\"trace_len\":35000,\"seed\":3,\"position\":12500},\
-        \"data\":\"pYDvyjEce6aN6NcyGUSjjvXQPxpBrIv23ThnQqmU894FYE+qkfzbBg==\"}\n";
+    /// FNV-1a `0x99013055d98d04e0` of the 48 bytes after it, then the key
+    /// digest `0xd42c520d1a8bb140` (the one in the key's file stem), both
+    /// little-endian.
+    const PINNED_WARM_HEADER: [u8; WARM_HEADER_LEN] = [
+        0xe0, 0x04, 0x8d, 0xd9, 0x55, 0x30, 0x01, 0x99, //
+        0x40, 0xb1, 0x8b, 0x1a, 0x0d, 0x52, 0x2c, 0xd4,
+    ];
 
     /// File stems are the store's addresses: a drift would orphan every
     /// stored entry while reading as a plain cache miss.
@@ -1069,7 +990,7 @@ mod tests {
         let key = RunKey::of(&spec());
         let s = dense_stats();
         let payload = render_result_payload(&key, &s);
-        let back = parse_result_payload(&payload, &key).unwrap();
+        let back = parse_result_payload(payload.as_bytes(), &key).unwrap();
         // SimStats has no PartialEq; Debug covers every field, so equal
         // renderings mean equal structs — and a field added to SimStats
         // but forgotten here fails this test as long as it is non-zero
@@ -1096,7 +1017,7 @@ mod tests {
         assert!(!distinct.contains(&0), "counters must be non-zero");
 
         let key = RunKey::of(&spec());
-        let back = parse_result_payload(&render_result_payload(&key, &s), &key).unwrap();
+        let back = parse_result_payload(render_result_payload(&key, &s).as_bytes(), &key).unwrap();
         assert_eq!(counts(back), counts(s));
 
         let mut doubled = s;
@@ -1119,14 +1040,15 @@ mod tests {
         let base = spec();
         let key = RunKey::of(&base);
         let payload = render_result_payload(&key, &dense_stats());
+        let payload = payload.as_bytes();
         let other_workload = RunKey { workload: "mcf".into(), ..key.clone() };
-        assert!(parse_result_payload(&payload, &other_workload).is_err());
+        assert!(parse_result_payload(payload, &other_workload).is_err());
         let other_seed = RunKey { seed: 7, ..key.clone() };
-        assert!(parse_result_payload(&payload, &other_seed).is_err());
+        assert!(parse_result_payload(payload, &other_seed).is_err());
         let other_version = RunKey { sim_version: key.sim_version + 1, ..key.clone() };
-        assert!(parse_result_payload(&payload, &other_version).is_err());
+        assert!(parse_result_payload(payload, &other_version).is_err());
         let other_config = RunKey { config_digest: key.config_digest ^ 1, ..key };
-        assert!(parse_result_payload(&payload, &other_config).is_err());
+        assert!(parse_result_payload(payload, &other_config).is_err());
     }
 
     #[test]
@@ -1178,13 +1100,13 @@ mod tests {
     fn payload_checksum_catches_single_bit_damage() {
         let key = RunKey::of(&spec());
         let payload = render_result_payload(&key, &dense_stats());
-        assert!(parse_result_payload(&payload, &key).is_ok(), "pristine payload must verify");
+        let pristine = parse_result_payload(payload.as_bytes(), &key);
+        assert!(pristine.is_ok(), "pristine payload must verify");
         // Flip one digit inside a stats value: still perfectly valid
         // JSON with a matching key, so only the checksum can catch it.
         let digit_at = payload.find("\"cycles\":").unwrap() + "\"cycles\":".len();
         let mut tampered = payload.clone().into_bytes();
         tampered[digit_at] = if tampered[digit_at] == b'1' { b'2' } else { b'1' };
-        let tampered = String::from_utf8(tampered).unwrap();
         match parse_result_payload(&tampered, &key) {
             Err(PayloadError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("tampered payload must be Corrupt, got {other:?}"),
@@ -1195,14 +1117,17 @@ mod tests {
     fn payload_classifies_foreign_vs_corrupt() {
         let key = RunKey::of(&spec());
         let payload = render_result_payload(&key, &dense_stats());
-        // Unparsable bytes are damage.
+        // Unparsable bytes are damage, and so are bytes that are not UTF-8.
         assert!(matches!(
-            parse_result_payload("{ not json", &key),
+            parse_result_payload(b"{ not json", &key),
             Err(PayloadError::Corrupt(_))
         ));
+        let mut high_bit = payload.clone().into_bytes();
+        high_bit[payload.len() / 2] ^= 0x80;
+        assert!(matches!(parse_result_payload(&high_bit, &key), Err(PayloadError::Corrupt(_))));
         // Truncation is damage (unparsable JSON).
         assert!(matches!(
-            parse_result_payload(&payload[..payload.len() / 2], &key),
+            parse_result_payload(&payload.as_bytes()[..payload.len() / 2], &key),
             Err(PayloadError::Corrupt(_))
         ));
         // A payload without a crc field is a pre-hardening store file:
@@ -1211,13 +1136,13 @@ mod tests {
         let mut pre_crc = payload.clone();
         pre_crc.replace_range(crc_at..crc_at + CRC_FIELD.len() + 16 + 2, "");
         assert!(matches!(
-            parse_result_payload(&pre_crc, &key),
+            parse_result_payload(pre_crc.as_bytes(), &key),
             Err(PayloadError::Foreign(_))
         ));
         // A valid payload for a different key is Foreign.
         let other = RunKey { seed: key.seed + 1, ..key.clone() };
         assert!(matches!(
-            parse_result_payload(&payload, &other),
+            parse_result_payload(payload.as_bytes(), &other),
             Err(PayloadError::Foreign(_))
         ));
     }
@@ -1232,24 +1157,28 @@ mod tests {
         let path = dir::entry_path(&dir, &key.file_stem());
         let quarantine = path.with_extension("quarantined");
 
-        // Damage the entry on disk: next load must miss, quarantine the
-        // file, and leave nothing a future lookup could be served from.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = bytes.len() / 2;
-        bytes[at] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(store.load(&key).is_none());
-        assert_eq!(store.quarantined_count(), 1);
-        assert_eq!(store.corrupt(), 1);
-        assert!(!path.exists(), "damaged entry must be renamed away");
-        assert!(quarantine.exists(), "damaged entry must be kept for forensics");
+        // Damage the entry on disk, once with a low bit (still UTF-8, so
+        // the checksum catches it) and once with a high bit (no longer
+        // UTF-8): each next load must miss, quarantine the file, and
+        // leave nothing a future lookup could be served from.
+        for (round, flip) in [0x01u8, 0x80].into_iter().enumerate() {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = bytes.len() / 2;
+            bytes[at] ^= flip;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(store.load(&key).is_none(), "flip {flip:#04x}");
+            assert_eq!(store.quarantined_count(), round + 1, "flip {flip:#04x}");
+            assert_eq!(store.corrupt(), round + 1, "flip {flip:#04x}");
+            assert!(!path.exists(), "damaged entry must be renamed away");
+            assert!(quarantine.exists(), "damaged entry must be kept for forensics");
 
-        // Self-heal: a fresh save recreates the `.json`, and the next
-        // load serves it while the quarantined file stays untouched.
-        store.save(&key, &dense_stats()).unwrap();
-        let back = store.load(&key).unwrap();
-        assert_eq!(format!("{back:?}"), format!("{:?}", dense_stats()));
-        assert!(quarantine.exists());
+            // Self-heal: a fresh save recreates the `.json`, and the next
+            // load serves it while the quarantined file stays untouched.
+            store.save(&key, &dense_stats()).unwrap();
+            let back = store.load(&key).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{:?}", dense_stats()));
+            assert!(quarantine.exists());
+        }
 
         // A pre-checksum (foreign) entry is a plain miss: overwritten in
         // place, never quarantined.
@@ -1259,8 +1188,8 @@ mod tests {
         pre_crc.replace_range(crc_at..crc_at + CRC_FIELD.len() + 16 + 2, "");
         std::fs::write(&path, &pre_crc).unwrap();
         assert!(store.load(&key).is_none());
-        assert_eq!(store.quarantined_count(), 1, "foreign entries are not quarantined");
-        assert_eq!(store.corrupt(), 2);
+        assert_eq!(store.quarantined_count(), 2, "foreign entries are not quarantined");
+        assert_eq!(store.corrupt(), 3);
         assert!(path.exists(), "foreign entry stays in place for the overwrite");
 
         std::fs::remove_dir_all(&dir).ok();
@@ -1276,19 +1205,6 @@ mod tests {
         assert_eq!(store.len(), 1);
         let back = store.load(&key).unwrap();
         assert_eq!(format!("{back:?}"), format!("{:?}", dense_stats()));
-    }
-
-    #[test]
-    fn base64_round_trips_and_rejects_damage() {
-        for len in 0..70usize {
-            let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let text = base64_encode(&data);
-            assert_eq!(text.len() % 4, 0);
-            assert_eq!(base64_decode(&text).unwrap(), data, "len {len}");
-        }
-        assert!(base64_decode("AAA").is_err(), "length not a multiple of 4");
-        assert!(base64_decode("A=AA").is_err(), "misplaced padding");
-        assert!(base64_decode("AA!?").is_err(), "bytes outside the alphabet");
     }
 
     #[test]
@@ -1314,22 +1230,30 @@ mod tests {
             );
         }
 
-        // Corrupt: bit damage inside the base64 body is caught by the
-        // checksum; truncation is unparsable JSON.
-        let at = payload.find("\"data\":\"").unwrap() + "\"data\":\"".len() + 3;
-        let mut tampered = payload.clone().into_bytes();
-        tampered[at] = if tampered[at] == b'A' { b'B' } else { b'A' };
-        assert!(matches!(
-            parse_warm_payload(&String::from_utf8(tampered).unwrap(), &key),
-            Err(PayloadError::Corrupt(_))
-        ));
-        assert!(matches!(
-            parse_warm_payload(&payload[..payload.len() / 2], &key),
-            Err(PayloadError::Corrupt(_))
-        ));
-        // A result payload under a warm key is foreign (wrong schema).
+        // Corrupt: a flipped bit anywhere (checksum, key digest or body)
+        // fails the checksum, and so does truncation, down to entries
+        // shorter than the header.
+        for at in [0, 8, WARM_HEADER_LEN + 3, payload.len() - 1] {
+            let mut tampered = payload.clone();
+            tampered[at] ^= 0x01;
+            assert!(
+                matches!(parse_warm_payload(&tampered, &key), Err(PayloadError::Corrupt(_))),
+                "bit flip at {at}"
+            );
+        }
+        for len in [0, WARM_HEADER_LEN - 1, WARM_HEADER_LEN, payload.len() / 2] {
+            assert!(
+                matches!(parse_warm_payload(&payload[..len], &key), Err(PayloadError::Corrupt(_))),
+                "truncated to {len}"
+            );
+        }
+        // A result payload under a warm key is rejected: its first eight
+        // bytes are no checksum of the rest.
         let result = render_result_payload(&RunKey::of(&spec()), &dense_stats());
-        assert!(matches!(parse_warm_payload(&result, &key), Err(PayloadError::Foreign(_))));
+        assert!(matches!(
+            parse_warm_payload(result.as_bytes(), &key),
+            Err(PayloadError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -1375,9 +1299,13 @@ mod tests {
         store.save(&RunKey::of(&spec()), &dense_stats()).unwrap();
         assert_eq!(store.len(), 1, "results still count");
 
+        // The checkpoint is a `.bin` file: the header, then the snapshot.
+        let path = dir::entry_path(&dir, &key.file_stem());
+        assert_eq!(path.extension().and_then(|e| e.to_str()), Some("bin"));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), (WARM_HEADER_LEN + bytes.len()) as u64);
+
         // Damage the checkpoint: the load must miss, quarantine the
         // file, and a fresh save must self-heal.
-        let path = dir::entry_path(&dir, &key.file_stem());
         let mut raw = std::fs::read(&path).unwrap();
         let at = raw.len() / 2;
         raw[at] ^= 0x01;

@@ -38,9 +38,11 @@ use crate::StoreError;
 /// the `Stats` response (the lease-TTL reclaim counter).
 pub const PROTO_VERSION: &str = "eole-store/v2";
 
-/// Hard ceiling on one frame's body (16 MiB — result payloads are ~2 KiB,
-/// so this is three orders of magnitude of headroom while still bounding
-/// what a broken peer can make us allocate).
+/// Hard ceiling on one frame's body (16 MiB), bounding what a broken peer
+/// can make us allocate. Result payloads are ~2 KiB; warm checkpoints
+/// travel in the same frames, and the largest measured entry (every
+/// preset and value-predictor kind, `checkpoint_bytes_are_pinned`) is
+/// 1,478,174 bytes, so one checkpoint uses under a tenth of a frame.
 pub const MAX_FRAME: usize = 16 << 20;
 
 /// Error code accompanying [`Response::Err`]: a generic/protocol failure.

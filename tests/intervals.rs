@@ -386,7 +386,7 @@ fn corrupt_warm_checkpoint_degrades_to_replay_and_heals() {
         .find(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(WARM_STEM_PREFIX) && n.ends_with(".json"))
+                .is_some_and(|n| n.starts_with(WARM_STEM_PREFIX) && n.ends_with(".bin"))
         })
         .expect("a checkpoint landed on disk");
     let mut bytes = std::fs::read(&victim).unwrap();
@@ -487,12 +487,15 @@ const CHECKPOINT_DIGESTS: [(&str, &str, u64); 36] = [
 /// Pins the checkpoint bytes of every checkpointed table (TAGE, BTB, RAS,
 /// each value-predictor kind, the caches, MSHRs, DRAM and prefetcher).
 /// A restore round trip passes for any self-consistent layout; stored
-/// checkpoints restore only if the layout itself does not move.
+/// checkpoints restore only if the layout itself does not move. Every
+/// stored entry must also fit one `eole-stored` frame.
 #[test]
 fn checkpoint_bytes_are_pinned() {
+    use eole_bench::store::WARM_HEADER_LEN;
     use eole_core::canon::Fnv64;
     use eole_core::config::ValuePredictorKind;
     use eole_core::pipeline::Simulator;
+    use eole_store_service::MAX_FRAME;
 
     let mut configs = CoreConfig::all_presets();
     for kind in [
@@ -514,8 +517,11 @@ fn checkpoint_bytes_are_pinned() {
         for config in &configs {
             let mut sim = Simulator::new(&trace, config.clone()).expect("preset builds");
             sim.functional_warm(20_000);
+            let state = sim.capture_warm();
+            let entry = WARM_HEADER_LEN + state.len();
+            assert!(entry <= MAX_FRAME, "{workload} {}: {entry}-byte entry", config.name);
             let mut h = Fnv64::new();
-            h.write(sim.capture_warm().as_bytes());
+            h.write(state.as_bytes());
             got.push((workload, config.name.clone(), h.finish()));
         }
     }

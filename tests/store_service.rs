@@ -208,8 +208,11 @@ fn warm_checkpoints_round_trip_through_the_daemon() {
     // Cold key: the daemon grants this client the lease (a `None`,
     // meaning *build it*)…
     assert!(producer.load_warm(&key).is_none());
-    // …and the publish releases it.
+    // …and the publish releases it. The daemon files the entry as
+    // `<stem>.bin`: the 16-byte header, then the snapshot.
     producer.save_warm(&key, warm.as_bytes()).unwrap();
+    let filed = std::path::Path::new(&dir).join(format!("{}.bin", key.file_stem()));
+    assert_eq!(std::fs::metadata(filed).unwrap().len(), (16 + warm.len()) as u64);
 
     // A second session's client is served the identical bytes, which
     // restore into a simulator bit-identically to the original capture.

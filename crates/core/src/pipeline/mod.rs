@@ -18,9 +18,29 @@
 //! | [`commit`](self) | in-order commit and squash recovery |
 //! | [`state`](self) | shared [`Simulator`] state, [`PreparedTrace`], [`SimError`] |
 //!
-//! See `DESIGN.md` §3 for the modelling decisions (trace-driven fetch that
-//! stalls on mispredicted branches instead of running wrong paths; oracle
-//! branch history; squash = cursor rewind + ROB walk).
+//! ## Modelling decisions
+//!
+//! - **Trace-driven fetch that stalls on a misprediction.** Fetch walks
+//!   the correct-path trace ([`PreparedTrace`]) with a cursor, so there is
+//!   no wrong path to fetch. A mispredicted control µ-op (conditional
+//!   branch, return or indirect jump) is fetched, and then fetch stops
+//!   until it resolves: at execute, or at LE/VT for a late-executed
+//!   branch. Fetch restarts on the correct path once it has resolved,
+//!   so the misprediction penalty is the pipeline refill. Wrong-path
+//!   cache and predictor pollution is not modelled.
+//! - **Oracle branch history.** The global history TAGE, VTAGE and
+//!   D-VTAGE hash is the trace's correct-path outcome log, read at each
+//!   µ-op's position. It is never wrong, so a squash repairs no history,
+//!   and every predictor's table keys are a pure function of the µ-op,
+//!   built once per trace.
+//! - **Squash = cursor rewind + ROB walk.** A value misprediction found at
+//!   LE/VT, or a memory-order violation found by the out-of-order engine,
+//!   squashes every younger µ-op. The front queue and the ROB are walked
+//!   youngest-first, undoing each rename and freeing its register. The
+//!   IQ, the load and store queues and the store-set table drop the
+//!   squashed µ-ops, and the value predictor's speculative window drops
+//!   their in-flight instances. The trace cursor then rewinds to the
+//!   oldest squashed µ-op, which simply refetches.
 
 mod commit;
 mod early;

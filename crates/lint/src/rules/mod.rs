@@ -7,6 +7,7 @@
 
 pub mod cold_faults;
 pub mod digest;
+pub mod doc_refs;
 pub mod error_typing;
 pub mod forbid_unsafe;
 pub mod hot_alloc;
@@ -23,6 +24,7 @@ pub const RULE_NAMES: &[&str] = &[
     error_typing::NAME,
     cold_faults::NAME,
     forbid_unsafe::NAME,
+    doc_refs::NAME,
 ];
 
 /// Runs every rule over the workspace.
@@ -34,6 +36,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     error_typing::check(ws, &mut out);
     cold_faults::check(ws, &mut out);
     forbid_unsafe::check(ws, &mut out);
+    doc_refs::check(ws, &mut out);
     out.sort_by(|a, b| {
         (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule))
     });

@@ -51,6 +51,8 @@ pub struct SourceFile {
     pub test_mod_decls: Vec<String>,
     /// `fn` items: (name, first token index, inclusive line range).
     pub fns: Vec<(String, usize, (u32, u32))>,
+    /// `///` and `//!` doc comments: (line, text after the `//`).
+    pub docs: Vec<(u32, String)>,
 }
 
 impl SourceFile {
@@ -65,6 +67,7 @@ impl SourceFile {
             test_ranges: Vec::new(),
             test_mod_decls: Vec::new(),
             fns: Vec::new(),
+            docs: comments.iter().filter(|c| c.doc).map(|c| (c.line, c.text.clone())).collect(),
         };
         f.index_test_items();
         f.index_fns();

@@ -282,6 +282,41 @@ fn duplicate_format_marker_is_flagged() {
 }
 
 #[test]
+fn doc_refs_flags_only_markdown_names_that_exist_nowhere() {
+    let tmp = TempWs::new("doc-refs");
+    tmp.write("NOTES.md", "# workspace notes\n");
+    tmp.write("crates/docs/Cargo.toml", "[package]\nname = \"docs\"\n");
+    tmp.write("crates/docs/GUIDE.md", "# the crate's guide\n");
+    tmp.write("crates/docs/notes/DEEP.md", "# a crate-relative path\n");
+    tmp.write(
+        "crates/docs/src/lib.rs",
+        "//! See `NOTES.md` (the root's), `GUIDE.md` and `notes/DEEP.md` (the crate's).\n\
+         #![forbid(unsafe_code)]\n\
+         \n\
+         /// The argument is in `DESIGN.md` §3, which was never written.\n\
+         pub fn dangling() {}\n\
+         \n\
+         // A plain comment naming `GONE.md` is not documentation.\n\
+         /// Prose such as `*.md` or `a b.md` names no file.\n\
+         pub fn prose() {}\n\
+         \n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   /// Test code is out of scope: `GONE.md`.\n\
+         \x20   fn t() {}\n\
+         }\n",
+    );
+    let outcome = tmp.check();
+    let got = locations(&outcome.violations);
+    assert_eq!(
+        got,
+        vec![("doc-refs".to_string(), "crates/docs/src/lib.rs".to_string(), 4)],
+        "only the missing DESIGN.md: {got:?}"
+    );
+    assert!(outcome.violations[0].0.message.contains("`DESIGN.md`"));
+}
+
+#[test]
 fn out_of_line_cfg_test_modules_are_dropped() {
     let ws = Workspace::load(&repo_root()).expect("load repo");
     // crates/core/src/pipeline/mod.rs declares `#[cfg(test)] mod tests;`;

@@ -23,13 +23,14 @@
 //!
 //! Keys: a branch's 12 (entry, tag) pairs are a pure function of its pc,
 //! its history position and the geometry — the seed drives only the
-//! allocation RNG. [`Tage::keys`] computes them as one [`TageKeys`], and
-//! the keyed [`Tage::predict_keyed`] / [`Tage::update_keyed`] are the
-//! predictor. The timing core builds every conditional branch's keys once
-//! per trace and calls the keyed pair directly; the
-//! [`DirectionPredictor`] impl is a thin adapter that derives the keys
-//! per call from the fold memo, for callers that only hold a history
-//! view.
+//! allocation RNG. [`Tage::keys`] computes them as one [`TageKeys`], in
+//! the TAGE family's one word layout (at the paper geometry, a 14-bit
+//! entry index beside a tag of at most 15 bits), and the keyed
+//! [`Tage::predict_keyed`] / [`Tage::update_keyed`] are the predictor.
+//! The timing core builds every conditional branch's keys once per trace
+//! and calls the keyed pair directly; the [`DirectionPredictor`] impl is
+//! a thin adapter that builds the same keys per call from the fold memo,
+//! for callers that only hold a history view.
 
 use crate::branch::{Bimodal, BranchConfidence, BranchPrediction, DirectionPredictor};
 use crate::history::{hash_pc, HistoryView};
@@ -40,8 +41,9 @@ use crate::tagged::TaggedTables;
 pub const TAGE_COMPONENTS: usize = 12;
 
 /// One conditional branch's keys into TAGE's tagged components: per
-/// component, the entry index into the component-major tables `<< 16 |`
-/// the tag (components past the configured count hold 0). 48 bytes.
+/// component, its tag `<< index_bits |` its entry index into the
+/// component-major tables, the TAGE family's one key layout (`tagged.rs`;
+/// components past the configured count hold 0). 48 bytes.
 pub type TageKeys = [u32; TAGE_COMPONENTS];
 
 /// Geometry of a [`Tage`] predictor.
@@ -102,18 +104,14 @@ impl Tage {
     /// Panics if `history_lengths` is rejected by
     /// [`FoldMemo::new`](crate::history::FoldMemo::new) (empty, not
     /// strictly ascending, or too long), holds more than
-    /// [`TAGE_COMPONENTS`] lengths, or the tagged tables exceed the 2^16
-    /// entries a [`TageKeys`] entry index addresses.
+    /// [`TAGE_COMPONENTS`] lengths, or an entry index and a 15-bit tag
+    /// (the widest a component has) do not fit one 32-bit [`TageKeys`]
+    /// word.
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(config: TageConfig, seed: u64) -> Self {
         let rows = config.tagged_entries.next_power_of_two().max(1);
         let tagged = TaggedTables::new(&config.history_lengths, (0x7163, 0x91b7), rows);
-        assert!(
-            tagged.comps() <= TAGE_COMPONENTS,
-            "{} tagged components exceed TAGE's {TAGE_COMPONENTS}",
-            tagged.comps()
-        );
-        assert!(tagged.comps() * rows <= 1 << 16, "TAGE's tagged tables exceed 2^16 entries");
+        tagged.assert_packable::<TAGE_COMPONENTS>(15, "TAGE");
         let base = Bimodal::new(config.base_entries);
         Tage {
             base_conf: vec![0u8; base.len()],
@@ -140,9 +138,7 @@ impl Tage {
             (hash_pc(pc ^ fold.rotate_left(21), 0x3d71) as u32)
                 & ((1 << tag_bits(base_tag_bits, comp)) - 1)
         };
-        let comps = self.tagged.comps();
-        let keys = self.tagged.keys(hist, (row, tag));
-        std::array::from_fn(|c| if c < comps { keys.packed(c) } else { 0 })
+        self.tagged.keys(hist, row, tag)
     }
 
     /// The alternate prediction: the longest hit below `below`, else the
@@ -405,10 +401,11 @@ mod tests {
     fn rejects_geometry_its_packed_keys_cannot_address() {
         let thirteen = TageConfig { history_lengths: (1..=13).collect(), ..TageConfig::paper() };
         assert!(std::panic::catch_unwind(|| Tage::new(thirteen, 1)).is_err());
-        // 12 × 8192 entries exceed a key's 16-bit entry index.
-        let wide = TageConfig { tagged_entries: 8192, ..TageConfig::paper() };
+        // 12 × 8192 entries need a 17-bit index: with 15-bit tags, 32
+        // bits. 12 × 16384 need 18 and do not fit.
+        let _ = Tage::new(TageConfig { tagged_entries: 8192, ..TageConfig::paper() }, 1);
+        let wide = TageConfig { tagged_entries: 16384, ..TageConfig::paper() };
         assert!(std::panic::catch_unwind(|| Tage::new(wide, 1)).is_err());
-        let _ = Tage::new(TageConfig { tagged_entries: 4096, ..TageConfig::paper() }, 1);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! The tagged half of every TAGE-family predictor ([`Tage`], [`Vtage`],
 //! [`DVtage`]) and the table policy they share, defined once: the
-//! per-lookup keys ([`LookupKeys`]), the longest-match scan
+//! per-lookup keys ([`TaggedTables::keys`]), the longest-match scan
 //! ([`TaggedTables::hit_below`]: the provider, and TAGE's alternate), the
 //! allocation victim pick ([`TaggedTables::victim`]) and the periodic
 //! usefulness decay ([`TaggedTables::age`]). Each predictor keeps its
 //! payload, base table, hash seeds and snapshot field order.
 //!
-//! Every predictor's keys depend only on the µ-op's pc, its history
-//! position and the geometry, so the timing core builds them once per
-//! trace and the scans read them packed: TAGE's as `[PackedKey; N]`
-//! (`entry index << 16 | tag`), VTAGE's and D-VTAGE's as [`Packed`]
-//! words (`tag << index_bits | entry index`, since their tags are wider).
-//! The per-call adapters ([`DirectionPredictor`], [`ValuePredictor`])
-//! derive them from the history folds ([`Keys`]).
+//! A lookup's keys have one form: one `u32` word per component, packed as
+//! `tag << index_bits | entry index`, where `index_bits` is the fewest
+//! bits that address every entry of the component-major tables. Only this
+//! module packs or decodes a word. Every predictor's keys depend only on
+//! the µ-op's pc, its history position and the geometry, so the timing
+//! core builds them once per trace; the per-call adapters
+//! ([`DirectionPredictor`], [`ValuePredictor`]) build them per call from
+//! the history-fold memo, and both feed the same keyed scans.
 //!
 //! [`Tage`]: crate::branch::Tage
 //! [`Vtage`]: crate::value::Vtage
@@ -20,7 +21,7 @@
 //! [`DirectionPredictor`]: crate::branch::DirectionPredictor
 //! [`ValuePredictor`]: crate::value::ValuePredictor
 
-use crate::history::{FoldMemo, Folds, HistoryView};
+use crate::history::{FoldMemo, HistoryView};
 use crate::rng::SimRng;
 
 /// How often (in updates) the usefulness counters decay.
@@ -45,121 +46,21 @@ impl TagMeta {
     }
 }
 
-/// A predictor's hash of one lookup's keys, from each component's
-/// history folds: a pair of closures `(row, tag)`, taking the component
-/// and its fold. [`Keys`] reduces the row hash modulo the rows.
-pub(crate) trait KeyHash {
-    fn row(&self, comp: usize, index_fold: u64) -> usize;
-    fn tag(&self, comp: usize, tag_fold: u64) -> u32;
-}
-
-impl<R: Fn(usize, u64) -> usize, T: Fn(usize, u64) -> u32> KeyHash for (R, T) {
-    #[inline]
-    fn row(&self, comp: usize, index_fold: u64) -> usize {
-        (self.0)(comp, index_fold)
-    }
-
-    #[inline]
-    fn tag(&self, comp: usize, tag_fold: u64) -> u32 {
-        (self.1)(comp, tag_fold)
-    }
-}
-
-/// Every component's entry index (into [`TaggedTables`]) and tag for one
-/// lookup, as the table scans read them.
-pub(crate) trait LookupKeys {
-    /// Component `comp`'s entry index into the tables.
-    fn index(&self, comp: usize) -> usize;
-    /// Component `comp`'s tag.
-    fn tag(&self, comp: usize) -> u32;
-}
-
-/// One lookup's [`LookupKeys`] as the history folds, read once per call,
-/// bound to the predictor's hash. A key is hashed where a scan reads it,
-/// so the value predictors' per-call adapters scan these directly (the
-/// provider scan's early exit skips the components it never reaches);
-/// every packed key is hashed from them ([`Keys::packed`],
-/// [`TaggedTables::pack`]).
-pub(crate) struct Keys<H> {
-    hash: H,
-    folds: Folds,
-    rows: usize,
-}
-
-impl<H: KeyHash> Keys<H> {
-    /// Component `comp`'s key packed as a [`PackedKey`].
-    #[inline]
-    pub fn packed(&self, comp: usize) -> u32 {
-        debug_assert!(self.index(comp) < 1 << 16 && self.tag(comp) < 1 << 16);
-        (self.index(comp) as u32) << 16 | self.tag(comp)
-    }
-}
-
-impl<H: KeyHash> LookupKeys for Keys<H> {
-    #[inline]
-    fn index(&self, comp: usize) -> usize {
-        comp * self.rows + (self.hash.row(comp, self.folds.index(comp)) & (self.rows - 1))
-    }
-
-    #[inline]
-    fn tag(&self, comp: usize) -> u32 {
-        self.hash.tag(comp, self.folds.tag(comp))
-    }
-}
-
-/// One component's precomputed key, packed as `entry index << 16 | tag`:
-/// an array of them, one per component, is a [`LookupKeys`]. Fits tables
-/// of at most 2^16 entries with tags of at most 16 bits.
-pub(crate) type PackedKey = u32;
-
-impl<const N: usize> LookupKeys for [PackedKey; N] {
-    #[inline]
-    fn index(&self, comp: usize) -> usize {
-        (self[comp] >> 16) as usize
-    }
-
-    #[inline]
-    fn tag(&self, comp: usize) -> u32 {
-        self[comp] & 0xffff
-    }
-}
-
-/// Precomputed keys, one word per component, packed as
-/// `tag << index_bits | entry index` ([`TaggedTables::pack`]): the value
-/// predictors' layout, whose tags (up to 17 bits in VTAGE) do not fit
-/// beside a 16-bit entry index.
-pub(crate) struct Packed<'a, const N: usize> {
-    words: &'a [u32; N],
-    index_bits: u32,
-}
-
-impl<const N: usize> LookupKeys for Packed<'_, N> {
-    #[inline]
-    fn index(&self, comp: usize) -> usize {
-        (self.words[comp] & ((1 << self.index_bits) - 1)) as usize
-    }
-
-    #[inline]
-    fn tag(&self, comp: usize) -> u32 {
-        self.words[comp] >> self.index_bits
-    }
-}
-
 /// The tagged components of a TAGE-family predictor: `comps` components
 /// of `rows` entries each, stored component-major, plus the history-fold
 /// memo and the update counter that drives aging.
 ///
-/// Entry `i` (a [`Keys`] index) is `meta[i]` and the payload `data[i]`,
-/// held in two parallel arrays: the scans read only the compact metadata,
-/// so the payload (a 64-bit value in VTAGE) does not dilute the cache
-/// lines they touch.
+/// Entry `i` (a key word's entry index) is `meta[i]` and the payload
+/// `data[i]`, held in two parallel arrays: the scans read only the compact
+/// metadata, so the payload (a 64-bit value in VTAGE) does not dilute the
+/// cache lines they touch.
 #[derive(Clone, Debug)]
 pub(crate) struct TaggedTables<P> {
     pub meta: Vec<TagMeta>,
     pub data: Vec<P>,
     rows: usize,
     comps: usize,
-    /// Bits of a [`Packed`] word's entry index: enough for every entry.
+    /// Bits of a key word's entry index: enough for every entry.
     index_bits: u32,
     /// History folds per position (derived state: never snapshotted, not
     /// part of equality).
@@ -217,34 +118,33 @@ impl<P> TaggedTables<P> {
         self.meta.chunks_mut(self.rows).zip(self.data.chunks_mut(self.rows))
     }
 
-    /// The [`Keys`] of one lookup at `hist` under the predictor's `hash`,
-    /// whose row hash is reduced modulo `rows` here.
-    #[inline]
-    pub fn keys<H: KeyHash>(&mut self, hist: HistoryView<'_>, hash: H) -> Keys<H> {
-        Keys { hash, folds: self.memo.folds(hist), rows: self.rows }
-    }
-
-    /// One lookup's `keys` as [`Packed`] words; the words past
+    /// One lookup's keys at `hist`, one word per component: the
+    /// predictor's `row` hash of the component and its index fold, reduced
+    /// modulo `rows` into that component's entries, and its `tag` hash of
+    /// the component and its tag fold, packed as
+    /// `tag << index_bits | entry index`. The words past
     /// [`comps`](Self::comps) are 0.
     #[inline]
-    pub fn pack<const N: usize>(&self, keys: &impl LookupKeys) -> [u32; N] {
+    pub fn keys<const N: usize>(
+        &mut self,
+        hist: HistoryView<'_>,
+        row: impl Fn(usize, u64) -> usize,
+        tag: impl Fn(usize, u64) -> u32,
+    ) -> [u32; N] {
+        let folds = self.memo.folds(hist);
         std::array::from_fn(|c| {
             if c < self.comps {
-                debug_assert!(u64::from(keys.tag(c)) < 1 << (32 - self.index_bits));
-                keys.tag(c) << self.index_bits | keys.index(c) as u32
+                let index = c * self.rows + (row(c, folds.index(c)) & (self.rows - 1));
+                let tag = tag(c, folds.tag(c));
+                debug_assert!(u64::from(tag) < 1 << (32 - self.index_bits));
+                tag << self.index_bits | index as u32
             } else {
                 0
             }
         })
     }
 
-    /// `words` ([`pack`](Self::pack)) as the scans read them.
-    #[inline]
-    pub fn packed<'a, const N: usize>(&self, words: &'a [u32; N]) -> Packed<'a, N> {
-        Packed { words, index_bits: self.index_bits }
-    }
-
-    /// Panics unless [`Packed`] keys of `N` words address these tables:
+    /// Panics unless key words of `N` components address these tables:
     /// at most `N` components, and every entry index beside the widest
     /// tag (`widest_tag` bits) in a 32-bit word.
     pub fn assert_packable<const N: usize>(&self, widest_tag: u32, name: &str) {
@@ -256,15 +156,27 @@ impl<P> TaggedTables<P> {
         );
     }
 
+    /// The entry index of key word `key`.
+    #[inline]
+    fn index(&self, key: u32) -> usize {
+        (key & ((1 << self.index_bits) - 1)) as usize
+    }
+
+    /// The tag of key word `key`.
+    #[inline]
+    fn tag(&self, key: u32) -> u32 {
+        key >> self.index_bits
+    }
+
     /// The longest component below `n` whose entry is valid and matches
     /// its tag, with that entry's index. `hit_below(keys, comps())` is the
     /// provider.
     #[inline]
-    pub fn hit_below(&self, keys: &impl LookupKeys, n: usize) -> Option<(usize, usize)> {
+    pub fn hit_below(&self, keys: &[u32], n: usize) -> Option<(usize, usize)> {
         for c in (0..n).rev() {
-            let i = keys.index(c);
+            let i = self.index(keys[c]);
             let m = &self.meta[i];
-            if m.valid && m.tag == keys.tag(c) {
+            if m.valid && m.tag == self.tag(keys[c]) {
                 return Some((c, i));
             }
         }
@@ -278,16 +190,17 @@ impl<P> TaggedTables<P> {
     /// decays and nothing is chosen.
     pub fn victim(
         &mut self,
-        keys: &impl LookupKeys,
+        keys: &[u32],
         start: usize,
         rng: &mut SimRng,
     ) -> Option<(usize, usize)> {
         let mut free = (start..self.comps)
-            .map(|c| (c, keys.index(c)))
+            .map(|c| (c, self.index(keys[c])))
             .filter(|&(_, i)| self.meta[i].useful == 0);
         let Some(shortest) = free.next() else {
-            for c in start..self.comps {
-                let m = &mut self.meta[keys.index(c)];
+            for &key in &keys[start..self.comps] {
+                let i = self.index(key);
+                let m = &mut self.meta[i];
                 m.useful = m.useful.saturating_sub(1);
             }
             return None;
@@ -302,13 +215,13 @@ impl<P> TaggedTables<P> {
     /// at the chosen slot, which is returned.
     pub fn allocate(
         &mut self,
-        keys: &impl LookupKeys,
+        keys: &[u32],
         start: usize,
         rng: &mut SimRng,
         data: P,
     ) -> Option<(usize, usize)> {
         let (comp, i) = self.victim(keys, start, rng)?;
-        self.meta[i] = TagMeta { valid: true, tag: keys.tag(comp), useful: 0 };
+        self.meta[i] = TagMeta { valid: true, tag: self.tag(keys[comp]), useful: 0 };
         self.data[i] = data;
         Some((comp, i))
     }
@@ -332,38 +245,74 @@ mod tests {
 
     const COMPS: usize = 4;
 
-    /// Component `c`'s row is `row + c` and its tag `tag + c`.
-    fn fixed(row: usize, tag: u32) -> impl KeyHash {
-        (move |c, _| row + c, move |c, _| tag + c as u32)
+    /// The keys of one lookup in `t` where component `c`'s row is
+    /// `row + c` and its tag `tag + c`.
+    fn fixed<P, const N: usize>(t: &mut TaggedTables<P>, row: usize, tag: u32) -> [u32; N] {
+        let hist = BranchHistory::new();
+        t.keys(hist.view(0), move |c, _| row + c, move |c, _| tag + c as u32)
     }
 
     /// Four components of 8 rows; component `c`'s key is row `c`, tag
     /// `10 + c`.
-    fn tables() -> (TaggedTables<()>, Keys<impl KeyHash>) {
+    fn tables() -> (TaggedTables<()>, [u32; COMPS]) {
         let mut t = TaggedTables::new(&[2, 4, 8, 16], (1, 2), 8);
-        let hist = BranchHistory::new();
-        let keys = t.keys(hist.view(0), fixed(0, 10));
+        let keys = fixed(&mut t, 0, 10);
         (t, keys)
     }
 
+    /// Component `c`'s keyed entry.
+    fn entry(t: &TaggedTables<()>, keys: &[u32; COMPS], c: usize) -> usize {
+        t.index(keys[c])
+    }
+
     /// Sets component `c`'s keyed entry's usefulness.
-    fn set_useful(t: &mut TaggedTables<()>, keys: &Keys<impl KeyHash>, useful: [u8; COMPS]) {
+    fn set_useful(t: &mut TaggedTables<()>, keys: &[u32; COMPS], useful: [u8; COMPS]) {
         for (c, u) in useful.into_iter().enumerate() {
-            t.meta[keys.index(c)].useful = u;
+            let i = entry(t, keys, c);
+            t.meta[i].useful = u;
         }
     }
 
-    fn usefuls(t: &TaggedTables<()>, keys: &Keys<impl KeyHash>) -> [u8; COMPS] {
-        std::array::from_fn(|c| t.meta[keys.index(c)].useful)
+    fn usefuls(t: &TaggedTables<()>, keys: &[u32; COMPS]) -> [u8; COMPS] {
+        std::array::from_fn(|c| t.meta[entry(t, keys, c)].useful)
     }
 
+    /// Checks every word of `words` (from [`fixed`] at `row`, `tag`) in
+    /// `t`, whose key words hold `index_bits` index bits.
+    fn assert_layout<const N: usize>(
+        t: &TaggedTables<()>,
+        words: [u32; N],
+        (row, tag): (usize, u32),
+        index_bits: u32,
+    ) {
+        assert_eq!(t.index_bits, index_bits);
+        for (c, &w) in words.iter().enumerate().take(t.comps()) {
+            let index = c * t.rows() + (row + c) % t.rows();
+            let want = (tag + c as u32) << index_bits | index as u32;
+            assert_eq!(w, want, "component {c}");
+            assert_eq!((t.index(w), t.tag(w)), (index, tag + c as u32), "component {c}");
+        }
+        assert!(words[t.comps()..].iter().all(|&w| w == 0));
+    }
+
+    /// Pins the one key layout: each word is its component's tag above
+    /// `index_bits` bits of entry index, component-major and reduced
+    /// modulo rows.
     #[test]
     fn keys_are_component_major_and_reduced_modulo_rows() {
-        let mut t: TaggedTables<()> = TaggedTables::new(&[2, 4], (1, 2), 8);
-        let hist = BranchHistory::new();
-        let keys = t.keys(hist.view(0), fixed(13, 7));
-        assert_eq!((keys.index(0), keys.index(1)), (5, 8 + 6));
-        assert_eq!(keys.tag(1), 8);
+        // TAGE's geometry: 12 × 1024 entries take 14 index bits, beside
+        // tags of up to 15 bits.
+        let lengths: Vec<usize> = (1..=12).collect();
+        let mut tage = TaggedTables::new(&lengths, (1, 2), 1024);
+        let words: [u32; 12] = fixed(&mut tage, 3 * 1024 + 1020, 0x7ff0);
+        assert_layout(&tage, words, (3 * 1024 + 1020, 0x7ff0), 14);
+        // VTAGE's geometry: 6 × 1024 entries take 13 index bits, beside
+        // tags of up to 17 bits; the words past the components are 0.
+        let mut vtage = TaggedTables::new(&[2, 4, 8, 16, 32, 64], (1, 2), 1024);
+        let words: [u32; 8] = fixed(&mut vtage, 1021, 0x1fff0);
+        assert_layout(&vtage, words, (1021, 0x1fff0), 13);
+        // Component 5's row 1021 + 5 wraps to row 2.
+        assert_eq!(words[5], (0x1fff0 + 5) << 13 | (5 * 1024 + 2));
     }
 
     #[test]
@@ -408,7 +357,7 @@ mod tests {
         assert_eq!(t.allocate(&keys, 1, &mut rng, ()), None);
         assert_eq!(rng, SimRng::new(9));
         assert_eq!(usefuls(&t, &keys), [2, 0, 2, 0]);
-        assert!((0..COMPS).all(|c| !t.meta[keys.index(c)].valid));
+        assert!((0..COMPS).all(|c| !t.meta[entry(&t, &keys, c)].valid));
     }
 
     #[test]
@@ -424,8 +373,9 @@ mod tests {
     fn allocate_installs_a_fresh_tagged_entry() {
         let (mut t, keys) = tables();
         set_useful(&mut t, &keys, [0, 1, 1, 1]);
-        assert_eq!(t.allocate(&keys, 0, &mut SimRng::new(1), ()), Some((0, keys.index(0))));
-        assert_eq!(t.meta[keys.index(0)], TagMeta { valid: true, tag: 10, useful: 0 });
+        let first = entry(&t, &keys, 0);
+        assert_eq!(t.allocate(&keys, 0, &mut SimRng::new(1), ()), Some((0, first)));
+        assert_eq!(t.meta[first], TagMeta { valid: true, tag: 10, useful: 0 });
     }
 
     #[test]
@@ -433,10 +383,11 @@ mod tests {
         let (mut t, keys) = tables();
         assert_eq!(t.hit_below(&keys, COMPS).map(|(c, _)| c), None);
         // Component 3: right tag but invalid. Component 2: valid, wrong tag.
-        t.meta[keys.index(3)] = TagMeta { valid: false, tag: 13, useful: 0 };
-        t.meta[keys.index(2)] = TagMeta { valid: true, tag: 99, useful: 0 };
-        t.meta[keys.index(1)] = TagMeta { valid: true, tag: 11, useful: 0 };
-        t.meta[keys.index(0)] = TagMeta { valid: true, tag: 10, useful: 0 };
+        let [e0, e1, e2, e3] = std::array::from_fn(|c| entry(&t, &keys, c));
+        t.meta[e3] = TagMeta { valid: false, tag: 13, useful: 0 };
+        t.meta[e2] = TagMeta { valid: true, tag: 99, useful: 0 };
+        t.meta[e1] = TagMeta { valid: true, tag: 11, useful: 0 };
+        t.meta[e0] = TagMeta { valid: true, tag: 10, useful: 0 };
         assert_eq!(t.hit_below(&keys, COMPS).map(|(c, _)| c), Some(1));
         assert_eq!(t.hit_below(&keys, 1).map(|(c, _)| c), Some(0));
         assert_eq!(t.hit_below(&keys, 0).map(|(c, _)| c), None);

@@ -41,12 +41,12 @@
 //! one [`VpKeys`], the keyed [`DVtage::predict_keyed`] /
 //! [`DVtage::train_keyed`] are the predictor, the timing core builds the
 //! keys once per trace, and the [`ValuePredictor`] impl is a thin adapter
-//! deriving them per call.
+//! that builds the same keys per call and calls the same pair.
 
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{KeyHash, Keys, LookupKeys, TaggedTables};
+use crate::tagged::TaggedTables;
 use crate::value::{InFlight, ValuePrediction, ValuePredictor, VpKeySchema, VpKeys, VP_COMPONENTS};
 
 /// Bytes per µ-op in trace addresses (`Program::inst_addr` spacing).
@@ -249,13 +249,6 @@ impl DVtage {
     /// one instance serve every instance of the same schema. Takes
     /// `&mut self` only for the history-fold memo.
     pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> VpKeys {
-        let keys = self.hashed(pc, hist);
-        self.tagged.pack(&keys)
-    }
-
-    /// [`keys`](Self::keys), hashed from the fold memo where a scan reads
-    /// them (the per-call adapter's keys).
-    fn hashed(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
         let (bpc, _) = self.block_of(pc);
         let c = &self.config;
         let (shape, rows, tag_bits) = ((c.banks, c.block_size), c.tagged_entries, c.base_tag_bits);
@@ -264,7 +257,7 @@ impl DVtage {
             let bits = tag_bits + comp as u32;
             (hash_pc(bpc ^ fold.rotate_left(13), 0xd7a9) as u32) & ((1u32 << bits) - 1)
         };
-        self.tagged.keys(hist, (row, tag))
+        self.tagged.keys(hist, row, tag)
     }
 
     /// What fixes this predictor's [`keys`](Self::keys).
@@ -305,7 +298,7 @@ impl DVtage {
     /// mispredicting slot resets to the observed delta at zero confidence.
     fn copy_on_allocate(
         &mut self,
-        keys: &impl LookupKeys,
+        keys: &VpKeys,
         provider: Option<(usize, usize)>,
         (bpc, slot): (u64, usize),
         delta: i64,
@@ -407,11 +400,6 @@ impl DVtage {
     /// **Never mutates predictor state** — rolling back speculation is
     /// the caller's window drop, nothing here.
     pub fn predict_keyed(&self, pc: u64, keys: &VpKeys, inflight: InFlight) -> ValuePrediction {
-        self.predict_with(pc, &self.tagged.packed(keys), inflight)
-    }
-
-    /// [`predict_keyed`](Self::predict_keyed) over keys in either form.
-    fn predict_with(&self, pc: u64, keys: &impl LookupKeys, inflight: InFlight) -> ValuePrediction {
         let (bpc, slot) = self.block_of(pc);
         let last = inflight.last.unwrap_or_else(|| {
             self.lvt[self.lvt_index(bpc) * self.config.block_size + slot]
@@ -444,11 +432,6 @@ impl DVtage {
     /// strided µ-op served correctly by the base never spawns tagged
     /// entries for its block.
     pub fn train_keyed(&mut self, pc: u64, keys: &VpKeys, actual: u64) {
-        self.train_with(pc, &self.tagged.packed(keys), actual);
-    }
-
-    /// [`train_keyed`](Self::train_keyed) over keys in either form.
-    fn train_with(&mut self, pc: u64, keys: &impl LookupKeys, actual: u64) {
         self.tagged.age(|u| u.saturating_sub(1));
         let (bpc, slot) = self.block_of(pc);
         let b = self.config.block_size;
@@ -485,13 +468,13 @@ impl ValuePredictor for DVtage {
         hist: HistoryView<'_>,
         inflight: InFlight,
     ) -> Option<ValuePrediction> {
-        let keys = self.hashed(pc, hist);
-        Some(self.predict_with(pc, &keys, inflight))
+        let keys = self.keys(pc, hist);
+        Some(self.predict_keyed(pc, &keys, inflight))
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        let keys = self.hashed(pc, hist);
-        self.train_with(pc, &keys, actual);
+        let keys = self.keys(pc, hist);
+        self.train_keyed(pc, &keys, actual);
     }
 
     fn storage_bits(&self) -> u64 {

@@ -10,11 +10,11 @@
 //!
 //! The VTAGE side runs keyed ([`Vtage::keys`]): the hybrid's keys are its
 //! VTAGE's, and the keyed [`VtageTwoDeltaStride::predict_keyed`] /
-//! [`VtageTwoDeltaStride::train_keyed`] are the predictor, under a
-//! per-call [`ValuePredictor`] adapter.
+//! [`VtageTwoDeltaStride::train_keyed`] are the predictor. The per-call
+//! [`ValuePredictor`] adapter builds the same keys and calls the same
+//! pair.
 
 use crate::history::HistoryView;
-use crate::tagged::LookupKeys;
 use crate::value::{
     InFlight, TwoDeltaStride, ValuePrediction, ValuePredictor, VpKeySchema, VpKeys, Vtage,
 };
@@ -72,25 +72,6 @@ impl VtageTwoDeltaStride {
         keys: &VpKeys,
         inflight: InFlight,
     ) -> ValuePrediction {
-        let keys = self.vtage.packed(keys);
-        self.predict_with(pc, hist, &keys, inflight)
-    }
-
-    /// Trains both sides of the µ-op at `pc` whose VTAGE keys are `keys`.
-    pub fn train_keyed(&mut self, pc: u64, hist: HistoryView<'_>, keys: &VpKeys, actual: u64) {
-        let keys = self.vtage.packed(keys);
-        self.vtage.train_with(pc, &keys, actual);
-        self.stride.train(pc, hist, actual);
-    }
-
-    /// [`predict_keyed`](Self::predict_keyed) over keys in either form.
-    fn predict_with(
-        &mut self,
-        pc: u64,
-        hist: HistoryView<'_>,
-        keys: &impl LookupKeys,
-        inflight: InFlight,
-    ) -> ValuePrediction {
         let (v, vtage_tagged_hit) = self.vtage.predict_and_hit(pc, keys);
         let s = self.stride.predict(pc, hist, inflight);
         // Selection: the more confident component wins; on a tie, a tagged
@@ -100,6 +81,12 @@ impl VtageTwoDeltaStride {
             Some(s) if v.level < s.level || (v.level == s.level && !vtage_tagged_hit) => s,
             _ => v,
         }
+    }
+
+    /// Trains both sides of the µ-op at `pc` whose VTAGE keys are `keys`.
+    pub fn train_keyed(&mut self, pc: u64, hist: HistoryView<'_>, keys: &VpKeys, actual: u64) {
+        self.vtage.train_keyed(pc, keys, actual);
+        self.stride.train(pc, hist, actual);
     }
 }
 
@@ -111,14 +98,13 @@ impl ValuePredictor for VtageTwoDeltaStride {
         hist: HistoryView<'_>,
         inflight: InFlight,
     ) -> Option<ValuePrediction> {
-        let keys = self.vtage.hashed(pc, hist);
-        Some(self.predict_with(pc, hist, &keys, inflight))
+        let keys = self.keys(pc, hist);
+        Some(self.predict_keyed(pc, hist, &keys, inflight))
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        let keys = self.vtage.hashed(pc, hist);
-        self.vtage.train_with(pc, &keys, actual);
-        self.stride.train(pc, hist, actual);
+        let keys = self.keys(pc, hist);
+        self.train_keyed(pc, hist, &keys, actual);
     }
 
     fn storage_bits(&self) -> u64 {

@@ -22,12 +22,14 @@
 //! [`Vtage::predict_keyed`] / [`Vtage::train_keyed`] are the predictor.
 //! The timing core builds every VP-eligible µ-op's keys once per trace
 //! and calls the keyed pair; the [`ValuePredictor`] impl is a thin
-//! adapter that derives the keys per call from the fold memo.
+//! adapter that builds the same keys per call from the fold memo and
+//! calls the same pair. A key word packs a tag of up to 17 bits above a
+//! 13-bit entry index at the paper geometry (`tagged.rs`).
 
 use crate::fpc::{Fpc, FpcPolicy};
 use crate::history::{hash_pc, HistoryView};
 use crate::rng::SimRng;
-use crate::tagged::{KeyHash, Keys, LookupKeys, Packed, TaggedTables};
+use crate::tagged::TaggedTables;
 use crate::value::{InFlight, ValuePrediction, ValuePredictor, VpKeySchema, VpKeys, VP_COMPONENTS};
 
 /// Geometry and sizing of a [`Vtage`] predictor.
@@ -130,26 +132,13 @@ impl Vtage {
     /// serve every instance of the same schema. Takes `&mut self` only
     /// for the history-fold memo.
     pub fn keys(&mut self, pc: u64, hist: HistoryView<'_>) -> VpKeys {
-        let keys = self.hashed(pc, hist);
-        self.tagged.pack(&keys)
-    }
-
-    /// [`keys`](Self::keys), hashed from the fold memo where a scan reads
-    /// them: the per-call adapters' keys, cheaper than packing every
-    /// component when the provider scan stops early.
-    pub(crate) fn hashed(&mut self, pc: u64, hist: HistoryView<'_>) -> Keys<impl KeyHash> {
         let base_tag_bits = self.config.base_tag_bits;
         let row = move |_, fold| hash_pc(pc ^ fold, 0x7a6e) as usize;
         let tag = move |comp, fold: u64| {
             let bits = base_tag_bits + comp as u32;
             (hash_pc(pc ^ fold.rotate_left(17), 0x7a9) as u32) & ((1u32 << bits) - 1)
         };
-        self.tagged.keys(hist, (row, tag))
-    }
-
-    /// `keys` as the table scans read them.
-    pub(crate) fn packed<'k>(&self, keys: &'k VpKeys) -> Packed<'k, VP_COMPONENTS> {
-        self.tagged.packed(keys)
+        self.tagged.keys(hist, row, tag)
     }
 
     /// What fixes this predictor's [`keys`](Self::keys).
@@ -167,11 +156,7 @@ impl Vtage {
     /// The prediction, and whether a tagged component provided it — one
     /// provider scan for the hybrid's selection rule (a tagged hit beats
     /// the stride side).
-    pub(crate) fn predict_and_hit(
-        &self,
-        pc: u64,
-        keys: &impl LookupKeys,
-    ) -> (ValuePrediction, bool) {
+    pub(crate) fn predict_and_hit(&self, pc: u64, keys: &VpKeys) -> (ValuePrediction, bool) {
         let provider = self.tagged.hit_below(keys, self.tagged.comps());
         let s = match provider {
             Some((_, i)) => self.tagged.data[i],
@@ -183,17 +168,12 @@ impl Vtage {
     /// Predicts the result of the µ-op at `pc` whose tagged-component keys
     /// are `keys` ([`Vtage::keys`]).
     pub fn predict_keyed(&self, pc: u64, keys: &VpKeys) -> ValuePrediction {
-        self.predict_and_hit(pc, &self.packed(keys)).0
+        self.predict_and_hit(pc, keys).0
     }
 
     /// Trains the µ-op at `pc` whose keys are `keys` with its
     /// architectural result (called in commit order).
     pub fn train_keyed(&mut self, pc: u64, keys: &VpKeys, actual: u64) {
-        self.train_with(pc, &self.packed(keys), actual);
-    }
-
-    /// [`train_keyed`](Self::train_keyed) over keys in either form.
-    pub(crate) fn train_with(&mut self, pc: u64, keys: &impl LookupKeys, actual: u64) {
         self.tagged.age(|u| u.saturating_sub(1));
         let provider = self.tagged.hit_below(keys, self.tagged.comps());
         let correct = match provider {
@@ -225,13 +205,13 @@ impl ValuePredictor for Vtage {
         hist: HistoryView<'_>,
         _inflight: InFlight,
     ) -> Option<ValuePrediction> {
-        let keys = self.hashed(pc, hist);
-        Some(self.predict_and_hit(pc, &keys).0)
+        let keys = self.keys(pc, hist);
+        Some(self.predict_keyed(pc, &keys))
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
-        let keys = self.hashed(pc, hist);
-        self.train_with(pc, &keys, actual);
+        let keys = self.keys(pc, hist);
+        self.train_keyed(pc, &keys, actual);
     }
 
     fn storage_bits(&self) -> u64 {

@@ -177,10 +177,9 @@ fn microbench(session: &Session, reps: usize) -> String {
             Some(keys) => Box::new(move || {
                 let mut p = make(seed);
                 let start = std::time::Instant::now();
-                for (k, &(pc, pos, actual)) in keys.iter().zip(stream) {
-                    let view = hist.view(pos as usize);
-                    std::hint::black_box(p.predict_keyed(pc, view, k, InFlight::default()));
-                    p.train_keyed(pc, view, k, actual);
+                for (k, &(pc, _, actual)) in keys.iter().zip(stream) {
+                    std::hint::black_box(p.predict_keyed(pc, Some(k), InFlight::default()));
+                    p.train_keyed(pc, Some(k), actual);
                 }
                 start.elapsed().as_secs_f64()
             }),

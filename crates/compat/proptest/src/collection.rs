@@ -1,10 +1,10 @@
-//! Collection strategies (subset: [`vec`]).
+//! Collection strategies (subset: [`vec()`]).
 
 use std::ops::Range;
 
 use crate::{Strategy, TestRng};
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     elem: S,

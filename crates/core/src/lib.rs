@@ -58,6 +58,12 @@ pub mod pipeline;
 pub mod prf;
 pub mod stats;
 
+/// Counts each unit-test thread's allocations, for the zero-allocation
+/// tests of the value predictor's helper path.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+
 /// True when `EOLE_PARANOID` is set: the one switch for every
 /// crash-on-divergence validation mode. The simulator single-steps each
 /// idle cycle it would fast-forward over and panics if one acts, and

@@ -129,14 +129,9 @@ impl Simulator<'_> {
     /// Squashes every µ-op with sequence ≥ `first_bad` and rewinds the
     /// trace cursor so they refetch.
     pub(super) fn squash_from(&mut self, first_bad: u64) {
-        // One notification rolls the whole VP speculative window back to
-        // the cut: every in-flight (queried) instance with seq ≥
-        // `first_bad` is dropped youngest-first — exactly the µ-ops the
-        // front-queue and ROB walks below discard.
-        if let Some(vp) = self.vp.as_mut() {
-            vp.squash_from(first_bad);
-        }
         let mut min_trace_idx: Option<usize> = None;
+        // Registered VP instances among the discarded µ-ops.
+        let mut vp_dropped = 0usize;
         // Front-end queue (not yet renamed).
         while let Some(back) = self.front_q.back() {
             if back.seq < first_bad {
@@ -145,6 +140,7 @@ impl Simulator<'_> {
             let fu = self.front_q.pop_back().expect("non-empty"); // lint:allow(error-typing) while-let guard proves the queue is non-empty
             min_trace_idx =
                 Some(min_trace_idx.map_or(fu.trace_idx, |m| m.min(fu.trace_idx)));
+            vp_dropped += usize::from(fu.vp_queried);
             self.stats.squashed += 1;
         }
         // ROB walk, youngest first: undo renaming.
@@ -154,6 +150,7 @@ impl Simulator<'_> {
             }
             let e = self.rob.pop_back().expect("non-empty"); // lint:allow(error-typing) while-let guard proves the queue is non-empty
             min_trace_idx = Some(min_trace_idx.map_or(e.trace_idx, |m| m.min(e.trace_idx)));
+            vp_dropped += usize::from(e.vp_queried);
             // A parked µ-op leaves its register's waiter list; a queued one
             // leaves the IQ below.
             self.waiters.unpark(e.seq);
@@ -162,6 +159,13 @@ impl Simulator<'_> {
                 self.prf.free(d.class, d.new);
             }
             self.stats.squashed += 1;
+        }
+        // One notification rolls the whole VP speculative window back to
+        // the cut: every in-flight (queried) instance with seq ≥
+        // `first_bad` is dropped youngest-first — exactly the µ-ops the
+        // two walks above discarded.
+        if let Some(vp) = self.vp.as_mut() {
+            vp.squash(first_bad, vp_dropped, self.trace);
         }
         self.iq.retain(|e| e.seq < first_bad);
         while self.lq.back().is_some_and(|l| l.seq >= first_bad) {

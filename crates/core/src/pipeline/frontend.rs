@@ -8,7 +8,8 @@
 use eole_isa::InstClass;
 use eole_predictors::branch::BranchConfidence;
 
-use super::state::{pck, vp_keys_at, FrontUop, Simulator, KEY_TOUCH_AHEAD};
+use super::state::{pck, FrontUop, Simulator};
+use super::vp_stream::Forecast;
 
 impl Simulator<'_> {
     pub(super) fn do_fetch(&mut self) {
@@ -39,6 +40,8 @@ impl Simulator<'_> {
                 seq,
                 at_rename: self.cycle + self.config.frontend_depth,
                 vp_queried: false,
+                pred_ordinal: 0,
+                pred_pending: false,
                 pred_some: false,
                 pred_used: false,
                 pred_correct: false,
@@ -49,33 +52,29 @@ impl Simulator<'_> {
                 ind_mispredict: false,
             };
             let inst = &self.text[di.pc as usize];
-            let view = self.trace.history.view(di.bhist_pos as usize);
-            // Value prediction at fetch (§4.2), block-granular (BeBoP).
+            // Value prediction at fetch (§4.2), block-granular (BeBoP):
+            // the query goes down the command stream, and rename reads
+            // its outcome.
             if let Some(vp) = self.vp.as_mut() {
                 if inst.is_vp_eligible() {
-                    let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, self.cursor);
-                    if let Some(table) = self.vp_keys.as_deref() {
-                        table.touch(self.cursor + KEY_TOUCH_AHEAD);
-                    }
-                    let q = vp.predict(self.cycle, seq, pck(di.pc), view, keys.as_ref());
-                    if q.new_block {
+                    let uop = (seq, pck(di.pc), self.cursor);
+                    let (admission, forecast) = vp.predict(self.cycle, uop, di.result, self.trace);
+                    if admission.new_block {
                         self.stats.vp_block_reads += 1;
+                    }
+                    match forecast {
+                        Forecast::Ready(outcome) => fu.take_outcome(outcome),
+                        Forecast::Pending(ordinal) => {
+                            fu.pred_pending = true;
+                            fu.pred_ordinal = ordinal;
+                        }
                     }
                     // Only accepted queries registered an in-flight
                     // instance, so only they are trained at commit or
                     // dropped at squash.
-                    fu.vp_queried = q.accepted;
-                    if !q.accepted {
+                    fu.vp_queried = admission.accepted;
+                    if !admission.accepted {
                         self.stats.vp_window_rejects += 1;
-                    }
-                    if let Some(p) = q.pred {
-                        fu.pred_some = true;
-                        fu.pred_level = p.level;
-                        fu.pred_value_correct = p.value == di.result;
-                        if p.confident {
-                            fu.pred_used = true;
-                            fu.pred_correct = fu.pred_value_correct;
-                        }
                     }
                 }
             }

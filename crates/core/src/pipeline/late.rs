@@ -6,7 +6,7 @@
 
 use eole_isa::InstClass;
 
-use super::state::{pck, vp_keys_at, RobEntry, Simulator};
+use super::state::{pck, RobEntry, Simulator};
 
 impl Simulator<'_> {
     /// Can the ROB head pre-commit this cycle? LE µ-ops execute in the
@@ -36,7 +36,7 @@ impl Simulator<'_> {
     pub(super) fn levt_reads(&self, e: &RobEntry) -> ([(usize, usize); 3], usize) {
         let mut needed = [(0usize, 0usize); 3];
         let mut n = 0usize;
-        if self.vp.is_some() && e.vp_eligible {
+        if self.config.vp.is_some() && e.vp_eligible {
             if let Some(d) = e.dst {
                 let ci = if d.class == eole_isa::RegClass::Int { 0 } else { 1 };
                 needed[n] = (self.prf.bank_of(d.new), ci);
@@ -118,9 +118,7 @@ impl Simulator<'_> {
         if let Some(vp) = self.vp.as_mut() {
             if e.vp_queried {
                 let di = &self.trace.insts()[e.trace_idx];
-                let view = self.trace.history.view(di.bhist_pos as usize);
-                let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, e.trace_idx);
-                vp.commit(e.seq, pck(di.pc), view, keys.as_ref(), di.result);
+                vp.commit((e.seq, pck(di.pc), e.trace_idx), di.result, self.trace);
             }
         }
     }

@@ -17,6 +17,7 @@
 //! | [`late`](self) | Late Execution + Validation/Training before Commit (§3.2) |
 //! | [`commit`](self) | in-order commit and squash recovery |
 //! | [`state`](self) | shared [`Simulator`] state, [`PreparedTrace`], [`SimError`] |
+//! | [`vp_stream`](self) | the ordered command stream to the value predictor, drained inline or on a helper thread |
 //!
 //! ## Modelling decisions
 //!
@@ -41,6 +42,17 @@
 //!   squashed µ-ops, and the value predictor's speculative window drops
 //!   their in-flight instances. The trace cursor then rewinds to the
 //!   oldest squashed µ-op, which simply refetches.
+//! - **The value predictor behind a command stream.** Fetch, commit,
+//!   squash recovery and functional warmup reach the predictor only
+//!   through an ordered stream of commands (`Predict`, `Commit`, `Squash`,
+//!   `Warm`). Whether the window admits a µ-op and whether it opens a
+//!   new block read are decided at fetch, on the pipeline's thread. The
+//!   stream is applied inline, or, while [`Simulator::run`] is in flight
+//!   and a core is spare, by a helper thread that owns the predictor: the
+//!   same commands in the same order, so every result is bit-identical.
+//!   In EOLE the predictor's answer is first needed at rename, 15 cycles
+//!   after fetch, which is the slack the helper runs in: rename reads a
+//!   helper's prediction by its ordinal among the `Predict`s sent.
 
 mod commit;
 mod early;
@@ -48,6 +60,7 @@ mod frontend;
 mod late;
 mod ooo;
 mod state;
+mod vp_stream;
 mod wakeup;
 mod warm;
 mod window;

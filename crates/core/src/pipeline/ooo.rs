@@ -34,6 +34,18 @@ impl Simulator<'_> {
         for b in self.scratch.ee_writes.iter_mut() {
             *b = [0, 0];
         }
+        // A helper's value predictions are first read here, for the
+        // µ-ops that may rename this cycle, before the rename loop. Each
+        // entry is written back whole, so the loop's copy of it can
+        // forward from the store.
+        if let Some(vp) = self.vp.as_mut().filter(|vp| vp.has_helper()) {
+            let due = self.front_q.iter_mut().take(self.config.rename_width);
+            for entry in due.take_while(|fu| fu.at_rename <= now).filter(|fu| fu.pred_pending) {
+                let mut fu = *entry;
+                fu.take_outcome(vp.outcome(fu.pred_ordinal));
+                *entry = fu;
+            }
+        }
         while dispatched < self.config.rename_width {
             let Some(fu) = self.front_q.front().copied() else { break };
             if fu.at_rename > now {

@@ -11,10 +11,11 @@ use eole_predictors::branch::{Btb, ReturnStack, Tage, TageKeys};
 use eole_predictors::history::BranchHistory;
 use eole_predictors::storesets::StoreSets;
 use eole_predictors::value::{
-    AnyValuePredictor, BlockParams, BlockVp, DVtage, DVtageConfig, Fcm, LastValue,
+    AnyValuePredictor, BlockGate, BlockParams, BlockVp, DVtage, DVtageConfig, Fcm, LastValue,
     StridePredictor, TwoDeltaStride, VpKeySchema, VpKeys, Vtage, VtageTwoDeltaStride,
 };
 
+use super::vp_stream::{seat_this_thread, Outcome, VpStream};
 use super::wakeup::Waiters;
 use super::window::SeqRing;
 use crate::config::{ConfigError, CoreConfig, ValuePredictorKind, VpConfig};
@@ -92,7 +93,7 @@ impl VpKeyTable {
 
     /// The keys of the µ-op at trace index `idx`.
     #[inline]
-    fn get(&self, idx: usize) -> VpKeys {
+    pub(super) fn get(&self, idx: usize) -> VpKeys {
         self.distinct[self.index[idx] as usize]
     }
 
@@ -115,7 +116,7 @@ impl Clone for VpKeyTables {
 
 /// Poisoning-proof lock: the key-table list is only ever changed by a
 /// complete push, so a panic elsewhere never leaves it inconsistent.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(super) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -275,6 +276,10 @@ pub(super) struct FrontUop {
     pub(super) seq: u64,
     pub(super) at_rename: u64,
     pub(super) vp_queried: bool,
+    /// The helper's ordinal for the µ-op's value prediction, whose
+    /// outcome rename has yet to read iff `pred_pending`.
+    pub(super) pred_ordinal: u64,
+    pub(super) pred_pending: bool,
     pub(super) pred_some: bool,
     pub(super) pred_used: bool,
     pub(super) pred_correct: bool,
@@ -291,6 +296,20 @@ pub(super) struct FrontUop {
     pub(super) awaited: bool,
     /// Mispredicted indirect/return (for stats).
     pub(super) ind_mispredict: bool,
+}
+
+impl FrontUop {
+    /// Records the outcome of the µ-op's value prediction: at fetch from
+    /// the inline drainer, at rename from a helper.
+    #[inline]
+    pub(super) fn take_outcome(&mut self, o: Outcome) {
+        self.pred_pending = false;
+        self.pred_some = o.some();
+        self.pred_level = o.level();
+        self.pred_value_correct = o.correct();
+        self.pred_used = o.some() && o.confident();
+        self.pred_correct = self.pred_used && self.pred_value_correct;
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -426,20 +445,21 @@ pub(super) fn pck(pc: impl Into<u32>) -> u64 {
     Program::inst_addr(pc)
 }
 
-/// Builds the block-based VP subsystem the pipeline talks to: the
-/// configured predictor, held by value as an enum (the fetch path queries
+/// Builds the block-based VP subsystem the pipeline talks to, and its
+/// fetch-side gate: the configured predictor, held by value as an enum (the fetch path queries
 /// it every cycle, and static dispatch keeps that query free of the
 /// `Box<dyn>` pointer chase), plus the speculative window, pre-sized to
 /// the pipeline's maximum in-flight µ-op count so steady-state
 /// registration never allocates, and its per-static-µ-op index, sized to
 /// the trace text's `static_uops` instructions.
-fn make_block_vp(vp: &VpConfig, window_hint: usize, static_uops: usize) -> BlockVp {
-    let params = BlockParams {
-        block_size: vp.block_size,
-        banks: vp.banks,
-        spec_window: vp.spec_window,
-    };
-    BlockVp::new(make_value_predictor(vp), params, window_hint, static_uops)
+fn make_block_vp(vp: &VpConfig, window_hint: usize, static_uops: usize) -> (BlockVp, BlockGate) {
+    let params = block_params(vp);
+    (BlockVp::new(make_value_predictor(vp), params, window_hint, static_uops), BlockGate::new(params))
+}
+
+/// The block front's shape in `vp`.
+fn block_params(vp: &VpConfig) -> BlockParams {
+    BlockParams { block_size: vp.block_size, banks: vp.banks, spec_window: vp.spec_window }
 }
 
 /// The configured value predictor.
@@ -535,9 +555,9 @@ pub struct Simulator<'t> {
     pub(super) tage_keys: &'t [TageKeys],
     pub(super) btb: Btb,
     pub(super) ras: ReturnStack,
-    pub(super) vp: Option<BlockVp>,
-    /// The trace's key table for `vp`'s schema ([`PreparedTrace::vp_keys`]).
-    pub(super) vp_keys: Option<Arc<VpKeyTable>>,
+    /// The command stream to the value predictor, which reads the
+    /// trace's key table for its schema ([`PreparedTrace::vp_keys`]).
+    pub(super) vp: Option<VpStream>,
 
     // Rename.
     pub(super) spec_rat: [PhysReg; 64],
@@ -586,6 +606,7 @@ impl<'t> Simulator<'t> {
     // lint:allow(hot-alloc) cold construction path: tables allocated once, before the measured loop
     pub fn new(trace: &'t PreparedTrace, config: CoreConfig) -> Result<Self, SimError> {
         config.validate().map_err(SimError::BadConfig)?;
+        seat_this_thread();
         let mut spec_rat = [0 as PhysReg; 64];
         for (i, r) in spec_rat.iter_mut().enumerate() {
             *r = (i % 32) as PhysReg;
@@ -596,9 +617,11 @@ impl<'t> Simulator<'t> {
         let mut tage = Tage::paper(config.branch_seed);
         let tage_keys = trace.tage_keys(&mut tage);
         let window_hint = front_cap + config.rob_entries;
-        let mut vp =
-            config.vp.as_ref().map(|v| make_block_vp(v, window_hint, trace.text().len()));
-        let vp_keys = vp.as_mut().and_then(|vp| trace.vp_keys(vp));
+        let vp = config.vp.as_ref().map(|v| {
+            let (mut vp, gate) = make_block_vp(v, window_hint, trace.text().len());
+            let keys = trace.vp_keys(&mut vp);
+            VpStream::new(vp, gate, keys, front_cap, config.frontend_depth)
+        });
         Ok(Simulator {
             cycle: 0,
             cursor: 0,
@@ -615,7 +638,6 @@ impl<'t> Simulator<'t> {
             btb: Btb::paper(),
             ras: ReturnStack::paper(),
             vp,
-            vp_keys,
             spec_rat,
             commit_rat: spec_rat,
             prf: Prf::try_new(config.int_prf, config.fp_prf, config.prf_banks)
@@ -665,14 +687,8 @@ impl<'t> Simulator<'t> {
     pub fn functional_warm(&mut self, upto: usize) {
         let upto = upto.min(self.trace.len());
         let mut cycle = self.cycle;
-        // Throwaway sequence numbers for the query/train pairs: each pair
-        // drains the speculative window before the next, and `next_seq`
-        // itself must stay untouched (ROB slots are seq-addressed from
-        // the ring's base).
-        let mut seq = 0u64;
         while self.cursor < upto {
             let di = &self.trace.insts()[self.cursor];
-            let view = self.trace.history.view(di.bhist_pos as usize);
             // I-cache: one touch per line transition, as fetch does.
             let line = pck(di.pc) & !63;
             if line != self.last_fetch_line {
@@ -684,12 +700,7 @@ impl<'t> Simulator<'t> {
             let inst = &self.text[di.pc as usize];
             if let Some(vp) = self.vp.as_mut() {
                 if inst.is_vp_eligible() {
-                    let keys = vp_keys_at(self.vp_keys.as_deref(), vp, self.trace, self.cursor);
-                    let q = vp.predict(cycle, seq, pck(di.pc), view, keys.as_ref());
-                    if q.accepted {
-                        vp.commit(seq, pck(di.pc), view, keys.as_ref(), di.result);
-                    }
-                    seq += 1;
+                    vp.warm(cycle, (pck(di.pc), self.cursor), di.result, self.trace);
                 }
             }
             // Control predictors: predict-then-train mirrors the fetch /
@@ -806,6 +817,19 @@ impl<'t> Simulator<'t> {
     ///
     /// [`SimError::Deadlock`] if no commit happens for 100k cycles.
     pub fn run(&mut self, insts: u64) -> Result<(), SimError> {
+        if let Some(vp) = &mut self.vp {
+            vp.begin_run();
+        }
+        let out = self.run_cycles(insts);
+        if let Some(vp) = &mut self.vp {
+            vp.end_run();
+        }
+        out
+    }
+
+    /// The body of [`Simulator::run`], between handing the value
+    /// predictor to its drainer and taking it back.
+    fn run_cycles(&mut self, insts: u64) -> Result<(), SimError> {
         let target = self.total_committed.saturating_add(insts);
         while self.total_committed < target && !self.finished() {
             self.step();
@@ -863,6 +887,9 @@ impl<'t> Simulator<'t> {
         self.idle = quiet
             && self.stats.committed == committed_before
             && self.stats.fetched == fetched_before;
+        if let Some(vp) = &mut self.vp {
+            vp.end_cycle();
+        }
         self.cycle += 1;
         self.stats.cycles += 1;
     }
@@ -1010,9 +1037,7 @@ mod tests {
     use super::*;
     use crate::config::CoreConfig;
     use eole_isa::{generate_trace, ArchReg, DynInst, Inst, IntReg, Opcode, ProgramBuilder};
-    use eole_predictors::branch::DirectionPredictor;
-    use eole_predictors::snapshot::Snapshot;
-    use eole_predictors::value::{InFlight, ValuePredictor};
+    use eole_predictors::history::hash_pc;
     use proptest::prelude::*;
 
     fn tiny_trace(iters: i64) -> Trace {
@@ -1134,45 +1159,123 @@ mod tests {
         Trace { text, insts, branch_outcomes, halted: false, end_pc: 0 }
     }
 
+    /// One tagged component's key word, packed as every TAGE-family
+    /// predictor packs it: `tag << index_bits | entry index`, where
+    /// `index_bits` addresses all `comps * rows` entries.
+    fn pack(tag: u64, comp: usize, row: usize, comps: usize, rows: usize) -> u32 {
+        let index_bits = (comps * rows).next_power_of_two().trailing_zeros();
+        (tag as u32) << index_bits | (comp * rows + (row & (rows - 1))) as u32
+    }
+
+    /// The key oracle: each component's word hashed straight from
+    /// `HistoryView::fold` (index fold with `seeds.0 + c`, tag fold with
+    /// `seeds.1 + c`), with no fold memo and no `TaggedTables::keys`.
+    /// `row` and `tag` are the predictor's hashes of a component and its
+    /// fold; `tag` masks to the component's width.
+    fn oracle_keys<const N: usize>(
+        view: eole_predictors::history::HistoryView<'_>,
+        (lengths, rows): (&[usize], usize),
+        seeds: (u64, u64),
+        row: impl Fn(usize, u64) -> usize,
+        tag: impl Fn(usize, u64) -> u64,
+    ) -> [u32; N] {
+        std::array::from_fn(|c| match lengths.get(c) {
+            Some(&len) => {
+                let (index_fold, tag_fold) =
+                    (view.fold(len, seeds.0 + c as u64), view.fold(len, seeds.1 + c as u64));
+                pack(tag(c, tag_fold), c, row(c, index_fold), lengths.len(), rows)
+            }
+            None => 0,
+        })
+    }
+
+    /// TAGE's keys for the branch at `pc`, from the oracle.
+    fn tage_oracle(pc: u64, view: eole_predictors::history::HistoryView<'_>) -> TageKeys {
+        let cfg = eole_predictors::branch::TageConfig::paper();
+        let rows = cfg.tagged_entries.next_power_of_two();
+        oracle_keys(
+            view,
+            (&cfg.history_lengths, rows),
+            (0x7163, 0x91b7),
+            |_, fold| hash_pc(pc ^ fold, 0x7a93) as usize,
+            |c, fold| {
+                let bits = (cfg.base_tag_bits + c as u32 / 2).min(15);
+                hash_pc(pc ^ fold.rotate_left(21), 0x3d71) & ((1 << bits) - 1)
+            },
+        )
+    }
+
+    /// The keys of a VP-eligible µ-op at `pc` for the predictor `vp`
+    /// configures, from the oracle; `None` for the kinds without keys.
+    fn vp_oracle(vp: &VpConfig, pc: u64, view: eole_predictors::history::HistoryView<'_>) -> Option<VpKeys> {
+        match vp.kind {
+            // The hybrid's keys are its VTAGE's.
+            ValuePredictorKind::Vtage | ValuePredictorKind::VtageTwoDeltaStride => {
+                let cfg = eole_predictors::value::VtageConfig::paper();
+                let rows = cfg.tagged_entries.next_power_of_two();
+                Some(oracle_keys(
+                    view,
+                    (&cfg.history_lengths, rows),
+                    (0x1d_0000, 0x7a_0000),
+                    |_, fold| hash_pc(pc ^ fold, 0x7a6e) as usize,
+                    |c, fold| {
+                        let bits = cfg.base_tag_bits + c as u32;
+                        hash_pc(pc ^ fold.rotate_left(17), 0x7a9) & ((1 << bits) - 1)
+                    },
+                ))
+            }
+            ValuePredictorKind::DVtage => {
+                let cfg = DVtageConfig::paper(vp.block_size, vp.banks);
+                let (rows, span) = (cfg.tagged_entries, (vp.block_size * 4) as u64);
+                let bpc = pc & !(span - 1);
+                // Banked: the block number's low bits pick the bank, a
+                // hash of the rest picks the row within it.
+                let banked = |c: usize, fold: u64| {
+                    let (bank_bits, block) = (vp.banks.trailing_zeros(), (bpc ^ fold) / span);
+                    let bank_rows = rows >> bank_bits;
+                    let row = hash_pc(block >> bank_bits, 0x6d7a + c as u64) as usize & (bank_rows - 1);
+                    (block as usize & (vp.banks - 1)) * bank_rows + row
+                };
+                Some(oracle_keys(
+                    view,
+                    (&cfg.history_lengths, rows),
+                    (0x2d_0000, 0x9d_0000),
+                    banked,
+                    |c, fold| {
+                        let bits = cfg.base_tag_bits + c as u32;
+                        hash_pc(bpc ^ fold.rotate_left(13), 0xd7a9) & ((1 << bits) - 1)
+                    },
+                ))
+            }
+            _ => None,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The trace's key table holds, for every conditional branch,
-        /// exactly the keys `Tage::keys` derives on the fly (from an
-        /// instance of another seed: the keys do not depend on it), and
-        /// the keyed predict/update the pipeline drives make the same
-        /// predictions and leave the same snapshot bytes as the
-        /// `DirectionPredictor` adapter.
+        /// exactly the keys the oracle hashes from the history folds.
         #[test]
-        fn tage_key_table_equals_on_the_fly_keys_and_the_adapter(
+        fn tage_key_table_equals_the_oracle(
             draws in proptest::collection::vec((0u8..40, any::<bool>()), 0..3000),
             seed in any::<u64>(),
         ) {
             let trace = PreparedTrace::new(branch_stream(&draws));
             let table = trace.tage_keys(&mut Tage::paper(seed));
             prop_assert_eq!(table.len(), trace.history().len());
-            let (mut fly, mut keyed, mut adapter) =
-                (Tage::paper(!seed), Tage::paper(seed), Tage::paper(seed));
             let branches = trace.insts().iter().filter(|di| di.class() == InstClass::Branch);
             for (ordinal, di) in branches.enumerate() {
                 let (pc, view) = (pck(di.pc), trace.history().view(di.bhist_pos as usize));
-                let keys = &table[ordinal];
-                prop_assert_eq!(*keys, fly.keys(pc, view), "ordinal {}", ordinal);
-                prop_assert_eq!(keyed.predict_keyed(pc, keys), adapter.predict(pc, view));
-                keyed.update_keyed(pc, keys, di.taken);
-                adapter.update(pc, view, di.taken);
+                prop_assert_eq!(table[ordinal], tage_oracle(pc, view), "ordinal {}", ordinal);
             }
-            prop_assert_eq!(keyed.snapshot_bytes(), adapter.snapshot_bytes());
         }
 
-        /// For VTAGE, the hybrid and D-VTAGE at every block size, the
-        /// trace's key table holds, for every VP-eligible µ-op, exactly the
-        /// keys derived on the fly (by an instance of another seed), and
-        /// the keyed predict/train the pipeline drives make the same
-        /// predictions and leave the same snapshot bytes as the
-        /// `ValuePredictor` adapter.
+        /// For VTAGE, the hybrid and D-VTAGE at every block size and bank
+        /// count, the trace's key table holds, for every VP-eligible µ-op,
+        /// exactly the keys the oracle hashes from the history folds.
         #[test]
-        fn vp_key_tables_equal_on_the_fly_keys_and_the_adapter(
+        fn vp_key_tables_equal_the_oracle(
             draws in proptest::collection::vec((0u8..48, 0u64..6), 0..2000),
             kind in prop::sample::select(vec![
                 ValuePredictorKind::Vtage,
@@ -1185,29 +1288,16 @@ mod tests {
         ) {
             let trace = PreparedTrace::new(value_stream(&draws));
             let vp = VpConfig { kind, seed, block_size, banks, spec_window: None };
-            let mut block = make_block_vp(&vp, 64, trace.text().len());
+            let (mut block, _) = make_block_vp(&vp, 64, trace.text().len());
             let table = trace.vp_keys(&mut block).expect("a keyed kind");
             prop_assert_eq!(table.index.len(), trace.len());
-            let mut fly = make_value_predictor(&VpConfig { seed: !seed, ..vp.clone() });
-            let (mut keyed, mut adapter) = (make_value_predictor(&vp), make_value_predictor(&vp));
             for (idx, di) in trace.insts().iter().enumerate() {
                 if !trace.text()[di.pc as usize].is_vp_eligible() {
                     continue;
                 }
                 let (pc, view) = (pck(di.pc), trace.history().view(di.bhist_pos as usize));
-                let keys = &table.get(idx);
-                prop_assert_eq!(Some(*keys), fly.keys(pc, view), "trace index {}", idx);
-                // A chained in-flight value on some µ-ops, for D-VTAGE.
-                let last = (di.result % 3 == 0).then_some(di.result);
-                let inflight = InFlight { depth: last.is_some().into(), last };
-                prop_assert_eq!(
-                    keyed.predict_keyed(pc, view, keys, inflight),
-                    adapter.predict(pc, view, inflight)
-                );
-                keyed.train_keyed(pc, view, keys, di.result);
-                adapter.train(pc, view, di.result);
+                prop_assert_eq!(Some(table.get(idx)), vp_oracle(&vp, pc, view), "trace index {}", idx);
             }
-            prop_assert_eq!(keyed.snapshot_bytes(), adapter.snapshot_bytes());
         }
     }
 
@@ -1226,7 +1316,7 @@ mod tests {
     #[test]
     fn vp_key_tables_are_built_once_per_schema_and_shared() {
         let trace = PreparedTrace::new(tiny_trace(40));
-        let table = |config: CoreConfig| Simulator::new(&trace, config).unwrap().vp_keys;
+        let table = |config: CoreConfig| Simulator::new(&trace, config).unwrap().vp.and_then(|vp| vp.keys());
         let reseeded = |config: CoreConfig| {
             let vp = VpConfig { seed: 7, ..config.vp.clone().unwrap() };
             config.to_builder().vp(vp).build().unwrap()
@@ -1252,7 +1342,7 @@ mod tests {
     fn vp_key_table_stores_each_distinct_key_once() {
         let trace = PreparedTrace::new(tiny_trace(2000));
         for config in [CoreConfig::baseline_vp_6_64(), CoreConfig::eole_dvtage_4_64()] {
-            let table = Simulator::new(&trace, config).unwrap().vp_keys.unwrap();
+            let table = Simulator::new(&trace, config).unwrap().vp.and_then(|vp| vp.keys()).unwrap();
             let (len, distinct) = (table.index.len(), table.distinct.len());
             assert_eq!(len, trace.len());
             assert!(distinct * 10 < len, "{distinct} distinct keys for {len} µ-ops");

@@ -137,7 +137,8 @@ impl Simulator<'_> {
         self.ras.snap(s)?;
         s.shape(self.vp.is_some(), "vp presence mismatch")?;
         if let Some(vp) = &mut self.vp {
-            vp.snap(s)?;
+            let (vp, gate) = vp.home();
+            vp.snap(gate, s)?;
         }
         self.mem.snap(s)
     }

@@ -12,7 +12,7 @@
 //!   (75/130/185-cycle row hit/closed/conflict, per-bank serialization);
 //! * [`hierarchy::MemoryHierarchy`] — L1I + L1D + unified L2 + DRAM glue
 //!   with write-back victims and demand/prefetch interleaving;
-//! * [`counters`] — the `counters!` declaration every statistics struct
+//! * [`counters`](mod@counters) — the `counters!` declaration every statistics struct
 //!   (`CacheStats` … `MemStats`, and the pipeline's `SimStats`) is written
 //!   in: one field list yields the struct, its `merge` and a name/value
 //!   visitor.

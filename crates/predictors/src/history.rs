@@ -125,6 +125,11 @@ impl BranchHistory {
     }
 }
 
+/// The log with no outcomes, behind [`HistoryView::empty`]. Its identity
+/// is one [`NEXT_HISTORY_ID`] never reaches.
+// lint:allow(hot-alloc) a const empty `Vec` allocates nothing
+static EMPTY: BranchHistory = BranchHistory { words: Vec::new(), len: 0, id: u64::MAX };
+
 /// Maximum history length supported by [`HistoryView::fold`], in bits.
 pub const MAX_HISTORY_BITS: usize = 640;
 
@@ -133,6 +138,14 @@ pub const MAX_HISTORY_BITS: usize = 640;
 pub struct HistoryView<'a> {
     hist: &'a BranchHistory,
     pos: usize,
+}
+
+impl HistoryView<'static> {
+    /// A view with no outcomes visible: what the predictors that hash no
+    /// history are passed when the caller holds no log.
+    pub fn empty() -> Self {
+        EMPTY.view(0)
+    }
 }
 
 impl HistoryView<'_> {

@@ -72,37 +72,51 @@ impl AnyValuePredictor {
         }
     }
 
-    /// [`ValuePredictor::predict`] with the µ-op's [`keys`](Self::keys);
-    /// the kinds without keys ignore them.
+    /// [`ValuePredictor::predict`] with the µ-op's [`keys`](Self::keys),
+    /// which the kinds that hash the branch history require and the
+    /// others ignore: they read no history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a keyed kind is passed no keys.
     #[inline]
     pub fn predict_keyed(
         &mut self,
         pc: u64,
-        hist: HistoryView<'_>,
-        keys: &VpKeys,
+        keys: Option<&VpKeys>,
         inflight: InFlight,
     ) -> Option<ValuePrediction> {
         match self {
             AnyValuePredictor::VtageTwoDeltaStride(p) => {
-                Some(p.predict_keyed(pc, hist, keys, inflight))
+                Some(p.predict_keyed(pc, need(keys), inflight))
             }
-            AnyValuePredictor::Vtage(p) => Some(p.predict_keyed(pc, keys)),
-            AnyValuePredictor::DVtage(p) => Some(p.predict_keyed(pc, keys, inflight)),
-            p => p.predict(pc, hist, inflight),
+            AnyValuePredictor::Vtage(p) => Some(p.predict_keyed(pc, need(keys))),
+            AnyValuePredictor::DVtage(p) => Some(p.predict_keyed(pc, need(keys), inflight)),
+            p => p.predict(pc, HistoryView::empty(), inflight),
         }
     }
 
-    /// [`ValuePredictor::train`] with the µ-op's [`keys`](Self::keys);
-    /// the kinds without keys ignore them.
+    /// [`ValuePredictor::train`] with the µ-op's [`keys`](Self::keys), read
+    /// as [`predict_keyed`](Self::predict_keyed) reads them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a keyed kind is passed no keys.
     #[inline]
-    pub fn train_keyed(&mut self, pc: u64, hist: HistoryView<'_>, keys: &VpKeys, actual: u64) {
+    pub fn train_keyed(&mut self, pc: u64, keys: Option<&VpKeys>, actual: u64) {
         match self {
-            AnyValuePredictor::VtageTwoDeltaStride(p) => p.train_keyed(pc, hist, keys, actual),
-            AnyValuePredictor::Vtage(p) => p.train_keyed(pc, keys, actual),
-            AnyValuePredictor::DVtage(p) => p.train_keyed(pc, keys, actual),
-            p => p.train(pc, hist, actual),
+            AnyValuePredictor::VtageTwoDeltaStride(p) => p.train_keyed(pc, need(keys), actual),
+            AnyValuePredictor::Vtage(p) => p.train_keyed(pc, need(keys), actual),
+            AnyValuePredictor::DVtage(p) => p.train_keyed(pc, need(keys), actual),
+            p => p.train(pc, HistoryView::empty(), actual),
         }
     }
+}
+
+/// The keys a keyed kind was passed.
+#[inline]
+fn need(keys: Option<&VpKeys>) -> &VpKeys {
+    keys.expect("a keyed value predictor needs the µ-op's keys")
 }
 
 impl ValuePredictor for AnyValuePredictor {

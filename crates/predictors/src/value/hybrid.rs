@@ -63,17 +63,11 @@ impl VtageTwoDeltaStride {
     }
 
     /// Predicts the µ-op at `pc` whose VTAGE keys are `keys`; the stride
-    /// side reads `hist` and `inflight` as [`ValuePredictor::predict`]
-    /// does.
-    pub fn predict_keyed(
-        &mut self,
-        pc: u64,
-        hist: HistoryView<'_>,
-        keys: &VpKeys,
-        inflight: InFlight,
-    ) -> ValuePrediction {
+    /// side reads `inflight` as [`ValuePredictor::predict`] does, and no
+    /// history.
+    pub fn predict_keyed(&mut self, pc: u64, keys: &VpKeys, inflight: InFlight) -> ValuePrediction {
         let (v, vtage_tagged_hit) = self.vtage.predict_and_hit(pc, keys);
-        let s = self.stride.predict(pc, hist, inflight);
+        let s = self.stride.predict(pc, HistoryView::empty(), inflight);
         // Selection: the more confident component wins; on a tie, a tagged
         // VTAGE hit beats the stride side (context dominates), which in turn
         // beats the last-value-style VTAGE base.
@@ -84,9 +78,9 @@ impl VtageTwoDeltaStride {
     }
 
     /// Trains both sides of the µ-op at `pc` whose VTAGE keys are `keys`.
-    pub fn train_keyed(&mut self, pc: u64, hist: HistoryView<'_>, keys: &VpKeys, actual: u64) {
+    pub fn train_keyed(&mut self, pc: u64, keys: &VpKeys, actual: u64) {
         self.vtage.train_keyed(pc, keys, actual);
-        self.stride.train(pc, hist, actual);
+        self.stride.train(pc, HistoryView::empty(), actual);
     }
 }
 
@@ -99,12 +93,12 @@ impl ValuePredictor for VtageTwoDeltaStride {
         inflight: InFlight,
     ) -> Option<ValuePrediction> {
         let keys = self.keys(pc, hist);
-        Some(self.predict_keyed(pc, hist, &keys, inflight))
+        Some(self.predict_keyed(pc, &keys, inflight))
     }
 
     fn train(&mut self, pc: u64, hist: HistoryView<'_>, actual: u64) {
         let keys = self.keys(pc, hist);
-        self.train_keyed(pc, hist, &keys, actual);
+        self.train_keyed(pc, &keys, actual);
     }
 
     fn storage_bits(&self) -> u64 {

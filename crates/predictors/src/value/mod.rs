@@ -11,16 +11,17 @@
 //!
 //! There are two interfaces at two altitudes:
 //!
-//! * **The block protocol** ([`BlockVp`], module [`block`]) is what the
-//!   timing core drives: [`BlockVp::predict`] at **fetch** (fetch-block-
-//!   granular access, speculative-window registration), exactly one of
-//!   [`BlockVp::commit`] at **retire** or a covering
+//! * **The block protocol** ([`BlockGate`] and [`BlockVp`], module
+//!   `block`) is what the timing core drives. At **fetch** the gate
+//!   admits the µ-op into the bounded speculative window and charges
+//!   fetch-block-granular reads, and [`BlockVp::predict`] predicts it;
+//!   then exactly one of [`BlockVp::commit`] at **retire** or a covering
 //!   [`BlockVp::squash_from`] on a pipeline squash. The window is the
 //!   only owner of in-flight state, for every predictor kind: a squash
 //!   is the window drop and never reaches the predictor. For the kinds
-//!   that hash the branch history (VTAGE, the hybrid, D-VTAGE), fetch
-//!   and commit pass the µ-op's [`VpKeys`], built once per trace per
-//!   [`VpKeySchema`], to their keyed `predict_keyed` / `train_keyed`.
+//!   that hash the branch history (VTAGE, the hybrid, D-VTAGE), predict
+//!   and commit take the µ-op's [`VpKeys`], built once per trace per
+//!   [`VpKeySchema`]; the other kinds read no history.
 //! * **The per-instruction protocol** ([`ValuePredictor`]) is what the
 //!   window drives and what offline evaluation ([`evaluate_stream`], the
 //!   predictor microbench, the `predictor_showdown` example) uses
@@ -42,7 +43,7 @@ mod stride;
 mod vtage;
 
 pub use any::AnyValuePredictor;
-pub use block::{BlockParams, BlockQuery, BlockVp};
+pub use block::{Admission, BlockGate, BlockParams, BlockVp};
 pub use dvtage::{DVtage, DVtageConfig};
 pub use fcm::Fcm;
 pub use hybrid::VtageTwoDeltaStride;

@@ -100,6 +100,33 @@ struct State {
     stats: ServiceStats,
 }
 
+/// Settles a hit whose entry file `read` outside the state lock, under
+/// the lock again: a hit, counted and stamped for LRU, iff the read
+/// succeeded and the entry is still indexed. An entry removed meanwhile
+/// (evicted, or dropped by another connection's failed read) is a miss
+/// that leaves the accounting alone; a failed read drops the index entry,
+/// as the file vanished or broke under us.
+fn settle_read(st: &mut State, key: &str, read: std::io::Result<Vec<u8>>) -> Option<Vec<u8>> {
+    match read {
+        Ok(payload) if st.entries.contains_key(key) => {
+            st.tick += 1;
+            let tick = st.tick;
+            if let Some(e) = st.entries.get_mut(key) {
+                e.last_access = tick;
+            }
+            st.stats.hits += 1;
+            Some(payload)
+        }
+        Ok(_) => None,
+        Err(_) => {
+            if let Some(entry) = st.entries.remove(key) {
+                st.total_bytes -= entry.bytes;
+            }
+            None
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
     config: ServerConfig,
@@ -183,31 +210,22 @@ impl Shared {
         };
         loop {
             if st.entries.contains_key(key) {
+                // Read outside the lock: a hit can be a megabyte-scale
+                // checkpoint, and every connection waits on this lock.
                 let path = dir::entry_path(&self.config.dir, key);
-                match std::fs::read(&path) {
-                    Ok(payload) => {
-                        st.tick += 1;
-                        let tick = st.tick;
-                        if let Some(e) = st.entries.get_mut(key) {
-                            e.last_access = tick;
-                        }
-                        st.stats.hits += 1;
-                        unregister(&mut st, waiting);
-                        // Persist the access for cross-restart LRU;
-                        // best-effort (a read-only volume just loses
-                        // recency refinement, not correctness).
-                        if let Ok(f) = std::fs::File::open(&path) {
-                            let _ = f.set_modified(SystemTime::now());
-                        }
-                        return Response::Hit { payload };
+                drop(st);
+                let read = std::fs::read(&path);
+                st = self.lock_state();
+                if let Some(payload) = settle_read(&mut st, key, read) {
+                    unregister(&mut st, waiting);
+                    drop(st);
+                    // Persist the access for cross-restart LRU;
+                    // best-effort (a read-only volume just loses
+                    // recency refinement, not correctness).
+                    if let Ok(f) = std::fs::File::open(&path) {
+                        let _ = f.set_modified(SystemTime::now());
                     }
-                    Err(_) => {
-                        // The file vanished or broke under us: drop the
-                        // index entry and fall through to the miss path.
-                        if let Some(entry) = st.entries.remove(key) {
-                            st.total_bytes -= entry.bytes;
-                        }
-                    }
+                    return Response::Hit { payload };
                 }
             }
             let now = Instant::now();
@@ -505,5 +523,48 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
         if write_frame(&mut stream, &encode_response(&response)).is_err() || fatal {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One indexed entry of `bytes` bytes, last accessed at tick 1.
+    fn one_entry(bytes: u64) -> State {
+        let mut st = State { total_bytes: bytes, tick: 1, ..State::default() };
+        st.entries.insert("k".to_string(), Entry { bytes, last_access: 1 });
+        st
+    }
+
+    /// An entry evicted between the read outside the lock and the
+    /// re-check under it is a miss: no hit is counted and the LRU clock
+    /// does not move.
+    #[test]
+    fn an_entry_removed_during_its_read_is_a_miss() {
+        let mut st = one_entry(3);
+        st.entries.remove("k");
+        st.total_bytes = 0;
+        assert_eq!(settle_read(&mut st, "k", Ok(vec![1, 2, 3])), None);
+        assert_eq!((st.stats.hits, st.tick, st.total_bytes), (0, 1, 0));
+    }
+
+    /// An entry still indexed after its read is a hit, counted once and
+    /// stamped with the next LRU tick.
+    #[test]
+    fn an_entry_still_indexed_after_its_read_is_a_hit() {
+        let mut st = one_entry(3);
+        assert_eq!(settle_read(&mut st, "k", Ok(vec![1, 2, 3])), Some(vec![1, 2, 3]));
+        assert_eq!((st.stats.hits, st.tick, st.entries["k"].last_access), (1, 2, 2));
+    }
+
+    /// A failed read drops the index entry and its bytes, and is no hit.
+    #[test]
+    fn a_failed_read_drops_the_entry() {
+        let mut st = one_entry(3);
+        let gone = std::io::Error::from(std::io::ErrorKind::NotFound);
+        assert_eq!(settle_read(&mut st, "k", Err(gone)), None);
+        assert!(st.entries.is_empty());
+        assert_eq!((st.stats.hits, st.total_bytes), (0, 0));
     }
 }

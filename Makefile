@@ -32,7 +32,7 @@ experiments-json:
 # Steady-state simulator throughput on the quick suite, against the
 # committed baseline (schema + methodology in PERF.md).
 perf:
-	cargo run --release -p eole-bench --bin sim-throughput -- --baseline BENCH_throughput.json --out BENCH_throughput.json
+	cargo run --release -p eole-bench --bin sim-throughput -- --quick --baseline BENCH_throughput.json --out BENCH_throughput.json
 
 clean:
 	cargo clean

@@ -818,7 +818,9 @@ impl<'t> Simulator<'t> {
     /// [`SimError::Deadlock`] if no commit happens for 100k cycles.
     pub fn run(&mut self, insts: u64) -> Result<(), SimError> {
         if let Some(vp) = &mut self.vp {
-            vp.begin_run();
+            // The run commits at most `insts` µ-ops, and, the µ-ops
+            // already in flight aside, at most what is left to fetch.
+            vp.begin_run(insts.min(self.trace.len().saturating_sub(self.cursor) as u64));
         }
         let out = self.run_cycles(insts);
         if let Some(vp) = &mut self.vp {

@@ -29,8 +29,10 @@
 //! gets a core, costs no waiting. A helper that keeps the pipeline
 //! waiting (`STALLS` waits that outlast their spins in one run) has no
 //! core of its own after all: the run takes the predictor back and
-//! drains the rest inline. Either switch only decides which thread
-//! applies which command, never their order.
+//! drains the rest inline, and the runs after it skip the helper, one
+//! run after the first such reclaim and twice as many after each next
+//! (the `Backoff`). Either switch only decides which thread applies
+//! which command, never their order.
 //!
 //! The helper path is shaped by what the two cores share. Commands are
 //! queued on the pipeline's thread and copied into the ring in one burst
@@ -50,13 +52,19 @@
 //! progress. `EOLE_PARANOID` drains inline: its key re-derivation reads
 //! the trace's branch history, which the helper does not hold.
 //!
-//! A simulator spawns at most one helper, during its first run, and
-//! allocates the ring then. Between runs the helper parks and the
-//! predictor is back on the pipeline's thread, where snapshots,
-//! functional warmup and the accessors find it. Dropping the simulator
-//! stops and joins the helper; a helper panic re-panics in `run`.
+//! A run shorter than [`MIN_HELPER_RUN`] µ-ops drains inline: an
+//! interval piece that builds a simulator for a few thousand µ-ops would
+//! pay a thread's spawn and join, and the helper's answer, for a run
+//! that ends about when the helper starts.
+//!
+//! A simulator spawns at most one helper, during its first run long
+//! enough to call one, and allocates the ring then. Between runs the
+//! helper parks and the predictor is back on the pipeline's thread,
+//! where snapshots, functional warmup and the accessors find it.
+//! Dropping the simulator stops and joins the helper; a helper panic
+//! re-panics in `run`.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
@@ -110,6 +118,52 @@ fn claim_spare_core() -> bool {
 
 fn release_spare_core() {
     BUSY.fetch_sub(1, Ordering::AcqRel);
+}
+
+/// Helper runs skipped, process-wide, after runs that took the predictor
+/// back from a stalling helper.
+static BACKOFF: Backoff = Backoff::new();
+
+/// The most runs one reclaim skips. perfbench's runs take 10–30 ms, so a
+/// second core the host keeps busy costs about one probing run a second.
+const MAX_SKIP: u32 = 64;
+
+/// Which runs may call a helper, from how earlier helper runs ended. The
+/// spare-core rule sees only this process, and a second core that the
+/// host keeps busy stalls every helper run the same way: each run that
+/// takes the predictor back doubles the runs the next reclaim skips, up
+/// to [`MAX_SKIP`], and a run that keeps its helper to the end resets
+/// it. Which thread drains never changes a result, so the races between
+/// simulating threads are harmless.
+struct Backoff {
+    /// Helper runs still to skip.
+    skip: AtomicU32,
+    /// Runs the next reclaim skips.
+    next: AtomicU32,
+}
+
+impl Backoff {
+    const fn new() -> Self {
+        Backoff { skip: AtomicU32::new(0), next: AtomicU32::new(1) }
+    }
+
+    /// Whether a run may call a helper; a run that may not uses up one
+    /// skip.
+    fn allows(&self) -> bool {
+        self.skip.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1)).is_err()
+    }
+
+    /// Records a run whose helper took the drain side: `reclaimed` if the
+    /// run took it back mid-run.
+    fn record(&self, reclaimed: bool) {
+        if reclaimed {
+            let next = self.next.load(Ordering::Relaxed);
+            self.skip.store(next, Ordering::Relaxed);
+            self.next.store((next * 2).min(MAX_SKIP), Ordering::Relaxed);
+        } else {
+            self.next.store(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// One command to the value predictor, in pipeline order.
@@ -268,6 +322,17 @@ const STAGE: usize = 64;
 /// Spins before a wait yields.
 const SPINS: u32 = 1 << 10;
 
+/// The fewest µ-ops a run must be able to commit to call a helper. A
+/// helper takes 50–400 µs to answer, and its first run also spawns its
+/// thread; at the inline drainer's 5–6 Mµops/s this many µ-ops take
+/// about 6 ms, so the hand-over costs under a tenth of the run.
+/// `Runner`'s default windows (20,000 and 80,000 µ-ops), the quick
+/// runner's 40,000-µ-op measure window and perfbench's serial runs are
+/// longer; the quick runner's 15,000-µ-op warmup, the interval pieces
+/// of a stitched run (5,000–10,000 µ-ops each) and the golden
+/// fingerprints' runs are shorter.
+pub(super) const MIN_HELPER_RUN: u64 = 1 << 15;
+
 /// Waits on the helper that outlast their spins before a run takes the
 /// predictor back and drains the rest inline: a helper that keeps the
 /// pipeline waiting has no core of its own after all.
@@ -352,7 +417,7 @@ fn helper_main(link: Arc<Link>) {
 /// One step of an idle wait: spin `SPINS` times, then yield.
 #[inline]
 fn idle_wait(idle: &mut u32) {
-    *idle += 1;
+    *idle = idle.saturating_add(1);
     if *idle < SPINS {
         std::hint::spin_loop();
     } else {
@@ -612,13 +677,16 @@ pub(super) struct VpStream {
     unread: usize,
     /// Cycles from fetch to rename.
     frontend_depth: u64,
-    /// Whether a run has started: only the first may spawn the helper.
-    ran: bool,
+    /// Whether a run has tried to spawn the helper: only one may.
+    spawned: bool,
     /// Whether this run has called the helper and not yet handed it the
     /// drain side.
     calling: bool,
     /// Whether the current run holds a spare core.
     claimed: bool,
+    /// Whether the current run took the predictor back from a stalling
+    /// helper.
+    reclaimed: bool,
     /// Forces a drainer (`Some(true)`: the helper, on no claimed core),
     /// for tests.
     #[cfg(test)]
@@ -643,9 +711,10 @@ impl VpStream {
             helper: None,
             unread,
             frontend_depth,
-            ran: false,
+            spawned: false,
             calling: false,
             claimed: false,
+            reclaimed: false,
             #[cfg(test)]
             force_helper: None,
         }
@@ -663,16 +732,17 @@ impl VpStream {
         (&mut drain.vp, &mut self.gate)
     }
 
-    /// Starts a run: calls the helper if a spare core is free. The run
-    /// drains inline until the helper answers, so a helper that is slow
-    /// to wake, or never gets a core, costs no waiting. Only the first
-    /// run may spawn the helper, so no later run allocates.
-    pub(super) fn begin_run(&mut self) {
-        let first = !std::mem::replace(&mut self.ran, true);
-        if !self.wants_helper(first) {
+    /// Starts a run that may commit up to `insts` µ-ops: calls the helper
+    /// if the run is long enough and a spare core is free. The run drains
+    /// inline until the helper answers, so a helper that is slow to wake,
+    /// or never gets a core, costs no waiting. Only the first run that
+    /// calls a helper may spawn it, so no later run allocates.
+    pub(super) fn begin_run(&mut self, insts: u64) {
+        self.reclaimed = false;
+        if !self.wants_helper(insts) {
             return;
         }
-        if first {
+        if !std::mem::replace(&mut self.spawned, true) {
             // A quarter of the front end's depth between publishes leaves
             // the helper the rest of it before rename reads.
             self.helper = Helper::spawn(self.unread, (self.frontend_depth / 4).max(1));
@@ -710,21 +780,30 @@ impl VpStream {
         }
     }
 
-    /// Whether this run drains on a helper: one that exists or that this,
-    /// the first, run may spawn, on a spare core it claims.
-    fn wants_helper(&mut self, first: bool) -> bool {
-        let can = first || self.helper.is_some();
+    /// Whether a run of up to `insts` µ-ops drains on a helper: one that
+    /// exists or that no run has tried to spawn yet, on a spare core it
+    /// claims, unless [`BACKOFF`] skips the run. A forced drainer ignores
+    /// the run's length and the backoff.
+    fn wants_helper(&mut self, insts: u64) -> bool {
+        let can = !self.spawned || self.helper.is_some();
         #[cfg(test)]
         if let Some(force) = self.force_helper {
             return force && can;
         }
-        self.claimed = can && !crate::paranoid() && claim_spare_core();
+        self.claimed = can
+            && insts >= MIN_HELPER_RUN
+            && !crate::paranoid()
+            && BACKOFF.allows()
+            && claim_spare_core();
         self.claimed
     }
 
     /// Ends a run: takes the predictor back once the helper has applied
     /// every command, or sends home a helper that never took it.
     pub(super) fn end_run(&mut self) {
+        if self.claimed && !self.calling {
+            BACKOFF.record(self.reclaimed);
+        }
         if let Some(helper) = &mut self.helper {
             if std::mem::take(&mut self.calling) {
                 helper.cancel();
@@ -828,6 +907,7 @@ impl VpStream {
         let outcome = helper.outcome(ordinal);
         if helper.stalls > STALLS && self.home.is_none() {
             self.home = Some(helper.stop());
+            self.reclaimed = true;
         }
         outcome
     }
@@ -998,6 +1078,23 @@ mod tests {
         assert_eq!((allocs, bytes), (0, 0));
     }
 
+    /// A run too short to pay for a helper's hand-over drains inline and
+    /// spawns no helper, spare core or not: one that may commit fewer
+    /// than `MIN_HELPER_RUN` µ-ops, or one that asks for more than the
+    /// trace has left.
+    #[test]
+    fn a_short_run_spawns_no_helper() {
+        let trace = noisy(40_000);
+        let mut sim = Simulator::new(&trace, CoreConfig::eole_4_64()).unwrap();
+        sim.run_exact(MIN_HELPER_RUN - 1).unwrap();
+        assert!(trace.len() > 3 * MIN_HELPER_RUN as usize);
+        sim.functional_warm(trace.len() - MIN_HELPER_RUN as usize + 1);
+        sim.run(u64::MAX).unwrap();
+        assert!(sim.finished());
+        let vp = sim.vp.as_ref().unwrap();
+        assert!(vp.helper.is_none() && !vp.spawned && !vp.claimed);
+    }
+
     /// Dropping the simulator stops and joins its helper: the helper's
     /// end of the link is gone with it.
     #[test]
@@ -1021,7 +1118,7 @@ mod tests {
         let vp = BlockVp::new(LastValue::new(64, 1).into(), params, 8, 4);
         let mut stream = VpStream::new(vp, BlockGate::new(params), None, 8, 15);
         stream.force_helper = Some(true);
-        stream.begin_run();
+        stream.begin_run(MIN_HELPER_RUN);
         stream.end_cycle();
         // Past the 4 static µ-ops the window's index covers.
         stream.predict(0, (0, 4 * 64, 0), 0, &trace);
@@ -1039,7 +1136,7 @@ mod tests {
             let vp = BlockVp::new(LastValue::new(64, 1).into(), params, 64, 8);
             let mut stream = VpStream::new(vp, BlockGate::new(params), None, 64, 15);
             stream.force_helper = Some(helper);
-            stream.begin_run();
+            stream.begin_run(MIN_HELPER_RUN);
             stream.end_cycle();
             stream
         };
@@ -1055,9 +1152,26 @@ mod tests {
             }
             assert_eq!(read(&mut inline, seq), read(&mut helped, seq), "µ-op {seq}");
         }
-        assert!(helped.home.is_some(), "the predictor came back");
+        assert!(helped.home.is_some() && helped.reclaimed, "the predictor came back");
         inline.end_run();
         helped.end_run();
+    }
+
+    /// Each reclaim doubles the helper runs the next one skips, up to
+    /// `MAX_SKIP`; a run that keeps its helper resets the doubling.
+    #[test]
+    fn reclaims_back_off_helper_runs() {
+        let backoff = Backoff::new();
+        // How many runs in a row are refused a helper from here on.
+        let refused = |b: &Backoff| (0..).take_while(|_| !b.allows()).count();
+        assert_eq!(refused(&backoff), 0);
+        for skip in [1, 2, 4, 8, 16, 32, 64, 64] {
+            backoff.record(true);
+            assert_eq!(refused(&backoff), skip);
+        }
+        backoff.record(false);
+        backoff.record(true);
+        assert_eq!(refused(&backoff), 1);
     }
 
     #[test]

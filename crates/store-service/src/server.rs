@@ -80,6 +80,9 @@ impl ServerConfig {
 struct Entry {
     bytes: u64,
     last_access: u64,
+    /// The tick that indexed this entry (publish or startup scan): it
+    /// tells the entry a read started on from one published after it.
+    indexed: u64,
 }
 
 #[derive(Debug)]
@@ -104,9 +107,16 @@ struct State {
 /// the lock again: a hit, counted and stamped for LRU, iff the read
 /// succeeded and the entry is still indexed. An entry removed meanwhile
 /// (evicted, or dropped by another connection's failed read) is a miss
-/// that leaves the accounting alone; a failed read drops the index entry,
-/// as the file vanished or broke under us.
-fn settle_read(st: &mut State, key: &str, read: std::io::Result<Vec<u8>>) -> Option<Vec<u8>> {
+/// that leaves the accounting alone. A failed read drops the index entry
+/// the read started on (`indexed` is its [`Entry::indexed`] tick), as its
+/// file vanished or broke under us; an entry published again meanwhile
+/// is a newer file, and stays.
+fn settle_read(
+    st: &mut State,
+    key: &str,
+    indexed: u64,
+    read: std::io::Result<Vec<u8>>,
+) -> Option<Vec<u8>> {
     match read {
         Ok(payload) if st.entries.contains_key(key) => {
             st.tick += 1;
@@ -119,8 +129,10 @@ fn settle_read(st: &mut State, key: &str, read: std::io::Result<Vec<u8>>) -> Opt
         }
         Ok(_) => None,
         Err(_) => {
-            if let Some(entry) = st.entries.remove(key) {
-                st.total_bytes -= entry.bytes;
+            if st.entries.get(key).is_some_and(|e| e.indexed == indexed) {
+                if let Some(entry) = st.entries.remove(key) {
+                    st.total_bytes -= entry.bytes;
+                }
             }
             None
         }
@@ -156,7 +168,8 @@ impl Shared {
         st.tick += 1;
         let tick = st.tick;
         let new_bytes = payload.len() as u64;
-        let old = st.entries.insert(key.to_string(), Entry { bytes: new_bytes, last_access: tick });
+        let entry = Entry { bytes: new_bytes, last_access: tick, indexed: tick };
+        let old = st.entries.insert(key.to_string(), entry);
         st.total_bytes = st.total_bytes - old.map_or(0, |e| e.bytes) + new_bytes;
         st.leases.remove(key);
         st.stats.puts += 1;
@@ -209,14 +222,14 @@ impl Shared {
             }
         };
         loop {
-            if st.entries.contains_key(key) {
+            if let Some(indexed) = st.entries.get(key).map(|e| e.indexed) {
                 // Read outside the lock: a hit can be a megabyte-scale
                 // checkpoint, and every connection waits on this lock.
                 let path = dir::entry_path(&self.config.dir, key);
                 drop(st);
                 let read = std::fs::read(&path);
                 st = self.lock_state();
-                if let Some(payload) = settle_read(&mut st, key, read) {
+                if let Some(payload) = settle_read(&mut st, key, indexed, read) {
                     unregister(&mut st, waiting);
                     drop(st);
                     // Persist the access for cross-restart LRU;
@@ -355,7 +368,7 @@ impl StoreServer {
                 st.tick += 1;
                 let tick = st.tick;
                 st.total_bytes += meta.len();
-                st.entries.insert(key, Entry { bytes: meta.len(), last_access: tick });
+                st.entries.insert(key, Entry { bytes: meta.len(), last_access: tick, indexed: tick });
             }
             shared.evict(&mut st, None);
         }
@@ -530,10 +543,11 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
 mod tests {
     use super::*;
 
-    /// One indexed entry of `bytes` bytes, last accessed at tick 1.
+    /// One indexed entry of `bytes` bytes, indexed and last accessed at
+    /// tick 1.
     fn one_entry(bytes: u64) -> State {
         let mut st = State { total_bytes: bytes, tick: 1, ..State::default() };
-        st.entries.insert("k".to_string(), Entry { bytes, last_access: 1 });
+        st.entries.insert("k".to_string(), Entry { bytes, last_access: 1, indexed: 1 });
         st
     }
 
@@ -545,7 +559,7 @@ mod tests {
         let mut st = one_entry(3);
         st.entries.remove("k");
         st.total_bytes = 0;
-        assert_eq!(settle_read(&mut st, "k", Ok(vec![1, 2, 3])), None);
+        assert_eq!(settle_read(&mut st, "k", 1, Ok(vec![1, 2, 3])), None);
         assert_eq!((st.stats.hits, st.tick, st.total_bytes), (0, 1, 0));
     }
 
@@ -554,7 +568,7 @@ mod tests {
     #[test]
     fn an_entry_still_indexed_after_its_read_is_a_hit() {
         let mut st = one_entry(3);
-        assert_eq!(settle_read(&mut st, "k", Ok(vec![1, 2, 3])), Some(vec![1, 2, 3]));
+        assert_eq!(settle_read(&mut st, "k", 1, Ok(vec![1, 2, 3])), Some(vec![1, 2, 3]));
         assert_eq!((st.stats.hits, st.tick, st.entries["k"].last_access), (1, 2, 2));
     }
 
@@ -563,8 +577,22 @@ mod tests {
     fn a_failed_read_drops_the_entry() {
         let mut st = one_entry(3);
         let gone = std::io::Error::from(std::io::ErrorKind::NotFound);
-        assert_eq!(settle_read(&mut st, "k", Err(gone)), None);
+        assert_eq!(settle_read(&mut st, "k", 1, Err(gone)), None);
         assert!(st.entries.is_empty());
         assert_eq!((st.stats.hits, st.total_bytes), (0, 0));
+    }
+
+    /// A read that fails on an entry evicted and then published again
+    /// before the re-check leaves the new entry indexed, with its bytes
+    /// in the budget: its file is the fresh one, not the one that broke.
+    #[test]
+    fn a_failed_read_keeps_an_entry_published_again_meanwhile() {
+        let mut st = one_entry(3);
+        st.entries.insert("k".to_string(), Entry { bytes: 5, last_access: 2, indexed: 2 });
+        (st.tick, st.total_bytes) = (2, 5);
+        let gone = std::io::Error::from(std::io::ErrorKind::NotFound);
+        assert_eq!(settle_read(&mut st, "k", 1, Err(gone)), None);
+        assert_eq!(st.entries.get("k").map(|e| (e.bytes, e.indexed)), Some((5, 2)));
+        assert_eq!((st.stats.hits, st.total_bytes, st.tick), (0, 5, 2));
     }
 }
